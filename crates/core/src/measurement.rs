@@ -30,6 +30,27 @@ pub enum StallSource {
     Software,
 }
 
+impl StallSource {
+    /// The source's name in the HTTP wire format and the write-ahead log.
+    pub fn name(self) -> &'static str {
+        match self {
+            StallSource::HardwareBackend => "hw_backend",
+            StallSource::HardwareFrontend => "hw_frontend",
+            StallSource::Software => "software",
+        }
+    }
+
+    /// Inverse of [`StallSource::name`]; `None` for any other string.
+    pub fn from_name(name: &str) -> Option<StallSource> {
+        match name {
+            "hw_backend" => Some(StallSource::HardwareBackend),
+            "hw_frontend" => Some(StallSource::HardwareFrontend),
+            "software" => Some(StallSource::Software),
+            _ => None,
+        }
+    }
+}
+
 /// A named stall-cycle category with its source.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct StallCategory {
@@ -406,6 +427,18 @@ mod tests {
             reverse.push(m.clone());
         }
         assert_eq!(forward, reverse);
+    }
+
+    #[test]
+    fn stall_source_names_round_trip() {
+        for source in [
+            StallSource::HardwareBackend,
+            StallSource::HardwareFrontend,
+            StallSource::Software,
+        ] {
+            assert_eq!(StallSource::from_name(source.name()), Some(source));
+        }
+        assert_eq!(StallSource::from_name("backend"), None);
     }
 
     #[test]

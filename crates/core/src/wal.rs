@@ -196,25 +196,6 @@ enum WalRecord {
     Evict { series: SeriesId },
 }
 
-/// Wire name of a stall source (matches the HTTP wire format).
-fn source_name(source: StallSource) -> &'static str {
-    match source {
-        StallSource::HardwareBackend => "hw_backend",
-        StallSource::HardwareFrontend => "hw_frontend",
-        StallSource::Software => "software",
-    }
-}
-
-/// Inverse of [`source_name`].
-fn parse_source(name: &str) -> Result<StallSource> {
-    match name {
-        "hw_backend" => Ok(StallSource::HardwareBackend),
-        "hw_frontend" => Ok(StallSource::HardwareFrontend),
-        "software" => Ok(StallSource::Software),
-        other => Err(corrupt(format!("unknown stall source `{other}`"))),
-    }
-}
-
 fn storage(detail: impl Into<String>) -> EstimaError {
     EstimaError::StorageFailure {
         detail: detail.into(),
@@ -258,7 +239,7 @@ fn measurement_to_json(m: &Measurement) -> Result<Json> {
         stalls.push(Json::Object(vec![
             (
                 "source".to_string(),
-                Json::String(source_name(category.source).to_string()),
+                Json::String(category.source.name().to_string()),
             ),
             ("name".to_string(), Json::String(category.name.clone())),
             ("cycles".to_string(), Json::Number(*cycles)),
@@ -291,12 +272,12 @@ fn measurement_from_json(value: &Json) -> Result<Measurement> {
             .as_array()
             .ok_or_else(|| corrupt("`stalls` is not an array"))?;
         for stall in stalls {
-            let source = parse_source(
-                stall
-                    .get("source")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| corrupt("stall without a `source`"))?,
-            )?;
+            let source = stall
+                .get("source")
+                .and_then(Json::as_str)
+                .ok_or_else(|| corrupt("stall without a `source`"))?;
+            let source = StallSource::from_name(source)
+                .ok_or_else(|| corrupt(format!("unknown stall source `{source}`")))?;
             let name = stall
                 .get("name")
                 .and_then(Json::as_str)

@@ -4,21 +4,36 @@
 //! zero heap allocation.
 //!
 //! A counting global allocator wraps the system allocator; the test snapshots
-//! the allocation counter around the fit and asserts it did not move.
+//! the calling thread's allocation counter around the fit and asserts it did
+//! not move. The counter is per thread, so tests running in parallel in this
+//! binary never count each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use estima_core::levenberg::{levenberg_marquardt_into, Jacobian, LmOptions, LmWorkspace};
 use estima_core::KernelKind;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates itself.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -27,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -59,10 +74,10 @@ fn lm_with_prebuilt_workspace_never_allocates() {
         .expect("warm-up fit");
 
     let mut params = initial;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let stats = levenberg_marquardt_into(&kernel, &xs, &ys, &mut params, &options, &mut workspace)
         .expect("counted fit");
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -92,9 +107,9 @@ fn finite_difference_mode_is_also_allocation_free() {
         .expect("warm-up fit");
 
     let mut params = initial;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     levenberg_marquardt_into(&kernel, &xs, &ys, &mut params, &options, &mut workspace)
         .expect("counted fit");
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(after - before, 0, "FD mode allocated {}", after - before);
 }

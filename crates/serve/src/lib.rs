@@ -60,6 +60,7 @@
 
 pub mod client;
 pub mod http;
+mod route;
 pub mod router;
 pub mod server;
 pub mod stats;

@@ -10,20 +10,23 @@
 //! one shard remaps *only* the keys that shard owned (every other key's
 //! argmax is untouched).
 //!
-//! Forwarding never blocks a reactor thread. The reactor classifies a
-//! request, parks its connection, and hands a `ForwardJob` to a small
-//! forwarder pool that drives blocking pooled keep-alive [`Client`]s (with
-//! explicit connect/read timeouts, so a dead shard bounds the stall) and
-//! posts the response into the owning reactor's `Mailbox` — an eventfd
-//! doorbell plus a mutexed completion list — which resumes the parked
-//! connection on the reactor thread. Single-shard requests forward the raw
-//! body and return the upstream status/body verbatim; `/v1/batch` fans out
-//! per-shard sub-batches and re-merges the per-job results in original
-//! index order; `GET /v1/series` fans out to every shard and merge-sorts by
-//! series id (shard stores are disjoint, so the merged listing reproduces
-//! the single node's `BTreeMap` order byte-for-byte). An unreachable shard
-//! degrades to a structured `503 shard_unavailable` with a
-//! `retry_after_ms` hint — never a hang. See DESIGN.md § *Cluster serving*.
+//! Forwarding never blocks a reactor thread. The reactor routes a request
+//! through the same route table a single node uses and answers every
+//! route-level outcome (404, 405, an invalid series id, a non-UTF-8 body)
+//! itself, with the node's own helpers. Otherwise it parks the connection
+//! and hands a `ForwardJob` to a small forwarder pool that drives blocking
+//! pooled keep-alive [`Client`]s (with explicit connect/read timeouts, so a
+//! dead shard bounds the stall) and posts the response into the owning
+//! reactor's `Mailbox` — an eventfd doorbell plus a mutexed completion
+//! list — which resumes the parked connection on the reactor thread.
+//! Single-shard requests forward the raw body and return the upstream
+//! status/body verbatim; `/v1/batch` fans out per-shard sub-batches and
+//! re-merges the per-job results in original index order; `GET /v1/series`
+//! fans out to every shard and merge-sorts by series id (shard stores are
+//! disjoint, so the merged listing reproduces the single node's `BTreeMap`
+//! order byte-for-byte). An unreachable shard degrades to a structured
+//! `503 shard_unavailable` with a `retry_after_ms` hint — never a hang. See
+//! DESIGN.md § *Cluster serving*.
 
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -36,7 +39,8 @@ use estima_core::json::Json;
 
 use crate::client::Client;
 use crate::http::{Request, ResponseBuf};
-use crate::stats::ServerStats;
+use crate::route::{Route, RouteOutcome};
+use crate::server::{body_text, parse_series_id};
 use crate::sys;
 use crate::wire;
 
@@ -154,9 +158,6 @@ pub(crate) struct ForwardResponse {
     pub(crate) body: String,
     /// `Retry-After` seconds to re-emit (shard 429s and router 503s).
     pub(crate) retry_after: Option<u64>,
-    /// `Allow` header to re-emit (shard 405s), mapped back to the static
-    /// strings [`ResponseBuf::allow`] carries.
-    pub(crate) allow: Option<&'static str>,
 }
 
 /// A completed forward waiting for its reactor to resume the connection.
@@ -249,25 +250,6 @@ struct ShardPool {
     consecutive_failures: AtomicU64,
 }
 
-/// Status, body and re-emittable headers of one upstream exchange.
-struct Upstream {
-    status: u16,
-    body: String,
-    retry_after: Option<u64>,
-    allow: Option<&'static str>,
-}
-
-/// Map an upstream `Allow` header back to the static strings the response
-/// buffer carries. The service only ever emits these three sets.
-fn static_allow(value: &str) -> Option<&'static str> {
-    match value {
-        "GET" => Some("GET"),
-        "POST" => Some("POST"),
-        "GET, DELETE" => Some("GET, DELETE"),
-        _ => None,
-    }
-}
-
 impl ShardPool {
     fn new(addr_text: &str) -> io::Result<ShardPool> {
         let addr = addr_text
@@ -300,14 +282,13 @@ impl ShardPool {
     /// connection (the shard restarted, the keep-alive died) gets exactly
     /// one fresh-connect retry; a fresh connection that fails is the
     /// shard's problem, reported immediately.
-    fn request(&self, method: &str, path: &str, body: &str) -> io::Result<Upstream> {
+    fn request(&self, method: &str, path: &str, body: &str) -> io::Result<ForwardResponse> {
         if let Some(mut client) = self.checkout() {
             if let Ok(response) = client.request(method, path, body) {
-                let upstream = Upstream {
+                let upstream = ForwardResponse {
                     status: response.status,
                     body: response.body,
                     retry_after: client.last_retry_after(),
-                    allow: client.last_allow().and_then(static_allow),
                 };
                 self.park(client);
                 self.note_success();
@@ -318,11 +299,10 @@ impl ShardPool {
         let result = (|| {
             let mut client = Client::with_timeouts(self.addr, CONNECT_TIMEOUT, READ_TIMEOUT)?;
             let response = client.request(method, path, body)?;
-            let upstream = Upstream {
+            let upstream = ForwardResponse {
                 status: response.status,
                 body: response.body,
                 retry_after: client.last_retry_after(),
-                allow: client.last_allow().and_then(static_allow),
             };
             self.park(client);
             Ok(upstream)
@@ -465,20 +445,46 @@ impl Router {
         ])
     }
 
-    /// Classify one request, mirroring the single-node route match (same
-    /// request counters, same error precedence), and either answer locally
-    /// into `out` (returning `false`) or enqueue a forward job and ask the
-    /// caller to park the connection (returning `true`).
+    /// Forward one data-plane request: enqueue a job for the shard(s)
+    /// owning its data and ask the caller to park the connection. A request
+    /// a node would reject before touching any data — an invalid series id
+    /// (checked before the body), a non-UTF-8 body — is answered into `out`
+    /// with the node's own helpers instead. Returns `None` for the routes
+    /// every process answers for itself: `/v1/healthz`, `/v1/stats`, 404
+    /// and 405.
     pub(crate) fn dispatch(
         &self,
+        route: Route<'_>,
         request: &Request,
-        stats: &ServerStats,
         token: ConnToken,
         out: &mut ResponseBuf,
-    ) -> bool {
-        let kind = match self.classify(request, stats, out) {
-            Some(kind) => kind,
-            None => return false, // answered locally (400-class)
+    ) -> Option<RouteOutcome> {
+        let kind = match route {
+            Route::Healthz | Route::Stats | Route::MethodNotAllowed(_) | Route::NotFound(_) => {
+                return None
+            }
+            Route::SeriesList => Some(JobKind::ListSeries),
+            Route::SeriesGet(id) | Route::SeriesDelete(id) => {
+                parse_series_id(id, out).map(|_| self.single(id, request, String::new()))
+            }
+            Route::SeriesPredict(id) | Route::SeriesPlan(id) => parse_series_id(id, out)
+                .and_then(|_| body_text(request, out))
+                .map(|text| self.single(id, request, text.to_string())),
+            // Stateless predicts route by app name for fit-cache affinity,
+            // ingests by series id. An undecodable body goes to the shard
+            // owning the empty key, whose decoder produces the identical 400.
+            Route::Predict => body_text(request, out).map(|text| {
+                let key = body_key(text, &["measurements", "app_name"]);
+                self.single(&key, request, text.to_string())
+            }),
+            Route::Measurements => body_text(request, out).map(|text| {
+                let key = body_key(text, &["series"]);
+                self.single(&key, request, text.to_string())
+            }),
+            Route::Batch => body_text(request, out).map(|text| self.plan_batch(text, request)),
+        };
+        let Some(kind) = kind else {
+            return Some(RouteOutcome::Respond); // answered locally (400-class)
         };
         match kind {
             JobKind::Single { .. } => {
@@ -497,139 +503,19 @@ impl Router {
         if !submitted {
             // Shutting down: the forwarder pool is gone.
             unavailable_into("router", out);
-            return false;
+            return Some(RouteOutcome::Respond);
         }
-        true
+        Some(RouteOutcome::Park)
     }
 
-    /// Mirror of the single-node `route()` match, arm for arm, so the
-    /// per-route request counters and any locally-answered 400 bytes match
-    /// a single node exactly. Returns `None` when the request was answered
-    /// into `out` without any upstream work.
-    fn classify(
-        &self,
-        request: &Request,
-        stats: &ServerStats,
-        out: &mut ResponseBuf,
-    ) -> Option<JobKind> {
-        let path = request.path.split('?').next().unwrap_or("");
-        let method = request.method.as_str();
-        if let Some(rest) = path.strip_prefix("/v1/series/") {
-            return match rest.split_once('/') {
-                None => {
-                    match method {
-                        "GET" => {
-                            stats.series_requests.fetch_add(1, Ordering::Relaxed);
-                        }
-                        "DELETE" => {
-                            stats.series_delete_requests.fetch_add(1, Ordering::Relaxed);
-                        }
-                        _ => {}
-                    }
-                    // Wrong methods forward too: the shard's 405 carries
-                    // the same bytes a single node would answer.
-                    Some(self.single(rest, request, None))
-                }
-                Some((id, "predict")) => {
-                    if method == "POST" {
-                        stats
-                            .series_predict_requests
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.forward_with_body(id, request, out)
-                }
-                Some((id, "plan")) => {
-                    if method == "POST" {
-                        stats.series_plan_requests.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.forward_with_body(id, request, out)
-                }
-                // Deeper paths 404 identically on every shard.
-                Some(_) => Some(self.single("", request, None)),
-            };
-        }
-        match (method, path) {
-            ("POST", "/v1/predict") => {
-                stats.predict_requests.fetch_add(1, Ordering::Relaxed);
-                let text = utf8_body(request, out)?;
-                // Stateless predicts route by app name for fit-cache
-                // affinity; an undecodable body goes to shard 0, whose
-                // decoder produces the identical 400.
-                let key = Json::parse(text)
-                    .ok()
-                    .and_then(|body| {
-                        body.get("measurements")
-                            .and_then(|set| set.get("app_name"))
-                            .and_then(Json::as_str)
-                            .map(str::to_string)
-                    })
-                    .unwrap_or_default();
-                Some(self.single(&key, request, Some(text.to_string())))
-            }
-            ("POST", "/v1/batch") => {
-                stats.batch_requests.fetch_add(1, Ordering::Relaxed);
-                let text = utf8_body(request, out)?;
-                Some(self.plan_batch(text, request))
-            }
-            ("POST", "/v1/measurements") => {
-                stats.measurements_requests.fetch_add(1, Ordering::Relaxed);
-                let text = utf8_body(request, out)?;
-                let key = Json::parse(text)
-                    .ok()
-                    .and_then(|body| {
-                        body.get("series")
-                            .and_then(Json::as_str)
-                            .map(str::to_string)
-                    })
-                    .unwrap_or_default();
-                Some(self.single(&key, request, Some(text.to_string())))
-            }
-            ("GET", "/v1/series") => {
-                stats.series_requests.fetch_add(1, Ordering::Relaxed);
-                Some(JobKind::ListSeries)
-            }
-            // Everything else — unknown paths, wrong methods on known
-            // paths — forwards to shard 0, whose router-free code path
-            // renders the identical 404/405 bytes.
-            _ => Some(self.single("", request, None)),
-        }
-    }
-
-    /// A single-shard forward of `request` keyed by `key`. `body` overrides
-    /// the forwarded body (validated UTF-8); `None` forwards an empty body
-    /// (GET/DELETE — their bodies are ignored server-side anyway).
-    fn single(&self, key: &str, request: &Request, body: Option<String>) -> JobKind {
+    /// A single-shard forward of `request` with `body`, keyed by `key`.
+    /// GET and DELETE forward an empty body (nodes ignore theirs).
+    fn single(&self, key: &str, request: &Request, body: String) -> JobKind {
         JobKind::Single {
             shard: self.ring.shard_for(key),
             method: request.method.clone(),
             path: request.path.clone(),
-            body: body.unwrap_or_default(),
-        }
-    }
-
-    /// Series routes with bodies (`/v1/series/{id}/predict`): the body must
-    /// cross the upstream hop as UTF-8. An invalid-UTF-8 body is answered
-    /// locally with the shard's exact precedence: an invalid id still wins
-    /// (the shard checks the id before touching the body).
-    fn forward_with_body(
-        &self,
-        id: &str,
-        request: &Request,
-        out: &mut ResponseBuf,
-    ) -> Option<JobKind> {
-        match std::str::from_utf8(&request.body) {
-            Ok(text) => Some(self.single(id, request, Some(text.to_string()))),
-            Err(_) => {
-                if let Err(error) = estima_core::SeriesId::new(id) {
-                    let (status, code) = wire::estima_error_status(&error);
-                    out.status = status;
-                    wire::write_error(code, &error.to_string(), &mut out.body);
-                } else {
-                    out.status = 400;
-                    wire::write_error("bad_request", "body is not valid UTF-8", &mut out.body);
-                }
-                None
-            }
+            body,
         }
     }
 
@@ -638,22 +524,18 @@ impl Router {
     /// come from the same decoder.
     fn plan_batch(&self, text: &str, request: &Request) -> JobKind {
         let Ok(body) = Json::parse(text) else {
-            return self.single("", request, Some(text.to_string()));
+            return self.single("", request, text.to_string());
         };
         if wire::batch_request_from_json(&body).is_err() {
-            return self.single("", request, Some(text.to_string()));
+            return self.single("", request, text.to_string());
         }
         let Some(jobs) = body.get("jobs").and_then(Json::as_array) else {
-            return self.single("", request, Some(text.to_string()));
+            return self.single("", request, text.to_string());
         };
         let total = jobs.len();
         let mut per_shard: Vec<Vec<(usize, &Json)>> = vec![Vec::new(); self.ring.len()];
         for (index, job) in jobs.iter().enumerate() {
-            let key = job
-                .get("measurements")
-                .and_then(|set| set.get("app_name"))
-                .and_then(Json::as_str)
-                .unwrap_or_default();
+            let key = key_at(job, &["measurements", "app_name"]);
             per_shard[self.ring.shard_for(key)].push((index, job));
         }
         let subs = per_shard
@@ -676,6 +558,22 @@ impl Router {
             .collect();
         JobKind::Batch { subs, total }
     }
+}
+
+/// The string at `path` inside `value`, or `""` where there is none: the
+/// ring key of a request body.
+fn key_at<'j>(value: &'j Json, path: &[&str]) -> &'j str {
+    path.iter()
+        .try_fold(value, |value, key| value.get(key))
+        .and_then(Json::as_str)
+        .unwrap_or_default()
+}
+
+/// [`key_at`] over a body's text; `""` when the body does not decode.
+fn body_key(text: &str, path: &[&str]) -> String {
+    Json::parse(text)
+        .map(|body| key_at(&body, path).to_string())
+        .unwrap_or_default()
 }
 
 /// Fill `out` with the structured `503 shard_unavailable` degradation
@@ -704,7 +602,6 @@ fn unavailable(addr: &str) -> ForwardResponse {
         status: 503,
         body,
         retry_after: Some(RETRY_AFTER_MS.div_ceil(1000).max(1)),
-        allow: None,
     }
 }
 
@@ -722,7 +619,6 @@ fn bad_upstream(addr: &str) -> ForwardResponse {
         status: 500,
         body,
         retry_after: None,
-        allow: None,
     }
 }
 
@@ -736,12 +632,7 @@ fn execute(pools: &[ShardPool], stats: &RouterStats, kind: JobKind) -> ForwardRe
             path,
             body,
         } => match pools[shard].request(&method, &path, &body) {
-            Ok(upstream) => ForwardResponse {
-                status: upstream.status,
-                body: upstream.body,
-                retry_after: upstream.retry_after,
-                allow: upstream.allow,
-            },
+            Ok(upstream) => upstream,
             Err(_) => {
                 stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
                 unavailable(&pools[shard].addr_text)
@@ -776,12 +667,7 @@ fn execute_batch(
             // A shard rejected its sub-batch (it re-validates what the
             // router already validated, so this is unexpected): propagate
             // the first failure in shard order, deterministically.
-            return ForwardResponse {
-                status: upstream.status,
-                body: upstream.body,
-                retry_after: upstream.retry_after,
-                allow: upstream.allow,
-            };
+            return upstream;
         }
         let results = Json::parse(&upstream.body)
             .ok()
@@ -810,7 +696,6 @@ fn execute_batch(
         status: 200,
         body: Json::Object(vec![("results".to_string(), Json::Array(results))]).render(),
         retry_after: None,
-        allow: None,
     }
 }
 
@@ -829,12 +714,7 @@ fn execute_list(pools: &[ShardPool], stats: &RouterStats) -> ForwardResponse {
             }
         };
         if upstream.status != 200 {
-            return ForwardResponse {
-                status: upstream.status,
-                body: upstream.body,
-                retry_after: upstream.retry_after,
-                allow: upstream.allow,
-            };
+            return upstream;
         }
         let series = Json::parse(&upstream.body)
             .ok()
@@ -871,21 +751,6 @@ fn execute_list(pools: &[ShardPool], stats: &RouterStats) -> ForwardResponse {
         status: 200,
         body,
         retry_after: None,
-        allow: None,
-    }
-}
-
-/// View a request body as UTF-8, answering the single node's exact `400`
-/// locally on failure (the raw bytes cannot cross the text-typed upstream
-/// hop).
-fn utf8_body<'a>(request: &'a Request, out: &mut ResponseBuf) -> Option<&'a str> {
-    match std::str::from_utf8(&request.body) {
-        Ok(text) => Some(text),
-        Err(_) => {
-            out.status = 400;
-            wire::write_error("bad_request", "body is not valid UTF-8", &mut out.body);
-            None
-        }
     }
 }
 
@@ -962,13 +827,5 @@ mod tests {
                 "shard {shard} owns only {count}/512 keys: {counts:?}"
             );
         }
-    }
-
-    #[test]
-    fn allow_header_mapping_covers_the_service_sets() {
-        assert_eq!(static_allow("GET, DELETE"), Some("GET, DELETE"));
-        assert_eq!(static_allow("POST"), Some("POST"));
-        assert_eq!(static_allow("GET"), Some("GET"));
-        assert_eq!(static_allow("PATCH"), None);
     }
 }

@@ -42,6 +42,7 @@ use estima_core::{
 use crate::http::{
     parse_request_limited, ParseError, ParseStatus, Request, ResponseBuf, REQUEST_READ_TIMEOUT,
 };
+use crate::route::{Route, RouteOutcome};
 use crate::router::{ConnToken, Mailbox, Router};
 use crate::stats::ServerStats;
 use crate::sys;
@@ -93,9 +94,10 @@ pub struct ServerConfig {
     /// Shard addresses for **router mode**. Empty (the default) serves
     /// locally as a single node; non-empty turns this server into a
     /// stateless routing tier that maps each series to its owning shard by
-    /// consistent hashing and forwards every data-plane request (only
-    /// `/v1/healthz` and `/v1/stats` are answered by the router itself).
-    /// See DESIGN.md § *Cluster serving*.
+    /// consistent hashing and forwards every data-plane request. The router
+    /// answers `/v1/healthz`, `/v1/stats` and every route-level error
+    /// (404, 405, an invalid series id, a non-UTF-8 body) itself. See
+    /// DESIGN.md § *Cluster serving*.
     pub shards: Vec<String>,
 }
 
@@ -560,7 +562,6 @@ fn deliver_completions(
         conn.response.reset();
         conn.response.status = response.status;
         conn.response.retry_after = response.retry_after;
-        conn.response.allow = response.allow;
         conn.response.body.push_str(&response.body);
         finish_response(conn, &shared.state, close);
         let token = ConnToken {
@@ -897,118 +898,37 @@ fn respond_error(out: &mut ResponseBuf, status: u16, code: &str, message: &str) 
     wire::write_error(code, message, &mut out.body);
 }
 
-/// What routing decided about a request: answered into the response buffer,
-/// or handed to the router's forwarder pool with the connection parked
-/// until the completion arrives.
-enum RouteOutcome {
-    /// `out` holds the response; finish and flush it.
-    Respond,
-    /// A forward job was enqueued; park the connection (the mailbox will
-    /// resume it).
-    Park,
-}
-
-/// Dispatch one request to its endpoint handler. Routing ignores any query
-/// string (no endpoint takes parameters, but `GET /v1/healthz?probe=1`
-/// from a health checker must still be served).
-///
-/// Known paths with the wrong method answer `405` with an `Allow` header
-/// naming the supported methods; only unknown paths fall through to `404`.
-///
-/// In router mode every data-plane request is classified and forwarded by
-/// [`Router::dispatch`]; only `/v1/healthz` and `/v1/stats` (whose answers
-/// are process-local by nature) are served by the router itself.
+/// Dispatch one request to its endpoint handler through the shared route
+/// table, counting it first. In router mode [`Router::dispatch`] forwards
+/// every data-plane request; the routes every process answers for itself
+/// (`/v1/healthz`, `/v1/stats`, 404 and 405) fall through to the same
+/// handlers a single node runs.
 fn route(
     request: &Request,
     state: &AppState,
     out: &mut ResponseBuf,
     token: ConnToken,
 ) -> RouteOutcome {
-    let path = request.path.split('?').next().unwrap_or("");
-    let stats = &state.stats;
+    let route = Route::parse(&request.method, &request.path);
+    state.stats.count(route);
     if let Some(router) = &state.router {
-        match (request.method.as_str(), path) {
-            ("GET", "/v1/healthz") => {
-                stats.healthz_requests.fetch_add(1, Ordering::Relaxed);
-                healthz(state, out);
-            }
-            ("GET", "/v1/stats") => {
-                stats.stats_requests.fetch_add(1, Ordering::Relaxed);
-                server_stats(state, out);
-            }
-            _ => {
-                if router.dispatch(request, stats, token, out) {
-                    return RouteOutcome::Park;
-                }
-            }
+        if let Some(outcome) = router.dispatch(route, request, token, out) {
+            return outcome;
         }
-        return RouteOutcome::Respond;
     }
-    if let Some(rest) = path.strip_prefix("/v1/series/") {
-        match rest.split_once('/') {
-            None => match request.method.as_str() {
-                "GET" => {
-                    stats.series_requests.fetch_add(1, Ordering::Relaxed);
-                    series_get(rest, state, out);
-                }
-                "DELETE" => {
-                    stats.series_delete_requests.fetch_add(1, Ordering::Relaxed);
-                    series_delete(rest, state, out);
-                }
-                _ => method_not_allowed(request, "GET, DELETE", out),
-            },
-            Some((id, "predict")) => match request.method.as_str() {
-                "POST" => {
-                    stats
-                        .series_predict_requests
-                        .fetch_add(1, Ordering::Relaxed);
-                    series_predict(id, request, state, out);
-                }
-                _ => method_not_allowed(request, "POST", out),
-            },
-            Some((id, "plan")) => match request.method.as_str() {
-                "POST" => {
-                    stats.series_plan_requests.fetch_add(1, Ordering::Relaxed);
-                    series_plan(id, request, state, out);
-                }
-                _ => method_not_allowed(request, "POST", out),
-            },
-            Some(_) => not_found(path, out),
-        }
-        return RouteOutcome::Respond;
-    }
-    match (request.method.as_str(), path) {
-        ("GET", "/v1/healthz") => {
-            stats.healthz_requests.fetch_add(1, Ordering::Relaxed);
-            healthz(state, out);
-        }
-        ("GET", "/v1/stats") => {
-            stats.stats_requests.fetch_add(1, Ordering::Relaxed);
-            server_stats(state, out);
-        }
-        ("POST", "/v1/predict") => {
-            stats.predict_requests.fetch_add(1, Ordering::Relaxed);
-            predict(request, state, out);
-        }
-        ("POST", "/v1/batch") => {
-            stats.batch_requests.fetch_add(1, Ordering::Relaxed);
-            batch(request, state, out);
-        }
-        ("POST", "/v1/measurements") => {
-            stats.measurements_requests.fetch_add(1, Ordering::Relaxed);
-            ingest_measurements(request, state, out);
-        }
-        ("GET", "/v1/series") => {
-            stats.series_requests.fetch_add(1, Ordering::Relaxed);
-            series_list(state, out);
-        }
-        (_, "/v1/healthz" | "/v1/stats" | "/v1/series") => {
-            method_not_allowed(request, "GET", out);
-        }
-        (_, "/v1/predict" | "/v1/batch" | "/v1/measurements") => {
-            method_not_allowed(request, "POST", out);
-        }
-        (_, path) => not_found(path, out),
+    match route {
+        Route::Healthz => healthz(state, out),
+        Route::Stats => server_stats(state, out),
+        Route::Predict => predict(request, state, out),
+        Route::Batch => batch(request, state, out),
+        Route::Measurements => ingest_measurements(request, state, out),
+        Route::SeriesList => series_list(state, out),
+        Route::SeriesGet(id) => series_get(id, state, out),
+        Route::SeriesDelete(id) => series_delete(id, state, out),
+        Route::SeriesPredict(id) => series_predict(id, request, state, out),
+        Route::SeriesPlan(id) => series_plan(id, request, state, out),
+        Route::MethodNotAllowed(allow) => method_not_allowed(request, allow, out),
+        Route::NotFound(path) => not_found(path, out),
     }
     RouteOutcome::Respond
 }
@@ -1048,7 +968,7 @@ fn store_error(error: &EstimaError, out: &mut ResponseBuf) {
 }
 
 /// Parse and validate a `{id}` path segment, filling `out` on failure.
-fn parse_series_id(raw: &str, out: &mut ResponseBuf) -> Option<SeriesId> {
+pub(crate) fn parse_series_id(raw: &str, out: &mut ResponseBuf) -> Option<SeriesId> {
     match SeriesId::new(raw) {
         Ok(id) => Some(id),
         Err(e) => {
@@ -1061,7 +981,7 @@ fn parse_series_id(raw: &str, out: &mut ResponseBuf) -> Option<SeriesId> {
 /// View a request body as UTF-8 text, answering `400 bad_request` on
 /// failure. The hot routes hand the text straight to the streaming wire
 /// decoders; only `/v1/batch` still parses a [`Json`] tree.
-fn body_text<'a>(request: &'a Request, out: &mut ResponseBuf) -> Option<&'a str> {
+pub(crate) fn body_text<'a>(request: &'a Request, out: &mut ResponseBuf) -> Option<&'a str> {
     match std::str::from_utf8(&request.body) {
         Ok(text) => Some(text),
         Err(_) => {
@@ -1104,52 +1024,22 @@ fn server_stats(state: &AppState, out: &mut ResponseBuf) {
     let body = Json::Object(vec![
         (
             "requests".to_string(),
-            Json::Object(vec![
-                (
-                    "predict".to_string(),
-                    Json::Number(load(&stats.predict_requests)),
-                ),
-                (
-                    "batch".to_string(),
-                    Json::Number(load(&stats.batch_requests)),
-                ),
-                (
-                    "healthz".to_string(),
-                    Json::Number(load(&stats.healthz_requests)),
-                ),
-                (
-                    "stats".to_string(),
-                    Json::Number(load(&stats.stats_requests)),
-                ),
-                (
-                    "measurements".to_string(),
-                    Json::Number(load(&stats.measurements_requests)),
-                ),
-                (
-                    "series".to_string(),
-                    Json::Number(load(&stats.series_requests)),
-                ),
-                (
-                    "series_predict".to_string(),
-                    Json::Number(load(&stats.series_predict_requests)),
-                ),
-                (
-                    "series_plan".to_string(),
-                    Json::Number(load(&stats.series_plan_requests)),
-                ),
-                (
-                    "series_delete".to_string(),
-                    Json::Number(load(&stats.series_delete_requests)),
-                ),
-                (
-                    "client_errors".to_string(),
-                    Json::Number(load(&stats.client_errors)),
-                ),
-                (
-                    "server_errors".to_string(),
-                    Json::Number(load(&stats.server_errors)),
-                ),
-            ]),
+            Json::Object(
+                stats
+                    .requests()
+                    .map(|(name, count)| (name.to_string(), Json::Number(count as f64)))
+                    .chain([
+                        (
+                            "client_errors".to_string(),
+                            Json::Number(load(&stats.client_errors)),
+                        ),
+                        (
+                            "server_errors".to_string(),
+                            Json::Number(load(&stats.server_errors)),
+                        ),
+                    ])
+                    .collect(),
+            ),
         ),
         (
             "predictions".to_string(),

@@ -11,6 +11,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use crate::route::{Route, COUNTER_NAMES};
+
 /// Number of log₂ latency buckets: bucket *i* holds requests with
 /// `2^i <= nanos < 2^(i+1)`; 64 buckets cover every representable u64.
 const BUCKETS: usize = 64;
@@ -18,24 +20,9 @@ const BUCKETS: usize = 64;
 /// Request counters and a latency histogram, shared across reactor threads.
 #[derive(Debug)]
 pub struct ServerStats {
-    /// `POST /v1/predict` requests answered (any status).
-    pub predict_requests: AtomicU64,
-    /// `POST /v1/batch` requests answered (any status).
-    pub batch_requests: AtomicU64,
-    /// `GET /v1/healthz` requests answered.
-    pub healthz_requests: AtomicU64,
-    /// `GET /v1/stats` requests answered.
-    pub stats_requests: AtomicU64,
-    /// `POST /v1/measurements` ingest requests answered (any status).
-    pub measurements_requests: AtomicU64,
-    /// `GET /v1/series` and `GET /v1/series/{id}` requests answered.
-    pub series_requests: AtomicU64,
-    /// `POST /v1/series/{id}/predict` requests answered (any status).
-    pub series_predict_requests: AtomicU64,
-    /// `POST /v1/series/{id}/plan` requests answered (any status).
-    pub series_plan_requests: AtomicU64,
-    /// `DELETE /v1/series/{id}` requests answered (any status).
-    pub series_delete_requests: AtomicU64,
+    /// Requests per route, indexed by the route's counter: every request to
+    /// a known endpoint counts, whatever its status.
+    requests: [AtomicU64; COUNTER_NAMES.len()],
     /// Requests answered with a 4xx status.
     pub client_errors: AtomicU64,
     /// Requests answered with a 5xx status.
@@ -60,15 +47,7 @@ pub struct ServerStats {
 impl Default for ServerStats {
     fn default() -> Self {
         ServerStats {
-            predict_requests: AtomicU64::new(0),
-            batch_requests: AtomicU64::new(0),
-            healthz_requests: AtomicU64::new(0),
-            stats_requests: AtomicU64::new(0),
-            measurements_requests: AtomicU64::new(0),
-            series_requests: AtomicU64::new(0),
-            series_predict_requests: AtomicU64::new(0),
-            series_plan_requests: AtomicU64::new(0),
-            series_delete_requests: AtomicU64::new(0),
+            requests: std::array::from_fn(|_| AtomicU64::new(0)),
             client_errors: AtomicU64::new(0),
             server_errors: AtomicU64::new(0),
             predictions: AtomicU64::new(0),
@@ -82,6 +61,23 @@ impl Default for ServerStats {
 }
 
 impl ServerStats {
+    /// Count one request toward its route's counter (404s and 405s count
+    /// toward none).
+    pub(crate) fn count(&self, route: Route<'_>) {
+        if let Some(counter) = route.counter() {
+            self.requests[counter as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Per-route request counts, keyed and ordered as the `requests` object
+    /// of `/v1/stats` lists them.
+    pub(crate) fn requests(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        COUNTER_NAMES
+            .into_iter()
+            .zip(&self.requests)
+            .map(|(name, count)| (name, count.load(Ordering::Relaxed)))
+    }
+
     /// Record the wall-clock latency of one prediction request.
     pub fn record_latency(&self, elapsed: Duration) {
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX).max(1);

@@ -38,25 +38,13 @@ fn err(message: impl Into<String>) -> WireError {
     WireError(message.into())
 }
 
-/// Wire name of a stall source.
-fn source_name(source: StallSource) -> &'static str {
-    match source {
-        StallSource::HardwareBackend => "hw_backend",
-        StallSource::HardwareFrontend => "hw_frontend",
-        StallSource::Software => "software",
-    }
-}
-
 /// Parse a wire stall-source name.
 fn parse_source(name: &str) -> Result<StallSource, WireError> {
-    match name {
-        "hw_backend" => Ok(StallSource::HardwareBackend),
-        "hw_frontend" => Ok(StallSource::HardwareFrontend),
-        "software" => Ok(StallSource::Software),
-        other => Err(err(format!(
-            "unknown stall source `{other}` (expected hw_backend, hw_frontend or software)"
-        ))),
-    }
+    StallSource::from_name(name).ok_or_else(|| {
+        err(format!(
+            "unknown stall source `{name}` (expected hw_backend, hw_frontend or software)"
+        ))
+    })
 }
 
 fn require<'a>(value: &'a Json, key: &str, context: &str) -> Result<&'a Json, WireError> {
@@ -168,7 +156,7 @@ pub fn measurement_to_json(m: &Measurement) -> Json {
             Json::Object(vec![
                 (
                     "source".to_string(),
-                    Json::String(source_name(category.source).to_string()),
+                    Json::String(category.source.name().to_string()),
                 ),
                 ("name".to_string(), Json::String(category.name.clone())),
                 ("cycles".to_string(), Json::Number(*cycles)),
@@ -289,7 +277,7 @@ pub fn prediction_to_json(prediction: &Prediction) -> Json {
             Json::Object(vec![
                 (
                     "source".to_string(),
-                    Json::String(source_name(extrapolation.category.source).to_string()),
+                    Json::String(extrapolation.category.source.name().to_string()),
                 ),
                 (
                     "name".to_string(),
@@ -519,7 +507,7 @@ pub fn write_prediction_response(
             out.push(',');
         }
         out.push_str("{\"source\":");
-        write_json_string(source_name(extrapolation.category.source), out);
+        write_json_string(extrapolation.category.source.name(), out);
         out.push_str(",\"name\":");
         write_json_string(&extrapolation.category.name, out);
         out.push_str(",\"kernel\":");

@@ -494,3 +494,48 @@ fn delete_distinguishes_missing_series_from_unreachable_shard() {
         shard.shutdown();
     }
 }
+
+/// Route-level outcomes — unknown paths, wrong methods, invalid series ids —
+/// depend on no shard's data: with its only shard down, the router still
+/// answers them exactly as a single node does, and counts them the same.
+#[test]
+fn route_level_errors_need_no_live_shard() {
+    let (shards, _, router_handle) = spawn_cluster(1);
+    for shard in shards {
+        shard.shutdown();
+    }
+    let single_handle = spawn_node();
+    let mut router = estima_serve::Client::connect(router_handle.addr()).expect("connect router");
+    let mut single = estima_serve::Client::connect(single_handle.addr()).expect("connect single");
+
+    let cases = [
+        ("GET", "/v1/nope", 404),
+        ("PUT", "/v1/predict", 405),
+        ("POST", "/v1/healthz", 405),
+        ("PATCH", "/v1/series/abc", 405),
+        ("GET", "/v1/series/abc/predict", 405),
+        ("POST", "/v1/series/bad%20id/predict", 400),
+        ("GET", "/v1/series/a/b/c", 404),
+    ];
+    for (method, path, status) in cases {
+        let got = check(&mut router, &mut single, method, path, r#"{"cores":48}"#);
+        assert_eq!(got.status, status, "{method} {path}: {}", got.body);
+    }
+
+    // Nothing was forwarded, and both sides counted the same requests.
+    let stats = |client: &mut estima_serve::Client| {
+        let response = client.request("GET", "/v1/stats", "").expect("stats");
+        Json::parse(&response.body).unwrap()
+    };
+    let (via_router, direct) = (stats(&mut router), stats(&mut single));
+    assert_eq!(via_router.get("requests"), direct.get("requests"));
+    let forwarded = via_router.get("router").and_then(|r| r.get("forwarded"));
+    assert_eq!(forwarded.and_then(Json::as_u64), Some(0));
+
+    // The shard really is down: a request that needs its data degrades.
+    let down = exchange(&mut router, "GET", "/v1/series/abc", "");
+    assert_eq!(down.status, 503, "{}", down.body);
+
+    single_handle.shutdown();
+    router_handle.shutdown();
+}
