@@ -3,14 +3,18 @@
 //! Measures how fast each Table 1 kernel can be fitted to a 12-point series
 //! (the size ESTIMA deals with when measuring one Opteron socket), the cost
 //! of the full model-selection loop (`approximate_series`), the analytic vs
-//! finite-difference Jacobian paths, and the allocation-free strip-structured
-//! candidate grid against a faithful emulation of the pre-PR per-cell path.
+//! finite-difference Jacobian paths, the allocation-free strip-structured
+//! candidate grid against a faithful emulation of the pre-PR per-cell path,
+//! and a `FitCache`-backed refit after the newest point changed (the solve
+//! memo's case).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use estima_core::engine::CacheScope;
+use estima_core::fit::candidate_fits_scoped;
 use estima_core::levenberg::{levenberg_marquardt, Jacobian, LmOptions};
 use estima_core::{
-    approximate_series, candidate_fits_with, fit_kernel, fit_kernel_with, Engine, FitOptions,
-    KernelKind,
+    approximate_series, candidate_fits_with, fit_kernel, fit_kernel_with, Engine, FitCache,
+    FitOptions, KernelKind,
 };
 
 fn series() -> (Vec<f64>, Vec<f64>) {
@@ -397,6 +401,37 @@ fn bench_grid_vs_pre_pr(c: &mut Criterion) {
                 &options,
                 &pre_pr_lm,
             )
+        })
+    });
+    // A cached refit after the newest point (a checkpoint) flipped between
+    // two values, as a store ingest does it: new version, invalidated
+    // candidate lists, a full candidate-list miss — and every training
+    // prefix unchanged, so the solve memo serves every nonlinear solve.
+    // `fast` above stays uncached, so the speedup gate still measures the
+    // grid itself.
+    let cache = FitCache::new();
+    let newest = ys.len() - 1;
+    let flips = [ys[newest], ys[newest] * 1.01];
+    let mut flipped = ys.clone();
+    let mut version = 0u64;
+    group.bench_function(BenchmarkId::from_parameter("refit_after_flip"), |b| {
+        b.iter(|| {
+            version += 1;
+            flipped[newest] = flips[(version % 2) as usize];
+            cache.invalidate_series("bench");
+            let scope = CacheScope {
+                series: "bench",
+                version,
+            };
+            candidate_fits_scoped(
+                std::hint::black_box(&xs),
+                std::hint::black_box(&flipped),
+                &options,
+                &engine,
+                &cache,
+                Some(scope),
+            )
+            .unwrap()
         })
     });
     group.finish();

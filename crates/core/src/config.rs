@@ -4,6 +4,16 @@ use crate::fit::FitOptions;
 use crate::kernels::KernelKind;
 use crate::measurement::StallSource;
 
+/// Largest [`TargetSpec::cores`] a prediction accepts; larger targets fail
+/// with [`EstimaError::InvalidConfig`](crate::EstimaError::InvalidConfig).
+/// A prediction materialises every core count `1..=target` — per stall
+/// category, per candidate fit's evaluation table, and in every returned
+/// series — so its memory grows linearly with the target, and an unbounded
+/// target lets a single request ask for tens of gigabytes. 4096 is far
+/// beyond any machine the paper extrapolates to (64 cores is the largest
+/// target anywhere in this repository).
+pub const MAX_TARGET_CORES: u32 = 4096;
+
 /// The target of a prediction: what machine (and dataset) we extrapolate to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TargetSpec {

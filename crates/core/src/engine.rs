@@ -34,7 +34,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::config::{EstimaConfig, TargetSpec};
 use crate::error::Result;
-use crate::fit::{FitCandidate, FitOptions};
+use crate::fit::{FitCandidate, FitOptions, PrefixSolves};
+use crate::levenberg::{Jacobian, LmOptions};
 use crate::measurement::MeasurementSet;
 use crate::predictor::{Estima, Prediction};
 use crate::store::EstimaSession;
@@ -185,30 +186,37 @@ impl FitKey {
     /// `Hash` randomness, so a key always lands on the same shard across
     /// processes and runs.
     fn shard_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut eat = |byte: u8| {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        };
-        for bits in self.xs_bits.iter().chain(&self.ys_bits) {
-            for byte in bits.to_le_bytes() {
-                eat(byte);
-            }
-        }
-        for byte in self.options.as_bytes() {
-            eat(*byte);
-        }
+        let mut hash = Fnv1a::new();
+        hash.eat_words(self.xs_bits.iter().chain(&self.ys_bits));
+        hash.eat(self.options.as_bytes());
         if let Some((series, version)) = &self.scope {
-            for byte in series.as_bytes() {
-                eat(*byte);
-            }
-            for byte in version.to_le_bytes() {
-                eat(byte);
-            }
+            hash.eat(series.as_bytes());
+            hash.eat(&version.to_le_bytes());
         }
-        hash
+        hash.0
+    }
+}
+
+/// The FNV-1a hash that picks a key's [`FitCache`] shard.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.0 ^= u64::from(*byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Eat each word's little-endian bytes.
+    fn eat_words<'a>(&mut self, words: impl IntoIterator<Item = &'a u64>) {
+        for word in words {
+            self.eat(&word.to_le_bytes());
+        }
     }
 }
 
@@ -232,6 +240,14 @@ struct ShardEntry {
     last_used: u64,
 }
 
+/// One training prefix's memoised solves plus its recency stamp (same clock
+/// as [`ShardEntry`]).
+#[derive(Debug)]
+struct SolveEntry {
+    solves: PrefixSolves,
+    last_used: u64,
+}
+
 /// One cache shard: its own map, logical clock, and series→keys index
 /// behind its own lock, so lookups on different shards never contend.
 ///
@@ -247,6 +263,10 @@ struct Shard {
     /// [`FitCache::invalidate_series`] removes exactly that series' entries
     /// instead of sweeping the whole shard.
     by_series: HashMap<String, Vec<Arc<FitKey>>>,
+    /// The solve memo's entries on this shard, keyed by
+    /// `[LM options id, x₀, y₀, …, xₚ₋₁, yₚ₋₁]` bit patterns (see
+    /// [`FitCache::lookup_solves`]).
+    solves: HashMap<Box<[u64]>, SolveEntry>,
     clock: u64,
 }
 
@@ -270,6 +290,18 @@ impl Shard {
             evicted += 1;
         }
         evicted
+    }
+
+    /// Evict least-recently-used solve-memo entries until at most
+    /// `capacity` remain. Every touch takes a fresh clock value, so the
+    /// oldest stamp names exactly one entry.
+    fn enforce_solve_capacity(&mut self, capacity: usize) {
+        while self.solves.len() > capacity {
+            let Some(oldest) = self.solves.values().map(|entry| entry.last_used).min() else {
+                break;
+            };
+            self.solves.retain(|_, entry| entry.last_used != oldest);
+        }
     }
 
     /// Remove a scoped key from the series index (no-op for unscoped keys).
@@ -315,6 +347,18 @@ const DEFAULT_CAPACITY: usize = 4096;
 /// fits are deterministic, so a re-computed entry is bit-identical to the
 /// evicted one and predictions are unaffected — pinned by
 /// `crates/core/tests/fit_cache.rs`.
+///
+/// # The solve memo
+///
+/// Beneath the candidate lists, each shard also memoises nonlinear solves
+/// per training prefix (see [`crate::fit`]'s module docs): one entry per
+/// prefix, keyed by the prefix's exact `f64` bits and the interned
+/// [`LmOptions`], holding every nonlinear kernel's outcome. The memo is
+/// structural and unscoped, so [`FitCache::invalidate_series`] leaves it
+/// alone: a refit after an ingest re-solves only the prefixes the ingest
+/// changed. It is bounded like the candidate lists — at most the shard
+/// capacity in entries per shard, LRU — and, like them, losing an entry only
+/// costs a re-solve.
 #[derive(Debug)]
 pub struct FitCache {
     shards: Vec<Mutex<Shard>>,
@@ -324,6 +368,43 @@ pub struct FitCache {
     misses: AtomicUsize,
     evictions: AtomicUsize,
     invalidations: AtomicUsize,
+    /// Interned LM options: a memo key stores its options' index here.
+    solve_options: Mutex<Vec<LmBits>>,
+    solve_hits: AtomicUsize,
+    solve_misses: AtomicUsize,
+}
+
+/// [`LmOptions`] as comparable bits, for interning.
+type LmBits = [u64; 8];
+
+/// The memo serves at most this many distinct [`LmOptions`]; fits with
+/// further options solve every cell.
+const MAX_SOLVE_OPTIONS: usize = 16;
+
+fn lm_bits(lm: &LmOptions) -> LmBits {
+    let LmOptions {
+        max_iterations,
+        initial_lambda,
+        lambda_up,
+        lambda_down,
+        tolerance,
+        step_tolerance,
+        finite_difference_step,
+        jacobian,
+    } = *lm;
+    [
+        max_iterations as u64,
+        initial_lambda.to_bits(),
+        lambda_up.to_bits(),
+        lambda_down.to_bits(),
+        tolerance.to_bits(),
+        step_tolerance.to_bits(),
+        finite_difference_step.to_bits(),
+        match jacobian {
+            Jacobian::Analytic => 0,
+            Jacobian::FiniteDifference => 1,
+        },
+    ]
 }
 
 impl Default for FitCache {
@@ -357,13 +438,93 @@ impl FitCache {
             misses: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
             invalidations: AtomicUsize::new(0),
+            solve_options: Mutex::new(Vec::new()),
+            solve_hits: AtomicUsize::new(0),
+            solve_misses: AtomicUsize::new(0),
         }
     }
 
     /// The shard holding `key`.
     fn shard_for(&self, key: &FitKey) -> &Mutex<Shard> {
-        let index = (key.shard_hash() as usize) % self.shards.len();
-        &self.shards[index]
+        self.shard_at(key.shard_hash())
+    }
+
+    fn shard_at(&self, hash: u64) -> &Mutex<Shard> {
+        &self.shards[(hash as usize) % self.shards.len()]
+    }
+
+    /// The shard holding a solve-memo key.
+    fn solve_shard(&self, key: &[u64]) -> &Mutex<Shard> {
+        let mut hash = Fnv1a::new();
+        hash.eat_words(key);
+        self.shard_at(hash.0)
+    }
+
+    /// The id that stands for `lm` in solve-memo keys, interning it on first
+    /// use; `None` once [`MAX_SOLVE_OPTIONS`] other options hold every id.
+    pub(crate) fn solve_options_id(&self, lm: &LmOptions) -> Option<u64> {
+        let bits = lm_bits(lm);
+        let mut interned = self.solve_options.lock().expect("fit cache lock poisoned");
+        let index = match interned.iter().position(|known| *known == bits) {
+            Some(index) => index,
+            None if interned.len() < MAX_SOLVE_OPTIONS => {
+                interned.push(bits);
+                interned.len() - 1
+            }
+            None => return None,
+        };
+        Some(index as u64)
+    }
+
+    /// The memoised solves of one training prefix, refreshing the entry's
+    /// recency. `key` is `[options id, x₀, y₀, …, xₚ₋₁, yₚ₋₁]`: the id from
+    /// [`FitCache::solve_options_id`], then the prefix's points as `f64` bit
+    /// patterns.
+    pub(crate) fn lookup_solves(&self, key: &[u64]) -> Option<PrefixSolves> {
+        let mut guard = self
+            .solve_shard(key)
+            .lock()
+            .expect("fit cache lock poisoned");
+        guard.clock += 1;
+        let clock = guard.clock;
+        let entry = guard.solves.get_mut(key)?;
+        entry.last_used = clock;
+        Some(entry.solves)
+    }
+
+    /// Merge `solves` into the memo entry for `key` (see
+    /// [`FitCache::lookup_solves`]), inserting it if absent and then
+    /// evicting the shard's least-recently-used entries beyond its capacity.
+    pub(crate) fn store_solves(&self, key: &[u64], solves: &PrefixSolves) {
+        let mut guard = self
+            .solve_shard(key)
+            .lock()
+            .expect("fit cache lock poisoned");
+        guard.clock += 1;
+        let clock = guard.clock;
+        match guard.solves.get_mut(key) {
+            Some(entry) => {
+                entry.solves.merge(solves);
+                entry.last_used = clock;
+            }
+            None => {
+                guard.solves.insert(
+                    key.into(),
+                    SolveEntry {
+                        solves: *solves,
+                        last_used: clock,
+                    },
+                );
+                guard.enforce_solve_capacity(self.shard_capacity);
+            }
+        }
+    }
+
+    /// Count (kernel, prefix) cells the memo served and cells it had to
+    /// solve.
+    pub(crate) fn record_solves(&self, hits: usize, misses: usize) {
+        self.solve_hits.fetch_add(hits, Ordering::Relaxed);
+        self.solve_misses.fetch_add(misses, Ordering::Relaxed);
     }
 
     /// Look up `key`, computing and inserting the candidate list on a miss.
@@ -500,6 +661,24 @@ impl FitCache {
     /// construction.
     pub fn invalidations(&self) -> usize {
         self.invalidations.load(Ordering::Relaxed)
+    }
+
+    /// `(hits, misses)` of the solve memo since construction, counted per
+    /// (nonlinear kernel, training prefix) cell of a cache-miss fit: a hit
+    /// reused a memoised outcome, a miss ran the linearised guess and LM.
+    pub fn solve_stats(&self) -> (usize, usize) {
+        (
+            self.solve_hits.load(Ordering::Relaxed),
+            self.solve_misses.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Number of training prefixes the solve memo holds, across all shards.
+    pub fn solve_entries(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| shard.lock().expect("fit cache lock poisoned").solves.len())
+            .sum()
     }
 
     /// Hit rate since construction: `hits / (hits + misses)`, or 0.0 before
@@ -688,6 +867,44 @@ mod tests {
         assert_eq!(cache.stats(), (1, 2));
         assert_eq!(cache.len(), 2);
         assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn solve_memo_is_lru_bounded_and_survives_invalidation() {
+        // One shard with room for two prefixes.
+        let cache = FitCache::with_shards_and_capacity(1, 2);
+        let id = cache.solve_options_id(&LmOptions::default()).unwrap();
+        let key = |tag: f64| [id, 1.0f64.to_bits(), tag.to_bits()];
+        cache.store_solves(&key(1.0), &PrefixSolves::EMPTY);
+        cache.store_solves(&key(2.0), &PrefixSolves::EMPTY);
+        assert!(cache.lookup_solves(&key(1.0)).is_some()); // refreshes 1
+        cache.store_solves(&key(3.0), &PrefixSolves::EMPTY); // evicts 2
+        assert_eq!(cache.solve_entries(), 2);
+        assert!(cache.lookup_solves(&key(2.0)).is_none());
+        assert!(cache.lookup_solves(&key(1.0)).is_some());
+        assert!(cache.lookup_solves(&key(3.0)).is_some());
+        // Memo entries are structural: invalidating a series leaves them,
+        // and they never count as cached candidate lists.
+        cache.invalidate_series("any");
+        assert_eq!(cache.solve_entries(), 2);
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn lm_options_intern_to_stable_ids_up_to_the_cap() {
+        let cache = FitCache::new();
+        let options = |max_iterations| LmOptions {
+            max_iterations,
+            ..LmOptions::default()
+        };
+        let first = cache.solve_options_id(&options(1)).unwrap();
+        assert_eq!(cache.solve_options_id(&options(1)), Some(first));
+        assert_ne!(cache.solve_options_id(&options(2)), Some(first));
+        for n in 3..=MAX_SOLVE_OPTIONS {
+            assert!(cache.solve_options_id(&options(n)).is_some());
+        }
+        assert_eq!(cache.solve_options_id(&options(0)), None, "past the cap");
+        assert_eq!(cache.solve_options_id(&options(1)), Some(first));
     }
 
     fn demo_set(name: &str) -> MeasurementSet {

@@ -38,6 +38,18 @@
 //! matches the LM Jacobian slab (see [`crate::levenberg`]) and the summation
 //! order of every reduction is fixed, so grid results are bit-identical
 //! regardless of engine parallelism.
+//!
+//! # The solve memo
+//!
+//! A nonlinear cell's solve (linearised guess plus LM run) is a pure function
+//! of the prefix's points and the [`LmOptions`]; only its *scoring* reads the
+//! rest of the series. The cached path ([`candidate_fits_scoped`]) therefore
+//! looks every prefix up in the [`FitCache`]'s solve memo before fanning out,
+//! skips the solves the memo already holds (a failed LM run included), and
+//! stores the new ones afterwards. Refitting a series whose newest point
+//! changed re-solves nothing; an appended point re-solves one new prefix per
+//! nonlinear kernel. The uncached [`candidate_fits_with`] solves every cell
+//! and stays the reference the memoised path is tested against.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -511,6 +523,156 @@ pub fn candidate_fits(xs: &[f64], ys: &[f64], options: &FitOptions) -> Result<Ve
     candidate_fits_with(xs, ys, options, &Engine::sequential())
 }
 
+/// Length of [`PrefixSolves::params`]: the parameter counts of the four
+/// nonlinear kernels (5 + 6 + 7 + 4), packed back to back.
+const SOLVE_PARAMS: usize = 22;
+
+/// A nonlinear kernel's slot in a [`PrefixSolves`]: its flag bit and the
+/// offset of its parameters.
+fn solve_slot(kernel: KernelKind) -> (u8, usize) {
+    match kernel {
+        KernelKind::Rat22 => (1, 0),
+        KernelKind::Rat23 => (1 << 1, 5),
+        KernelKind::Rat33 => (1 << 2, 11),
+        KernelKind::ExpRat => (1 << 3, 18),
+        KernelKind::CubicLn | KernelKind::Poly25 => {
+            unreachable!("linear kernels are not memoised")
+        }
+    }
+}
+
+/// The memoised solves of one training prefix: for each nonlinear kernel,
+/// nothing yet, "LM failed", or the fitted parameters. A [`FitCache`] keeps
+/// one per prefix (see the module docs); an entry fills up kernel by kernel
+/// as fits with different kernel sets reach the prefix.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PrefixSolves {
+    /// Every solved kernel's parameters, at its [`solve_slot`] offset.
+    params: [f64; SOLVE_PARAMS],
+    /// Slots whose outcome is known.
+    known: u8,
+    /// Known slots whose LM run converged (their parameters are valid).
+    solved: u8,
+}
+
+impl PrefixSolves {
+    /// Nothing known.
+    pub(crate) const EMPTY: PrefixSolves = PrefixSolves {
+        params: [0.0; SOLVE_PARAMS],
+        known: 0,
+        solved: 0,
+    };
+
+    /// `None` while `kernel`'s outcome is unknown; `Some(None)` when its LM
+    /// run failed; otherwise its parameters.
+    fn get(&self, kernel: KernelKind) -> Option<Option<&[f64]>> {
+        let (bit, offset) = solve_slot(kernel);
+        (self.known & bit != 0).then(|| {
+            (self.solved & bit != 0).then(|| &self.params[offset..offset + kernel.param_count()])
+        })
+    }
+
+    /// Record `kernel`'s outcome: its parameters, or `None` for a failed run.
+    fn set(&mut self, kernel: KernelKind, outcome: Option<&[f64]>) {
+        let (bit, offset) = solve_slot(kernel);
+        self.known |= bit;
+        if let Some(params) = outcome {
+            self.params[offset..offset + params.len()].copy_from_slice(params);
+            self.solved |= bit;
+        }
+    }
+
+    /// Adopt every outcome `other` knows and `self` does not. Returns whether
+    /// anything was new.
+    pub(crate) fn merge(&mut self, other: &PrefixSolves) -> bool {
+        let new = other.known & !self.known;
+        for kernel in KernelKind::ALL.into_iter().filter(|k| !k.is_linear()) {
+            if new & solve_slot(kernel).0 != 0 {
+                self.set(kernel, other.get(kernel).flatten());
+            }
+        }
+        new != 0
+    }
+}
+
+/// The cached path's view of the solve memo for one series: every covered
+/// prefix's key, and what the memo knew before the fit.
+struct SeriesSolves<'c> {
+    cache: &'c FitCache,
+    /// `[options id, x₀, y₀, x₁, y₁, …]` as bit patterns: prefix `p`'s memo
+    /// key is `key[..1 + 2p]`, so one buffer holds every prefix's key.
+    key: Vec<u64>,
+    /// Smallest grid prefix; `known[i]` belongs to prefix `lo + i`.
+    lo: usize,
+    known: Vec<PrefixSolves>,
+    /// (kernel, prefix) cells the memo already held.
+    hits: usize,
+}
+
+impl<'c> SeriesSolves<'c> {
+    /// Look up every prefix the grid will fit. `None` when the fit has no
+    /// nonlinear kernel or the cache cannot memoise these LM options.
+    fn open(
+        cache: &'c FitCache,
+        xs: &[f64],
+        ys: &[f64],
+        options: &FitOptions,
+        spans: &[CheckpointSpan],
+    ) -> Option<SeriesSolves<'c>> {
+        if options.kernels.iter().all(KernelKind::is_linear) {
+            return None;
+        }
+        let id = cache.solve_options_id(&options.lm)?;
+        let (lo, hi) = prefix_range(spans);
+        let mut key = Vec::with_capacity(1 + 2 * hi);
+        key.push(id);
+        for (x, y) in xs[..hi].iter().zip(&ys[..hi]) {
+            key.extend([x.to_bits(), y.to_bits()]);
+        }
+        let known: Vec<PrefixSolves> = (lo..=hi)
+            .map(|prefix| {
+                let found = covered(spans, prefix)
+                    .then(|| cache.lookup_solves(&key[..1 + 2 * prefix]))
+                    .flatten();
+                found.unwrap_or(PrefixSolves::EMPTY)
+            })
+            .collect();
+        let hits = known
+            .iter()
+            .map(|solves| {
+                let nonlinear = options.kernels.iter().filter(|k| !k.is_linear());
+                nonlinear.filter(|k| solves.get(**k).is_some()).count()
+            })
+            .sum();
+        Some(SeriesSolves {
+            cache,
+            key,
+            lo,
+            known,
+            hits,
+        })
+    }
+
+    /// Merge each kernel's new solves (one list per kernel, empty for the
+    /// linear ones) into what was known, and store every prefix that gained
+    /// one.
+    fn store(mut self, fresh: Vec<Vec<PrefixSolves>>) {
+        let mut solved = 0;
+        for (i, known) in self.known.iter_mut().enumerate() {
+            let mut changed = false;
+            for new in fresh.iter().filter_map(|kernel| kernel.get(i)) {
+                solved += new.known.count_ones() as usize;
+                changed |= known.merge(new);
+            }
+            if changed {
+                let prefix = self.lo + i;
+                self.cache.store_solves(&self.key[..1 + 2 * prefix], known);
+            }
+        }
+        self.cache.record_solves(self.hits, solved);
+    }
+}
+
 /// One checkpoint count's slice of the candidate grid: `checkpoints` points
 /// are held out, leaving `n_train` training points whose prefixes span the
 /// contiguous range `prefix_start..=prefix_end`. A fitted prefix is scored
@@ -536,6 +698,19 @@ impl CheckpointSpan {
     }
 }
 
+/// Smallest and largest prefix any span covers.
+fn prefix_range(spans: &[CheckpointSpan]) -> (usize, usize) {
+    let lo = spans.iter().map(|s| s.prefix_start).min().unwrap_or(0);
+    let hi = spans.iter().map(|s| s.prefix_end).max().unwrap_or(0);
+    (lo, hi)
+}
+
+/// Whether `prefix` is a cell of any span. Without prefix refitting the
+/// spans are single points, so the range between them has gaps.
+fn covered(spans: &[CheckpointSpan], prefix: usize) -> bool {
+    spans.iter().any(|s| s.covers(prefix))
+}
+
 /// Prefix range for a training set of `n_train` points.
 fn prefix_bounds(options: &FitOptions, n_train: usize) -> (usize, usize) {
     if options.prefix_refitting {
@@ -556,6 +731,20 @@ pub fn candidate_fits_with(
     ys: &[f64],
     options: &FitOptions,
     engine: &Engine,
+) -> Result<Vec<FitCandidate>> {
+    candidate_grid(xs, ys, options, engine, None)
+}
+
+/// The candidate grid, with the nonlinear solves drawn from (and added to)
+/// `memo`'s solve memo when one is given. The candidates are bit-identical
+/// either way: a memoised solve is the exact parameter vector the same prefix
+/// and LM options produced before.
+fn candidate_grid(
+    xs: &[f64],
+    ys: &[f64],
+    options: &FitOptions,
+    engine: &Engine,
+    memo: Option<&FitCache>,
 ) -> Result<Vec<FitCandidate>> {
     if xs.len() != ys.len() {
         return Err(EstimaError::Numerical(
@@ -605,12 +794,19 @@ pub fn candidate_fits_with(
         options.max_magnitude
     };
 
-    let mut kernel_grids: Vec<Vec<Option<FitCandidate>>> =
-        engine.run(options.kernels.clone(), |kernel| {
+    let solves = memo.and_then(|cache| SeriesSolves::open(cache, xs, ys, options, &spans));
+    let known = solves.as_ref().map(|solves| solves.known.as_slice());
+    let (mut kernel_grids, fresh): (Vec<_>, Vec<_>) = engine
+        .run(options.kernels.clone(), |kernel| {
             with_fit_workspace(|ws| {
-                fit_kernel_grid(xs, ys, kernel, &spans, options, magnitude_cap, ws)
+                fit_kernel_grid(xs, ys, kernel, &spans, options, magnitude_cap, known, ws)
             })
-        });
+        })
+        .into_iter()
+        .unzip();
+    if let Some(solves) = solves {
+        solves.store(fresh);
+    }
 
     // Reassemble in the historical enumeration order: checkpoint count →
     // prefix length → kernel. Tie-breaking in `select_best` keeps the first
@@ -633,7 +829,9 @@ pub fn candidate_fits_with(
 /// Fit every (checkpoint count × prefix) cell of one kernel from a shared
 /// columnar design slab. Returns one slot per cell, flattened in (checkpoint
 /// span → prefix) order — the same layout [`candidate_fits_with`] reassembles
-/// from.
+/// from — and, when `known` solves are given, the solves this call added
+/// (one per grid prefix; empty for linear kernels and the uncached path).
+#[allow(clippy::too_many_arguments)]
 fn fit_kernel_grid(
     xs: &[f64],
     ys: &[f64],
@@ -641,16 +839,28 @@ fn fit_kernel_grid(
     spans: &[CheckpointSpan],
     options: &FitOptions,
     magnitude_cap: f64,
+    known: Option<&[PrefixSolves]>,
     ws: &mut FitWorkspace,
-) -> Vec<Option<FitCandidate>> {
+) -> (Vec<Option<FitCandidate>>, Vec<PrefixSolves>) {
     let total: usize = spans.iter().map(CheckpointSpan::width).sum();
     let mut out = vec![None; total];
-    if kernel.is_linear() {
+    let fresh = if kernel.is_linear() {
         fit_linear_grid(xs, ys, kernel, spans, options, magnitude_cap, ws, &mut out);
+        Vec::new()
     } else {
-        fit_nonlinear_grid(xs, ys, kernel, spans, options, magnitude_cap, ws, &mut out);
-    }
-    out
+        fit_nonlinear_grid(
+            xs,
+            ys,
+            kernel,
+            spans,
+            options,
+            magnitude_cap,
+            known,
+            ws,
+            &mut out,
+        )
+    };
+    (out, fresh)
 }
 
 /// Score one solved prefix against every checkpoint span covering it, writing
@@ -759,8 +969,7 @@ fn fit_linear_grid(
 ) {
     let p = kernel.param_count();
     let n_build = spans.iter().map(|s| s.n_train).max().unwrap_or(0);
-    let lo = spans.iter().map(|s| s.prefix_start).min().unwrap_or(0);
-    let hi = spans.iter().map(|s| s.prefix_end).max().unwrap_or(0);
+    let (lo, hi) = prefix_range(spans);
     // Columnar slab over the longest training range: column `j` holds design
     // component `j` at every training point. Design rows depend only on the
     // point, so one slab serves every checkpoint span.
@@ -781,9 +990,9 @@ fn fit_linear_grid(
 
     let mut rows_in = 0;
     for prefix in lo..=hi {
-        // Without prefix refitting the spans are single points; skipped
-        // prefixes are caught up by the incremental accumulation below.
-        if !spans.iter().any(|s| s.covers(prefix)) {
+        // Skipped prefixes are caught up by the incremental accumulation
+        // below.
+        if !covered(spans, prefix) {
             continue;
         }
         while rows_in < prefix {
@@ -839,6 +1048,11 @@ fn fit_linear_grid(
 /// prefix views of the slab columns, refines it with an allocation-free
 /// Levenberg–Marquardt run using the kernel's analytic Jacobian, and scores
 /// the result against every covering checkpoint span.
+///
+/// With the solves `known` before the fit (indexed by `prefix - lo`), a
+/// prefix whose outcome is known skips the guess and the LM run and goes
+/// straight to scoring (or is skipped, if its LM run failed). Returns the
+/// solves this call added, in the same layout (empty without `known`).
 #[allow(clippy::too_many_arguments)]
 fn fit_nonlinear_grid(
     xs: &[f64],
@@ -847,13 +1061,15 @@ fn fit_nonlinear_grid(
     spans: &[CheckpointSpan],
     options: &FitOptions,
     magnitude_cap: f64,
+    known: Option<&[PrefixSolves]>,
     ws: &mut FitWorkspace,
     out: &mut [Option<FitCandidate>],
-) {
+) -> Vec<PrefixSolves> {
     let p = kernel.param_count();
     let n_build = spans.iter().map(|s| s.n_train).max().unwrap_or(0);
-    let lo = spans.iter().map(|s| s.prefix_start).min().unwrap_or(0);
-    let hi = spans.iter().map(|s| s.prefix_end).max().unwrap_or(0);
+    let (lo, hi) = prefix_range(spans);
+    let memoised = |prefix: usize| known.and_then(|known| known[prefix - lo].get(kernel));
+    let mut fresh = vec![PrefixSolves::EMPTY; known.map_or(0, <[_]>::len)];
 
     // Build the shared columnar guess slab once per (kernel, series) pair.
     let exprat = kernel == KernelKind::ExpRat;
@@ -892,42 +1108,35 @@ fn fit_nonlinear_grid(
 
     let mut params_buf = [0.0f64; MAX_PARAMS];
     for prefix in lo..=hi {
-        if !spans.iter().any(|s| s.covers(prefix)) {
+        if !covered(spans, prefix) {
             continue;
         }
-        let px = &xs[..prefix];
-        let py = &ys[..prefix];
         let params = &mut params_buf[..p];
-        // Linearised initial guess on the shared slab: column construction
-        // and fallbacks go through the same `fill_*_guess_row` /
-        // `fallback_guess` helpers as `linearized_initial_guess`, and the
-        // columnar QR transposes into the exact row-major work buffer the
-        // one-shot path factorises, so the two paths cannot drift apart.
-        let mean_y = py.iter().sum::<f64>() / prefix as f64;
-        let mut guessed = false;
-        if exprat {
-            if prefix <= positive_limit && prefix >= 3 {
-                if let Ok(sol) =
-                    solve_least_squares_qr_columns(&ws.design, n_build, prefix, 3, &ws.zs[..prefix])
-                {
-                    if sol.iter().all(|v| v.is_finite()) {
-                        params.copy_from_slice(&[sol[0], sol[1], 1.0, sol[2]]);
-                        guessed = true;
-                    }
-                }
+        let solved = match memoised(prefix) {
+            Some(Some(memo)) => {
+                params.copy_from_slice(memo);
+                true
             }
-        } else if prefix >= p {
-            if let Ok(sol) = solve_least_squares_qr_columns(&ws.design, n_build, prefix, p, py) {
-                if sol.iter().all(|v| v.is_finite()) {
-                    params.copy_from_slice(&sol);
-                    guessed = true;
+            Some(None) => false,
+            None => {
+                let solved = solve_prefix(
+                    xs,
+                    ys,
+                    kernel,
+                    prefix,
+                    positive_limit,
+                    n_build,
+                    options,
+                    ws,
+                    params,
+                );
+                if let Some(slot) = fresh.get_mut(prefix - lo) {
+                    slot.set(kernel, solved.then_some(&*params));
                 }
+                solved
             }
-        }
-        if !guessed {
-            fallback_guess(kernel, mean_y, params);
-        }
-        if levenberg_marquardt_into(&kernel, px, py, params, &options.lm, &mut ws.lm).is_ok() {
+        };
+        if solved {
             score_prefix_into(
                 kernel,
                 params,
@@ -941,6 +1150,59 @@ fn fit_nonlinear_grid(
             );
         }
     }
+    fresh
+}
+
+/// Solve one nonlinear grid cell into `params`: the linearised initial guess
+/// on the shared slab, refined by Levenberg–Marquardt. Returns whether the LM
+/// run converged. Reads only the prefix's points (`positive_limit` only says
+/// whether they are all positive), so the outcome is a function of the
+/// prefix and the LM options — what lets the solve memo reuse it.
+#[allow(clippy::too_many_arguments)]
+fn solve_prefix(
+    xs: &[f64],
+    ys: &[f64],
+    kernel: KernelKind,
+    prefix: usize,
+    positive_limit: usize,
+    n_build: usize,
+    options: &FitOptions,
+    ws: &mut FitWorkspace,
+    params: &mut [f64],
+) -> bool {
+    let p = kernel.param_count();
+    let px = &xs[..prefix];
+    let py = &ys[..prefix];
+    // Linearised initial guess on the shared slab: column construction
+    // and fallbacks go through the same `fill_*_guess_row` /
+    // `fallback_guess` helpers as `linearized_initial_guess`, and the
+    // columnar QR transposes into the exact row-major work buffer the
+    // one-shot path factorises, so the two paths cannot drift apart.
+    let mean_y = py.iter().sum::<f64>() / prefix as f64;
+    let mut guessed = false;
+    if kernel == KernelKind::ExpRat {
+        if prefix <= positive_limit && prefix >= 3 {
+            if let Ok(sol) =
+                solve_least_squares_qr_columns(&ws.design, n_build, prefix, 3, &ws.zs[..prefix])
+            {
+                if sol.iter().all(|v| v.is_finite()) {
+                    params.copy_from_slice(&[sol[0], sol[1], 1.0, sol[2]]);
+                    guessed = true;
+                }
+            }
+        }
+    } else if prefix >= p {
+        if let Ok(sol) = solve_least_squares_qr_columns(&ws.design, n_build, prefix, p, py) {
+            if sol.iter().all(|v| v.is_finite()) {
+                params.copy_from_slice(&sol);
+                guessed = true;
+            }
+        }
+    }
+    if !guessed {
+        fallback_guess(kernel, mean_y, params);
+    }
+    levenberg_marquardt_into(&kernel, px, py, params, &options.lm, &mut ws.lm).is_ok()
 }
 
 /// [`candidate_fits_with`] backed by a shared [`FitCache`]: the candidate
@@ -973,7 +1235,7 @@ pub fn candidate_fits_scoped(
         Some(scope) => FitKey::scoped(xs, ys, options, scope.series, scope.version),
         None => FitKey::new(xs, ys, options),
     };
-    cache.get_or_compute(key, || candidate_fits_with(xs, ys, options, engine))
+    cache.get_or_compute(key, || candidate_grid(xs, ys, options, engine, Some(cache)))
 }
 
 #[cfg(test)]
@@ -985,6 +1247,33 @@ mod tests {
         let xs: Vec<f64> = (1..=max).map(|c| c as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| kernel.eval(params, *x)).collect();
         (xs, ys)
+    }
+
+    #[test]
+    fn solve_slots_pack_every_nonlinear_kernel() {
+        let mut end = 0;
+        for kernel in KernelKind::ALL.into_iter().filter(|k| !k.is_linear()) {
+            let (_, offset) = solve_slot(kernel);
+            assert_eq!(offset, end, "{kernel:?} does not follow its predecessor");
+            end += kernel.param_count();
+        }
+        assert_eq!(end, SOLVE_PARAMS);
+
+        let mut solves = PrefixSolves::EMPTY;
+        solves.set(
+            KernelKind::Rat33,
+            Some(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
+        );
+        solves.set(KernelKind::ExpRat, None);
+        let mut merged = PrefixSolves::EMPTY;
+        assert!(merged.merge(&solves));
+        assert!(!merged.merge(&solves), "nothing new the second time");
+        assert_eq!(merged.get(KernelKind::Rat22), None);
+        assert_eq!(merged.get(KernelKind::ExpRat), Some(None));
+        assert_eq!(
+            merged.get(KernelKind::Rat33),
+            Some(Some(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0][..]))
+        );
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub mod time_extrapolation;
 pub mod wal;
 
 pub use bottleneck::{BottleneckEntry, BottleneckReport};
-pub use config::{EstimaConfig, TargetSpec};
+pub use config::{EstimaConfig, TargetSpec, MAX_TARGET_CORES};
 pub use engine::{BatchPredictor, CacheScope, Engine, FitCache};
 pub use error::{EstimaError, Result};
 pub use fit::{

@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::{EstimaConfig, TargetSpec};
+use crate::config::{EstimaConfig, TargetSpec, MAX_TARGET_CORES};
 use crate::engine::{CacheScope, Engine, FitCache};
 use crate::error::{EstimaError, Result};
 use crate::fit::{
@@ -258,6 +258,11 @@ impl Estima {
             return Err(EstimaError::InvalidConfig(
                 "dataset_scale must be positive".into(),
             ));
+        }
+        if target.cores > MAX_TARGET_CORES {
+            return Err(EstimaError::InvalidConfig(format!(
+                "target cores must be at most {MAX_TARGET_CORES}"
+            )));
         }
 
         let sources = self.config.sources();
@@ -547,6 +552,21 @@ mod tests {
             estima.predict(&set, &target),
             Err(EstimaError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn rejects_target_beyond_max_target_cores() {
+        let (set, _) = synthetic_set(48);
+        let estima = Estima::new(EstimaConfig::default());
+        assert!(estima
+            .predict(&set, &TargetSpec::cores(MAX_TARGET_CORES))
+            .is_ok());
+        for cores in [MAX_TARGET_CORES + 1, 4_000_000_000] {
+            assert!(matches!(
+                estima.predict(&set, &TargetSpec::cores(cores)),
+                Err(EstimaError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

@@ -33,7 +33,8 @@ fn usage() -> ! {
          \u{20}                  any number of connections\n\
          --backlog          listen backlog depth (default 1024)\n\
          --parallelism      per-prediction engine workers (default 1)\n\
-         --cache-capacity   fit-cache size in cached series (default 4096)\n\
+         --cache-capacity   fit-cache size in cached series, and in memoised\n\
+         \u{20}                  prefix solves (default 4096)\n\
          --data-dir         durable store directory: WAL + snapshots; series\n\
          \u{20}                  survive restarts (default: in-memory only)\n\
          --wal-sync         fsync every WAL append (power-loss durability;\n\

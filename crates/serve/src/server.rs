@@ -67,7 +67,8 @@ pub struct ServerConfig {
     /// keeps each request on its reactor thread — request throughput comes
     /// from the reactors, not from fanning out a single request.
     pub parallelism: usize,
-    /// Total [`FitCache`] capacity in cached series.
+    /// Total [`FitCache`] capacity in cached series; the cache's solve memo
+    /// holds at most as many memoised training prefixes.
     pub cache_capacity: usize,
     /// Directory for the durable measurement store (write-ahead log +
     /// snapshots). `None` (the default) keeps the store purely in-memory —
@@ -1015,6 +1016,7 @@ fn server_stats(state: &AppState, out: &mut ResponseBuf) {
     let cache = state.batch.cache();
     let store = state.batch.session().store();
     let (hits, misses) = cache.stats();
+    let (solve_hits, solve_misses) = cache.solve_stats();
     let stats = &state.stats;
     let load = |counter: &std::sync::atomic::AtomicU64| counter.load(Ordering::Relaxed) as f64;
     let quantile = |q: f64| match stats.latency_quantile_ns(q) {
@@ -1095,6 +1097,15 @@ fn server_stats(state: &AppState, out: &mut ResponseBuf) {
                 (
                     "invalidations".to_string(),
                     Json::Number(cache.invalidations() as f64),
+                ),
+                ("solve_hits".to_string(), Json::Number(solve_hits as f64)),
+                (
+                    "solve_misses".to_string(),
+                    Json::Number(solve_misses as f64),
+                ),
+                (
+                    "solve_entries".to_string(),
+                    Json::Number(cache.solve_entries() as f64),
                 ),
             ]),
         ),

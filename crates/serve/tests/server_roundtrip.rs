@@ -463,6 +463,103 @@ fn fit_cache_versioning_over_http() {
 }
 
 #[test]
+fn flipping_the_newest_point_refits_from_memoised_solves() {
+    let handle = spawn_server();
+    let mut client = Client::connect(handle.addr());
+    let solve_counters = |client: &mut Client| -> (u64, u64, u64) {
+        let (status, stats) = client.request("GET", "/v1/stats", "");
+        assert_eq!(status, 200);
+        let stats = Json::parse(&stats).unwrap();
+        let cache = stats.get("cache").unwrap();
+        let counter = |key: &str| cache.get(key).and_then(Json::as_u64).unwrap();
+        (
+            counter("solve_hits"),
+            counter("solve_misses"),
+            counter("solve_entries"),
+        )
+    };
+
+    let set = seed_series(&mut client, "flip");
+    let target = TargetSpec::cores(48);
+    let target_body = wire::target_spec_to_json(&target).render();
+    let (status, _) = client.request("POST", "/v1/series/flip/predict", &target_body);
+    assert_eq!(status, 200);
+    let (hits_cold, misses_cold, entries_cold) = solve_counters(&mut client);
+    assert!(misses_cold > 0 && entries_cold > 0);
+
+    // Replace the newest (12-core) checkpoint: no training prefix changes,
+    // so the refit re-solves nothing.
+    let n = 12.0f64;
+    let time = 50.0 / n + 1.5;
+    let flipped = Measurement::new(12, time)
+        .with_stall(StallCategory::backend("rob_full"), 4.0e8 * n * time * 0.7)
+        .with_stall(StallCategory::backend("ls_full"), 4.0e8 * n * time * 0.3)
+        .with_stall(StallCategory::software("lock_spin"), 1.1e7 * n * n);
+    let body = wire::ingest_request_to_json(
+        &SeriesId::new("flip").unwrap(),
+        None,
+        std::slice::from_ref(&flipped),
+    )
+    .render();
+    let (status, response) = client.request("POST", "/v1/measurements", &body);
+    assert_eq!(status, 200, "{response}");
+    let (status, served) = client.request("POST", "/v1/series/flip/predict", &target_body);
+    assert_eq!(status, 200);
+    let (hits, misses, entries) = solve_counters(&mut client);
+    assert!(hits > hits_cold, "the refit reused no memoised solve");
+    assert_eq!(misses, misses_cold, "the flip re-ran LM solves");
+    assert_eq!(entries, entries_cold);
+
+    // And the memoised refit serves exactly the bytes of a fresh fit.
+    let mut expected_set = MeasurementSet::new("flip", set.frequency_ghz);
+    for point in set.measurements() {
+        expected_set.push(if point.cores == 12 {
+            flipped.clone()
+        } else {
+            point.clone()
+        });
+    }
+    let expected = Estima::new(EstimaConfig::default())
+        .predict(&expected_set, &target)
+        .unwrap();
+    assert_eq!(served, wire::prediction_to_json(&expected).render());
+
+    handle.shutdown();
+}
+
+#[test]
+fn an_absurd_target_core_count_is_refused_promptly() {
+    let handle = spawn_server();
+    let mut client = Client::connect(handle.addr());
+    seed_series(&mut client, "huge");
+    let start = std::time::Instant::now();
+    let (status, body) = client.request(
+        "POST",
+        "/v1/series/huge/predict",
+        r#"{"cores": 4000000000}"#,
+    );
+    assert_eq!(status, 422, "{body}");
+    assert_eq!(
+        Json::parse(&body)
+            .unwrap()
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str),
+        Some("prediction_failed")
+    );
+    assert!(
+        start.elapsed() < std::time::Duration::from_secs(5),
+        "refusing the target took {:?}",
+        start.elapsed()
+    );
+    // The node survived the request.
+    let (status, _) = client.request("GET", "/v1/healthz", "");
+    assert_eq!(status, 200);
+
+    handle.shutdown();
+}
+
+#[test]
 fn series_error_codes_match_the_documented_semantics() {
     let handle = spawn_server();
     let mut client = Client::connect(handle.addr());
