@@ -5,12 +5,14 @@
 //! of the full model-selection loop (`approximate_series`), the analytic vs
 //! finite-difference Jacobian paths, the allocation-free strip-structured
 //! candidate grid against a faithful emulation of the pre-PR per-cell path,
-//! and a `FitCache`-backed refit after the newest point changed (the solve
-//! memo's case).
+//! a `FitCache`-backed refit after the newest point changed (the solve
+//! memo's case), and the realism walk over a prebuilt horizon table against
+//! the per-point walk it replaced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use estima_core::engine::CacheScope;
 use estima_core::fit::candidate_fits_scoped;
+use estima_core::kernels::{FittedCurve, HorizonTable};
 use estima_core::levenberg::{levenberg_marquardt, Jacobian, LmOptions};
 use estima_core::{
     approximate_series, candidate_fits_with, fit_kernel, fit_kernel_with, Engine, FitCache,
@@ -94,7 +96,8 @@ fn bench_parallel_candidate_grid(c: &mut Criterion) {
 /// `Vec` collections per cell, linear kernels solved by a freshly built
 /// QR system per cell, and nonlinear kernels refined by the closure-based
 /// Levenberg–Marquardt (finite-difference Jacobian, allocating per
-/// iteration) — exactly the shape of the code this PR replaced.
+/// iteration), and every cell walked for realism point by point — exactly
+/// the shape of the code the columnar grid replaced.
 mod pre_pr {
     use estima_core::kernels::{FittedCurve, KernelKind};
     use estima_core::levenberg::LmOptions;
@@ -266,6 +269,53 @@ mod pre_pr {
         }
     }
 
+    /// Verbatim copy of the per-point realism walk: the kernel dispatched
+    /// through `denominator` and `eval` at every point, `ln`/`powf` computed
+    /// per point, and a sign sweep that stops at the first change.
+    pub fn is_realistic_captured_old(
+        curve: &FittedCurve,
+        max_cores: u32,
+        max_magnitude: f64,
+        values: &mut Vec<f64>,
+    ) -> bool {
+        values.clear();
+        values.reserve(max_cores as usize);
+        for c in 1..=max_cores {
+            let n = c as f64;
+            if let Some(den) = curve.kernel.denominator(&curve.params, n) {
+                if den.abs() < 1e-9 {
+                    return false;
+                }
+            }
+            let v = curve.eval(n);
+            if !v.is_finite() || v < 0.0 || v.abs() > max_magnitude {
+                return false;
+            }
+            values.push(v);
+        }
+        // Also require the denominator not to change sign anywhere in the
+        // range (a sign change implies a pole between integer core counts).
+        if let Some(first) = curve.kernel.denominator(&curve.params, 1.0) {
+            let steps = (max_cores * 4).max(4);
+            for s in 0..=steps {
+                let n = 1.0 + (max_cores as f64 - 1.0) * s as f64 / steps as f64;
+                if let Some(d) = curve.kernel.denominator(&curve.params, n) {
+                    if d * first < 0.0 {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// `FittedCurve::is_realistic` as it was: a fresh capture buffer per
+    /// call.
+    fn is_realistic_old(curve: &FittedCurve, max_cores: u32, max_magnitude: f64) -> bool {
+        let mut discard = Vec::new();
+        is_realistic_captured_old(curve, max_cores, max_magnitude, &mut discard)
+    }
+
     /// The pre-PR per-cell candidate grid (sequential).
     pub fn candidate_fits(xs: &[f64], ys: &[f64], options: &FitOptions, lm: &LmOptions) -> usize {
         let m = xs.len();
@@ -312,7 +362,7 @@ mod pre_pr {
                         training_points: prefix,
                     };
                     if curve.checkpoint_rmse.is_finite()
-                        && curve.is_realistic(options.realism_horizon, magnitude_cap)
+                        && is_realistic_old(&curve, options.realism_horizon, magnitude_cap)
                     {
                         kept += 1;
                     }
@@ -437,12 +487,64 @@ fn bench_grid_vs_pre_pr(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_realism_walk(c: &mut Criterion) {
+    // One accepted curve per kernel shape — a rational, the exponential and
+    // a kernel read from the table's `n^2.5` column — walked over the whole
+    // horizon: every point, and for the two with a denominator, the whole
+    // sign sweep.
+    let horizon = 48;
+    let curves = [
+        (
+            KernelKind::Rat33,
+            vec![30.0, 8.0, 1.0, 0.05, 0.1, 0.01, 0.001],
+        ),
+        (KernelKind::ExpRat, vec![2.0, 0.3, 1.0, 0.05]),
+        (KernelKind::Poly25, vec![100.0, 5.0, 0.2, 0.01]),
+    ];
+    let table = HorizonTable::new(horizon);
+    let mut group = c.benchmark_group("realism_walk");
+    group.sample_size(30);
+    for (kernel, params) in curves {
+        let curve = FittedCurve {
+            kernel,
+            params,
+            checkpoint_rmse: 0.0,
+            training_rmse: 0.0,
+            training_points: 12,
+        };
+        let mut values = Vec::with_capacity(horizon as usize);
+        assert!(table.walk(kernel, &curve.params, 1e18, &mut values));
+        group.bench_function(BenchmarkId::new("table", kernel.name()), |b| {
+            b.iter(|| {
+                table.walk(
+                    kernel,
+                    std::hint::black_box(&curve.params),
+                    1e18,
+                    &mut values,
+                )
+            })
+        });
+        group.bench_function(BenchmarkId::new("per_point", kernel.name()), |b| {
+            b.iter(|| {
+                pre_pr::is_realistic_captured_old(
+                    std::hint::black_box(&curve),
+                    horizon,
+                    1e18,
+                    &mut values,
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_single_kernels,
     bench_model_selection,
     bench_parallel_candidate_grid,
     bench_jacobian_modes,
-    bench_grid_vs_pre_pr
+    bench_grid_vs_pre_pr,
+    bench_realism_walk
 );
 criterion_main!(benches);

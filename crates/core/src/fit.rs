@@ -24,7 +24,10 @@
 //!   ranges, so every prefix of every checkpoint span reads the same
 //!   transformed columns instead of rebuilding rows per cell,
 //! * solves each distinct prefix **once** and scores the resulting curve
-//!   against every checkpoint span covering that prefix,
+//!   against every checkpoint span covering that prefix — and only the
+//!   checkpoint RMSE depends on the span: the training RMSE, the realism walk
+//!   and the integer-grid eval table are computed once per prefix, and every
+//!   span's candidate shares the one table,
 //! * for linear kernels (`CubicLn`, `Poly25`) maintains the normal equations
 //!   **incrementally** — growing the prefix by one point is a rank-1 update
 //!   of `AᵀA` / `Aᵀy` followed by an in-place Cholesky solve,
@@ -34,10 +37,13 @@
 //!   per-thread [`LmWorkspace`], so the LM iterations allocate nothing.
 //!
 //! Each worker thread owns one `FitWorkspace` (a thread local), so engine
-//! fan-outs of any width reuse a fixed set of buffers. The columnar layout
-//! matches the LM Jacobian slab (see [`crate::levenberg`]) and the summation
-//! order of every reduction is fixed, so grid results are bit-identical
-//! regardless of engine parallelism.
+//! fan-outs of any width reuse a fixed set of buffers — among them the
+//! realism walk's [`HorizonTable`] (`ln(c)`, `c^2.5` and the sign sweep's
+//! abscissae), rebuilt only when a grid's horizon differs from the last.
+//! The columnar layout matches the LM Jacobian slab (see
+//! [`crate::levenberg`]) and the summation order of every reduction is
+//! fixed, so grid results are bit-identical regardless of engine
+//! parallelism.
 //!
 //! # The solve memo
 //!
@@ -54,9 +60,10 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
+use crate::config::MAX_TARGET_CORES;
 use crate::engine::{CacheScope, Engine, FitCache, FitKey};
 use crate::error::{EstimaError, Result};
-use crate::kernels::{FittedCurve, KernelKind};
+use crate::kernels::{FittedCurve, HorizonTable, KernelKind};
 use crate::levenberg::{levenberg_marquardt_into, LmOptions, LmWorkspace, MAX_PARAMS};
 use crate::linalg::{
     accumulate_normal_equations, cholesky_solve_in_place, solve_least_squares_qr,
@@ -167,8 +174,9 @@ thread_local! {
     static FIT_WORKSPACE: RefCell<FitWorkspace> = RefCell::new(FitWorkspace::default());
 }
 
-/// Reusable scratch for one worker thread: the Levenberg–Marquardt workspace
-/// plus the design-matrix and normal-equation buffers of the grid fitter.
+/// Reusable scratch for one worker thread: the Levenberg–Marquardt workspace,
+/// the design-matrix and normal-equation buffers of the grid fitter, and the
+/// realism walk's table and capture buffer.
 #[derive(Debug, Default)]
 struct FitWorkspace {
     lm: LmWorkspace,
@@ -188,6 +196,11 @@ struct FitWorkspace {
     solve_rhs: Vec<f64>,
     /// `ln(y)` values for the ExpRat linearised guess.
     zs: Vec<f64>,
+    /// The realism walk's abscissae at the last grid's horizon; rebuilt
+    /// only when the horizon changes.
+    horizon: HorizonTable,
+    /// The values the walk of the current prefix captured.
+    walked: Vec<f64>,
 }
 
 fn with_fit_workspace<R>(f: impl FnOnce(&mut FitWorkspace) -> R) -> R {
@@ -372,17 +385,18 @@ pub struct FitCandidate {
 /// bit-identical to re-running that loop.
 #[derive(Debug, Clone)]
 pub struct CandidateEvals {
-    values: Vec<f64>,
+    /// Shared by the candidates of every checkpoint span covering the prefix.
+    values: Arc<[f64]>,
     tail_start: u32,
     tail_max: f64,
     tail_min: f64,
 }
 
 impl CandidateEvals {
-    /// Build the table from values captured by
-    /// [`FittedCurve::is_realistic_captured`]. `tail_start` is the first
-    /// extrapolated core count (largest measured `x` plus one).
-    fn new(values: Vec<f64>, tail_start: u32) -> Self {
+    /// Build the table from values captured by the realism walk
+    /// ([`HorizonTable::walk`]). `tail_start` is the first extrapolated core
+    /// count (largest measured `x` plus one).
+    fn new(values: &[f64], tail_start: u32) -> Self {
         let horizon = values.len() as u32;
         let mut tail_max = 0.0f64;
         let mut tail_min = f64::INFINITY;
@@ -394,7 +408,7 @@ impl CandidateEvals {
             }
         }
         CandidateEvals {
-            values,
+            values: values.into(),
             tail_start,
             tail_max,
             tail_min,
@@ -755,6 +769,12 @@ fn candidate_grid(
     if options.kernels.is_empty() {
         return Err(EstimaError::InvalidConfig("empty kernel set".into()));
     }
+    // The walk and every candidate's eval table cover `1..=horizon`.
+    if options.realism_horizon > MAX_TARGET_CORES {
+        return Err(EstimaError::InvalidConfig(format!(
+            "realism horizon must be at most {MAX_TARGET_CORES} cores"
+        )));
+    }
     let mut viable_checkpoint_counts: Vec<usize> = options
         .checkpoint_counts
         .iter()
@@ -793,14 +813,23 @@ fn candidate_grid(
     } else {
         options.max_magnitude
     };
+    let grid = Grid {
+        xs,
+        ys,
+        spans: &spans,
+        options,
+        magnitude_cap,
+        // One past the series' largest measured x (the series covers *all*
+        // measured points — checkpoints included). Saturates: an x at or
+        // beyond `u32::MAX` leaves the tail empty.
+        tail_start: (xs.iter().fold(0.0f64, |a, x| a.max(*x)) as u32).saturating_add(1),
+    };
 
     let solves = memo.and_then(|cache| SeriesSolves::open(cache, xs, ys, options, &spans));
     let known = solves.as_ref().map(|solves| solves.known.as_slice());
     let (mut kernel_grids, fresh): (Vec<_>, Vec<_>) = engine
         .run(options.kernels.clone(), |kernel| {
-            with_fit_workspace(|ws| {
-                fit_kernel_grid(xs, ys, kernel, &spans, options, magnitude_cap, known, ws)
-            })
+            with_fit_workspace(|ws| fit_kernel_grid(&grid, kernel, known, ws))
         })
         .into_iter()
         .unzip();
@@ -826,71 +855,90 @@ fn candidate_grid(
     Ok(out)
 }
 
+/// One candidate grid's fixed inputs: the series, its checkpoint spans, the
+/// options, and what scoring a cell reads besides the cell's parameters.
+struct Grid<'a> {
+    xs: &'a [f64],
+    ys: &'a [f64],
+    spans: &'a [CheckpointSpan],
+    options: &'a FitOptions,
+    /// Largest magnitude a realistic curve may reach inside the horizon.
+    magnitude_cap: f64,
+    /// First extrapolated core count, for every candidate's eval table.
+    tail_start: u32,
+}
+
 /// Fit every (checkpoint count × prefix) cell of one kernel from a shared
 /// columnar design slab. Returns one slot per cell, flattened in (checkpoint
 /// span → prefix) order — the same layout [`candidate_fits_with`] reassembles
 /// from — and, when `known` solves are given, the solves this call added
 /// (one per grid prefix; empty for linear kernels and the uncached path).
-#[allow(clippy::too_many_arguments)]
 fn fit_kernel_grid(
-    xs: &[f64],
-    ys: &[f64],
+    grid: &Grid<'_>,
     kernel: KernelKind,
-    spans: &[CheckpointSpan],
-    options: &FitOptions,
-    magnitude_cap: f64,
     known: Option<&[PrefixSolves]>,
     ws: &mut FitWorkspace,
 ) -> (Vec<Option<FitCandidate>>, Vec<PrefixSolves>) {
-    let total: usize = spans.iter().map(CheckpointSpan::width).sum();
+    ws.horizon.cover(grid.options.realism_horizon);
+    let total: usize = grid.spans.iter().map(CheckpointSpan::width).sum();
     let mut out = vec![None; total];
     let fresh = if kernel.is_linear() {
-        fit_linear_grid(xs, ys, kernel, spans, options, magnitude_cap, ws, &mut out);
+        fit_linear_grid(grid, kernel, ws, &mut out);
         Vec::new()
     } else {
-        fit_nonlinear_grid(
-            xs,
-            ys,
-            kernel,
-            spans,
-            options,
-            magnitude_cap,
-            known,
-            ws,
-            &mut out,
-        )
+        fit_nonlinear_grid(grid, kernel, known, ws, &mut out)
     };
     (out, fresh)
 }
 
 /// Score one solved prefix against every checkpoint span covering it, writing
 /// the candidates into the flattened (span → prefix) output slots.
-#[allow(clippy::too_many_arguments)]
+///
+/// Only the checkpoint RMSE depends on the span. The training RMSE, the
+/// realism walk and the eval table depend on (kernel, params, prefix,
+/// horizon, magnitude cap) alone, so they are computed once, for the first
+/// span whose checkpoint RMSE is finite, and every span's candidate shares
+/// the eval table.
 fn score_prefix_into(
+    grid: &Grid<'_>,
     kernel: KernelKind,
     params: &[f64],
     prefix: usize,
-    spans: &[CheckpointSpan],
-    xs: &[f64],
-    ys: &[f64],
-    options: &FitOptions,
-    magnitude_cap: f64,
+    table: &HorizonTable,
+    walked: &mut Vec<f64>,
     out: &mut [Option<FitCandidate>],
 ) {
+    let (xs, ys) = (grid.xs, grid.ys);
+    // `Some(None)` once the walk has rejected the curve.
+    let mut shared: Option<Option<(f64, CandidateEvals)>> = None;
     let mut base = 0;
-    for span in spans {
+    for span in grid.spans {
         if span.covers(prefix) {
-            out[base + prefix - span.prefix_start] = score_candidate(
-                kernel,
-                params,
-                prefix,
-                span.checkpoints,
-                xs,
-                ys,
-                span.n_train,
-                options,
-                magnitude_cap,
-            );
+            let n_train = span.n_train;
+            let checkpoint_rmse = model_rmse(kernel, params, &xs[n_train..], &ys[n_train..]);
+            if checkpoint_rmse.is_finite() {
+                let scored = shared.get_or_insert_with(|| {
+                    let realistic = table.walk(kernel, params, grid.magnitude_cap, walked);
+                    realistic.then(|| {
+                        let training_rmse =
+                            model_rmse(kernel, params, &xs[..prefix], &ys[..prefix]);
+                        (training_rmse, CandidateEvals::new(walked, grid.tail_start))
+                    })
+                });
+                if let Some((training_rmse, evals)) = scored {
+                    out[base + prefix - span.prefix_start] = Some(FitCandidate {
+                        curve: FittedCurve {
+                            kernel,
+                            params: params.to_vec(),
+                            checkpoint_rmse,
+                            training_rmse: *training_rmse,
+                            training_points: prefix,
+                        },
+                        checkpoints: span.checkpoints,
+                        evals: evals.clone(),
+                    });
+                }
+            }
         }
         base += span.width();
     }
@@ -910,63 +958,18 @@ fn model_rmse(kernel: KernelKind, params: &[f64], xs: &[f64], ys: &[f64]) -> f64
     (sum / xs.len() as f64).sqrt()
 }
 
-/// Score a fitted parameter vector for one grid cell: checkpoint/training
-/// RMSE plus the realism filter. Returns `None` when the candidate is not
-/// viable.
-#[allow(clippy::too_many_arguments)]
-fn score_candidate(
-    kernel: KernelKind,
-    params: &[f64],
-    prefix: usize,
-    checkpoints: usize,
-    xs: &[f64],
-    ys: &[f64],
-    n_train: usize,
-    options: &FitOptions,
-    magnitude_cap: f64,
-) -> Option<FitCandidate> {
-    let checkpoint_rmse = model_rmse(kernel, params, &xs[n_train..], &ys[n_train..]);
-    if !checkpoint_rmse.is_finite() {
-        return None;
-    }
-    let curve = FittedCurve {
-        kernel,
-        params: params.to_vec(),
-        checkpoint_rmse,
-        training_rmse: model_rmse(kernel, params, &xs[..prefix], &ys[..prefix]),
-        training_points: prefix,
-    };
-    let mut values = Vec::new();
-    if !curve.is_realistic_captured(options.realism_horizon, magnitude_cap, &mut values) {
-        return None;
-    }
-    // First extrapolated core count: one past the series' largest measured x
-    // (the series covers *all* measured points — checkpoints included).
-    let tail_start = xs.iter().fold(0.0f64, |a, x| a.max(*x)) as u32 + 1;
-    let evals = CandidateEvals::new(values, tail_start);
-    Some(FitCandidate {
-        curve,
-        checkpoints,
-        evals,
-    })
-}
-
 /// Linear-kernel grid: the columnar design slab is built once over the
 /// longest training range; each distinct prefix is a rank-1 update of the
 /// running normal equations followed by an in-place Cholesky solve
 /// (ridge-regularised when the system is under-determined or numerically not
 /// positive definite), then scored against every covering checkpoint span.
-#[allow(clippy::too_many_arguments)]
 fn fit_linear_grid(
-    xs: &[f64],
-    ys: &[f64],
+    grid: &Grid<'_>,
     kernel: KernelKind,
-    spans: &[CheckpointSpan],
-    options: &FitOptions,
-    magnitude_cap: f64,
     ws: &mut FitWorkspace,
     out: &mut [Option<FitCandidate>],
 ) {
+    let (xs, ys, spans) = (grid.xs, grid.ys, grid.spans);
     let p = kernel.param_count();
     let n_build = spans.iter().map(|s| s.n_train).max().unwrap_or(0);
     let (lo, hi) = prefix_range(spans);
@@ -1029,14 +1032,12 @@ fn fit_linear_grid(
         }
         if solved {
             score_prefix_into(
+                grid,
                 kernel,
                 &ws.solve_rhs[..p],
                 prefix,
-                spans,
-                xs,
-                ys,
-                options,
-                magnitude_cap,
+                &ws.horizon,
+                &mut ws.walked,
                 out,
             );
         }
@@ -1053,18 +1054,14 @@ fn fit_linear_grid(
 /// prefix whose outcome is known skips the guess and the LM run and goes
 /// straight to scoring (or is skipped, if its LM run failed). Returns the
 /// solves this call added, in the same layout (empty without `known`).
-#[allow(clippy::too_many_arguments)]
 fn fit_nonlinear_grid(
-    xs: &[f64],
-    ys: &[f64],
+    grid: &Grid<'_>,
     kernel: KernelKind,
-    spans: &[CheckpointSpan],
-    options: &FitOptions,
-    magnitude_cap: f64,
     known: Option<&[PrefixSolves]>,
     ws: &mut FitWorkspace,
     out: &mut [Option<FitCandidate>],
 ) -> Vec<PrefixSolves> {
+    let (xs, ys, spans) = (grid.xs, grid.ys, grid.spans);
     let p = kernel.param_count();
     let n_build = spans.iter().map(|s| s.n_train).max().unwrap_or(0);
     let (lo, hi) = prefix_range(spans);
@@ -1126,7 +1123,7 @@ fn fit_nonlinear_grid(
                     prefix,
                     positive_limit,
                     n_build,
-                    options,
+                    grid.options,
                     ws,
                     params,
                 );
@@ -1138,14 +1135,12 @@ fn fit_nonlinear_grid(
         };
         if solved {
             score_prefix_into(
+                grid,
                 kernel,
                 params,
                 prefix,
-                spans,
-                xs,
-                ys,
-                options,
-                magnitude_cap,
+                &ws.horizon,
+                &mut ws.walked,
                 out,
             );
         }
@@ -1398,6 +1393,44 @@ mod tests {
             candidate_fits(&xs, &ys, &opts),
             Err(EstimaError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn a_horizon_beyond_max_target_cores_is_invalid_config() {
+        // Refused before anything is sized by the horizon.
+        let xs: Vec<f64> = (1..=8).map(|c| c as f64).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| 100.0 + 10.0 * x).collect();
+        let at = |realism_horizon| FitOptions {
+            realism_horizon,
+            ..FitOptions::default()
+        };
+        for horizon in [MAX_TARGET_CORES + 1, 1 << 30, u32::MAX] {
+            assert!(matches!(
+                candidate_fits(&xs, &ys, &at(horizon)),
+                Err(EstimaError::InvalidConfig(_))
+            ));
+            assert!(matches!(
+                approximate_series(&xs, &ys, "wide", &at(horizon)),
+                Err(EstimaError::InvalidConfig(_))
+            ));
+        }
+        let widest = candidate_fits(&xs, &ys, &at(MAX_TARGET_CORES)).unwrap();
+        assert!(widest.iter().all(|c| c.evals.horizon() == MAX_TARGET_CORES));
+    }
+
+    #[test]
+    fn a_core_count_at_u32_max_leaves_the_tail_empty() {
+        // One past the largest measured core count saturates.
+        let mut xs: Vec<f64> = (1..=7).map(|c| c as f64).collect();
+        xs.push(u32::MAX as f64);
+        let ys: Vec<f64> = xs.iter().map(|x| 100.0 + 2.0 * x).collect();
+        let candidates = candidate_fits(&xs, &ys, &FitOptions::default()).unwrap();
+        assert!(!candidates.is_empty());
+        for candidate in &candidates {
+            let evals = &candidate.evals;
+            assert_eq!(evals.tail_start(), u32::MAX);
+            assert_eq!((evals.tail_max(), evals.tail_min()), (0.0, f64::INFINITY));
+        }
     }
 
     #[test]

@@ -16,6 +16,19 @@
 //! ordinary least squares. The rational kernels and `ExpRat` are nonlinear and
 //! are fitted with Levenberg–Marquardt, seeded by a linearised least-squares
 //! initial guess (see [`crate::fit`]).
+//!
+//! # The realism walk
+//!
+//! A fitted curve is kept only if it is realistic over `1..=horizon` (the
+//! paper's "discard the function types that produce functions that are not
+//! realistic"): [`HorizonTable::walk`] checks every integer core count for a
+//! pole, a non-finite or negative value, or one above the magnitude cap,
+//! then sweeps `4·horizon + 1` points for a denominator sign change. The
+//! abscissae come from a [`HorizonTable`] built once per horizon, one match
+//! on the kernel picks a loop specialised to it, and each point computes its
+//! denominator once for both the pole check and the value. Every value is the
+//! expression [`KernelKind::eval`] computes, so the captured values double as
+//! the candidate's integer-grid eval table, bit for bit.
 
 use serde::{Deserialize, Serialize};
 
@@ -36,57 +49,118 @@ pub const LANES: usize = 4;
 /// cost comparison itself never produces NaN.
 pub const POLE_PENALTY: f64 = 1e150;
 
-// Per-kernel evaluation primitives. `KernelKind::eval`/`partials` and the
-// lane-chunked `residuals_into`/`partials_into` all call these same
-// functions, so the scalar and chunked paths are bit-identical by
-// construction (one source of truth for every floating-point expression).
+// Per-kernel evaluation primitives. `KernelKind::eval`/`partials`/
+// `denominator`, the lane-chunked `residuals_into`/`partials_into` and the
+// realism walk ([`HorizonTable::walk`]) all call these same functions, so
+// every path is bit-identical by construction (one source of truth for every
+// floating-point expression). Each value splits into the parts a caller may
+// already hold: a rational kernel's numerator and denominator, `CubicLn`'s
+// `ln(n)` abscissa and `Poly25`'s `n^2.5` term.
 
 #[inline(always)]
-fn rat22_value(p: &[f64], n: f64) -> f64 {
-    let num = p[0] + p[1] * n + p[2] * n * n;
-    let den = 1.0 + p[3] * n + p[4] * n * n;
-    num / den
+fn rat22_num(p: &[f64], n: f64) -> f64 {
+    p[0] + p[1] * n + p[2] * n * n
 }
 
 #[inline(always)]
+fn rat22_den(p: &[f64], n: f64) -> f64 {
+    1.0 + p[3] * n + p[4] * n * n
+}
+
+#[inline(always)]
+fn rat22_value(p: &[f64], n: f64) -> f64 {
+    rat22_num(p, n) / rat22_den(p, n)
+}
+
+#[inline(always)]
+fn rat23_den(p: &[f64], n: f64) -> f64 {
+    1.0 + p[3] * n + p[4] * n * n + p[5] * n * n * n
+}
+
+/// `Rat23` shares `Rat22`'s numerator.
+#[inline(always)]
 fn rat23_value(p: &[f64], n: f64) -> f64 {
-    let num = p[0] + p[1] * n + p[2] * n * n;
-    let den = 1.0 + p[3] * n + p[4] * n * n + p[5] * n * n * n;
-    num / den
+    rat22_num(p, n) / rat23_den(p, n)
+}
+
+#[inline(always)]
+fn rat33_num(p: &[f64], n: f64) -> f64 {
+    p[0] + p[1] * n + p[2] * n * n + p[3] * n * n * n
+}
+
+#[inline(always)]
+fn rat33_den(p: &[f64], n: f64) -> f64 {
+    1.0 + p[4] * n + p[5] * n * n + p[6] * n * n * n
 }
 
 #[inline(always)]
 fn rat33_value(p: &[f64], n: f64) -> f64 {
-    let num = p[0] + p[1] * n + p[2] * n * n + p[3] * n * n * n;
-    let den = 1.0 + p[4] * n + p[5] * n * n + p[6] * n * n * n;
-    num / den
+    rat33_num(p, n) / rat33_den(p, n)
 }
 
+/// The abscissa `CubicLn` is a cubic in: `ln(n)`, clamped away from zero.
 #[inline(always)]
-fn cubic_ln_value(p: &[f64], n: f64) -> f64 {
-    let l = n.max(f64::MIN_POSITIVE).ln();
+fn cubic_ln_abscissa(n: f64) -> f64 {
+    n.max(f64::MIN_POSITIVE).ln()
+}
+
+/// `CubicLn` at a precomputed abscissa `l = cubic_ln_abscissa(n)`.
+#[inline(always)]
+fn cubic_ln_at(p: &[f64], l: f64) -> f64 {
     p[0] + p[1] * l + p[2] * l * l + p[3] * l * l * l
 }
 
 #[inline(always)]
+fn cubic_ln_value(p: &[f64], n: f64) -> f64 {
+    cubic_ln_at(p, cubic_ln_abscissa(n))
+}
+
+#[inline(always)]
+fn exp_rat_num(p: &[f64], n: f64) -> f64 {
+    p[0] + p[1] * n
+}
+
+#[inline(always)]
+fn exp_rat_den(p: &[f64], n: f64) -> f64 {
+    p[2] + p[3] * n
+}
+
+/// `ExpRat` at `n` given its denominator there, `den = exp_rat_den(p, n)`.
+#[inline(always)]
+fn exp_rat_at(p: &[f64], n: f64, den: f64) -> f64 {
+    (exp_rat_num(p, n) / den).exp()
+}
+
+#[inline(always)]
 fn exp_rat_value(p: &[f64], n: f64) -> f64 {
-    let den = p[2] + p[3] * n;
+    let den = exp_rat_den(p, n);
     if den.abs() < 1e-12 {
         return f64::INFINITY;
     }
-    ((p[0] + p[1] * n) / den).exp()
+    exp_rat_at(p, n, den)
+}
+
+/// `Poly25`'s non-integer power term: `n^2.5`.
+#[inline(always)]
+fn poly25_abscissa(n: f64) -> f64 {
+    n.powf(2.5)
+}
+
+/// `Poly25` at `n` given `r = poly25_abscissa(n)`.
+#[inline(always)]
+fn poly25_at(p: &[f64], n: f64, r: f64) -> f64 {
+    p[0] + p[1] * n + p[2] * n * n + p[3] * r
 }
 
 #[inline(always)]
 fn poly25_value(p: &[f64], n: f64) -> f64 {
-    p[0] + p[1] * n + p[2] * n * n + p[3] * n.powf(2.5)
+    poly25_at(p, n, poly25_abscissa(n))
 }
 
 #[inline(always)]
 fn rat22_partials(p: &[f64], x: f64, out: &mut [f64]) {
-    let num = p[0] + p[1] * x + p[2] * x * x;
-    let den = 1.0 + p[3] * x + p[4] * x * x;
-    let inv = 1.0 / den;
+    let num = rat22_num(p, x);
+    let inv = 1.0 / rat22_den(p, x);
     let scale = -num * inv * inv;
     out[0] = inv;
     out[1] = x * inv;
@@ -97,9 +171,8 @@ fn rat22_partials(p: &[f64], x: f64, out: &mut [f64]) {
 
 #[inline(always)]
 fn rat23_partials(p: &[f64], x: f64, out: &mut [f64]) {
-    let num = p[0] + p[1] * x + p[2] * x * x;
-    let den = 1.0 + p[3] * x + p[4] * x * x + p[5] * x * x * x;
-    let inv = 1.0 / den;
+    let num = rat22_num(p, x);
+    let inv = 1.0 / rat23_den(p, x);
     let scale = -num * inv * inv;
     out[0] = inv;
     out[1] = x * inv;
@@ -111,9 +184,8 @@ fn rat23_partials(p: &[f64], x: f64, out: &mut [f64]) {
 
 #[inline(always)]
 fn rat33_partials(p: &[f64], x: f64, out: &mut [f64]) {
-    let num = p[0] + p[1] * x + p[2] * x * x + p[3] * x * x * x;
-    let den = 1.0 + p[4] * x + p[5] * x * x + p[6] * x * x * x;
-    let inv = 1.0 / den;
+    let num = rat33_num(p, x);
+    let inv = 1.0 / rat33_den(p, x);
     let scale = -num * inv * inv;
     out[0] = inv;
     out[1] = x * inv;
@@ -126,7 +198,7 @@ fn rat33_partials(p: &[f64], x: f64, out: &mut [f64]) {
 
 #[inline(always)]
 fn cubic_ln_partials(_p: &[f64], x: f64, out: &mut [f64]) {
-    let l = x.max(f64::MIN_POSITIVE).ln();
+    let l = cubic_ln_abscissa(x);
     out[0] = 1.0;
     out[1] = l;
     out[2] = l * l;
@@ -135,9 +207,8 @@ fn cubic_ln_partials(_p: &[f64], x: f64, out: &mut [f64]) {
 
 #[inline(always)]
 fn exp_rat_partials(p: &[f64], x: f64, out: &mut [f64]) {
-    let den = p[2] + p[3] * x;
-    let inv = 1.0 / den;
-    let u = (p[0] + p[1] * x) * inv;
+    let inv = 1.0 / exp_rat_den(p, x);
+    let u = exp_rat_num(p, x) * inv;
     let f = u.exp();
     out[0] = f * inv;
     out[1] = f * x * inv;
@@ -150,7 +221,7 @@ fn poly25_partials(_p: &[f64], x: f64, out: &mut [f64]) {
     out[0] = 1.0;
     out[1] = x;
     out[2] = x * x;
-    out[3] = x.powf(2.5);
+    out[3] = poly25_abscissa(x);
 }
 
 /// Map one model value and observation to a least-squares residual,
@@ -380,14 +451,10 @@ impl KernelKind {
     /// extrapolation range (a pole would produce an absurd prediction).
     pub fn denominator(&self, params: &[f64], n: f64) -> Option<f64> {
         match self {
-            KernelKind::Rat22 => Some(1.0 + params[3] * n + params[4] * n * n),
-            KernelKind::Rat23 => {
-                Some(1.0 + params[3] * n + params[4] * n * n + params[5] * n * n * n)
-            }
-            KernelKind::Rat33 => {
-                Some(1.0 + params[4] * n + params[5] * n * n + params[6] * n * n * n)
-            }
-            KernelKind::ExpRat => Some(params[2] + params[3] * n),
+            KernelKind::Rat22 => Some(rat22_den(params, n)),
+            KernelKind::Rat23 => Some(rat23_den(params, n)),
+            KernelKind::Rat33 => Some(rat33_den(params, n)),
+            KernelKind::ExpRat => Some(exp_rat_den(params, n)),
             KernelKind::CubicLn | KernelKind::Poly25 => None,
         }
     }
@@ -403,20 +470,11 @@ impl KernelKind {
     /// [`KernelKind::param_count`]), so the grid fitter can build design
     /// matrices without per-row allocation. Panics for nonlinear kernels.
     pub fn design_row_into(&self, n: f64, out: &mut [f64]) {
+        // A linear kernel's design row is its Jacobian row, which does not
+        // read the parameters.
         match self {
-            KernelKind::CubicLn => {
-                let l = n.max(f64::MIN_POSITIVE).ln();
-                out[0] = 1.0;
-                out[1] = l;
-                out[2] = l * l;
-                out[3] = l * l * l;
-            }
-            KernelKind::Poly25 => {
-                out[0] = 1.0;
-                out[1] = n;
-                out[2] = n * n;
-                out[3] = n.powf(2.5);
-            }
+            KernelKind::CubicLn => cubic_ln_partials(&[], n, out),
+            KernelKind::Poly25 => poly25_partials(&[], n, out),
             _ => panic!("design_row called on nonlinear kernel {self:?}"),
         }
     }
@@ -471,39 +529,190 @@ impl FittedCurve {
     /// so the realism walk doubles as the construction of an integer-grid
     /// evaluation table. When the curve is rejected, `values` is left
     /// truncated at the offending core count and must be discarded.
+    ///
+    /// Builds a [`HorizonTable`] for `max_cores` per call; callers walking
+    /// many curves at one horizon build the table once and call
+    /// [`HorizonTable::walk`].
     pub fn is_realistic_captured(
         &self,
         max_cores: u32,
         max_magnitude: f64,
         values: &mut Vec<f64>,
     ) -> bool {
-        values.clear();
-        values.reserve(max_cores as usize);
-        for c in 1..=max_cores {
+        HorizonTable::new(max_cores).walk(self.kernel, &self.params, max_magnitude, values)
+    }
+}
+
+/// The core counts the realism walk visits at one horizon `h`, computed once
+/// and read by every walk at that horizon: the abscissae `CubicLn` and
+/// `Poly25` evaluate at each integer `c in 1..=h` (`ln(c)` and `c^2.5`), and
+/// the `max(4·h, 4) + 1` evenly spaced points of the denominator sign sweep
+/// over `[1, h]`.
+#[derive(Debug)]
+pub struct HorizonTable {
+    horizon: u32,
+    /// `cubic_ln_abscissa(c)` at `[c - 1]`.
+    ln: Vec<f64>,
+    /// `poly25_abscissa(c)` at `[c - 1]`.
+    pow25: Vec<f64>,
+    /// The sign sweep's abscissae, ascending from 1.
+    sweep: Vec<f64>,
+}
+
+impl Default for HorizonTable {
+    /// The table of horizon 0 (an empty integer grid).
+    fn default() -> Self {
+        HorizonTable::new(0)
+    }
+}
+
+impl HorizonTable {
+    /// Build the table for `horizon`.
+    pub fn new(horizon: u32) -> Self {
+        let cores = (1..=horizon).map(|c| c as f64);
+        let steps = (horizon as usize * 4).max(4);
+        let last = horizon as f64 - 1.0;
+        HorizonTable {
+            horizon,
+            ln: cores.clone().map(cubic_ln_abscissa).collect(),
+            pow25: cores.map(poly25_abscissa).collect(),
+            sweep: (0..=steps)
+                .map(|s| 1.0 + last * s as f64 / steps as f64)
+                .collect(),
+        }
+    }
+
+    /// The largest core count the walk visits.
+    pub fn horizon(&self) -> u32 {
+        self.horizon
+    }
+
+    /// Rebuild the table for `horizon` unless it already covers exactly it.
+    pub(crate) fn cover(&mut self, horizon: u32) {
+        if self.horizon != horizon {
+            *self = HorizonTable::new(horizon);
+        }
+    }
+
+    /// The realism walk of `kernel` at `params`: true when the curve is
+    /// finite, non-negative and at most `max_magnitude` at every integer
+    /// core count `1..=horizon`, with a denominator (for kernels that have
+    /// one) at least `1e-9` away from zero at each of them and of one sign
+    /// across the whole sweep. Records the curve's value at core count `c`
+    /// into `values[c - 1]`; on rejection `values` is left truncated at the
+    /// offending core count and must be discarded.
+    ///
+    /// One match on the kernel selects a loop specialised to it; each point
+    /// computes the denominator once and both the pole check and the value
+    /// use it. Every value is the expression [`KernelKind::eval`] computes,
+    /// at the same arguments (`ExpRat`'s `1e-12` guard cannot fire once the
+    /// `1e-9` pole check passed), so `values` is bit-identical to `eval`.
+    pub fn walk(
+        &self,
+        kernel: KernelKind,
+        params: &[f64],
+        max_magnitude: f64,
+        values: &mut Vec<f64>,
+    ) -> bool {
+        debug_assert_eq!(
+            params.len(),
+            kernel.param_count(),
+            "parameter count mismatch"
+        );
+        let p = params;
+        match kernel {
+            KernelKind::Rat22 => self.walk_poles(
+                |n| rat22_den(p, n),
+                |n, den| rat22_num(p, n) / den,
+                max_magnitude,
+                values,
+            ),
+            KernelKind::Rat23 => self.walk_poles(
+                |n| rat23_den(p, n),
+                |n, den| rat22_num(p, n) / den,
+                max_magnitude,
+                values,
+            ),
+            KernelKind::Rat33 => self.walk_poles(
+                |n| rat33_den(p, n),
+                |n, den| rat33_num(p, n) / den,
+                max_magnitude,
+                values,
+            ),
+            KernelKind::ExpRat => self.walk_poles(
+                |n| exp_rat_den(p, n),
+                |n, den| exp_rat_at(p, n, den),
+                max_magnitude,
+                values,
+            ),
+            KernelKind::CubicLn => self.capture(
+                self.ln.iter().map(|l| Some(cubic_ln_at(p, *l))),
+                max_magnitude,
+                values,
+            ),
+            KernelKind::Poly25 => self.capture(
+                (1..=self.horizon)
+                    .zip(&self.pow25)
+                    .map(|(c, r)| Some(poly25_at(p, c as f64, *r))),
+                max_magnitude,
+                values,
+            ),
+        }
+    }
+
+    /// The walk of a kernel with a denominator `den`: a pole check at every
+    /// integer core count, then the value `value(n, den(n))`, then the sign
+    /// sweep against the denominator at one core. The sweep runs to the end
+    /// rather than stopping at the first sign change, so it vectorises.
+    #[inline(always)]
+    fn walk_poles(
+        &self,
+        den: impl Fn(f64) -> f64,
+        value: impl Fn(f64, f64) -> f64,
+        max_magnitude: f64,
+        values: &mut Vec<f64>,
+    ) -> bool {
+        let points = (1..=self.horizon).map(|c| {
             let n = c as f64;
-            if let Some(den) = self.kernel.denominator(&self.params, n) {
-                if den.abs() < 1e-9 {
-                    return false;
-                }
+            let d = den(n);
+            if d.abs() < 1e-9 {
+                None
+            } else {
+                Some(value(n, d))
             }
-            let v = self.eval(n);
+        });
+        if !self.capture(points, max_magnitude, values) {
+            return false;
+        }
+        let first = den(1.0);
+        !self
+            .sweep
+            .iter()
+            .fold(false, |flipped, n| flipped | (den(*n) * first < 0.0))
+    }
+
+    /// The integer half of every walk: `points` yields the curve's value at
+    /// each core count `1..=horizon` in ascending order, or `None` at a pole.
+    /// The first pole or value that is not finite, non-negative and within
+    /// `max_magnitude` rejects the curve; accepted values are pushed onto
+    /// `values`.
+    #[inline(always)]
+    fn capture(
+        &self,
+        points: impl Iterator<Item = Option<f64>>,
+        max_magnitude: f64,
+        values: &mut Vec<f64>,
+    ) -> bool {
+        values.clear();
+        values.reserve(self.horizon as usize);
+        for point in points {
+            let Some(v) = point else {
+                return false;
+            };
             if !v.is_finite() || v < 0.0 || v.abs() > max_magnitude {
                 return false;
             }
             values.push(v);
-        }
-        // Also require the denominator not to change sign anywhere in the
-        // range (a sign change implies a pole between integer core counts).
-        if let Some(first) = self.kernel.denominator(&self.params, 1.0) {
-            let steps = (max_cores * 4).max(4);
-            for s in 0..=steps {
-                let n = 1.0 + (max_cores as f64 - 1.0) * s as f64 / steps as f64;
-                if let Some(d) = self.kernel.denominator(&self.params, n) {
-                    if d * first < 0.0 {
-                        return false;
-                    }
-                }
-            }
         }
         true
     }
