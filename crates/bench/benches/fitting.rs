@@ -11,12 +11,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use estima_core::engine::CacheScope;
-use estima_core::fit::candidate_fits_scoped;
 use estima_core::kernels::{FittedCurve, HorizonTable};
 use estima_core::levenberg::{levenberg_marquardt, Jacobian, LmOptions};
 use estima_core::{
-    approximate_series, candidate_fits_with, fit_kernel, fit_kernel_with, Engine, FitCache,
-    FitOptions, KernelKind,
+    approximate_series, candidate_fits, fit_kernel, Engine, FitCache, FitContext, FitOptions,
+    KernelKind,
 };
 
 fn series() -> (Vec<f64>, Vec<f64>) {
@@ -38,7 +37,13 @@ fn bench_single_kernels(c: &mut Criterion) {
             &kernel,
             |b, &k| {
                 b.iter(|| {
-                    fit_kernel(k, std::hint::black_box(&xs), std::hint::black_box(&ys)).unwrap()
+                    fit_kernel(
+                        k,
+                        std::hint::black_box(&xs),
+                        std::hint::black_box(&ys),
+                        &LmOptions::default(),
+                    )
+                    .unwrap()
                 })
             },
         );
@@ -58,6 +63,7 @@ fn bench_model_selection(c: &mut Criterion) {
                 std::hint::black_box(&ys),
                 "bench",
                 &options,
+                &FitContext::default(),
             )
             .unwrap()
         })
@@ -71,17 +77,17 @@ fn bench_parallel_candidate_grid(c: &mut Criterion) {
     let mut group = c.benchmark_group("candidate_fits");
     group.sample_size(20);
     for workers in [1usize, 2, 4] {
-        let engine = Engine::new(workers);
+        let ctx = FitContext::new(Engine::new(workers));
         group.bench_with_input(
             BenchmarkId::new("grid_fanout_workers", workers),
-            &engine,
-            |b, engine| {
+            &ctx,
+            |b, ctx| {
                 b.iter(|| {
-                    candidate_fits_with(
+                    candidate_fits(
                         std::hint::black_box(&xs),
                         std::hint::black_box(&ys),
                         &options,
-                        engine,
+                        ctx,
                     )
                     .unwrap()
                 })
@@ -392,7 +398,7 @@ fn bench_jacobian_modes(c: &mut Criterion) {
         };
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
-                fit_kernel_with(
+                fit_kernel(
                     kernel,
                     std::hint::black_box(&xs),
                     std::hint::black_box(&ys),
@@ -425,16 +431,16 @@ fn bench_grid_vs_pre_pr(c: &mut Criterion) {
     // pre-PR per-cell path, both sequential (parallelism = 1).
     let (xs, ys) = series();
     let options = FitOptions::default();
-    let engine = Engine::new(1);
+    let uncached = FitContext::new(Engine::new(1));
     let mut group = c.benchmark_group("candidate_grid");
     group.sample_size(20);
     group.bench_function(BenchmarkId::from_parameter("fast"), |b| {
         b.iter(|| {
-            candidate_fits_with(
+            candidate_fits(
                 std::hint::black_box(&xs),
                 std::hint::black_box(&ys),
                 &options,
-                &engine,
+                &uncached,
             )
             .unwrap()
         })
@@ -469,17 +475,19 @@ fn bench_grid_vs_pre_pr(c: &mut Criterion) {
             version += 1;
             flipped[newest] = flips[(version % 2) as usize];
             cache.invalidate_series("bench");
-            let scope = CacheScope {
-                series: "bench",
-                version,
+            let scoped = FitContext {
+                cache: Some(&cache),
+                scope: Some(CacheScope {
+                    series: "bench",
+                    version,
+                }),
+                ..uncached
             };
-            candidate_fits_scoped(
+            candidate_fits(
                 std::hint::black_box(&xs),
                 std::hint::black_box(&flipped),
                 &options,
-                &engine,
-                &cache,
-                Some(scope),
+                &scoped,
             )
             .unwrap()
         })

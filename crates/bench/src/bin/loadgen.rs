@@ -70,10 +70,12 @@
 //!
 //! Results are merged into `target/criterion/summary.json` through the
 //! criterion shim (`serve/loadgen[-ingest|-churn]/latency` carries
-//! min/p50/stddev ns; `p99`, `p999`, `throughput_rps` and `cache_hit_rate`
-//! carry their value in the `median_ns` column — the summary schema has one
-//! value slot per record). A multi-point sweep additionally records
-//! `serve/{name}/c{N}/p50|p99|throughput_rps` per connection count.
+//! min/p50/stddev ns; `p99`, `p999`, `throughput_rps`, `cache_hit_rate_pct`
+//! and `retries` carry their value in the `median_ns` column — the summary
+//! schema has one value slot per record — and every record's `unit` names
+//! what the slot holds: `ns`, `req/s`, `%` or `count`). A multi-point sweep
+//! additionally records `serve/{name}/c{N}/p50|p99|throughput_rps` per
+//! connection count.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -1180,6 +1182,7 @@ fn main() {
     // record set per connection count.
     criterion::record(BenchRecord {
         name: format!("serve/{name}/latency"),
+        unit: "ns".into(),
         min_ns: primary.min as f64,
         median_ns: primary.p50 as f64,
         stddev_ns: primary.stddev,
@@ -1188,6 +1191,7 @@ fn main() {
     });
     criterion::record(BenchRecord {
         name: format!("serve/{name}/p99"),
+        unit: "ns".into(),
         min_ns: primary.p99 as f64,
         median_ns: primary.p99 as f64,
         stddev_ns: 0.0,
@@ -1196,6 +1200,7 @@ fn main() {
     });
     criterion::record(BenchRecord {
         name: format!("serve/{name}/p999"),
+        unit: "ns".into(),
         min_ns: primary.p999 as f64,
         median_ns: primary.p999 as f64,
         stddev_ns: 0.0,
@@ -1204,6 +1209,7 @@ fn main() {
     });
     criterion::record(BenchRecord {
         name: format!("serve/{name}/throughput_rps"),
+        unit: "req/s".into(),
         min_ns: primary.rps,
         median_ns: primary.rps,
         stddev_ns: 0.0,
@@ -1214,6 +1220,7 @@ fn main() {
     // 0.1% resolution is meaningful where 0.1-of-a-fraction is not.
     criterion::record(BenchRecord {
         name: format!("serve/{name}/cache_hit_rate_pct"),
+        unit: "%".into(),
         min_ns: hit_rate * 100.0,
         median_ns: hit_rate * 100.0,
         stddev_ns: 0.0,
@@ -1222,6 +1229,7 @@ fn main() {
     });
     criterion::record(BenchRecord {
         name: format!("serve/{name}/retries"),
+        unit: "count".into(),
         min_ns: tallies.retries as f64,
         median_ns: tallies.retries as f64,
         stddev_ns: 0.0,
@@ -1233,6 +1241,7 @@ fn main() {
             let c = run.connections;
             criterion::record(BenchRecord {
                 name: format!("serve/{name}/c{c}/p50"),
+                unit: "ns".into(),
                 min_ns: run.p50 as f64,
                 median_ns: run.p50 as f64,
                 stddev_ns: 0.0,
@@ -1241,6 +1250,7 @@ fn main() {
             });
             criterion::record(BenchRecord {
                 name: format!("serve/{name}/c{c}/p99"),
+                unit: "ns".into(),
                 min_ns: run.p99 as f64,
                 median_ns: run.p99 as f64,
                 stddev_ns: 0.0,
@@ -1249,6 +1259,7 @@ fn main() {
             });
             criterion::record(BenchRecord {
                 name: format!("serve/{name}/c{c}/throughput_rps"),
+                unit: "req/s".into(),
                 min_ns: run.rps,
                 median_ns: run.rps,
                 stddev_ns: 0.0,

@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use estima_core::{
-    BatchPredictor, Estima, EstimaConfig, FitCache, MeasurementSet, Prediction, TargetSpec,
-    TimeExtrapolation, TimePrediction,
+    BatchPredictor, Estima, EstimaConfig, FitCache, FitContext, MeasurementSet, Prediction,
+    TargetSpec, TimeExtrapolation, TimePrediction,
 };
 use estima_counters::{collect_up_to, SimulatedCounterSource, SimulatedSourceOptions};
 use estima_machine::{MachineDescriptor, SimOptions, Simulator, WorkloadProfile};
@@ -235,11 +235,13 @@ impl Scenario {
     /// populating) the [`shared_fit_cache`] so repeated series across
     /// experiments are fitted once.
     pub fn predict(&self, config: &EstimaConfig) -> estima_core::Result<Prediction> {
-        Estima::new(config.clone()).predict_cached(
-            &self.measurements(),
-            &self.target_spec(),
-            &shared_fit_cache(),
-        )
+        let estima = Estima::new(config.clone());
+        let cache = shared_fit_cache();
+        let ctx = FitContext {
+            cache: Some(&cache),
+            ..estima.fit_context()
+        };
+        estima.predict_in(&self.measurements(), &self.target_spec(), &ctx)
     }
 
     /// Run the time-extrapolation baseline for this scenario.

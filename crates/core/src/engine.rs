@@ -5,7 +5,7 @@
 //! and checkpoint count for every stall category, for every workload — is
 //! embarrassingly parallel. This module supplies the three fan-out stages:
 //!
-//! 1. **Grid fan-out** — [`crate::fit::candidate_fits_with`] evaluates the
+//! 1. **Grid fan-out** — [`crate::fit::candidate_fits`] evaluates the
 //!    (kernel × prefix × checkpoint-count) candidate grid on the pool.
 //! 2. **Category fan-out** — [`crate::predictor::Estima::predict`] fits all
 //!    stall categories of a [`MeasurementSet`] concurrently.
@@ -222,8 +222,9 @@ impl Fnv1a {
 
 /// A borrowed `(series id, version)` tag identifying which
 /// [`MeasurementStore`](crate::store::MeasurementStore) state a fit was
-/// computed from. Threaded through the cached fitting entry points
-/// ([`crate::fit::candidate_fits_scoped`]) to build [`FitKey::scoped`] keys.
+/// computed from. Carried by a [`FitContext`](crate::fit::FitContext) into
+/// [`crate::fit::candidate_fits`], which builds [`FitKey::scoped`] keys from
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheScope<'a> {
     /// The owning store series.
@@ -795,7 +796,7 @@ impl BatchPredictor {
     /// configured parallelism, and return one result per job in job order.
     /// Results are bit-identical to calling [`Estima::predict`] per job.
     pub fn predict_all(&self, jobs: Vec<(MeasurementSet, TargetSpec)>) -> Vec<Result<Prediction>> {
-        let engine = Engine::new(self.session.config().parallelism);
+        let engine = self.estima().fit_context().engine;
         engine.run(jobs, |(set, target)| self.predict(&set, &target))
     }
 }

@@ -45,17 +45,24 @@
 //! fixed, so grid results are bit-identical regardless of engine
 //! parallelism.
 //!
+//! # One entry point
+//!
+//! [`candidate_fits`] and [`approximate_series`] are the only ways into the
+//! grid. Their [`FitContext`] says how a fit runs: the [`Engine`] the grid
+//! fans out on, and optionally the shared [`FitCache`] its candidates come
+//! from, with the store [`CacheScope`] that tags its cache keys.
+//!
 //! # The solve memo
 //!
 //! A nonlinear cell's solve (linearised guess plus LM run) is a pure function
 //! of the prefix's points and the [`LmOptions`]; only its *scoring* reads the
-//! rest of the series. The cached path ([`candidate_fits_scoped`]) therefore
-//! looks every prefix up in the [`FitCache`]'s solve memo before fanning out,
-//! skips the solves the memo already holds (a failed LM run included), and
-//! stores the new ones afterwards. Refitting a series whose newest point
-//! changed re-solves nothing; an appended point re-solves one new prefix per
-//! nonlinear kernel. The uncached [`candidate_fits_with`] solves every cell
-//! and stays the reference the memoised path is tested against.
+//! rest of the series. A fit with a cache therefore looks every prefix up in
+//! the [`FitCache`]'s solve memo before fanning out, skips the solves the
+//! memo already holds (a failed LM run included), and stores the new ones
+//! afterwards. Refitting a series whose newest point changed re-solves
+//! nothing; an appended point re-solves one new prefix per nonlinear kernel.
+//! A fit without a cache solves every cell and stays the reference the
+//! memoised path is tested against.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -213,20 +220,11 @@ fn grow(buf: &mut Vec<f64>, len: usize) {
     }
 }
 
-/// Fit a single kernel to the series `(xs, ys)` and return its parameters.
+/// Fit a single kernel to the series `(xs, ys)` and return its parameters;
+/// `lm` drives the nonlinear kernels' Levenberg–Marquardt refinement.
 ///
 /// Returns an error if the fit diverges or the system is rank deficient.
-pub fn fit_kernel(kernel: KernelKind, xs: &[f64], ys: &[f64]) -> Result<Vec<f64>> {
-    fit_kernel_with(kernel, xs, ys, &LmOptions::default())
-}
-
-/// [`fit_kernel`] with explicit Levenberg–Marquardt options.
-pub fn fit_kernel_with(
-    kernel: KernelKind,
-    xs: &[f64],
-    ys: &[f64],
-    lm: &LmOptions,
-) -> Result<Vec<f64>> {
+pub fn fit_kernel(kernel: KernelKind, xs: &[f64], ys: &[f64], lm: &LmOptions) -> Result<Vec<f64>> {
     if xs.len() != ys.len() || xs.is_empty() {
         return Err(EstimaError::Numerical("fit_kernel: bad series".into()));
     }
@@ -451,63 +449,57 @@ impl CandidateEvals {
     }
 }
 
+/// How a fit runs: the engine its candidate grid fans out on, and optionally
+/// the shared cache its candidates are drawn from (and added to).
+///
+/// `scope` tags the cache keys with a store series and version, so a later
+/// [`FitCache::invalidate_series`] can drop exactly that series' entries; it
+/// only matters together with `cache`. None of the three changes a fitted
+/// candidate: cached, scoped and uncached fits are bit-identical at any
+/// engine width.
+#[derive(Debug, Clone, Copy)]
+pub struct FitContext<'a> {
+    /// The engine the candidate grid fans out on.
+    pub engine: Engine,
+    /// The shared cache candidates come from, if any.
+    pub cache: Option<&'a FitCache>,
+    /// The store state the cache keys are tagged with, if any.
+    pub scope: Option<CacheScope<'a>>,
+}
+
+impl FitContext<'_> {
+    /// Fan the grid out on `engine`, without a cache.
+    pub fn new(engine: Engine) -> Self {
+        FitContext {
+            engine,
+            cache: None,
+            scope: None,
+        }
+    }
+}
+
+impl Default for FitContext<'_> {
+    /// Sequential and uncached.
+    fn default() -> Self {
+        FitContext::new(Engine::sequential())
+    }
+}
+
 /// Approximate a measured series with the best kernel, per §3.1.2.
 ///
 /// `xs` are core counts, `ys` the measured values, both sorted by core count.
 /// Returns the winning [`FittedCurve`]; the error carries the offending
-/// category name supplied in `label`.
+/// category name supplied in `label`. Candidates are compared in a fixed
+/// enumeration order regardless of thread completion order, so the winner
+/// does not depend on the context.
 pub fn approximate_series(
     xs: &[f64],
     ys: &[f64],
     label: &str,
     options: &FitOptions,
+    ctx: &FitContext<'_>,
 ) -> Result<FittedCurve> {
-    approximate_series_with(xs, ys, label, options, &Engine::sequential())
-}
-
-/// [`approximate_series`] with the candidate grid fanned out on `engine`.
-/// Candidates are compared in a fixed enumeration order regardless of thread
-/// completion order, so the winner is identical to the sequential path.
-pub fn approximate_series_with(
-    xs: &[f64],
-    ys: &[f64],
-    label: &str,
-    options: &FitOptions,
-    engine: &Engine,
-) -> Result<FittedCurve> {
-    let candidates = candidate_fits_with(xs, ys, options, engine)?;
-    select_best(candidates.iter().map(|c| &c.curve), label)
-}
-
-/// [`approximate_series_with`] drawing candidates from (and populating) a
-/// shared [`FitCache`].
-pub fn approximate_series_cached(
-    xs: &[f64],
-    ys: &[f64],
-    label: &str,
-    options: &FitOptions,
-    engine: &Engine,
-    cache: &FitCache,
-) -> Result<FittedCurve> {
-    let candidates = candidate_fits_cached(xs, ys, options, engine, cache)?;
-    select_best(candidates.iter().map(|c| &c.curve), label)
-}
-
-/// [`approximate_series_cached`] with the cache key tagged by a store
-/// [`CacheScope`], so a later
-/// [`FitCache::invalidate_series`](crate::engine::FitCache::invalidate_series)
-/// can drop exactly this series' entries. `scope = None` is identical to
-/// [`approximate_series_cached`].
-pub fn approximate_series_scoped(
-    xs: &[f64],
-    ys: &[f64],
-    label: &str,
-    options: &FitOptions,
-    engine: &Engine,
-    cache: &FitCache,
-    scope: Option<CacheScope<'_>>,
-) -> Result<FittedCurve> {
-    let candidates = candidate_fits_scoped(xs, ys, options, engine, cache, scope)?;
+    let candidates = candidate_fits(xs, ys, options, ctx)?;
     select_best(candidates.iter().map(|c| &c.curve), label)
 }
 
@@ -533,8 +525,41 @@ fn select_best<'a>(
 /// prefixes × all checkpoint counts), already filtered for realism. The
 /// scaling-factor step needs the full candidate list because it selects by
 /// correlation rather than checkpoint RMSE.
-pub fn candidate_fits(xs: &[f64], ys: &[f64], options: &FitOptions) -> Result<Vec<FitCandidate>> {
-    candidate_fits_with(xs, ys, options, &Engine::sequential())
+///
+/// The grid fans out one work item per kernel on `ctx.engine`, each covering
+/// every checkpoint count × prefix cell from a shared columnar design slab;
+/// the results are reassembled in the historical cell-enumeration order
+/// (checkpoint count → prefix → kernel), so the list is identical at any
+/// engine width. With `ctx.cache` the list for a given (series, options,
+/// scope) is computed once and shared by every later caller, and a miss
+/// draws its nonlinear solves from the cache's solve memo.
+pub fn candidate_fits(
+    xs: &[f64],
+    ys: &[f64],
+    options: &FitOptions,
+    ctx: &FitContext<'_>,
+) -> Result<Arc<Vec<FitCandidate>>> {
+    let Some(cache) = ctx.cache else {
+        return candidate_grid(xs, ys, options, &ctx.engine, None).map(Arc::new);
+    };
+    let key = match ctx.scope {
+        Some(scope) => FitKey::scoped(xs, ys, options, scope.series, scope.version),
+        None => FitKey::new(xs, ys, options),
+    };
+    cache.get_or_compute(key, || {
+        candidate_grid(xs, ys, options, &ctx.engine, Some(cache))
+    })
+}
+
+/// [`candidate_fits`] on `engine` without a cache. Kept for the stand-alone
+/// `servebench` crate, whose trace times the bare grid through it.
+pub fn candidate_fits_with(
+    xs: &[f64],
+    ys: &[f64],
+    options: &FitOptions,
+    engine: &Engine,
+) -> Result<Arc<Vec<FitCandidate>>> {
+    candidate_fits(xs, ys, options, &FitContext::new(*engine))
 }
 
 /// Length of [`PrefixSolves::params`]: the parameter counts of the four
@@ -734,21 +759,6 @@ fn prefix_bounds(options: &FitOptions, n_train: usize) -> (usize, usize) {
     }
 }
 
-/// [`candidate_fits`] with the grid fanned out on `engine`. Work items (one
-/// per kernel, each covering every checkpoint count × prefix cell from a
-/// shared columnar design slab) are independent; their results are
-/// reassembled in the historical cell-enumeration order (checkpoint count →
-/// prefix → kernel), so the returned list order is identical to the
-/// sequential path.
-pub fn candidate_fits_with(
-    xs: &[f64],
-    ys: &[f64],
-    options: &FitOptions,
-    engine: &Engine,
-) -> Result<Vec<FitCandidate>> {
-    candidate_grid(xs, ys, options, engine, None)
-}
-
 /// The candidate grid, with the nonlinear solves drawn from (and added to)
 /// `memo`'s solve memo when one is given. The candidates are bit-identical
 /// either way: a memoised solve is the exact parameter vector the same prefix
@@ -870,7 +880,7 @@ struct Grid<'a> {
 
 /// Fit every (checkpoint count × prefix) cell of one kernel from a shared
 /// columnar design slab. Returns one slot per cell, flattened in (checkpoint
-/// span → prefix) order — the same layout [`candidate_fits_with`] reassembles
+/// span → prefix) order — the same layout [`candidate_grid`] reassembles
 /// from — and, when `known` solves are given, the solves this call added
 /// (one per grid prefix; empty for linear kernels and the uncached path).
 fn fit_kernel_grid(
@@ -1200,39 +1210,6 @@ fn solve_prefix(
     levenberg_marquardt_into(&kernel, px, py, params, &options.lm, &mut ws.lm).is_ok()
 }
 
-/// [`candidate_fits_with`] backed by a shared [`FitCache`]: the candidate
-/// list for a given (series, options) pair is computed once and reused by
-/// every subsequent caller with an identical series.
-pub fn candidate_fits_cached(
-    xs: &[f64],
-    ys: &[f64],
-    options: &FitOptions,
-    engine: &Engine,
-    cache: &FitCache,
-) -> Result<Arc<Vec<FitCandidate>>> {
-    candidate_fits_scoped(xs, ys, options, engine, cache, None)
-}
-
-/// [`candidate_fits_cached`] with the cache key optionally tagged by a store
-/// [`CacheScope`]. The candidate list itself is identical either way (the
-/// scope only participates in cache keying, never in the fit), so scoped and
-/// unscoped lookups of the same series produce bit-identical candidates —
-/// they just occupy distinct cache entries.
-pub fn candidate_fits_scoped(
-    xs: &[f64],
-    ys: &[f64],
-    options: &FitOptions,
-    engine: &Engine,
-    cache: &FitCache,
-    scope: Option<CacheScope<'_>>,
-) -> Result<Arc<Vec<FitCandidate>>> {
-    let key = match scope {
-        Some(scope) => FitKey::scoped(xs, ys, options, scope.series, scope.version),
-        None => FitKey::new(xs, ys, options),
-    };
-    cache.get_or_compute(key, || candidate_grid(xs, ys, options, engine, Some(cache)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1275,7 +1252,7 @@ mod tests {
     fn linear_kernel_recovers_exact_parameters() {
         let true_params = [10.0, 5.0, 1.5, 0.2];
         let (xs, ys) = series_from(KernelKind::Poly25, &true_params, 12);
-        let fitted = fit_kernel(KernelKind::Poly25, &xs, &ys).unwrap();
+        let fitted = fit_kernel(KernelKind::Poly25, &xs, &ys, &LmOptions::default()).unwrap();
         for (f, t) in fitted.iter().zip(&true_params) {
             assert!((f - t).abs() < 1e-6, "fitted {fitted:?}");
         }
@@ -1285,7 +1262,7 @@ mod tests {
     fn cubicln_recovers_exact_parameters() {
         let true_params = [100.0, 20.0, 3.0, 0.5];
         let (xs, ys) = series_from(KernelKind::CubicLn, &true_params, 12);
-        let fitted = fit_kernel(KernelKind::CubicLn, &xs, &ys).unwrap();
+        let fitted = fit_kernel(KernelKind::CubicLn, &xs, &ys, &LmOptions::default()).unwrap();
         for (f, t) in fitted.iter().zip(&true_params) {
             assert!((f - t).abs() < 1e-6);
         }
@@ -1295,7 +1272,7 @@ mod tests {
     fn rational_kernel_reproduces_series() {
         let true_params = [50.0, 10.0, 2.0, 0.05, 0.001];
         let (xs, ys) = series_from(KernelKind::Rat22, &true_params, 12);
-        let fitted = fit_kernel(KernelKind::Rat22, &xs, &ys).unwrap();
+        let fitted = fit_kernel(KernelKind::Rat22, &xs, &ys, &LmOptions::default()).unwrap();
         // Parameters of rational fits are not unique; check the values match.
         for (x, y) in xs.iter().zip(&ys) {
             let v = KernelKind::Rat22.eval(&fitted, *x);
@@ -1307,7 +1284,7 @@ mod tests {
     fn exprat_reproduces_series() {
         let true_params = [2.0, 0.3, 1.0, 0.05];
         let (xs, ys) = series_from(KernelKind::ExpRat, &true_params, 12);
-        let fitted = fit_kernel(KernelKind::ExpRat, &xs, &ys).unwrap();
+        let fitted = fit_kernel(KernelKind::ExpRat, &xs, &ys, &LmOptions::default()).unwrap();
         for (x, y) in xs.iter().zip(&ys) {
             let v = KernelKind::ExpRat.eval(&fitted, *x);
             assert!((v - y).abs() / y < 1e-3, "at {x}: {v} vs {y}");
@@ -1320,7 +1297,14 @@ mod tests {
         // should capture it and extrapolate sensibly to 4x the cores.
         let xs: Vec<f64> = (1..=12).map(|c| c as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 1000.0 + 50.0 * x + 8.0 * x * x).collect();
-        let curve = approximate_series(&xs, &ys, "test", &FitOptions::default()).unwrap();
+        let curve = approximate_series(
+            &xs,
+            &ys,
+            "test",
+            &FitOptions::default(),
+            &FitContext::default(),
+        )
+        .unwrap();
         let at_48 = curve.eval(48.0);
         let truth = 1000.0 + 50.0 * 48.0 + 8.0 * 48.0 * 48.0;
         assert!(
@@ -1333,7 +1317,14 @@ mod tests {
     fn approximate_series_flat_series() {
         let xs: Vec<f64> = (1..=10).map(|c| c as f64).collect();
         let ys = vec![500.0; 10];
-        let curve = approximate_series(&xs, &ys, "flat", &FitOptions::default()).unwrap();
+        let curve = approximate_series(
+            &xs,
+            &ys,
+            "flat",
+            &FitOptions::default(),
+            &FitContext::default(),
+        )
+        .unwrap();
         let at_40 = curve.eval(40.0);
         assert!((at_40 - 500.0).abs() / 500.0 < 0.05, "{at_40}");
     }
@@ -1342,7 +1333,13 @@ mod tests {
     fn approximate_series_needs_enough_points() {
         let xs = vec![1.0, 2.0];
         let ys = vec![1.0, 2.0];
-        let err = approximate_series(&xs, &ys, "short", &FitOptions::default());
+        let err = approximate_series(
+            &xs,
+            &ys,
+            "short",
+            &FitOptions::default(),
+            &FitContext::default(),
+        );
         assert!(err.is_err());
     }
 
@@ -1351,9 +1348,9 @@ mod tests {
         let xs: Vec<f64> = (1..=12).map(|c| c as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 100.0 * x).collect();
         let opts = FitOptions::default();
-        let candidates = candidate_fits(&xs, &ys, &opts).unwrap();
+        let candidates = candidate_fits(&xs, &ys, &opts, &FitContext::default()).unwrap();
         assert!(!candidates.is_empty());
-        for c in &candidates {
+        for c in candidates.iter() {
             assert!(c
                 .curve
                 .is_realistic(opts.realism_horizon, opts.max_magnitude));
@@ -1365,7 +1362,7 @@ mod tests {
     fn prefix_refitting_produces_more_candidates() {
         let xs: Vec<f64> = (1..=12).map(|c| c as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 10.0 + x * x).collect();
-        let with = candidate_fits(&xs, &ys, &FitOptions::default())
+        let with = candidate_fits(&xs, &ys, &FitOptions::default(), &FitContext::default())
             .unwrap()
             .len();
         let without = candidate_fits(
@@ -1375,6 +1372,7 @@ mod tests {
                 prefix_refitting: false,
                 ..FitOptions::default()
             },
+            &FitContext::default(),
         )
         .unwrap()
         .len();
@@ -1390,7 +1388,7 @@ mod tests {
             ..FitOptions::default()
         };
         assert!(matches!(
-            candidate_fits(&xs, &ys, &opts),
+            candidate_fits(&xs, &ys, &opts, &FitContext::default()),
             Err(EstimaError::InvalidConfig(_))
         ));
     }
@@ -1406,15 +1404,16 @@ mod tests {
         };
         for horizon in [MAX_TARGET_CORES + 1, 1 << 30, u32::MAX] {
             assert!(matches!(
-                candidate_fits(&xs, &ys, &at(horizon)),
+                candidate_fits(&xs, &ys, &at(horizon), &FitContext::default()),
                 Err(EstimaError::InvalidConfig(_))
             ));
             assert!(matches!(
-                approximate_series(&xs, &ys, "wide", &at(horizon)),
+                approximate_series(&xs, &ys, "wide", &at(horizon), &FitContext::default()),
                 Err(EstimaError::InvalidConfig(_))
             ));
         }
-        let widest = candidate_fits(&xs, &ys, &at(MAX_TARGET_CORES)).unwrap();
+        let widest =
+            candidate_fits(&xs, &ys, &at(MAX_TARGET_CORES), &FitContext::default()).unwrap();
         assert!(widest.iter().all(|c| c.evals.horizon() == MAX_TARGET_CORES));
     }
 
@@ -1424,9 +1423,10 @@ mod tests {
         let mut xs: Vec<f64> = (1..=7).map(|c| c as f64).collect();
         xs.push(u32::MAX as f64);
         let ys: Vec<f64> = xs.iter().map(|x| 100.0 + 2.0 * x).collect();
-        let candidates = candidate_fits(&xs, &ys, &FitOptions::default()).unwrap();
+        let candidates =
+            candidate_fits(&xs, &ys, &FitOptions::default(), &FitContext::default()).unwrap();
         assert!(!candidates.is_empty());
-        for candidate in &candidates {
+        for candidate in candidates.iter() {
             let evals = &candidate.evals;
             assert_eq!(evals.tail_start(), u32::MAX);
             assert_eq!((evals.tail_max(), evals.tail_min()), (0.0, f64::INFINITY));
@@ -1439,7 +1439,14 @@ mod tests {
         // points, so the fitter falls back to a single checkpoint.
         let xs = vec![1.0, 2.0, 3.0, 4.0];
         let ys = vec![10.0, 12.0, 14.0, 16.0];
-        let curve = approximate_series(&xs, &ys, "short", &FitOptions::default()).unwrap();
+        let curve = approximate_series(
+            &xs,
+            &ys,
+            "short",
+            &FitOptions::default(),
+            &FitContext::default(),
+        )
+        .unwrap();
         assert!(curve.eval(8.0).is_finite());
     }
 
@@ -1454,11 +1461,11 @@ mod tests {
         let xs: Vec<f64> = (1..=12).map(|c| c as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 200.0 + 30.0 * x + 2.0 * x * x).collect();
         let options = FitOptions::default();
-        let candidates = candidate_fits(&xs, &ys, &options).unwrap();
+        let candidates = candidate_fits(&xs, &ys, &options, &FitContext::default()).unwrap();
         assert!(!candidates.is_empty());
         // Grid cells appear in (checkpoint → prefix → kernel) order.
         let mut previous: Option<(usize, usize)> = None;
-        for candidate in &candidates {
+        for candidate in candidates.iter() {
             let key = (candidate.checkpoints, candidate.curve.training_points);
             if let Some(prev) = previous {
                 if prev.0 == key.0 {
@@ -1471,7 +1478,7 @@ mod tests {
             previous = Some(key);
         }
         // Every candidate must reproduce its own training prefix reasonably.
-        for candidate in &candidates {
+        for candidate in candidates.iter() {
             assert!(candidate.curve.training_rmse.is_finite());
         }
     }
@@ -1483,7 +1490,14 @@ mod tests {
             .iter()
             .map(|x| 1.0e9 + 2.0e7 * x + 5.0e5 * x * x)
             .collect();
-        let analytic = approximate_series(&xs, &ys, "a", &FitOptions::default()).unwrap();
+        let analytic = approximate_series(
+            &xs,
+            &ys,
+            "a",
+            &FitOptions::default(),
+            &FitContext::default(),
+        )
+        .unwrap();
         let fd_options = FitOptions {
             lm: LmOptions {
                 jacobian: Jacobian::FiniteDifference,
@@ -1491,7 +1505,7 @@ mod tests {
             },
             ..FitOptions::default()
         };
-        let fd = approximate_series(&xs, &ys, "fd", &fd_options).unwrap();
+        let fd = approximate_series(&xs, &ys, "fd", &fd_options, &FitContext::default()).unwrap();
         // Both must extrapolate the quadratic trend closely.
         for cores in [24.0, 48.0] {
             let truth = 1.0e9 + 2.0e7 * cores + 5.0e5 * cores * cores;

@@ -87,10 +87,7 @@ pub use bottleneck::{BottleneckEntry, BottleneckReport};
 pub use config::{EstimaConfig, TargetSpec, MAX_TARGET_CORES};
 pub use engine::{BatchPredictor, CacheScope, Engine, FitCache};
 pub use error::{EstimaError, Result};
-pub use fit::{
-    approximate_series, approximate_series_cached, approximate_series_with, candidate_fits,
-    candidate_fits_cached, candidate_fits_with, fit_kernel, fit_kernel_with, FitOptions,
-};
+pub use fit::{approximate_series, candidate_fits, fit_kernel, FitContext, FitOptions};
 pub use json::Json;
 pub use kernels::{FittedCurve, KernelKind};
 pub use levenberg::{Jacobian, LmModel, LmOptions, LmStats, LmWorkspace};

@@ -1,12 +1,15 @@
-//! Minimal dense linear algebra used by the regression layer.
+//! Dense linear algebra for the regression layer.
 //!
 //! ESTIMA's function approximation needs only small dense systems (the largest
-//! kernel has seven parameters), so this module implements a compact
-//! row-major [`Matrix`] with the handful of operations the fitting code needs:
-//! matrix-vector products, transposed products, Cholesky and QR
-//! factorisations, and least-squares solves. Everything is written for
-//! numerical robustness on tiny, possibly ill-conditioned systems rather than
-//! for large-scale performance.
+//! kernel has seven parameters). The fitting hot path keeps its own flat
+//! buffers and calls the allocation-free kernels here: column-major Gram and
+//! `Aᵀy` reductions over the Levenberg–Marquardt Jacobian slab, rank-1
+//! normal-equation updates for the linear kernels, in-place Cholesky and
+//! Gaussian solves, and Householder QR least squares on row-major or
+//! column-major storage. A compact row-major [`Matrix`] with allocating
+//! wrappers serves the one-shot linear fit behind [`crate::fit::fit_kernel`].
+//! Everything is written for numerical robustness on tiny, possibly
+//! ill-conditioned systems rather than for large-scale performance.
 
 use crate::error::{EstimaError, Result};
 
@@ -26,15 +29,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Create an identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
     }
 
     /// Build a matrix from nested rows. All rows must have the same length.
@@ -66,35 +60,6 @@ impl Matrix {
     /// Borrow the underlying row-major storage.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    /// Matrix-vector product `A * x`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.rows];
-        self.mul_vec_into(x, &mut out);
-        out
-    }
-
-    /// [`Matrix::mul_vec`] writing into a caller buffer of length
-    /// [`Matrix::rows`].
-    pub fn mul_vec_into(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(self.cols, x.len(), "dimension mismatch in mul_vec");
-        assert_eq!(self.rows, out.len(), "output length mismatch in mul_vec");
-        for (i, out_i) in out.iter_mut().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            *out_i = row.iter().zip(x).map(|(a, b)| a * b).sum();
-        }
     }
 
     /// Transposed matrix-vector product `A^T * y`.
@@ -129,29 +94,6 @@ impl Matrix {
         assert_eq!(out.cols, self.cols, "gram output shape mismatch");
         gram_in_place(&self.data, self.rows, self.cols, &mut out.data);
     }
-
-    /// Matrix-matrix product.
-    pub fn mul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "dimension mismatch in mul");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += a * other[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
-    /// True when every element is finite.
-    pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -169,7 +111,8 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 
 /// Transposed matrix-vector product `A^T * y` on flat row-major storage,
 /// writing into `out[..cols]`. The allocation-free primitive behind
-/// [`Matrix::mul_transpose_vec`] and the Levenberg–Marquardt workspace.
+/// [`Matrix::mul_transpose_vec`], and the reference the column-major
+/// [`mul_transpose_vec_columns_in_place`] is pinned against bit for bit.
 pub fn mul_transpose_vec_in_place(a: &[f64], rows: usize, cols: usize, y: &[f64], out: &mut [f64]) {
     debug_assert!(a.len() >= rows * cols);
     debug_assert!(y.len() >= rows);
@@ -185,7 +128,8 @@ pub fn mul_transpose_vec_in_place(a: &[f64], rows: usize, cols: usize, y: &[f64]
 
 /// Gram matrix `A^T * A` on flat row-major storage, writing into
 /// `out[..cols * cols]`. The allocation-free primitive behind
-/// [`Matrix::gram`] and the Levenberg–Marquardt workspace.
+/// [`Matrix::gram`], and the reference the column-major
+/// [`gram_columns_in_place`] is pinned against bit for bit.
 pub fn gram_in_place(a: &[f64], rows: usize, cols: usize, out: &mut [f64]) {
     debug_assert!(a.len() >= rows * cols);
     let out = &mut out[..cols * cols];
@@ -384,7 +328,7 @@ pub fn solve_cholesky(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     if a.cols() != n || b.len() != n {
         return Err(EstimaError::Numerical("cholesky: shape mismatch".into()));
     }
-    if !a.is_finite() || b.iter().any(|v| !v.is_finite()) {
+    if a.data.iter().chain(b).any(|v| !v.is_finite()) {
         return Err(EstimaError::Numerical("cholesky: non-finite input".into()));
     }
     let mut factor = a.data.clone();
@@ -547,12 +491,6 @@ pub fn norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
-/// Dot product of two equally sized vectors.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,29 +500,13 @@ mod tests {
     }
 
     #[test]
-    fn identity_mul_vec() {
-        let id = Matrix::identity(3);
-        let x = vec![1.0, 2.0, 3.0];
-        assert_eq!(id.mul_vec(&x), x);
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let t = a.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t.transpose(), a);
-    }
-
-    #[test]
     fn gram_matches_explicit_product() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         let g = a.gram();
-        let explicit = a.transpose().mul(&a);
         for i in 0..2 {
             for j in 0..2 {
-                assert!(approx(g[(i, j)], explicit[(i, j)], 1e-12));
+                let explicit: f64 = (0..a.rows()).map(|r| a[(r, i)] * a[(r, j)]).sum();
+                assert!(approx(g[(i, j)], explicit, 1e-12));
             }
         }
     }
@@ -647,19 +569,14 @@ mod tests {
     }
 
     #[test]
-    fn norm_and_dot() {
+    fn norm2_is_euclidean() {
         assert!(approx(norm2(&[3.0, 4.0]), 5.0, 1e-12));
-        assert!(approx(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0, 1e-12));
     }
 
     #[test]
     fn into_variants_match_allocating_versions() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let x = vec![0.5, -1.5];
         let y = vec![1.0, 2.0, 3.0];
-        let mut mv = vec![0.0; 3];
-        a.mul_vec_into(&x, &mut mv);
-        assert_eq!(mv, a.mul_vec(&x));
         let mut mtv = vec![0.0; 2];
         a.mul_transpose_vec_into(&y, &mut mtv);
         assert_eq!(mtv, a.mul_transpose_vec(&y));

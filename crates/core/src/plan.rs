@@ -11,9 +11,11 @@
 //!   count: the full pipeline is re-run once per leave-one-out subset of the
 //!   measurements, and the dispersion of the leave-out predictions yields a
 //!   standard error (`se² = (k−1)/k · Σ(θᵢ − θ̄)²`). Leave-outs fan out on
-//!   the [`Engine`] with the usual index-ordered reduction, so the interval
-//!   is bit-identical at any parallelism, and every leave-out's fits land in
-//!   the shared [`FitCache`] — a repeated call is a pure cache hit.
+//!   the planner's [`FitContext`] engine with the usual index-ordered
+//!   reduction, so the interval is bit-identical at any parallelism, and
+//!   with a cache in the context every leave-out's fits land in the shared
+//!   [`FitCache`](crate::engine::FitCache) — a repeated call is a pure cache
+//!   hit.
 //! * **Planning** — [`Planner::plan`] ranks candidate next measurements
 //!   (frontier core counts beyond the measured prefix, plus midpoints of
 //!   gaps inside it) by how much each would shrink the interval: a
@@ -32,8 +34,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::bottleneck::BottleneckReport;
 use crate::config::TargetSpec;
-use crate::engine::{CacheScope, Engine, FitCache};
 use crate::error::{EstimaError, Result};
+use crate::fit::FitContext;
 use crate::measurement::{Measurement, MeasurementSet};
 use crate::predictor::{Estima, Prediction};
 
@@ -101,10 +103,10 @@ pub struct MeasurementPlan {
 
 /// Uncertainty estimator and measurement planner over one predictor.
 ///
-/// A `Planner` borrows an [`Estima`] and optionally a [`FitCache`] (plus a
-/// store [`CacheScope`]); every refit it performs goes through the same
-/// cached fitting entry points as a plain predict, so planning against an
-/// unchanged series re-uses every fit it has ever computed.
+/// A `Planner` borrows an [`Estima`] and runs every refit through
+/// [`Estima::predict_in`] in one [`FitContext`]: with a cache (and a store
+/// scope) in it, planning against an unchanged series re-uses every fit it
+/// has ever computed.
 ///
 /// ```
 /// use estima_core::prelude::*;
@@ -128,42 +130,25 @@ pub struct MeasurementPlan {
 #[derive(Debug, Clone, Copy)]
 pub struct Planner<'a> {
     estima: &'a Estima,
-    cache: Option<&'a FitCache>,
-    scope: Option<CacheScope<'a>>,
+    ctx: FitContext<'a>,
 }
 
 impl<'a> Planner<'a> {
-    /// Create a planner over a predictor, with no fit cache.
+    /// Create a planner over a predictor, fitting in
+    /// [`Estima::fit_context`] (no fit cache).
     pub fn new(estima: &'a Estima) -> Self {
-        Planner {
-            estima,
-            cache: None,
-            scope: None,
-        }
+        Planner::in_context(estima, estima.fit_context())
     }
 
-    /// Draw candidate fits from (and populate) a shared [`FitCache`].
-    pub fn with_cache(mut self, cache: &'a FitCache) -> Self {
-        self.cache = Some(cache);
-        self
+    /// Create a planner whose leave-outs fan out on `ctx.engine` and whose
+    /// refits all run in `ctx`.
+    pub fn in_context(estima: &'a Estima, ctx: FitContext<'a>) -> Self {
+        Planner { estima, ctx }
     }
 
-    /// Tag every cache key with a store [`CacheScope`], so an ingest of the
-    /// owning series invalidates exactly this planner's cached fits. Only
-    /// meaningful together with [`Planner::with_cache`].
-    pub fn with_scope(mut self, scope: CacheScope<'a>) -> Self {
-        self.scope = Some(scope);
-        self
-    }
-
-    /// One full-pipeline prediction through whatever caching the planner was
-    /// configured with.
+    /// One full-pipeline prediction in the planner's context.
     fn predict(&self, set: &MeasurementSet, target: &TargetSpec) -> Result<Prediction> {
-        match (self.cache, self.scope) {
-            (Some(cache), Some(scope)) => self.estima.predict_scoped(set, target, cache, scope),
-            (Some(cache), None) => self.estima.predict_cached(set, target, cache),
-            (None, _) => self.estima.predict(set, target),
-        }
+        self.estima.predict_in(set, target, &self.ctx)
     }
 
     /// Predict `set` at `target` and attach a jackknife confidence interval
@@ -206,11 +191,10 @@ impl<'a> Planner<'a> {
             EstimaError::Numerical("prediction does not cover the target core count".into())
         })?;
         let n = set.len();
-        let engine = Engine::new(self.estima.config().parallelism);
         // Leave-outs are enumerated (and reduced) in measurement order, so
         // the sums below always fold in the same order: bit-identical at any
         // parallelism. Failed refits are kept as None to preserve indexing.
-        let thetas: Vec<Option<f64>> = engine.run((0..n).collect(), |leave_out| {
+        let thetas: Vec<Option<f64>> = self.ctx.engine.run((0..n).collect(), |leave_out| {
             let subset = leave_one_out(set, leave_out);
             self.predict(&subset, target)
                 .ok()
@@ -260,8 +244,7 @@ impl<'a> Planner<'a> {
         let (full, baseline) = self.confidence(set, target)?;
         let bottleneck = BottleneckReport::from_prediction(&full, target.cores);
         let candidates = candidate_cores(set, target);
-        let engine = Engine::new(self.estima.config().parallelism);
-        let scored: Vec<Option<PlanSuggestion>> = engine.run(candidates, |cores| {
+        let scored: Vec<Option<PlanSuggestion>> = self.ctx.engine.run(candidates, |cores| {
             let suggestion = self.score_candidate(set, target, &full, &baseline, cores)?;
             let rationale = rationale_for(set, cores, &bottleneck);
             Some(PlanSuggestion {

@@ -15,12 +15,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::{EstimaConfig, TargetSpec, MAX_TARGET_CORES};
-use crate::engine::{CacheScope, Engine, FitCache};
+use crate::engine::Engine;
 use crate::error::{EstimaError, Result};
-use crate::fit::{
-    approximate_series_scoped, approximate_series_with, candidate_fits_scoped, candidate_fits_with,
-    FitOptions,
-};
+use crate::fit::{approximate_series, candidate_fits, FitContext, FitOptions};
 use crate::kernels::FittedCurve;
 use crate::measurement::{MeasurementSet, StallCategory};
 use crate::stats::{max_relative_error, pearson_correlation, relative_error};
@@ -197,54 +194,34 @@ impl Estima {
         &self.config
     }
 
-    /// Run the full prediction pipeline (steps B and C of Figure 3).
-    ///
-    /// Stall categories are fitted concurrently, and each category's
-    /// candidate grid is fanned out on the engine, up to the configured
-    /// [`EstimaConfig::parallelism`]. The result is bit-identical for every
-    /// parallelism setting (see [`crate::engine`] for the determinism
-    /// argument).
+    /// Run the full prediction pipeline (steps B and C of Figure 3) in
+    /// [`Estima::fit_context`]: uncached, at the configured parallelism.
     pub fn predict(
         &self,
         measurements: &MeasurementSet,
         target: &TargetSpec,
     ) -> Result<Prediction> {
-        self.predict_inner(measurements, target, None, None)
+        self.predict_in(measurements, target, &self.fit_context())
     }
 
-    /// [`Estima::predict`] drawing candidate fits from (and populating) a
-    /// shared [`FitCache`]. Used by [`crate::engine::BatchPredictor`] so
-    /// identical series across workloads are fitted once.
-    pub fn predict_cached(
+    /// The context a plain [`Estima::predict`] fits in: an engine as wide as
+    /// [`EstimaConfig::parallelism`], and no cache. Callers that share a
+    /// [`FitCache`](crate::engine::FitCache) set its `cache` (and `scope`).
+    pub fn fit_context(&self) -> FitContext<'static> {
+        FitContext::new(Engine::new(self.config.parallelism))
+    }
+
+    /// [`Estima::predict`] in an explicit [`FitContext`]. Stall categories
+    /// are fitted concurrently on `ctx.engine`, and each category's
+    /// candidate grid fans out on it too; with `ctx.cache`, every candidate
+    /// list is drawn from (and added to) the shared cache under
+    /// `ctx.scope`. The result is bit-identical for every context (see
+    /// [`crate::engine`] for the determinism argument).
+    pub fn predict_in(
         &self,
         measurements: &MeasurementSet,
         target: &TargetSpec,
-        cache: &FitCache,
-    ) -> Result<Prediction> {
-        self.predict_inner(measurements, target, Some(cache), None)
-    }
-
-    /// [`Estima::predict_cached`] with every cache key tagged by a store
-    /// [`CacheScope`]. This is the entry point
-    /// [`EstimaSession::predict`](crate::store::EstimaSession::predict) uses;
-    /// the resulting prediction is bit-identical to the unscoped paths (the
-    /// scope only affects cache keying).
-    pub(crate) fn predict_scoped(
-        &self,
-        measurements: &MeasurementSet,
-        target: &TargetSpec,
-        cache: &FitCache,
-        scope: CacheScope<'_>,
-    ) -> Result<Prediction> {
-        self.predict_inner(measurements, target, Some(cache), Some(scope))
-    }
-
-    fn predict_inner(
-        &self,
-        measurements: &MeasurementSet,
-        target: &TargetSpec,
-        cache: Option<&FitCache>,
-        scope: Option<CacheScope<'_>>,
+        ctx: &FitContext<'_>,
     ) -> Result<Prediction> {
         measurements.validate(self.config.min_measurements)?;
         let measured_cores = measurements.max_cores();
@@ -276,7 +253,6 @@ impl Estima {
             realism_horizon: target.cores,
             ..self.config.fit.clone()
         };
-        let engine = Engine::new(self.config.parallelism);
 
         // Step B: extrapolate every category individually, all categories
         // concurrently. Categories that are identically zero carry no
@@ -290,21 +266,10 @@ impl Estima {
             })
             .filter(|(_, series)| series.iter().any(|(_, v)| *v != 0.0))
             .collect();
-        let fitted: Vec<Result<CategoryExtrapolation>> = engine.run(jobs, |(category, series)| {
+        let fitted: Vec<Result<_>> = ctx.engine.run(jobs, |(category, series)| {
             let xs: Vec<f64> = series.iter().map(|(c, _)| *c as f64).collect();
             let ys: Vec<f64> = series.iter().map(|(_, v)| *v).collect();
-            let curve = match cache {
-                Some(cache) => approximate_series_scoped(
-                    &xs,
-                    &ys,
-                    &category.name,
-                    &fit_options,
-                    &engine,
-                    cache,
-                    scope,
-                )?,
-                None => approximate_series_with(&xs, &ys, &category.name, &fit_options, &engine)?,
-            };
+            let curve = approximate_series(&xs, &ys, &category.name, &fit_options, ctx)?;
             let extrapolated: Vec<(u32, f64)> = (1..=target.cores)
                 .map(|c| {
                     let raw = curve.eval(c as f64).max(0.0);
@@ -360,17 +325,7 @@ impl Estima {
         // measured trend of the factor (e.g. a factor that was converging
         // towards 1/frequency suddenly curling upwards) are discarded as
         // unrealistic, in the same spirit as the per-category realism check.
-        let candidates = match cache {
-            Some(cache) => {
-                candidate_fits_scoped(&factor_xs, &factor_ys, &fit_options, &engine, cache, scope)?
-            }
-            None => std::sync::Arc::new(candidate_fits_with(
-                &factor_xs,
-                &factor_ys,
-                &fit_options,
-                &engine,
-            )?),
-        };
+        let candidates = candidate_fits(&factor_xs, &factor_ys, &fit_options, ctx)?;
         let spc_values: Vec<f64> = stalls_per_core.iter().map(|(_, v)| *v).collect();
         let factor_at_max_measured = *factor_ys.last().unwrap_or(&0.0);
         let factor_trend_decreasing =

@@ -75,6 +75,7 @@ use crate::bottleneck::BottleneckReport;
 use crate::config::{EstimaConfig, TargetSpec};
 use crate::engine::{CacheScope, FitCache};
 use crate::error::{EstimaError, Result};
+use crate::fit::FitContext;
 use crate::measurement::{Measurement, MeasurementSet};
 use crate::plan::{MeasurementPlan, Planner};
 use crate::predictor::{Estima, Prediction};
@@ -859,6 +860,32 @@ impl EstimaSession {
         Ok(snapshot)
     }
 
+    /// Run `read` on the current snapshot of `id` (or fail with
+    /// [`EstimaError::SeriesNotFound`]), in the fit context every series
+    /// read shares: the session's cache, with keys tagged by the snapshot's
+    /// `(series, version)` [`CacheScope`].
+    fn read_series<R>(
+        &self,
+        id: &SeriesId,
+        read: impl FnOnce(&MeasurementSet, FitContext<'_>) -> Result<R>,
+    ) -> Result<R> {
+        let snapshot = self
+            .store
+            .snapshot(id)
+            .ok_or_else(|| EstimaError::SeriesNotFound {
+                series: id.to_string(),
+            })?;
+        let ctx = FitContext {
+            cache: Some(&self.cache),
+            scope: Some(CacheScope {
+                series: snapshot.id.as_str(),
+                version: snapshot.version,
+            }),
+            ..self.estima.fit_context()
+        };
+        read(&snapshot.set, ctx)
+    }
+
     /// Predict a named series at its current version.
     ///
     /// The snapshot is taken atomically (concurrent ingests never produce a
@@ -867,21 +894,7 @@ impl EstimaSession {
     /// collection changes *when* measurements arrive, never what a
     /// prediction says.
     pub fn predict(&self, id: &SeriesId, target: &TargetSpec) -> Result<Prediction> {
-        let snapshot = self
-            .store
-            .snapshot(id)
-            .ok_or_else(|| EstimaError::SeriesNotFound {
-                series: id.to_string(),
-            })?;
-        self.estima.predict_scoped(
-            &snapshot.set,
-            target,
-            &self.cache,
-            CacheScope {
-                series: snapshot.id.as_str(),
-                version: snapshot.version,
-            },
-        )
+        self.read_series(id, |set, ctx| self.estima.predict_in(set, target, &ctx))
     }
 
     /// Predict an anonymous, caller-held measurement set through the
@@ -889,7 +902,11 @@ impl EstimaSession {
     /// convenience path [`BatchPredictor`](crate::engine::BatchPredictor)
     /// and the server's stateless `/v1/predict` endpoint run on.
     pub fn predict_set(&self, set: &MeasurementSet, target: &TargetSpec) -> Result<Prediction> {
-        self.estima.predict_cached(set, target, &self.cache)
+        let ctx = FitContext {
+            cache: Some(&self.cache),
+            ..self.estima.fit_context()
+        };
+        self.estima.predict_in(set, target, &ctx)
     }
 
     /// [`EstimaSession::predict`] with a jackknife confidence interval
@@ -903,20 +920,10 @@ impl EstimaSession {
         id: &SeriesId,
         target: &TargetSpec,
     ) -> Result<Prediction> {
-        let snapshot = self
-            .store
-            .snapshot(id)
-            .ok_or_else(|| EstimaError::SeriesNotFound {
-                series: id.to_string(),
-            })?;
-        let planner = Planner::new(&self.estima)
-            .with_cache(&self.cache)
-            .with_scope(CacheScope {
-                series: snapshot.id.as_str(),
-                version: snapshot.version,
-            });
-        let (prediction, _) = planner.confidence(&snapshot.set, target)?;
-        Ok(prediction)
+        self.read_series(id, |set, ctx| {
+            let (prediction, _) = Planner::in_context(&self.estima, ctx).confidence(set, target)?;
+            Ok(prediction)
+        })
     }
 
     /// Rank which measurement to take next for a named series; see
@@ -930,19 +937,9 @@ impl EstimaSession {
         target: &TargetSpec,
         max_suggestions: usize,
     ) -> Result<MeasurementPlan> {
-        let snapshot = self
-            .store
-            .snapshot(id)
-            .ok_or_else(|| EstimaError::SeriesNotFound {
-                series: id.to_string(),
-            })?;
-        let planner = Planner::new(&self.estima)
-            .with_cache(&self.cache)
-            .with_scope(CacheScope {
-                series: snapshot.id.as_str(),
-                version: snapshot.version,
-            });
-        planner.plan(&snapshot.set, target, max_suggestions)
+        self.read_series(id, |set, ctx| {
+            Planner::in_context(&self.estima, ctx).plan(set, target, max_suggestions)
+        })
     }
 
     /// Predict a named series and diagnose its scaling losses at the target
@@ -1180,29 +1177,50 @@ mod tests {
             }
         }
         let target = TargetSpec::cores(40);
-        session.predict(&a, &target).unwrap();
-        session.predict(&b, &target).unwrap();
-        let misses_cold = session.cache().stats().1;
+        // Every read of a named series: plain predict, confidence, plan.
+        let reads: [&dyn Fn(&SeriesId); 3] = [
+            &|series| drop(session.predict(series, &target).unwrap()),
+            &|series| drop(session.predict_with_confidence(series, &target).unwrap()),
+            &|series| drop(session.plan(series, &target, 3).unwrap()),
+        ];
+        for read in reads {
+            read(&a);
+        }
+        let entries_of_a = session.cache().len();
+        for read in reads {
+            read(&b);
+        }
 
-        // Unchanged series: pure hits, no new misses.
-        session.predict(&a, &target).unwrap();
-        session.predict(&b, &target).unwrap();
-        let (hits_warm, misses_warm) = session.cache().stats();
-        assert_eq!(misses_warm, misses_cold, "unchanged series must not refit");
-        assert!(hits_warm > 0);
+        // Unchanged series: every read again is pure hits, no new misses.
+        for read in reads {
+            for series in [&a, &b] {
+                let (hits, misses) = session.cache().stats();
+                read(series);
+                let (hits_warm, misses_warm) = session.cache().stats();
+                assert_eq!(misses_warm, misses, "unchanged {series} refit");
+                assert!(hits_warm > hits, "unchanged {series} bypassed the cache");
+            }
+        }
 
-        // Ingest into `a` only: next predict of `a` misses, `b` still hits.
+        // Ingest into `a` only: exactly everything `a`'s reads cached is
+        // invalidated; `b`'s next plan still hits, `a`'s misses.
+        assert_eq!(session.cache().evictions(), 0);
         session.ingest(&a, point(11)).unwrap();
-        assert!(session.cache().invalidations() > 0);
-        session.predict(&b, &target).unwrap();
+        assert_eq!(
+            session.cache().invalidations(),
+            entries_of_a,
+            "an ingest into a must drop every fit a's reads cached"
+        );
+        let misses = session.cache().stats().1;
+        session.plan(&b, &target, 3).unwrap();
         assert_eq!(
             session.cache().stats().1,
-            misses_warm,
+            misses,
             "series b was invalidated by an ingest into series a"
         );
-        session.predict(&a, &target).unwrap();
+        session.plan(&a, &target, 3).unwrap();
         assert!(
-            session.cache().stats().1 > misses_warm,
+            session.cache().stats().1 > misses,
             "series a served stale fits after an ingest"
         );
     }

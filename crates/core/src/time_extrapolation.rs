@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::TargetSpec;
 use crate::error::Result;
-use crate::fit::{approximate_series, FitOptions};
+use crate::fit::{approximate_series, FitContext, FitOptions};
 use crate::kernels::FittedCurve;
 use crate::measurement::MeasurementSet;
 use crate::stats::{max_relative_error, relative_error};
@@ -117,7 +117,13 @@ impl TimeExtrapolation {
             realism_horizon: target.cores,
             ..self.fit.clone()
         };
-        let curve = approximate_series(&xs, &ys, "execution_time", &fit_options)?;
+        let curve = approximate_series(
+            &xs,
+            &ys,
+            "execution_time",
+            &fit_options,
+            &FitContext::default(),
+        )?;
         let predicted_time: Vec<(u32, f64)> = (1..=target.cores)
             .map(|c| (c, curve.eval(c as f64).max(0.0) * target.dataset_scale))
             .collect();

@@ -15,7 +15,7 @@
 //!    at horizons 1 to [`MAX_TARGET_CORES`] and magnitude caps from tiny to
 //!    1e18: both walks reach the same verdict, and an accepted curve's
 //!    captured values are the same bits.
-//! 2. Every candidate of [`candidate_fits_with`] re-scored with the oracle:
+//! 2. Every candidate of [`candidate_fits`] re-scored with the oracle:
 //!    the grid scores a prefix once and shares the result across checkpoint
 //!    spans, so each span's candidate must still carry its own checkpoint
 //!    RMSE, and the training RMSE, eval table and tail fields the oracle
@@ -25,7 +25,7 @@ use std::collections::HashMap;
 
 use estima_core::kernels::HorizonTable;
 use estima_core::{
-    candidate_fits_with, Engine, FitOptions, FittedCurve, KernelKind, MAX_TARGET_CORES,
+    candidate_fits, FitContext, FitOptions, FittedCurve, KernelKind, MAX_TARGET_CORES,
 };
 use proptest::prelude::*;
 
@@ -346,13 +346,13 @@ proptest! {
             max_growth_factor: if layout == 3 { 3.0 } else { defaults.max_growth_factor },
             ..defaults
         };
-        let Ok(candidates) = candidate_fits_with(&xs, &ys, &options, &Engine::sequential()) else {
+        let Ok(candidates) = candidate_fits(&xs, &ys, &options, &FitContext::default()) else {
             return;
         };
 
         // A cell's parameters depend on (kernel, prefix) only.
         let mut solved: HashMap<(KernelKind, usize), &[f64]> = HashMap::new();
-        for candidate in &candidates {
+        for candidate in candidates.iter() {
             let key = (candidate.curve.kernel, candidate.curve.training_points);
             let params = *solved.entry(key).or_insert(&candidate.curve.params);
             prop_assert_eq!(bits(params), bits(&candidate.curve.params), "{key:?}");

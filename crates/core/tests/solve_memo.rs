@@ -5,7 +5,7 @@
 //! 1. Random edit sequences (replace the newest point, append, insert
 //!    mid-series, drop a point) applied to a series: after every edit the
 //!    cached candidates and predictions equal the uncached
-//!    [`candidate_fits_with`] / [`Estima::predict`] bit for bit — with a
+//!    [`candidate_fits`] / [`Estima::predict`] bit for bit — with a
 //!    roomy cache and with one small enough to evict constantly.
 //! 2. Exact solve counts through an [`EstimaSession`]: refitting after a
 //!    newest-point flip runs no LM solve, and an append runs one per new
@@ -14,9 +14,9 @@
 use std::sync::Arc;
 
 use estima_core::engine::CacheScope;
-use estima_core::fit::{candidate_fits_scoped, FitCandidate};
+use estima_core::fit::FitCandidate;
 use estima_core::prelude::*;
-use estima_core::{candidate_fits_cached, candidate_fits_with, FitOptions, LmOptions};
+use estima_core::{candidate_fits, FitContext, FitOptions, LmOptions};
 use proptest::prelude::*;
 
 /// One synthetic measurement whose stalls and time follow simple laws, with
@@ -131,7 +131,7 @@ proptest! {
             realism_horizon: target.cores,
             ..config.fit.clone()
         };
-        let engine = Engine::sequential();
+        let uncached = estima.fit_context();
         let caches = [
             Arc::new(FitCache::new()),
             Arc::new(FitCache::with_shards_and_capacity(1, 2)),
@@ -159,15 +159,17 @@ proptest! {
                 // Candidates, scoped like a session's, after the invalidation
                 // an ingest performs.
                 cache.invalidate_series("memo");
-                let scope = CacheScope { series: "memo", version };
+                let cached_ctx = FitContext { cache: Some(cache), ..uncached };
+                let scoped = FitContext {
+                    scope: Some(CacheScope { series: "memo", version }),
+                    ..cached_ctx
+                };
                 for (xs, ys) in &series {
-                    let uncached = candidate_fits_with(xs, ys, &options, &engine).unwrap();
-                    let cached =
-                        candidate_fits_scoped(xs, ys, &options, &engine, cache, Some(scope))
-                            .unwrap();
-                    assert_candidates_identical(&uncached, &cached);
+                    let reference = candidate_fits(xs, ys, &options, &uncached).unwrap();
+                    let cached = candidate_fits(xs, ys, &options, &scoped).unwrap();
+                    assert_candidates_identical(&reference, &cached);
                 }
-                let cached = estima.predict_cached(&set, &target, cache).unwrap();
+                let cached = estima.predict_in(&set, &target, &cached_ctx).unwrap();
                 assert_predictions_identical(&reference, &cached);
             }
         }
@@ -246,8 +248,11 @@ fn different_lm_options_never_share_solves() {
         .iter()
         .map(|(c, v)| (f64::from(*c), *v))
         .unzip();
-    let engine = Engine::sequential();
     let cache = FitCache::new();
+    let cached_ctx = FitContext {
+        cache: Some(&cache),
+        ..FitContext::default()
+    };
     let default = FitOptions::default();
     let truncated = FitOptions {
         lm: LmOptions {
@@ -257,8 +262,8 @@ fn different_lm_options_never_share_solves() {
         ..FitOptions::default()
     };
     for options in [&default, &truncated] {
-        let cached = candidate_fits_cached(&xs, &ys, options, &engine, &cache).unwrap();
-        let uncached = candidate_fits_with(&xs, &ys, options, &engine).unwrap();
+        let cached = candidate_fits(&xs, &ys, options, &cached_ctx).unwrap();
+        let uncached = candidate_fits(&xs, &ys, options, &FitContext::default()).unwrap();
         assert_candidates_identical(&uncached, &cached);
     }
     assert_eq!(cache.solve_stats().0, 0, "the second options reused solves");

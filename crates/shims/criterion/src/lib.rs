@@ -21,9 +21,10 @@
 //!
 //! Besides the console lines, every bench binary merges its results into a
 //! machine-readable `target/criterion/summary.json` (one record per
-//! benchmark with min/median/stddev ns-per-iter), keyed by benchmark name so
-//! the workspace's several bench binaries accumulate into one file and perf
-//! trajectories can be tracked across commits. Set `ESTIMA_CRITERION_DIR` to
+//! benchmark with min/median/stddev ns-per-iter, or an externally
+//! [`record`]ed figure in the unit the record names), keyed by benchmark
+//! name so the workspace's several bench binaries accumulate into one file
+//! and perf trajectories can be tracked across commits. Set `ESTIMA_CRITERION_DIR` to
 //! redirect the output directory.
 //!
 //! Swap in real criterion by pointing the `criterion` dev-dependency at
@@ -42,6 +43,11 @@ pub use std::hint::black_box;
 pub struct BenchRecord {
     /// Full benchmark label (`group/id`).
     pub name: String,
+    /// Unit of `min_ns`, `median_ns` and `stddev_ns`: `"ns"` for timings
+    /// (every timing-loop benchmark); an externally [`record`]ed figure
+    /// names its own, such as `"req/s"`, `"%"` or `"count"`. The fields keep
+    /// their `_ns` names so existing readers of the summary still work.
+    pub unit: String,
     /// Minimum ns/iter across batches.
     pub min_ns: f64,
     /// Median ns/iter across batches.
@@ -280,6 +286,7 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, mut f: F) {
         );
         RESULTS.lock().unwrap().push(BenchRecord {
             name: label.to_string(),
+            unit: "ns".into(),
             min_ns: min,
             median_ns: median,
             stddev_ns: stddev,
@@ -316,10 +323,15 @@ fn render_summary(records: &[BenchRecord]) -> String {
         if index > 0 {
             out.push_str(",\n");
         }
-        let name = r.name.replace('\\', "\\\\").replace('"', "\\\"");
         out.push_str(&format!(
-            "{{\"name\":\"{name}\",\"min_ns\":{:.1},\"median_ns\":{:.1},\"stddev_ns\":{:.1},\"iters\":{},\"batches\":{}}}",
-            r.min_ns, r.median_ns, r.stddev_ns, r.iters, r.batches
+            "{{\"name\":{},\"unit\":{},\"min_ns\":{:.1},\"median_ns\":{:.1},\"stddev_ns\":{:.1},\"iters\":{},\"batches\":{}}}",
+            quote(&r.name),
+            quote(&r.unit),
+            r.min_ns,
+            r.median_ns,
+            r.stddev_ns,
+            r.iters,
+            r.batches
         ));
     }
     out.push_str("\n]\n");
@@ -327,7 +339,8 @@ fn render_summary(records: &[BenchRecord]) -> String {
 }
 
 /// Parse a summary previously written by [`render_summary`]. Tolerant: a
-/// malformed file yields an empty list (the summary is regenerated).
+/// malformed file yields an empty list (the summary is regenerated), and a
+/// record from before records carried a unit reads as `"ns"`.
 fn parse_summary(text: &str) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     for line in text.lines() {
@@ -338,6 +351,7 @@ fn parse_summary(text: &str) -> Vec<BenchRecord> {
         let body = &line[1..line.len() - 1];
         let mut record = BenchRecord {
             name: String::new(),
+            unit: "ns".into(),
             min_ns: f64::NAN,
             median_ns: f64::NAN,
             stddev_ns: f64::NAN,
@@ -345,7 +359,7 @@ fn parse_summary(text: &str) -> Vec<BenchRecord> {
             batches: 0,
         };
         // Fields are comma-separated `"key":value` pairs; the only string
-        // value is the name (first field), which our writer escapes.
+        // values are the name and the unit, which our writer escapes.
         for field in split_top_level_fields(body) {
             let Some((key, value)) = field.split_once(':') else {
                 continue;
@@ -353,13 +367,8 @@ fn parse_summary(text: &str) -> Vec<BenchRecord> {
             let key = key.trim().trim_matches('"');
             let value = value.trim();
             match key {
-                "name" => {
-                    let unquoted = value
-                        .strip_prefix('"')
-                        .and_then(|v| v.strip_suffix('"'))
-                        .unwrap_or(value);
-                    record.name = unquoted.replace("\\\"", "\"").replace("\\\\", "\\");
-                }
+                "name" => record.name = unquote(value),
+                "unit" => record.unit = unquote(value),
                 "min_ns" => record.min_ns = value.parse().unwrap_or(f64::NAN),
                 "median_ns" => record.median_ns = value.parse().unwrap_or(f64::NAN),
                 "stddev_ns" => record.stddev_ns = value.parse().unwrap_or(f64::NAN),
@@ -373,6 +382,20 @@ fn parse_summary(text: &str) -> Vec<BenchRecord> {
         }
     }
     records
+}
+
+/// A string value as [`render_summary`] writes it: quoted and escaped.
+fn quote(value: &str) -> String {
+    format!("\"{}\"", value.replace('\\', "\\\\").replace('"', "\\\""))
+}
+
+/// The inverse of [`quote`].
+fn unquote(value: &str) -> String {
+    let unquoted = value
+        .strip_prefix('"')
+        .and_then(|v| v.strip_suffix('"'))
+        .unwrap_or(value);
+    unquoted.replace("\\\"", "\"").replace("\\\\", "\\")
 }
 
 /// Split `"key":value` fields on commas that are not inside a quoted string.
@@ -501,6 +524,7 @@ mod tests {
         let records = vec![
             BenchRecord {
                 name: "fit_kernel/Rat22".into(),
+                unit: "ns".into(),
                 min_ns: 1234.5,
                 median_ns: 1300.0,
                 stddev_ns: 42.1,
@@ -509,6 +533,7 @@ mod tests {
             },
             BenchRecord {
                 name: "group/quoted \"name\"".into(),
+                unit: "req/s".into(),
                 min_ns: 7.0,
                 median_ns: 8.5,
                 stddev_ns: 0.5,
@@ -518,6 +543,16 @@ mod tests {
         ];
         let parsed = parse_summary(&render_summary(&records));
         assert_eq!(parsed, records);
+    }
+
+    #[test]
+    fn records_without_a_unit_read_as_ns() {
+        let old = "[\n{\"name\":\"serve/x/latency\",\"min_ns\":5.0,\"median_ns\":6.0,\
+                   \"stddev_ns\":1.0,\"iters\":3,\"batches\":1}\n]\n";
+        let parsed = parse_summary(old);
+        assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed[0].unit, "ns");
+        assert_eq!(parsed[0].median_ns, 6.0);
     }
 
     #[test]

@@ -128,7 +128,7 @@ proptest! {
         c in 0.0f64..5.0e2,
         d in 0.0f64..1.0e2,
     ) {
-        let engine = estima::core::engine::Engine::new(4);
+        let ctx = estima::core::FitContext::new(estima::core::engine::Engine::new(4));
         let xs: Vec<f64> = (1..=12u32).map(f64::from).collect();
         let ys: Vec<f64> = xs
             .iter()
@@ -138,9 +138,7 @@ proptest! {
             realism_horizon: 48,
             ..Default::default()
         };
-        let curve =
-            estima::core::approximate_series_with(&xs, &ys, "synthetic", &options, &engine)
-                .unwrap();
+        let curve = estima::core::approximate_series(&xs, &ys, "synthetic", &options, &ctx).unwrap();
         // The winning curve must reproduce the measured range closely...
         for (x, y) in xs.iter().zip(&ys) {
             let v = curve.eval(*x);

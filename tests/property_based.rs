@@ -2,7 +2,7 @@
 //! and the simulator substrate.
 
 use estima::core::stats::{max_relative_error, pearson_correlation, rmse};
-use estima::core::{fit_kernel, fit_kernel_with, Jacobian, KernelKind, LmOptions};
+use estima::core::{fit_kernel, Jacobian, KernelKind, LmOptions};
 use estima::machine::{MachineDescriptor, SimOptions, Simulator, WorkloadProfile};
 use proptest::prelude::*;
 
@@ -22,7 +22,7 @@ proptest! {
             let params = [a, b, c, d];
             let xs: Vec<f64> = (1..=12).map(|v| v as f64).collect();
             let ys: Vec<f64> = xs.iter().map(|x| kernel.eval(&params, *x)).collect();
-            let fitted = fit_kernel(kernel, &xs, &ys).unwrap();
+            let fitted = fit_kernel(kernel, &xs, &ys, &LmOptions::default()).unwrap();
             for x in &xs {
                 let truth = kernel.eval(&params, *x);
                 let got = kernel.eval(&fitted, *x);
@@ -118,12 +118,12 @@ proptest! {
                 .map(|(x, y)| (kernel.eval(params, *x) - y).powi(2))
                 .sum()
         };
-        let analytic = fit_kernel_with(kernel, &xs, &ys, &LmOptions::default()).unwrap();
+        let analytic = fit_kernel(kernel, &xs, &ys, &LmOptions::default()).unwrap();
         let fd_options = LmOptions {
             jacobian: Jacobian::FiniteDifference,
             ..LmOptions::default()
         };
-        let fd = fit_kernel_with(kernel, &xs, &ys, &fd_options).unwrap();
+        let fd = fit_kernel(kernel, &xs, &ys, &fd_options).unwrap();
         let sse_analytic = sse(&analytic);
         let sse_fd = sse(&fd);
         // "No worse" up to numerical noise: an absolute slack scaled to the
