@@ -7,9 +7,16 @@
 //! sharded cache); the in-process baseline from `benches/pipeline.rs`
 //! (`predict_12_to_48`) is the number to compare against. The sustained
 //! multi-connection view (throughput, p99) comes from the `loadgen` binary.
+//!
+//! The `wire_encode` group times the response encoder alone, swept over the
+//! target core count (a prediction carries about four numbers per target
+//! core): `wire_encode/fast/<cores>` is `wire::write_prediction`, and
+//! `wire_encode/display/<cores>` the same writer with every number going
+//! through `write!("{n}")`, as it did before the JSON number writer. CI
+//! gates their ratio at 4096 cores with `check_speedup`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use estima_core::{Measurement, MeasurementSet, StallCategory, TargetSpec};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use estima_core::{Estima, EstimaConfig, Measurement, MeasurementSet, StallCategory, TargetSpec};
 use estima_serve::{wire, Client, Server, ServerConfig};
 
 /// The same quickstart-sized job `loadgen` uses, from the shared harness.
@@ -96,5 +103,119 @@ fn bench_http_roundtrip(c: &mut Criterion) {
     handle.shutdown();
 }
 
-criterion_group!(serve_benches, bench_http_roundtrip);
+/// The response encoder before the JSON number writer, verbatim: the
+/// `wire::write_prediction` path with every number written by
+/// `write!("{n}")`. (Predictions here carry no confidence interval or
+/// diagnosis, so those branches are left out.)
+mod display {
+    use estima_core::json::write_json_string;
+    use estima_core::Prediction;
+
+    fn write_json_number(n: f64, out: &mut String) {
+        use std::fmt::Write as _;
+        if n.is_finite() {
+            let _ = write!(out, "{n}");
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    pub fn write_prediction(prediction: &Prediction, out: &mut String) {
+        out.push_str("{\"app_name\":");
+        write_json_string(&prediction.app_name, out);
+        out.push_str(",\"measured_cores\":");
+        write_json_number(f64::from(prediction.measured_cores), out);
+        out.push_str(",\"target_cores\":");
+        write_json_number(f64::from(prediction.target_cores), out);
+        out.push_str(",\"predicted_scaling_limit\":");
+        write_json_number(f64::from(prediction.predicted_scaling_limit()), out);
+        out.push_str(",\"factor_correlation\":");
+        write_json_number(prediction.factor_correlation, out);
+        out.push_str(",\"scaling_factor_kernel\":");
+        write_json_string(prediction.scaling_factor.kernel.name(), out);
+        out.push_str(",\"predicted_time\":");
+        write_series(&prediction.predicted_time, out);
+        out.push_str(",\"stalls_per_core\":");
+        write_series(&prediction.stalls_per_core, out);
+        out.push_str(",\"measured_time\":");
+        write_series(&prediction.measured_time, out);
+        out.push_str(",\"categories\":[");
+        for (index, extrapolation) in prediction.categories.iter().enumerate() {
+            if index > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"source\":");
+            write_json_string(extrapolation.category.source.name(), out);
+            out.push_str(",\"name\":");
+            write_json_string(&extrapolation.category.name, out);
+            out.push_str(",\"kernel\":");
+            write_json_string(extrapolation.curve.kernel.name(), out);
+            out.push_str(",\"params\":[");
+            for (pindex, param) in extrapolation.curve.params.iter().enumerate() {
+                if pindex > 0 {
+                    out.push(',');
+                }
+                write_json_number(*param, out);
+            }
+            out.push_str("],\"extrapolated_at_target\":");
+            write_json_number(
+                extrapolation
+                    .at(prediction.target_cores)
+                    .unwrap_or(f64::NAN),
+                out,
+            );
+            out.push('}');
+        }
+        out.push(']');
+        out.push('}');
+    }
+
+    fn write_series(series: &[(u32, f64)], out: &mut String) {
+        out.push('[');
+        for (index, (cores, value)) in series.iter().enumerate() {
+            if index > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            write_json_number(f64::from(*cores), out);
+            out.push(',');
+            write_json_number(*value, out);
+            out.push(']');
+        }
+        out.push(']');
+    }
+}
+
+fn bench_wire_encode(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire_encode");
+    for cores in [48, 512, 4096] {
+        let (set, _) = job();
+        let prediction = Estima::new(EstimaConfig::default())
+            .predict(&set, &TargetSpec::cores(cores))
+            .expect("bench prediction");
+        let (mut fast, mut baseline) = (String::new(), String::new());
+        wire::write_prediction(&prediction, &mut fast);
+        display::write_prediction(&prediction, &mut baseline);
+        assert_eq!(fast, baseline, "the baseline must write the same bytes");
+        group.bench_with_input(BenchmarkId::new("fast", cores), &prediction, |b, p| {
+            let mut out = String::with_capacity(fast.len());
+            b.iter(|| {
+                out.clear();
+                wire::write_prediction(p, &mut out);
+                out.len()
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("display", cores), &prediction, |b, p| {
+            let mut out = String::with_capacity(fast.len());
+            b.iter(|| {
+                out.clear();
+                display::write_prediction(p, &mut out);
+                out.len()
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(serve_benches, bench_http_roundtrip, bench_wire_encode);
 criterion_main!(serve_benches);

@@ -127,11 +127,18 @@ impl Engine {
 }
 
 /// Cache key for one fitted series: the full series (as `f64` bit patterns,
-/// so `-0.0` and `0.0` differ and NaNs are stable) plus the full
-/// [`FitOptions`] (rendered through [`FitOptions::cache_tag`], which covers
-/// every field). The key is structural — two keys are equal only if the
-/// series and options are exactly equal — so cache hits can never substitute
-/// another series' fits.
+/// so `-0.0` and `0.0` differ and NaNs are stable) plus every field of the
+/// [`FitOptions`], all as 64-bit words. The key is structural — two keys
+/// are equal only if the series and options are exactly equal — so cache
+/// hits can never substitute another series' fits.
+///
+/// The words are `[n, x₀ … xₙ₋₁, n, y₀ … yₙ₋₁]`, then the options: the
+/// kernel count and each kernel's id, the checkpoint-count count and each
+/// count, the scalar fields (floats as bits, so distinct NaN payloads and
+/// the two zeros differ), and [`LmOptions`] as the same eight words the
+/// solve memo interns. The length prefixes keep the encoding unambiguous, and
+/// destructuring `FitOptions` makes a new field a compile error until it is
+/// keyed.
 ///
 /// Keys built through [`FitKey::scoped`] additionally carry a
 /// `(series id, version)` component from the
@@ -144,21 +151,14 @@ impl Engine {
 /// substitute another series' — or another version's — fits.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FitKey {
-    xs_bits: Vec<u64>,
-    ys_bits: Vec<u64>,
-    options: String,
+    words: Box<[u64]>,
     scope: Option<(String, u64)>,
 }
 
 impl FitKey {
     /// Build the key for a `(series, options)` pair.
     pub fn new(xs: &[f64], ys: &[f64], options: &FitOptions) -> Self {
-        FitKey {
-            xs_bits: xs.iter().map(|x| x.to_bits()).collect(),
-            ys_bits: ys.iter().map(|y| y.to_bits()).collect(),
-            options: options.cache_tag(),
-            scope: None,
-        }
+        FitKey::build(xs, ys, options, None)
     }
 
     /// Build a key tagged with the owning store series and its version.
@@ -169,9 +169,41 @@ impl FitKey {
         series: &str,
         version: u64,
     ) -> Self {
+        FitKey::build(xs, ys, options, Some((series.to_string(), version)))
+    }
+
+    fn build(xs: &[f64], ys: &[f64], options: &FitOptions, scope: Option<(String, u64)>) -> Self {
+        let FitOptions {
+            kernels,
+            checkpoint_counts,
+            min_training_points,
+            realism_horizon,
+            max_magnitude,
+            max_growth_factor,
+            prefix_refitting,
+            lm,
+        } = options;
+        let mut words =
+            Vec::with_capacity(xs.len() + ys.len() + kernels.len() + checkpoint_counts.len() + 17);
+        for series in [xs, ys] {
+            words.push(series.len() as u64);
+            words.extend(series.iter().map(|v| v.to_bits()));
+        }
+        words.push(kernels.len() as u64);
+        words.extend(kernels.iter().map(|kernel| *kernel as u64));
+        words.push(checkpoint_counts.len() as u64);
+        words.extend(checkpoint_counts.iter().map(|count| *count as u64));
+        words.extend([
+            *min_training_points as u64,
+            u64::from(*realism_horizon),
+            max_magnitude.to_bits(),
+            max_growth_factor.to_bits(),
+            u64::from(*prefix_refitting),
+        ]);
+        words.extend(lm_bits(lm));
         FitKey {
-            scope: Some((series.to_string(), version)),
-            ..FitKey::new(xs, ys, options)
+            words: words.into(),
+            scope,
         }
     }
 
@@ -180,24 +212,30 @@ impl FitKey {
         self.scope.as_ref().map(|(id, v)| (id.as_str(), *v))
     }
 
-    /// FNV-1a hash of the key, used to pick a [`FitCache`] shard. This is
-    /// the same hash family the workspace already uses for deterministic
-    /// seeding (see the proptest shim); it is independent of the std
-    /// `Hash` randomness, so a key always lands on the same shard across
-    /// processes and runs.
+    /// The hash that picks the key's [`FitCache`] shard. (The shard's map
+    /// hashes the key with the std `Hash` instead: series arrive from
+    /// outside the program, and FNV-1a collisions are easy to construct.)
     fn shard_hash(&self) -> u64 {
         let mut hash = Fnv1a::new();
-        hash.eat_words(self.xs_bits.iter().chain(&self.ys_bits));
-        hash.eat(self.options.as_bytes());
+        hash.eat_words(self.words.iter());
         if let Some((series, version)) = &self.scope {
-            hash.eat(series.as_bytes());
-            hash.eat(&version.to_le_bytes());
+            hash.eat_bytes(series.as_bytes());
+            hash.eat_words([version]);
         }
-        hash.0
+        hash.finish()
     }
 }
 
-/// The FNV-1a hash that picks a key's [`FitCache`] shard.
+/// FNV-1a over 64-bit words, finished by MurmurHash3's `fmix64`. It picks a
+/// key's [`FitCache`] shard. Like the proptest shim's seeding hash, it is
+/// independent of the std `Hash` randomness, so a key always lands on the
+/// same shard across processes and runs.
+///
+/// Eating a word at a time is a multiply per word instead of per byte, but a
+/// multiply only carries bits upward: two series that differ only in their
+/// values' exponents (say, by powers of two) differ only in the high bits of
+/// the running hash. The shard index reads the low bits, so [`Fnv1a::finish`]
+/// folds the high bits down.
 struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -205,18 +243,30 @@ impl Fnv1a {
         Fnv1a(0xcbf2_9ce4_8422_2325)
     }
 
-    fn eat(&mut self, bytes: &[u8]) {
-        for byte in bytes {
-            self.0 ^= u64::from(*byte);
+    fn eat_words<'a>(&mut self, words: impl IntoIterator<Item = &'a u64>) {
+        for word in words {
+            self.0 ^= *word;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
-    /// Eat each word's little-endian bytes.
-    fn eat_words<'a>(&mut self, words: impl IntoIterator<Item = &'a u64>) {
-        for word in words {
-            self.eat(&word.to_le_bytes());
+    /// Eat the length, then the bytes as little-endian words, zero-padded.
+    fn eat_bytes(&mut self, bytes: &[u8]) {
+        self.eat_words([&(bytes.len() as u64)]);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.eat_words([&u64::from_le_bytes(word)]);
         }
+    }
+
+    fn finish(&self) -> u64 {
+        let mut hash = self.0;
+        hash ^= hash >> 33;
+        hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        hash ^= hash >> 33;
+        hash = hash.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        hash ^ (hash >> 33)
     }
 }
 
@@ -458,7 +508,7 @@ impl FitCache {
     fn solve_shard(&self, key: &[u64]) -> &Mutex<Shard> {
         let mut hash = Fnv1a::new();
         hash.eat_words(key);
-        self.shard_at(hash.0)
+        self.shard_at(hash.finish())
     }
 
     /// The id that stands for `lm` in solve-memo keys, interning it on first
@@ -842,17 +892,74 @@ mod tests {
 
     #[test]
     fn cache_key_distinguishes_series_and_options() {
+        use crate::kernels::KernelKind;
+
         let xs = [1.0, 2.0, 3.0];
         let ys = [1.0, 4.0, 9.0];
         let options = FitOptions::default();
         let base = FitKey::new(&xs, &ys, &options);
         assert_eq!(base, FitKey::new(&xs, &ys, &options));
+        assert_eq!(base, FitKey::new(&xs, &ys, &options.clone()));
         assert_ne!(base, FitKey::new(&ys, &xs, &options));
-        let narrowed = FitOptions {
-            realism_horizon: 128,
-            ..FitOptions::default()
+        assert_ne!(base, FitKey::new(&xs[..2], &ys[..2], &options));
+        assert_ne!(base, FitKey::new(&[1.0, 2.0, -0.0], &ys, &options));
+
+        // One variant per field of FitOptions and LmOptions, each changed
+        // alone: every key differs from the base key.
+        let with = |change: &dyn Fn(&mut FitOptions)| {
+            let mut changed = FitOptions::default();
+            change(&mut changed);
+            changed
         };
-        assert_ne!(base, FitKey::new(&xs, &ys, &narrowed));
+        let other_nan = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        let variants = [
+            with(&|o| o.kernels.reverse()),
+            with(&|o| o.kernels.truncate(5)),
+            with(&|o| o.kernels = vec![KernelKind::Poly25]),
+            with(&|o| o.checkpoint_counts = vec![4, 2]),
+            with(&|o| o.checkpoint_counts = vec![2]),
+            with(&|o| o.checkpoint_counts = vec![2, 4, 4]),
+            with(&|o| o.min_training_points += 1),
+            with(&|o| o.realism_horizon = 128),
+            with(&|o| o.max_magnitude = 1e17),
+            with(&|o| o.max_growth_factor = 100.5),
+            with(&|o| o.prefix_refitting = false),
+            with(&|o| o.lm.max_iterations += 1),
+            with(&|o| o.lm.initial_lambda *= 2.0),
+            with(&|o| o.lm.lambda_up *= 2.0),
+            with(&|o| o.lm.lambda_down *= 2.0),
+            with(&|o| o.lm.tolerance *= 2.0),
+            with(&|o| o.lm.step_tolerance *= 2.0),
+            with(&|o| o.lm.finite_difference_step *= 2.0),
+            with(&|o| o.lm.jacobian = Jacobian::FiniteDifference),
+        ];
+        for (index, variant) in variants.iter().enumerate() {
+            let key = FitKey::new(&xs, &ys, variant);
+            assert_ne!(base, key, "variant {index} keys like the defaults");
+            assert_eq!(key, FitKey::new(&xs, &ys, &variant.clone()));
+        }
+
+        // Floats key by their bits: a different NaN payload, and -0.0
+        // against 0.0, make different keys; the same bits make equal ones.
+        let nan = with(&|o| o.max_magnitude = f64::NAN);
+        let nan_key = FitKey::new(&xs, &ys, &nan);
+        assert_eq!(nan_key, FitKey::new(&xs, &ys, &nan.clone()));
+        assert_ne!(
+            nan_key,
+            FitKey::new(&xs, &ys, &with(&|o| o.max_magnitude = other_nan))
+        );
+        let zero = FitKey::new(&xs, &ys, &with(&|o| o.lm.tolerance = 0.0));
+        assert_ne!(
+            zero,
+            FitKey::new(&xs, &ys, &with(&|o| o.lm.tolerance = -0.0))
+        );
+
+        // A scope distinguishes otherwise equal keys, by series and version.
+        let scoped = FitKey::scoped(&xs, &ys, &options, "a", 1);
+        assert_ne!(base, scoped);
+        assert_eq!(scoped, FitKey::scoped(&xs, &ys, &options, "a", 1));
+        assert_ne!(scoped, FitKey::scoped(&xs, &ys, &options, "a", 2));
+        assert_ne!(scoped, FitKey::scoped(&xs, &ys, &options, "b", 1));
     }
 
     #[test]

@@ -124,56 +124,6 @@ impl Default for FitOptions {
     }
 }
 
-impl FitOptions {
-    /// A compact string encoding every field of the options (including the
-    /// nested [`LmOptions`]), used as the options component of a
-    /// [`crate::engine::FitKey`]. Two options values produce the same tag iff
-    /// they are field-for-field equal: floats are rendered with `{:?}`
-    /// (shortest round trip, so distinct bit patterns of finite values render
-    /// distinctly), and every field is separated by a delimiter that cannot
-    /// appear inside the rendered values. This replaces the old
-    /// `format!("{options:?}")` key, whose derive-generated pretty-printer
-    /// dominated key-construction cost on the serve hot path.
-    pub fn cache_tag(&self) -> String {
-        use std::fmt::Write as _;
-        let mut tag = String::with_capacity(160);
-        for kernel in &self.kernels {
-            tag.push_str(kernel.name());
-            tag.push(',');
-        }
-        tag.push('|');
-        for count in &self.checkpoint_counts {
-            let _ = write!(tag, "{count},");
-        }
-        let _ = write!(
-            tag,
-            "|{};{};{:?};{:?};{};",
-            self.min_training_points,
-            self.realism_horizon,
-            self.max_magnitude,
-            self.max_growth_factor,
-            self.prefix_refitting
-        );
-        let lm = &self.lm;
-        let _ = write!(
-            tag,
-            "{};{:?};{:?};{:?};{:?};{:?};{:?};{}",
-            lm.max_iterations,
-            lm.initial_lambda,
-            lm.lambda_up,
-            lm.lambda_down,
-            lm.tolerance,
-            lm.step_tolerance,
-            lm.finite_difference_step,
-            match lm.jacobian {
-                crate::levenberg::Jacobian::Analytic => "a",
-                crate::levenberg::Jacobian::FiniteDifference => "fd",
-            }
-        );
-        tag
-    }
-}
-
 thread_local! {
     /// Per-thread fitting scratch. Engine workers and the calling thread get
     /// exactly one each, so grid fan-outs of any width reuse a fixed set of
@@ -394,7 +344,7 @@ impl CandidateEvals {
     /// Build the table from values captured by the realism walk
     /// ([`HorizonTable::walk`]). `tail_start` is the first extrapolated core
     /// count (largest measured `x` plus one).
-    fn new(values: &[f64], tail_start: u32) -> Self {
+    pub(crate) fn new(values: &[f64], tail_start: u32) -> Self {
         let horizon = values.len() as u32;
         let mut tail_max = 0.0f64;
         let mut tail_min = f64::INFINITY;

@@ -10,12 +10,14 @@
 //!
 //! # Number fidelity
 //!
-//! Finite `f64` values are rendered with Rust's shortest-round-trip `Display`
-//! formatting, so `Json::Number(x).render()` parses back to exactly `x` —
-//! bit-for-bit. This is what lets `estima-serve` guarantee that predictions
-//! served over HTTP are byte-identical to in-process results. Non-finite
-//! numbers (`NaN`, ±∞) have no JSON representation and are rendered as
-//! `null`, mirroring how `reproduce --json` encodes NaN metrics.
+//! Finite `f64` values are written by [`write_json_number`], the one number
+//! writer of the workspace: it emits exactly the bytes of Rust's
+//! shortest-round-trip `Display` formatting, so `Json::Number(x).render()`
+//! parses back to exactly `x` — bit-for-bit. This is what lets
+//! `estima-serve` guarantee that predictions served over HTTP are
+//! byte-identical to in-process results. Non-finite numbers (`NaN`, ±∞) have
+//! no JSON representation and are rendered as `null`, mirroring how
+//! `reproduce --json` encodes NaN metrics.
 //!
 //! ```
 //! use estima_core::json::Json;
@@ -26,6 +28,8 @@
 //! let round_tripped = Json::parse(&value.render()).unwrap();
 //! assert_eq!(round_tripped, value);
 //! ```
+
+mod number;
 
 /// A JSON value: the full JSON data model, with objects kept in insertion
 /// order (rendering is therefore deterministic).
@@ -75,19 +79,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Number(n) => {
-                if n.is_finite() {
-                    // `Display` for f64 is shortest-round-trip, so parsing
-                    // the rendered text recovers the exact bit pattern.
-                    // Written straight into the output buffer (fmt::Write
-                    // on String is infallible) — a response carries
-                    // hundreds of numbers, so no per-number temporaries.
-                    use std::fmt::Write as _;
-                    let _ = write!(out, "{n}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Number(n) => write_json_number(*n, out),
             Json::String(s) => render_string(s, out),
             Json::Array(items) => {
                 out.push('[');
@@ -186,13 +178,16 @@ pub fn write_json_string(s: &str, out: &mut String) {
     render_string(s, out);
 }
 
-/// Append `n` as a JSON number to `out`: shortest-round-trip formatting for
-/// finite values, `null` otherwise — byte-identical to how [`Json::render`]
-/// emits `Json::Number(n)`.
+/// Append `n` as a JSON number to `out`: for a finite value, exactly the
+/// bytes of `format!("{n}")` (shortest round trip, no exponent, `-0` for
+/// `-0.0`), and `null` otherwise. [`Json::render`] writes every
+/// `Json::Number` through it (which covers WAL frames, snapshots and the
+/// `reproduce --json` summaries), and so do the serve wire format's direct
+/// writers. The digits come from a Ryū generator rather than `core::fmt`;
+/// `crates/core/tests/json_number.rs` pins it against `format!("{n}")`.
 pub fn write_json_number(n: f64, out: &mut String) {
-    use std::fmt::Write as _;
     if n.is_finite() {
-        let _ = write!(out, "{n}");
+        number::write_finite(n, out);
     } else {
         out.push_str("null");
     }

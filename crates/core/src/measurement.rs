@@ -284,15 +284,13 @@ impl MeasurementSet {
     /// All stall categories present in any measurement, restricted to the
     /// given sources, in a deterministic order.
     pub fn categories(&self, sources: &[StallSource]) -> Vec<StallCategory> {
+        // Every measurement usually repeats the same categories: collect
+        // references and clone each distinct category once.
         let mut set = std::collections::BTreeSet::new();
         for m in &self.measurements {
-            for c in m.stalls.keys() {
-                if sources.contains(&c.source) {
-                    set.insert(c.clone());
-                }
-            }
+            set.extend(m.stalls.keys().filter(|c| sources.contains(&c.source)));
         }
-        set.into_iter().collect()
+        set.into_iter().cloned().collect()
     }
 
     /// Series of total cycles for one category as `(cores, cycles)` pairs.
@@ -346,9 +344,14 @@ impl MeasurementSet {
                 }
             }
         }
-        let has_usable = !self
-            .categories(&[StallSource::HardwareBackend, StallSource::Software])
-            .is_empty();
+        let has_usable = self.measurements.iter().any(|m| {
+            m.stalls.keys().any(|c| {
+                matches!(
+                    c.source,
+                    StallSource::HardwareBackend | StallSource::Software
+                )
+            })
+        });
         if !has_usable {
             return Err(EstimaError::NoStallCategories);
         }

@@ -17,10 +17,10 @@ use serde::{Deserialize, Serialize};
 use crate::config::{EstimaConfig, TargetSpec, MAX_TARGET_CORES};
 use crate::engine::Engine;
 use crate::error::{EstimaError, Result};
-use crate::fit::{approximate_series, candidate_fits, FitContext, FitOptions};
+use crate::fit::{approximate_series, candidate_fits, FitCandidate, FitContext, FitOptions};
 use crate::kernels::FittedCurve;
 use crate::measurement::{MeasurementSet, StallCategory};
-use crate::stats::{max_relative_error, pearson_correlation, relative_error};
+use crate::stats::{max_relative_error, relative_error};
 
 /// O(1) lookup in a `(cores, value)` series that is dense over
 /// `1..=target` (the layout every extrapolated series uses), with a linear
@@ -319,101 +319,17 @@ impl Estima {
             .map(|((_, t), (_, spc))| if *spc > 0.0 { t / spc } else { 0.0 })
             .collect();
 
-        // Candidate factor curves; selection by correlation of the produced
-        // time predictions with stalls per core (§3.1.3), tie-broken by
-        // checkpoint RMSE. Candidates whose extrapolation reverses the
-        // measured trend of the factor (e.g. a factor that was converging
-        // towards 1/frequency suddenly curling upwards) are discarded as
-        // unrealistic, in the same spirit as the per-category realism check.
+        // Candidate factor curves, selected by the correlation of the time
+        // predictions they produce with stalls per core (§3.1.3).
         let candidates = candidate_fits(&factor_xs, &factor_ys, &fit_options, ctx)?;
         let spc_values: Vec<f64> = stalls_per_core.iter().map(|(_, v)| *v).collect();
-        let factor_at_max_measured = *factor_ys.last().unwrap_or(&0.0);
-        let factor_trend_decreasing =
-            factor_ys.first().copied().unwrap_or(0.0) >= factor_at_max_measured;
-        // Two time buffers (trial and incumbent) are reused across the whole
-        // candidate loop instead of collecting fresh vectors per candidate.
-        let mut trial_times: Vec<f64> = Vec::with_capacity(stalls_per_core.len());
-        let mut best_times: Vec<f64> = Vec::with_capacity(stalls_per_core.len());
-        let mut best: Option<(&FittedCurve, f64)> = None;
-        for candidate in candidates.iter() {
-            let curve = &candidate.curve;
-            // The candidate grid captured `curve.eval` over the integer grid
-            // `1..=realism_horizon` while running the realism filter. When
-            // that table covers exactly this request (it always does on the
-            // predict path, where the horizon is stretched to the target and
-            // the factor series spans the measured cores), the realism check
-            // and the trial time series are table lookups instead of ~2x
-            // `target.cores` kernel evaluations per candidate. The fallback
-            // loops below are bit-identical by construction: the table holds
-            // the same deterministic `eval` results in the same fold order.
-            let evals = &candidate.evals;
-            let table = evals.horizon() == target.cores
-                && evals.tail_start() == measured_cores + 1
-                && stalls_per_core.len() == target.cores as usize;
-            if factor_at_max_measured > 0.0 && measured_cores < target.cores {
-                let (max_extrapolated, min_extrapolated) = if table {
-                    (evals.tail_max(), evals.tail_min())
-                } else {
-                    let mut max_extrapolated = 0.0f64;
-                    let mut min_extrapolated = f64::INFINITY;
-                    for c in (measured_cores + 1)..=target.cores {
-                        let factor = curve.eval(c as f64);
-                        max_extrapolated = max_extrapolated.max(factor);
-                        min_extrapolated = min_extrapolated.min(factor);
-                    }
-                    (max_extrapolated, min_extrapolated)
-                };
-                if factor_trend_decreasing && max_extrapolated > factor_at_max_measured * 1.5 {
-                    continue;
-                }
-                if !factor_trend_decreasing && min_extrapolated < factor_at_max_measured * 0.5 {
-                    continue;
-                }
-            }
-            trial_times.clear();
-            if table {
-                trial_times.extend(
-                    stalls_per_core
-                        .iter()
-                        .zip(evals.values())
-                        .map(|((_, spc), factor)| spc * factor),
-                );
-            } else {
-                trial_times.extend(
-                    stalls_per_core
-                        .iter()
-                        .map(|(c, spc)| spc * curve.eval(*c as f64)),
-                );
-            }
-            if trial_times.iter().any(|t| !t.is_finite() || *t < 0.0) {
-                continue;
-            }
-            let corr = pearson_correlation(&trial_times, &spc_values);
-            let better = match &best {
-                None => true,
-                Some((best_curve, best_corr)) => {
-                    corr > *best_corr + 1e-9
-                        || ((corr - best_corr).abs() <= 1e-9
-                            && curve.checkpoint_rmse < best_curve.checkpoint_rmse)
-                }
-            };
-            if better {
-                best = Some((curve, corr));
-                std::mem::swap(&mut best_times, &mut trial_times);
-            }
-        }
-        let (scaling_factor, factor_correlation) = best
-            .map(|(curve, corr)| (curve.clone(), corr))
+        let choice = select_scaling_factor(&candidates, &spc_values, measured_cores, &factor_ys)
             .ok_or_else(|| EstimaError::NoViableFit {
                 category: "scaling_factor".into(),
             })?;
-        let predicted_times = best_times;
-
-        let predicted_time: Vec<(u32, f64)> = stalls_per_core
-            .iter()
-            .map(|(c, _)| *c)
-            .zip(predicted_times)
-            .collect();
+        let scaling_factor = candidates[choice.index].curve.clone();
+        let factor_correlation = choice.correlation;
+        let predicted_time: Vec<(u32, f64)> = (1..=target.cores).zip(choice.times).collect();
 
         Ok(Prediction {
             app_name: measurements.app_name.clone(),
@@ -426,6 +342,176 @@ impl Estima {
             predicted_time,
             measured_time,
             confidence: None,
+        })
+    }
+}
+
+/// Step C's pick: the scaling-factor candidate whose predicted times
+/// correlate best with stalls per core.
+struct FactorChoice {
+    /// The winner's index among the candidates.
+    index: usize,
+    /// Pearson correlation of the winner's predicted times with stalls per
+    /// core.
+    correlation: f64,
+    /// The winner's predicted time at every core count `1..=target`.
+    times: Vec<f64>,
+}
+
+/// Candidates whose correlations one sweep over the series computes
+/// together.
+const SWEEP: usize = crate::kernels::LANES;
+
+/// Select the scaling factor (§3.1.3): among the candidates whose
+/// extrapolated tail keeps the measured trend of the factor (a factor that
+/// was falling must not climb past 1.5× its last measured value, a rising
+/// one must not drop below half of it), the one whose predicted times
+/// `spc × factor` correlate best with stalls per core. A candidate with a
+/// negative or non-finite predicted time drops out. Correlations within
+/// `1e-9` of the best so far are a tie, won by the lower checkpoint RMSE;
+/// otherwise the first candidate wins.
+///
+/// Every correlation is
+/// [`pearson_correlation`](crate::stats::pearson_correlation)`(times,
+/// stalls_per_core)` to the bit: the stalls-per-core mean, deviations and
+/// variance are computed once, and each candidate's sums keep their order.
+/// The candidate sides are computed [`SWEEP`] candidates per pass over the
+/// series, so their summation chains overlap.
+///
+/// Each candidate's trial times read its eval table. That is exact here:
+/// predict stretches the realism horizon to the target, so the grid
+/// tabulated every candidate over `1..=target`, and the factor series
+/// spans the measured core counts, so every table's tail starts at
+/// `measured_cores + 1`. Both are asserted.
+fn select_scaling_factor(
+    candidates: &[FitCandidate],
+    stalls_per_core: &[f64],
+    measured_cores: u32,
+    factor_ys: &[f64],
+) -> Option<FactorChoice> {
+    let target = stalls_per_core.len();
+    let factor_at_max_measured = *factor_ys.last().unwrap_or(&0.0);
+    let factor_trend_decreasing =
+        factor_ys.first().copied().unwrap_or(0.0) >= factor_at_max_measured;
+    let check_trend = factor_at_max_measured > 0.0 && (measured_cores as usize) < target;
+    let stalls = StallSide::new(stalls_per_core);
+
+    // Plausible candidates in order, swept in batches of SWEEP.
+    let mut plausible = candidates.iter().enumerate().filter(|(_, candidate)| {
+        let evals = &candidate.evals;
+        assert!(
+            evals.horizon() as usize == target && evals.tail_start() == measured_cores + 1,
+            "scaling-factor candidate tabulated over 1..={} with its tail from {}, \
+             expected 1..={target} from {}",
+            evals.horizon(),
+            evals.tail_start(),
+            measured_cores + 1
+        );
+        !(check_trend
+            && ((factor_trend_decreasing && evals.tail_max() > factor_at_max_measured * 1.5)
+                || (!factor_trend_decreasing && evals.tail_min() < factor_at_max_measured * 0.5)))
+    });
+    let mut best: Option<(usize, f64)> = None;
+    loop {
+        let mut batch = [0usize; SWEEP];
+        let mut filled = 0;
+        for (index, _) in plausible.by_ref().take(SWEEP) {
+            batch[filled] = index;
+            filled += 1;
+        }
+        if filled == 0 {
+            break;
+        }
+        // A short batch repeats its last table; those lanes are ignored.
+        let tables =
+            std::array::from_fn(|lane| candidates[batch[lane.min(filled - 1)]].evals.values());
+        for (&index, corr) in batch[..filled].iter().zip(stalls.correlations(tables)) {
+            let Some(corr) = corr else { continue };
+            let better = match best {
+                None => true,
+                Some((best_index, best_corr)) => {
+                    corr > best_corr + 1e-9
+                        || ((corr - best_corr).abs() <= 1e-9
+                            && candidates[index].curve.checkpoint_rmse
+                                < candidates[best_index].curve.checkpoint_rmse)
+                }
+            };
+            if better {
+                best = Some((index, corr));
+            }
+        }
+    }
+    let (index, correlation) = best?;
+    let times = stalls_per_core
+        .iter()
+        .zip(candidates[index].evals.values())
+        .map(|(spc, factor)| spc * factor)
+        .collect();
+    Some(FactorChoice {
+        index,
+        correlation,
+        times,
+    })
+}
+
+/// The stalls-per-core side of
+/// [`pearson_correlation`](crate::stats::pearson_correlation), shared by
+/// every candidate.
+struct StallSide<'a> {
+    values: &'a [f64],
+    deviations: Vec<f64>,
+    /// Sum of squared deviations.
+    variance: f64,
+}
+
+impl<'a> StallSide<'a> {
+    fn new(values: &'a [f64]) -> Self {
+        let mean = crate::stats::mean(values);
+        let deviations: Vec<f64> = values.iter().map(|y| y - mean).collect();
+        let mut variance = 0.0;
+        for dy in &deviations {
+            variance += dy * dy;
+        }
+        StallSide {
+            values,
+            deviations,
+            variance,
+        }
+    }
+
+    /// `pearson_correlation(times, stalls)` for each table's trial times
+    /// `times[i] = stalls[i] × table[i]`, or `None` where a trial time is
+    /// negative or not finite.
+    fn correlations(&self, tables: [&[f64]; SWEEP]) -> [Option<f64>; SWEEP] {
+        let n = self.values.len();
+        // `Sum for f64` folds from -0.0.
+        let mut sums = [-0.0f64; SWEEP];
+        let mut valid = [true; SWEEP];
+        for (i, spc) in self.values.iter().enumerate() {
+            for lane in 0..SWEEP {
+                let time = spc * tables[lane][i];
+                sums[lane] += time;
+                valid[lane] &= time.is_finite() && time >= 0.0;
+            }
+        }
+        let means = sums.map(|sum| sum / n as f64);
+        let mut cov = [0.0f64; SWEEP];
+        let mut var = [0.0f64; SWEEP];
+        for (i, (spc, dy)) in self.values.iter().zip(&self.deviations).enumerate() {
+            for lane in 0..SWEEP {
+                let dx = spc * tables[lane][i] - means[lane];
+                cov[lane] += dx * dy;
+                var[lane] += dx * dx;
+            }
+        }
+        std::array::from_fn(|lane| {
+            valid[lane].then(|| {
+                if n < 2 || var[lane] <= 0.0 || self.variance <= 0.0 {
+                    0.0
+                } else {
+                    (cov[lane] / (var[lane].sqrt() * self.variance.sqrt())).clamp(-1.0, 1.0)
+                }
+            })
         })
     }
 }
@@ -631,5 +717,300 @@ mod tests {
         let estima = Estima::new(EstimaConfig::default());
         let p = estima.predict(&set, &TargetSpec::cores(48)).unwrap();
         assert!(p.categories.iter().all(|c| c.category.name != "fpu_full"));
+    }
+}
+
+/// [`select_scaling_factor`] pinned bit for bit against the selection loop
+/// it replaced. [`oracle`] is that loop verbatim, its inputs arriving as
+/// arguments: one candidate at a time, trial times collected into a
+/// buffer, each correlation through [`pearson_correlation`]. Random
+/// stalls-per-core series and candidate eval tables cover constant series,
+/// zeros and `-0.0`, values near `f64::MAX`, NaN, ±∞ and negative trial
+/// times, near-tied correlations settled by checkpoint RMSE, and 1 to 9
+/// candidates, so batches end short of [`SWEEP`]. The winner, its
+/// correlation and every predicted time must be the same bits.
+#[cfg(test)]
+mod selection_oracle {
+    use super::*;
+    use crate::fit::CandidateEvals;
+    use crate::kernels::KernelKind;
+    use crate::stats::pearson_correlation;
+
+    /// The scaling-factor selection before the sweep, verbatim.
+    fn oracle(
+        candidates: &[FitCandidate],
+        stalls_per_core: &[(u32, f64)],
+        measured_cores: u32,
+        target_cores: u32,
+        factor_ys: &[f64],
+    ) -> Option<(usize, f64, Vec<f64>)> {
+        let spc_values: Vec<f64> = stalls_per_core.iter().map(|(_, v)| *v).collect();
+        let factor_at_max_measured = *factor_ys.last().unwrap_or(&0.0);
+        let factor_trend_decreasing =
+            factor_ys.first().copied().unwrap_or(0.0) >= factor_at_max_measured;
+        let mut trial_times: Vec<f64> = Vec::with_capacity(stalls_per_core.len());
+        let mut best_times: Vec<f64> = Vec::with_capacity(stalls_per_core.len());
+        let mut best: Option<(&FittedCurve, f64)> = None;
+        for candidate in candidates.iter() {
+            let curve = &candidate.curve;
+            let evals = &candidate.evals;
+            let table = evals.horizon() == target_cores
+                && evals.tail_start() == measured_cores + 1
+                && stalls_per_core.len() == target_cores as usize;
+            if factor_at_max_measured > 0.0 && measured_cores < target_cores {
+                let (max_extrapolated, min_extrapolated) = if table {
+                    (evals.tail_max(), evals.tail_min())
+                } else {
+                    let mut max_extrapolated = 0.0f64;
+                    let mut min_extrapolated = f64::INFINITY;
+                    for c in (measured_cores + 1)..=target_cores {
+                        let factor = curve.eval(c as f64);
+                        max_extrapolated = max_extrapolated.max(factor);
+                        min_extrapolated = min_extrapolated.min(factor);
+                    }
+                    (max_extrapolated, min_extrapolated)
+                };
+                if factor_trend_decreasing && max_extrapolated > factor_at_max_measured * 1.5 {
+                    continue;
+                }
+                if !factor_trend_decreasing && min_extrapolated < factor_at_max_measured * 0.5 {
+                    continue;
+                }
+            }
+            trial_times.clear();
+            if table {
+                trial_times.extend(
+                    stalls_per_core
+                        .iter()
+                        .zip(evals.values())
+                        .map(|((_, spc), factor)| spc * factor),
+                );
+            } else {
+                trial_times.extend(
+                    stalls_per_core
+                        .iter()
+                        .map(|(c, spc)| spc * curve.eval(*c as f64)),
+                );
+            }
+            if trial_times.iter().any(|t| !t.is_finite() || *t < 0.0) {
+                continue;
+            }
+            let corr = pearson_correlation(&trial_times, &spc_values);
+            let better = match &best {
+                None => true,
+                Some((best_curve, best_corr)) => {
+                    corr > *best_corr + 1e-9
+                        || ((corr - best_corr).abs() <= 1e-9
+                            && curve.checkpoint_rmse < best_curve.checkpoint_rmse)
+                }
+            };
+            if better {
+                best = Some((curve, corr));
+                std::mem::swap(&mut best_times, &mut trial_times);
+            }
+        }
+        let (curve, corr) = best?;
+        let index = candidates
+            .iter()
+            .position(|candidate| std::ptr::eq(&candidate.curve, curve))?;
+        Some((index, corr, best_times))
+    }
+
+    /// A seeded SplitMix64 stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next_u64() % n
+        }
+
+        /// Uniform in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn pick(&mut self, values: &[f64]) -> f64 {
+            values[self.below(values.len() as u64) as usize]
+        }
+    }
+
+    /// Values a series or table may be salted with.
+    const SPECIAL: [f64; 9] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -1.0,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        1e-300,
+    ];
+
+    /// A stalls-per-core series of `target` points.
+    fn random_stalls(rng: &mut Rng, target: usize) -> Vec<f64> {
+        let scale = rng.pick(&[1.0, 1e9, 1e-3, 1e300, f64::MAX / 4.0]);
+        let mut stalls: Vec<f64> = match rng.below(4) {
+            // Constant.
+            0 => vec![scale * (1.0 + rng.unit()); target],
+            // Falling then rising, like stalls per core over cores.
+            1 => (0..target)
+                .map(|c| {
+                    let n = (c + 1) as f64;
+                    scale * (1.0 / n + 0.01 * n * rng.unit())
+                })
+                .collect(),
+            _ => (0..target).map(|_| scale * rng.unit()).collect(),
+        };
+        if rng.below(3) == 0 {
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(target as u64) as usize;
+                stalls[at] = rng.pick(&SPECIAL);
+            }
+        }
+        stalls
+    }
+
+    /// One eval table per candidate. Some are positive multiples of an
+    /// earlier table, or an earlier table nudged by an ulp, so their
+    /// correlations tie within 1e-9 and the checkpoint RMSE decides.
+    fn random_tables(rng: &mut Rng, count: usize, target: usize) -> Vec<Vec<f64>> {
+        let mut tables: Vec<Vec<f64>> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let mut table: Vec<f64> = match rng.below(6) {
+                0 if !tables.is_empty() => {
+                    let base = &tables[rng.below(tables.len() as u64) as usize];
+                    let factor = rng.pick(&[2.0, 0.5, 3.0, 1.0 + 1e-12]);
+                    base.iter().map(|v| v * factor).collect()
+                }
+                1 if !tables.is_empty() => {
+                    let base = &tables[rng.below(tables.len() as u64) as usize];
+                    let at = rng.below(target as u64) as usize;
+                    let mut table = base.clone();
+                    table[at] = f64::from_bits(table[at].to_bits() ^ 1);
+                    table
+                }
+                2 => vec![rng.unit() + 0.5; target],
+                _ => {
+                    let (a, b) = (rng.unit() * 4.0, rng.unit() * 0.2 - 0.1);
+                    (0..target)
+                        .map(|c| a + b * (c + 1) as f64 + 0.01 * rng.unit())
+                        .collect()
+                }
+            };
+            if rng.below(4) == 0 {
+                let at = rng.below(target as u64) as usize;
+                table[at] = rng.pick(&SPECIAL);
+            }
+            tables.push(table);
+        }
+        tables
+    }
+
+    fn candidate(table: &[f64], tail_start: u32, checkpoint_rmse: f64) -> FitCandidate {
+        FitCandidate {
+            curve: FittedCurve {
+                kernel: KernelKind::CubicLn,
+                params: vec![0.0; 4],
+                checkpoint_rmse,
+                training_rmse: 0.0,
+                training_points: 3,
+            },
+            checkpoints: 2,
+            evals: CandidateEvals::new(table, tail_start),
+        }
+    }
+
+    /// Run both selections and require the same winner, bit for bit.
+    fn assert_same_choice(
+        candidates: &[FitCandidate],
+        stalls: &[f64],
+        measured_cores: u32,
+        factor_ys: &[f64],
+    ) -> Option<f64> {
+        let target = stalls.len() as u32;
+        let series: Vec<(u32, f64)> = (1..=target).zip(stalls.iter().copied()).collect();
+        let expected = oracle(candidates, &series, measured_cores, target, factor_ys);
+        let actual = select_scaling_factor(candidates, stalls, measured_cores, factor_ys);
+        match (expected, actual) {
+            (None, None) => None,
+            (Some((index, corr, times)), Some(choice)) => {
+                assert_eq!(choice.index, index, "winner");
+                assert_eq!(choice.correlation.to_bits(), corr.to_bits(), "correlation");
+                let bits = |times: &[f64]| times.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&choice.times), bits(&times), "predicted times");
+                Some(corr)
+            }
+            (expected, actual) => panic!(
+                "oracle chose {:?}, the sweep {:?}",
+                expected.map(|(index, ..)| index),
+                actual.map(|choice| choice.index)
+            ),
+        }
+    }
+
+    #[test]
+    fn sweep_matches_the_per_candidate_loop() {
+        let mut rng = Rng(2016);
+        let mut chosen = 0;
+        for _ in 0..4000 {
+            let target = rng.pick(&[1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 12.0, 48.0, 129.0]) as usize;
+            let measured_cores = 1 + rng.below(target as u64) as u32;
+            let stalls = random_stalls(&mut rng, target);
+            let count = 1 + rng.below(9) as usize;
+            let tables = random_tables(&mut rng, count, target);
+            let candidates: Vec<FitCandidate> = tables
+                .iter()
+                .map(|table| {
+                    let rmse = rng.pick(&[0.1, 0.2, 0.3, 0.1, f64::NAN, f64::INFINITY]);
+                    candidate(table, measured_cores + 1, rmse)
+                })
+                .collect();
+            let factor_ys: Vec<f64> = (0..1 + rng.below(4))
+                .map(|_| rng.pick(&[0.0, 0.5, 1.0, 2.0, 1.5, -1.0]))
+                .collect();
+            if assert_same_choice(&candidates, &stalls, measured_cores, &factor_ys).is_some() {
+                chosen += 1;
+            }
+        }
+        // The cases must exercise selection, not only rejection.
+        assert!(chosen > 1000, "only {chosen} cases chose a factor");
+    }
+
+    #[test]
+    fn a_constant_series_correlates_zero() {
+        let stalls = vec![7.5; 48];
+        let tables = [vec![1.0; 48], (1..=48).map(f64::from).collect::<Vec<_>>()];
+        let candidates: Vec<FitCandidate> = tables
+            .iter()
+            .map(|table| candidate(table, 13, 0.1))
+            .collect();
+        assert_eq!(
+            assert_same_choice(&candidates, &stalls, 12, &[2.0, 1.0]).map(f64::to_bits),
+            Some(0.0f64.to_bits())
+        );
+    }
+
+    #[test]
+    fn near_ties_go_to_the_lower_checkpoint_rmse() {
+        // The second table is the first times two: the same correlation up
+        // to rounding, so the lower checkpoint RMSE wins.
+        let stalls: Vec<f64> = (1..=48).map(|c| 1.0 / f64::from(c) + 0.01).collect();
+        let base: Vec<f64> = (1..=48).map(|c| 1.0 + 0.01 * f64::from(c)).collect();
+        let doubled: Vec<f64> = base.iter().map(|v| v * 2.0).collect();
+        let candidates = [candidate(&base, 13, 0.2), candidate(&doubled, 13, 0.1)];
+        // A flat measured factor of 4: both tails stay below 1.5 × 4.
+        let factor_ys = [4.0, 4.0];
+        assert_same_choice(&candidates, &stalls, 12, &factor_ys);
+        let choice = select_scaling_factor(&candidates, &stalls, 12, &factor_ys).unwrap();
+        assert_eq!(choice.index, 1);
     }
 }

@@ -100,6 +100,32 @@ fn same_key_lands_on_same_shard_deterministically() {
     assert_eq!(cache_a.stats(), cache_b.stats());
 }
 
+#[test]
+fn keys_differing_only_in_exponents_spread_across_shards() {
+    // The shard hash eats a word per multiply, and a multiply only carries
+    // bits upward, so series that differ only in their values' exponents
+    // differ only in the running hash's high bits. The shard index reads
+    // the low bits: without a final fold every key below lands on one
+    // shard, and with one entry per shard the cache would hold one key.
+    let cache = FitCache::with_shards_and_capacity(16, 16);
+    let computes = AtomicUsize::new(0);
+    let xs = [1.0, 2.0, 3.0, 4.0];
+    for power in 0..64 {
+        let ys = [1.0, 4.0, 9.0, 2f64.powi(power)];
+        touch(
+            &cache,
+            FitKey::new(&xs, &ys, &FitOptions::default()),
+            &computes,
+        );
+    }
+    assert_eq!(computes.load(Ordering::Relaxed), 64);
+    assert!(
+        cache.len() >= 8,
+        "64 keys filled only {} of 16 shards",
+        cache.len()
+    );
+}
+
 /// A scoped key for `series` at `version`, distinguished by `tag`.
 fn scoped_key(series: &str, version: u64, tag: u64) -> FitKey {
     let xs = [1.0, 2.0, 3.0, tag as f64 + 10.0];
