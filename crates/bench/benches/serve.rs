@@ -14,9 +14,19 @@
 //! `wire_encode/display/<cores>` the same writer with every number going
 //! through `write!("{n}")`, as it did before the JSON number writer. CI
 //! gates their ratio at 4096 cores with `check_speedup`.
+//!
+//! The `warm` group times the two warm reads in process, without HTTP: an
+//! `EstimaSession` holds one quickstart-shaped series, and set-up predicts
+//! and plans it at 48 cores once, so every iteration is a pure fit-cache
+//! hit. `warm/predict` is one series predict; `warm/plan` is one plan,
+//! whose jackknives re-run steps B and C about 69 times.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use estima_core::{Estima, EstimaConfig, Measurement, MeasurementSet, StallCategory, TargetSpec};
+use estima_core::plan::DEFAULT_SUGGESTIONS;
+use estima_core::{
+    Estima, EstimaConfig, EstimaSession, Measurement, MeasurementSet, SeriesId, StallCategory,
+    TargetSpec,
+};
 use estima_serve::{wire, Client, Server, ServerConfig};
 
 /// The same quickstart-sized job `loadgen` uses, from the shared harness.
@@ -217,5 +227,37 @@ fn bench_wire_encode(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(serve_benches, bench_http_roundtrip, bench_wire_encode);
+fn bench_warm(c: &mut Criterion) {
+    let (set, target) = job();
+    let session = EstimaSession::new(EstimaConfig::default().with_parallelism(1));
+    let id = SeriesId::new("bench.warm").expect("series id");
+    session.ingest_set(&id, &set).expect("bench ingest");
+    session.predict(&id, &target).expect("warm-up predict");
+    session
+        .plan(&id, &target, DEFAULT_SUGGESTIONS)
+        .expect("warm-up plan");
+    let mut group = c.benchmark_group("warm");
+    group.bench_function("predict", |b| {
+        b.iter(|| {
+            let prediction = session.predict(&id, &target).expect("warm predict");
+            prediction.predicted_time.len()
+        })
+    });
+    group.bench_function("plan", |b| {
+        b.iter(|| {
+            let plan = session
+                .plan(&id, &target, DEFAULT_SUGGESTIONS)
+                .expect("warm plan");
+            plan.suggestions.len()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    serve_benches,
+    bench_http_roundtrip,
+    bench_wire_encode,
+    bench_warm
+);
 criterion_main!(serve_benches);

@@ -317,9 +317,10 @@ pub struct FitCandidate {
     pub checkpoints: usize,
     /// Integer-grid evaluations of `curve` over `1..=realism_horizon`,
     /// captured while the realism filter walked the same grid. Consumers
-    /// that evaluate candidates at integer core counts (the scaling-factor
-    /// selection loop of [`crate::predictor::Estima::predict`]) read the
-    /// table instead of re-evaluating the kernel per candidate per core.
+    /// that evaluate candidates at integer core counts (both steps of
+    /// [`crate::predictor::Estima::predict`]: the per-category
+    /// extrapolation and the scaling-factor selection) read the table
+    /// instead of re-evaluating the kernel per candidate per core.
     pub evals: CandidateEvals,
 }
 
@@ -397,6 +398,12 @@ impl CandidateEvals {
     pub fn values(&self) -> &[f64] {
         &self.values
     }
+
+    /// True when both tables are one shared allocation, as the candidates of
+    /// every checkpoint span covering one (kernel, prefix) cell are.
+    pub(crate) fn shares_values(&self, other: &CandidateEvals) -> bool {
+        Arc::ptr_eq(&self.values, &other.values)
+    }
 }
 
 /// How a fit runs: the engine its candidate grid fans out on, and optionally
@@ -450,22 +457,25 @@ pub fn approximate_series(
     ctx: &FitContext<'_>,
 ) -> Result<FittedCurve> {
     let candidates = candidate_fits(xs, ys, options, ctx)?;
-    select_best(candidates.iter().map(|c| &c.curve), label)
+    select_best(&candidates, label).map(|best| best.curve.clone())
 }
 
 /// The model-selection rule of §3.1.2: lowest checkpoint RMSE wins, ties
-/// resolved to the earliest candidate in enumeration order.
-fn select_best<'a>(
-    curves: impl Iterator<Item = &'a FittedCurve>,
+/// resolved to the earliest candidate in enumeration order. The one place
+/// the rule lives: [`approximate_series`] and the predictor's step B both
+/// call it.
+pub(crate) fn select_best<'a>(
+    candidates: &'a [FitCandidate],
     label: &str,
-) -> Result<FittedCurve> {
-    curves
+) -> Result<&'a FitCandidate> {
+    candidates
+        .iter()
         .min_by(|a, b| {
-            a.checkpoint_rmse
-                .partial_cmp(&b.checkpoint_rmse)
+            a.curve
+                .checkpoint_rmse
+                .partial_cmp(&b.curve.checkpoint_rmse)
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
-        .cloned()
         .ok_or_else(|| EstimaError::NoViableFit {
             category: label.to_string(),
         })

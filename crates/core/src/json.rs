@@ -169,8 +169,6 @@ impl Json {
     }
 }
 
-/// Render a string with the escapes required by RFC 8259 (quote, backslash,
-/// and control characters; multi-byte UTF-8 passes through unescaped).
 /// Append `s` as a JSON string literal (quoted, escaped) to `out`. Public
 /// so hand-rolled serializers (the serve wire format's allocation-free
 /// writers) emit strings byte-identical to [`Json::render`].
@@ -200,22 +198,35 @@ pub fn f64_as_u64(n: f64) -> Option<u64> {
     (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
 }
 
+/// Render a string with the escapes required by RFC 8259 (quote, backslash,
+/// and control characters; multi-byte UTF-8 passes through unescaped).
+///
+/// Each run of bytes that needs no escape is copied with one `push_str`. A
+/// byte needs an escape when it is below 0x20, `"` or `\`; every byte of a
+/// multi-byte UTF-8 char is at least 0x80, so a run always ends on a char
+/// boundary.
 fn render_string(s: &str, out: &mut String) {
     use std::fmt::Write as _;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

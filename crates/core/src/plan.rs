@@ -10,10 +10,13 @@
 //!   confidence interval for the predicted execution time at the target core
 //!   count: the full pipeline is re-run once per leave-one-out subset of the
 //!   measurements, and the dispersion of the leave-out predictions yields a
-//!   standard error (`se² = (k−1)/k · Σ(θᵢ − θ̄)²`). Leave-outs fan out on
-//!   the planner's [`FitContext`] engine with the usual index-ordered
-//!   reduction, so the interval is bit-identical at any parallelism, and
-//!   with a cache in the context every leave-out's fits land in the shared
+//!   standard error (`se² = (k−1)/k · Σ(θᵢ − θ̄)²`). The leave-outs split
+//!   into one contiguous index range per worker of the planner's
+//!   [`FitContext`] engine, and each range clones the set once: a leave-out
+//!   takes its measurement out, predicts, and pushes it back, which the
+//!   sorted insert returns to the same index. The θs flatten in index
+//!   order, so the interval is bit-identical at any parallelism, and with a
+//!   cache in the context every leave-out's fits land in the shared
 //!   [`FitCache`](crate::engine::FitCache) — a repeated call is a pure cache
 //!   hit.
 //! * **Planning** — [`Planner::plan`] ranks candidate next measurements
@@ -191,17 +194,31 @@ impl<'a> Planner<'a> {
             EstimaError::Numerical("prediction does not cover the target core count".into())
         })?;
         let n = set.len();
-        // Leave-outs are enumerated (and reduced) in measurement order, so
-        // the sums below always fold in the same order: bit-identical at any
-        // parallelism. Failed refits are kept as None to preserve indexing.
-        let thetas: Vec<Option<f64>> = self.ctx.engine.run((0..n).collect(), |leave_out| {
-            let subset = leave_one_out(set, leave_out);
-            self.predict(&subset, target)
-                .ok()
-                .and_then(|p| p.predicted_time_at(target.cores))
-                .filter(|t| t.is_finite())
+        // One contiguous range of leave-outs per engine worker, each on its
+        // own copy of the set (see the module docs). The ranges flatten in
+        // measurement order, so the sums below always fold in the same
+        // order: bit-identical at any parallelism. Failed refits are kept
+        // as None to preserve indexing.
+        let workers = self.ctx.engine.workers().clamp(1, n.max(1));
+        let ranges: Vec<_> = (0..workers)
+            .map(|w| w * n / workers..(w + 1) * n / workers)
+            .collect();
+        let thetas: Vec<Vec<Option<f64>>> = self.ctx.engine.run(ranges, |range| {
+            let mut subset = set.clone();
+            range
+                .map(|leave_out| {
+                    let measurement = subset.remove(leave_out);
+                    let theta = self
+                        .predict(&subset, target)
+                        .ok()
+                        .and_then(|p| p.predicted_time_at(target.cores))
+                        .filter(|t| t.is_finite());
+                    subset.push(measurement);
+                    theta
+                })
+                .collect()
         });
-        let successes: Vec<f64> = thetas.into_iter().flatten().collect();
+        let successes: Vec<f64> = thetas.into_iter().flatten().flatten().collect();
         let k = successes.len();
         if k < 2 {
             return Err(EstimaError::Numerical(
@@ -308,17 +325,6 @@ impl<'a> Planner<'a> {
             rationale: String::new(),
         })
     }
-}
-
-/// The measurement set with the measurement at `leave_out` removed.
-fn leave_one_out(set: &MeasurementSet, leave_out: usize) -> MeasurementSet {
-    let mut subset = MeasurementSet::new(set.app_name.clone(), set.frequency_ghz);
-    for (index, measurement) in set.measurements().iter().enumerate() {
-        if index != leave_out {
-            subset.push(measurement.clone());
-        }
-    }
-    subset
 }
 
 /// Candidate next core counts: frontier points beyond the measured maximum
@@ -521,14 +527,5 @@ mod tests {
             after.spread,
             plan.confidence.spread
         );
-    }
-
-    #[test]
-    fn leave_one_out_drops_exactly_one_point() {
-        let set = wobbly_set(6);
-        let subset = leave_one_out(&set, 2);
-        assert_eq!(subset.len(), 5);
-        assert!(subset.at_cores(3).is_none());
-        assert_eq!(subset.app_name, set.app_name);
     }
 }

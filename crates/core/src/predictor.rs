@@ -5,19 +5,25 @@
 //! * **A — collection** is the caller's job (see `estima-counters` and
 //!   `estima-workloads`); the input here is a [`MeasurementSet`].
 //! * **B — extrapolation**: every stall category is extrapolated individually
-//!   with [`crate::fit::approximate_series`], then combined into total stalled
-//!   cycles per core.
+//!   by the model-selection rule of [`crate::fit::approximate_series`]
+//!   (lowest checkpoint RMSE), then combined into total stalled cycles per
+//!   core. The extrapolation reads the winning candidate's eval table, which
+//!   the grid tabulated over `1..=target` while checking the curve's realism.
 //! * **C — time translation**: the scaling factor connecting stalled cycles
 //!   per core to execution time is computed at the measured core counts,
 //!   extrapolated with the same kernels, and the kernel whose resulting time
 //!   predictions correlate best with stalled cycles per core is selected.
+//!   Candidates that share one eval table (the checkpoint spans of one
+//!   kernel and prefix) have their correlation computed once.
 
 use serde::{Deserialize, Serialize};
 
 use crate::config::{EstimaConfig, TargetSpec, MAX_TARGET_CORES};
 use crate::engine::Engine;
 use crate::error::{EstimaError, Result};
-use crate::fit::{approximate_series, candidate_fits, FitCandidate, FitContext, FitOptions};
+use crate::fit::{
+    candidate_fits, select_best, CandidateEvals, FitCandidate, FitContext, FitOptions,
+};
 use crate::kernels::FittedCurve;
 use crate::measurement::{MeasurementSet, StallCategory};
 use crate::stats::{max_relative_error, relative_error};
@@ -269,16 +275,23 @@ impl Estima {
         let fitted: Vec<Result<_>> = ctx.engine.run(jobs, |(category, series)| {
             let xs: Vec<f64> = series.iter().map(|(c, _)| *c as f64).collect();
             let ys: Vec<f64> = series.iter().map(|(_, v)| *v).collect();
-            let curve = approximate_series(&xs, &ys, &category.name, &fit_options, ctx)?;
+            let candidates = candidate_fits(&xs, &ys, &fit_options, ctx)?;
+            let best = select_best(&candidates, &category.name)?;
+            // The winner's eval table holds `curve.eval(c)` for every
+            // `c in 1..=target`: the horizon was stretched to the target.
+            let table = best.evals.values();
+            assert_eq!(
+                table.len(),
+                target.cores as usize,
+                "a category's eval table must cover 1..=target"
+            );
             let extrapolated: Vec<(u32, f64)> = (1..=target.cores)
-                .map(|c| {
-                    let raw = curve.eval(c as f64).max(0.0);
-                    (c, raw * target.dataset_scale)
-                })
+                .zip(table)
+                .map(|(c, value)| (c, value.max(0.0) * target.dataset_scale))
                 .collect();
             Ok(CategoryExtrapolation {
                 category,
-                curve,
+                curve: best.curve.clone(),
                 measured: series,
                 extrapolated,
             })
@@ -358,8 +371,8 @@ struct FactorChoice {
     times: Vec<f64>,
 }
 
-/// Candidates whose correlations one sweep over the series computes
-/// together.
+/// Distinct eval tables whose correlations one sweep over the series
+/// computes together.
 const SWEEP: usize = crate::kernels::LANES;
 
 /// Select the scaling factor (§3.1.3): among the candidates whose
@@ -374,15 +387,20 @@ const SWEEP: usize = crate::kernels::LANES;
 /// Every correlation is
 /// [`pearson_correlation`](crate::stats::pearson_correlation)`(times,
 /// stalls_per_core)` to the bit: the stalls-per-core mean, deviations and
-/// variance are computed once, and each candidate's sums keep their order.
-/// The candidate sides are computed [`SWEEP`] candidates per pass over the
-/// series, so their summation chains overlap.
+/// variance are computed once, and each table's sums keep their order.
+/// A correlation depends only on the eval table, and the candidates of
+/// every checkpoint span covering one (kernel, prefix) cell share one
+/// table, so each distinct plausible table is correlated once, [`SWEEP`]
+/// tables per pass over the series (see [`StallSide`]). The selection then
+/// walks every plausible candidate in order, reading its table's
+/// correlation, so a later duplicate with a lower checkpoint RMSE still
+/// wins a tie.
 ///
 /// Each candidate's trial times read its eval table. That is exact here:
 /// predict stretches the realism horizon to the target, so the grid
 /// tabulated every candidate over `1..=target`, and the factor series
 /// spans the measured core counts, so every table's tail starts at
-/// `measured_cores + 1`. Both are asserted.
+/// `measured_cores + 1`. Both are asserted for every candidate.
 fn select_scaling_factor(
     candidates: &[FitCandidate],
     stalls_per_core: &[f64],
@@ -394,10 +412,12 @@ fn select_scaling_factor(
     let factor_trend_decreasing =
         factor_ys.first().copied().unwrap_or(0.0) >= factor_at_max_measured;
     let check_trend = factor_at_max_measured > 0.0 && (measured_cores as usize) < target;
-    let stalls = StallSide::new(stalls_per_core);
 
-    // Plausible candidates in order, swept in batches of SWEEP.
-    let mut plausible = candidates.iter().enumerate().filter(|(_, candidate)| {
+    // Every plausible candidate with its slot among the distinct tables,
+    // and each distinct table's first owner.
+    let mut plausible: Vec<(usize, usize)> = Vec::with_capacity(candidates.len());
+    let mut distinct: Vec<&CandidateEvals> = Vec::with_capacity(candidates.len());
+    for (index, candidate) in candidates.iter().enumerate() {
         let evals = &candidate.evals;
         assert!(
             evals.horizon() as usize == target && evals.tail_start() == measured_cores + 1,
@@ -407,38 +427,46 @@ fn select_scaling_factor(
             evals.tail_start(),
             measured_cores + 1
         );
-        !(check_trend
+        if check_trend
             && ((factor_trend_decreasing && evals.tail_max() > factor_at_max_measured * 1.5)
-                || (!factor_trend_decreasing && evals.tail_min() < factor_at_max_measured * 0.5)))
-    });
-    let mut best: Option<(usize, f64)> = None;
-    loop {
-        let mut batch = [0usize; SWEEP];
-        let mut filled = 0;
-        for (index, _) in plausible.by_ref().take(SWEEP) {
-            batch[filled] = index;
-            filled += 1;
+                || (!factor_trend_decreasing && evals.tail_min() < factor_at_max_measured * 0.5))
+        {
+            continue;
         }
-        if filled == 0 {
-            break;
-        }
-        // A short batch repeats its last table; those lanes are ignored.
-        let tables =
-            std::array::from_fn(|lane| candidates[batch[lane.min(filled - 1)]].evals.values());
-        for (&index, corr) in batch[..filled].iter().zip(stalls.correlations(tables)) {
-            let Some(corr) = corr else { continue };
-            let better = match best {
-                None => true,
-                Some((best_index, best_corr)) => {
-                    corr > best_corr + 1e-9
-                        || ((corr - best_corr).abs() <= 1e-9
-                            && candidates[index].curve.checkpoint_rmse
-                                < candidates[best_index].curve.checkpoint_rmse)
-                }
-            };
-            if better {
-                best = Some((index, corr));
+        let slot = match distinct.iter().position(|seen| seen.shares_values(evals)) {
+            Some(slot) => slot,
+            None => {
+                distinct.push(evals);
+                distinct.len() - 1
             }
+        };
+        plausible.push((index, slot));
+    }
+
+    let stalls = StallSide::new(stalls_per_core);
+    let mut correlations: Vec<Option<f64>> = Vec::with_capacity(distinct.len());
+    for batch in distinct.chunks(SWEEP) {
+        // A short batch repeats its last table; those lanes are ignored.
+        let tables = std::array::from_fn(|lane| batch[lane.min(batch.len() - 1)].values());
+        correlations.extend_from_slice(&stalls.correlations(tables)[..batch.len()]);
+    }
+
+    let mut best: Option<(usize, f64)> = None;
+    for (index, slot) in plausible {
+        let Some(corr) = correlations[slot] else {
+            continue;
+        };
+        let better = match best {
+            None => true,
+            Some((best_index, best_corr)) => {
+                corr > best_corr + 1e-9
+                    || ((corr - best_corr).abs() <= 1e-9
+                        && candidates[index].curve.checkpoint_rmse
+                            < candidates[best_index].curve.checkpoint_rmse)
+            }
+        };
+        if better {
+            best = Some((index, corr));
         }
     }
     let (index, correlation) = best?;
@@ -456,7 +484,14 @@ fn select_scaling_factor(
 
 /// The stalls-per-core side of
 /// [`pearson_correlation`](crate::stats::pearson_correlation), shared by
-/// every candidate.
+/// every candidate, and the sweep that correlates [`SWEEP`] eval tables
+/// against it per pass over the series.
+///
+/// The sweep slices every table to the series length before its loops, so
+/// the inner loops index in bounds by construction and carry no bounds
+/// checks, and it folds each trial time's validity as two comparisons and
+/// no branch: `(0.0..=f64::MAX).contains(&t)` equals
+/// `t.is_finite() && t >= 0.0` for every `f64`, −0.0 and NaN included.
 struct StallSide<'a> {
     values: &'a [f64],
     deviations: Vec<f64>,
@@ -484,20 +519,25 @@ impl<'a> StallSide<'a> {
     /// negative or not finite.
     fn correlations(&self, tables: [&[f64]; SWEEP]) -> [Option<f64>; SWEEP] {
         let n = self.values.len();
+        let values = self.values;
+        let deviations = &self.deviations[..n];
+        let tables = tables.map(|table| &table[..n]);
         // `Sum for f64` folds from -0.0.
         let mut sums = [-0.0f64; SWEEP];
         let mut valid = [true; SWEEP];
-        for (i, spc) in self.values.iter().enumerate() {
+        for i in 0..n {
+            let spc = values[i];
             for lane in 0..SWEEP {
                 let time = spc * tables[lane][i];
                 sums[lane] += time;
-                valid[lane] &= time.is_finite() && time >= 0.0;
+                valid[lane] &= (0.0..=f64::MAX).contains(&time);
             }
         }
         let means = sums.map(|sum| sum / n as f64);
         let mut cov = [0.0f64; SWEEP];
         let mut var = [0.0f64; SWEEP];
-        for (i, (spc, dy)) in self.values.iter().zip(&self.deviations).enumerate() {
+        for i in 0..n {
+            let (spc, dy) = (values[i], deviations[i]);
             for lane in 0..SWEEP {
                 let dx = spc * tables[lane][i] - means[lane];
                 cov[lane] += dx * dy;
@@ -700,6 +740,32 @@ mod tests {
     }
 
     #[test]
+    fn step_b_extrapolates_with_the_bits_of_curve_eval() {
+        let (set, _) = synthetic_set(48);
+        let estima = Estima::new(EstimaConfig::default());
+        for scale in [1.0, 1.7] {
+            for cores in [12, 48, 4096] {
+                let target = TargetSpec::cores(cores).with_dataset_scale(scale);
+                let p = estima.predict(&set, &target).unwrap();
+                assert_eq!(p.categories.len(), 2);
+                for e in &p.categories {
+                    assert_eq!(e.extrapolated.len(), cores as usize);
+                    for (expected_cores, &(c, value)) in (1..=cores).zip(&e.extrapolated) {
+                        assert_eq!(c, expected_cores);
+                        let expected = e.curve.eval(c as f64).max(0.0) * scale;
+                        assert_eq!(
+                            value.to_bits(),
+                            expected.to_bits(),
+                            "{} at {c} of {cores} cores, scale {scale}",
+                            e.category
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn zero_category_is_skipped() {
         let (mut set, _) = synthetic_set(48);
         // Add an all-zero category; it must not break the pipeline.
@@ -727,13 +793,18 @@ mod tests {
 /// stalls-per-core series and candidate eval tables cover constant series,
 /// zeros and `-0.0`, values near `f64::MAX`, NaN, ±∞ and negative trial
 /// times, near-tied correlations settled by checkpoint RMSE, and 1 to 9
-/// candidates, so batches end short of [`SWEEP`]. The winner, its
+/// candidates, so batches end short of [`SWEEP`]. Up to three more
+/// candidates clone an earlier candidate's [`CandidateEvals`] under another
+/// checkpoint RMSE, sharing its table the way the checkpoint spans of one
+/// grid cell do. Real scaling-factor grids of quickstart-shaped sets and of
+/// their leave-one-out subsets run through both too. The winner, its
 /// correlation and every predicted time must be the same bits.
 #[cfg(test)]
 mod selection_oracle {
     use super::*;
-    use crate::fit::CandidateEvals;
+    use crate::fit::candidate_fits_with;
     use crate::kernels::KernelKind;
+    use crate::measurement::Measurement;
     use crate::stats::pearson_correlation;
 
     /// The scaling-factor selection before the sweep, verbatim.
@@ -929,6 +1000,37 @@ mod selection_oracle {
         }
     }
 
+    /// Insert up to three clones of earlier candidates under another
+    /// checkpoint RMSE, each sharing its source's eval table and landing
+    /// after it: a later duplicate with a lower RMSE must win the tie, and
+    /// a duplicate of an implausible table must drop out with it.
+    fn share_tables(rng: &mut Rng, candidates: &mut Vec<FitCandidate>) {
+        for _ in 0..rng.below(4) {
+            let source = &candidates[rng.below(candidates.len() as u64) as usize];
+            let duplicate = FitCandidate {
+                curve: FittedCurve {
+                    checkpoint_rmse: rng.pick(&[0.05, 0.1, 0.2, f64::NAN]),
+                    ..source.curve.clone()
+                },
+                checkpoints: source.checkpoints + 1,
+                evals: source.evals.clone(),
+            };
+            let first = 1 + candidates
+                .iter()
+                .position(|c| c.evals.shares_values(&duplicate.evals))
+                .unwrap();
+            let at = first + rng.below((candidates.len() + 1 - first) as u64) as usize;
+            candidates.insert(at, duplicate);
+        }
+    }
+
+    /// Whether the candidate at `index` shares its table with an earlier one.
+    fn is_duplicate(candidates: &[FitCandidate], index: usize) -> bool {
+        candidates[..index]
+            .iter()
+            .any(|earlier| earlier.evals.shares_values(&candidates[index].evals))
+    }
+
     /// Run both selections and require the same winner, bit for bit.
     fn assert_same_choice(
         candidates: &[FitCandidate],
@@ -960,29 +1062,143 @@ mod selection_oracle {
     #[test]
     fn sweep_matches_the_per_candidate_loop() {
         let mut rng = Rng(2016);
-        let mut chosen = 0;
+        let (mut chosen, mut duplicates_won) = (0, 0);
         for _ in 0..4000 {
             let target = rng.pick(&[1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 12.0, 48.0, 129.0]) as usize;
             let measured_cores = 1 + rng.below(target as u64) as u32;
             let stalls = random_stalls(&mut rng, target);
             let count = 1 + rng.below(9) as usize;
             let tables = random_tables(&mut rng, count, target);
-            let candidates: Vec<FitCandidate> = tables
+            let mut candidates: Vec<FitCandidate> = tables
                 .iter()
                 .map(|table| {
                     let rmse = rng.pick(&[0.1, 0.2, 0.3, 0.1, f64::NAN, f64::INFINITY]);
                     candidate(table, measured_cores + 1, rmse)
                 })
                 .collect();
+            share_tables(&mut rng, &mut candidates);
             let factor_ys: Vec<f64> = (0..1 + rng.below(4))
                 .map(|_| rng.pick(&[0.0, 0.5, 1.0, 2.0, 1.5, -1.0]))
                 .collect();
             if assert_same_choice(&candidates, &stalls, measured_cores, &factor_ys).is_some() {
                 chosen += 1;
+                let winner =
+                    select_scaling_factor(&candidates, &stalls, measured_cores, &factor_ys)
+                        .unwrap()
+                        .index;
+                if is_duplicate(&candidates, winner) {
+                    duplicates_won += 1;
+                }
             }
         }
-        // The cases must exercise selection, not only rejection.
+        // The cases must exercise selection, not only rejection, and
+        // duplicates must win some of them.
         assert!(chosen > 1000, "only {chosen} cases chose a factor");
+        assert!(
+            duplicates_won > 100,
+            "a duplicate won only {duplicates_won} cases"
+        );
+    }
+
+    /// A quickstart-shaped set: 12 points, two backend categories and one
+    /// software category, with a per-core `wobble` on the time.
+    fn quickstart_shaped(wobble: f64) -> MeasurementSet {
+        let mut set = MeasurementSet::new("quickstart", 2.1);
+        for cores in 1..=12u32 {
+            let n = f64::from(cores);
+            let time = (50.0 / n + 1.0) * (1.0 + wobble * (f64::from((cores * 7) % 5) - 2.0));
+            set.push(
+                Measurement::new(cores, time)
+                    .with_stall(StallCategory::backend("rob_full"), 4.0e8 * n * time * 0.7)
+                    .with_stall(StallCategory::backend("ls_full"), 4.0e8 * n * time * 0.3)
+                    .with_stall(StallCategory::software("lock_spin"), 1.0e7 * n * n),
+            );
+        }
+        set
+    }
+
+    #[test]
+    fn real_grids_match_the_per_candidate_loop() {
+        let estima = Estima::new(EstimaConfig::default().with_parallelism(1));
+        let config = estima.config();
+        let options = FitOptions {
+            realism_horizon: 48,
+            ..config.fit.clone()
+        };
+        let sources = config.sources();
+        let mut duplicates = 0;
+        for wobble in [0.0, 0.02, 0.05] {
+            let full = quickstart_shaped(wobble);
+            // The full set, then every leave-one-out subset.
+            for leave_out in std::iter::once(None).chain((0..full.len()).map(Some)) {
+                let mut set = full.clone();
+                if let Some(index) = leave_out {
+                    set.remove(index);
+                }
+                let prediction = estima.predict(&set, &TargetSpec::cores(48)).unwrap();
+                let stalls: Vec<f64> = prediction.stalls_per_core.iter().map(|(_, v)| *v).collect();
+                let xs: Vec<f64> = set.core_counts().iter().map(|c| f64::from(*c)).collect();
+                let ys: Vec<f64> = set
+                    .measurements()
+                    .iter()
+                    .map(|m| m.exec_time / m.stalls_per_core(&sources))
+                    .collect();
+                let candidates =
+                    candidate_fits_with(&xs, &ys, &options, &Engine::sequential()).unwrap();
+                duplicates += (0..candidates.len())
+                    .filter(|&index| is_duplicate(&candidates, index))
+                    .count();
+                let corr = assert_same_choice(&candidates, &stalls, set.max_cores(), &ys)
+                    .expect("a real grid chooses a factor");
+                assert_eq!(corr.to_bits(), prediction.factor_correlation.to_bits());
+            }
+        }
+        assert!(duplicates > 0, "no real grid shared a table");
+    }
+
+    #[test]
+    fn a_later_duplicate_with_a_lower_rmse_wins_the_tie() {
+        let stalls: Vec<f64> = (1..=48).map(|c| 1.0 / f64::from(c) + 0.01).collect();
+        let flat = candidate(&[2.0; 48], 13, 0.2);
+        let rising: Vec<f64> = (1..=48).map(|c| 1.0 + 0.01 * f64::from(c)).collect();
+        let duplicate = FitCandidate {
+            curve: FittedCurve {
+                checkpoint_rmse: 0.1,
+                ..flat.curve.clone()
+            },
+            checkpoints: 3,
+            evals: flat.evals.clone(),
+        };
+        let candidates = [flat, candidate(&rising, 13, 0.1), duplicate];
+        let factor_ys = [4.0, 4.0];
+        assert_same_choice(&candidates, &stalls, 12, &factor_ys);
+        let choice = select_scaling_factor(&candidates, &stalls, 12, &factor_ys).unwrap();
+        assert_eq!(choice.index, 2);
+    }
+
+    #[test]
+    fn duplicates_of_an_implausible_table_drop_out() {
+        // The first table tracks stalls per core best but climbs past
+        // 1.5 × the last measured factor; neither it nor its lower-RMSE
+        // duplicate may win.
+        let stalls: Vec<f64> = (1..=48).map(|c| 1.0 / f64::from(c) + 0.01).collect();
+        let mut climbing = vec![2.0; 48];
+        climbing[47] = 7.0;
+        let implausible = candidate(&climbing, 13, 0.2);
+        let duplicate = FitCandidate {
+            curve: FittedCurve {
+                checkpoint_rmse: 0.1,
+                ..implausible.curve.clone()
+            },
+            checkpoints: 3,
+            evals: implausible.evals.clone(),
+        };
+        let rising: Vec<f64> = (1..=48).map(|c| 1.0 + 0.01 * f64::from(c)).collect();
+        let candidates = [implausible, candidate(&rising, 13, 0.3), duplicate];
+        let factor_ys = [4.0, 4.0];
+        assert_same_choice(&candidates, &stalls, 12, &factor_ys);
+        let choice = select_scaling_factor(&candidates, &stalls, 12, &factor_ys).unwrap();
+        assert_eq!(choice.index, 1);
     }
 
     #[test]
