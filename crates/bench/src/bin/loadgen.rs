@@ -326,7 +326,9 @@ fn reference_response(
     let prediction = BatchPredictor::new(EstimaConfig::default().with_parallelism(1))
         .predict(set, target)
         .map_err(|e| format!("in-process reference prediction failed: {e}"))?;
-    Ok(wire::prediction_to_json(&prediction).render())
+    let mut body = String::new();
+    wire::write_prediction(&prediction, &mut body);
+    Ok(body)
 }
 
 /// The stateless scenario: every connection re-POSTs the same complete
@@ -562,7 +564,9 @@ fn reference_plan(
     let plan = Planner::new(&estima)
         .plan(set, target, estima_core::plan::DEFAULT_SUGGESTIONS)
         .map_err(|e| format!("in-process reference plan failed: {e}"))?;
-    Ok(wire::plan_to_json(&plan).render())
+    let mut body = String::new();
+    wire::write_plan(&plan, &mut body);
+    Ok(body)
 }
 
 /// The planning scenario: the ingest mix's per-connection series and

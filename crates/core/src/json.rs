@@ -198,6 +198,40 @@ pub fn f64_as_u64(n: f64) -> Option<u64> {
     (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
 }
 
+// Field readers of the tree decoders (the serve wire format and
+// `Measurement::from_json`). Each error names the field and its `context`
+// (the path of the enclosing object), e.g. "points[2]: missing field
+// `cores`".
+
+/// The value under `key`, or a `missing field` error.
+pub fn require<'a>(value: &'a Json, key: &str, context: &str) -> Result<&'a Json, String> {
+    value
+        .get(key)
+        .ok_or_else(|| format!("{context}: missing field `{key}`"))
+}
+
+/// The number under `key`.
+pub fn require_f64(value: &Json, key: &str, context: &str) -> Result<f64, String> {
+    require(value, key, context)?
+        .as_f64()
+        .ok_or_else(|| format!("{context}: field `{key}` must be a number"))
+}
+
+/// The number under `key` as a `u32` ([`Json::as_u64`], then in range).
+pub fn require_u32(value: &Json, key: &str, context: &str) -> Result<u32, String> {
+    require(value, key, context)?
+        .as_u64()
+        .and_then(|n| u32::try_from(n).ok())
+        .ok_or_else(|| format!("{context}: field `{key}` must be a non-negative integer"))
+}
+
+/// The string under `key`.
+pub fn require_str<'a>(value: &'a Json, key: &str, context: &str) -> Result<&'a str, String> {
+    require(value, key, context)?
+        .as_str()
+        .ok_or_else(|| format!("{context}: field `{key}` must be a string"))
+}
+
 /// Render a string with the escapes required by RFC 8259 (quote, backslash,
 /// and control characters; multi-byte UTF-8 passes through unescaped).
 ///

@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{EstimaError, Result};
+use crate::json::{self, Json};
 
 /// Where a stall-cycle category was measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -40,13 +41,16 @@ impl StallSource {
         }
     }
 
-    /// Inverse of [`StallSource::name`]; `None` for any other string.
-    pub fn from_name(name: &str) -> Option<StallSource> {
+    /// Inverse of [`StallSource::name`]; any other string is an error that
+    /// names the accepted ones (the wire's 400 message).
+    pub fn from_name(name: &str) -> std::result::Result<StallSource, String> {
         match name {
-            "hw_backend" => Some(StallSource::HardwareBackend),
-            "hw_frontend" => Some(StallSource::HardwareFrontend),
-            "software" => Some(StallSource::Software),
-            _ => None,
+            "hw_backend" => Ok(StallSource::HardwareBackend),
+            "hw_frontend" => Ok(StallSource::HardwareFrontend),
+            "software" => Ok(StallSource::Software),
+            _ => Err(format!(
+                "unknown stall source `{name}` (expected hw_backend, hw_frontend or software)"
+            )),
         }
     }
 }
@@ -163,6 +167,70 @@ impl Measurement {
                 .iter()
                 .zip(&other.stalls)
                 .all(|((c1, v1), (c2, v2))| c1 == c2 && v1.to_bits() == v2.to_bits())
+    }
+
+    /// Encode as the measurement JSON object, the one shape of a point on
+    /// the HTTP wire, in WAL records and in snapshots: `cores`,
+    /// `exec_time`, `memory_footprint` when known, then `stalls` as
+    /// `{source, name, cycles}` objects in category order.
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("cores".to_string(), Json::Number(f64::from(self.cores))),
+            ("exec_time".to_string(), Json::Number(self.exec_time)),
+        ];
+        if let Some(bytes) = self.memory_footprint {
+            fields.push(("memory_footprint".to_string(), Json::Number(bytes as f64)));
+        }
+        let stalls = self
+            .stalls
+            .iter()
+            .map(|(category, cycles)| {
+                Json::Object(vec![
+                    (
+                        "source".to_string(),
+                        Json::String(category.source.name().to_string()),
+                    ),
+                    ("name".to_string(), Json::String(category.name.clone())),
+                    ("cycles".to_string(), Json::Number(*cycles)),
+                ])
+            })
+            .collect();
+        fields.push(("stalls".to_string(), Json::Array(stalls)));
+        Json::Object(fields)
+    }
+
+    /// Decode a measurement JSON object; inverse of
+    /// [`Measurement::to_json`]. `memory_footprint` and `stalls` are
+    /// optional, unknown fields are ignored, and the first of duplicate
+    /// keys wins. Errors name the field under `context`, e.g.
+    /// ``points[2]: missing field `cores` ``.
+    pub fn from_json(value: &Json, context: &str) -> std::result::Result<Measurement, String> {
+        let cores = json::require_u32(value, "cores", context)?;
+        let exec_time = json::require_f64(value, "exec_time", context)?;
+        let mut measurement = Measurement::new(cores, exec_time);
+        if let Some(footprint) = value.get("memory_footprint") {
+            let bytes = footprint.as_u64().ok_or_else(|| {
+                format!("{context}: field `memory_footprint` must be a non-negative integer")
+            })?;
+            measurement = measurement.with_memory_footprint(bytes);
+        }
+        if let Some(stalls) = value.get("stalls") {
+            let stalls = stalls
+                .as_array()
+                .ok_or_else(|| format!("{context}: field `stalls` must be an array"))?;
+            for (index, stall) in stalls.iter().enumerate() {
+                let context = format!("{context}.stalls[{index}]");
+                let source = StallSource::from_name(json::require_str(stall, "source", &context)?)?;
+                let name = json::require_str(stall, "name", &context)?;
+                let cycles = json::require_f64(stall, "cycles", &context)?;
+                let category = StallCategory {
+                    name: name.to_string(),
+                    source,
+                };
+                measurement = measurement.with_stall(category, cycles);
+            }
+        }
+        Ok(measurement)
     }
 }
 
@@ -446,9 +514,11 @@ mod tests {
             StallSource::HardwareFrontend,
             StallSource::Software,
         ] {
-            assert_eq!(StallSource::from_name(source.name()), Some(source));
+            assert_eq!(StallSource::from_name(source.name()), Ok(source));
         }
-        assert_eq!(StallSource::from_name("backend"), None);
+        assert!(StallSource::from_name("backend")
+            .unwrap_err()
+            .starts_with("unknown stall source `backend`"));
     }
 
     #[test]

@@ -65,7 +65,7 @@ use std::time::Instant;
 
 use crate::error::{EstimaError, Result};
 use crate::json::Json;
-use crate::measurement::{Measurement, MeasurementSet, StallCategory, StallSource};
+use crate::measurement::{Measurement, MeasurementSet};
 use crate::store::SeriesId;
 
 /// File name of the write-ahead log inside the data directory.
@@ -222,88 +222,23 @@ fn require_finite(value: f64, what: &str, cores: u32) -> Result<()> {
     }
 }
 
-/// Encode one measurement as a JSON object (the snapshot and log payload
-/// share this shape with the HTTP wire format).
-fn measurement_to_json(m: &Measurement) -> Result<Json> {
+/// Encode one measurement for a log record or a snapshot with the shared
+/// measurement codec ([`Measurement::to_json`]), after refusing the values
+/// it would write as `null`.
+fn point_to_json(m: &Measurement) -> Result<Json> {
     require_finite(m.exec_time, "exec_time", m.cores)?;
-    let mut fields = vec![
-        ("cores".to_string(), Json::Number(f64::from(m.cores))),
-        ("exec_time".to_string(), Json::Number(m.exec_time)),
-    ];
-    if let Some(bytes) = m.memory_footprint {
-        fields.push(("memory_footprint".to_string(), Json::Number(bytes as f64)));
-    }
-    let mut stalls = Vec::with_capacity(m.stalls.len());
-    for (category, cycles) in &m.stalls {
+    for cycles in m.stalls.values() {
         require_finite(*cycles, "stall cycles", m.cores)?;
-        stalls.push(Json::Object(vec![
-            (
-                "source".to_string(),
-                Json::String(category.source.name().to_string()),
-            ),
-            ("name".to_string(), Json::String(category.name.clone())),
-            ("cycles".to_string(), Json::Number(*cycles)),
-        ]));
     }
-    fields.push(("stalls".to_string(), Json::Array(stalls)));
-    Ok(Json::Object(fields))
-}
-
-/// Decode one measurement from its JSON object.
-fn measurement_from_json(value: &Json) -> Result<Measurement> {
-    let cores = value
-        .get("cores")
-        .and_then(Json::as_u64)
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| corrupt("measurement without a valid `cores`"))?;
-    let exec_time = value
-        .get("exec_time")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| corrupt("measurement without a numeric `exec_time`"))?;
-    let mut measurement = Measurement::new(cores, exec_time);
-    if let Some(bytes) = value.get("memory_footprint") {
-        let bytes = bytes
-            .as_u64()
-            .ok_or_else(|| corrupt("non-integer `memory_footprint`"))?;
-        measurement = measurement.with_memory_footprint(bytes);
-    }
-    if let Some(stalls) = value.get("stalls") {
-        let stalls = stalls
-            .as_array()
-            .ok_or_else(|| corrupt("`stalls` is not an array"))?;
-        for stall in stalls {
-            let source = stall
-                .get("source")
-                .and_then(Json::as_str)
-                .ok_or_else(|| corrupt("stall without a `source`"))?;
-            let source = StallSource::from_name(source)
-                .ok_or_else(|| corrupt(format!("unknown stall source `{source}`")))?;
-            let name = stall
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| corrupt("stall without a `name`"))?;
-            let cycles = stall
-                .get("cycles")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| corrupt("stall without numeric `cycles`"))?;
-            measurement = measurement.with_stall(
-                StallCategory {
-                    name: name.to_string(),
-                    source,
-                },
-                cycles,
-            );
-        }
-    }
-    Ok(measurement)
+    Ok(m.to_json())
 }
 
 fn points_to_json(points: &[Measurement]) -> Result<Json> {
-    let mut encoded = Vec::with_capacity(points.len());
-    for point in points {
-        encoded.push(measurement_to_json(point)?);
-    }
-    Ok(Json::Array(encoded))
+    points
+        .iter()
+        .map(point_to_json)
+        .collect::<Result<_>>()
+        .map(Json::Array)
 }
 
 impl WalRecord {
@@ -341,11 +276,13 @@ impl WalRecord {
             }),
             "ingest" => Ok(WalRecord::Ingest {
                 series: series()?,
-                measurement: measurement_from_json(
+                measurement: Measurement::from_json(
                     value
                         .get("point")
                         .ok_or_else(|| corrupt("ingest record without a `point`"))?,
-                )?,
+                    "point",
+                )
+                .map_err(corrupt)?,
                 version: u64_field("version")?,
             }),
             "ingest_set" => {
@@ -358,7 +295,7 @@ impl WalRecord {
                     frequency_ghz: f64_field("frequency_ghz")?,
                     points: points
                         .iter()
-                        .map(measurement_from_json)
+                        .map(|point| Measurement::from_json(point, "point").map_err(corrupt))
                         .collect::<Result<_>>()?,
                     version: u64_field("version")?,
                     mutations: u64_field("mutations")?,
@@ -518,7 +455,7 @@ impl Wal {
         measurement: &Measurement,
         version: u64,
     ) -> Result<()> {
-        let point = measurement_to_json(measurement)?;
+        let point = point_to_json(measurement)?;
         self.append(&Json::Object(vec![
             ("op".to_string(), Json::String("ingest".to_string())),
             (
@@ -814,7 +751,7 @@ fn load_snapshot(path: &Path) -> Result<Recovered> {
             .ok_or_else(|| corrupt("snapshot series without `points`"))?;
         let mut set = MeasurementSet::new(id.as_str(), frequency_ghz);
         for point in points {
-            set.push(measurement_from_json(point)?);
+            set.push(Measurement::from_json(point, "point").map_err(corrupt)?);
         }
         series.insert(id, (version, set));
     }
@@ -824,6 +761,7 @@ fn load_snapshot(path: &Path) -> Result<Recovered> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measurement::StallCategory;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -867,7 +805,7 @@ mod tests {
         let m = point(7)
             .with_memory_footprint(123_456_789)
             .with_stall(StallCategory::software("stm.aborts"), 0.1 + 0.2);
-        let decoded = measurement_from_json(&measurement_to_json(&m).unwrap()).unwrap();
+        let decoded = Measurement::from_json(&point_to_json(&m).unwrap(), "point").unwrap();
         assert!(decoded.content_eq(&m), "{decoded:?} != {m:?}");
     }
 
@@ -875,12 +813,12 @@ mod tests {
     fn rejects_non_finite_values_instead_of_corrupting() {
         let m = Measurement::new(2, f64::NAN);
         assert!(matches!(
-            measurement_to_json(&m),
+            point_to_json(&m),
             Err(EstimaError::InvalidMeasurement { .. })
         ));
         let m = point(2).with_stall(StallCategory::backend("bad"), f64::INFINITY);
         assert!(matches!(
-            measurement_to_json(&m),
+            point_to_json(&m),
             Err(EstimaError::InvalidMeasurement { .. })
         ));
     }

@@ -1188,21 +1188,13 @@ fn batch(request: &Request, state: &AppState, out: &mut ResponseBuf) {
     let started = Instant::now();
     let results = state.batch.predict_all(jobs);
     state.stats.record_latency(started.elapsed());
-    let encoded: Vec<Json> = results
-        .into_iter()
-        .map(|result| match result {
-            Ok(prediction) => {
-                state.stats.predictions.fetch_add(1, Ordering::Relaxed);
-                Json::Object(vec![(
-                    "prediction".to_string(),
-                    wire::prediction_to_json(&prediction),
-                )])
-            }
-            Err(e) => wire::estima_error_to_json(&e),
-        })
-        .collect();
-    let body = Json::Object(vec![("results".to_string(), Json::Array(encoded))]);
-    respond_json(out, 200, &body);
+    let served = results.iter().filter(|result| result.is_ok()).count();
+    state
+        .stats
+        .predictions
+        .fetch_add(served as u64, Ordering::Relaxed);
+    out.status = 200;
+    wire::write_batch_results(&results, &mut out.body);
 }
 
 /// The session behind every stateful endpoint.

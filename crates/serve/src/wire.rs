@@ -4,17 +4,30 @@
 //! request/response bodies of every endpoint, built on
 //! [`estima_core::json`]. The full field-by-field specification — with
 //! tables, examples and error-code semantics — lives in DESIGN.md
-//! § *Serving layer*; the encoders here are the normative implementation.
+//! § *Serving layer*; the code here is the normative implementation.
+//!
+//! Every object has one encoder and one tree decoder. Responses are
+//! written straight into the connection's body buffer by the `write_*`
+//! functions, which are their only encoders. Request objects have a
+//! `*_to_json` encoder (for clients) and a `*_from_json` tree decoder; the
+//! hot request bodies also have a streaming `decode_*` fast path that
+//! defers to the tree decoder on anything it does not read itself. A
+//! measurement point is encoded and decoded by
+//! [`Measurement::to_json`] and [`Measurement::from_json`], which the
+//! write-ahead log shares.
 //!
 //! # Fidelity
 //!
-//! Numbers are rendered with shortest-round-trip formatting
-//! ([`Json::render`]), so every `f64` in a response parses back to the exact
-//! bit pattern the predictor produced: predictions served over HTTP are
-//! byte-identical to in-process [`estima_core::BatchPredictor`] results
-//! (pinned by `tests/server_roundtrip.rs` and the `loadgen` harness).
+//! Every number is written by [`write_json_number`] (shortest round trip),
+//! so every `f64` in a response parses back to the exact bit pattern the
+//! predictor produced: predictions served over HTTP are byte-identical to
+//! in-process [`estima_core::BatchPredictor`] results (pinned by
+//! `tests/server_roundtrip.rs` and the `loadgen` harness).
 
-use estima_core::json::{write_json_number, write_json_string, Json, JsonReader};
+use estima_core::json::{
+    require, require_f64, require_str, require_u32, write_json_number, write_json_string, Json,
+    JsonReader,
+};
 use estima_core::store::{SeriesInfo, SeriesSnapshot};
 use estima_core::{
     BottleneckReport, ConfidenceInterval, EstimaError, Measurement, MeasurementPlan,
@@ -34,46 +47,14 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<String> for WireError {
+    fn from(message: String) -> WireError {
+        WireError(message)
+    }
+}
+
 fn err(message: impl Into<String>) -> WireError {
     WireError(message.into())
-}
-
-/// Parse a wire stall-source name.
-fn parse_source(name: &str) -> Result<StallSource, WireError> {
-    StallSource::from_name(name).ok_or_else(|| {
-        err(format!(
-            "unknown stall source `{name}` (expected hw_backend, hw_frontend or software)"
-        ))
-    })
-}
-
-fn require<'a>(value: &'a Json, key: &str, context: &str) -> Result<&'a Json, WireError> {
-    value
-        .get(key)
-        .ok_or_else(|| err(format!("{context}: missing field `{key}`")))
-}
-
-fn require_f64(value: &Json, key: &str, context: &str) -> Result<f64, WireError> {
-    require(value, key, context)?
-        .as_f64()
-        .ok_or_else(|| err(format!("{context}: field `{key}` must be a number")))
-}
-
-fn require_u32(value: &Json, key: &str, context: &str) -> Result<u32, WireError> {
-    require(value, key, context)?
-        .as_u64()
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| {
-            err(format!(
-                "{context}: field `{key}` must be a non-negative integer"
-            ))
-        })
-}
-
-fn require_str<'a>(value: &'a Json, key: &str, context: &str) -> Result<&'a str, WireError> {
-    require(value, key, context)?
-        .as_str()
-        .ok_or_else(|| err(format!("{context}: field `{key}` must be a string")))
 }
 
 /// Decode a `MeasurementSet` from its wire object (see DESIGN.md for the
@@ -88,41 +69,9 @@ pub fn measurement_set_from_json(value: &Json) -> Result<MeasurementSet, WireErr
         .ok_or_else(|| err("measurements: field `points` must be an array"))?;
     for (index, point) in points.iter().enumerate() {
         let context = format!("measurements.points[{index}]");
-        set.push(measurement_from_json(point, &context)?);
+        set.push(Measurement::from_json(point, &context)?);
     }
     Ok(set)
-}
-
-/// Decode one measurement object (an entry of a `points` array).
-pub fn measurement_from_json(point: &Json, context: &str) -> Result<Measurement, WireError> {
-    let cores = require_u32(point, "cores", context)?;
-    let exec_time = require_f64(point, "exec_time", context)?;
-    let mut measurement = Measurement::new(cores, exec_time);
-    if let Some(footprint) = point.get("memory_footprint") {
-        let bytes = footprint.as_u64().ok_or_else(|| {
-            err(format!(
-                "{context}: field `memory_footprint` must be a non-negative integer"
-            ))
-        })?;
-        measurement = measurement.with_memory_footprint(bytes);
-    }
-    if let Some(stalls) = point.get("stalls") {
-        let stalls = stalls
-            .as_array()
-            .ok_or_else(|| err(format!("{context}: field `stalls` must be an array")))?;
-        for (sindex, stall) in stalls.iter().enumerate() {
-            let context = format!("{context}.stalls[{sindex}]");
-            let source = parse_source(require_str(stall, "source", &context)?)?;
-            let name = require_str(stall, "name", &context)?;
-            let cycles = require_f64(stall, "cycles", &context)?;
-            let category = StallCategory {
-                name: name.to_string(),
-                source,
-            };
-            measurement = measurement.with_stall(category, cycles);
-        }
-    }
-    Ok(measurement)
 }
 
 /// Encode a `MeasurementSet` as its wire object. Inverse of
@@ -134,37 +83,14 @@ pub fn measurement_set_to_json(set: &MeasurementSet) -> Json {
         ("frequency_ghz".to_string(), Json::Number(set.frequency_ghz)),
         (
             "points".to_string(),
-            Json::Array(set.measurements().iter().map(measurement_to_json).collect()),
+            Json::Array(
+                set.measurements()
+                    .iter()
+                    .map(Measurement::to_json)
+                    .collect(),
+            ),
         ),
     ])
-}
-
-/// Encode one measurement as its wire object (an entry of a `points`
-/// array). Inverse of [`measurement_from_json`].
-pub fn measurement_to_json(m: &Measurement) -> Json {
-    let mut fields = vec![
-        ("cores".to_string(), Json::Number(f64::from(m.cores))),
-        ("exec_time".to_string(), Json::Number(m.exec_time)),
-    ];
-    if let Some(bytes) = m.memory_footprint {
-        fields.push(("memory_footprint".to_string(), Json::Number(bytes as f64)));
-    }
-    let stalls = m
-        .stalls
-        .iter()
-        .map(|(category, cycles)| {
-            Json::Object(vec![
-                (
-                    "source".to_string(),
-                    Json::String(category.source.name().to_string()),
-                ),
-                ("name".to_string(), Json::String(category.name.clone())),
-                ("cycles".to_string(), Json::Number(*cycles)),
-            ])
-        })
-        .collect();
-    fields.push(("stalls".to_string(), Json::Array(stalls)));
-    Json::Object(fields)
 }
 
 /// Decode a `TargetSpec` from its wire object.
@@ -231,18 +157,6 @@ pub fn batch_request_from_json(
         .collect()
 }
 
-/// Encode a `(cores, value)` series as an array of `[cores, value]` pairs.
-fn series_to_json(series: &[(u32, f64)]) -> Json {
-    Json::Array(
-        series
-            .iter()
-            .map(|(cores, value)| {
-                Json::Array(vec![Json::Number(f64::from(*cores)), Json::Number(*value)])
-            })
-            .collect(),
-    )
-}
-
 /// Decode a series of `[cores, value]` pairs (the encoding of
 /// `predicted_time`, `stalls_per_core` and `measured_time`).
 pub fn series_from_json(value: &Json) -> Result<Vec<(u32, f64)>, WireError> {
@@ -267,217 +181,18 @@ pub fn series_from_json(value: &Json) -> Result<Vec<(u32, f64)>, WireError> {
         .collect()
 }
 
-/// Encode a `Prediction` as its wire object (the `/v1/predict` response
-/// body; also the per-job payload of `/v1/batch` responses).
-pub fn prediction_to_json(prediction: &Prediction) -> Json {
-    let categories = prediction
-        .categories
-        .iter()
-        .map(|extrapolation| {
-            Json::Object(vec![
-                (
-                    "source".to_string(),
-                    Json::String(extrapolation.category.source.name().to_string()),
-                ),
-                (
-                    "name".to_string(),
-                    Json::String(extrapolation.category.name.clone()),
-                ),
-                (
-                    "kernel".to_string(),
-                    Json::String(extrapolation.curve.kernel.name().to_string()),
-                ),
-                (
-                    "params".to_string(),
-                    Json::Array(
-                        extrapolation
-                            .curve
-                            .params
-                            .iter()
-                            .map(|p| Json::Number(*p))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "extrapolated_at_target".to_string(),
-                    Json::Number(
-                        extrapolation
-                            .at(prediction.target_cores)
-                            .unwrap_or(f64::NAN),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    let mut body = Json::Object(vec![
-        (
-            "app_name".to_string(),
-            Json::String(prediction.app_name.clone()),
-        ),
-        (
-            "measured_cores".to_string(),
-            Json::Number(f64::from(prediction.measured_cores)),
-        ),
-        (
-            "target_cores".to_string(),
-            Json::Number(f64::from(prediction.target_cores)),
-        ),
-        (
-            "predicted_scaling_limit".to_string(),
-            Json::Number(f64::from(prediction.predicted_scaling_limit())),
-        ),
-        (
-            "factor_correlation".to_string(),
-            Json::Number(prediction.factor_correlation),
-        ),
-        (
-            "scaling_factor_kernel".to_string(),
-            Json::String(prediction.scaling_factor.kernel.name().to_string()),
-        ),
-        (
-            "predicted_time".to_string(),
-            series_to_json(&prediction.predicted_time),
-        ),
-        (
-            "stalls_per_core".to_string(),
-            series_to_json(&prediction.stalls_per_core),
-        ),
-        (
-            "measured_time".to_string(),
-            series_to_json(&prediction.measured_time),
-        ),
-        ("categories".to_string(), Json::Array(categories)),
-    ]);
-    if let Some(interval) = &prediction.confidence {
-        if let Json::Object(fields) = &mut body {
-            fields.push(("confidence".to_string(), confidence_to_json(interval)));
-        }
-    }
-    body
-}
-
-/// Encode a `Prediction` plus an optional bottleneck diagnosis — the
-/// response body of `POST /v1/series/{id}/predict` when the `diagnosis`
-/// flag is set. With `None` this is exactly [`prediction_to_json`].
-pub fn prediction_response_to_json(
-    prediction: &Prediction,
-    diagnosis: Option<&BottleneckReport>,
-) -> Json {
-    let mut body = prediction_to_json(prediction);
-    if let (Some(report), Json::Object(fields)) = (diagnosis, &mut body) {
-        fields.push(("bottleneck".to_string(), bottleneck_report_to_json(report)));
-    }
-    body
-}
-
-/// Encode a jackknife confidence interval as its wire object.
-pub fn confidence_to_json(interval: &ConfidenceInterval) -> Json {
-    Json::Object(vec![
-        ("lo".to_string(), Json::Number(interval.lo)),
-        ("hi".to_string(), Json::Number(interval.hi)),
-        ("spread".to_string(), Json::Number(interval.spread)),
-    ])
-}
-
-/// Encode a bottleneck report as its wire object: the core count it was
-/// analysed at, the dominant category (or `null` when the report is empty),
-/// and every entry sorted by descending share.
-pub fn bottleneck_report_to_json(report: &BottleneckReport) -> Json {
-    let dominant = report
-        .dominant()
-        .map(|entry| Json::String(entry.category.to_string()))
-        .unwrap_or(Json::Null);
-    let entries = report
-        .entries
-        .iter()
-        .map(|entry| {
-            Json::Object(vec![
-                (
-                    "category".to_string(),
-                    Json::String(entry.category.to_string()),
-                ),
-                (
-                    "predicted_cycles".to_string(),
-                    Json::Number(entry.predicted_cycles),
-                ),
-                ("share".to_string(), Json::Number(entry.share)),
-                (
-                    "growth_factor".to_string(),
-                    Json::Number(entry.growth_factor),
-                ),
-            ])
-        })
-        .collect();
-    Json::Object(vec![
-        (
-            "at_cores".to_string(),
-            Json::Number(f64::from(report.at_cores)),
-        ),
-        ("dominant".to_string(), dominant),
-        ("entries".to_string(), Json::Array(entries)),
-    ])
-}
-
-/// Encode a measurement plan as the `POST /v1/series/{id}/plan` response
-/// body.
-pub fn plan_to_json(plan: &MeasurementPlan) -> Json {
-    let suggestions = plan
-        .suggestions
-        .iter()
-        .map(|suggestion| {
-            Json::Object(vec![
-                (
-                    "cores".to_string(),
-                    Json::Number(f64::from(suggestion.cores)),
-                ),
-                (
-                    "expected_spread".to_string(),
-                    Json::Number(suggestion.expected_spread),
-                ),
-                (
-                    "expected_reduction".to_string(),
-                    Json::Number(suggestion.expected_reduction),
-                ),
-                (
-                    "rationale".to_string(),
-                    Json::String(suggestion.rationale.clone()),
-                ),
-            ])
-        })
-        .collect();
-    Json::Object(vec![
-        ("app_name".to_string(), Json::String(plan.app_name.clone())),
-        (
-            "measured_cores".to_string(),
-            Json::Number(f64::from(plan.measured_cores)),
-        ),
-        (
-            "target_cores".to_string(),
-            Json::Number(f64::from(plan.target_cores)),
-        ),
-        (
-            "confidence".to_string(),
-            confidence_to_json(&plan.confidence),
-        ),
-        (
-            "bottleneck".to_string(),
-            bottleneck_report_to_json(&plan.bottleneck),
-        ),
-        ("suggestions".to_string(), Json::Array(suggestions)),
-    ])
-}
-
-/// Serialize a `Prediction` directly into a caller-provided buffer,
-/// byte-identical to `prediction_to_json(prediction).render()` (pinned by a
-/// test below). This is the serve hot path: no intermediate [`Json`] tree —
-/// a response carrying hundreds of numbers appends straight into the
-/// connection's reusable body buffer.
+/// Write a `Prediction` as its wire object (the `/v1/predict` response
+/// body, and each successful job of a `/v1/batch` response) into `out`.
+/// Like every response writer here, it appends straight into the
+/// connection's reusable body buffer, with no intermediate [`Json`] tree.
 pub fn write_prediction(prediction: &Prediction, out: &mut String) {
     write_prediction_response(prediction, None, out);
 }
 
-/// [`write_prediction`] with an optional bottleneck diagnosis appended;
-/// byte-identical to `prediction_response_to_json(..).render()`.
+/// [`write_prediction`] with the opt-in extras of `POST
+/// /v1/series/{id}/predict`: a `confidence` object when the prediction
+/// carries one, then a `bottleneck` object when `diagnosis` is given.
+/// Without either this writes exactly [`write_prediction`]'s bytes.
 pub fn write_prediction_response(
     prediction: &Prediction,
     diagnosis: Option<&BottleneckReport>,
@@ -540,8 +255,7 @@ pub fn write_prediction_response(
     out.push('}');
 }
 
-/// Serialize a confidence interval directly into `out`; byte-identical to
-/// `confidence_to_json(interval).render()`.
+/// Write a jackknife confidence interval as `{"lo","hi","spread"}`.
 fn write_confidence(interval: &ConfidenceInterval, out: &mut String) {
     out.push_str("{\"lo\":");
     write_json_number(interval.lo, out);
@@ -552,8 +266,9 @@ fn write_confidence(interval: &ConfidenceInterval, out: &mut String) {
     out.push('}');
 }
 
-/// Serialize a bottleneck report directly into `out`; byte-identical to
-/// `bottleneck_report_to_json(report).render()`.
+/// Write a bottleneck report: the core count it was analysed at, the
+/// dominant category (`null` when the report is empty), and every entry in
+/// the report's order (descending share).
 fn write_bottleneck_report(report: &BottleneckReport, out: &mut String) {
     out.push_str("{\"at_cores\":");
     write_json_number(f64::from(report.at_cores), out);
@@ -580,9 +295,8 @@ fn write_bottleneck_report(report: &BottleneckReport, out: &mut String) {
     out.push_str("]}");
 }
 
-/// Serialize a measurement plan directly into `out`; byte-identical to
-/// `plan_to_json(plan).render()` (pinned by a test below). The plan
-/// endpoint shares the serve hot path's zero-tree discipline.
+/// Write a measurement plan as the `POST /v1/series/{id}/plan` response
+/// body.
 pub fn write_plan(plan: &MeasurementPlan, out: &mut String) {
     out.push_str("{\"app_name\":");
     write_json_string(&plan.app_name, out);
@@ -612,8 +326,8 @@ pub fn write_plan(plan: &MeasurementPlan, out: &mut String) {
     out.push_str("]}");
 }
 
-/// Serialize a `(cores, value)` series as `[[cores, value], ...]` directly
-/// into `out`; byte-identical to `series_to_json(series).render()`.
+/// Write a `(cores, value)` series as `[[cores, value], ...]` (the encoding
+/// of `predicted_time`, `stalls_per_core` and `measured_time`).
 fn write_series(series: &[(u32, f64)], out: &mut String) {
     out.push('[');
     for (index, (cores, value)) in series.iter().enumerate() {
@@ -629,14 +343,35 @@ fn write_series(series: &[(u32, f64)], out: &mut String) {
     out.push(']');
 }
 
-/// Serialize a wire error body directly into `out`; byte-identical to
-/// `error_to_json(code, message).render()`.
+/// Write a wire error body: `{"error": {"code": ..., "message": ...}}`.
 pub fn write_error(code: &str, message: &str, out: &mut String) {
     out.push_str("{\"error\":{\"code\":");
     write_json_string(code, out);
     out.push_str(",\"message\":");
     write_json_string(message, out);
     out.push_str("}}");
+}
+
+/// Write the `/v1/batch` response body: `{"results": [...]}` with one entry
+/// per job, in job order. A successful job is `{"prediction": ...}`; a
+/// failed one is the error body with code `prediction_failed` and the
+/// pipeline error's text.
+pub fn write_batch_results(results: &[Result<Prediction, EstimaError>], out: &mut String) {
+    out.push_str("{\"results\":[");
+    for (index, result) in results.iter().enumerate() {
+        if index > 0 {
+            out.push(',');
+        }
+        match result {
+            Ok(prediction) => {
+                out.push_str("{\"prediction\":");
+                write_prediction(prediction, out);
+                out.push('}');
+            }
+            Err(e) => write_error("prediction_failed", &e.to_string(), out),
+        }
+    }
+    out.push_str("]}");
 }
 
 /// A decoded `POST /v1/measurements` request: which series to append to,
@@ -679,7 +414,7 @@ pub fn ingest_request_from_json(value: &Json) -> Result<IngestRequest, WireError
         .ok_or_else(|| err("request: field `points` must be an array"))?
         .iter()
         .enumerate()
-        .map(|(index, point)| measurement_from_json(point, &format!("points[{index}]")))
+        .map(|(index, point)| Measurement::from_json(point, &format!("points[{index}]")))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(IngestRequest {
         series,
@@ -688,18 +423,72 @@ pub fn ingest_request_from_json(value: &Json) -> Result<IngestRequest, WireError
     })
 }
 
+/// Opt-in extras on a `POST /v1/series/{id}/predict` body.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PredictExtras {
+    /// Attach a jackknife confidence interval (`"confidence": true`).
+    pub confidence: bool,
+    /// Attach a bottleneck diagnosis (`"diagnosis": true`).
+    pub diagnosis: bool,
+}
+
+/// Decode a `POST /v1/series/{id}/predict` body: a `TargetSpec` plus the
+/// opt-in [`PredictExtras`] boolean flags (absent means `false`).
+pub fn series_predict_request_from_json(
+    value: &Json,
+) -> Result<(TargetSpec, PredictExtras), WireError> {
+    let spec = target_spec_from_json(value)?;
+    let extras = PredictExtras {
+        confidence: flag(value, "confidence")?,
+        diagnosis: flag(value, "diagnosis")?,
+    };
+    Ok((spec, extras))
+}
+
+/// Read an optional boolean flag off a request object.
+fn flag(value: &Json, key: &str) -> Result<bool, WireError> {
+    match value.get(key) {
+        None => Ok(false),
+        Some(v) => v
+            .as_bool()
+            .ok_or_else(|| err(format!("request: field `{key}` must be a boolean"))),
+    }
+}
+
+/// Most suggestions a plan request may ask for.
+pub const MAX_PLAN_SUGGESTIONS: usize = 8;
+
+/// Decode a `POST /v1/series/{id}/plan` body: a `TargetSpec` plus an
+/// optional `suggestions` count (`1..=8`, default
+/// [`estima_core::plan::DEFAULT_SUGGESTIONS`]).
+pub fn plan_request_from_json(value: &Json) -> Result<(TargetSpec, usize), WireError> {
+    let spec = target_spec_from_json(value)?;
+    let suggestions = match value.get("suggestions") {
+        None => estima_core::plan::DEFAULT_SUGGESTIONS,
+        Some(v) => v
+            .as_u64()
+            .and_then(|n| usize::try_from(n).ok())
+            .filter(|n| (1..=MAX_PLAN_SUGGESTIONS).contains(n))
+            .ok_or_else(|| {
+                err(format!(
+                    "request: field `suggestions` must be an integer between 1 and {MAX_PLAN_SUGGESTIONS}"
+                ))
+            })?,
+    };
+    Ok((spec, suggestions))
+}
+
 // ---------------------------------------------------------------------------
 // Streaming request decoders: the serve hot path.
 //
-// `decode_predict_request`, `decode_ingest_request` and `decode_target_spec`
-// decode straight from the body text with a [`JsonReader`] — one pass, no
-// intermediate [`Json`] tree, no per-key `String`. The fast path only
+// Each `decode_*` function reads the body text with a [`JsonReader`] — one
+// pass, no intermediate [`Json`] tree, no per-key `String` — and falls back
+// to `Json::parse` + that request's tree decoder above. The fast path only
 // *commits* on a fully valid document; on any anomaly (syntax error, missing
-// or mistyped field, exotic-but-valid shapes it declines) it falls back to
-// `Json::parse` + the tree decoders above, so every observable outcome —
-// including error messages, duplicate-key first-match-wins and
-// unknown-field tolerance — is identical to the tree path by construction
-// (pinned by the differential tests below).
+// or mistyped field, exotic-but-valid shapes it declines) the fallback
+// decides, so every observable outcome — including error messages,
+// duplicate-key first-match-wins and unknown-field tolerance — is the tree
+// path's by construction (pinned by `tests/wire_differential.rs`).
 // ---------------------------------------------------------------------------
 
 /// Reusable buffers of one streaming decode: one key buffer per object
@@ -730,8 +519,7 @@ pub fn decode_predict_request(text: &str) -> Result<(MeasurementSet, TargetSpec)
     if let Ok(decoded) = fast_predict_request(text) {
         return Ok(decoded);
     }
-    let value = Json::parse(text).map_err(WireError)?;
-    predict_request_from_json(&value)
+    predict_request_from_json(&Json::parse(text)?)
 }
 
 /// Decode one `POST /v1/measurements` request body from its text.
@@ -740,86 +528,28 @@ pub fn decode_ingest_request(text: &str) -> Result<IngestRequest, WireError> {
     if let Ok(decoded) = fast_ingest_request(text) {
         return Ok(decoded);
     }
-    let value = Json::parse(text).map_err(WireError)?;
-    ingest_request_from_json(&value)
+    ingest_request_from_json(&Json::parse(text)?)
 }
 
-/// Decode one `POST /v1/series/{id}/predict` request body (a bare
-/// `TargetSpec` object) from its text. Equivalent to `Json::parse` +
-/// [`target_spec_from_json`].
-pub fn decode_target_spec(text: &str) -> Result<TargetSpec, WireError> {
-    if let Ok(spec) = fast_target_spec(text) {
-        return Ok(spec);
-    }
-    let value = Json::parse(text).map_err(WireError)?;
-    target_spec_from_json(&value)
-}
-
-/// Opt-in extras on a `POST /v1/series/{id}/predict` body.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PredictExtras {
-    /// Attach a jackknife confidence interval (`"confidence": true`).
-    pub confidence: bool,
-    /// Attach a bottleneck diagnosis (`"diagnosis": true`).
-    pub diagnosis: bool,
-}
-
-/// Decode a series-predict body: a `TargetSpec` plus the opt-in
-/// [`PredictExtras`] boolean flags. Bodies that mention neither flag take
-/// exactly the [`decode_target_spec`] fast path, so default requests cost
-/// nothing extra — and produce byte-identical responses to releases that
-/// predate the flags.
+/// Decode one `POST /v1/series/{id}/predict` request body from its text.
+/// Equivalent to `Json::parse` + [`series_predict_request_from_json`]. A
+/// bare `TargetSpec`, the default request, takes the streaming path; a body
+/// with a flag (or any other key) is decoded from the tree.
 pub fn decode_series_predict_request(text: &str) -> Result<(TargetSpec, PredictExtras), WireError> {
-    if !text.contains("\"confidence\"") && !text.contains("\"diagnosis\"") {
-        return Ok((decode_target_spec(text)?, PredictExtras::default()));
+    if let Ok(spec) = fast_target_spec(text) {
+        return Ok((spec, PredictExtras::default()));
     }
-    let value = Json::parse(text).map_err(WireError)?;
-    let spec = target_spec_from_json(&value)?;
-    let extras = PredictExtras {
-        confidence: flag(&value, "confidence")?,
-        diagnosis: flag(&value, "diagnosis")?,
-    };
-    Ok((spec, extras))
+    series_predict_request_from_json(&Json::parse(text)?)
 }
 
-/// Read an optional boolean flag off a request object.
-fn flag(value: &Json, key: &str) -> Result<bool, WireError> {
-    match value.get(key) {
-        None => Ok(false),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| err(format!("request: field `{key}` must be a boolean"))),
-    }
-}
-
-/// Most suggestions a plan request may ask for.
-pub const MAX_PLAN_SUGGESTIONS: usize = 8;
-
-/// Decode a `POST /v1/series/{id}/plan` body: a `TargetSpec` plus an
-/// optional `suggestions` count (`1..=8`, default
-/// [`estima_core::plan::DEFAULT_SUGGESTIONS`]).
+/// Decode one `POST /v1/series/{id}/plan` request body from its text.
+/// Equivalent to `Json::parse` + [`plan_request_from_json`], with the same
+/// fast path as [`decode_series_predict_request`].
 pub fn decode_plan_request(text: &str) -> Result<(TargetSpec, usize), WireError> {
-    if !text.contains("\"suggestions\"") {
-        return Ok((
-            decode_target_spec(text)?,
-            estima_core::plan::DEFAULT_SUGGESTIONS,
-        ));
+    if let Ok(spec) = fast_target_spec(text) {
+        return Ok((spec, estima_core::plan::DEFAULT_SUGGESTIONS));
     }
-    let value = Json::parse(text).map_err(WireError)?;
-    let spec = target_spec_from_json(&value)?;
-    let suggestions = match value.get("suggestions") {
-        None => estima_core::plan::DEFAULT_SUGGESTIONS,
-        Some(v) => v
-            .as_u64()
-            .and_then(|n| usize::try_from(n).ok())
-            .filter(|n| (1..=MAX_PLAN_SUGGESTIONS).contains(n))
-            .ok_or_else(|| {
-                err(format!(
-                    "request: field `suggestions` must be an integer between 1 and {MAX_PLAN_SUGGESTIONS}"
-                ))
-            })?,
-    };
-    Ok((spec, suggestions))
+    plan_request_from_json(&Json::parse(text)?)
 }
 
 fn fast_predict_request(text: &str) -> Result<(MeasurementSet, TargetSpec), String> {
@@ -889,7 +619,10 @@ fn fast_target_spec(text: &str) -> Result<TargetSpec, String> {
     Ok(spec)
 }
 
-/// Read a `TargetSpec` object (already positioned at its `{`).
+/// Read a `TargetSpec` object (already positioned at its `{`). It reads
+/// `cores`, `frequency_ghz` and `dataset_scale` at most once each and bails
+/// on any other key, so a body with a flag (under any escaping of its key)
+/// or a duplicate goes to the tree decoder.
 fn read_target_fields(reader: &mut JsonReader<'_>, key: &mut String) -> Result<TargetSpec, String> {
     let mut cores = None;
     let mut frequency_ghz = None;
@@ -897,14 +630,15 @@ fn read_target_fields(reader: &mut JsonReader<'_>, key: &mut String) -> Result<T
     reader.begin_object()?;
     let mut first = true;
     while reader.next_key(&mut first, key)? {
-        if key == "cores" && cores.is_none() {
-            cores = Some(read_u32(reader)?);
-        } else if key == "frequency_ghz" && frequency_ghz.is_none() {
-            frequency_ghz = Some(reader.f64_value()?);
-        } else if key == "dataset_scale" && dataset_scale.is_none() {
-            dataset_scale = Some(reader.f64_value()?);
-        } else {
-            reader.skip_value()?;
+        match key.as_str() {
+            "cores" if cores.is_none() => cores = Some(read_u32(reader)?),
+            "frequency_ghz" if frequency_ghz.is_none() => {
+                frequency_ghz = Some(reader.f64_value()?);
+            }
+            "dataset_scale" if dataset_scale.is_none() => {
+                dataset_scale = Some(reader.f64_value()?);
+            }
+            _ => return Err(bail("not a bare target field")),
         }
     }
     let mut spec = TargetSpec::cores(cores.ok_or_else(|| bail("missing cores"))?);
@@ -1016,7 +750,7 @@ fn read_stalls(reader: &mut JsonReader<'_>, scratch: &mut DecodeScratch) -> Resu
         while reader.next_key(&mut sfirst, &mut scratch.k3)? {
             if scratch.k3 == "source" && source.is_none() {
                 reader.string_value(&mut scratch.text)?;
-                source = Some(parse_source(&scratch.text).map_err(|e| e.0)?);
+                source = Some(StallSource::from_name(&scratch.text)?);
             } else if scratch.k3 == "name" && name.is_none() {
                 reader.string_value(&mut scratch.text)?;
                 name = Some(scratch.text.clone());
@@ -1058,7 +792,7 @@ pub fn ingest_request_to_json(
     }
     fields.push((
         "points".to_string(),
-        Json::Array(points.iter().map(measurement_to_json).collect()),
+        Json::Array(points.iter().map(Measurement::to_json).collect()),
     ));
     Json::Object(fields)
 }
@@ -1145,23 +879,6 @@ pub fn write_retry_error(code: &str, message: &str, retry_after_ms: u64, out: &m
 /// Encode the `429 quota_exceeded` error body (see [`write_retry_error`]).
 pub fn write_quota_error(message: &str, retry_after_ms: u64, out: &mut String) {
     write_retry_error("quota_exceeded", message, retry_after_ms, out);
-}
-
-/// Encode a wire error body: `{"error": {"code": ..., "message": ...}}`.
-pub fn error_to_json(code: &str, message: &str) -> Json {
-    Json::Object(vec![(
-        "error".to_string(),
-        Json::Object(vec![
-            ("code".to_string(), Json::String(code.to_string())),
-            ("message".to_string(), Json::String(message.to_string())),
-        ]),
-    )])
-}
-
-/// Wire error code for a prediction-pipeline failure (`422
-/// prediction_failed`); the variant name is carried in the message.
-pub fn estima_error_to_json(error: &EstimaError) -> Json {
-    error_to_json("prediction_failed", &error.to_string())
 }
 
 #[cfg(test)]
@@ -1253,7 +970,8 @@ mod tests {
         let prediction = Estima::new(EstimaConfig::default().with_parallelism(1))
             .predict(&demo_set(), &TargetSpec::cores(48))
             .unwrap();
-        let encoded = prediction_to_json(&prediction).render();
+        let mut encoded = String::new();
+        write_prediction(&prediction, &mut encoded);
         let decoded = Json::parse(&encoded).unwrap();
         let times = series_from_json(decoded.get("predicted_time").unwrap()).unwrap();
         assert_eq!(times.len(), prediction.predicted_time.len());
@@ -1261,50 +979,6 @@ mod tests {
             assert_eq!(c1, c2);
             assert_eq!(t1.to_bits(), t2.to_bits(), "exact f64 round trip");
         }
-    }
-
-    #[test]
-    fn direct_prediction_writer_matches_tree_render_byte_for_byte() {
-        let prediction = Estima::new(EstimaConfig::default().with_parallelism(1))
-            .predict(&demo_set(), &TargetSpec::cores(48))
-            .unwrap();
-        let via_tree = prediction_to_json(&prediction).render();
-        let mut via_writer = String::new();
-        write_prediction(&prediction, &mut via_writer);
-        assert_eq!(via_writer, via_tree);
-        assert!(
-            !via_writer.contains("\"confidence\""),
-            "default predictions must not emit the opt-in confidence field"
-        );
-    }
-
-    #[test]
-    fn extended_prediction_writer_matches_tree_render_byte_for_byte() {
-        let estima = Estima::new(EstimaConfig::default().with_parallelism(1));
-        let (prediction, interval) = estima_core::Planner::new(&estima)
-            .confidence(&demo_set(), &TargetSpec::cores(48))
-            .unwrap();
-        assert_eq!(prediction.confidence, Some(interval));
-        let report = BottleneckReport::from_prediction(&prediction, 48);
-        let via_tree = prediction_response_to_json(&prediction, Some(&report)).render();
-        let mut via_writer = String::new();
-        write_prediction_response(&prediction, Some(&report), &mut via_writer);
-        assert_eq!(via_writer, via_tree);
-        assert!(via_writer.contains("\"confidence\":{\"lo\":"));
-        assert!(via_writer.contains("\"bottleneck\":{\"at_cores\":48"));
-    }
-
-    #[test]
-    fn plan_writer_matches_tree_render_byte_for_byte() {
-        let estima = Estima::new(EstimaConfig::default().with_parallelism(1));
-        let plan = estima_core::Planner::new(&estima)
-            .plan(&demo_set(), &TargetSpec::cores(48), 3)
-            .unwrap();
-        let via_tree = plan_to_json(&plan).render();
-        let mut via_writer = String::new();
-        write_plan(&plan, &mut via_writer);
-        assert_eq!(via_writer, via_tree);
-        assert!(via_writer.starts_with("{\"app_name\":\"wire-demo\""));
     }
 
     #[test]
@@ -1340,22 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_error_writer_matches_tree_render_byte_for_byte() {
-        for (code, message) in [
-            ("bad_request", "plain message"),
-            (
-                "not_found",
-                "needs \"escaping\"\n\tand \\ control \u{1} bytes",
-            ),
-        ] {
-            let via_tree = error_to_json(code, message).render();
-            let mut via_writer = String::new();
-            write_error(code, message, &mut via_writer);
-            assert_eq!(via_writer, via_tree);
-        }
-    }
-
-    #[test]
     fn ingest_request_round_trips() {
         let series = SeriesId::new("demo-1").unwrap();
         let points: Vec<Measurement> = demo_set().measurements().to_vec();
@@ -1382,12 +1040,12 @@ mod tests {
 
     /// The tree-path outcome `decode_predict_request` must replicate.
     fn tree_predict(text: &str) -> Result<(MeasurementSet, TargetSpec), WireError> {
-        let value = Json::parse(text).map_err(WireError)?;
+        let value = Json::parse(text)?;
         predict_request_from_json(&value)
     }
 
     fn tree_ingest(text: &str) -> Result<IngestRequest, WireError> {
-        let value = Json::parse(text).map_err(WireError)?;
+        let value = Json::parse(text)?;
         ingest_request_from_json(&value)
     }
 
@@ -1412,7 +1070,9 @@ mod tests {
         }
 
         let body = target_spec_to_json(&target).render();
-        assert_eq!(decode_target_spec(&body).unwrap(), target);
+        let decoded = decode_series_predict_request(&body).unwrap();
+        assert_eq!(decoded, (target.clone(), PredictExtras::default()));
+        assert_eq!(decode_plan_request(&body).unwrap().0, target);
     }
 
     #[test]
@@ -1489,11 +1149,10 @@ mod tests {
         }
         let bad_target = r#"{"cores": -1}"#;
         assert_eq!(
-            decode_target_spec(bad_target).map(|_| ()),
+            decode_series_predict_request(bad_target),
             Json::parse(bad_target)
                 .map_err(WireError)
-                .and_then(|v| target_spec_from_json(&v))
-                .map(|_| ()),
+                .and_then(|v| series_predict_request_from_json(&v)),
         );
     }
 
@@ -1553,9 +1212,11 @@ mod tests {
 
     #[test]
     fn error_bodies_have_code_and_message() {
-        let body = estima_error_to_json(&EstimaError::NoStallCategories).render();
+        let mut body = String::new();
+        write_batch_results(&[Err(EstimaError::NoStallCategories)], &mut body);
         let decoded = Json::parse(&body).unwrap();
-        let error = decoded.get("error").unwrap();
+        let results = decoded.get("results").and_then(Json::as_array).unwrap();
+        let error = results[0].get("error").unwrap();
         assert_eq!(
             error.get("code").and_then(Json::as_str),
             Some("prediction_failed")

@@ -522,7 +522,9 @@ fn flipping_the_newest_point_refits_from_memoised_solves() {
     let expected = Estima::new(EstimaConfig::default())
         .predict(&expected_set, &target)
         .unwrap();
-    assert_eq!(served, wire::prediction_to_json(&expected).render());
+    let mut expected_body = String::new();
+    wire::write_prediction(&expected, &mut expected_body);
+    assert_eq!(served, expected_body);
 
     handle.shutdown();
 }
@@ -655,12 +657,13 @@ fn default_predict_bytes_are_unchanged_by_the_plan_subsystem() {
     let target = TargetSpec::cores(48);
 
     // The pre-flags wire pin: a bare-TargetSpec body serves exactly
-    // `prediction_to_json` of the in-process prediction — no `confidence`
+    // `write_prediction` of the in-process prediction — no `confidence`
     // or `bottleneck` key anywhere.
     let reference = BatchPredictor::new(EstimaConfig::default().with_parallelism(1))
         .predict(&set, &target)
         .unwrap();
-    let expected = wire::prediction_to_json(&reference).render();
+    let mut expected = String::new();
+    wire::write_prediction(&reference, &mut expected);
     let bare = wire::target_spec_to_json(&target).render();
     let (status, plain) = client.request("POST", "/v1/series/pinned/predict", &bare);
     assert_eq!(status, 200, "{plain}");

@@ -8,8 +8,7 @@
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Marker returned when a transactional operation detects a conflict (or the
 /// user requests a retry). The transaction machinery catches it and re-runs
@@ -53,6 +52,15 @@ impl<T: std::fmt::Debug> std::fmt::Debug for TVar<T> {
     }
 }
 
+impl<T> TVar<T> {
+    /// Lock the value. A holder that panicked leaves no partial update
+    /// behind (every critical section is one clone or one store), so poison
+    /// is ignored.
+    fn lock(&self) -> MutexGuard<'_, T> {
+        self.value.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 impl<T: Clone + Send + 'static> TVar<T> {
     /// Create a new transactional variable.
     pub fn new(value: T) -> Self {
@@ -67,14 +75,14 @@ impl<T: Clone + Send + 'static> TVar<T> {
     /// consistent snapshot of the single variable (not of the whole memory)
     /// and is intended for post-run inspection and tests.
     pub fn read_atomic(&self) -> T {
-        self.value.lock().clone()
+        self.lock().clone()
     }
 
     /// Replace the value outside of any transaction (e.g. during
     /// single-threaded initialisation). Bumps the version so concurrent
     /// transactions notice.
     pub fn write_atomic(&self, value: T) {
-        let mut guard = self.value.lock();
+        let mut guard = self.lock();
         *guard = value;
         self.version.fetch_add(1, Ordering::Release);
     }
@@ -87,7 +95,7 @@ impl<T: Clone + Send + 'static> TVar<T> {
         if self.commit_lock.load(Ordering::Acquire) {
             return Err(StmAbort);
         }
-        let value = self.value.lock().clone();
+        let value = self.lock().clone();
         let v2 = self.version.load(Ordering::Acquire);
         if v1 != v2 || v1 > rv {
             return Err(StmAbort);
@@ -124,7 +132,7 @@ impl<T: Clone + Send + 'static> TxTarget for TVar<T> {
             .downcast::<T>()
             .expect("write-set value has the wrong type for its TVar");
         {
-            let mut guard = self.value.lock();
+            let mut guard = self.lock();
             *guard = *typed;
         }
         self.version.store(new_version, Ordering::Release);
