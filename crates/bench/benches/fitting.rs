@@ -462,7 +462,8 @@ fn bench_grid_vs_pre_pr(c: &mut Criterion) {
     // A cached refit after the newest point (a checkpoint) flipped between
     // two values, as a store ingest does it: new version, invalidated
     // candidate lists, a full candidate-list miss — and every training
-    // prefix unchanged, so the solve memo serves every nonlinear solve.
+    // prefix unchanged, so the solve memo serves every cell whole (no
+    // solve, no realism walk).
     // `fast` above stays uncached, so the speedup gate still measures the
     // grid itself.
     let cache = FitCache::new();
@@ -521,16 +522,9 @@ fn bench_realism_walk(c: &mut Criterion) {
             training_points: 12,
         };
         let mut values = Vec::with_capacity(horizon as usize);
-        assert!(table.walk(kernel, &curve.params, 1e18, &mut values));
+        assert!(table.walk(kernel, &curve.params, &mut values).is_some());
         group.bench_function(BenchmarkId::new("table", kernel.name()), |b| {
-            b.iter(|| {
-                table.walk(
-                    kernel,
-                    std::hint::black_box(&curve.params),
-                    1e18,
-                    &mut values,
-                )
-            })
+            b.iter(|| table.walk(kernel, std::hint::black_box(&curve.params), &mut values))
         });
         group.bench_function(BenchmarkId::new("per_point", kernel.name()), |b| {
             b.iter(|| {

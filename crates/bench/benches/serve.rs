@@ -20,6 +20,12 @@
 //! and plans it at 48 cores once, so every iteration is a pure fit-cache
 //! hit. `warm/predict` is one series predict; `warm/plan` is one plan,
 //! whose jackknives re-run steps B and C about 69 times.
+//!
+//! The `cold` group times the fit path in process: `cold/flip_predict`
+//! flips the same series' newest (12-core) checkpoint between two values
+//! and predicts it, so every iteration refits all four series (three
+//! categories and the scaling factor) with every training prefix
+//! unchanged, the case the solve memo serves whole.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use estima_core::plan::DEFAULT_SUGGESTIONS;
@@ -254,10 +260,40 @@ fn bench_warm(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_cold(c: &mut Criterion) {
+    let (set, target) = job();
+    let session = EstimaSession::new(EstimaConfig::default().with_parallelism(1));
+    let id = SeriesId::new("bench.cold").expect("series id");
+    session.ingest_set(&id, &set).expect("bench ingest");
+    session.predict(&id, &target).expect("cold-up predict");
+    let newest = set.measurements().last().expect("bench point").clone();
+    let mut flipped = newest.clone();
+    flipped.exec_time *= 1.1;
+    flipped
+        .stalls
+        .values_mut()
+        .for_each(|cycles| *cycles *= 1.1);
+    let points = [newest, flipped];
+    let mut flip = 0;
+    let mut group = c.benchmark_group("cold");
+    group.bench_function("flip_predict", |b| {
+        b.iter(|| {
+            flip ^= 1;
+            session
+                .ingest(&id, points[flip].clone())
+                .expect("flip ingest");
+            let prediction = session.predict(&id, &target).expect("cold predict");
+            prediction.predicted_time.len()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     serve_benches,
     bench_http_roundtrip,
     bench_wire_encode,
-    bench_warm
+    bench_warm,
+    bench_cold
 );
 criterion_main!(serve_benches);

@@ -291,7 +291,7 @@ struct ShardEntry {
     last_used: u64,
 }
 
-/// One training prefix's memoised solves plus its recency stamp (same clock
+/// One training prefix's memoised cells plus its recency stamp (same clock
 /// as [`ShardEntry`]).
 #[derive(Debug)]
 struct SolveEntry {
@@ -401,15 +401,16 @@ const DEFAULT_CAPACITY: usize = 4096;
 ///
 /// # The solve memo
 ///
-/// Beneath the candidate lists, each shard also memoises nonlinear solves
-/// per training prefix (see [`crate::fit`]'s module docs): one entry per
-/// prefix, keyed by the prefix's exact `f64` bits and the interned
-/// [`LmOptions`], holding every nonlinear kernel's outcome. The memo is
-/// structural and unscoped, so [`FitCache::invalidate_series`] leaves it
-/// alone: a refit after an ingest re-solves only the prefixes the ingest
-/// changed. It is bounded like the candidate lists — at most the shard
-/// capacity in entries per shard, LRU — and, like them, losing an entry only
-/// costs a re-solve.
+/// Beneath the candidate lists, each shard also memoises grid cells per
+/// training prefix (see [`crate::fit`]'s module docs): one entry per prefix,
+/// keyed by the prefix's exact `f64` bits and the interned [`LmOptions`],
+/// holding every kernel's solve and, per kernel, the realism walk's verdict,
+/// maximum, training RMSE and eval table at the horizon it was last scored
+/// at. The memo is structural and unscoped, so
+/// [`FitCache::invalidate_series`] leaves it alone: a refit after an ingest
+/// solves and walks only the prefixes the ingest changed. It is bounded like
+/// the candidate lists — at most the shard capacity in entries per shard,
+/// LRU — and, like them, losing an entry only costs a recomputation.
 #[derive(Debug)]
 pub struct FitCache {
     shards: Vec<Mutex<Shard>>,
@@ -527,10 +528,10 @@ impl FitCache {
         Some(index as u64)
     }
 
-    /// The memoised solves of one training prefix, refreshing the entry's
+    /// The memoised cells of one training prefix, refreshing the entry's
     /// recency. `key` is `[options id, x₀, y₀, …, xₚ₋₁, yₚ₋₁]`: the id from
     /// [`FitCache::solve_options_id`], then the prefix's points as `f64` bit
-    /// patterns.
+    /// patterns. The clone shares the entry's eval tables.
     pub(crate) fn lookup_solves(&self, key: &[u64]) -> Option<PrefixSolves> {
         let mut guard = self
             .solve_shard(key)
@@ -540,7 +541,7 @@ impl FitCache {
         let clock = guard.clock;
         let entry = guard.solves.get_mut(key)?;
         entry.last_used = clock;
-        Some(entry.solves)
+        Some(entry.solves.clone())
     }
 
     /// Merge `solves` into the memo entry for `key` (see
@@ -562,7 +563,7 @@ impl FitCache {
                 guard.solves.insert(
                     key.into(),
                     SolveEntry {
-                        solves: *solves,
+                        solves: solves.clone(),
                         last_used: clock,
                     },
                 );
@@ -571,8 +572,8 @@ impl FitCache {
         }
     }
 
-    /// Count (kernel, prefix) cells the memo served and cells it had to
-    /// solve.
+    /// Count (kernel, prefix) cells the memo served and cells whose solve
+    /// or walk ran.
     pub(crate) fn record_solves(&self, hits: usize, misses: usize) {
         self.solve_hits.fetch_add(hits, Ordering::Relaxed);
         self.solve_misses.fetch_add(misses, Ordering::Relaxed);
@@ -715,8 +716,8 @@ impl FitCache {
     }
 
     /// `(hits, misses)` of the solve memo since construction, counted per
-    /// (nonlinear kernel, training prefix) cell of a cache-miss fit: a hit
-    /// reused a memoised outcome, a miss ran the linearised guess and LM.
+    /// (kernel, training prefix) cell of a cache-miss fit: a hit was served
+    /// whole from the memo, a miss ran its solve, its realism walk, or both.
     pub fn solve_stats(&self) -> (usize, usize) {
         (
             self.solve_hits.load(Ordering::Relaxed),

@@ -22,7 +22,8 @@
 //! * builds one **columnar design slab** (column-major, stride = the longest
 //!   training range) over the union of all checkpoint counts' training
 //!   ranges, so every prefix of every checkpoint span reads the same
-//!   transformed columns instead of rebuilding rows per cell,
+//!   transformed columns instead of rebuilding rows per cell (and builds
+//!   none when the solve memo below holds every cell),
 //! * solves each distinct prefix **once** and scores the resulting curve
 //!   against every checkpoint span covering that prefix — and only the
 //!   checkpoint RMSE depends on the span: the training RMSE, the realism walk
@@ -54,15 +55,26 @@
 //!
 //! # The solve memo
 //!
-//! A nonlinear cell's solve (linearised guess plus LM run) is a pure function
-//! of the prefix's points and the [`LmOptions`]; only its *scoring* reads the
-//! rest of the series. A fit with a cache therefore looks every prefix up in
-//! the [`FitCache`]'s solve memo before fanning out, skips the solves the
-//! memo already holds (a failed LM run included), and stores the new ones
-//! afterwards. Refitting a series whose newest point changed re-solves
-//! nothing; an appended point re-solves one new prefix per nonlinear kernel.
-//! A fit without a cache solves every cell and stays the reference the
-//! memoised path is tested against.
+//! A cell's solve (the linear kernels' Cholesky, the nonlinear kernels'
+//! linearised guess plus LM run) is a pure function of the prefix's points
+//! and the [`LmOptions`]. So is most of its scoring: the realism walk at a
+//! horizon, the training RMSE and the eval table read nothing but the
+//! parameters, the prefix and the horizon. Only the checkpoint RMSE reads
+//! the held-out points, and the magnitude cap reads the series maximum —
+//! and the walk takes no cap: it returns the largest value it captured,
+//! and a cap keeps the curve iff `!(max > cap)`.
+//!
+//! A fit with a cache therefore looks every prefix up in the [`FitCache`]'s
+//! memo before fanning out. Each prefix's entry holds, per kernel, the
+//! solve (a failed one included) and, once a grid walked the solved curve,
+//! the walk's verdict, maximum, training RMSE and eval table at that grid's
+//! horizon (a walk at another horizon replaces them; the solve stays). A
+//! cell known at this horizon skips the solve and the walk and pays only
+//! its checkpoint RMSEs and the cap test, and its candidates share the
+//! memoised table; the rest are computed and stored afterwards. Refitting
+//! a series whose newest point changed computes no cell; an appended point
+//! computes one new prefix per kernel. A fit without a cache computes every
+//! cell and stays the reference the memoised path is tested against.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -70,7 +82,7 @@ use std::sync::Arc;
 use crate::config::MAX_TARGET_CORES;
 use crate::engine::{CacheScope, Engine, FitCache, FitKey};
 use crate::error::{EstimaError, Result};
-use crate::kernels::{FittedCurve, HorizonTable, KernelKind};
+use crate::kernels::{within_cap, FittedCurve, HorizonTable, KernelKind};
 use crate::levenberg::{levenberg_marquardt_into, LmOptions, LmWorkspace, MAX_PARAMS};
 use crate::linalg::{
     accumulate_normal_equations, cholesky_solve_in_place, solve_least_squares_qr,
@@ -342,10 +354,10 @@ pub struct CandidateEvals {
 }
 
 impl CandidateEvals {
-    /// Build the table from values captured by the realism walk
+    /// Build the table around values captured by the realism walk
     /// ([`HorizonTable::walk`]). `tail_start` is the first extrapolated core
     /// count (largest measured `x` plus one).
-    pub(crate) fn new(values: &[f64], tail_start: u32) -> Self {
+    pub(crate) fn new(values: Arc<[f64]>, tail_start: u32) -> Self {
         let horizon = values.len() as u32;
         let mut tail_max = 0.0f64;
         let mut tail_min = f64::INFINITY;
@@ -357,7 +369,7 @@ impl CandidateEvals {
             }
         }
         CandidateEvals {
-            values: values.into(),
+            values,
             tail_start,
             tail_max,
             tail_min,
@@ -492,7 +504,7 @@ pub(crate) fn select_best<'a>(
 /// (checkpoint count → prefix → kernel), so the list is identical at any
 /// engine width. With `ctx.cache` the list for a given (series, options,
 /// scope) is computed once and shared by every later caller, and a miss
-/// draws its nonlinear solves from the cache's solve memo.
+/// draws its cells from the cache's solve memo.
 pub fn candidate_fits(
     xs: &[f64],
     ys: &[f64],
@@ -522,36 +534,61 @@ pub fn candidate_fits_with(
     candidate_fits(xs, ys, options, &FitContext::new(*engine))
 }
 
-/// Length of [`PrefixSolves::params`]: the parameter counts of the four
-/// nonlinear kernels (5 + 6 + 7 + 4), packed back to back.
-const SOLVE_PARAMS: usize = 22;
+/// Length of [`PrefixSolves::params`]: the parameter counts of the six
+/// kernels (5 + 6 + 7 + 4 + 4 + 4), packed back to back in Table 1 order.
+const SOLVE_PARAMS: usize = 30;
 
-/// A nonlinear kernel's slot in a [`PrefixSolves`]: its flag bit and the
-/// offset of its parameters.
-fn solve_slot(kernel: KernelKind) -> (u8, usize) {
+/// A kernel's slot in a [`PrefixSolves`]: its index (the position of its
+/// flag bits and of its scored part) and the offset of its parameters.
+fn solve_slot(kernel: KernelKind) -> (usize, usize) {
     match kernel {
-        KernelKind::Rat22 => (1, 0),
-        KernelKind::Rat23 => (1 << 1, 5),
-        KernelKind::Rat33 => (1 << 2, 11),
-        KernelKind::ExpRat => (1 << 3, 18),
-        KernelKind::CubicLn | KernelKind::Poly25 => {
-            unreachable!("linear kernels are not memoised")
-        }
+        KernelKind::Rat22 => (0, 0),
+        KernelKind::Rat23 => (1, 5),
+        KernelKind::Rat33 => (2, 11),
+        KernelKind::CubicLn => (3, 18),
+        KernelKind::ExpRat => (4, 22),
+        KernelKind::Poly25 => (5, 26),
     }
 }
 
-/// The memoised solves of one training prefix: for each nonlinear kernel,
-/// nothing yet, "LM failed", or the fitted parameters. A [`FitCache`] keeps
-/// one per prefix (see the module docs); an entry fills up kernel by kernel
-/// as fits with different kernel sets reach the prefix.
-#[derive(Debug, Clone, Copy)]
+/// The memoised cells of one training prefix. For each kernel: its solve
+/// (nothing yet, "no solution", or the fitted parameters) and, once a grid
+/// has walked the solved curve, the part of its score that reads no
+/// checkpoint, tagged with that grid's horizon. A [`FitCache`] keeps one per
+/// prefix (see the module docs); an entry fills up kernel by kernel as fits
+/// with different kernel sets reach the prefix.
+#[derive(Debug, Clone)]
 pub(crate) struct PrefixSolves {
     /// Every solved kernel's parameters, at its [`solve_slot`] offset.
     params: [f64; SOLVE_PARAMS],
-    /// Slots whose outcome is known.
+    /// Slots whose solve is known.
     known: u8,
-    /// Known slots whose LM run converged (their parameters are valid).
+    /// Known slots whose solve succeeded (their parameters are valid).
     solved: u8,
+    /// Each solved slot's scored part, at its [`solve_slot`] index.
+    scores: [Option<CellScore>; KernelKind::ALL.len()],
+}
+
+/// The part of a solved cell's score that reads no checkpoint: the realism
+/// walk at `horizon` and, when it accepts the curve, what the cell's
+/// candidates carry besides their checkpoint RMSEs.
+#[derive(Debug, Clone)]
+struct CellScore {
+    horizon: u32,
+    /// `None` when the walk rejected the curve.
+    accepted: Option<Walked>,
+}
+
+/// An accepted walk's results.
+#[derive(Debug, Clone)]
+struct Walked {
+    training_rmse: f64,
+    /// The largest value the walk captured: a magnitude cap keeps the curve
+    /// iff `!(max > cap)`.
+    max: f64,
+    /// The captured values, shared by the eval tables of the cell's
+    /// candidates.
+    values: Arc<[f64]>,
 }
 
 impl PrefixSolves {
@@ -560,37 +597,58 @@ impl PrefixSolves {
         params: [0.0; SOLVE_PARAMS],
         known: 0,
         solved: 0,
+        scores: [const { None }; KernelKind::ALL.len()],
     };
 
-    /// `None` while `kernel`'s outcome is unknown; `Some(None)` when its LM
-    /// run failed; otherwise its parameters.
+    /// `None` while `kernel`'s solve is unknown; `Some(None)` when it found
+    /// no solution; otherwise its parameters.
     fn get(&self, kernel: KernelKind) -> Option<Option<&[f64]>> {
-        let (bit, offset) = solve_slot(kernel);
+        let (index, offset) = solve_slot(kernel);
+        let bit = 1 << index;
         (self.known & bit != 0).then(|| {
             (self.solved & bit != 0).then(|| &self.params[offset..offset + kernel.param_count()])
         })
     }
 
-    /// Record `kernel`'s outcome: its parameters, or `None` for a failed run.
+    /// Record `kernel`'s solve: its parameters, or `None` for no solution.
     fn set(&mut self, kernel: KernelKind, outcome: Option<&[f64]>) {
-        let (bit, offset) = solve_slot(kernel);
-        self.known |= bit;
+        let (index, offset) = solve_slot(kernel);
+        self.known |= 1 << index;
         if let Some(params) = outcome {
             self.params[offset..offset + params.len()].copy_from_slice(params);
-            self.solved |= bit;
+            self.solved |= 1 << index;
         }
     }
 
-    /// Adopt every outcome `other` knows and `self` does not. Returns whether
+    /// `kernel`'s scored part at `horizon`: `None` when none is memoised at
+    /// that horizon, `Some(None)` when the walk rejected the curve.
+    fn score(&self, kernel: KernelKind, horizon: u32) -> Option<Option<&Walked>> {
+        let score = self.scores[solve_slot(kernel).0].as_ref()?;
+        (score.horizon == horizon).then_some(score.accepted.as_ref())
+    }
+
+    /// Adopt every solve `other` knows and `self` does not, and every scored
+    /// part `other` holds at a horizon `self` has not scored that kernel at
+    /// (it replaces the scored part at the other horizon). Returns whether
     /// anything was new.
     pub(crate) fn merge(&mut self, other: &PrefixSolves) -> bool {
-        let new = other.known & !self.known;
-        for kernel in KernelKind::ALL.into_iter().filter(|k| !k.is_linear()) {
-            if new & solve_slot(kernel).0 != 0 {
-                self.set(kernel, other.get(kernel).flatten());
+        let mut new = false;
+        for kernel in KernelKind::ALL {
+            let index = solve_slot(kernel).0;
+            if self.known & (1 << index) == 0 {
+                if let Some(outcome) = other.get(kernel) {
+                    self.set(kernel, outcome);
+                    new = true;
+                }
+            }
+            if let Some(score) = &other.scores[index] {
+                if self.score(kernel, score.horizon).is_none() {
+                    self.scores[index] = Some(score.clone());
+                    new = true;
+                }
             }
         }
-        new != 0
+        new
     }
 }
 
@@ -604,13 +662,13 @@ struct SeriesSolves<'c> {
     /// Smallest grid prefix; `known[i]` belongs to prefix `lo + i`.
     lo: usize,
     known: Vec<PrefixSolves>,
-    /// (kernel, prefix) cells the memo already held.
-    hits: usize,
+    /// (kernel, prefix) cells the grid visits.
+    cells: usize,
 }
 
 impl<'c> SeriesSolves<'c> {
-    /// Look up every prefix the grid will fit. `None` when the fit has no
-    /// nonlinear kernel or the cache cannot memoise these LM options.
+    /// Look up every prefix the grid will fit. `None` when the cache cannot
+    /// memoise these LM options.
     fn open(
         cache: &'c FitCache,
         xs: &[f64],
@@ -618,9 +676,6 @@ impl<'c> SeriesSolves<'c> {
         options: &FitOptions,
         spans: &[CheckpointSpan],
     ) -> Option<SeriesSolves<'c>> {
-        if options.kernels.iter().all(KernelKind::is_linear) {
-            return None;
-        }
         let id = cache.solve_options_id(&options.lm)?;
         let (lo, hi) = prefix_range(spans);
         let mut key = Vec::with_capacity(1 + 2 * hi);
@@ -636,39 +691,27 @@ impl<'c> SeriesSolves<'c> {
                 found.unwrap_or(PrefixSolves::EMPTY)
             })
             .collect();
-        let hits = known
-            .iter()
-            .map(|solves| {
-                let nonlinear = options.kernels.iter().filter(|k| !k.is_linear());
-                nonlinear.filter(|k| solves.get(**k).is_some()).count()
-            })
-            .sum();
+        let prefixes = (lo..=hi).filter(|prefix| covered(spans, *prefix)).count();
         Some(SeriesSolves {
             cache,
             key,
             lo,
             known,
-            hits,
+            cells: prefixes * options.kernels.len(),
         })
     }
 
-    /// Merge each kernel's new solves (one list per kernel, empty for the
-    /// linear ones) into what was known, and store every prefix that gained
-    /// one.
-    fn store(mut self, fresh: Vec<Vec<PrefixSolves>>) {
-        let mut solved = 0;
-        for (i, known) in self.known.iter_mut().enumerate() {
-            let mut changed = false;
-            for new in fresh.iter().filter_map(|kernel| kernel.get(i)) {
-                solved += new.known.count_ones() as usize;
-                changed |= known.merge(new);
-            }
-            if changed {
-                let prefix = self.lo + i;
-                self.cache.store_solves(&self.key[..1 + 2 * prefix], known);
-            }
+    /// Store the cells the kernel grids computed (one list of `(prefix −
+    /// lo, cell)` per kernel) and count the grid's cells: the computed
+    /// ones, and the rest as served.
+    fn store(self, fresh: Vec<Vec<(usize, PrefixSolves)>>) {
+        let mut computed = 0;
+        for (index, cell) in fresh.iter().flatten() {
+            let prefix = self.lo + index;
+            self.cache.store_solves(&self.key[..1 + 2 * prefix], cell);
+            computed += 1;
         }
-        self.cache.record_solves(self.hits, solved);
+        self.cache.record_solves(self.cells - computed, computed);
     }
 }
 
@@ -719,10 +762,11 @@ fn prefix_bounds(options: &FitOptions, n_train: usize) -> (usize, usize) {
     }
 }
 
-/// The candidate grid, with the nonlinear solves drawn from (and added to)
-/// `memo`'s solve memo when one is given. The candidates are bit-identical
-/// either way: a memoised solve is the exact parameter vector the same prefix
-/// and LM options produced before.
+/// The candidate grid, with its cells drawn from (and added to) `memo`'s
+/// solve memo when one is given. The candidates are bit-identical either
+/// way: a memoised cell holds the exact parameters, walk maximum, training
+/// RMSE and eval table the same prefix, LM options and horizon produced
+/// before.
 fn candidate_grid(
     xs: &[f64],
     ys: &[f64],
@@ -838,48 +882,93 @@ struct Grid<'a> {
     tail_start: u32,
 }
 
-/// Fit every (checkpoint count × prefix) cell of one kernel from a shared
-/// columnar design slab. Returns one slot per cell, flattened in (checkpoint
-/// span → prefix) order — the same layout [`candidate_grid`] reassembles
-/// from — and, when `known` solves are given, the solves this call added
-/// (one per grid prefix; empty for linear kernels and the uncached path).
+/// Fit every (checkpoint count × prefix) cell of one kernel. Returns one
+/// slot per cell, flattened in (checkpoint span → prefix) order — the same
+/// layout [`candidate_grid`] reassembles from — and, when the memo's `known`
+/// cells are given (indexed by `prefix - lo`), the cells this call computed
+/// (a solve or a walk ran), as `(prefix - lo, cell)`.
+///
+/// A cell whose solve is known skips the solve (and yields nothing if it
+/// found no solution); one whose scored part is known at this horizon also
+/// skips the walk, and pays only its checkpoint RMSEs.
 fn fit_kernel_grid(
     grid: &Grid<'_>,
     kernel: KernelKind,
     known: Option<&[PrefixSolves]>,
     ws: &mut FitWorkspace,
-) -> (Vec<Option<FitCandidate>>, Vec<PrefixSolves>) {
-    ws.horizon.cover(grid.options.realism_horizon);
+) -> (Vec<Option<FitCandidate>>, Vec<(usize, PrefixSolves)>) {
+    let horizon = grid.options.realism_horizon;
+    ws.horizon.cover(horizon);
     let total: usize = grid.spans.iter().map(CheckpointSpan::width).sum();
     let mut out = vec![None; total];
-    let fresh = if kernel.is_linear() {
-        fit_linear_grid(grid, kernel, ws, &mut out);
-        Vec::new()
-    } else {
-        fit_nonlinear_grid(grid, kernel, known, ws, &mut out)
-    };
+    let mut fresh = Vec::new();
+    let (lo, hi) = prefix_range(grid.spans);
+    let mut solver = CellSolver::new(grid, kernel);
+    let mut params_buf = [0.0f64; MAX_PARAMS];
+    for prefix in lo..=hi {
+        if !covered(grid.spans, prefix) {
+            continue;
+        }
+        let memo = known.map(|known| &known[prefix - lo]);
+        let params = &mut params_buf[..kernel.param_count()];
+        // What this call learns about the cell, for the memo.
+        let mut computed = None;
+        let solved = match memo.and_then(|memo| memo.get(kernel)) {
+            Some(outcome) => {
+                if let Some(memoised) = outcome {
+                    params.copy_from_slice(memoised);
+                }
+                outcome.is_some()
+            }
+            None => {
+                let solved = solver.solve(grid, prefix, ws, params);
+                computed = Some((solved, None));
+                solved
+            }
+        };
+        if solved {
+            let score = memo.and_then(|memo| memo.score(kernel, horizon));
+            if let Some(walked) = score_cell_into(grid, kernel, params, prefix, score, ws, &mut out)
+            {
+                computed = Some((true, Some(walked)));
+            }
+        }
+        if let (Some((solved, walked)), Some(_)) = (computed, known) {
+            let mut cell = PrefixSolves::EMPTY;
+            cell.set(kernel, solved.then_some(&*params));
+            cell.scores[solve_slot(kernel).0] = walked;
+            fresh.push((prefix - lo, cell));
+        }
+    }
     (out, fresh)
 }
 
-/// Score one solved prefix against every checkpoint span covering it, writing
+/// Score one solved cell against every checkpoint span covering it, writing
 /// the candidates into the flattened (span → prefix) output slots.
 ///
-/// Only the checkpoint RMSE depends on the span. The training RMSE, the
-/// realism walk and the eval table depend on (kernel, params, prefix,
-/// horizon, magnitude cap) alone, so they are computed once, for the first
-/// span whose checkpoint RMSE is finite, and every span's candidate shares
-/// the eval table.
-fn score_prefix_into(
+/// Only the checkpoint RMSE depends on the span. The walk, the training RMSE
+/// and the eval table depend on (kernel, params, prefix, horizon) alone:
+/// `memo` is what an earlier grid found for them at this horizon, if
+/// anything. Otherwise the walk runs once, for the first span whose
+/// checkpoint RMSE is finite, and its result is returned for the memo. The
+/// magnitude cap applies to the walk's maximum afterwards, so one walk
+/// serves every cap. Every span's candidate shares the one eval table.
+fn score_cell_into(
     grid: &Grid<'_>,
     kernel: KernelKind,
     params: &[f64],
     prefix: usize,
-    table: &HorizonTable,
-    walked: &mut Vec<f64>,
+    memo: Option<Option<&Walked>>,
+    ws: &mut FitWorkspace,
     out: &mut [Option<FitCandidate>],
-) {
+) -> Option<CellScore> {
+    let within = |walked: &Walked| within_cap(walked.max, grid.magnitude_cap);
+    if memo.is_some_and(|walked| !walked.is_some_and(within)) {
+        return None;
+    }
     let (xs, ys) = (grid.xs, grid.ys);
-    // `Some(None)` once the walk has rejected the curve.
+    let mut fresh = None;
+    // `Some(None)` once the cell is known to yield no candidate.
     let mut shared: Option<Option<(f64, CandidateEvals)>> = None;
     let mut base = 0;
     for span in grid.spans {
@@ -887,14 +976,24 @@ fn score_prefix_into(
             let n_train = span.n_train;
             let checkpoint_rmse = model_rmse(kernel, params, &xs[n_train..], &ys[n_train..]);
             if checkpoint_rmse.is_finite() {
-                let scored = shared.get_or_insert_with(|| {
-                    let realistic = table.walk(kernel, params, grid.magnitude_cap, walked);
-                    realistic.then(|| {
-                        let training_rmse =
-                            model_rmse(kernel, params, &xs[..prefix], &ys[..prefix]);
-                        (training_rmse, CandidateEvals::new(walked, grid.tail_start))
-                    })
-                });
+                let scored = match &mut shared {
+                    Some(scored) => scored,
+                    None => {
+                        let walked = match memo {
+                            Some(walked) => walked.cloned(),
+                            None => {
+                                let score = walk_cell(grid, kernel, params, prefix, ws);
+                                let walked = score.accepted.clone();
+                                fresh = Some(score);
+                                walked
+                            }
+                        };
+                        shared.insert(walked.filter(within).map(|walked| {
+                            let evals = CandidateEvals::new(walked.values, grid.tail_start);
+                            (walked.training_rmse, evals)
+                        }))
+                    }
+                };
                 if let Some((training_rmse, evals)) = scored {
                     out[base + prefix - span.prefix_start] = Some(FitCandidate {
                         curve: FittedCurve {
@@ -912,6 +1011,30 @@ fn score_prefix_into(
         }
         base += span.width();
     }
+    fresh
+}
+
+/// Walk a solved cell at the grid's horizon and, when the walk accepts the
+/// curve, compute its training RMSE and keep the captured values.
+fn walk_cell(
+    grid: &Grid<'_>,
+    kernel: KernelKind,
+    params: &[f64],
+    prefix: usize,
+    ws: &mut FitWorkspace,
+) -> CellScore {
+    let accepted = ws
+        .horizon
+        .walk(kernel, params, &mut ws.walked)
+        .map(|max| Walked {
+            training_rmse: model_rmse(kernel, params, &grid.xs[..prefix], &grid.ys[..prefix]),
+            max,
+            values: ws.walked.as_slice().into(),
+        });
+    CellScore {
+        horizon: ws.horizon.horizon(),
+        accepted,
+    }
 }
 
 /// RMSE of the kernel at `params` over `(xs, ys)`, without materialising the
@@ -928,57 +1051,136 @@ fn model_rmse(kernel: KernelKind, params: &[f64], xs: &[f64], ys: &[f64]) -> f64
     (sum / xs.len() as f64).sqrt()
 }
 
-/// Linear-kernel grid: the columnar design slab is built once over the
-/// longest training range; each distinct prefix is a rank-1 update of the
-/// running normal equations followed by an in-place Cholesky solve
-/// (ridge-regularised when the system is under-determined or numerically not
-/// positive definite), then scored against every covering checkpoint span.
-fn fit_linear_grid(
-    grid: &Grid<'_>,
+/// Solves one kernel's cells in ascending prefix order from a columnar slab
+/// built once over the grid's longest training range — on the first solve,
+/// so a grid whose every cell is memoised builds none.
+///
+/// * Linear kernels (`CubicLn`, `Poly25`): the slab holds the design
+///   columns, and each prefix is a rank-1 update of the running normal
+///   equations followed by an in-place Cholesky solve (ridge-regularised
+///   when the system is under-determined or numerically not positive
+///   definite). Skipped prefixes are caught up by the accumulation, so
+///   every prefix sees the same gram whichever cells were memoised.
+/// * Nonlinear kernels: the slab holds the linearised-guess columns; each
+///   prefix solves the guess on prefix views of them and refines it with an
+///   allocation-free Levenberg–Marquardt run using the kernel's analytic
+///   Jacobian.
+struct CellSolver {
     kernel: KernelKind,
-    ws: &mut FitWorkspace,
-    out: &mut [Option<FitCandidate>],
-) {
-    let (xs, ys, spans) = (grid.xs, grid.ys, grid.spans);
-    let p = kernel.param_count();
-    let n_build = spans.iter().map(|s| s.n_train).max().unwrap_or(0);
-    let (lo, hi) = prefix_range(spans);
-    // Columnar slab over the longest training range: column `j` holds design
-    // component `j` at every training point. Design rows depend only on the
-    // point, so one slab serves every checkpoint span.
-    grow(&mut ws.design, p * n_build);
-    let mut row = [0.0f64; MAX_PARAMS];
-    for (i, x) in xs[..n_build].iter().enumerate() {
-        kernel.design_row_into(*x, &mut row[..p]);
-        for (j, v) in row[..p].iter().enumerate() {
-            ws.design[j * n_build + i] = *v;
+    /// The longest training range: the slab's column stride.
+    n_build: usize,
+    built: bool,
+    /// `ExpRat`: the training points before the first non-positive value
+    /// (its linearisation goes through `ln y`).
+    positive_limit: usize,
+    /// Linear kernels: points accumulated into the normal equations.
+    rows_in: usize,
+}
+
+impl CellSolver {
+    fn new(grid: &Grid<'_>, kernel: KernelKind) -> Self {
+        let n_build = grid.spans.iter().map(|s| s.n_train).max().unwrap_or(0);
+        CellSolver {
+            kernel,
+            n_build,
+            built: false,
+            positive_limit: n_build,
+            rows_in: 0,
         }
     }
-    grow(&mut ws.gram, p * p);
-    grow(&mut ws.rhs, p);
-    grow(&mut ws.solve_mat, p * p);
-    grow(&mut ws.solve_rhs, p);
-    ws.gram[..p * p].fill(0.0);
-    ws.rhs[..p].fill(0.0);
 
-    let mut rows_in = 0;
-    for prefix in lo..=hi {
-        // Skipped prefixes are caught up by the incremental accumulation
-        // below.
-        if !covered(spans, prefix) {
-            continue;
+    /// Solve `prefix` into `params`; returns whether a solution was found.
+    /// Reads only the prefix's points, so the outcome is a function of the
+    /// prefix and the LM options — what lets the memo reuse it.
+    fn solve(
+        &mut self,
+        grid: &Grid<'_>,
+        prefix: usize,
+        ws: &mut FitWorkspace,
+        params: &mut [f64],
+    ) -> bool {
+        if !self.built {
+            self.build(grid, ws);
+            self.built = true;
         }
-        while rows_in < prefix {
+        if self.kernel.is_linear() {
+            self.solve_linear(grid, prefix, ws, params)
+        } else {
+            self.solve_nonlinear(grid, prefix, ws, params)
+        }
+    }
+
+    /// Fill the slab (and, for linear kernels, zero the normal equations).
+    fn build(&mut self, grid: &Grid<'_>, ws: &mut FitWorkspace) {
+        let (xs, ys, n_build) = (grid.xs, grid.ys, self.n_build);
+        let kernel = self.kernel;
+        let p = kernel.param_count();
+        let mut row = [0.0f64; MAX_PARAMS];
+        if kernel.is_linear() {
+            // Design rows depend only on the point, so one slab serves every
+            // checkpoint span.
+            grow(&mut ws.design, p * n_build);
+            for (i, x) in xs[..n_build].iter().enumerate() {
+                kernel.design_row_into(*x, &mut row[..p]);
+                for (j, v) in row[..p].iter().enumerate() {
+                    ws.design[j * n_build + i] = *v;
+                }
+            }
+            grow(&mut ws.gram, p * p);
+            grow(&mut ws.rhs, p);
+            grow(&mut ws.solve_mat, p * p);
+            grow(&mut ws.solve_rhs, p);
+            ws.gram[..p * p].fill(0.0);
+            ws.rhs[..p].fill(0.0);
+        } else if kernel == KernelKind::ExpRat {
+            self.positive_limit = ys[..n_build]
+                .iter()
+                .position(|y| *y <= 0.0)
+                .unwrap_or(n_build);
+            grow(&mut ws.design, 3 * n_build);
+            grow(&mut ws.zs, n_build);
+            for i in 0..self.positive_limit {
+                let z = ys[i].ln();
+                ws.zs[i] = z;
+                fill_exprat_guess_row(&mut row[..3], xs[i], z);
+                for (j, v) in row[..3].iter().enumerate() {
+                    ws.design[j * n_build + i] = *v;
+                }
+            }
+        } else {
+            grow(&mut ws.design, p * n_build);
+            let (num_degree, den_degree) = rational_degrees(kernel);
+            for i in 0..n_build {
+                fill_rational_guess_row(&mut row[..p], xs[i], ys[i], num_degree, den_degree);
+                for (j, v) in row[..p].iter().enumerate() {
+                    ws.design[j * n_build + i] = *v;
+                }
+            }
+        }
+    }
+
+    /// A linear cell: catch the normal equations up to `prefix`, then solve
+    /// them in place, through the ridge when the plain Cholesky fails.
+    fn solve_linear(
+        &mut self,
+        grid: &Grid<'_>,
+        prefix: usize,
+        ws: &mut FitWorkspace,
+        params: &mut [f64],
+    ) -> bool {
+        let (p, n_build) = (self.kernel.param_count(), self.n_build);
+        let mut row = [0.0f64; MAX_PARAMS];
+        while self.rows_in < prefix {
             for (j, slot) in row[..p].iter_mut().enumerate() {
-                *slot = ws.design[j * n_build + rows_in];
+                *slot = ws.design[j * n_build + self.rows_in];
             }
             accumulate_normal_equations(
                 &row[..p],
-                ys[rows_in],
+                grid.ys[self.rows_in],
                 &mut ws.gram[..p * p],
                 &mut ws.rhs[..p],
             );
-            rows_in += 1;
+            self.rows_in += 1;
         }
         let gram = &ws.gram[..p * p];
         let solve_mat = &mut ws.solve_mat[..p * p];
@@ -1001,173 +1203,60 @@ fn fit_linear_grid(
             solved = cholesky_solve_in_place(solve_mat, p, solve_rhs);
         }
         if solved {
-            score_prefix_into(
-                grid,
-                kernel,
-                &ws.solve_rhs[..p],
-                prefix,
-                &ws.horizon,
-                &mut ws.walked,
-                out,
-            );
+            params.copy_from_slice(solve_rhs);
         }
-    }
-}
-
-/// Nonlinear-kernel grid: the columnar linearised-guess slab is built once
-/// over the longest training range; each distinct prefix solves the guess on
-/// prefix views of the slab columns, refines it with an allocation-free
-/// Levenberg–Marquardt run using the kernel's analytic Jacobian, and scores
-/// the result against every covering checkpoint span.
-///
-/// With the solves `known` before the fit (indexed by `prefix - lo`), a
-/// prefix whose outcome is known skips the guess and the LM run and goes
-/// straight to scoring (or is skipped, if its LM run failed). Returns the
-/// solves this call added, in the same layout (empty without `known`).
-fn fit_nonlinear_grid(
-    grid: &Grid<'_>,
-    kernel: KernelKind,
-    known: Option<&[PrefixSolves]>,
-    ws: &mut FitWorkspace,
-    out: &mut [Option<FitCandidate>],
-) -> Vec<PrefixSolves> {
-    let (xs, ys, spans) = (grid.xs, grid.ys, grid.spans);
-    let p = kernel.param_count();
-    let n_build = spans.iter().map(|s| s.n_train).max().unwrap_or(0);
-    let (lo, hi) = prefix_range(spans);
-    let memoised = |prefix: usize| known.and_then(|known| known[prefix - lo].get(kernel));
-    let mut fresh = vec![PrefixSolves::EMPTY; known.map_or(0, <[_]>::len)];
-
-    // Build the shared columnar guess slab once per (kernel, series) pair.
-    let exprat = kernel == KernelKind::ExpRat;
-    // For ExpRat the linearisation goes through ln(y): it is only usable on
-    // prefixes whose values are all positive.
-    let positive_limit = if exprat {
-        ys[..n_build]
-            .iter()
-            .position(|y| *y <= 0.0)
-            .unwrap_or(n_build)
-    } else {
-        n_build
-    };
-    let guess_cols = if exprat { 3 } else { p };
-    grow(&mut ws.design, guess_cols * n_build);
-    let mut row = [0.0f64; MAX_PARAMS];
-    if exprat {
-        grow(&mut ws.zs, n_build);
-        for i in 0..positive_limit {
-            let z = ys[i].ln();
-            ws.zs[i] = z;
-            fill_exprat_guess_row(&mut row[..3], xs[i], z);
-            for (j, v) in row[..3].iter().enumerate() {
-                ws.design[j * n_build + i] = *v;
-            }
-        }
-    } else {
-        let (num_degree, den_degree) = rational_degrees(kernel);
-        for i in 0..n_build {
-            fill_rational_guess_row(&mut row[..p], xs[i], ys[i], num_degree, den_degree);
-            for (j, v) in row[..p].iter().enumerate() {
-                ws.design[j * n_build + i] = *v;
-            }
-        }
+        solved
     }
 
-    let mut params_buf = [0.0f64; MAX_PARAMS];
-    for prefix in lo..=hi {
-        if !covered(spans, prefix) {
-            continue;
-        }
-        let params = &mut params_buf[..p];
-        let solved = match memoised(prefix) {
-            Some(Some(memo)) => {
-                params.copy_from_slice(memo);
-                true
-            }
-            Some(None) => false,
-            None => {
-                let solved = solve_prefix(
-                    xs,
-                    ys,
-                    kernel,
+    /// A nonlinear cell: the linearised initial guess on the shared slab,
+    /// refined by Levenberg–Marquardt; returns whether the LM run converged.
+    fn solve_nonlinear(
+        &self,
+        grid: &Grid<'_>,
+        prefix: usize,
+        ws: &mut FitWorkspace,
+        params: &mut [f64],
+    ) -> bool {
+        let kernel = self.kernel;
+        let p = kernel.param_count();
+        let px = &grid.xs[..prefix];
+        let py = &grid.ys[..prefix];
+        // Column construction and fallbacks go through the same
+        // `fill_*_guess_row` / `fallback_guess` helpers as
+        // `linearized_initial_guess`, and the columnar QR transposes into the
+        // exact row-major work buffer the one-shot path factorises, so the
+        // two paths cannot drift apart.
+        let mean_y = py.iter().sum::<f64>() / prefix as f64;
+        let mut guessed = false;
+        if kernel == KernelKind::ExpRat {
+            if prefix <= self.positive_limit && prefix >= 3 {
+                if let Ok(sol) = solve_least_squares_qr_columns(
+                    &ws.design,
+                    self.n_build,
                     prefix,
-                    positive_limit,
-                    n_build,
-                    grid.options,
-                    ws,
-                    params,
-                );
-                if let Some(slot) = fresh.get_mut(prefix - lo) {
-                    slot.set(kernel, solved.then_some(&*params));
+                    3,
+                    &ws.zs[..prefix],
+                ) {
+                    if sol.iter().all(|v| v.is_finite()) {
+                        params.copy_from_slice(&[sol[0], sol[1], 1.0, sol[2]]);
+                        guessed = true;
+                    }
                 }
-                solved
             }
-        };
-        if solved {
-            score_prefix_into(
-                grid,
-                kernel,
-                params,
-                prefix,
-                &ws.horizon,
-                &mut ws.walked,
-                out,
-            );
-        }
-    }
-    fresh
-}
-
-/// Solve one nonlinear grid cell into `params`: the linearised initial guess
-/// on the shared slab, refined by Levenberg–Marquardt. Returns whether the LM
-/// run converged. Reads only the prefix's points (`positive_limit` only says
-/// whether they are all positive), so the outcome is a function of the
-/// prefix and the LM options — what lets the solve memo reuse it.
-#[allow(clippy::too_many_arguments)]
-fn solve_prefix(
-    xs: &[f64],
-    ys: &[f64],
-    kernel: KernelKind,
-    prefix: usize,
-    positive_limit: usize,
-    n_build: usize,
-    options: &FitOptions,
-    ws: &mut FitWorkspace,
-    params: &mut [f64],
-) -> bool {
-    let p = kernel.param_count();
-    let px = &xs[..prefix];
-    let py = &ys[..prefix];
-    // Linearised initial guess on the shared slab: column construction
-    // and fallbacks go through the same `fill_*_guess_row` /
-    // `fallback_guess` helpers as `linearized_initial_guess`, and the
-    // columnar QR transposes into the exact row-major work buffer the
-    // one-shot path factorises, so the two paths cannot drift apart.
-    let mean_y = py.iter().sum::<f64>() / prefix as f64;
-    let mut guessed = false;
-    if kernel == KernelKind::ExpRat {
-        if prefix <= positive_limit && prefix >= 3 {
-            if let Ok(sol) =
-                solve_least_squares_qr_columns(&ws.design, n_build, prefix, 3, &ws.zs[..prefix])
+        } else if prefix >= p {
+            if let Ok(sol) = solve_least_squares_qr_columns(&ws.design, self.n_build, prefix, p, py)
             {
                 if sol.iter().all(|v| v.is_finite()) {
-                    params.copy_from_slice(&[sol[0], sol[1], 1.0, sol[2]]);
+                    params.copy_from_slice(&sol);
                     guessed = true;
                 }
             }
         }
-    } else if prefix >= p {
-        if let Ok(sol) = solve_least_squares_qr_columns(&ws.design, n_build, prefix, p, py) {
-            if sol.iter().all(|v| v.is_finite()) {
-                params.copy_from_slice(&sol);
-                guessed = true;
-            }
+        if !guessed {
+            fallback_guess(kernel, mean_y, params);
         }
+        levenberg_marquardt_into(&kernel, px, py, params, &grid.options.lm, &mut ws.lm).is_ok()
     }
-    if !guessed {
-        fallback_guess(kernel, mean_y, params);
-    }
-    levenberg_marquardt_into(&kernel, px, py, params, &options.lm, &mut ws.lm).is_ok()
 }
 
 #[cfg(test)]
@@ -1182,11 +1271,10 @@ mod tests {
     }
 
     #[test]
-    fn solve_slots_pack_every_nonlinear_kernel() {
+    fn solve_slots_pack_every_kernel() {
         let mut end = 0;
-        for kernel in KernelKind::ALL.into_iter().filter(|k| !k.is_linear()) {
-            let (_, offset) = solve_slot(kernel);
-            assert_eq!(offset, end, "{kernel:?} does not follow its predecessor");
+        for (index, kernel) in KernelKind::ALL.into_iter().enumerate() {
+            assert_eq!(solve_slot(kernel), (index, end), "{kernel:?}");
             end += kernel.param_count();
         }
         assert_eq!(end, SOLVE_PARAMS);
@@ -1197,6 +1285,7 @@ mod tests {
             Some(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
         );
         solves.set(KernelKind::ExpRat, None);
+        solves.set(KernelKind::Poly25, Some(&[8.0, 9.0, 10.0, 11.0]));
         let mut merged = PrefixSolves::EMPTY;
         assert!(merged.merge(&solves));
         assert!(!merged.merge(&solves), "nothing new the second time");
@@ -1206,6 +1295,48 @@ mod tests {
             merged.get(KernelKind::Rat33),
             Some(Some(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0][..]))
         );
+        assert_eq!(
+            merged.get(KernelKind::Poly25),
+            Some(Some(&[8.0, 9.0, 10.0, 11.0][..]))
+        );
+    }
+
+    #[test]
+    fn a_score_at_another_horizon_replaces_the_scored_part_and_keeps_the_solve() {
+        let slot = solve_slot(KernelKind::CubicLn).0;
+        let scored = |horizon: u32, max: f64| {
+            let mut cell = PrefixSolves::EMPTY;
+            cell.set(KernelKind::CubicLn, Some(&[1.0, 0.0, 0.0, 0.0]));
+            cell.scores[slot] = Some(CellScore {
+                horizon,
+                accepted: (max >= 0.0).then(|| Walked {
+                    training_rmse: 0.5,
+                    max,
+                    values: vec![max; horizon as usize].into(),
+                }),
+            });
+            cell
+        };
+        let mut entry = scored(48, 3.0);
+        let table = |entry: &PrefixSolves, horizon| {
+            let walked = entry.score(KernelKind::CubicLn, horizon)?;
+            Some(walked.map(|walked| walked.values.clone()))
+        };
+        let at_48 = table(&entry, 48).unwrap().unwrap();
+
+        // The same horizon again is nothing new: the first table stays.
+        assert!(!entry.merge(&scored(48, 3.0)));
+        assert!(Arc::ptr_eq(&table(&entry, 48).unwrap().unwrap(), &at_48));
+
+        // Another horizon replaces the scored part; the solve stays.
+        assert!(entry.merge(&scored(96, -1.0)));
+        assert!(table(&entry, 48).is_none());
+        assert_eq!(table(&entry, 96), Some(None), "a memoised rejection");
+        assert_eq!(
+            entry.get(KernelKind::CubicLn),
+            Some(Some(&[1.0, 0.0, 0.0, 0.0][..]))
+        );
+        assert_eq!(entry.score(KernelKind::Poly25, 96).map(|_| ()), None);
     }
 
     #[test]

@@ -22,13 +22,17 @@
 //! A fitted curve is kept only if it is realistic over `1..=horizon` (the
 //! paper's "discard the function types that produce functions that are not
 //! realistic"): [`HorizonTable::walk`] checks every integer core count for a
-//! pole, a non-finite or negative value, or one above the magnitude cap,
-//! then sweeps `4·horizon + 1` points for a denominator sign change. The
-//! abscissae come from a [`HorizonTable`] built once per horizon, one match
-//! on the kernel picks a loop specialised to it, and each point computes its
-//! denominator once for both the pole check and the value. Every value is the
-//! expression [`KernelKind::eval`] computes, so the captured values double as
-//! the candidate's integer-grid eval table, bit for bit.
+//! pole or a non-finite or negative value, then sweeps `4·horizon + 1`
+//! points for a denominator sign change, and returns the largest value it
+//! captured; the curve passes a magnitude cap iff that maximum is not above
+//! it, so one walk serves every cap. The abscissae come from a
+//! [`HorizonTable`] built once per horizon, one match on the kernel picks a
+//! loop specialised to it, and each point computes its denominator once for
+//! both the pole check and the value. Every value is the expression
+//! [`KernelKind::eval`] computes, so the captured values double as the
+//! candidate's integer-grid eval table, bit for bit.
+
+use std::cmp::Ordering;
 
 use serde::{Deserialize, Serialize};
 
@@ -516,9 +520,10 @@ impl FittedCurve {
     }
 
     /// True when the curve produces finite, non-negative values and a
-    /// non-vanishing denominator over `1..=max_cores`. This is the paper's
-    /// "discard the function types that produce functions that are not
-    /// realistic for this approximation" rule, made concrete.
+    /// non-vanishing denominator over `1..=max_cores`, and never exceeds
+    /// `max_magnitude` there. This is the paper's "discard the function
+    /// types that produce functions that are not realistic for this
+    /// approximation" rule, made concrete.
     pub fn is_realistic(&self, max_cores: u32, max_magnitude: f64) -> bool {
         let mut discard = Vec::new();
         self.is_realistic_captured(max_cores, max_magnitude, &mut discard)
@@ -527,8 +532,8 @@ impl FittedCurve {
     /// [`FittedCurve::is_realistic`] that additionally records `eval(c)` for
     /// every integer `c in 1..=max_cores` into `values` (`values[c - 1]`),
     /// so the realism walk doubles as the construction of an integer-grid
-    /// evaluation table. When the curve is rejected, `values` is left
-    /// truncated at the offending core count and must be discarded.
+    /// evaluation table. When the curve is rejected, `values` must be
+    /// discarded.
     ///
     /// Builds a [`HorizonTable`] for `max_cores` per call; callers walking
     /// many curves at one horizon build the table once and call
@@ -539,8 +544,18 @@ impl FittedCurve {
         max_magnitude: f64,
         values: &mut Vec<f64>,
     ) -> bool {
-        HorizonTable::new(max_cores).walk(self.kernel, &self.params, max_magnitude, values)
+        HorizonTable::new(max_cores)
+            .walk(self.kernel, &self.params, values)
+            .is_some_and(|max| within_cap(max, max_magnitude))
     }
+}
+
+/// The realism rule's magnitude test on a walk's largest value: `!(max >
+/// cap)`. A walk captures finite, non-negative values only, so this is the
+/// per-value `v.abs() > cap` rejection applied to every value, for every
+/// cap, NaN included (nothing compares greater than NaN).
+pub(crate) fn within_cap(max: f64, cap: f64) -> bool {
+    max.partial_cmp(&cap) != Some(Ordering::Greater)
 }
 
 /// The core counts the realism walk visits at one horizon `h`, computed once
@@ -594,26 +609,25 @@ impl HorizonTable {
         }
     }
 
-    /// The realism walk of `kernel` at `params`: true when the curve is
-    /// finite, non-negative and at most `max_magnitude` at every integer
-    /// core count `1..=horizon`, with a denominator (for kernels that have
-    /// one) at least `1e-9` away from zero at each of them and of one sign
-    /// across the whole sweep. Records the curve's value at core count `c`
-    /// into `values[c - 1]`; on rejection `values` is left truncated at the
-    /// offending core count and must be discarded.
+    /// The realism walk of `kernel` at `params`: the largest value the
+    /// curve takes at an integer core count `1..=horizon`, or `None` when
+    /// it is negative or not finite at one of them, or has a denominator
+    /// (for kernels that have one) less than `1e-9` away from zero at one of
+    /// them or of changing sign across the sweep. Records the curve's value
+    /// at core count `c` into `values[c - 1]`; on rejection `values` must be
+    /// discarded. An empty grid (horizon 0) walks to `-∞`.
+    ///
+    /// The walk takes no magnitude cap: a caller accepts the curve under a
+    /// cap iff `!(max > cap)` for the returned maximum, which is the
+    /// per-value `v.abs() > cap` rejection for every cap, NaN included. So
+    /// one walk serves every cap.
     ///
     /// One match on the kernel selects a loop specialised to it; each point
     /// computes the denominator once and both the pole check and the value
     /// use it. Every value is the expression [`KernelKind::eval`] computes,
     /// at the same arguments (`ExpRat`'s `1e-12` guard cannot fire once the
     /// `1e-9` pole check passed), so `values` is bit-identical to `eval`.
-    pub fn walk(
-        &self,
-        kernel: KernelKind,
-        params: &[f64],
-        max_magnitude: f64,
-        values: &mut Vec<f64>,
-    ) -> bool {
+    pub fn walk(&self, kernel: KernelKind, params: &[f64], values: &mut Vec<f64>) -> Option<f64> {
         debug_assert_eq!(
             params.len(),
             kernel.param_count(),
@@ -621,40 +635,27 @@ impl HorizonTable {
         );
         let p = params;
         match kernel {
-            KernelKind::Rat22 => self.walk_poles(
-                |n| rat22_den(p, n),
-                |n, den| rat22_num(p, n) / den,
-                max_magnitude,
-                values,
-            ),
-            KernelKind::Rat23 => self.walk_poles(
-                |n| rat23_den(p, n),
-                |n, den| rat22_num(p, n) / den,
-                max_magnitude,
-                values,
-            ),
-            KernelKind::Rat33 => self.walk_poles(
-                |n| rat33_den(p, n),
-                |n, den| rat33_num(p, n) / den,
-                max_magnitude,
-                values,
-            ),
+            KernelKind::Rat22 => {
+                self.walk_poles(|n| rat22_den(p, n), |n, den| rat22_num(p, n) / den, values)
+            }
+            KernelKind::Rat23 => {
+                self.walk_poles(|n| rat23_den(p, n), |n, den| rat22_num(p, n) / den, values)
+            }
+            KernelKind::Rat33 => {
+                self.walk_poles(|n| rat33_den(p, n), |n, den| rat33_num(p, n) / den, values)
+            }
             KernelKind::ExpRat => self.walk_poles(
                 |n| exp_rat_den(p, n),
                 |n, den| exp_rat_at(p, n, den),
-                max_magnitude,
                 values,
             ),
-            KernelKind::CubicLn => self.capture(
-                self.ln.iter().map(|l| Some(cubic_ln_at(p, *l))),
-                max_magnitude,
-                values,
-            ),
+            KernelKind::CubicLn => {
+                self.capture(self.ln.iter().map(|l| Some(cubic_ln_at(p, *l))), values)
+            }
             KernelKind::Poly25 => self.capture(
                 (1..=self.horizon)
                     .zip(&self.pow25)
                     .map(|(c, r)| Some(poly25_at(p, c as f64, *r))),
-                max_magnitude,
                 values,
             ),
         }
@@ -669,9 +670,8 @@ impl HorizonTable {
         &self,
         den: impl Fn(f64) -> f64,
         value: impl Fn(f64, f64) -> f64,
-        max_magnitude: f64,
         values: &mut Vec<f64>,
-    ) -> bool {
+    ) -> Option<f64> {
         let points = (1..=self.horizon).map(|c| {
             let n = c as f64;
             let d = den(n);
@@ -681,40 +681,38 @@ impl HorizonTable {
                 Some(value(n, d))
             }
         });
-        if !self.capture(points, max_magnitude, values) {
-            return false;
-        }
+        let max = self.capture(points, values)?;
         let first = den(1.0);
-        !self
+        let flipped = self
             .sweep
             .iter()
-            .fold(false, |flipped, n| flipped | (den(*n) * first < 0.0))
+            .fold(false, |flipped, n| flipped | (den(*n) * first < 0.0));
+        (!flipped).then_some(max)
     }
 
     /// The integer half of every walk: `points` yields the curve's value at
     /// each core count `1..=horizon` in ascending order, or `None` at a pole.
-    /// The first pole or value that is not finite, non-negative and within
-    /// `max_magnitude` rejects the curve; accepted values are pushed onto
-    /// `values`.
+    /// The first pole or value that is not finite and non-negative rejects
+    /// the curve; accepted values are pushed onto `values`, and their
+    /// running maximum is returned.
     #[inline(always)]
     fn capture(
         &self,
         points: impl Iterator<Item = Option<f64>>,
-        max_magnitude: f64,
         values: &mut Vec<f64>,
-    ) -> bool {
+    ) -> Option<f64> {
         values.clear();
         values.reserve(self.horizon as usize);
+        let mut max = f64::NEG_INFINITY;
         for point in points {
-            let Some(v) = point else {
-                return false;
-            };
-            if !v.is_finite() || v < 0.0 || v.abs() > max_magnitude {
-                return false;
+            let v = point?;
+            if !v.is_finite() || v < 0.0 {
+                return None;
             }
+            max = max.max(v);
             values.push(v);
         }
-        true
+        Some(max)
     }
 }
 

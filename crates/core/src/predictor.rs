@@ -996,7 +996,7 @@ mod selection_oracle {
                 training_points: 3,
             },
             checkpoints: 2,
-            evals: CandidateEvals::new(table, tail_start),
+            evals: CandidateEvals::new(table.into(), tail_start),
         }
     }
 

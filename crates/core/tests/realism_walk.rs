@@ -13,14 +13,21 @@
 //!    integer core counts, denominators on both sides of the `1e-9` pole
 //!    threshold, curves that go negative, NaN and ±inf parameters —
 //!    at horizons 1 to [`MAX_TARGET_CORES`] and magnitude caps from tiny to
-//!    1e18: both walks reach the same verdict, and an accepted curve's
-//!    captured values are the same bits.
+//!    1e18, NaN and +∞, plus, for a curve the walk accepts, its walked
+//!    maximum and the next `f64` below it. The walk takes no cap: it
+//!    returns the largest value it captured, and `!(max > cap)` (written
+//!    with `partial_cmp`, so a NaN cap keeps every curve) must reach
+//!    the oracle's per-value verdict at every cap, as must
+//!    [`FittedCurve::is_realistic_captured`] and
+//!    [`FittedCurve::is_realistic`]; an accepted curve's captured values
+//!    are the same bits.
 //! 2. Every candidate of [`candidate_fits`] re-scored with the oracle:
 //!    the grid scores a prefix once and shares the result across checkpoint
 //!    spans, so each span's candidate must still carry its own checkpoint
 //!    RMSE, and the training RMSE, eval table and tail fields the oracle
 //!    computes for it.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use estima_core::kernels::HorizonTable;
@@ -224,29 +231,37 @@ proptest! {
             let curve = curve(kernel, params);
             for table in &tables {
                 let horizon = table.horizon();
-                let mut expected = Vec::new();
-                let verdict = oracle_walk(&curve, horizon, cap, &mut expected);
                 let mut walked = Vec::new();
-                let mut captured = Vec::new();
-                let outcomes = [
-                    table.walk(kernel, &curve.params, cap, &mut walked),
-                    curve.is_realistic_captured(horizon, cap, &mut captured),
-                    curve.is_realistic(horizon, cap),
-                ];
-                for (path, outcome) in ["walk", "is_realistic_captured", "is_realistic"]
-                    .iter()
-                    .zip(outcomes)
-                {
-                    prop_assert_eq!(
-                        outcome,
-                        verdict,
-                        "{path}: {kernel:?} {:?} at horizon {horizon}, cap {cap:e}",
-                        curve.params
-                    );
-                }
-                if verdict {
-                    prop_assert_eq!(bits(&walked), bits(&expected), "{kernel:?} values");
-                    prop_assert_eq!(bits(&captured), bits(&expected), "{kernel:?} values");
+                let max = table.walk(kernel, &curve.params, &mut walked);
+                // The drawn cap, the two caps that never bind, and for an
+                // accepted curve its own maximum (kept: nothing exceeds it)
+                // and the next value below it (cut).
+                let mut caps = vec![cap, f64::NAN, f64::INFINITY];
+                caps.extend(max.iter().flat_map(|max| [*max, max.next_down()]));
+                for cap in caps {
+                    let mut expected = Vec::new();
+                    let verdict = oracle_walk(&curve, horizon, cap, &mut expected);
+                    let mut captured = Vec::new();
+                    let outcomes = [
+                        max.is_some_and(|max| max.partial_cmp(&cap) != Some(Ordering::Greater)),
+                        curve.is_realistic_captured(horizon, cap, &mut captured),
+                        curve.is_realistic(horizon, cap),
+                    ];
+                    for (path, outcome) in ["walk", "is_realistic_captured", "is_realistic"]
+                        .iter()
+                        .zip(outcomes)
+                    {
+                        prop_assert_eq!(
+                            outcome,
+                            verdict,
+                            "{path}: {kernel:?} {:?} at horizon {horizon}, cap {cap:e}",
+                            curve.params
+                        );
+                    }
+                    if verdict {
+                        prop_assert_eq!(bits(&walked), bits(&expected), "{kernel:?} values");
+                        prop_assert_eq!(bits(&captured), bits(&expected), "{kernel:?} values");
+                    }
                 }
             }
         }

@@ -1,15 +1,21 @@
-//! The fit cache's solve memo: refits of an edited series reuse the
-//! nonlinear solves of every training prefix the edit left unchanged, and
-//! the memoised path stays bit-identical to the uncached grid.
+//! The fit cache's solve memo: refits of an edited series reuse the cells
+//! (solve, realism walk, training RMSE and eval table) of every training
+//! prefix the edit left unchanged, and the memoised path stays
+//! bit-identical to the uncached grid.
 //!
 //! 1. Random edit sequences (replace the newest point, append, insert
-//!    mid-series, drop a point) applied to a series: after every edit the
-//!    cached candidates and predictions equal the uncached
-//!    [`candidate_fits`] / [`Estima::predict`] bit for bit — with a
-//!    roomy cache and with one small enough to evict constantly.
-//! 2. Exact solve counts through an [`EstimaSession`]: refitting after a
-//!    newest-point flip runs no LM solve, and an append runs one per new
-//!    prefix per nonlinear kernel per fitted series.
+//!    mid-series, drop a point, lower the newest point so the magnitude cap
+//!    falls) applied to a series, predicted at two targets in turn so the
+//!    memoised walks change horizon while the solves stay: after every edit
+//!    the cached candidates and predictions equal the uncached
+//!    [`candidate_fits`] / [`Estima::predict`] bit for bit — with a roomy
+//!    cache and with one small enough to evict constantly.
+//! 2. Exact cell counts through an [`EstimaSession`]: refitting after a
+//!    newest-point flip computes no cell, and an append computes one new
+//!    prefix per kernel per fitted series.
+//! 3. A seeded checkpoint edit that drops the cap below the walk maximum
+//!    of memoised accepted cells: the cached grid loses exactly those
+//!    candidates without walking again, and equals the uncached grid.
 
 use std::sync::Arc;
 
@@ -22,9 +28,15 @@ use proptest::prelude::*;
 /// One synthetic measurement whose stalls and time follow simple laws, with
 /// a deterministic wobble so prefixes of different series differ.
 fn point(cores: u32, serial: f64, quad: f64, salt: u64) -> Measurement {
+    scaled_point(cores, serial, quad, salt, 1.0)
+}
+
+/// [`point`] with its time and every stall multiplied by `scale` (so its
+/// stalls per second stay put).
+fn scaled_point(cores: u32, serial: f64, quad: f64, salt: u64, scale: f64) -> Measurement {
     let n = cores as f64;
     let wobble = 1.0 + 0.01 * (((u64::from(cores) * 7 + salt) % 5) as f64 - 2.0);
-    let time = (serial / n + 1.0) * wobble;
+    let time = (serial / n + 1.0) * wobble * scale;
     Measurement::new(cores, time)
         .with_stall(
             StallCategory::backend("rob_full"),
@@ -34,7 +46,10 @@ fn point(cores: u32, serial: f64, quad: f64, salt: u64) -> Measurement {
             StallCategory::backend("ls_full"),
             1.0e9 * n * time * (0.5 - quad) * wobble,
         )
-        .with_stall(StallCategory::software("lock_spin"), 1.0e7 * n * n * wobble)
+        .with_stall(
+            StallCategory::software("lock_spin"),
+            1.0e7 * n * n * wobble * scale,
+        )
 }
 
 fn set_of(points: &[Measurement]) -> MeasurementSet {
@@ -86,15 +101,21 @@ fn assert_predictions_identical(a: &Prediction, b: &Prediction) {
 }
 
 /// Apply edit `kind` (0: replace the newest point, 1: append, 2: insert
-/// mid-series, 3: drop one point) to a series sorted by core count. Core
-/// counts start even, so an insert usually finds a free count between two
-/// neighbours; where none is free it appends instead.
+/// mid-series, 3: drop one point, 4: replace the newest point with one a
+/// third as high, so the series maximum and the magnitude cap fall) to a
+/// series sorted by core count. Core counts start even, so an insert
+/// usually finds a free count between two neighbours; where none is free it
+/// appends instead.
 fn edit(points: &mut Vec<Measurement>, kind: u64, pick: u64, serial: f64, quad: f64, salt: u64) {
     let newest = points.last().map_or(0, |p| p.cores);
     match kind {
         0 => {
             let replaced = point(newest, serial * 1.1, quad, salt);
             *points.last_mut().unwrap() = replaced;
+        }
+        4 => {
+            let lowered = scaled_point(newest, serial, quad, salt, 1.0 / 3.0);
+            *points.last_mut().unwrap() = lowered;
         }
         1 => points.push(point(newest + 2, serial, quad, salt)),
         2 => {
@@ -122,15 +143,10 @@ proptest! {
         serial in 20.0f64..80.0,
         quad in 0.05f64..0.45,
         salt in 0u64..1000,
-        edits in proptest::collection::vec(0u64..4, 4..7),
+        edits in proptest::collection::vec(0u64..5, 4..7),
     ) {
         let config = EstimaConfig::default().with_parallelism(1);
         let estima = Estima::new(config.clone());
-        let target = TargetSpec::cores(64);
-        let options = FitOptions {
-            realism_horizon: target.cores,
-            ..config.fit.clone()
-        };
         let uncached = estima.fit_context();
         let caches = [
             Arc::new(FitCache::new()),
@@ -148,6 +164,13 @@ proptest! {
             if points.len() < 6 {
                 points.push(point(points.last().unwrap().cores + 2, serial, quad, salt));
             }
+            // Alternate the target, so the memoised walks change horizon
+            // while the solves stay.
+            let target = TargetSpec::cores([64, 96][version as usize % 2]);
+            let options = FitOptions {
+                realism_horizon: target.cores,
+                ..config.fit.clone()
+            };
             let set = set_of(&points);
             let reference = estima.predict(&set, &target).unwrap();
             let series: Vec<(Vec<f64>, Vec<f64>)> = reference
@@ -189,28 +212,37 @@ fn a_flip_resolves_nothing_and_an_append_one_prefix_per_kernel() {
     let points: Vec<Measurement> = (1..=12).map(|c| point(c, 50.0, 0.2, 3)).collect();
     session.ingest_set(&series, &set_of(&points)).unwrap();
 
+    // Twelve points hold out 2 or 4 checkpoints, so the grid's training
+    // prefixes are 3..=10: eight cells per kernel per fitted series.
+    let kernels = KernelKind::ALL.len();
     let cold = session.predict(&series, &target).unwrap();
     let fitted_series = cold.categories.len() + 1; // + the scaling factor
-    let (hits, cold_solves) = session.cache().solve_stats();
-    assert_eq!(hits, 0, "a fresh cache served a solve");
-    assert!(cold_solves > 0);
+    let cells = 8 * kernels * fitted_series;
+    assert_eq!(
+        session.cache().solve_stats(),
+        (0, cells),
+        "a cold fit computes every cell"
+    );
     let entries = session.cache().solve_entries();
+    assert_eq!(entries, 8 * fitted_series);
 
     // Flip the newest (12-core) checkpoint: it lies outside every training
-    // prefix, so the refit reuses every solve.
+    // prefix, so the refit is served every cell and solves and walks none.
     let mut flipped = points.clone();
     flipped[11] = point(12, 55.0, 0.2, 3);
     session.ingest(&series, flipped[11].clone()).unwrap();
-    let (misses_before, hits_before) = (session.cache().stats().1, hits);
+    let misses_before = session.cache().stats().1;
     let refit = session.predict(&series, &target).unwrap();
     assert_eq!(
         session.cache().stats().1,
         misses_before + fitted_series,
         "the flip did not refit every series"
     );
-    let (hits, solves) = session.cache().solve_stats();
-    assert_eq!(solves, cold_solves, "a newest-point flip re-ran LM solves");
-    assert!(hits > hits_before);
+    assert_eq!(
+        session.cache().solve_stats(),
+        (cells, cells),
+        "a newest-point flip computed a cell"
+    );
     assert_eq!(session.cache().solve_entries(), entries);
     assert_predictions_identical(
         &Estima::new(config.clone())
@@ -220,23 +252,114 @@ fn a_flip_resolves_nothing_and_an_append_one_prefix_per_kernel() {
     );
 
     // Append a 13-core point: the training prefixes grow by exactly one
-    // (points 1..=11), solved once per nonlinear kernel per fitted series.
+    // (points 1..=11), solved and walked once per kernel per fitted series;
+    // the other eight prefixes are served.
     flipped.push(point(13, 50.0, 0.2, 3));
     session.ingest(&series, flipped[12].clone()).unwrap();
     let appended = session.predict(&series, &target).unwrap();
-    let (_, after_append) = session.cache().solve_stats();
-    let nonlinear_kernels = KernelKind::ALL.iter().filter(|k| !k.is_linear()).count();
     assert_eq!(
-        after_append - solves,
-        nonlinear_kernels * fitted_series,
-        "an append must solve one new prefix per nonlinear kernel per series"
+        session.cache().solve_stats(),
+        (2 * cells, cells + kernels * fitted_series),
+        "an append must compute one new prefix per kernel per series"
     );
+    assert_eq!(session.cache().solve_entries(), entries + fitted_series);
     assert_predictions_identical(
         &Estima::new(config)
             .predict(&set_of(&flipped), &target)
             .unwrap(),
         &appended,
     );
+}
+
+/// Deterministic xorshift64* generator (no RNG crates in this workspace).
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// Uniform in `[0, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+#[test]
+fn a_checkpoint_edit_that_drops_the_cap_loses_memoised_candidates() {
+    // Seed 6 of the generator below, found by searching seeds 1..4000 for
+    // a series whose lowered newest point drops the cap below the walk
+    // maximum of some memoised accepted cell (1461 of them qualify): a
+    // noisy quadratic with a spike at its newest point, then the spike
+    // lowered to below its neighbour.
+    let seed = 6u64;
+    let mut rng = XorShift(seed * 0x9E37_79B9 + 1);
+    let len = 8 + (rng.next() % 5) as usize;
+    let (a, b, q) = (
+        1.0 + rng.unit() * 1000.0,
+        -40.0 + rng.unit() * 100.0,
+        -3.0 + rng.unit() * 7.0,
+    );
+    let xs: Vec<f64> = (1..=len).map(|c| c as f64).collect();
+    let mut ys: Vec<f64> = xs
+        .iter()
+        .map(|x| (a + b * x + q * x * x) * (1.0 + 0.1 * (rng.unit() - 0.5)))
+        .collect();
+    ys[len - 1] *= 1.0 + 3.0 * rng.unit();
+    let mut lowered = ys.clone();
+    lowered[len - 1] = ys[len - 2] * (0.3 + 0.7 * rng.unit());
+
+    let options = FitOptions {
+        realism_horizon: 64,
+        ..FitOptions::default()
+    };
+    let cap = |ys: &[f64]| {
+        let max = ys.iter().fold(0.0f64, |m, y| m.max(*y));
+        (max * options.max_growth_factor).min(options.max_magnitude)
+    };
+    let table_max = |c: &FitCandidate| c.evals.values().iter().fold(0.0f64, |m, v| m.max(*v));
+    let cache = FitCache::new();
+    let cached = FitContext {
+        cache: Some(&cache),
+        ..FitContext::default()
+    };
+
+    let before = candidate_fits(&xs, &ys, &options, &cached).unwrap();
+    let computed = cache.solve_stats().1;
+    let after = candidate_fits(&xs, &lowered, &options, &cached).unwrap();
+    assert_eq!(
+        cache.solve_stats().1,
+        computed,
+        "the checkpoint edit solved or walked a cell"
+    );
+    assert_candidates_identical(
+        &candidate_fits(&xs, &lowered, &options, &FitContext::default()).unwrap(),
+        &after,
+    );
+
+    // The cells the lower cap cuts were accepted before, and are gone now.
+    let new_cap = cap(&lowered);
+    assert!(new_cap < cap(&ys));
+    let cut: Vec<(KernelKind, usize)> = before
+        .iter()
+        .filter(|c| table_max(c) > new_cap)
+        .map(|c| (c.curve.kernel, c.curve.training_points))
+        .collect();
+    assert!(!cut.is_empty(), "the edit cut no memoised cell");
+    assert!(
+        after.len() < before.len(),
+        "the candidate count did not fall"
+    );
+    for candidate in after.iter() {
+        let cell = (candidate.curve.kernel, candidate.curve.training_points);
+        assert!(!cut.contains(&cell), "{cell:?} survived the lower cap");
+        assert!(table_max(candidate) <= new_cap);
+    }
 }
 
 #[test]
