@@ -5,8 +5,12 @@
 //! (parsing `reproduce --json` summaries) and the `estima-serve` HTTP wire
 //! format (both directions). This module is the single shared machinery —
 //! a recursive-descent parser and a compact serializer over one [`Json`]
-//! value enum. See DESIGN.md § *Serving layer* for the wire format built on
-//! top of it.
+//! value enum. Every decoder in the workspace reads the parsed tree: the
+//! wire's request decoders and the write-ahead log both call
+//! [`Json::parse`] and then walk the [`Json`] value, so one grammar, one
+//! set of error offsets and one duplicate-key rule (the first key wins)
+//! serve every reader. See DESIGN.md § *Serving layer* for the wire format
+//! built on top of it.
 //!
 //! # Number fidelity
 //!
@@ -28,6 +32,8 @@
 //! let round_tripped = Json::parse(&value.render()).unwrap();
 //! assert_eq!(round_tripped, value);
 //! ```
+
+use std::fmt::Display;
 
 mod number;
 
@@ -125,8 +131,8 @@ impl Json {
     /// The number as a `u64`, if this is a non-negative integral number that
     /// fits (JSON has no integer type; 2^53 is the exact-integer limit).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Number(n) => f64_as_u64(*n),
+        match *self {
+            Json::Number(n) if n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) => Some(n as u64),
             _ => None,
         }
     }
@@ -191,34 +197,29 @@ pub fn write_json_number(n: f64, out: &mut String) {
     }
 }
 
-/// The `u64` interpretation of a JSON number, shared by [`Json::as_u64`]
-/// and [`JsonReader`] consumers: non-negative integral values up to 2^53
-/// (the exact-integer limit of an `f64`).
-pub fn f64_as_u64(n: f64) -> Option<u64> {
-    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
-}
-
 // Field readers of the tree decoders (the serve wire format and
 // `Measurement::from_json`). Each error names the field and its `context`
 // (the path of the enclosing object), e.g. "points[2]: missing field
-// `cores`".
+// `cores`". A context is any `Display`, so a caller can pass
+// `&format_args!("points[{index}]")` and the path is only formatted when
+// an error message is.
 
 /// The value under `key`, or a `missing field` error.
-pub fn require<'a>(value: &'a Json, key: &str, context: &str) -> Result<&'a Json, String> {
+pub fn require<'a>(value: &'a Json, key: &str, context: &dyn Display) -> Result<&'a Json, String> {
     value
         .get(key)
         .ok_or_else(|| format!("{context}: missing field `{key}`"))
 }
 
 /// The number under `key`.
-pub fn require_f64(value: &Json, key: &str, context: &str) -> Result<f64, String> {
+pub fn require_f64(value: &Json, key: &str, context: &dyn Display) -> Result<f64, String> {
     require(value, key, context)?
         .as_f64()
         .ok_or_else(|| format!("{context}: field `{key}` must be a number"))
 }
 
 /// The number under `key` as a `u32` ([`Json::as_u64`], then in range).
-pub fn require_u32(value: &Json, key: &str, context: &str) -> Result<u32, String> {
+pub fn require_u32(value: &Json, key: &str, context: &dyn Display) -> Result<u32, String> {
     require(value, key, context)?
         .as_u64()
         .and_then(|n| u32::try_from(n).ok())
@@ -226,7 +227,11 @@ pub fn require_u32(value: &Json, key: &str, context: &str) -> Result<u32, String
 }
 
 /// The string under `key`.
-pub fn require_str<'a>(value: &'a Json, key: &str, context: &str) -> Result<&'a str, String> {
+pub fn require_str<'a>(
+    value: &'a Json,
+    key: &str,
+    context: &dyn Display,
+) -> Result<&'a str, String> {
     require(value, key, context)?
         .as_str()
         .ok_or_else(|| format!("{context}: field `{key}` must be a string"))
@@ -273,6 +278,7 @@ const MAX_DEPTH: usize = 128;
 
 #[derive(Debug)]
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -281,6 +287,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -349,10 +356,6 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_number(&mut self) -> Result<Json, String> {
-        self.parse_number_f64().map(Json::Number)
-    }
-
-    fn parse_number_f64(&mut self) -> Result<f64, String> {
         self.skip_ws();
         let start = self.pos;
         while self
@@ -362,98 +365,83 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        self.text[start..self.pos]
+            .parse::<f64>()
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
             .filter(|n| n.is_finite())
+            .map(Json::Number)
             .ok_or_else(|| self.error("invalid number"))
     }
 
+    /// Parse a string literal. Each run of bytes up to the next `"` or `\`
+    /// is copied with one `push_str`: both stop bytes are ASCII, so every run
+    /// of the (already valid UTF-8) input ends on a char boundary.
     fn parse_string(&mut self) -> Result<String, String> {
-        let mut out = String::new();
-        self.parse_string_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Parse a string literal, appending its decoded contents to `out` —
-    /// the streaming [`JsonReader`] path reuses one buffer across keys
-    /// instead of allocating a `String` per string.
-    fn parse_string_into(&mut self, out: &mut String) -> Result<(), String> {
         self.expect(b'"')?;
+        let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.error("invalid \\u escape"))?;
-                            self.pos += 4;
-                            if (0xDC00..=0xDFFF).contains(&hex) {
-                                return Err(self.error("unpaired low surrogate in \\u escape"));
-                            }
-                            let code = if (0xD800..=0xDBFF).contains(&hex) {
-                                // UTF-16 surrogate pair: a high surrogate
-                                // must be immediately followed by an
-                                // escaped low surrogate (RFC 8259 §8.2).
-                                if self.bytes.get(self.pos + 1) != Some(&b'\\')
-                                    || self.bytes.get(self.pos + 2) != Some(&b'u')
-                                {
-                                    return Err(self.error(
-                                        "high surrogate not followed by \\u low surrogate",
-                                    ));
-                                }
-                                let low = self
-                                    .bytes
-                                    .get(self.pos + 3..self.pos + 7)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .filter(|low| (0xDC00..=0xDFFF).contains(low))
-                                    .ok_or_else(|| {
-                                        self.error(
-                                            "high surrogate not followed by \\u low surrogate",
-                                        )
-                                    })?;
-                                self.pos += 6;
-                                0x10000 + ((hex - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
-                                hex
-                            };
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.error("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&byte) => {
-                    // Multi-byte UTF-8 sequences pass through unmodified.
-                    let len = utf8_len(byte);
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| self.error("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.pos += len;
-                }
+            let Some(run) = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
+                return Err(self.error("unterminated string"));
+            };
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
             }
+            match self.bytes.get(self.pos) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| self.error("invalid \\u escape"))?;
+                    self.pos += 4;
+                    if (0xDC00..=0xDFFF).contains(&hex) {
+                        return Err(self.error("unpaired low surrogate in \\u escape"));
+                    }
+                    let code = if (0xD800..=0xDBFF).contains(&hex) {
+                        // UTF-16 surrogate pair: a high surrogate must be
+                        // immediately followed by an escaped low surrogate
+                        // (RFC 8259 §8.2).
+                        if self.bytes.get(self.pos + 1) != Some(&b'\\')
+                            || self.bytes.get(self.pos + 2) != Some(&b'u')
+                        {
+                            return Err(
+                                self.error("high surrogate not followed by \\u low surrogate")
+                            );
+                        }
+                        let low = self
+                            .bytes
+                            .get(self.pos + 3..self.pos + 7)
+                            .and_then(|h| std::str::from_utf8(h).ok())
+                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .filter(|low| (0xDC00..=0xDFFF).contains(low))
+                            .ok_or_else(|| {
+                                self.error("high surrogate not followed by \\u low surrogate")
+                            })?;
+                        self.pos += 6;
+                        0x10000 + ((hex - 0xD800) << 10) + (low - 0xDC00)
+                    } else {
+                        hex
+                    };
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                }
+                _ => return Err(self.error("invalid escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -480,69 +468,6 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Syntactically validate and discard one value — same grammar, depth
-    /// cap and error positions as [`Parser::parse_value`], but nothing is
-    /// built. String contents land in `scratch` (reused so skipping stays
-    /// allocation-free once the buffer is warm).
-    fn skip_value(&mut self, scratch: &mut String) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => {
-                self.expect(b'{')?;
-                self.descend()?;
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                loop {
-                    scratch.clear();
-                    self.parse_string_into(scratch)?;
-                    self.expect(b':')?;
-                    self.skip_value(scratch)?;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            self.depth -= 1;
-                            return Ok(());
-                        }
-                        _ => return Err(self.error("expected `,` or `}`")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.expect(b'[')?;
-                self.descend()?;
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_value(scratch)?;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            self.depth -= 1;
-                            return Ok(());
-                        }
-                        _ => return Err(self.error("expected `,` or `]`")),
-                    }
-                }
-            }
-            Some(b'"') => {
-                scratch.clear();
-                self.parse_string_into(scratch)
-            }
-            Some(b't') => self.parse_literal("true", Json::Bool(true)).map(|_| ()),
-            Some(b'f') => self.parse_literal("false", Json::Bool(false)).map(|_| ()),
-            Some(b'n') => self.parse_literal("null", Json::Null).map(|_| ()),
-            Some(_) => self.parse_number_f64().map(|_| ()),
-            None => Err(self.error("unexpected end of input")),
-        }
-    }
-
     fn parse_object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
         self.descend()?;
@@ -553,7 +478,6 @@ impl<'a> Parser<'a> {
             return Ok(Json::Object(fields));
         }
         loop {
-            self.skip_ws();
             let key = self.parse_string()?;
             self.expect(b':')?;
             fields.push((key, self.parse_value()?));
@@ -567,166 +491,6 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.error("expected `,` or `}`")),
             }
         }
-    }
-}
-
-/// A pull-style streaming reader over the same grammar (and with the same
-/// strictness: number/string syntax, depth cap, trailing-input rejection) as
-/// [`Json::parse`], for decoders that know the shape they expect and want to
-/// skip the intermediate [`Json`] tree — the serve wire format's request
-/// hot path.
-///
-/// The caller drives the traversal: enter a container with
-/// [`JsonReader::begin_object`] / [`JsonReader::begin_array`], then iterate
-/// with [`JsonReader::next_key`] / [`JsonReader::next_element`] (passing a
-/// caller-owned `first` flag per container, so containers nest without the
-/// reader keeping a stack), reading each value with one of the `*_value`
-/// methods or discarding it with [`JsonReader::skip_value`]. Finish the
-/// document with [`JsonReader::finish`].
-///
-/// ```
-/// use estima_core::json::JsonReader;
-///
-/// let mut reader = JsonReader::new(r#"{"cores": 48, "extra": [1, 2]}"#);
-/// let mut key = String::new();
-/// let mut cores = None;
-/// reader.begin_object().unwrap();
-/// let mut first = true;
-/// while reader.next_key(&mut first, &mut key).unwrap() {
-///     match key.as_str() {
-///         "cores" => cores = Some(reader.u64_value().unwrap()),
-///         _ => reader.skip_value().unwrap(),
-///     }
-/// }
-/// reader.finish().unwrap();
-/// assert_eq!(cores, Some(48));
-/// ```
-#[derive(Debug)]
-pub struct JsonReader<'a> {
-    parser: Parser<'a>,
-    /// Reusable sink for the contents of skipped strings.
-    scratch: String,
-}
-
-impl<'a> JsonReader<'a> {
-    /// Start reading `text` from the beginning.
-    pub fn new(text: &'a str) -> Self {
-        JsonReader {
-            parser: Parser::new(text),
-            scratch: String::new(),
-        }
-    }
-
-    /// Consume the `{` opening an object (counting nesting depth).
-    pub fn begin_object(&mut self) -> Result<(), String> {
-        self.parser.expect(b'{')?;
-        self.parser.descend()
-    }
-
-    /// Advance to the next key of the current object, filling `key` with its
-    /// decoded contents and consuming the `:`. Returns `false` once the
-    /// closing `}` is consumed. `*first` must start `true` for each object
-    /// (the reader flips it); the flag is what distinguishes "before the
-    /// first key" from "after a value, expecting `,` or `}`".
-    pub fn next_key(&mut self, first: &mut bool, key: &mut String) -> Result<bool, String> {
-        if std::mem::take(first) {
-            if self.parser.peek() == Some(b'}') {
-                self.parser.pos += 1;
-                self.parser.depth -= 1;
-                return Ok(false);
-            }
-        } else {
-            match self.parser.peek() {
-                Some(b',') => self.parser.pos += 1,
-                Some(b'}') => {
-                    self.parser.pos += 1;
-                    self.parser.depth -= 1;
-                    return Ok(false);
-                }
-                _ => return Err(self.parser.error("expected `,` or `}`")),
-            }
-        }
-        key.clear();
-        self.parser.parse_string_into(key)?;
-        self.parser.expect(b':')?;
-        Ok(true)
-    }
-
-    /// Consume the `[` opening an array (counting nesting depth).
-    pub fn begin_array(&mut self) -> Result<(), String> {
-        self.parser.expect(b'[')?;
-        self.parser.descend()
-    }
-
-    /// Advance to the next element of the current array: `true` means a
-    /// value follows (read or skip it before calling again), `false` that
-    /// the closing `]` was consumed. `*first` works as in
-    /// [`JsonReader::next_key`].
-    pub fn next_element(&mut self, first: &mut bool) -> Result<bool, String> {
-        if std::mem::take(first) {
-            if self.parser.peek() == Some(b']') {
-                self.parser.pos += 1;
-                self.parser.depth -= 1;
-                return Ok(false);
-            }
-            return Ok(true);
-        }
-        match self.parser.peek() {
-            Some(b',') => {
-                self.parser.pos += 1;
-                Ok(true)
-            }
-            Some(b']') => {
-                self.parser.pos += 1;
-                self.parser.depth -= 1;
-                Ok(false)
-            }
-            _ => Err(self.parser.error("expected `,` or `]`")),
-        }
-    }
-
-    /// Read a number value.
-    pub fn f64_value(&mut self) -> Result<f64, String> {
-        self.parser.parse_number_f64()
-    }
-
-    /// Read a number value under the [`f64_as_u64`] interpretation
-    /// (non-negative, integral, ≤ 2^53).
-    pub fn u64_value(&mut self) -> Result<u64, String> {
-        let n = self.f64_value()?;
-        f64_as_u64(n).ok_or_else(|| self.parser.error("expected a non-negative integer"))
-    }
-
-    /// Read a string value, replacing the contents of `out`.
-    pub fn string_value(&mut self, out: &mut String) -> Result<(), String> {
-        out.clear();
-        self.parser.parse_string_into(out)
-    }
-
-    /// Syntactically validate and discard one value of any kind (unknown or
-    /// duplicate fields must still be well-formed JSON, exactly as under
-    /// [`Json::parse`]).
-    pub fn skip_value(&mut self) -> Result<(), String> {
-        self.parser.skip_value(&mut self.scratch)
-    }
-
-    /// Assert the document is complete: nothing but whitespace may remain,
-    /// mirroring [`Json::parse`]'s trailing-input rejection.
-    pub fn finish(mut self) -> Result<(), String> {
-        self.parser.skip_ws();
-        if self.parser.pos < self.parser.bytes.len() {
-            return Err(self.parser.error("trailing characters after document"));
-        }
-        Ok(())
-    }
-}
-
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -850,81 +614,56 @@ mod tests {
         );
     }
 
-    /// Drive a [`JsonReader`] over `text` decoding the `{"a": [numbers...],
-    /// "s": string}` shape, skipping everything else.
-    fn read_shape(text: &str) -> Result<(Vec<f64>, String), String> {
-        let mut reader = JsonReader::new(text);
-        let mut key = String::new();
-        let mut numbers = Vec::new();
-        let mut s = String::new();
-        reader.begin_object()?;
-        let mut first = true;
-        while reader.next_key(&mut first, &mut key)? {
-            match key.as_str() {
-                "a" => {
-                    reader.begin_array()?;
-                    let mut afirst = true;
-                    while reader.next_element(&mut afirst)? {
-                        numbers.push(reader.f64_value()?);
-                    }
-                }
-                "s" => reader.string_value(&mut s)?,
-                _ => reader.skip_value()?,
-            }
-        }
-        reader.finish()?;
-        Ok((numbers, s))
-    }
-
     #[test]
-    fn streaming_reader_decodes_without_a_tree() {
-        let (numbers, s) = read_shape(
-            r#" { "skip\"me" : {"nested": [1, {"x": null}], "b": true},
-                 "a" : [ 1 , -2.5e1 , 3 ] , "s" : "héAllo" , "t": [] } "#,
-        )
-        .unwrap();
-        assert_eq!(numbers, vec![1.0, -25.0, 3.0]);
-        assert_eq!(s, "héAllo");
-        // Empty containers.
+    fn strings_copy_runs_between_escapes() {
         assert_eq!(
-            read_shape(r#"{"a":[],"s":""}"#).unwrap(),
-            (vec![], String::new())
+            Json::parse(r#""plain é 🚀""#).unwrap(),
+            Json::String("plain é 🚀".into())
         );
-        assert_eq!(read_shape("{}").unwrap(), (vec![], String::new()));
+        assert_eq!(
+            Json::parse(r#""\"a\\b\/c\u00e9\nd""#).unwrap(),
+            Json::String("\"a\\b/cé\nd".into())
+        );
+        assert_eq!(Json::parse(r#""""#).unwrap(), Json::String(String::new()));
+        // Error offsets: the end of input for an unterminated string, the
+        // byte after the backslash for a bad escape.
+        assert_eq!(
+            Json::parse(r#""abé"#).unwrap_err(),
+            "JSON parse error at byte 5: unterminated string"
+        );
+        assert_eq!(
+            Json::parse(r#""ab\"#).unwrap_err(),
+            "JSON parse error at byte 4: invalid escape"
+        );
+        assert_eq!(
+            Json::parse(r#""a\qb""#).unwrap_err(),
+            "JSON parse error at byte 3: invalid escape"
+        );
     }
 
     #[test]
-    fn streaming_reader_is_as_strict_as_the_tree_parser() {
-        // Every document the reader accepts or rejects must agree with
-        // Json::parse: the serve fast path relies on "reader success implies
-        // tree success" to keep responses byte-identical.
-        for text in [
-            r#"{"a": [1, 2]}"#,
-            r#"{"a": [1 2]}"#,
-            r#"{"a": [1,]}"#,
-            r#"{"s": "open}"#,
-            r#"{"a": []} trailing"#,
-            r#"{"k": 1"#,
-            r#"{"k": nul}"#,
-            "{\"k\": 1}}",
+    fn malformed_containers_fail_at_the_first_bad_byte() {
+        for (text, error) in [
+            (
+                r#"{"a":[1 2]}"#,
+                "JSON parse error at byte 8: expected `,` or `]`",
+            ),
+            ("[1,]", "JSON parse error at byte 3: invalid number"),
+            (
+                r#"{"k": 1}}"#,
+                "JSON parse error at byte 8: trailing characters after document",
+            ),
         ] {
-            assert_eq!(
-                read_shape(text).is_ok(),
-                Json::parse(text).is_ok(),
-                "strictness diverged on {text:?}"
-            );
+            assert_eq!(Json::parse(text).unwrap_err(), error, "{text}");
         }
-        // Shape mismatches are the one place the reader is *stricter* than
-        // the tree (it errors where a tree decoder would just see the wrong
-        // variant) — callers fall back to the tree path there, so stricter
-        // is safe; laxer would not be.
-        assert!(read_shape("[1]").is_err() && Json::parse("[1]").is_ok());
-        // The depth cap guards skip_value too: a bracket bomb inside a
-        // skipped field must error, not overflow the stack.
+        // The depth cap holds inside a field too: a bracket bomb under a key
+        // fails on nesting instead of overflowing the stack.
         let bomb = format!(r#"{{"skip": {}}}"#, "[".repeat(100_000));
-        assert!(read_shape(&bomb).unwrap_err().contains("nesting"));
+        assert!(Json::parse(&bomb).unwrap_err().contains("nesting"));
     }
 
+    /// Every integer field the tree decoders read (core counts, footprints,
+    /// suggestion counts) goes through [`Json::as_u64`].
     #[test]
     fn u64_values_share_the_tree_interpretation() {
         for (text, expected) in [
@@ -934,11 +673,7 @@ mod tests {
             ("-1", None),
             ("1e300", None),
         ] {
-            let mut reader = JsonReader::new(text);
-            let via_reader = reader.u64_value().ok();
-            let via_tree = Json::parse(text).ok().and_then(|v| v.as_u64());
-            assert_eq!(via_reader, via_tree, "diverged on {text}");
-            assert_eq!(via_reader, expected);
+            assert_eq!(Json::parse(text).unwrap().as_u64(), expected, "{text}");
         }
     }
 

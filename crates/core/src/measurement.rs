@@ -12,6 +12,7 @@
 //! memory footprint) needed for cross-machine and weak-scaling predictions.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
 use serde::{Deserialize, Serialize};
 
@@ -203,8 +204,12 @@ impl Measurement {
     /// [`Measurement::to_json`]. `memory_footprint` and `stalls` are
     /// optional, unknown fields are ignored, and the first of duplicate
     /// keys wins. Errors name the field under `context`, e.g.
-    /// ``points[2]: missing field `cores` ``.
-    pub fn from_json(value: &Json, context: &str) -> std::result::Result<Measurement, String> {
+    /// ``points[2]: missing field `cores` ``; the context is formatted only
+    /// when an error is returned.
+    pub fn from_json(
+        value: &Json,
+        context: &dyn Display,
+    ) -> std::result::Result<Measurement, String> {
         let cores = json::require_u32(value, "cores", context)?;
         let exec_time = json::require_f64(value, "exec_time", context)?;
         let mut measurement = Measurement::new(cores, exec_time);
@@ -219,19 +224,24 @@ impl Measurement {
                 .as_array()
                 .ok_or_else(|| format!("{context}: field `stalls` must be an array"))?;
             for (index, stall) in stalls.iter().enumerate() {
-                let context = format!("{context}.stalls[{index}]");
-                let source = StallSource::from_name(json::require_str(stall, "source", &context)?)?;
-                let name = json::require_str(stall, "name", &context)?;
-                let cycles = json::require_f64(stall, "cycles", &context)?;
-                let category = StallCategory {
-                    name: name.to_string(),
-                    source,
-                };
+                let (category, cycles) =
+                    stall_from_json(stall, &format_args!("{context}.stalls[{index}]"))?;
                 measurement = measurement.with_stall(category, cycles);
             }
         }
         Ok(measurement)
     }
+}
+
+/// Decode one `{source, name, cycles}` entry of a measurement's `stalls`.
+fn stall_from_json(
+    stall: &Json,
+    context: &dyn Display,
+) -> std::result::Result<(StallCategory, f64), String> {
+    let source = StallSource::from_name(json::require_str(stall, "source", context)?)?;
+    let name = json::require_str(stall, "name", context)?.to_string();
+    let cycles = json::require_f64(stall, "cycles", context)?;
+    Ok((StallCategory { name, source }, cycles))
 }
 
 /// The full set of measurements collected on the measurements machine.

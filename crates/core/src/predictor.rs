@@ -237,10 +237,20 @@ impl Estima {
                 measured: measured_cores,
             });
         }
-        if target.dataset_scale <= 0.0 {
-            return Err(EstimaError::InvalidConfig(
-                "dataset_scale must be positive".into(),
-            ));
+        // Both target knobs must be positive and finite; an absent clock
+        // means the measurement machine's.
+        for (name, value) in [
+            ("dataset_scale", Some(target.dataset_scale)),
+            ("frequency_ghz", target.frequency_ghz),
+        ] {
+            let requirement = match value {
+                Some(v) if v.is_nan() || v <= 0.0 => "positive",
+                Some(v) if v.is_infinite() => "finite",
+                _ => continue,
+            };
+            return Err(EstimaError::InvalidConfig(format!(
+                "{name} must be {requirement}"
+            )));
         }
         if target.cores > MAX_TARGET_CORES {
             return Err(EstimaError::InvalidConfig(format!(
@@ -312,10 +322,9 @@ impl Estima {
         // Step C: scaling factor from stalls per core to execution time.
         // Measured execution time, scaled by the frequency ratio when the
         // target machine runs at a different clock (§4.3).
-        let freq_ratio = match target.frequency_ghz {
-            Some(target_ghz) if target_ghz > 0.0 => measurements.frequency_ghz / target_ghz,
-            _ => 1.0,
-        };
+        let freq_ratio = target
+            .frequency_ghz
+            .map_or(1.0, |target_ghz| measurements.frequency_ghz / target_ghz);
         let measured_time: Vec<(u32, f64)> = measurements
             .exec_times()
             .into_iter()
@@ -624,15 +633,50 @@ mod tests {
         ));
     }
 
+    /// The `InvalidConfig` message `estima` refuses `target` with.
+    fn invalid_config(estima: &Estima, set: &MeasurementSet, target: TargetSpec) -> String {
+        match estima.predict(set, &target) {
+            Err(EstimaError::InvalidConfig(message)) => message,
+            other => panic!("{target:?} gave {other:?}"),
+        }
+    }
+
     #[test]
     fn rejects_invalid_dataset_scale() {
         let (set, _) = synthetic_set(48);
         let estima = Estima::new(EstimaConfig::default());
-        let target = TargetSpec::cores(48).with_dataset_scale(0.0);
-        assert!(matches!(
-            estima.predict(&set, &target),
-            Err(EstimaError::InvalidConfig(_))
-        ));
+        for scale in [0.0, -1.0, f64::NAN] {
+            let target = TargetSpec::cores(48).with_dataset_scale(scale);
+            assert_eq!(
+                invalid_config(&estima, &set, target),
+                "dataset_scale must be positive"
+            );
+        }
+        let target = TargetSpec::cores(48).with_dataset_scale(f64::INFINITY);
+        assert_eq!(
+            invalid_config(&estima, &set, target),
+            "dataset_scale must be finite"
+        );
+    }
+
+    #[test]
+    fn rejects_a_non_positive_or_non_finite_target_clock() {
+        // A clock the pipeline used to ignore, predicting at the
+        // measurement machine's clock instead.
+        let (set, _) = synthetic_set(48);
+        let estima = Estima::new(EstimaConfig::default());
+        for ghz in [-2.0, 0.0, -0.0, f64::NAN, f64::NEG_INFINITY] {
+            let target = TargetSpec::cores(48).with_frequency_ghz(ghz);
+            assert_eq!(
+                invalid_config(&estima, &set, target),
+                "frequency_ghz must be positive"
+            );
+        }
+        let target = TargetSpec::cores(48).with_frequency_ghz(f64::INFINITY);
+        assert_eq!(
+            invalid_config(&estima, &set, target),
+            "frequency_ghz must be finite"
+        );
     }
 
     #[test]

@@ -280,7 +280,7 @@ impl WalRecord {
                     value
                         .get("point")
                         .ok_or_else(|| corrupt("ingest record without a `point`"))?,
-                    "point",
+                    &"point",
                 )
                 .map_err(corrupt)?,
                 version: u64_field("version")?,
@@ -295,7 +295,7 @@ impl WalRecord {
                     frequency_ghz: f64_field("frequency_ghz")?,
                     points: points
                         .iter()
-                        .map(|point| Measurement::from_json(point, "point").map_err(corrupt))
+                        .map(|point| Measurement::from_json(point, &"point").map_err(corrupt))
                         .collect::<Result<_>>()?,
                     version: u64_field("version")?,
                     mutations: u64_field("mutations")?,
@@ -751,7 +751,7 @@ fn load_snapshot(path: &Path) -> Result<Recovered> {
             .ok_or_else(|| corrupt("snapshot series without `points`"))?;
         let mut set = MeasurementSet::new(id.as_str(), frequency_ghz);
         for point in points {
-            set.push(Measurement::from_json(point, "point").map_err(corrupt)?);
+            set.push(Measurement::from_json(point, &"point").map_err(corrupt)?);
         }
         series.insert(id, (version, set));
     }
@@ -805,7 +805,7 @@ mod tests {
         let m = point(7)
             .with_memory_footprint(123_456_789)
             .with_stall(StallCategory::software("stm.aborts"), 0.1 + 0.2);
-        let decoded = Measurement::from_json(&point_to_json(&m).unwrap(), "point").unwrap();
+        let decoded = Measurement::from_json(&point_to_json(&m).unwrap(), &"point").unwrap();
         assert!(decoded.content_eq(&m), "{decoded:?} != {m:?}");
     }
 

@@ -980,8 +980,8 @@ pub(crate) fn parse_series_id(raw: &str, out: &mut ResponseBuf) -> Option<Series
 }
 
 /// View a request body as UTF-8 text, answering `400 bad_request` on
-/// failure. The hot routes hand the text straight to the streaming wire
-/// decoders; only `/v1/batch` still parses a [`Json`] tree.
+/// failure. The hot routes hand the text to their `wire::decode_*`
+/// function; `/v1/batch` parses it with `parse_body`.
 pub(crate) fn body_text<'a>(request: &'a Request, out: &mut ResponseBuf) -> Option<&'a str> {
     match std::str::from_utf8(&request.body) {
         Ok(text) => Some(text),

@@ -6,13 +6,13 @@
 //! tables, examples and error-code semantics — lives in DESIGN.md
 //! § *Serving layer*; the code here is the normative implementation.
 //!
-//! Every object has one encoder and one tree decoder. Responses are
-//! written straight into the connection's body buffer by the `write_*`
-//! functions, which are their only encoders. Request objects have a
-//! `*_to_json` encoder (for clients) and a `*_from_json` tree decoder; the
-//! hot request bodies also have a streaming `decode_*` fast path that
-//! defers to the tree decoder on anything it does not read itself. A
-//! measurement point is encoded and decoded by
+//! Every object has one encoder and one decoder. Responses are written
+//! straight into the connection's body buffer by the `write_*` functions,
+//! which are their only encoders. Request objects have a `*_to_json`
+//! encoder (for clients) and a `*_from_json` decoder over the parsed
+//! [`Json`] tree, the source of every `400` message; a `decode_*` function
+//! is just [`Json::parse`] followed by that decoder, for callers holding
+//! the body text. A measurement point is encoded and decoded by
 //! [`Measurement::to_json`] and [`Measurement::from_json`], which the
 //! write-ahead log shares.
 //!
@@ -26,12 +26,11 @@
 
 use estima_core::json::{
     require, require_f64, require_str, require_u32, write_json_number, write_json_string, Json,
-    JsonReader,
 };
 use estima_core::store::{SeriesInfo, SeriesSnapshot};
 use estima_core::{
     BottleneckReport, ConfidenceInterval, EstimaError, Measurement, MeasurementPlan,
-    MeasurementSet, Prediction, SeriesId, StallCategory, StallSource, TargetSpec,
+    MeasurementSet, Prediction, SeriesId, TargetSpec,
 };
 
 /// A wire-level decoding failure: the body was valid-ish JSON but not a
@@ -60,7 +59,7 @@ fn err(message: impl Into<String>) -> WireError {
 /// Decode a `MeasurementSet` from its wire object (see DESIGN.md for the
 /// field table).
 pub fn measurement_set_from_json(value: &Json) -> Result<MeasurementSet, WireError> {
-    let context = "measurements";
+    let context = &"measurements";
     let app_name = require_str(value, "app_name", context)?;
     let frequency_ghz = require_f64(value, "frequency_ghz", context)?;
     let mut set = MeasurementSet::new(app_name, frequency_ghz);
@@ -68,8 +67,10 @@ pub fn measurement_set_from_json(value: &Json) -> Result<MeasurementSet, WireErr
         .as_array()
         .ok_or_else(|| err("measurements: field `points` must be an array"))?;
     for (index, point) in points.iter().enumerate() {
-        let context = format!("measurements.points[{index}]");
-        set.push(Measurement::from_json(point, &context)?);
+        set.push(Measurement::from_json(
+            point,
+            &format_args!("measurements.points[{index}]"),
+        )?);
     }
     Ok(set)
 }
@@ -95,8 +96,7 @@ pub fn measurement_set_to_json(set: &MeasurementSet) -> Json {
 
 /// Decode a `TargetSpec` from its wire object.
 pub fn target_spec_from_json(value: &Json) -> Result<TargetSpec, WireError> {
-    let context = "target";
-    let mut spec = TargetSpec::cores(require_u32(value, "cores", context)?);
+    let mut spec = TargetSpec::cores(require_u32(value, "cores", &"target")?);
     if let Some(freq) = value.get("frequency_ghz") {
         let ghz = freq
             .as_f64()
@@ -128,8 +128,8 @@ pub fn target_spec_to_json(spec: &TargetSpec) -> Json {
 /// Decode one `/v1/predict` request body: a `measurements` object and a
 /// `target` object.
 pub fn predict_request_from_json(value: &Json) -> Result<(MeasurementSet, TargetSpec), WireError> {
-    let set = measurement_set_from_json(require(value, "measurements", "request")?)?;
-    let target = target_spec_from_json(require(value, "target", "request")?)?;
+    let set = measurement_set_from_json(require(value, "measurements", &"request")?)?;
+    let target = target_spec_from_json(require(value, "target", &"request")?)?;
     Ok((set, target))
 }
 
@@ -146,7 +146,7 @@ pub fn predict_request_to_json(set: &MeasurementSet, target: &TargetSpec) -> Jso
 pub fn batch_request_from_json(
     value: &Json,
 ) -> Result<Vec<(MeasurementSet, TargetSpec)>, WireError> {
-    let jobs = require(value, "jobs", "request")?
+    let jobs = require(value, "jobs", &"request")?
         .as_array()
         .ok_or_else(|| err("request: field `jobs` must be an array"))?;
     jobs.iter()
@@ -389,7 +389,7 @@ pub struct IngestRequest {
 
 /// Decode a `POST /v1/measurements` body.
 pub fn ingest_request_from_json(value: &Json) -> Result<IngestRequest, WireError> {
-    let context = "request";
+    let context = &"request";
     let series = SeriesId::new(require_str(value, "series", context)?)
         .map_err(|e| err(format!("{context}: {e}")))?;
     let frequency_ghz = match value.get("frequency_ghz") {
@@ -414,7 +414,7 @@ pub fn ingest_request_from_json(value: &Json) -> Result<IngestRequest, WireError
         .ok_or_else(|| err("request: field `points` must be an array"))?
         .iter()
         .enumerate()
-        .map(|(index, point)| Measurement::from_json(point, &format!("points[{index}]")))
+        .map(|(index, point)| Measurement::from_json(point, &format_args!("points[{index}]")))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(IngestRequest {
         series,
@@ -478,302 +478,28 @@ pub fn plan_request_from_json(value: &Json) -> Result<(TargetSpec, usize), WireE
     Ok((spec, suggestions))
 }
 
-// ---------------------------------------------------------------------------
-// Streaming request decoders: the serve hot path.
-//
-// Each `decode_*` function reads the body text with a [`JsonReader`] — one
-// pass, no intermediate [`Json`] tree, no per-key `String` — and falls back
-// to `Json::parse` + that request's tree decoder above. The fast path only
-// *commits* on a fully valid document; on any anomaly (syntax error, missing
-// or mistyped field, exotic-but-valid shapes it declines) the fallback
-// decides, so every observable outcome — including error messages,
-// duplicate-key first-match-wins and unknown-field tolerance — is the tree
-// path's by construction (pinned by `tests/wire_differential.rs`).
-// ---------------------------------------------------------------------------
-
-/// Reusable buffers of one streaming decode: one key buffer per object
-/// nesting level (`k0` outermost), a string-value sink, and the accumulators
-/// for array-valued fields. All start empty and unallocated; a decode only
-/// allocates what ends up owned by the decoded request.
-#[derive(Default)]
-struct DecodeScratch {
-    k0: String,
-    k1: String,
-    k2: String,
-    k3: String,
-    text: String,
-    stalls: Vec<(StallCategory, f64)>,
-    points: Vec<Measurement>,
-}
-
-/// Fast-path failure: the document needs the tree decoder's verdict. The
-/// message is never user-visible (the fallback recomputes the real one).
-fn bail(why: &'static str) -> String {
-    why.to_string()
-}
-
-/// Decode one `/v1/predict` request body from its text. Equivalent to
-/// `Json::parse` + [`predict_request_from_json`] — including every error
-/// message — but one streaming pass on well-formed canonical bodies.
+/// Decode one `/v1/predict` request body from its text: [`Json::parse`],
+/// then [`predict_request_from_json`].
 pub fn decode_predict_request(text: &str) -> Result<(MeasurementSet, TargetSpec), WireError> {
-    if let Ok(decoded) = fast_predict_request(text) {
-        return Ok(decoded);
-    }
     predict_request_from_json(&Json::parse(text)?)
 }
 
-/// Decode one `POST /v1/measurements` request body from its text.
-/// Equivalent to `Json::parse` + [`ingest_request_from_json`].
+/// Decode one `POST /v1/measurements` request body from its text:
+/// [`Json::parse`], then [`ingest_request_from_json`].
 pub fn decode_ingest_request(text: &str) -> Result<IngestRequest, WireError> {
-    if let Ok(decoded) = fast_ingest_request(text) {
-        return Ok(decoded);
-    }
     ingest_request_from_json(&Json::parse(text)?)
 }
 
-/// Decode one `POST /v1/series/{id}/predict` request body from its text.
-/// Equivalent to `Json::parse` + [`series_predict_request_from_json`]. A
-/// bare `TargetSpec`, the default request, takes the streaming path; a body
-/// with a flag (or any other key) is decoded from the tree.
+/// Decode one `POST /v1/series/{id}/predict` request body from its text:
+/// [`Json::parse`], then [`series_predict_request_from_json`].
 pub fn decode_series_predict_request(text: &str) -> Result<(TargetSpec, PredictExtras), WireError> {
-    if let Ok(spec) = fast_target_spec(text) {
-        return Ok((spec, PredictExtras::default()));
-    }
     series_predict_request_from_json(&Json::parse(text)?)
 }
 
-/// Decode one `POST /v1/series/{id}/plan` request body from its text.
-/// Equivalent to `Json::parse` + [`plan_request_from_json`], with the same
-/// fast path as [`decode_series_predict_request`].
+/// Decode one `POST /v1/series/{id}/plan` request body from its text:
+/// [`Json::parse`], then [`plan_request_from_json`].
 pub fn decode_plan_request(text: &str) -> Result<(TargetSpec, usize), WireError> {
-    if let Ok(spec) = fast_target_spec(text) {
-        return Ok((spec, estima_core::plan::DEFAULT_SUGGESTIONS));
-    }
     plan_request_from_json(&Json::parse(text)?)
-}
-
-fn fast_predict_request(text: &str) -> Result<(MeasurementSet, TargetSpec), String> {
-    let mut reader = JsonReader::new(text);
-    let mut scratch = DecodeScratch::default();
-    let mut set = None;
-    let mut target = None;
-    reader.begin_object()?;
-    let mut first = true;
-    while reader.next_key(&mut first, &mut scratch.k0)? {
-        if scratch.k0 == "measurements" && set.is_none() {
-            set = Some(read_measurement_set(&mut reader, &mut scratch)?);
-        } else if scratch.k0 == "target" && target.is_none() {
-            target = Some(read_target_fields(&mut reader, &mut scratch.k1)?);
-        } else {
-            reader.skip_value()?;
-        }
-    }
-    reader.finish()?;
-    match (set, target) {
-        (Some(set), Some(target)) => Ok((set, target)),
-        _ => Err(bail("missing measurements or target")),
-    }
-}
-
-fn fast_ingest_request(text: &str) -> Result<IngestRequest, String> {
-    let mut reader = JsonReader::new(text);
-    let mut scratch = DecodeScratch::default();
-    let mut series = None;
-    let mut frequency_ghz = None;
-    let mut have_points = false;
-    reader.begin_object()?;
-    let mut first = true;
-    while reader.next_key(&mut first, &mut scratch.k0)? {
-        if scratch.k0 == "series" && series.is_none() {
-            reader.string_value(&mut scratch.text)?;
-            series = Some(SeriesId::new(&scratch.text).map_err(|_| bail("bad series id"))?);
-        } else if scratch.k0 == "frequency_ghz" && frequency_ghz.is_none() {
-            let ghz = reader.f64_value()?;
-            if !ghz.is_finite() || ghz <= 0.0 {
-                return Err(bail("non-positive frequency"));
-            }
-            frequency_ghz = Some(ghz);
-        } else if scratch.k0 == "points" && !have_points {
-            have_points = true;
-            read_points(&mut reader, &mut scratch)?;
-        } else {
-            reader.skip_value()?;
-        }
-    }
-    reader.finish()?;
-    let (Some(series), true) = (series, have_points) else {
-        return Err(bail("missing series or points"));
-    };
-    Ok(IngestRequest {
-        series,
-        frequency_ghz,
-        points: std::mem::take(&mut scratch.points),
-    })
-}
-
-fn fast_target_spec(text: &str) -> Result<TargetSpec, String> {
-    let mut reader = JsonReader::new(text);
-    let mut key = String::new();
-    let spec = read_target_fields(&mut reader, &mut key)?;
-    reader.finish()?;
-    Ok(spec)
-}
-
-/// Read a `TargetSpec` object (already positioned at its `{`). It reads
-/// `cores`, `frequency_ghz` and `dataset_scale` at most once each and bails
-/// on any other key, so a body with a flag (under any escaping of its key)
-/// or a duplicate goes to the tree decoder.
-fn read_target_fields(reader: &mut JsonReader<'_>, key: &mut String) -> Result<TargetSpec, String> {
-    let mut cores = None;
-    let mut frequency_ghz = None;
-    let mut dataset_scale = None;
-    reader.begin_object()?;
-    let mut first = true;
-    while reader.next_key(&mut first, key)? {
-        match key.as_str() {
-            "cores" if cores.is_none() => cores = Some(read_u32(reader)?),
-            "frequency_ghz" if frequency_ghz.is_none() => {
-                frequency_ghz = Some(reader.f64_value()?);
-            }
-            "dataset_scale" if dataset_scale.is_none() => {
-                dataset_scale = Some(reader.f64_value()?);
-            }
-            _ => return Err(bail("not a bare target field")),
-        }
-    }
-    let mut spec = TargetSpec::cores(cores.ok_or_else(|| bail("missing cores"))?);
-    if let Some(ghz) = frequency_ghz {
-        spec = spec.with_frequency_ghz(ghz);
-    }
-    if let Some(scale) = dataset_scale {
-        spec = spec.with_dataset_scale(scale);
-    }
-    Ok(spec)
-}
-
-/// Read a `measurements` wire object (already positioned at its `{`). The
-/// builders tolerate any field order: `points` may precede `app_name`, so
-/// points accumulate in the scratch buffer until the object completes.
-fn read_measurement_set(
-    reader: &mut JsonReader<'_>,
-    scratch: &mut DecodeScratch,
-) -> Result<MeasurementSet, String> {
-    let mut app_name = None;
-    let mut frequency_ghz = None;
-    let mut have_points = false;
-    reader.begin_object()?;
-    let mut first = true;
-    while reader.next_key(&mut first, &mut scratch.k1)? {
-        if scratch.k1 == "app_name" && app_name.is_none() {
-            reader.string_value(&mut scratch.text)?;
-            app_name = Some(scratch.text.clone());
-        } else if scratch.k1 == "frequency_ghz" && frequency_ghz.is_none() {
-            frequency_ghz = Some(reader.f64_value()?);
-        } else if scratch.k1 == "points" && !have_points {
-            have_points = true;
-            read_points(reader, scratch)?;
-        } else {
-            reader.skip_value()?;
-        }
-    }
-    let (Some(app_name), Some(frequency_ghz), true) = (app_name, frequency_ghz, have_points) else {
-        return Err(bail("missing measurement-set field"));
-    };
-    let mut set = MeasurementSet::new(app_name, frequency_ghz);
-    for point in scratch.points.drain(..) {
-        set.push(point);
-    }
-    Ok(set)
-}
-
-/// Read a `points` array into `scratch.points` (already positioned at `[`).
-fn read_points(reader: &mut JsonReader<'_>, scratch: &mut DecodeScratch) -> Result<(), String> {
-    scratch.points.clear();
-    reader.begin_array()?;
-    let mut first = true;
-    while reader.next_element(&mut first)? {
-        let point = read_measurement(reader, scratch)?;
-        scratch.points.push(point);
-    }
-    Ok(())
-}
-
-/// Read one measurement object (an entry of a `points` array).
-fn read_measurement(
-    reader: &mut JsonReader<'_>,
-    scratch: &mut DecodeScratch,
-) -> Result<Measurement, String> {
-    let mut cores = None;
-    let mut exec_time = None;
-    let mut footprint = None;
-    let mut have_stalls = false;
-    scratch.stalls.clear();
-    reader.begin_object()?;
-    let mut first = true;
-    while reader.next_key(&mut first, &mut scratch.k2)? {
-        if scratch.k2 == "cores" && cores.is_none() {
-            cores = Some(read_u32(reader)?);
-        } else if scratch.k2 == "exec_time" && exec_time.is_none() {
-            exec_time = Some(reader.f64_value()?);
-        } else if scratch.k2 == "memory_footprint" && footprint.is_none() {
-            footprint = Some(reader.u64_value()?);
-        } else if scratch.k2 == "stalls" && !have_stalls {
-            have_stalls = true;
-            read_stalls(reader, scratch)?;
-        } else {
-            reader.skip_value()?;
-        }
-    }
-    let (Some(cores), Some(exec_time)) = (cores, exec_time) else {
-        return Err(bail("missing point field"));
-    };
-    let mut measurement = Measurement::new(cores, exec_time);
-    if let Some(bytes) = footprint {
-        measurement = measurement.with_memory_footprint(bytes);
-    }
-    for (category, cycles) in scratch.stalls.drain(..) {
-        measurement = measurement.with_stall(category, cycles);
-    }
-    Ok(measurement)
-}
-
-/// Read a `stalls` array into `scratch.stalls` (already positioned at `[`).
-fn read_stalls(reader: &mut JsonReader<'_>, scratch: &mut DecodeScratch) -> Result<(), String> {
-    reader.begin_array()?;
-    let mut first = true;
-    while reader.next_element(&mut first)? {
-        let mut source = None;
-        let mut name = None;
-        let mut cycles = None;
-        reader.begin_object()?;
-        let mut sfirst = true;
-        while reader.next_key(&mut sfirst, &mut scratch.k3)? {
-            if scratch.k3 == "source" && source.is_none() {
-                reader.string_value(&mut scratch.text)?;
-                source = Some(StallSource::from_name(&scratch.text)?);
-            } else if scratch.k3 == "name" && name.is_none() {
-                reader.string_value(&mut scratch.text)?;
-                name = Some(scratch.text.clone());
-            } else if scratch.k3 == "cycles" && cycles.is_none() {
-                cycles = Some(reader.f64_value()?);
-            } else {
-                reader.skip_value()?;
-            }
-        }
-        let (Some(source), Some(name), Some(cycles)) = (source, name, cycles) else {
-            return Err(bail("missing stall field"));
-        };
-        scratch
-            .stalls
-            .push((StallCategory { name, source }, cycles));
-    }
-    Ok(())
-}
-
-/// Read a number under the tree decoders' `u32` interpretation
-/// ([`Json::as_u64`] + `u32::try_from`).
-fn read_u32(reader: &mut JsonReader<'_>) -> Result<u32, String> {
-    u32::try_from(reader.u64_value()?).map_err(|_| bail("out of u32 range"))
 }
 
 /// Encode a `POST /v1/measurements` body. Inverse of
@@ -884,7 +610,7 @@ pub fn write_quota_error(message: &str, retry_after_ms: u64, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use estima_core::{Estima, EstimaConfig};
+    use estima_core::{Estima, EstimaConfig, StallCategory, StallSource};
 
     fn demo_set() -> MeasurementSet {
         let mut set = MeasurementSet::new("wire-demo", 2.1);
@@ -960,7 +686,7 @@ mod tests {
         let set = demo_set();
         let target = TargetSpec::cores(48);
         let body = predict_request_to_json(&set, &target).render();
-        let (set2, target2) = predict_request_from_json(&Json::parse(&body).unwrap()).unwrap();
+        let (set2, target2) = decode_predict_request(&body).unwrap();
         assert_eq!(set2, set);
         assert_eq!(target2, target);
     }
@@ -1019,7 +745,7 @@ mod tests {
         let points: Vec<Measurement> = demo_set().measurements().to_vec();
         for frequency in [Some(2.1), None] {
             let encoded = ingest_request_to_json(&series, frequency, &points).render();
-            let decoded = ingest_request_from_json(&Json::parse(&encoded).unwrap()).unwrap();
+            let decoded = decode_ingest_request(&encoded).unwrap();
             assert_eq!(decoded.series, series);
             assert_eq!(decoded.frequency_ghz, frequency);
             assert_eq!(decoded.points, points);
@@ -1038,53 +764,16 @@ mod tests {
         assert!(error.0.contains("positive and finite"), "{error}");
     }
 
-    /// The tree-path outcome `decode_predict_request` must replicate.
-    fn tree_predict(text: &str) -> Result<(MeasurementSet, TargetSpec), WireError> {
-        let value = Json::parse(text)?;
-        predict_request_from_json(&value)
-    }
-
-    fn tree_ingest(text: &str) -> Result<IngestRequest, WireError> {
-        let value = Json::parse(text)?;
-        ingest_request_from_json(&value)
-    }
-
     #[test]
-    fn streaming_decoders_match_tree_decoding_on_canonical_bodies() {
-        let set = demo_set();
-        let target = TargetSpec::cores(48)
-            .with_frequency_ghz(2.8)
-            .with_dataset_scale(1.5);
-        let body = predict_request_to_json(&set, &target).render();
-        let (set2, target2) = decode_predict_request(&body).unwrap();
-        assert_eq!(set2, set);
-        assert_eq!(target2, target);
-
-        let series = SeriesId::new("demo-1").unwrap();
-        let points: Vec<Measurement> = set.measurements().to_vec();
-        for frequency in [Some(2.1), None] {
-            let body = ingest_request_to_json(&series, frequency, &points).render();
-            let decoded = decode_ingest_request(&body).unwrap();
-            assert_eq!(decoded, tree_ingest(&body).unwrap());
-            assert_eq!(decoded.points, points);
-        }
-
-        let body = target_spec_to_json(&target).render();
-        let decoded = decode_series_predict_request(&body).unwrap();
-        assert_eq!(decoded, (target.clone(), PredictExtras::default()));
-        assert_eq!(decode_plan_request(&body).unwrap().0, target);
-    }
-
-    #[test]
-    fn streaming_decoders_tolerate_field_order_unknowns_and_duplicates() {
+    fn decoders_tolerate_field_order_unknowns_and_duplicates() {
         // Fields out of canonical order (points before app_name, target
-        // first), unknown fields at every level, and duplicate keys where
-        // the first occurrence must win — all tree-path semantics.
+        // first), unknown fields at every level, and duplicate keys at every
+        // nesting level, where the first occurrence wins.
         let body = r#"{
             "target": {"ignored": [1, {"x": "y"}], "cores": 48, "cores": 7},
             "measurements": {
                 "points": [
-                    {"exec_time": 2.5, "cores": 1, "extra": null,
+                    {"exec_time": 2.5, "cores": 1, "cores": 9, "extra": null,
                      "stalls": [{"cycles": 1e9, "name": "rob_full", "source": "hw_backend",
                                  "source": "software"}]},
                     {"cores": 2, "exec_time": 1.5, "memory_footprint": 1048576, "stalls": []}
@@ -1092,67 +781,109 @@ mod tests {
                 "frequency_ghz": 2.1, "frequency_ghz": 9.9,
                 "app_name": "ooo-demo"
             },
+            "measurements": 5,
             "trailing_unknown": {"a": [true, false]}
         }"#;
         let (set, target) = decode_predict_request(body).unwrap();
-        let (tree_set, tree_target) = tree_predict(body).unwrap();
-        assert_eq!(set, tree_set);
-        assert_eq!(target, tree_target);
         assert_eq!(set.app_name, "ooo-demo");
         assert_eq!(set.frequency_ghz, 2.1, "first duplicate must win");
         assert_eq!(target.cores, 48, "first duplicate must win");
-        assert_eq!(set.len(), 2);
+        assert_eq!(set.core_counts(), vec![1, 2], "first duplicate must win");
         assert_eq!(
             set.measurements()[0].stalls.keys().next().unwrap().source,
             StallSource::HardwareBackend,
             "first duplicate must win inside stall objects"
         );
+        assert_eq!(set.measurements()[1].memory_footprint, Some(1 << 20));
     }
 
     #[test]
-    fn streaming_decoders_report_tree_identical_errors() {
-        // Responses are pinned byte-identical to the tree path, so the
-        // error *messages* must match exactly, not just the error-ness.
-        for body in [
-            "",
-            "not json",
-            r#"{"measurements": 5}"#,
-            r#"{"target": {"cores": 48}}"#,
-            r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0}}"#,
-            r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0, "points": [
+    fn decode_errors_are_the_400_texts() {
+        for (body, message) in [
+            ("", "JSON parse error at byte 0: unexpected end of input"),
+            ("not json", "JSON parse error at byte 0: expected `null`"),
+            (
+                r#"{"measurements": 5}"#,
+                "measurements: missing field `app_name`",
+            ),
+            (
+                r#"{"target": {"cores": 48}}"#,
+                "request: missing field `measurements`",
+            ),
+            (
+                r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0}}"#,
+                "measurements: missing field `points`",
+            ),
+            (
+                r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0, "points": [
                 {"cores": 1.5, "exec_time": 1.0}]}, "target": {"cores": 48}}"#,
-            r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0, "points": [
+                "measurements.points[0]: field `cores` must be a non-negative integer",
+            ),
+            (
+                r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0, "points": [
                 {"cores": 1, "exec_time": 1.0,
                  "stalls": [{"source": "gpu", "name": "x", "cycles": 1}]}]},
                 "target": {"cores": 48}}"#,
-            r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0, "points": []},
+                "unknown stall source `gpu` (expected hw_backend, hw_frontend or software)",
+            ),
+            (
+                r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0, "points": [
+                {"cores": 1, "exec_time": 1.0, "stalls": [{"source": "software", "cycles": 1}]}]},
+                "target": {"cores": 48}}"#,
+                "measurements.points[0].stalls[0]: missing field `name`",
+            ),
+            (
+                r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0, "points": []},
                 "target": {"cores": 48}} trailing"#,
-            r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0, "points": [}"#,
+                "JSON parse error at byte 113: trailing characters after document",
+            ),
+            (
+                r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0, "points": [}"#,
+                "JSON parse error at byte 68: invalid number",
+            ),
         ] {
             assert_eq!(
-                decode_predict_request(body).map(|_| ()),
-                tree_predict(body).map(|_| ()),
-                "error diverged on {body:?}"
+                decode_predict_request(body),
+                Err(WireError(message.to_string())),
+                "{body}"
             );
         }
-        for body in [
-            r#"{"series": "a b", "points": []}"#,
-            r#"{"series": "ok"}"#,
-            r#"{"series": "ok", "frequency_ghz": -1, "points": []}"#,
-            r#"{"series": "ok", "frequency_ghz": "fast", "points": []}"#,
+        for (body, message) in [
+            (
+                r#"{"series": "a b", "points": []}"#,
+                "request: invalid series id: character ' ' is outside [A-Za-z0-9_.-]",
+            ),
+            (r#"{"series": "ok"}"#, "request: missing field `points`"),
+            (
+                r#"{"series": "ok", "frequency_ghz": -1, "points": []}"#,
+                "request: field `frequency_ghz` must be positive and finite",
+            ),
+            (
+                r#"{"series": "ok", "frequency_ghz": "fast", "points": []}"#,
+                "request: field `frequency_ghz` must be a number",
+            ),
+            (
+                r#"{"series": "ok", "points": [{"cores": 1}, {"exec_time": 1}]}"#,
+                "points[0]: missing field `exec_time`",
+            ),
         ] {
             assert_eq!(
                 decode_ingest_request(body).map(|_| ()),
-                tree_ingest(body).map(|_| ()),
-                "error diverged on {body:?}"
+                Err(WireError(message.to_string())),
+                "{body}"
             );
         }
-        let bad_target = r#"{"cores": -1}"#;
         assert_eq!(
-            decode_series_predict_request(bad_target),
-            Json::parse(bad_target)
-                .map_err(WireError)
-                .and_then(|v| series_predict_request_from_json(&v)),
+            decode_series_predict_request(r#"{"cores": -1}"#),
+            Err(WireError(
+                "target: field `cores` must be a non-negative integer".to_string()
+            ))
+        );
+        assert_eq!(
+            decode_plan_request(r#"{"cores": 48"#),
+            Err(WireError(
+                "JSON parse error at byte 12: expected `,` or `}`".to_string()
+            ))
         );
     }
 

@@ -562,6 +562,47 @@ fn an_absurd_target_core_count_is_refused_promptly() {
 }
 
 #[test]
+fn a_non_positive_target_clock_is_refused() {
+    let handle = spawn_server();
+    let mut client = Client::connect(handle.addr());
+    let set = seed_series(&mut client, "clock");
+    let mut expected = String::new();
+    wire::write_error(
+        "prediction_failed",
+        "invalid configuration: frequency_ghz must be positive",
+        &mut expected,
+    );
+    // Every route that predicts refuses the clock instead of predicting at
+    // the measurement machine's.
+    for ghz in ["-2", "0", "-0"] {
+        let target = format!(r#"{{"cores":48,"frequency_ghz":{ghz}}}"#);
+        let oneshot = format!(
+            r#"{{"measurements":{},"target":{target}}}"#,
+            wire::measurement_set_to_json(&set).render()
+        );
+        for (path, body) in [
+            ("/v1/series/clock/predict", &target),
+            ("/v1/series/clock/plan", &target),
+            ("/v1/predict", &oneshot),
+        ] {
+            assert_eq!(
+                client.request("POST", path, body),
+                (422, expected.clone()),
+                "{path} {body}"
+            );
+        }
+    }
+    let (status, _) = client.request(
+        "POST",
+        "/v1/series/clock/predict",
+        r#"{"cores":48,"frequency_ghz":2.8}"#,
+    );
+    assert_eq!(status, 200);
+
+    handle.shutdown();
+}
+
+#[test]
 fn series_error_codes_match_the_documented_semantics() {
     let handle = spawn_server();
     let mut client = Client::connect(handle.addr());

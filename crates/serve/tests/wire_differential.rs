@@ -1,15 +1,19 @@
-//! Differential tests of the streaming request decoders: for every body,
-//! `wire::decode_*(text)` must give exactly what `Json::parse` plus that
-//! request's tree decoder gives — the same decoded value down to the sign
-//! of a zero, or the same error message.
+//! The request decoders on a mutated corpus, in process and over HTTP.
 //!
 //! Canonical predict, ingest, series-predict and plan bodies (with and
 //! without their optional fields and flags) are mutated: truncated at every
 //! byte, bytes replaced from a JSON-punctuation alphabet, fields duplicated
 //! and reordered, key characters written as `\u00XX` escapes, and number
-//! tokens swapped for edge values. Outcomes are compared through their
-//! `Debug` text, which tells `-0.0` from `0.0`. A panic anywhere fails the
-//! test.
+//! tokens swapped for edge values.
+//!
+//! In process, every `wire::decode_*` outcome is pinned: its `Debug` text
+//! (which tells `-0.0` from `0.0`, and carries every error message) is
+//! hashed in corpus order, so any change to what a body decodes to, or to
+//! a 400 text, changes the digest. Over HTTP, the same corpus goes through
+//! a loopback server on one keep-alive connection: every body the decoder
+//! rejects must get a `400 bad_request` carrying exactly the decoder's
+//! message, and every body it accepts a 2xx or a structured 4xx, never a
+//! 5xx, a hang or a dropped connection. A panic anywhere fails the test.
 //!
 //! The randomness is a hand-rolled xorshift generator with fixed seeds, so
 //! failures replay exactly.
@@ -17,6 +21,7 @@
 use estima_core::json::Json;
 use estima_core::prelude::*;
 use estima_serve::wire::{self, WireError};
+use estima_serve::{Client, Server, ServerConfig};
 
 /// Deterministic xorshift64* generator (no RNG crates in this workspace).
 struct XorShift(u64);
@@ -41,7 +46,7 @@ impl XorShift {
     }
 }
 
-/// The request bodies with a streaming decoder.
+/// The request bodies with a `decode_*` function.
 #[derive(Debug, Clone, Copy)]
 enum Kind {
     Predict,
@@ -50,35 +55,20 @@ enum Kind {
     Plan,
 }
 
-/// `Json::parse` + a tree decoder: the reference outcome.
-fn tree<T>(
-    text: &str,
-    decode: fn(&Json) -> std::result::Result<T, WireError>,
-) -> std::result::Result<T, WireError> {
-    decode(&Json::parse(text)?)
-}
-
-/// Decode `text` both ways and require identical outcomes.
-fn assert_agree(kind: Kind, text: &str) {
-    let (fast, reference) = match kind {
-        Kind::Predict => (
-            format!("{:?}", wire::decode_predict_request(text)),
-            format!("{:?}", tree(text, wire::predict_request_from_json)),
-        ),
-        Kind::Ingest => (
-            format!("{:?}", wire::decode_ingest_request(text)),
-            format!("{:?}", tree(text, wire::ingest_request_from_json)),
-        ),
-        Kind::SeriesPredict => (
-            format!("{:?}", wire::decode_series_predict_request(text)),
-            format!("{:?}", tree(text, wire::series_predict_request_from_json)),
-        ),
-        Kind::Plan => (
-            format!("{:?}", wire::decode_plan_request(text)),
-            format!("{:?}", tree(text, wire::plan_request_from_json)),
-        ),
-    };
-    assert_eq!(fast, reference, "{kind:?} decoders diverged on {text:?}");
+/// The `decode_*` outcome of `text`: its `Debug` text, and whether the
+/// body was accepted or the error it was rejected with.
+fn outcome(kind: Kind, text: &str) -> (String, std::result::Result<(), WireError>) {
+    fn show<T: std::fmt::Debug>(
+        decoded: std::result::Result<T, WireError>,
+    ) -> (String, std::result::Result<(), WireError>) {
+        (format!("{decoded:?}"), decoded.map(drop))
+    }
+    match kind {
+        Kind::Predict => show(wire::decode_predict_request(text)),
+        Kind::Ingest => show(wire::decode_ingest_request(text)),
+        Kind::SeriesPredict => show(wire::decode_series_predict_request(text)),
+        Kind::Plan => show(wire::decode_plan_request(text)),
+    }
 }
 
 fn points() -> Vec<Measurement> {
@@ -303,40 +293,170 @@ fn mutants(body: &str, rng: &mut XorShift) -> Vec<String> {
     out
 }
 
+/// FNV-1a-64 of `bytes`, continuing from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 #[test]
-fn streaming_decoders_agree_with_the_tree_decoders_on_mutated_bodies() {
+fn mutated_corpus_outcomes_match_the_pinned_digest() {
     let mut rng = XorShift::new(0x5eed_d1ff);
-    let mut decoded = 0;
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let (mut ok, mut err) = (0, 0);
     for (kind, body) in canonical_bodies() {
         for mutant in mutants(&body, &mut rng) {
-            assert_agree(kind, &mutant);
-            decoded += 1;
+            let (text, verdict) = outcome(kind, &mutant);
+            hash = fnv1a(hash, text.as_bytes());
+            hash = fnv1a(hash, b"\n");
+            if verdict.is_ok() {
+                ok += 1;
+            } else {
+                err += 1;
+            }
         }
     }
-    assert!(decoded > 10_000, "only {decoded} bodies decoded");
+    assert_eq!(
+        (format!("{hash:016x}"), ok, err),
+        ("b56eeb2e0f90263b".to_string(), 4392, 7331)
+    );
 }
 
 #[test]
 fn escaped_flag_keys_decode_as_the_flags() {
-    // Keys compare after unescaping, on the fast path as on the tree.
-    let cases = [
-        (
-            Kind::SeriesPredict,
-            r#"{"cores":32,"confid\u0065nce":true}"#,
-        ),
-        (Kind::SeriesPredict, r#"{"cores":32,"di\u0061gnosis":true}"#),
-        (Kind::Plan, r#"{"cores":32,"sugg\u0065stions":0}"#),
-        (Kind::Plan, r#"{"cores":32,"\u0073uggestions":5}"#),
-        (
-            Kind::Predict,
-            r#"{"measurements":{"app_name":"x","frequency_ghz":2,"points":[]},"target":{"c\u006fres":4}}"#,
-        ),
-    ];
-    for (kind, body) in cases {
-        assert_agree(kind, body);
+    // Keys compare after unescaping.
+    let (_, extras) =
+        wire::decode_series_predict_request(r#"{"cores":32,"confid\u0065nce":true}"#).unwrap();
+    assert!(extras.confidence && !extras.diagnosis);
+    let (_, extras) =
+        wire::decode_series_predict_request(r#"{"cores":32,"di\u0061gnosis":true}"#).unwrap();
+    assert!(extras.diagnosis && !extras.confidence);
+    assert_eq!(
+        wire::decode_plan_request(r#"{"cores":32,"sugg\u0065stions":0}"#),
+        Err(WireError(
+            "request: field `suggestions` must be an integer between 1 and 8".to_string()
+        ))
+    );
+    assert_eq!(
+        wire::decode_plan_request(r#"{"cores":32,"\u0073uggestions":5}"#)
+            .unwrap()
+            .1,
+        5
+    );
+    let (_, target) = wire::decode_predict_request(
+        r#"{"measurements":{"app_name":"x","frequency_ghz":2,"points":[]},"target":{"c\u006fres":4}}"#,
+    )
+    .unwrap();
+    assert_eq!(target, TargetSpec::cores(4));
+}
+
+/// The route a corpus body of `kind` is posted to; the series routes name
+/// the series [`mutated_corpus_over_http_answers_like_the_decoders`] seeds.
+fn route(kind: Kind) -> &'static str {
+    match kind {
+        Kind::Predict => "/v1/predict",
+        Kind::Ingest => "/v1/measurements",
+        Kind::SeriesPredict => "/v1/series/http-seed/predict",
+        Kind::Plan => "/v1/series/http-seed/plan",
     }
-    let (_, extras) = wire::decode_series_predict_request(cases[0].1).unwrap();
-    assert!(extras.confidence);
-    assert!(wire::decode_plan_request(cases[2].1).is_err());
-    assert_eq!(wire::decode_plan_request(cases[3].1).unwrap().1, 5);
+}
+
+/// Most accepted bodies of one kind sent over HTTP. Every rejected body is
+/// sent; an accepted one can cost a cold fit (series predict) or a cold
+/// plan, so each kind sends an evenly spaced sample of its accepted bodies.
+const ACCEPTED_PER_KIND: [usize; 4] = [usize::MAX, usize::MAX, 400, 300];
+
+#[test]
+fn mutated_corpus_over_http_answers_like_the_decoders() {
+    let mut rng = XorShift::new(0x5eed_d1ff);
+    let mut corpus = Vec::new();
+    let mut accepted = [0usize; 4];
+    for (kind, body) in canonical_bodies() {
+        for mutant in mutants(&body, &mut rng) {
+            let (_, verdict) = outcome(kind, &mutant);
+            if verdict.is_ok() {
+                accepted[kind as usize] += 1;
+            }
+            corpus.push((kind, mutant, verdict));
+        }
+    }
+    let stride: Vec<usize> = (0..4)
+        .map(|kind| accepted[kind].div_ceil(ACCEPTED_PER_KIND[kind]).max(1))
+        .collect();
+
+    let handle = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        reactor_threads: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server")
+    .spawn()
+    .expect("spawn server reactors");
+    let mut client = Client::connect(handle.addr()).expect("connect to test server");
+    let seed: Vec<Measurement> = (1..=6u32)
+        .map(|cores| {
+            let n = f64::from(cores);
+            Measurement::new(cores, 30.0 / n + 1.0)
+                .with_stall(StallCategory::backend("rob_full"), 4.0e8 * (30.0 + n))
+                .with_stall(StallCategory::software("lock_spin"), 1.0e7 * n * n)
+        })
+        .collect();
+    let seed = wire::ingest_request_to_json(&SeriesId::new("http-seed").unwrap(), Some(2.1), &seed);
+    let seeded = client
+        .request("POST", "/v1/measurements", &seed.render())
+        .unwrap();
+    assert_eq!(seeded.status, 200, "{}", seeded.body);
+
+    let mut sent = [[0usize; 2]; 4];
+    let mut statuses = std::collections::BTreeMap::new();
+    let mut seen = [0usize; 4];
+    for (kind, body, decoded) in &corpus {
+        let index = *kind as usize;
+        if decoded.is_ok() {
+            seen[index] += 1;
+            if (seen[index] - 1) % stride[index] != 0 {
+                continue;
+            }
+        }
+        let response = client
+            .request("POST", route(*kind), body)
+            .unwrap_or_else(|e| panic!("{kind:?} body {body:?}: {e}"));
+        let (status, reply) = (response.status, response.body);
+        let parsed = Json::parse(&reply)
+            .unwrap_or_else(|e| panic!("{kind:?} body {body:?}: unparsable reply {reply:?}: {e}"));
+        let error = parsed.get("error");
+        let field = |key| error.and_then(|e| e.get(key)).and_then(Json::as_str);
+        match decoded {
+            Err(WireError(message)) => {
+                sent[index][1] += 1;
+                assert_eq!(
+                    (status, field("code"), field("message")),
+                    (400, Some("bad_request"), Some(message.as_str())),
+                    "{kind:?} body {body:?}"
+                );
+            }
+            Ok(()) => {
+                sent[index][0] += 1;
+                *statuses.entry(status).or_insert(0usize) += 1;
+                assert!(
+                    (200..300).contains(&status)
+                        || ((400..500).contains(&status)
+                            && field("code").is_some()
+                            && field("message").is_some()),
+                    "{kind:?} body {body:?}: {status} {reply}"
+                );
+            }
+        }
+    }
+    handle.shutdown();
+    println!("accepted / rejected bodies sent per kind: {sent:?}; accepted replies by status: {statuses:?}");
+    for (index, [ok, rejected]) in sent.iter().enumerate() {
+        assert!(
+            *ok > 0 && *rejected > 0,
+            "kind {index} sent {ok} / {rejected}"
+        );
+    }
 }
