@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use estima_core::engine::CacheScope;
 use estima_core::kernels::{FittedCurve, HorizonTable};
-use estima_core::levenberg::{levenberg_marquardt, Jacobian, LmOptions};
+use estima_core::levenberg::{Jacobian, LmOptions};
 use estima_core::{
     approximate_series, candidate_fits, fit_kernel, Engine, FitCache, FitContext, FitOptions,
     KernelKind,
@@ -103,13 +103,15 @@ fn bench_parallel_candidate_grid(c: &mut Criterion) {
 /// QR system per cell, and nonlinear kernels refined by the closure-based
 /// Levenberg–Marquardt (finite-difference Jacobian, allocating per
 /// iteration), and every cell walked for realism point by point — exactly
-/// the shape of the code the columnar grid replaced.
+/// the shape of the code the columnar grid replaced. The row-major matrix
+/// and its allocating solvers are a private copy in [`row_major`].
 mod pre_pr {
+    use super::row_major::{
+        design_row, solve_cholesky, solve_gaussian, solve_least_squares_qr, Matrix,
+    };
     use estima_core::kernels::{FittedCurve, KernelKind};
     use estima_core::levenberg::LmOptions;
-    use estima_core::linalg::{
-        norm2, solve_cholesky, solve_gaussian, solve_least_squares_qr, Matrix,
-    };
+    use estima_core::linalg::norm2;
     use estima_core::stats::rmse;
     use estima_core::FitOptions;
 
@@ -203,7 +205,7 @@ mod pre_pr {
     }
 
     fn fit_linear(kernel: KernelKind, xs: &[f64], ys: &[f64]) -> Option<Vec<f64>> {
-        let rows: Vec<Vec<f64>> = xs.iter().map(|x| kernel.design_row(*x)).collect();
+        let rows: Vec<Vec<f64>> = xs.iter().map(|x| design_row(kernel, *x)).collect();
         let design = Matrix::from_rows(&rows);
         if design.rows() >= design.cols() {
             if let Ok(solution) = solve_least_squares_qr(&design, ys) {
@@ -379,6 +381,245 @@ mod pre_pr {
     }
 }
 
+/// The row-major dense matrix and the allocating solvers the pre-PR path
+/// called, copied verbatim from the library they have since left, so the
+/// baseline keeps its cost: a fresh `Vec` per matrix, per product and per
+/// solve, the Gram product summed over the upper triangle and mirrored, and
+/// Householder QR on a row-major copy of the design.
+mod row_major {
+    use estima_core::kernels::KernelKind;
+    use estima_core::linalg::{cholesky_solve_in_place, gaussian_solve_in_place};
+    use estima_core::{EstimaError, Result};
+
+    /// Dense row-major matrix of `f64`.
+    #[derive(Clone)]
+    pub struct Matrix {
+        rows: usize,
+        cols: usize,
+        data: Vec<f64>,
+    }
+
+    impl Matrix {
+        /// Create a matrix of zeros with the given shape.
+        pub fn zeros(rows: usize, cols: usize) -> Self {
+            Matrix {
+                rows,
+                cols,
+                data: vec![0.0; rows * cols],
+            }
+        }
+
+        /// Build a matrix from nested rows. All rows must have the same
+        /// length.
+        pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+            let r = rows.len();
+            let c = rows.first().map_or(0, |row| row.len());
+            let mut data = Vec::with_capacity(r * c);
+            for row in rows {
+                assert_eq!(row.len(), c, "all rows must have equal length");
+                data.extend_from_slice(row);
+            }
+            Matrix {
+                rows: r,
+                cols: c,
+                data,
+            }
+        }
+
+        /// Number of rows.
+        pub fn rows(&self) -> usize {
+            self.rows
+        }
+
+        /// Number of columns.
+        pub fn cols(&self) -> usize {
+            self.cols
+        }
+
+        /// Transposed matrix-vector product `A^T * y`.
+        pub fn mul_transpose_vec(&self, y: &[f64]) -> Vec<f64> {
+            assert_eq!(
+                self.rows,
+                y.len(),
+                "dimension mismatch in mul_transpose_vec"
+            );
+            let mut out = vec![0.0; self.cols];
+            for (i, y_i) in y.iter().enumerate() {
+                let row = &self.data[i * self.cols..(i + 1) * self.cols];
+                for j in 0..self.cols {
+                    out[j] += row[j] * y_i;
+                }
+            }
+            out
+        }
+
+        /// Gram matrix `A^T * A`: the upper triangle, then mirrored.
+        pub fn gram(&self) -> Matrix {
+            let cols = self.cols;
+            let mut g = Matrix::zeros(cols, cols);
+            let out = &mut g.data;
+            for i in 0..self.rows {
+                let row = &self.data[i * cols..(i + 1) * cols];
+                for j in 0..cols {
+                    for k in j..cols {
+                        out[j * cols + k] += row[j] * row[k];
+                    }
+                }
+            }
+            for j in 0..cols {
+                for k in 0..j {
+                    out[j * cols + k] = out[k * cols + j];
+                }
+            }
+            g
+        }
+    }
+
+    impl std::ops::Index<(usize, usize)> for Matrix {
+        type Output = f64;
+        fn index(&self, (i, j): (usize, usize)) -> &f64 {
+            &self.data[i * self.cols + j]
+        }
+    }
+
+    impl std::ops::IndexMut<(usize, usize)> for Matrix {
+        fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
+            &mut self.data[i * self.cols + j]
+        }
+    }
+
+    /// Design-matrix row for the linear kernels, in a fresh `Vec`.
+    pub fn design_row(kernel: KernelKind, n: f64) -> Vec<f64> {
+        let mut row = vec![0.0; kernel.param_count()];
+        kernel.design_row_into(n, &mut row);
+        row
+    }
+
+    /// Solve the symmetric positive-definite system `A x = b` via Cholesky
+    /// factorisation on copies of `A` and `b`.
+    pub fn solve_cholesky(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
+        let n = a.rows();
+        if a.cols() != n || b.len() != n {
+            return Err(EstimaError::Numerical("cholesky: shape mismatch".into()));
+        }
+        if a.data.iter().chain(b).any(|v| !v.is_finite()) {
+            return Err(EstimaError::Numerical("cholesky: non-finite input".into()));
+        }
+        let mut factor = a.data.clone();
+        let mut x = b.to_vec();
+        if !cholesky_solve_in_place(&mut factor, n, &mut x) {
+            return Err(EstimaError::Numerical(
+                "cholesky: matrix not positive definite".into(),
+            ));
+        }
+        Ok(x)
+    }
+
+    /// Solve a square system `A x = b` by partial-pivoting Gaussian
+    /// elimination on copies of `A` and `b`.
+    pub fn solve_gaussian(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
+        let n = a.rows();
+        if a.cols() != n || b.len() != n {
+            return Err(EstimaError::Numerical("gaussian: shape mismatch".into()));
+        }
+        let mut aug = a.data.clone();
+        let mut x = b.to_vec();
+        if !gaussian_solve_in_place(&mut aug, n, &mut x) {
+            return Err(EstimaError::Numerical("gaussian: singular matrix".into()));
+        }
+        Ok(x)
+    }
+
+    /// Solve `min ||A x - b||` by Householder QR on a row-major copy of `A`.
+    pub fn solve_least_squares_qr(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
+        let (m, n) = (a.rows, a.cols);
+        let mut r = a.data[..m * n].to_vec();
+        if m < n {
+            return Err(EstimaError::Numerical(
+                "least squares: fewer rows than columns".into(),
+            ));
+        }
+        if b.len() != m {
+            return Err(EstimaError::Numerical(
+                "least squares: rhs length mismatch".into(),
+            ));
+        }
+        if r.iter().any(|v| !v.is_finite()) || b.iter().any(|v| !v.is_finite()) {
+            return Err(EstimaError::Numerical(
+                "least squares: non-finite input".into(),
+            ));
+        }
+
+        // Apply Householder reflections to both R and the right-hand side.
+        let mut rhs = b.to_vec();
+
+        for k in 0..n {
+            // Compute the Householder vector for column k.
+            let mut norm = 0.0;
+            for i in k..m {
+                norm += r[i * n + k] * r[i * n + k];
+            }
+            let norm = norm.sqrt();
+            if norm < 1e-300 {
+                return Err(EstimaError::Numerical(
+                    "least squares: rank deficient design matrix".into(),
+                ));
+            }
+            let alpha = if r[k * n + k] >= 0.0 { -norm } else { norm };
+            let mut v = vec![0.0; m];
+            for i in k..m {
+                v[i] = r[i * n + k];
+            }
+            v[k] -= alpha;
+            let vtv: f64 = v[k..].iter().map(|x| x * x).sum();
+            if vtv < 1e-300 {
+                continue;
+            }
+            // Apply the reflection H = I - 2 v v^T / (v^T v) to R and rhs.
+            for j in k..n {
+                let mut dot = 0.0;
+                for i in k..m {
+                    dot += v[i] * r[i * n + j];
+                }
+                let scale = 2.0 * dot / vtv;
+                for i in k..m {
+                    r[i * n + j] -= scale * v[i];
+                }
+            }
+            let mut dot = 0.0;
+            for i in k..m {
+                dot += v[i] * rhs[i];
+            }
+            let scale = 2.0 * dot / vtv;
+            for i in k..m {
+                rhs[i] -= scale * v[i];
+            }
+        }
+
+        // Back substitution on the upper-triangular part.
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let mut sum = rhs[i];
+            for j in (i + 1)..n {
+                sum -= r[i * n + j] * x[j];
+            }
+            let diag = r[i * n + i];
+            if diag.abs() < 1e-300 {
+                return Err(EstimaError::Numerical(
+                    "least squares: singular triangular factor".into(),
+                ));
+            }
+            x[i] = sum / diag;
+        }
+        if x.iter().any(|v| !v.is_finite()) {
+            return Err(EstimaError::Numerical(
+                "least squares: non-finite solution".into(),
+            ));
+        }
+        Ok(x)
+    }
+}
+
 fn bench_jacobian_modes(c: &mut Criterion) {
     // One Rat33 fit (largest parameter count) from the same offset start:
     // analytic partials vs the finite-difference oracle.
@@ -408,21 +649,6 @@ fn bench_jacobian_modes(c: &mut Criterion) {
             })
         });
     }
-    // The closure API (no analytic partials, allocating wrapper) for scale.
-    group.bench_function(BenchmarkId::from_parameter("closure_fd"), |b| {
-        let initial = [20.0, 6.0, 0.8, 0.04, 0.08, 0.008, 0.0008];
-        let model = move |p: &[f64], x: f64| kernel.eval(p, x);
-        b.iter(|| {
-            levenberg_marquardt(
-                model,
-                std::hint::black_box(&xs),
-                std::hint::black_box(&ys),
-                &initial,
-                &LmOptions::default(),
-            )
-            .unwrap()
-        })
-    });
     group.finish();
 }
 

@@ -4,7 +4,6 @@
 //! reproduce all                  # every experiment
 //! reproduce table4 fig8          # a selection
 //! reproduce --list               # available experiment ids
-//! reproduce --quick all          # CI smoke mode: cheaper fitting grid
 //! reproduce --json all           # machine-readable per-experiment metrics
 //! ```
 //!
@@ -22,7 +21,7 @@ use std::time::Instant;
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: reproduce [--list] [--quick] [--json] <all | experiment-id ...>");
+        eprintln!("usage: reproduce [--list] [--json] <all | experiment-id ...>");
         eprintln!("experiments: {}", estima_bench::all_ids().join(", "));
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
@@ -32,16 +31,14 @@ fn main() {
         }
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
-    args.retain(|a| a != "--quick" && a != "--json");
+    args.retain(|a| a != "--json");
     if args.is_empty() {
         // Flags alone select no experiments; bail like the no-args case
         // instead of silently succeeding (and clobbering summary.json).
-        eprintln!("usage: reproduce [--list] [--quick] [--json] <all | experiment-id ...>");
+        eprintln!("usage: reproduce [--list] [--json] <all | experiment-id ...>");
         std::process::exit(2);
     }
-    estima_bench::harness::set_quick_mode(quick);
 
     let ids: Vec<String> = if args.iter().any(|a| a == "all") {
         estima_bench::all_ids()
@@ -99,10 +96,9 @@ fn main() {
     }
     let (cache_hits, cache_misses, cache_entries) = estima_bench::harness::shared_fit_cache_stats();
     eprintln!(
-        "reproduce: {} experiment(s) in {:.2}s wall-clock{}; shared fit cache: {} hits / {} misses ({} series)",
+        "reproduce: {} experiment(s) in {:.2}s wall-clock; shared fit cache: {} hits / {} misses ({} series)",
         ids.len() - failures,
         total_start.elapsed().as_secs_f64(),
-        if quick { " (quick mode)" } else { "" },
         cache_hits,
         cache_misses,
         cache_entries,

@@ -12,8 +12,8 @@ use estima_machine::{MachineDescriptor, Vendor};
 use estima_workloads::WorkloadId;
 
 use crate::harness::{
-    actual_times, batch_max_errors, batch_predictions, default_config, measurements_for,
-    stall_time_correlation, Scenario,
+    actual_times, batch_max_errors, batch_predictions, measurements_for, stall_time_correlation,
+    Scenario,
 };
 use crate::report::{pct, Report};
 
@@ -171,7 +171,9 @@ pub fn fig05_intruder_walkthrough() -> Report {
         "intruder prediction example (Opteron, 12 -> 48 cores)",
     );
     let scenario = Scenario::one_socket_to_full(WorkloadId::Intruder, opteron());
-    let prediction = scenario.predict(&default_config()).expect("prediction");
+    let prediction = scenario
+        .predict(&EstimaConfig::default())
+        .expect("prediction");
     // (a)-(f): per-category extrapolations.
     for category in &prediction.categories {
         report.series(
@@ -239,7 +241,9 @@ pub fn fig06_production_apps() -> Report {
             measured_cores,
             xeon20(),
         );
-        let prediction = scenario.predict(&default_config()).expect("prediction");
+        let prediction = scenario
+            .predict(&EstimaConfig::default())
+            .expect("prediction");
         let actual = scenario.actual();
         let err = prediction.max_error_against(&actual).unwrap_or(f64::NAN);
         report.series(
@@ -289,7 +293,7 @@ pub fn table04_strong_scaling_errors() -> Report {
         "table4",
         "Maximum prediction errors with measurements on one processor (Opteron 2/3/4 CPUs, Xeon20 2 CPUs)",
     );
-    let config = default_config();
+    let config = EstimaConfig::default();
     let opteron_scenarios: Vec<Scenario> = WorkloadId::BENCHMARKS
         .iter()
         .map(|w| Scenario::one_socket_to_full(*w, opteron()))
@@ -373,7 +377,7 @@ pub fn fig07_estima_vs_time_extrapolation() -> Report {
         .iter()
         .map(|w| Scenario::one_socket_to_full(*w, opteron()))
         .collect();
-    let estima_errors = batch_max_errors(&default_config(), &scenarios);
+    let estima_errors = batch_max_errors(&EstimaConfig::default(), &scenarios);
     let mut rows = Vec::new();
     for ((workload, scenario), estima_err) in workloads.iter().zip(&scenarios).zip(estima_errors) {
         let baseline_err = scenario.baseline_max_error().unwrap_or(f64::NAN);
@@ -416,7 +420,7 @@ pub fn fig08_prediction_curves() -> Report {
         .iter()
         .map(|w| Scenario::one_socket_to_full(*w, opteron()))
         .collect();
-    let predictions = batch_predictions(&default_config(), &scenarios);
+    let predictions = batch_predictions(&EstimaConfig::default(), &scenarios);
     for ((workload, scenario), prediction) in workloads.iter().zip(&scenarios).zip(predictions) {
         let prediction = prediction.expect("prediction");
         let baseline = scenario.predict_baseline().expect("baseline");
@@ -446,7 +450,9 @@ pub fn fig09_weak_scaling() -> Report {
     for workload in [WorkloadId::Genome, WorkloadId::Intruder] {
         let mut scenario = Scenario::one_socket_to_full(workload, xeon20());
         scenario.dataset_scale = 2.0;
-        let prediction = scenario.predict(&default_config()).expect("prediction");
+        let prediction = scenario
+            .predict(&EstimaConfig::default())
+            .expect("prediction");
         let actual = scenario.actual();
         let errors: Vec<f64> = prediction
             .errors_against(&actual)
@@ -482,7 +488,9 @@ pub fn fig10_bottleneck_predictions() -> Report {
     );
     for workload in [WorkloadId::Streamcluster, WorkloadId::Intruder] {
         let scenario = Scenario::one_socket_to_full(workload, opteron());
-        let prediction = scenario.predict(&default_config()).expect("prediction");
+        let prediction = scenario
+            .predict(&EstimaConfig::default())
+            .expect("prediction");
         let actual = scenario.actual();
         report.series(
             format!("{workload}"),
@@ -703,9 +711,9 @@ pub fn fig13_software_stall_errors() -> Report {
         .collect();
     let hardware_only = EstimaConfig {
         use_software_stalls: false,
-        ..default_config()
+        ..EstimaConfig::default()
     };
-    let errors_with = batch_max_errors(&default_config(), &with_sw);
+    let errors_with = batch_max_errors(&EstimaConfig::default(), &with_sw);
     let errors_without = batch_max_errors(&hardware_only, &without_sw);
     let mut rows = Vec::new();
     let mut improvements = Vec::new();
@@ -782,7 +790,9 @@ pub fn fig15_limitations() -> Report {
     for measured in [12u32, 24u32] {
         let mut scenario = Scenario::one_socket_to_full(WorkloadId::Streamcluster, opteron());
         scenario.measured_cores = measured;
-        let prediction = scenario.predict(&default_config()).expect("prediction");
+        let prediction = scenario
+            .predict(&EstimaConfig::default())
+            .expect("prediction");
         let actual = scenario.actual();
         let err = prediction.max_error_against(&actual).unwrap_or(f64::NAN);
         report.metric(
@@ -820,7 +830,7 @@ pub fn fig16_numa_measurements() -> Report {
             let mut scenario = Scenario::one_socket_to_full(workload, xeon20());
             scenario.measured_cores = measured;
             let err = scenario
-                .estima_max_error(&default_config())
+                .estima_max_error(&EstimaConfig::default())
                 .unwrap_or(f64::NAN);
             report.metric(
                 format!("{}/measured_{measured}_max_rel_error", workload.name()),
@@ -843,7 +853,7 @@ pub fn table07_xeon48_errors() -> Report {
         "table7",
         "Maximum prediction errors for predictions targeting Xeon48 (from the full Xeon20)",
     );
-    let config = default_config();
+    let config = EstimaConfig::default();
     // Column 1: one socket of Xeon20 -> full Xeon20 (same as Table 4).
     let within_scenarios: Vec<Scenario> = WorkloadId::BENCHMARKS
         .iter()

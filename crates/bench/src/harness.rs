@@ -10,7 +10,6 @@
 //!    "actual" execution times,
 //! 4. report prediction curves and/or maximum relative errors.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use estima_core::{
@@ -20,21 +19,6 @@ use estima_core::{
 use estima_counters::{collect_up_to, SimulatedCounterSource, SimulatedSourceOptions};
 use estima_machine::{MachineDescriptor, SimOptions, Simulator, WorkloadProfile};
 use estima_workloads::WorkloadId;
-
-/// Global smoke-mode flag set by `reproduce --quick`: experiments keep their
-/// structure but use a cheaper fitting configuration (no prefix refitting,
-/// one checkpoint count), so CI can exercise every parallel path quickly.
-static QUICK_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable smoke mode for subsequent experiments.
-pub fn set_quick_mode(enabled: bool) {
-    QUICK_MODE.store(enabled, Ordering::Relaxed);
-}
-
-/// True when `reproduce --quick` smoke mode is active.
-pub fn quick_mode() -> bool {
-    QUICK_MODE.load(Ordering::Relaxed)
-}
 
 /// The process-wide fit cache shared by **all** experiments of a `reproduce`
 /// run. Several tables and figures refit the same workload series (Table 4
@@ -76,18 +60,6 @@ pub fn quickstart_sized_job(app_name: &str) -> (MeasurementSet, TargetSpec) {
         );
     }
     (set, TargetSpec::cores(48))
-}
-
-/// The ESTIMA configuration experiments use: the paper defaults, downgraded
-/// to a cheaper grid in [`quick_mode`].
-pub fn default_config() -> EstimaConfig {
-    if quick_mode() {
-        EstimaConfig::default()
-            .with_prefix_refitting(false)
-            .with_checkpoints(vec![2])
-    } else {
-        EstimaConfig::default()
-    }
 }
 
 /// Simulator options used for every experiment: a small amount of
@@ -368,17 +340,6 @@ mod tests {
         let errors = batch_max_errors(&config, &scenarios);
         assert_eq!(errors.len(), 2);
         assert!(errors.iter().all(|e| e.is_finite()));
-    }
-
-    #[test]
-    fn quick_mode_downgrades_fit_config() {
-        set_quick_mode(true);
-        let quick = default_config();
-        set_quick_mode(false);
-        let full = default_config();
-        assert!(!quick.fit.prefix_refitting);
-        assert_eq!(quick.fit.checkpoint_counts, vec![2]);
-        assert!(full.fit.prefix_refitting);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Configuration of the ESTIMA prediction pipeline.
 
+use crate::error::{EstimaError, Result};
 use crate::fit::FitOptions;
 use crate::kernels::KernelKind;
 use crate::measurement::StallSource;
 
 /// Largest [`TargetSpec::cores`] a prediction accepts; larger targets fail
-/// with [`EstimaError::InvalidConfig`](crate::EstimaError::InvalidConfig).
+/// with [`EstimaError::InvalidConfig`].
 /// A prediction materialises every core count `1..=target` — per stall
 /// category, per candidate fit's evaluation table, and in every returned
 /// series — so its memory grows linearly with the target, and an unbounded
@@ -50,6 +51,33 @@ impl TargetSpec {
     pub fn with_dataset_scale(mut self, scale: f64) -> Self {
         self.dataset_scale = scale;
         self
+    }
+
+    /// Check the target on its own: `dataset_scale` and, when given,
+    /// `frequency_ghz` must be positive and finite (an absent clock means the
+    /// measurement machine's), and `cores` at most [`MAX_TARGET_CORES`]. Both
+    /// predictors, ESTIMA and the time-extrapolation baseline, call it before
+    /// fitting anything.
+    pub fn validate(&self) -> Result<()> {
+        for (name, value) in [
+            ("dataset_scale", Some(self.dataset_scale)),
+            ("frequency_ghz", self.frequency_ghz),
+        ] {
+            let requirement = match value {
+                Some(v) if v.is_nan() || v <= 0.0 => "positive",
+                Some(v) if v.is_infinite() => "finite",
+                _ => continue,
+            };
+            return Err(EstimaError::InvalidConfig(format!(
+                "{name} must be {requirement}"
+            )));
+        }
+        if self.cores > MAX_TARGET_CORES {
+            return Err(EstimaError::InvalidConfig(format!(
+                "target cores must be at most {MAX_TARGET_CORES}"
+            )));
+        }
+        Ok(())
     }
 }
 

@@ -53,6 +53,10 @@
 //! fans out on, and optionally the shared [`FitCache`] its candidates come
 //! from, with the store [`CacheScope`] that tags its cache keys.
 //!
+//! There is one solver family: [`fit_kernel`], the one-shot fit of one
+//! kernel to one series, runs the grid's cell solver on the series'
+//! full-length prefix, so its parameters are bit for bit the grid cell's.
+//!
 //! # The solve memo
 //!
 //! A cell's solve (the linear kernels' Cholesky, the nonlinear kernels'
@@ -85,8 +89,7 @@ use crate::error::{EstimaError, Result};
 use crate::kernels::{within_cap, FittedCurve, HorizonTable, KernelKind};
 use crate::levenberg::{levenberg_marquardt_into, LmOptions, LmWorkspace, MAX_PARAMS};
 use crate::linalg::{
-    accumulate_normal_equations, cholesky_solve_in_place, solve_least_squares_qr,
-    solve_least_squares_qr_columns, solve_least_squares_qr_flat, Matrix,
+    accumulate_normal_equations, cholesky_solve_in_place, solve_least_squares_qr_columns,
 };
 
 /// Ridge factor (relative to the largest gram diagonal) applied when a linear
@@ -185,99 +188,34 @@ fn grow(buf: &mut Vec<f64>, len: usize) {
 /// Fit a single kernel to the series `(xs, ys)` and return its parameters;
 /// `lm` drives the nonlinear kernels' Levenberg–Marquardt refinement.
 ///
-/// Returns an error if the fit diverges or the system is rank deficient.
+/// This is one cell of the candidate grid: the cell solver the grid runs, on
+/// the series' full-length prefix, so the parameters are bit for bit the ones
+/// [`candidate_fits`] fits for that training prefix. Linear kernels solve
+/// their normal equations (through a light ridge when the series has fewer
+/// points than the kernel has parameters, as the memcached scenario of §4.3
+/// does); nonlinear kernels refine a linearised guess with
+/// Levenberg–Marquardt.
+///
+/// Returns an error for an empty or mismatched series, or when the cell
+/// finds no solution.
 pub fn fit_kernel(kernel: KernelKind, xs: &[f64], ys: &[f64], lm: &LmOptions) -> Result<Vec<f64>> {
     if xs.len() != ys.len() || xs.is_empty() {
         return Err(EstimaError::Numerical("fit_kernel: bad series".into()));
     }
-    if kernel.is_linear() {
-        return fit_linear(kernel, xs, ys);
+    let mut params = vec![0.0; kernel.param_count()];
+    let solved = with_fit_workspace(|ws| {
+        CellSolver::new(kernel, xs, ys, lm).solve(xs.len(), ws, &mut params)
+    });
+    if !solved {
+        return Err(EstimaError::Numerical(format!(
+            "fit_kernel: no {kernel} solution"
+        )));
     }
-    let mut params = linearized_initial_guess(kernel, xs, ys)?;
-    with_fit_workspace(|ws| {
-        levenberg_marquardt_into(&kernel, xs, ys, &mut params, lm, &mut ws.lm)
-    })?;
     Ok(params)
-}
-
-/// Least-squares fit for kernels linear in their parameters.
-///
-/// When the series has fewer points than the kernel has parameters (the
-/// memcached scenario of §4.3 measures only a handful of desktop threads),
-/// the system is under-determined; a lightly ridge-regularised normal-equation
-/// solve picks the minimum-norm-ish solution instead of failing.
-fn fit_linear(kernel: KernelKind, xs: &[f64], ys: &[f64]) -> Result<Vec<f64>> {
-    let rows: Vec<Vec<f64>> = xs.iter().map(|x| kernel.design_row(*x)).collect();
-    let design = Matrix::from_rows(&rows);
-    if design.rows() >= design.cols() {
-        if let Ok(solution) = solve_least_squares_qr(&design, ys) {
-            return Ok(solution);
-        }
-    }
-    // Ridge fallback: (A^T A + λ diag) x = A^T y.
-    let mut gram = design.gram();
-    let n = gram.rows();
-    let scale = (0..n).map(|i| gram[(i, i)]).fold(0.0f64, f64::max).max(1.0);
-    for i in 0..n {
-        gram[(i, i)] += RIDGE * scale;
-    }
-    let rhs = design.mul_transpose_vec(ys);
-    crate::linalg::solve_cholesky(&gram, &rhs)
-}
-
-/// Linearised initial guess for the nonlinear kernels.
-///
-/// Rational kernels `p(n)/q(n)` with `q(0)=1` satisfy
-/// `y = p(n) - y·(q(n) - 1)`, which is linear in the joint coefficient vector
-/// when the measured `y` is substituted on the right-hand side — the classic
-/// rational-fit linearisation. `ExpRat` is linearised through `ln y`.
-fn linearized_initial_guess(kernel: KernelKind, xs: &[f64], ys: &[f64]) -> Result<Vec<f64>> {
-    let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
-    match kernel {
-        KernelKind::Rat22 | KernelKind::Rat23 | KernelKind::Rat33 => {
-            let (num_degree, den_degree) = rational_degrees(kernel);
-            let n_params = kernel.param_count();
-            if xs.len() >= n_params {
-                let mut rows = vec![0.0; xs.len() * n_params];
-                for ((x, y), row) in xs.iter().zip(ys).zip(rows.chunks_exact_mut(n_params)) {
-                    fill_rational_guess_row(row, *x, *y, num_degree, den_degree);
-                }
-                if let Ok(sol) = solve_least_squares_qr_flat(&rows, xs.len(), n_params, ys) {
-                    if sol.iter().all(|v| v.is_finite()) {
-                        return Ok(sol);
-                    }
-                }
-            }
-            let mut p = vec![0.0; n_params];
-            fallback_guess(kernel, mean_y, &mut p);
-            Ok(p)
-        }
-        KernelKind::ExpRat => {
-            // ln y ≈ (a + b n) / (1 + d n), with c fixed to 1 for the guess.
-            if ys.iter().all(|y| *y > 0.0) && xs.len() >= 3 {
-                let zs: Vec<f64> = ys.iter().map(|y| y.ln()).collect();
-                let mut rows = vec![0.0; xs.len() * 3];
-                for ((x, z), row) in xs.iter().zip(&zs).zip(rows.chunks_exact_mut(3)) {
-                    fill_exprat_guess_row(row, *x, *z);
-                }
-                if let Ok(sol) = solve_least_squares_qr_flat(&rows, xs.len(), 3, &zs) {
-                    if sol.iter().all(|v| v.is_finite()) {
-                        return Ok(vec![sol[0], sol[1], 1.0, sol[2]]);
-                    }
-                }
-            }
-            let mut p = vec![0.0; 4];
-            fallback_guess(kernel, mean_y, &mut p);
-            Ok(p)
-        }
-        _ => unreachable!("linear kernels use fit_linear"),
-    }
 }
 
 /// Flat-function fallback guess when the linearised system cannot be solved:
 /// the mean of the data for rational kernels, `exp(ln mean)` for `ExpRat`.
-/// Shared by the one-shot path and the grid strips so the two can never
-/// drift apart.
 fn fallback_guess(kernel: KernelKind, mean_y: f64, params: &mut [f64]) {
     params.fill(0.0);
     if kernel == KernelKind::ExpRat {
@@ -289,7 +227,8 @@ fn fallback_guess(kernel: KernelKind, mean_y: f64, params: &mut [f64]) {
 }
 
 /// One row of the ExpRat linearisation design matrix: `[1, x, -z·x]` with
-/// `z = ln y`.
+/// `z = ln y`. `ExpRat` is linearised through `ln y ≈ (a + b n) / (1 + d n)`,
+/// with `c` fixed to 1 for the guess.
 fn fill_exprat_guess_row(row: &mut [f64], x: f64, z: f64) {
     row[0] = 1.0;
     row[1] = x;
@@ -307,8 +246,12 @@ fn rational_degrees(kernel: KernelKind) -> (usize, usize) {
 }
 
 /// One row of the rational linearisation design matrix:
-/// `[x^0 .. x^num, -y·x .. -y·x^den]` (row length `num + den + 1`). Shared by
-/// the one-shot path and the grid strips so the two can never drift apart.
+/// `[x^0 .. x^num, -y·x .. -y·x^den]` (row length `num + den + 1`).
+///
+/// A rational kernel `p(n)/q(n)` with `q(0) = 1` satisfies
+/// `y = p(n) - y·(q(n) - 1)`, which is linear in the joint coefficient vector
+/// once the measured `y` is substituted on the right-hand side — the classic
+/// rational-fit linearisation.
 fn fill_rational_guess_row(row: &mut [f64], x: f64, y: f64, num_degree: usize, den_degree: usize) {
     debug_assert_eq!(row.len(), num_degree + 1 + den_degree);
     for (d, slot) in row[..=num_degree].iter_mut().enumerate() {
@@ -903,7 +846,10 @@ fn fit_kernel_grid(
     let mut out = vec![None; total];
     let mut fresh = Vec::new();
     let (lo, hi) = prefix_range(grid.spans);
-    let mut solver = CellSolver::new(grid, kernel);
+    // The slab covers the longest training range.
+    let n_build = grid.spans.iter().map(|s| s.n_train).max().unwrap_or(0);
+    let (xs, ys) = (&grid.xs[..n_build], &grid.ys[..n_build]);
+    let mut solver = CellSolver::new(kernel, xs, ys, &grid.options.lm);
     let mut params_buf = [0.0f64; MAX_PARAMS];
     for prefix in lo..=hi {
         if !covered(grid.spans, prefix) {
@@ -921,7 +867,7 @@ fn fit_kernel_grid(
                 outcome.is_some()
             }
             None => {
-                let solved = solver.solve(grid, prefix, ws, params);
+                let solved = solver.solve(prefix, ws, params);
                 computed = Some((solved, None));
                 solved
             }
@@ -1051,9 +997,11 @@ fn model_rmse(kernel: KernelKind, params: &[f64], xs: &[f64], ys: &[f64]) -> f64
     (sum / xs.len() as f64).sqrt()
 }
 
-/// Solves one kernel's cells in ascending prefix order from a columnar slab
-/// built once over the grid's longest training range — on the first solve,
-/// so a grid whose every cell is memoised builds none.
+/// Solves one kernel's cells of a series in ascending prefix order from a
+/// columnar slab built once over the series — on the first solve, so a grid
+/// whose every cell is memoised builds none. The grid gives it its longest
+/// training range and solves every prefix it covers; [`fit_kernel`] gives it
+/// a whole series and solves the full-length prefix.
 ///
 /// * Linear kernels (`CubicLn`, `Poly25`): the slab holds the design
 ///   columns, and each prefix is a rank-1 update of the running normal
@@ -1065,26 +1013,34 @@ fn model_rmse(kernel: KernelKind, params: &[f64], xs: &[f64], ys: &[f64]) -> f64
 ///   prefix solves the guess on prefix views of them and refines it with an
 ///   allocation-free Levenberg–Marquardt run using the kernel's analytic
 ///   Jacobian.
-struct CellSolver {
+///
+/// A prefix's outcome reads only the prefix's points and the LM options,
+/// never the slab's length: the QR solve copies the prefix rows out of the
+/// slab, and the normal equations sum the rows in ascending order.
+struct CellSolver<'a> {
     kernel: KernelKind,
-    /// The longest training range: the slab's column stride.
-    n_build: usize,
+    /// The points the slab is built over; their count is the slab's column
+    /// stride.
+    xs: &'a [f64],
+    ys: &'a [f64],
+    lm: &'a LmOptions,
     built: bool,
-    /// `ExpRat`: the training points before the first non-positive value
-    /// (its linearisation goes through `ln y`).
+    /// `ExpRat`: the points before the first non-positive value (its
+    /// linearisation goes through `ln y`).
     positive_limit: usize,
     /// Linear kernels: points accumulated into the normal equations.
     rows_in: usize,
 }
 
-impl CellSolver {
-    fn new(grid: &Grid<'_>, kernel: KernelKind) -> Self {
-        let n_build = grid.spans.iter().map(|s| s.n_train).max().unwrap_or(0);
+impl<'a> CellSolver<'a> {
+    fn new(kernel: KernelKind, xs: &'a [f64], ys: &'a [f64], lm: &'a LmOptions) -> Self {
         CellSolver {
             kernel,
-            n_build,
+            xs,
+            ys,
+            lm,
             built: false,
-            positive_limit: n_build,
+            positive_limit: xs.len(),
             rows_in: 0,
         }
     }
@@ -1092,27 +1048,21 @@ impl CellSolver {
     /// Solve `prefix` into `params`; returns whether a solution was found.
     /// Reads only the prefix's points, so the outcome is a function of the
     /// prefix and the LM options — what lets the memo reuse it.
-    fn solve(
-        &mut self,
-        grid: &Grid<'_>,
-        prefix: usize,
-        ws: &mut FitWorkspace,
-        params: &mut [f64],
-    ) -> bool {
+    fn solve(&mut self, prefix: usize, ws: &mut FitWorkspace, params: &mut [f64]) -> bool {
         if !self.built {
-            self.build(grid, ws);
+            self.build(ws);
             self.built = true;
         }
         if self.kernel.is_linear() {
-            self.solve_linear(grid, prefix, ws, params)
+            self.solve_linear(prefix, ws, params)
         } else {
-            self.solve_nonlinear(grid, prefix, ws, params)
+            self.solve_nonlinear(prefix, ws, params)
         }
     }
 
     /// Fill the slab (and, for linear kernels, zero the normal equations).
-    fn build(&mut self, grid: &Grid<'_>, ws: &mut FitWorkspace) {
-        let (xs, ys, n_build) = (grid.xs, grid.ys, self.n_build);
+    fn build(&mut self, ws: &mut FitWorkspace) {
+        let (xs, ys, n_build) = (self.xs, self.ys, self.xs.len());
         let kernel = self.kernel;
         let p = kernel.param_count();
         let mut row = [0.0f64; MAX_PARAMS];
@@ -1120,7 +1070,7 @@ impl CellSolver {
             // Design rows depend only on the point, so one slab serves every
             // checkpoint span.
             grow(&mut ws.design, p * n_build);
-            for (i, x) in xs[..n_build].iter().enumerate() {
+            for (i, x) in xs.iter().enumerate() {
                 kernel.design_row_into(*x, &mut row[..p]);
                 for (j, v) in row[..p].iter().enumerate() {
                     ws.design[j * n_build + i] = *v;
@@ -1133,10 +1083,7 @@ impl CellSolver {
             ws.gram[..p * p].fill(0.0);
             ws.rhs[..p].fill(0.0);
         } else if kernel == KernelKind::ExpRat {
-            self.positive_limit = ys[..n_build]
-                .iter()
-                .position(|y| *y <= 0.0)
-                .unwrap_or(n_build);
+            self.positive_limit = ys.iter().position(|y| *y <= 0.0).unwrap_or(n_build);
             grow(&mut ws.design, 3 * n_build);
             grow(&mut ws.zs, n_build);
             for i in 0..self.positive_limit {
@@ -1161,14 +1108,8 @@ impl CellSolver {
 
     /// A linear cell: catch the normal equations up to `prefix`, then solve
     /// them in place, through the ridge when the plain Cholesky fails.
-    fn solve_linear(
-        &mut self,
-        grid: &Grid<'_>,
-        prefix: usize,
-        ws: &mut FitWorkspace,
-        params: &mut [f64],
-    ) -> bool {
-        let (p, n_build) = (self.kernel.param_count(), self.n_build);
+    fn solve_linear(&mut self, prefix: usize, ws: &mut FitWorkspace, params: &mut [f64]) -> bool {
+        let (p, n_build) = (self.kernel.param_count(), self.xs.len());
         let mut row = [0.0f64; MAX_PARAMS];
         while self.rows_in < prefix {
             for (j, slot) in row[..p].iter_mut().enumerate() {
@@ -1176,7 +1117,7 @@ impl CellSolver {
             }
             accumulate_normal_equations(
                 &row[..p],
-                grid.ys[self.rows_in],
+                self.ys[self.rows_in],
                 &mut ws.gram[..p * p],
                 &mut ws.rhs[..p],
             );
@@ -1209,34 +1150,20 @@ impl CellSolver {
     }
 
     /// A nonlinear cell: the linearised initial guess on the shared slab,
-    /// refined by Levenberg–Marquardt; returns whether the LM run converged.
-    fn solve_nonlinear(
-        &self,
-        grid: &Grid<'_>,
-        prefix: usize,
-        ws: &mut FitWorkspace,
-        params: &mut [f64],
-    ) -> bool {
+    /// refined by Levenberg–Marquardt; returns whether the run ended with
+    /// finite parameters.
+    fn solve_nonlinear(&self, prefix: usize, ws: &mut FitWorkspace, params: &mut [f64]) -> bool {
         let kernel = self.kernel;
-        let p = kernel.param_count();
-        let px = &grid.xs[..prefix];
-        let py = &grid.ys[..prefix];
-        // Column construction and fallbacks go through the same
-        // `fill_*_guess_row` / `fallback_guess` helpers as
-        // `linearized_initial_guess`, and the columnar QR transposes into the
-        // exact row-major work buffer the one-shot path factorises, so the
-        // two paths cannot drift apart.
+        let (p, n_build) = (kernel.param_count(), self.xs.len());
+        let px = &self.xs[..prefix];
+        let py = &self.ys[..prefix];
         let mean_y = py.iter().sum::<f64>() / prefix as f64;
         let mut guessed = false;
         if kernel == KernelKind::ExpRat {
             if prefix <= self.positive_limit && prefix >= 3 {
-                if let Ok(sol) = solve_least_squares_qr_columns(
-                    &ws.design,
-                    self.n_build,
-                    prefix,
-                    3,
-                    &ws.zs[..prefix],
-                ) {
+                if let Ok(sol) =
+                    solve_least_squares_qr_columns(&ws.design, n_build, prefix, 3, &ws.zs[..prefix])
+                {
                     if sol.iter().all(|v| v.is_finite()) {
                         params.copy_from_slice(&[sol[0], sol[1], 1.0, sol[2]]);
                         guessed = true;
@@ -1244,8 +1171,7 @@ impl CellSolver {
                 }
             }
         } else if prefix >= p {
-            if let Ok(sol) = solve_least_squares_qr_columns(&ws.design, self.n_build, prefix, p, py)
-            {
+            if let Ok(sol) = solve_least_squares_qr_columns(&ws.design, n_build, prefix, p, py) {
                 if sol.iter().all(|v| v.is_finite()) {
                     params.copy_from_slice(&sol);
                     guessed = true;
@@ -1255,7 +1181,7 @@ impl CellSolver {
         if !guessed {
             fallback_guess(kernel, mean_y, params);
         }
-        levenberg_marquardt_into(&kernel, px, py, params, &grid.options.lm, &mut ws.lm).is_ok()
+        levenberg_marquardt_into(kernel, px, py, params, self.lm, &mut ws.lm).is_ok()
     }
 }
 
@@ -1544,33 +1470,72 @@ mod tests {
     #[test]
     fn strip_grid_matches_per_cell_reference() {
         // The strip-structured grid must enumerate exactly the cells the
-        // original per-cell loop did, in the same order: fit every cell
-        // individually through the public one-shot API and compare kernels,
-        // prefix lengths, and checkpoint counts (parameters may differ
-        // slightly: the one-shot linear path uses QR, the grid incremental
-        // normal equations).
+        // original per-cell loop did, in the same order, and every cell must
+        // be the one-shot fit of its prefix: fit each candidate's cell
+        // individually through the public one-shot API and require the same
+        // parameters, bit for bit, for all six kernels. Prefix 3 takes the
+        // linear kernels' ridge path (3 points, 4 parameters).
         let xs: Vec<f64> = (1..=12).map(|c| c as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 200.0 + 30.0 * x + 2.0 * x * x).collect();
+        let smooth: Vec<f64> = xs.iter().map(|x| 200.0 + 30.0 * x + 2.0 * x * x).collect();
+        // A value at or below zero cuts ExpRat's linearised guess (it goes
+        // through ln y) short for every prefix that holds it.
+        const CUT: usize = 7;
+        let mut cut = smooth.clone();
+        cut[CUT] = 0.0;
         let options = FitOptions::default();
-        let candidates = candidate_fits(&xs, &ys, &options, &FitContext::default()).unwrap();
-        assert!(!candidates.is_empty());
-        // Grid cells appear in (checkpoint → prefix → kernel) order.
-        let mut previous: Option<(usize, usize)> = None;
-        for candidate in candidates.iter() {
-            let key = (candidate.checkpoints, candidate.curve.training_points);
-            if let Some(prev) = previous {
-                if prev.0 == key.0 {
-                    assert!(
-                        key.1 >= prev.1,
-                        "prefixes out of order: {prev:?} -> {key:?}"
-                    );
+        let bits = |params: &[f64]| params.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        for ys in [smooth, cut] {
+            let candidates = candidate_fits(&xs, &ys, &options, &FitContext::default()).unwrap();
+            assert!(!candidates.is_empty());
+            // Grid cells appear in (checkpoint → prefix → kernel) order.
+            let mut previous: Option<(usize, usize)> = None;
+            for candidate in candidates.iter() {
+                let key = (candidate.checkpoints, candidate.curve.training_points);
+                if let Some(prev) = previous {
+                    if prev.0 == key.0 {
+                        assert!(
+                            key.1 >= prev.1,
+                            "prefixes out of order: {prev:?} -> {key:?}"
+                        );
+                    }
                 }
+                previous = Some(key);
             }
-            previous = Some(key);
-        }
-        // Every candidate must reproduce its own training prefix reasonably.
-        for candidate in candidates.iter() {
-            assert!(candidate.curve.training_rmse.is_finite());
+            for candidate in candidates.iter() {
+                let curve = &candidate.curve;
+                // Every candidate must reproduce its own training prefix
+                // reasonably.
+                assert!(curve.training_rmse.is_finite());
+                let p = curve.training_points;
+                let one_shot = fit_kernel(curve.kernel, &xs[..p], &ys[..p], &options.lm).unwrap();
+                assert_eq!(
+                    bits(&one_shot),
+                    bits(&curve.params),
+                    "{} at prefix {p}",
+                    curve.kernel
+                );
+            }
+            for kernel in KernelKind::ALL {
+                assert!(
+                    candidates.iter().any(|c| c.curve.kernel == kernel),
+                    "no {kernel} candidate to compare"
+                );
+            }
+            assert!(
+                candidates
+                    .iter()
+                    .any(|c| c.curve.kernel.is_linear() && c.curve.training_points == 3),
+                "no ridge-path cell to compare"
+            );
+            if ys[CUT] <= 0.0 {
+                assert!(
+                    candidates
+                        .iter()
+                        .any(|c| c.curve.kernel == KernelKind::ExpRat
+                            && c.curve.training_points > CUT),
+                    "no ExpRat cell past the cut"
+                );
+            }
         }
     }
 

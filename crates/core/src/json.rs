@@ -355,6 +355,8 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parse a number: the longest run of number bytes, which must match
+    /// RFC 8259's grammar and be finite. A bad run fails at its end.
     fn parse_number(&mut self) -> Result<Json, String> {
         self.skip_ws();
         let start = self.pos;
@@ -365,12 +367,21 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        self.text[start..self.pos]
-            .parse::<f64>()
-            .ok()
+        let token = &self.text[start..self.pos];
+        Some(token)
+            .filter(|token| is_rfc_number(token.as_bytes()))
+            .and_then(|token| token.parse::<f64>().ok())
             .filter(|n| n.is_finite())
             .map(Json::Number)
             .ok_or_else(|| self.error("invalid number"))
+    }
+
+    /// The code unit of the four ASCII hex digits at `at`, if they are.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let digits = self.bytes.get(at..at + 4)?;
+        digits
+            .iter()
+            .try_fold(0, |code, b| Some(code << 4 | char::from(*b).to_digit(16)?))
     }
 
     /// Parse a string literal. Each run of bytes up to the next `"` or `\`
@@ -403,10 +414,7 @@ impl<'a> Parser<'a> {
                 Some(b'f') => out.push('\u{c}'),
                 Some(b'u') => {
                     let hex = self
-                        .bytes
-                        .get(self.pos + 1..self.pos + 5)
-                        .and_then(|h| std::str::from_utf8(h).ok())
-                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .hex4(self.pos + 1)
                         .ok_or_else(|| self.error("invalid \\u escape"))?;
                     self.pos += 4;
                     if (0xDC00..=0xDFFF).contains(&hex) {
@@ -424,10 +432,7 @@ impl<'a> Parser<'a> {
                             );
                         }
                         let low = self
-                            .bytes
-                            .get(self.pos + 3..self.pos + 7)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .hex4(self.pos + 3)
                             .filter(|low| (0xDC00..=0xDFFF).contains(low))
                             .ok_or_else(|| {
                                 self.error("high surrogate not followed by \\u low surrogate")
@@ -492,6 +497,42 @@ impl<'a> Parser<'a> {
             }
         }
     }
+}
+
+/// Whether `token` is a number by RFC 8259's grammar:
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+fn is_rfc_number(token: &[u8]) -> bool {
+    let digits = |at: usize| {
+        token[at..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count()
+    };
+    let mut at = usize::from(token.first() == Some(&b'-'));
+    match token.get(at) {
+        Some(b'0') => at += 1,
+        Some(b'1'..=b'9') => at += digits(at),
+        _ => return false,
+    }
+    if token.get(at) == Some(&b'.') {
+        let fraction = digits(at + 1);
+        if fraction == 0 {
+            return false;
+        }
+        at += 1 + fraction;
+    }
+    if matches!(token.get(at), Some(b'e' | b'E')) {
+        at += 1;
+        if matches!(token.get(at), Some(b'+' | b'-')) {
+            at += 1;
+        }
+        let exponent = digits(at);
+        if exponent == 0 {
+            return false;
+        }
+        at += exponent;
+    }
+    at == token.len()
 }
 
 #[cfg(test)]
@@ -660,6 +701,61 @@ mod tests {
         // fails on nesting instead of overflowing the stack.
         let bomb = format!(r#"{{"skip": {}}}"#, "[".repeat(100_000));
         assert!(Json::parse(&bomb).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        // Accepted forms parse from the same slice as before, so their bits
+        // are `str::parse`'s.
+        for text in [
+            "0", "-0", "0.5", "1e5", "1E+5", "-1.5e-3", "48", "2.1", "10", "0e0", "-0.0E-0",
+        ] {
+            let Json::Number(n) = Json::parse(text).unwrap() else {
+                panic!("{text} did not parse as a number");
+            };
+            assert_eq!(
+                n.to_bits(),
+                text.parse::<f64>().unwrap().to_bits(),
+                "{text}"
+            );
+        }
+        // Rejected forms fail at the end of the number run, with the same
+        // text as any other bad number.
+        for text in [
+            "+48", "048", "-048", "00", "-", "--1", "48.", ".5", "-.5", "1.e5", "1e", "1e+", "1E-",
+            "1.5.2", "1e5e5", "1e5.0", "1-2", "0+", "-+1",
+        ] {
+            assert_eq!(
+                Json::parse(text).unwrap_err(),
+                format!("JSON parse error at byte {}: invalid number", text.len()),
+                "{text}"
+            );
+        }
+        assert_eq!(
+            Json::parse(r#"{"cores":+48}"#).unwrap_err(),
+            "JSON parse error at byte 12: invalid number"
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            Json::parse(r#""\u004F\u004f""#).unwrap(),
+            Json::String("OO".into())
+        );
+        for text in [
+            r#""\u+04f""#,
+            r#""\u-04f""#,
+            r#""\u 04f""#,
+            r#""\u04g0""#,
+            r#""\u04f""#,
+        ] {
+            assert_eq!(
+                Json::parse(text).unwrap_err(),
+                "JSON parse error at byte 2: invalid \\u escape",
+                "{text}"
+            );
+        }
     }
 
     /// Every integer field the tree decoders read (core counts, footprints,

@@ -463,23 +463,17 @@ impl KernelKind {
         }
     }
 
-    /// Design-matrix row for the linear kernels. Panics for nonlinear kernels.
-    pub fn design_row(&self, n: f64) -> Vec<f64> {
-        let mut row = vec![0.0; self.param_count()];
-        self.design_row_into(n, &mut row);
-        row
-    }
-
-    /// [`KernelKind::design_row`] writing into a caller buffer (length
-    /// [`KernelKind::param_count`]), so the grid fitter can build design
-    /// matrices without per-row allocation. Panics for nonlinear kernels.
+    /// Design-matrix row of a linear kernel at `n`, written into `out`
+    /// (length [`KernelKind::param_count`]), so the grid fitter builds its
+    /// design slabs without per-row allocation. Panics for nonlinear
+    /// kernels.
     pub fn design_row_into(&self, n: f64, out: &mut [f64]) {
         // A linear kernel's design row is its Jacobian row, which does not
         // read the parameters.
         match self {
             KernelKind::CubicLn => cubic_ln_partials(&[], n, out),
             KernelKind::Poly25 => poly25_partials(&[], n, out),
-            _ => panic!("design_row called on nonlinear kernel {self:?}"),
+            _ => panic!("design_row_into called on nonlinear kernel {self:?}"),
         }
     }
 }
@@ -799,7 +793,8 @@ mod tests {
         for kernel in [KernelKind::CubicLn, KernelKind::Poly25] {
             let params = [0.3, -1.2, 0.7, 0.05];
             for n in [1.0, 3.0, 12.0, 48.0] {
-                let row = kernel.design_row(n);
+                let mut row = [0.0; 4];
+                kernel.design_row_into(n, &mut row);
                 let via_row: f64 = row.iter().zip(&params).map(|(r, p)| r * p).sum();
                 assert!(approx(via_row, kernel.eval(&params, n), 1e-9));
             }
@@ -809,7 +804,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn design_row_panics_for_rational() {
-        KernelKind::Rat22.design_row(2.0);
+        KernelKind::Rat22.design_row_into(2.0, &mut [0.0; 5]);
     }
 
     /// Pole-free parameter grid per kernel for derivative checks.
@@ -882,17 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn design_row_into_matches_design_row() {
-        for kernel in [KernelKind::CubicLn, KernelKind::Poly25] {
-            for n in [1.0, 4.0, 17.0] {
-                let mut buf = [0.0; 4];
-                kernel.design_row_into(n, &mut buf);
-                assert_eq!(buf.to_vec(), kernel.design_row(n));
-            }
-        }
-    }
-
-    #[test]
     fn linear_kernel_partials_equal_design_rows() {
         // For kernels linear in their parameters the Jacobian row is the
         // design row, independent of the parameter values.
@@ -901,7 +885,9 @@ mod tests {
             for n in [1.0, 6.0, 48.0] {
                 let mut row = [0.0; 4];
                 kernel.partials(&params, n, &mut row);
-                assert_eq!(row.to_vec(), kernel.design_row(n));
+                let mut design = [0.0; 4];
+                kernel.design_row_into(n, &mut design);
+                assert_eq!(row, design);
             }
         }
     }

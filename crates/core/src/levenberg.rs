@@ -3,20 +3,19 @@
 //! The rational kernels (`Rat22`, `Rat23`, `Rat33`) and `ExpRat` of Table 1
 //! are nonlinear in their parameters. ESTIMA's reference implementation used
 //! the `pythonequation`/ZunZun fitting library; here we implement a compact
-//! damped Gauss–Newton (Levenberg–Marquardt) optimiser.
+//! damped Gauss–Newton (Levenberg–Marquardt) optimiser over a
+//! [`KernelKind`].
 //!
 //! This is the hottest loop of the whole pipeline (every candidate-grid cell
 //! of [`crate::fit`] runs it), so the core is written to do **zero heap
 //! allocation per iteration**:
 //!
-//! * models implement [`LmModel`] and can supply an **analytic Jacobian**
-//!   ([`LmModel::partials`]), replacing the finite-difference loop that costs
-//!   `P + 1` model evaluations per observation per iteration
-//!   ([`KernelKind`](crate::kernels::KernelKind) does, for all six Table 1
-//!   kernels); residuals and the Jacobian are filled through the
-//!   lane-chunked slab entry points ([`LmModel::residuals_into`] /
-//!   [`LmModel::partials_into`]) into a **column-major** Jacobian slab that
-//!   the normal-equation reductions consume column-wise;
+//! * the Jacobian is the kernel's **analytic** one, replacing the
+//!   finite-difference loop that costs `P + 1` model evaluations per
+//!   observation per iteration; residuals and partials are filled through
+//!   the lane-chunked slab entry points ([`KernelKind::residuals_into`] /
+//!   [`KernelKind::partials_into`]) into a **column-major** Jacobian slab
+//!   that the normal-equation reductions consume column-wise;
 //! * every buffer the iteration needs (residuals, Jacobian, normal
 //!   equations, trial step) lives in a reusable [`LmWorkspace`] that callers
 //!   create once per batch of fits and thread through;
@@ -25,11 +24,11 @@
 //!   ([`crate::linalg::cholesky_solve_in_place`] /
 //!   [`crate::linalg::gaussian_solve_in_place`]).
 //!
-//! Finite differencing stays available as a verification oracle via
-//! [`LmOptions::jacobian`] = [`Jacobian::FiniteDifference`] (and is always
-//! used for closure models that have no analytic partials).
+//! Forward finite differencing stays available as a verification oracle via
+//! [`LmOptions::jacobian`] = [`Jacobian::FiniteDifference`].
 
 use crate::error::{EstimaError, Result};
+use crate::kernels::KernelKind;
 use crate::linalg::{
     cholesky_solve_in_place, gaussian_solve_in_place, gram_columns_in_place,
     mul_transpose_vec_columns_in_place, norm2,
@@ -49,77 +48,12 @@ pub const MAX_PARAMS: usize = 8;
 /// How the Jacobian of the residual vector is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Jacobian {
-    /// Use the model's analytic partial derivatives ([`LmModel::partials`]).
-    /// Models that do not provide them (e.g. plain closures) silently fall
-    /// back to finite differencing.
+    /// Use the kernel's analytic partial derivatives
+    /// ([`KernelKind::partials_into`]).
     Analytic,
-    /// Force forward finite differencing even when analytic partials are
-    /// available. Kept as a verification oracle for the analytic path.
+    /// Use forward finite differences instead. Kept as a verification oracle
+    /// for the analytic path.
     FiniteDifference,
-}
-
-/// A model fitted by [`levenberg_marquardt_into`]: a scalar function of
-/// (parameters, abscissa), optionally with analytic partial derivatives.
-pub trait LmModel {
-    /// Evaluate the model at a single abscissa.
-    fn value(&self, params: &[f64], x: f64) -> f64;
-
-    /// Write the partial derivatives `∂ value / ∂ params[j]` into `out` and
-    /// return `true`. Return `false` (the default) when no analytic form is
-    /// available; the optimiser then falls back to finite differencing.
-    fn partials(&self, params: &[f64], x: f64, out: &mut [f64]) -> bool {
-        let _ = (params, x, out);
-        false
-    }
-
-    /// Fill `out[i]` with the residual at every observation (model value
-    /// minus `ys[i]`, with [`POLE_PENALTY`] substituted for non-finite
-    /// values). The default is a scalar loop over [`LmModel::value`];
-    /// [`KernelKind`](crate::kernels::KernelKind) overrides it with the
-    /// lane-chunked columnar path, which is bit-identical by construction.
-    fn residuals_into(&self, params: &[f64], xs: &[f64], ys: &[f64], out: &mut [f64]) {
-        for ((x, y), r) in xs.iter().zip(ys).zip(out.iter_mut()) {
-            *r = residual_of(self.value(params, *x), *y);
-        }
-    }
-
-    /// Fill a **column-major** Jacobian slab — `out[j * xs.len() + i] =
-    /// ∂ value / ∂ params[j]` at `xs[i]` — and return `true`. Return `false`
-    /// (the default) when no slab fill is available; the optimiser then falls
-    /// back to per-point [`LmModel::partials`] or finite differencing.
-    fn partials_into(&self, params: &[f64], xs: &[f64], out: &mut [f64]) -> bool {
-        let _ = (params, xs, out);
-        false
-    }
-}
-
-impl LmModel for crate::kernels::KernelKind {
-    fn value(&self, params: &[f64], x: f64) -> f64 {
-        self.eval(params, x)
-    }
-
-    fn partials(&self, params: &[f64], x: f64, out: &mut [f64]) -> bool {
-        crate::kernels::KernelKind::partials(self, params, x, out);
-        true
-    }
-
-    fn residuals_into(&self, params: &[f64], xs: &[f64], ys: &[f64], out: &mut [f64]) {
-        crate::kernels::KernelKind::residuals_into(self, params, xs, ys, out);
-    }
-
-    fn partials_into(&self, params: &[f64], xs: &[f64], out: &mut [f64]) -> bool {
-        crate::kernels::KernelKind::partials_into(self, params, xs, out);
-        true
-    }
-}
-
-/// Adapter fitting a plain closure (no analytic partials).
-struct ClosureModel<F>(F);
-
-impl<F: Fn(&[f64], f64) -> f64> LmModel for ClosureModel<F> {
-    fn value(&self, params: &[f64], x: f64) -> f64 {
-        (self.0)(params, x)
-    }
 }
 
 /// Options controlling the Levenberg–Marquardt iteration.
@@ -229,58 +163,17 @@ pub struct LmStats {
     pub converged: bool,
 }
 
-/// Result of a Levenberg–Marquardt run (allocating convenience wrapper).
-#[derive(Debug, Clone)]
-pub struct LmResult {
-    /// Fitted parameter vector.
-    pub params: Vec<f64>,
-    /// Final residual norm `sqrt(sum_i r_i^2)`.
-    pub residual_norm: f64,
-    /// Number of iterations performed.
-    pub iterations: usize,
-    /// Whether the convergence tolerance was reached (as opposed to running
-    /// out of iterations).
-    pub converged: bool,
-}
-
-/// Map one model value and observation to a residual, substituting the pole
-/// penalty for non-finite values.
-#[inline]
-fn residual_of(value: f64, y: f64) -> f64 {
-    if value.is_finite() {
-        value - y
-    } else {
-        POLE_PENALTY
-    }
-}
-
-/// Residual at one observation, with the pole penalty substituted for
-/// non-finite model values.
-#[inline]
-fn residual_at<M: LmModel + ?Sized>(model: &M, params: &[f64], x: f64, y: f64) -> f64 {
-    residual_of(model.value(params, x), y)
-}
-
-fn fill_residuals<M: LmModel + ?Sized>(
-    model: &M,
-    params: &[f64],
-    xs: &[f64],
-    ys: &[f64],
-    out: &mut [f64],
-) {
-    model.residuals_into(params, xs, ys, out);
-}
-
-/// Minimise `sum_i (model(params, x_i) - y_i)^2` over `params`, in place.
+/// Minimise `sum_i (kernel(params, x_i) - y_i)^2` over `params`, in place.
 ///
-/// `params` carries the initial guess in and the fitted parameters out. All
-/// scratch lives in `workspace`; once its buffers have grown to the problem
-/// size, the call performs **zero heap allocation** (error paths excepted).
-/// Non-finite model values are treated as enormous residuals
+/// `params` carries the initial guess in and the fitted parameters out; it
+/// must hold [`KernelKind::param_count`] values. All scratch lives in
+/// `workspace`; once its buffers have grown to the problem size, the call
+/// performs **zero heap allocation** (error paths excepted). Non-finite
+/// kernel values are treated as enormous residuals
 /// ([`POLE_PENALTY`]) so the optimiser steers away from poles rather than
 /// aborting.
-pub fn levenberg_marquardt_into<M: LmModel + ?Sized>(
-    model: &M,
+pub fn levenberg_marquardt_into(
+    kernel: KernelKind,
     xs: &[f64],
     ys: &[f64],
     params: &mut [f64],
@@ -289,17 +182,17 @@ pub fn levenberg_marquardt_into<M: LmModel + ?Sized>(
 ) -> Result<LmStats> {
     if xs.len() != ys.len() {
         return Err(EstimaError::Numerical(
-            "levenberg_marquardt: xs and ys length mismatch".into(),
+            "levenberg_marquardt_into: xs and ys length mismatch".into(),
         ));
     }
     if xs.is_empty() {
         return Err(EstimaError::Numerical(
-            "levenberg_marquardt: no observations".into(),
+            "levenberg_marquardt_into: no observations".into(),
         ));
     }
-    if params.is_empty() {
+    if params.len() != kernel.param_count() {
         return Err(EstimaError::Numerical(
-            "levenberg_marquardt: empty initial parameter vector".into(),
+            "levenberg_marquardt_into: parameter count mismatch".into(),
         ));
     }
 
@@ -327,7 +220,7 @@ pub fn levenberg_marquardt_into<M: LmModel + ?Sized>(
     let trial_params = &mut trial_params[..n_params];
     let bumped = &mut bumped[..n_params];
 
-    fill_residuals(model, params, xs, ys, residuals);
+    kernel.residuals_into(params, xs, ys, residuals);
     let mut cost = norm2(residuals);
     let mut lambda = options.initial_lambda;
     let mut converged = false;
@@ -341,52 +234,28 @@ pub fn levenberg_marquardt_into<M: LmModel + ?Sized>(
         // both producers fill contiguously (the chunked analytic slab per
         // parameter, the finite-difference path per parameter bump) and what
         // the normal-equation reductions consume.
-        let analytic = options.jacobian == Jacobian::Analytic;
-        let mut filled_analytically = false;
-        if analytic {
-            filled_analytically = model.partials_into(params, xs, jacobian);
-            if !filled_analytically {
-                // Per-point analytic partials scattered into the columns, for
-                // models with `partials` but no slab fill.
-                filled_analytically = true;
-                for (i, (x, r)) in xs.iter().zip(residuals.iter()).enumerate() {
-                    if *r == POLE_PENALTY {
-                        // Left stale here; the pole sweep below zeroes it.
-                        continue;
-                    }
-                    if !model.partials(params, *x, bumped) {
-                        filled_analytically = false;
-                        break;
-                    }
+        if options.jacobian == Jacobian::Analytic {
+            kernel.partials_into(params, xs, jacobian);
+            // A pole-penalty residual is constant, so it is locally flat in
+            // every parameter direction.
+            for (i, r) in residuals.iter().enumerate() {
+                if *r == POLE_PENALTY {
                     for j in 0..n_params {
-                        jacobian[j * n_obs + i] = bumped[j];
+                        jacobian[j * n_obs + i] = 0.0;
                     }
                 }
             }
-            if filled_analytically {
-                // A pole-penalty residual is constant, so it is locally flat
-                // in every parameter direction.
-                for (i, r) in residuals.iter().enumerate() {
-                    if *r == POLE_PENALTY {
-                        for j in 0..n_params {
-                            jacobian[j * n_obs + i] = 0.0;
-                        }
-                    }
-                }
-            }
-        }
-        if !filled_analytically {
-            // Forward finite differences (the pre-analytic behaviour, and the
-            // only option for closure models). Each parameter bump fills one
-            // contiguous column.
+        } else {
+            // Forward finite differences, the verification oracle. Each
+            // parameter bump fills one contiguous column.
             for j in 0..n_params {
                 let h = options.finite_difference_step * params[j].abs().max(1e-4);
                 bumped.copy_from_slice(params);
                 bumped[j] += h;
                 let column = &mut jacobian[j * n_obs..(j + 1) * n_obs];
-                for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
-                    let r_bumped = residual_at(model, bumped, *x, *y);
-                    column[i] = (r_bumped - residuals[i]) / h;
+                kernel.residuals_into(bumped, xs, ys, column);
+                for (c, r) in column.iter_mut().zip(residuals.iter()) {
+                    *c = (*c - r) / h;
                 }
             }
         }
@@ -428,7 +297,7 @@ pub fn levenberg_marquardt_into<M: LmModel + ?Sized>(
             for ((t, p), d) in trial_params.iter_mut().zip(params.iter()).zip(step.iter()) {
                 *t = p + d;
             }
-            fill_residuals(model, trial_params, xs, ys, trial_residuals);
+            kernel.residuals_into(trial_params, xs, ys, trial_residuals);
             let trial_cost = norm2(trial_residuals);
             if trial_cost.is_finite() && trial_cost < cost {
                 let improvement = (cost - trial_cost) / cost.max(1e-300);
@@ -465,7 +334,7 @@ pub fn levenberg_marquardt_into<M: LmModel + ?Sized>(
 
     if params.iter().any(|p| !p.is_finite()) {
         return Err(EstimaError::Numerical(
-            "levenberg_marquardt: diverged to non-finite parameters".into(),
+            "levenberg_marquardt_into: diverged to non-finite parameters".into(),
         ));
     }
 
@@ -476,155 +345,156 @@ pub fn levenberg_marquardt_into<M: LmModel + ?Sized>(
     })
 }
 
-/// Minimise `sum_i (model(params, x_i) - y_i)^2` over `params`.
-///
-/// `model` evaluates the kernel at a single abscissa; having no analytic
-/// partials, it is differentiated by forward finite differences. This is the
-/// allocating convenience wrapper around [`levenberg_marquardt_into`]; batch
-/// callers (the candidate grid) use the in-place form with a shared
-/// [`LmWorkspace`] and a model implementing [`LmModel::partials`].
-pub fn levenberg_marquardt<F>(
-    model: F,
-    xs: &[f64],
-    ys: &[f64],
-    initial: &[f64],
-    options: &LmOptions,
-) -> Result<LmResult>
-where
-    F: Fn(&[f64], f64) -> f64,
-{
-    let mut params = initial.to_vec();
-    let mut workspace = LmWorkspace::new();
-    let stats = levenberg_marquardt_into(
-        &ClosureModel(model),
-        xs,
-        ys,
-        &mut params,
-        options,
-        &mut workspace,
-    )?;
-    Ok(LmResult {
-        params,
-        residual_norm: stats.residual_norm,
-        iterations: stats.iterations,
-        converged: stats.converged,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::KernelKind;
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
     }
 
+    /// Fit `kernel` from `initial` with a fresh workspace.
+    fn fit(
+        kernel: KernelKind,
+        xs: &[f64],
+        ys: &[f64],
+        initial: &[f64],
+        options: &LmOptions,
+    ) -> Result<(Vec<f64>, LmStats)> {
+        let mut params = initial.to_vec();
+        let mut workspace = LmWorkspace::new();
+        let stats = levenberg_marquardt_into(kernel, xs, ys, &mut params, options, &mut workspace)?;
+        Ok((params, stats))
+    }
+
     #[test]
     fn fits_exponential_decay() {
-        // y = 5 * exp(-0.5 x)
-        let model = |p: &[f64], x: f64| p[0] * (-p[1] * x).exp();
+        // y = 5 * exp(-0.5 x) is ExpRat with a = ln 5, b = -0.5, c = 1 and
+        // d = 0. ExpRat's parameters are unique only up to a common scale,
+        // so compare the ratios to c.
         let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 5.0 * (-0.5 * x).exp()).collect();
-        let result =
-            levenberg_marquardt(model, &xs, &ys, &[1.0, 0.1], &LmOptions::default()).unwrap();
-        assert!(approx(result.params[0], 5.0, 1e-4));
-        assert!(approx(result.params[1], 0.5, 1e-4));
-        assert!(result.residual_norm < 1e-6);
+        let initial = [1.0, -0.1, 1.0, 0.0];
+        let (p, stats) = fit(
+            KernelKind::ExpRat,
+            &xs,
+            &ys,
+            &initial,
+            &LmOptions::default(),
+        )
+        .unwrap();
+        assert!(approx(p[0] / p[2], 5f64.ln(), 1e-4), "{p:?}");
+        assert!(approx(p[1] / p[2], -0.5, 1e-4), "{p:?}");
+        assert!(approx(p[3] / p[2], 0.0, 1e-4), "{p:?}");
+        assert!(stats.residual_norm < 1e-6, "{stats:?}");
     }
 
     #[test]
     fn fits_rational_function() {
-        // y = (1 + 2x) / (1 + 0.1 x)
-        let model = |p: &[f64], x: f64| (p[0] + p[1] * x) / (1.0 + p[2] * x);
+        // y = (1 + 2x) / (1 + 0.1 x) is Rat22 with a2 = b2 = 0.
+        let kernel = KernelKind::Rat22;
         let xs: Vec<f64> = (1..=12).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs
             .iter()
             .map(|x| (1.0 + 2.0 * x) / (1.0 + 0.1 * x))
             .collect();
-        let result =
-            levenberg_marquardt(model, &xs, &ys, &[0.5, 1.0, 0.05], &LmOptions::default()).unwrap();
+        let initial = [0.5, 1.0, 0.0, 0.05, 0.0];
+        let (p, _) = fit(kernel, &xs, &ys, &initial, &LmOptions::default()).unwrap();
         let check: f64 = xs
             .iter()
             .zip(&ys)
-            .map(|(x, y)| (model(&result.params, *x) - y).powi(2))
+            .map(|(x, y)| (kernel.eval(&p, *x) - y).powi(2))
             .sum();
         assert!(check < 1e-8, "residual {check}");
     }
 
     #[test]
     fn survives_noisy_data() {
-        let model = |p: &[f64], x: f64| p[0] + p[1] * x;
+        // A line with deterministic noise, fitted by Poly25 (the line is
+        // Poly25 with c = d = 0): the fit is no worse than the line and
+        // stays on it.
+        let kernel = KernelKind::Poly25;
         let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        // Deterministic "noise".
-        let ys: Vec<f64> = xs
-            .iter()
-            .map(|x| {
-                3.0 + 2.0 * x
-                    + if (*x as u32).is_multiple_of(2) {
-                        0.05
-                    } else {
-                        -0.05
-                    }
-            })
-            .collect();
-        let result =
-            levenberg_marquardt(model, &xs, &ys, &[0.0, 0.0], &LmOptions::default()).unwrap();
-        assert!(approx(result.params[0], 3.0, 0.1));
-        assert!(approx(result.params[1], 2.0, 0.01));
+        let noise = |x: f64| {
+            if (x as u32).is_multiple_of(2) {
+                0.05
+            } else {
+                -0.05
+            }
+        };
+        let ys: Vec<f64> = xs.iter().map(|x| 3.0 + 2.0 * x + noise(*x)).collect();
+        let (p, stats) = fit(kernel, &xs, &ys, &[0.0; 4], &LmOptions::default()).unwrap();
+        assert!(stats.residual_norm <= 0.05 * 20f64.sqrt(), "{stats:?}");
+        for x in &xs {
+            assert!(
+                approx(kernel.eval(&p, *x), 3.0 + 2.0 * x, 0.1),
+                "{p:?} at {x}"
+            );
+        }
     }
 
     #[test]
     fn rejects_mismatched_input() {
-        let model = |p: &[f64], x: f64| p[0] * x;
-        assert!(
-            levenberg_marquardt(model, &[1.0], &[1.0, 2.0], &[1.0], &LmOptions::default()).is_err()
-        );
-        assert!(levenberg_marquardt(model, &[], &[], &[1.0], &LmOptions::default()).is_err());
+        let kernel = KernelKind::Poly25;
+        let options = LmOptions::default();
+        assert!(fit(kernel, &[1.0], &[1.0, 2.0], &[1.0; 4], &options).is_err());
+        assert!(fit(kernel, &[], &[], &[1.0; 4], &options).is_err());
+        assert!(fit(kernel, &[1.0], &[1.0], &[1.0; 3], &options).is_err());
     }
 
     #[test]
     fn handles_model_poles_gracefully() {
-        // Model has a pole at x = 1/p[0]; starting point puts the pole inside
-        // the data range but the optimiser should still return something
-        // finite rather than erroring out.
-        let model = |p: &[f64], x: f64| 1.0 / (1.0 - p[0] * x);
-        let xs = vec![1.0, 2.0, 3.0, 4.0];
-        let ys = vec![1.1, 1.25, 1.4, 1.6];
-        let result = levenberg_marquardt(model, &xs, &ys, &[0.26], &LmOptions::default());
-        assert!(result.is_ok());
-        assert!(result.unwrap().params[0].is_finite());
+        // 1 / (1 - 0.26 x) is Rat22 with a0 = 1 and b1 = -0.26: its pole at
+        // x ≈ 3.85 lies inside the data range, but the optimiser should
+        // still return something finite rather than erroring out.
+        let xs = [1.0, 2.0, 3.0, 4.0];
+        let ys = [1.1, 1.25, 1.4, 1.6];
+        let initial = [1.0, 0.0, 0.0, -0.26, 0.0];
+        let result = fit(KernelKind::Rat22, &xs, &ys, &initial, &LmOptions::default());
+        assert!(result.unwrap().0.iter().all(|p| p.is_finite()));
     }
 
     #[test]
     fn pole_penalty_bounds_the_residual_norm() {
-        // A model that is non-finite everywhere: every residual becomes
-        // exactly POLE_PENALTY, no downhill step exists, and the final cost
-        // is sqrt(n) * POLE_PENALTY.
-        let model = |_p: &[f64], _x: f64| f64::INFINITY;
-        let xs = vec![1.0, 2.0, 3.0, 4.0];
-        let ys = vec![1.0, 2.0, 3.0, 4.0];
-        let result = levenberg_marquardt(model, &xs, &ys, &[1.0], &LmOptions::default()).unwrap();
-        let expected = 2.0 * POLE_PENALTY;
-        assert!(
-            ((result.residual_norm - expected) / expected).abs() < 1e-12,
-            "residual_norm {}",
-            result.residual_norm
-        );
-        assert_eq!(result.params, vec![1.0]);
+        // ExpRat with a zero denominator is infinite everywhere: every
+        // residual becomes exactly POLE_PENALTY, no downhill step exists,
+        // and the final cost is sqrt(n) * POLE_PENALTY, with either
+        // Jacobian.
+        let xs = [1.0, 2.0, 3.0, 4.0];
+        let ys = [1.0, 2.0, 3.0, 4.0];
+        let initial = [1.0, 0.5, 0.0, 0.0];
+        for jacobian in [Jacobian::Analytic, Jacobian::FiniteDifference] {
+            let options = LmOptions {
+                jacobian,
+                ..LmOptions::default()
+            };
+            let (p, stats) = fit(KernelKind::ExpRat, &xs, &ys, &initial, &options).unwrap();
+            let expected = 2.0 * POLE_PENALTY;
+            assert!(
+                ((stats.residual_norm - expected) / expected).abs() < 1e-12,
+                "{jacobian:?}: residual_norm {}",
+                stats.residual_norm
+            );
+            assert_eq!(p, initial);
+        }
     }
 
     #[test]
     fn iteration_count_bounded() {
-        let model = |p: &[f64], x: f64| p[0] * x;
-        let xs = vec![1.0, 2.0];
-        let ys = vec![2.0, 4.0];
+        let kernel = KernelKind::ExpRat;
+        let truth = [2.0, 0.3, 1.0, 0.05];
+        let xs: Vec<f64> = (1..=12).map(|i| i as f64).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| kernel.eval(&truth, *x)).collect();
+        let initial = [0.0, 0.0, 1.0, 0.0];
+        let (_, unbounded) = fit(kernel, &xs, &ys, &initial, &LmOptions::default()).unwrap();
+        assert!(unbounded.iterations > 3, "{unbounded:?}");
         let opts = LmOptions {
             max_iterations: 3,
             ..LmOptions::default()
         };
-        let result = levenberg_marquardt(model, &xs, &ys, &[0.0], &opts).unwrap();
-        assert!(result.iterations <= 3);
+        let (_, bounded) = fit(kernel, &xs, &ys, &initial, &opts).unwrap();
+        assert_eq!(bounded.iterations, 3);
+        assert!(!bounded.converged);
     }
 
     #[test]
@@ -649,7 +519,7 @@ mod tests {
             let mut params = initial.clone();
             let mut ws = LmWorkspace::new();
             let stats = levenberg_marquardt_into(
-                &kernel,
+                kernel,
                 &xs,
                 &ys,
                 &mut params,
@@ -688,7 +558,7 @@ mod tests {
                 jacobian,
                 ..LmOptions::default()
             };
-            levenberg_marquardt_into(&kernel, &xs, &ys, buf, &options, &mut ws).unwrap();
+            levenberg_marquardt_into(kernel, &xs, &ys, buf, &options, &mut ws).unwrap();
         }
         for (x, y) in xs.iter().zip(&ys) {
             let analytic = kernel.eval(&fitted[0], *x);
@@ -700,15 +570,16 @@ mod tests {
 
     #[test]
     fn workspace_is_reusable_across_problem_sizes() {
-        let mut ws = LmWorkspace::with_capacity(4, 2);
-        let model = |p: &[f64], x: f64| p[0] * x + p[1];
+        // 2x + 1 is Poly25 with c = d = 0.
+        let kernel = KernelKind::Poly25;
+        let mut ws = LmWorkspace::with_capacity(4, 4);
         // Small problem first, then a larger one that forces buffer growth.
         for n in [4usize, 30] {
             let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
             let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x + 1.0).collect();
-            let mut params = [0.0, 0.0];
+            let mut params = [0.0; 4];
             let stats = levenberg_marquardt_into(
-                &ClosureModel(model),
+                kernel,
                 &xs,
                 &ys,
                 &mut params,
@@ -717,8 +588,8 @@ mod tests {
             )
             .unwrap();
             assert!(stats.residual_norm < 1e-6, "n={n}: {stats:?}");
-            assert!(approx(params[0], 2.0, 1e-6));
-            assert!(approx(params[1], 1.0, 1e-6));
+            assert!(approx(params[0], 1.0, 1e-6), "n={n}: {params:?}");
+            assert!(approx(params[1], 2.0, 1e-6), "n={n}: {params:?}");
         }
     }
 }

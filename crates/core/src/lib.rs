@@ -90,7 +90,7 @@ pub use error::{EstimaError, Result};
 pub use fit::{approximate_series, candidate_fits, fit_kernel, FitContext, FitOptions};
 pub use json::Json;
 pub use kernels::{FittedCurve, KernelKind};
-pub use levenberg::{Jacobian, LmModel, LmOptions, LmStats, LmWorkspace};
+pub use levenberg::{Jacobian, LmOptions, LmStats, LmWorkspace};
 pub use measurement::{Measurement, MeasurementSet, StallCategory, StallSource};
 pub use plan::{ConfidenceInterval, MeasurementPlan, PlanSuggestion, Planner};
 pub use predictor::{CategoryExtrapolation, Estima, Prediction};

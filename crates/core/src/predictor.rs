@@ -18,7 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::{EstimaConfig, TargetSpec, MAX_TARGET_CORES};
+use crate::config::{EstimaConfig, TargetSpec};
 use crate::engine::Engine;
 use crate::error::{EstimaError, Result};
 use crate::fit::{
@@ -237,26 +237,7 @@ impl Estima {
                 measured: measured_cores,
             });
         }
-        // Both target knobs must be positive and finite; an absent clock
-        // means the measurement machine's.
-        for (name, value) in [
-            ("dataset_scale", Some(target.dataset_scale)),
-            ("frequency_ghz", target.frequency_ghz),
-        ] {
-            let requirement = match value {
-                Some(v) if v.is_nan() || v <= 0.0 => "positive",
-                Some(v) if v.is_infinite() => "finite",
-                _ => continue,
-            };
-            return Err(EstimaError::InvalidConfig(format!(
-                "{name} must be {requirement}"
-            )));
-        }
-        if target.cores > MAX_TARGET_CORES {
-            return Err(EstimaError::InvalidConfig(format!(
-                "target cores must be at most {MAX_TARGET_CORES}"
-            )));
-        }
+        target.validate()?;
 
         let sources = self.config.sources();
         let categories = measurements.categories(&sources);
@@ -568,6 +549,7 @@ impl<'a> StallSide<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MAX_TARGET_CORES;
     use crate::measurement::Measurement;
 
     /// Build a synthetic workload whose per-category stalls and execution

@@ -100,12 +100,12 @@ impl TimeExtrapolation {
         measurements: &MeasurementSet,
         target: &TargetSpec,
     ) -> Result<TimePrediction> {
-        // The baseline only needs execution times, so validation is lighter
-        // than for the full pipeline: it just needs enough points.
-        let freq_ratio = match target.frequency_ghz {
-            Some(ghz) if ghz > 0.0 => measurements.frequency_ghz / ghz,
-            _ => 1.0,
-        };
+        // The baseline only needs execution times, so beyond the target's
+        // own checks it just needs enough points to fit.
+        target.validate()?;
+        let freq_ratio = target
+            .frequency_ghz
+            .map_or(1.0, |ghz| measurements.frequency_ghz / ghz);
         let measured_time: Vec<(u32, f64)> = measurements
             .exec_times()
             .into_iter()
@@ -141,6 +141,8 @@ impl TimeExtrapolation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MAX_TARGET_CORES;
+    use crate::error::EstimaError;
     use crate::measurement::{Measurement, StallCategory};
 
     /// A workload whose time keeps improving within the measured range but
@@ -221,6 +223,32 @@ mod tests {
             .unwrap();
         let unscaled = set.exec_times()[0].1;
         assert!((p.measured_time[0].1 - unscaled * 2.1 / 4.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rejects_invalid_targets_like_the_full_pipeline() {
+        // The baseline refuses what the full pipeline refuses, with the same
+        // texts, instead of predicting at the measurement clock or in NaN.
+        let (set, _) = hidden_collapse_set();
+        let baseline = TimeExtrapolation::new();
+        let refusal = |target: TargetSpec| match baseline.predict(&set, &target) {
+            Err(EstimaError::InvalidConfig(message)) => message,
+            other => panic!("{target:?} gave {other:?}"),
+        };
+        for bad in [-2.0, 0.0, f64::NAN] {
+            let scaled = TargetSpec::cores(48).with_dataset_scale(bad);
+            assert_eq!(refusal(scaled), "dataset_scale must be positive");
+            let clocked = TargetSpec::cores(48).with_frequency_ghz(bad);
+            assert_eq!(refusal(clocked), "frequency_ghz must be positive");
+        }
+        let scaled = TargetSpec::cores(48).with_dataset_scale(f64::INFINITY);
+        assert_eq!(refusal(scaled), "dataset_scale must be finite");
+        let clocked = TargetSpec::cores(48).with_frequency_ghz(f64::INFINITY);
+        assert_eq!(refusal(clocked), "frequency_ghz must be finite");
+        assert_eq!(
+            refusal(TargetSpec::cores(MAX_TARGET_CORES + 1)),
+            format!("target cores must be at most {MAX_TARGET_CORES}")
+        );
     }
 
     #[test]

@@ -70,12 +70,12 @@ fn lm_with_prebuilt_workspace_never_allocates() {
     // Warm-up run: faults in any lazily initialised state and proves the fit
     // succeeds before the counted run.
     let mut params = initial;
-    levenberg_marquardt_into(&kernel, &xs, &ys, &mut params, &options, &mut workspace)
+    levenberg_marquardt_into(kernel, &xs, &ys, &mut params, &options, &mut workspace)
         .expect("warm-up fit");
 
     let mut params = initial;
     let before = allocations();
-    let stats = levenberg_marquardt_into(&kernel, &xs, &ys, &mut params, &options, &mut workspace)
+    let stats = levenberg_marquardt_into(kernel, &xs, &ys, &mut params, &options, &mut workspace)
         .expect("counted fit");
     let after = allocations();
 
@@ -103,12 +103,12 @@ fn finite_difference_mode_is_also_allocation_free() {
     let mut workspace = LmWorkspace::with_capacity(xs.len(), initial.len());
 
     let mut params = initial;
-    levenberg_marquardt_into(&kernel, &xs, &ys, &mut params, &options, &mut workspace)
+    levenberg_marquardt_into(kernel, &xs, &ys, &mut params, &options, &mut workspace)
         .expect("warm-up fit");
 
     let mut params = initial;
     let before = allocations();
-    levenberg_marquardt_into(&kernel, &xs, &ys, &mut params, &options, &mut workspace)
+    levenberg_marquardt_into(kernel, &xs, &ys, &mut params, &options, &mut workspace)
         .expect("counted fit");
     let after = allocations();
     assert_eq!(after - before, 0, "FD mode allocated {}", after - before);

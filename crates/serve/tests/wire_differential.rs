@@ -321,7 +321,7 @@ fn mutated_corpus_outcomes_match_the_pinned_digest() {
     }
     assert_eq!(
         (format!("{hash:016x}"), ok, err),
-        ("b56eeb2e0f90263b".to_string(), 4392, 7331)
+        ("f2d54cdd1171c045".to_string(), 4369, 7354)
     );
 }
 
