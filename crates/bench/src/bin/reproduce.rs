@@ -13,40 +13,80 @@
 //! is written to `target/experiments/summary.json`, so accuracy regressions
 //! can be tracked across commits. Per-experiment and total wall-clock go to
 //! stderr as a coarse perf trace.
+//!
+//! Exit codes: 0 on success, 1 when an experiment id is unknown, 2 for the
+//! usage text (no experiment selected, or a flag other than `--list`,
+//! `--json`, `--help` and `-h`, checked before anything runs).
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: reproduce [--list] [--json] <all | experiment-id ...>");
-        eprintln!("experiments: {}", estima_bench::all_ids().join(", "));
-        std::process::exit(if args.is_empty() { 2 } else { 0 });
+const USAGE: &str = "usage: reproduce [--list] [--json] <all | experiment-id ...>";
+
+/// What a command line asks for.
+#[derive(Debug, PartialEq)]
+enum Command {
+    /// Print the usage text and exit with this code: 0 for `--help`, 2 for
+    /// no experiment or an unknown flag.
+    Usage(i32),
+    /// Print the experiment ids.
+    List,
+    /// Run these experiments, reporting JSON when `json` is set.
+    Run { json: bool, ids: Vec<String> },
+}
+
+/// Read the arguments (program name excluded). Every argument that starts
+/// with `-` must be a known flag, so a mistyped or removed one fails before
+/// anything runs instead of being ignored next to `all`.
+fn parse_args(args: &[String]) -> Command {
+    const FLAGS: [&str; 4] = ["--list", "--json", "--help", "-h"];
+    if args.is_empty()
+        || args
+            .iter()
+            .any(|a| a.starts_with('-') && !FLAGS.contains(&a.as_str()))
+    {
+        return Command::Usage(2);
+    }
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Command::Usage(0);
     }
     if args.iter().any(|a| a == "--list") {
-        for id in estima_bench::all_ids() {
-            println!("{id}");
-        }
-        return;
+        return Command::List;
     }
     let json = args.iter().any(|a| a == "--json");
-    args.retain(|a| a != "--json");
-    if args.is_empty() {
+    let ids: Vec<String> = args.iter().filter(|a| *a != "--json").cloned().collect();
+    if ids.is_empty() {
         // Flags alone select no experiments; bail like the no-args case
         // instead of silently succeeding (and clobbering summary.json).
-        eprintln!("usage: reproduce [--list] [--json] <all | experiment-id ...>");
-        std::process::exit(2);
+        return Command::Usage(2);
     }
-
-    let ids: Vec<String> = if args.iter().any(|a| a == "all") {
+    let ids = if ids.iter().any(|a| a == "all") {
         estima_bench::all_ids()
             .iter()
             .map(|s| s.to_string())
             .collect()
     } else {
-        args
+        ids
+    };
+    Command::Run { json, ids }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (json, ids) = match parse_args(&args) {
+        Command::Usage(code) => {
+            eprintln!("{USAGE}");
+            eprintln!("experiments: {}", estima_bench::all_ids().join(", "));
+            std::process::exit(code);
+        }
+        Command::List => {
+            for id in estima_bench::all_ids() {
+                println!("{id}");
+            }
+            return;
+        }
+        Command::Run { json, ids } => (json, ids),
     };
 
     let out_dir = PathBuf::from("target/experiments");
@@ -105,5 +145,63 @@ fn main() {
     );
     if failures > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Command {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_before_anything_runs() {
+        assert_eq!(parse("--bogus all"), Command::Usage(2));
+        // `--quick` was removed; it must not run full mode silently.
+        assert_eq!(parse("--quick all"), Command::Usage(2));
+        assert_eq!(parse("table2 --bogus"), Command::Usage(2));
+        assert_eq!(parse(""), Command::Usage(2));
+        assert_eq!(parse("--json"), Command::Usage(2));
+    }
+
+    #[test]
+    fn known_flags_keep_their_meaning() {
+        let all: Vec<String> = estima_bench::all_ids()
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            parse("--json all"),
+            Command::Run {
+                json: true,
+                ids: all.clone()
+            }
+        );
+        assert_eq!(
+            parse("table2 --json"),
+            Command::Run {
+                json: true,
+                ids: vec!["table2".to_string()]
+            }
+        );
+        assert_eq!(
+            parse("table4 fig8"),
+            Command::Run {
+                json: false,
+                ids: vec!["table4".to_string(), "fig8".to_string()]
+            }
+        );
+        assert_eq!(
+            parse("all"),
+            Command::Run {
+                json: false,
+                ids: all
+            }
+        );
+        assert_eq!(parse("--list table2"), Command::List);
+        assert_eq!(parse("all -h"), Command::Usage(0));
     }
 }

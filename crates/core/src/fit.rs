@@ -168,6 +168,9 @@ struct FitWorkspace {
     solve_rhs: Vec<f64>,
     /// `ln(y)` values for the ExpRat linearised guess.
     zs: Vec<f64>,
+    /// Householder QR scratch for the linearised guess: the row-major
+    /// factor, the right-hand side and one reflection vector.
+    qr: Vec<f64>,
     /// The realism walk's abscissae at the last grid's horizon; rebuilt
     /// only when the horizon changes.
     horizon: HorizonTable,
@@ -1086,6 +1089,7 @@ impl<'a> CellSolver<'a> {
             self.positive_limit = ys.iter().position(|y| *y <= 0.0).unwrap_or(n_build);
             grow(&mut ws.design, 3 * n_build);
             grow(&mut ws.zs, n_build);
+            grow(&mut ws.qr, 5 * n_build);
             for i in 0..self.positive_limit {
                 let z = ys[i].ln();
                 ws.zs[i] = z;
@@ -1096,6 +1100,7 @@ impl<'a> CellSolver<'a> {
             }
         } else {
             grow(&mut ws.design, p * n_build);
+            grow(&mut ws.qr, (p + 2) * n_build);
             let (num_degree, den_degree) = rational_degrees(kernel);
             for i in 0..n_build {
                 fill_rational_guess_row(&mut row[..p], xs[i], ys[i], num_degree, den_degree);
@@ -1160,23 +1165,26 @@ impl<'a> CellSolver<'a> {
         let mean_y = py.iter().sum::<f64>() / prefix as f64;
         let mut guessed = false;
         if kernel == KernelKind::ExpRat {
-            if prefix <= self.positive_limit && prefix >= 3 {
-                if let Ok(sol) =
-                    solve_least_squares_qr_columns(&ws.design, n_build, prefix, 3, &ws.zs[..prefix])
-                {
-                    if sol.iter().all(|v| v.is_finite()) {
-                        params.copy_from_slice(&[sol[0], sol[1], 1.0, sol[2]]);
-                        guessed = true;
-                    }
-                }
+            let mut sol = [0.0; 3];
+            if prefix <= self.positive_limit
+                && prefix >= 3
+                && solve_least_squares_qr_columns(
+                    &ws.design,
+                    n_build,
+                    prefix,
+                    3,
+                    &ws.zs[..prefix],
+                    &mut ws.qr,
+                    &mut sol,
+                )
+            {
+                params.copy_from_slice(&[sol[0], sol[1], 1.0, sol[2]]);
+                guessed = true;
             }
         } else if prefix >= p {
-            if let Ok(sol) = solve_least_squares_qr_columns(&ws.design, n_build, prefix, p, py) {
-                if sol.iter().all(|v| v.is_finite()) {
-                    params.copy_from_slice(&sol);
-                    guessed = true;
-                }
-            }
+            guessed = solve_least_squares_qr_columns(
+                &ws.design, n_build, prefix, p, py, &mut ws.qr, params,
+            );
         }
         if !guessed {
             fallback_guess(kernel, mean_y, params);

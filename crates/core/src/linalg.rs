@@ -10,8 +10,6 @@
 //! robustness on tiny, possibly ill-conditioned systems rather than for
 //! large-scale performance.
 
-use crate::error::{EstimaError, Result};
-
 /// Transposed matrix-vector product `A^T * y` where `A` is stored as a flat
 /// **column-major** slab (`a[j * rows + i]` is row `i` of column `j`) — the
 /// layout of the lane-chunked Jacobian and design slabs. Each output entry is
@@ -189,42 +187,42 @@ pub fn gaussian_solve_in_place(a: &mut [f64], n: usize, rhs: &mut [f64]) -> bool
 /// being solved passes its allocation stride). This is the layout of the
 /// grid fitter's shared design slabs. The column prefixes are transposed
 /// into a row-major work buffer before the factorisation, so the result
-/// bits depend only on the `m × n` prefix, never on the stride. `A` must
-/// have at least as many rows as columns.
+/// bits depend only on the `m × n` prefix, never on the stride.
+///
+/// `work` is scratch of at least `m * (n + 2)` entries (the row-major
+/// factor, the right-hand side and one Householder vector), and the
+/// solution is written to `x[..n]`. Returns `false`, leaving `x`
+/// unspecified, when `A` has fewer rows than columns, `b` is not `m` long,
+/// an input is not finite, the design is rank deficient or the solution is
+/// not finite. Never allocates.
 pub fn solve_least_squares_qr_columns(
     a: &[f64],
     stride: usize,
     m: usize,
     n: usize,
     b: &[f64],
-) -> Result<Vec<f64>> {
+    work: &mut [f64],
+    x: &mut [f64],
+) -> bool {
     debug_assert!(stride >= m, "column stride shorter than row count");
     debug_assert!(a.len() >= n * stride);
-    if m < n {
-        return Err(EstimaError::Numerical(
-            "least squares: fewer rows than columns".into(),
-        ));
+    if m < n || b.len() != m {
+        return false;
     }
-    if b.len() != m {
-        return Err(EstimaError::Numerical(
-            "least squares: rhs length mismatch".into(),
-        ));
-    }
-    let mut r = vec![0.0; m * n];
+    let (r, rest) = work[..m * (n + 2)].split_at_mut(m * n);
+    let (rhs, v) = rest.split_at_mut(m);
     for j in 0..n {
         let column = &a[j * stride..j * stride + m];
-        for (i, v) in column.iter().enumerate() {
-            r[i * n + j] = *v;
+        for (i, value) in column.iter().enumerate() {
+            r[i * n + j] = *value;
         }
     }
-    if r.iter().any(|v| !v.is_finite()) || b.iter().any(|v| !v.is_finite()) {
-        return Err(EstimaError::Numerical(
-            "least squares: non-finite input".into(),
-        ));
+    if r.iter().any(|e| !e.is_finite()) || b.iter().any(|e| !e.is_finite()) {
+        return false;
     }
 
     // Apply Householder reflections to both R and the right-hand side.
-    let mut rhs = b.to_vec();
+    rhs.copy_from_slice(b);
 
     for k in 0..n {
         // Compute the Householder vector for column k.
@@ -234,17 +232,14 @@ pub fn solve_least_squares_qr_columns(
         }
         let norm = norm.sqrt();
         if norm < 1e-300 {
-            return Err(EstimaError::Numerical(
-                "least squares: rank deficient design matrix".into(),
-            ));
+            return false;
         }
         let alpha = if r[k * n + k] >= 0.0 { -norm } else { norm };
-        let mut v = vec![0.0; m];
         for i in k..m {
             v[i] = r[i * n + k];
         }
         v[k] -= alpha;
-        let vtv: f64 = v[k..].iter().map(|x| x * x).sum();
+        let vtv: f64 = v[k..].iter().map(|e| e * e).sum();
         if vtv < 1e-300 {
             continue;
         }
@@ -270,7 +265,7 @@ pub fn solve_least_squares_qr_columns(
     }
 
     // Back substitution on the upper-triangular part.
-    let mut x = vec![0.0; n];
+    let x = &mut x[..n];
     for i in (0..n).rev() {
         let mut sum = rhs[i];
         for j in (i + 1)..n {
@@ -278,18 +273,11 @@ pub fn solve_least_squares_qr_columns(
         }
         let diag = r[i * n + i];
         if diag.abs() < 1e-300 {
-            return Err(EstimaError::Numerical(
-                "least squares: singular triangular factor".into(),
-            ));
+            return false;
         }
         x[i] = sum / diag;
     }
-    if x.iter().any(|v| !v.is_finite()) {
-        return Err(EstimaError::Numerical(
-            "least squares: non-finite solution".into(),
-        ));
-    }
-    Ok(x)
+    x.iter().all(|e| e.is_finite())
 }
 
 /// Euclidean norm of a vector.
@@ -390,7 +378,16 @@ mod tests {
         // Fit y = 2x + 1 exactly through three points: columns [1, 1, 1]
         // and [1, 2, 3].
         let a = [1.0, 1.0, 1.0, 1.0, 2.0, 3.0];
-        let x = solve_least_squares_qr_columns(&a, 3, 3, 2, &[3.0, 5.0, 7.0]).unwrap();
+        let mut x = [0.0; 2];
+        assert!(solve_least_squares_qr_columns(
+            &a,
+            3,
+            3,
+            2,
+            &[3.0, 5.0, 7.0],
+            &mut [0.0; 12],
+            &mut x
+        ));
         assert!(approx(x[0], 1.0, 1e-10));
         assert!(approx(x[1], 2.0, 1e-10));
     }
@@ -402,7 +399,16 @@ mod tests {
         let ys = [1.1, 1.9, 3.05, 3.95, 5.1];
         let mut a = vec![1.0; 5];
         a.extend_from_slice(&xs);
-        let sol = solve_least_squares_qr_columns(&a, 5, 5, 2, &ys).unwrap();
+        let mut sol = [0.0; 2];
+        assert!(solve_least_squares_qr_columns(
+            &a,
+            5,
+            5,
+            2,
+            &ys,
+            &mut [0.0; 20],
+            &mut sol
+        ));
         assert!(sol[0].abs() < 0.2);
         assert!(approx(sol[1], 1.0, 0.05));
     }
@@ -411,7 +417,15 @@ mod tests {
     fn qr_rejects_underdetermined() {
         // One row, three columns.
         let a = [1.0, 2.0, 3.0];
-        assert!(solve_least_squares_qr_columns(&a, 1, 1, 3, &[1.0]).is_err());
+        assert!(!solve_least_squares_qr_columns(
+            &a,
+            1,
+            1,
+            3,
+            &[1.0],
+            &mut [0.0; 15],
+            &mut [0.0; 3]
+        ));
     }
 
     #[test]
@@ -504,10 +518,30 @@ mod tests {
                 .collect();
             let b: Vec<f64> = (1..=6).map(|i| 3.0 + 2.0 * i as f64).collect();
             let slab = to_columns(&flat, 6, 3);
+            // Scratch left dirty by earlier solves must not leak into a
+            // later one.
+            let mut work = [f64::NAN; 30];
             for m in 3..=6usize {
                 let exact = to_columns(&flat[..m * 3], m, 3);
-                let via_exact = solve_least_squares_qr_columns(&exact, m, m, 3, &b[..m]).unwrap();
-                let via_slab = solve_least_squares_qr_columns(&slab, 6, m, 3, &b[..m]).unwrap();
+                let (mut via_exact, mut via_slab) = ([0.0; 3], [0.0; 3]);
+                assert!(solve_least_squares_qr_columns(
+                    &exact,
+                    m,
+                    m,
+                    3,
+                    &b[..m],
+                    &mut work,
+                    &mut via_exact
+                ));
+                assert!(solve_least_squares_qr_columns(
+                    &slab,
+                    6,
+                    m,
+                    3,
+                    &b[..m],
+                    &mut work,
+                    &mut via_slab
+                ));
                 for (e, s) in via_exact.iter().zip(&via_slab) {
                     assert_eq!(e.to_bits(), s.to_bits());
                 }

@@ -12,11 +12,15 @@
 //!
 //! * [`MeasurementStore`] — a concurrent map of [`SeriesId`] → measurement
 //!   set, where every mutation monotonically bumps the series *version*.
+//!   Every content write is one [`MeasurementStore::merge`]: points join a
+//!   series at its clock, under one write lock; `ensure`, `ingest` and
+//!   `ingest_set` are merges of no points, one point and a whole set.
 //! * [`EstimaSession`] — owns a store, an [`Estima`] predictor and a sharded
-//!   [`FitCache`]; [`EstimaSession::ingest`] appends points and
-//!   [`EstimaSession::predict`] answers from the current snapshot, with fit
-//!   reuse keyed by `(series, version)` so incremental ingestion invalidates
-//!   exactly the stale fits and nothing else.
+//!   [`FitCache`]; [`EstimaSession::merge`] (and its `ensure` / `ingest` /
+//!   `ingest_set` forms) writes points and [`EstimaSession::predict`]
+//!   answers from the current snapshot, with fit reuse keyed by
+//!   `(series, version)` so incremental ingestion invalidates exactly the
+//!   stale fits and nothing else.
 //!
 //! `estima-serve` routes its `/v1/series` endpoints through the same session
 //! type, so a prediction served over HTTP after incremental ingestion is
@@ -25,9 +29,11 @@
 //!
 //! # Version semantics
 //!
-//! A series is created at version 1. Every content *change* — an ingested
-//! point that differs from what is stored at its core count, a merged set
-//! with at least one differing point — bumps the version by exactly 1.
+//! A series is created at version 1. Every content *change* — a merge with
+//! at least one point that differs from what is stored at its core count —
+//! bumps the version by exactly 1, however many points it carries. A
+//! series that was evicted, by a delete or by the TTL, is gone: a write
+//! without a clock fails, and one with a clock creates it afresh.
 //! Reads never bump, and neither does re-ingesting bit-identical content
 //! ([`Measurement::content_eq`]): an ingest is **content-idempotent**, so a
 //! collector that re-pushes the run it already reported costs nothing — no
@@ -66,12 +72,12 @@
 //! # estima_core::Result::Ok(())
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use crate::bottleneck::BottleneckReport;
 use crate::config::{EstimaConfig, TargetSpec};
 use crate::engine::{CacheScope, FitCache};
 use crate::error::{EstimaError, Result};
@@ -236,7 +242,7 @@ pub struct SeriesInfo {
 /// A concurrent store of named, versioned measurement series.
 ///
 /// The store is the collection half of the pipeline: `estima-counters`-style
-/// producers [`ingest`](MeasurementStore::ingest) points as runs complete,
+/// producers [`merge`](MeasurementStore::merge) points in as runs complete,
 /// and predictions are taken from [`snapshot`](MeasurementStore::snapshot)s.
 /// All methods take `&self` and are safe to call from any number of threads;
 /// a single `RwLock` over a `BTreeMap` keeps reads concurrent and listing
@@ -457,158 +463,91 @@ impl MeasurementStore {
     }
 
     /// Create `id` as an empty series measured at `frequency_ghz`, or verify
-    /// an existing series against it. Returns the series' current version.
-    ///
-    /// Creating bumps nothing (the new series starts at version 1); calling
-    /// `ensure` on an existing series is a read — but a `frequency_ghz` that
-    /// differs from the stored one (exact `f64` comparison) is a
-    /// [`EstimaError::SeriesConflict`], because mixing clock frequencies in
-    /// one series would silently corrupt the time-translation step.
+    /// an existing series against it: a [`MeasurementStore::merge`] of no
+    /// points. Returns the series' current version.
     pub fn ensure(&self, id: &SeriesId, frequency_ghz: f64) -> Result<u64> {
-        if !frequency_ghz.is_finite() || frequency_ghz <= 0.0 {
-            return Err(EstimaError::InvalidConfig(format!(
-                "frequency_ghz {frequency_ghz} must be positive and finite"
-            )));
-        }
-        let mut series = self.series.write().unwrap();
-        match series.get(id) {
-            Some(record) => {
-                if record.set.frequency_ghz != frequency_ghz {
-                    return Err(EstimaError::SeriesConflict {
-                        series: id.to_string(),
-                        detail: format!(
-                            "stored frequency_ghz {} != ingested {}",
-                            record.set.frequency_ghz, frequency_ghz
-                        ),
-                    });
-                }
-                Ok(record.version)
-            }
-            None => {
-                self.check_series_quota(&series, id)?;
-                if let Some(wal) = &self.wal {
-                    wal.lock().unwrap().append_create(id, frequency_ghz, 1)?;
-                }
-                series.insert(
-                    id.clone(),
-                    SeriesRecord {
-                        set: Arc::new(MeasurementSet::new(id.as_str(), frequency_ghz)),
-                        version: 1,
-                        last_write: Instant::now(),
-                    },
-                );
-                self.ingests.fetch_add(1, Ordering::Relaxed);
-                self.maybe_compact(&series);
-                Ok(1)
-            }
-        }
+        self.merge(id, Some(frequency_ghz), Cow::Borrowed(&[]))
+            .map(|(snapshot, _)| snapshot.version)
     }
 
-    /// Append one measurement to an existing series (create with
-    /// [`MeasurementStore::ensure`] or [`MeasurementStore::ingest_set`]
-    /// first). A *differing* point at an already-measured core count
-    /// replaces the old one, per the [`MeasurementSet::push`] policy; a
-    /// point that is [`Measurement::content_eq`] to the stored one is a
-    /// no-op (same version, no copy-on-write clone). Returns the current
-    /// version.
+    /// Append one measurement to an existing series at its stored clock: a
+    /// [`MeasurementStore::merge`] of one point without a frequency.
+    /// Returns the current version.
     pub fn ingest(&self, id: &SeriesId, measurement: Measurement) -> Result<u64> {
-        self.ingest_changed(id, measurement)
-            .map(|(version, _)| version)
+        self.merge(id, None, vec![measurement].into())
+            .map(|(snapshot, _)| snapshot.version)
     }
 
-    /// [`MeasurementStore::ingest`] that also reports whether the series
-    /// content actually changed (i.e. whether the version was bumped), so
-    /// callers holding a fit cache know whether invalidation is needed.
-    pub fn ingest_changed(&self, id: &SeriesId, measurement: Measurement) -> Result<(u64, bool)> {
-        let mut series = self.series.write().unwrap();
-        let record = series.get(id).ok_or_else(|| EstimaError::SeriesNotFound {
-            series: id.to_string(),
-        })?;
-        // Idempotence check against the stored point *before* make_mut, so a
-        // redundant re-push never clones the copy-on-write set — nor logs a
-        // record.
-        let (changed, is_new_point) = match record.set.at_cores(measurement.cores) {
-            Some(existing) => (!existing.content_eq(&measurement), false),
-            None => (true, true),
-        };
-        if !changed {
-            return Ok((record.version, false));
-        }
-        let version = record.version + 1;
-        if is_new_point {
-            self.check_points_quota(&series, id, 1)?;
-        }
-        // Append-before-apply: if the log rejects the record (torn write,
-        // fsync failure, non-finite value), the store is left untouched.
-        if let Some(wal) = &self.wal {
-            wal.lock()
-                .unwrap()
-                .append_ingest(id, &measurement, version)?;
-        }
-        let record = series.get_mut(id).expect("checked above under this lock");
-        Arc::make_mut(&mut record.set).push(measurement);
-        record.version = version;
-        record.last_write = Instant::now();
-        self.ingests.fetch_add(1, Ordering::Relaxed);
-        self.maybe_compact(&series);
-        Ok((version, true))
-    }
-
-    /// Merge a whole measurement set into `id`, creating the series when
-    /// absent. Returns the post-merge [`SeriesSnapshot`], taken while the
-    /// write lock is still held — the reported `(version, points)` pair is
-    /// always consistent, whatever concurrent mutations follow.
-    ///
-    /// The series id is the identity: the stored set's `app_name` is always
-    /// the id (an incoming `app_name` is not kept). On an existing series the
-    /// frequencies must match ([`EstimaError::SeriesConflict`] otherwise) and
-    /// the incoming points are pushed in order — one version bump for the
-    /// whole merge, none if `set` is empty or every incoming point is
-    /// [`Measurement::content_eq`] to the stored one at its core count (a
-    /// fully redundant merge is a read). The frequency check, the
-    /// create-if-absent, and the merge all happen under one lock
-    /// acquisition, so a concurrent evict-and-recreate can never slip
-    /// between the conflict check and the merge.
+    /// Merge a whole measurement set into `id` at the set's clock, creating
+    /// the series when absent: a [`MeasurementStore::merge`] of the set's
+    /// points (its `app_name` is not kept). Returns the post-merge snapshot.
     pub fn ingest_set(&self, id: &SeriesId, set: &MeasurementSet) -> Result<SeriesSnapshot> {
-        self.ingest_set_changed(id, set)
+        self.merge(id, Some(set.frequency_ghz), set.measurements().into())
             .map(|(snapshot, _)| snapshot)
     }
 
-    /// [`MeasurementStore::ingest_set`] that also reports whether the series
-    /// content actually changed, so callers holding a fit cache know whether
-    /// invalidation is needed.
-    pub fn ingest_set_changed(
+    /// The one content write: merge `points` into `id`, returning the
+    /// post-merge [`SeriesSnapshot`] and whether the content changed.
+    ///
+    /// * With `Some(frequency_ghz)`, an absent series is created at that
+    ///   clock, and an existing series must have exactly that clock (exact
+    ///   `f64` comparison): anything else is a
+    ///   [`EstimaError::SeriesConflict`], because mixing clock frequencies
+    ///   in one series would silently corrupt the time-translation step.
+    /// * With `None`, the points join the series at its stored clock, and
+    ///   an absent series is [`EstimaError::SeriesNotFound`].
+    ///
+    /// The points merge as [`MeasurementSet::push`] merges them one at a
+    /// time: ordered by core count, and a point at a core count already
+    /// present (stored, or earlier in `points`) replaces it. The series id
+    /// is the identity: the stored set's `app_name` is always the id.
+    /// Creating is one content mutation and changing content another, so a
+    /// series created with points lands at version 2 (`ingests` += 2). A
+    /// merge whose every point is [`Measurement::content_eq`] to the stored
+    /// one at its core count, a merge of no points included, is a read: no
+    /// version bump, no copy-on-write clone, no log record. A borrowed
+    /// point is cloned only when the content changes.
+    ///
+    /// Resolving the clock, the conflict check, the quota checks, the
+    /// write-ahead append and the merge all happen under one write lock,
+    /// and the snapshot is taken under it too, so a concurrent evict or
+    /// re-create can never slip between them and the reported
+    /// `(version, points)` pair is always consistent.
+    pub fn merge(
         &self,
         id: &SeriesId,
-        set: &MeasurementSet,
+        frequency_ghz: Option<f64>,
+        mut points: Cow<'_, [Measurement]>,
     ) -> Result<(SeriesSnapshot, bool)> {
-        let frequency_ghz = set.frequency_ghz;
-        if !frequency_ghz.is_finite() || frequency_ghz <= 0.0 {
+        if let Some(ghz) = frequency_ghz.filter(|ghz| !ghz.is_finite() || *ghz <= 0.0) {
             return Err(EstimaError::InvalidConfig(format!(
-                "frequency_ghz {frequency_ghz} must be positive and finite"
+                "frequency_ghz {ghz} must be positive and finite"
             )));
+        }
+        if !points.windows(2).all(|pair| pair[0].cores < pair[1].cores) {
+            // `push` order: ascending cores, the latest point winning a
+            // repeated count (the stable sort keeps it first of its run).
+            let points = points.to_mut();
+            points.reverse();
+            points.sort_by_key(|m| m.cores);
+            points.dedup_by_key(|m| m.cores);
         }
         let mut series = self.series.write().unwrap();
         // Decide what the merge will do — create? change content? add how
         // many new points? — before mutating anything, so quota checks and
         // the write-ahead append can run first and reject atomically.
-        let (created, changed, new_points, version_before) = match series.get(id) {
+        let (frequency_ghz, created, changed, new_points, version_before) = match series.get(id) {
             Some(record) => {
-                if record.set.frequency_ghz != frequency_ghz {
+                let stored = record.set.frequency_ghz;
+                if let Some(ghz) = frequency_ghz.filter(|ghz| *ghz != stored) {
                     return Err(EstimaError::SeriesConflict {
                         series: id.to_string(),
-                        detail: format!(
-                            "stored frequency_ghz {} != ingested {}",
-                            record.set.frequency_ghz, frequency_ghz
-                        ),
+                        detail: format!("stored frequency_ghz {stored} != ingested {ghz}"),
                     });
                 }
-                // A merge where every incoming point is bit-identical to
-                // the stored one is a read: no version bump, no
-                // copy-on-write clone, no log record.
                 let mut changed = false;
                 let mut new_points = 0usize;
-                for measurement in set.measurements() {
+                for measurement in points.iter() {
                     match record.set.at_cores(measurement.cores) {
                         Some(existing) => changed |= !existing.content_eq(measurement),
                         None => {
@@ -617,31 +556,31 @@ impl MeasurementStore {
                         }
                     }
                 }
-                (false, changed, new_points, record.version)
+                (stored, false, changed, new_points, record.version)
             }
             None => {
+                let Some(ghz) = frequency_ghz else {
+                    return Err(EstimaError::SeriesNotFound {
+                        series: id.to_string(),
+                    });
+                };
                 self.check_series_quota(&series, id)?;
-                (true, !set.measurements().is_empty(), set.len(), 0)
+                (ghz, true, !points.is_empty(), points.len(), 0)
             }
         };
-        // Create and merge are distinct content mutations (a created series
-        // that also received points lands at version 2, counter += 2).
-        let version = match (created, changed) {
-            (true, false) => 1,
-            (true, true) => 2,
-            (false, true) => version_before + 1,
-            (false, false) => version_before,
-        };
         let mutations = u64::from(created) + u64::from(changed);
+        let version = version_before + mutations;
         if new_points > 0 {
             self.check_points_quota(&series, id, new_points)?;
         }
+        // Append-before-apply: if the log rejects the record (torn write,
+        // fsync failure, non-finite value), the store is left untouched.
         if mutations > 0 {
             if let Some(wal) = &self.wal {
                 wal.lock().unwrap().append_ingest_set(
                     id,
                     frequency_ghz,
-                    set.measurements(),
+                    &points,
                     version,
                     mutations,
                 )?;
@@ -654,8 +593,8 @@ impl MeasurementStore {
         });
         if changed {
             let stored = Arc::make_mut(&mut record.set);
-            for measurement in set.measurements() {
-                stored.push(measurement.clone());
+            for measurement in points.into_owned() {
+                stored.push(measurement);
             }
         }
         record.version = version;
@@ -813,15 +752,9 @@ impl EstimaSession {
         &self.cache
     }
 
-    /// Create or verify a series; see [`MeasurementStore::ensure`].
-    pub fn ensure(&self, id: &SeriesId, frequency_ghz: f64) -> Result<u64> {
-        self.sweep_expired();
-        self.store.ensure(id, frequency_ghz)
-    }
-
     /// Evict every TTL-expired series and drop its cached fits; see
     /// [`MeasurementStore::sweep_expired`]. Runs automatically before every
-    /// ingest; free (no lock) when no TTL is configured.
+    /// write; free (no lock) when no TTL is configured.
     pub fn sweep_expired(&self) -> Vec<SeriesId> {
         let evicted = self.store.sweep_expired();
         for id in &evicted {
@@ -830,34 +763,50 @@ impl EstimaSession {
         evicted
     }
 
-    /// Append one measurement to a series and invalidate its cached fits —
-    /// but only when the content actually changed: re-ingesting a point that
-    /// is [`Measurement::content_eq`] to the stored one leaves the version
-    /// and the cache alone, so the next predict is still a pure hit.
-    /// Returns the current version; on a change, the next
-    /// [`EstimaSession::predict`] of this series refits, every other series'
-    /// cached fits are untouched.
-    pub fn ingest(&self, id: &SeriesId, measurement: Measurement) -> Result<u64> {
+    /// The one content write of a session: sweep the TTL-expired series,
+    /// [`MeasurementStore::merge`] `points` into `id`, and invalidate the
+    /// series' cached fits when its content changed. A merge that changes
+    /// nothing (every point [`Measurement::content_eq`] to the stored one)
+    /// leaves the version and the cache alone, so the next predict is
+    /// still a pure hit; on a change, the next [`EstimaSession::predict`]
+    /// of this series refits and every other series' fits are untouched.
+    /// Because the sweep runs first, a write without a clock into a series
+    /// the TTL has expired is [`EstimaError::SeriesNotFound`].
+    pub fn merge(
+        &self,
+        id: &SeriesId,
+        frequency_ghz: Option<f64>,
+        points: Cow<'_, [Measurement]>,
+    ) -> Result<(SeriesSnapshot, bool)> {
         self.sweep_expired();
-        let (version, changed) = self.store.ingest_changed(id, measurement)?;
+        let (snapshot, changed) = self.store.merge(id, frequency_ghz, points)?;
         if changed {
             self.cache.invalidate_series(id.as_str());
         }
-        Ok(version)
+        Ok((snapshot, changed))
     }
 
-    /// Merge a whole measurement set into a series (creating it when
-    /// absent) and invalidate its cached fits when the content changed; see
-    /// [`MeasurementStore::ingest_set`]. A fully redundant merge (every
-    /// point bit-identical to the stored one) invalidates nothing. Returns
-    /// the post-merge snapshot.
+    /// Create or verify a series: [`EstimaSession::merge`] of no points;
+    /// see [`MeasurementStore::ensure`].
+    pub fn ensure(&self, id: &SeriesId, frequency_ghz: f64) -> Result<u64> {
+        self.merge(id, Some(frequency_ghz), Cow::Borrowed(&[]))
+            .map(|(snapshot, _)| snapshot.version)
+    }
+
+    /// Append one measurement to a series at its stored clock:
+    /// [`EstimaSession::merge`] of one point without a frequency. Returns
+    /// the current version.
+    pub fn ingest(&self, id: &SeriesId, measurement: Measurement) -> Result<u64> {
+        self.merge(id, None, vec![measurement].into())
+            .map(|(snapshot, _)| snapshot.version)
+    }
+
+    /// Merge a whole measurement set into a series at the set's clock,
+    /// creating it when absent: [`EstimaSession::merge`] of the set's
+    /// points. Returns the post-merge snapshot.
     pub fn ingest_set(&self, id: &SeriesId, set: &MeasurementSet) -> Result<SeriesSnapshot> {
-        self.sweep_expired();
-        let (snapshot, changed) = self.store.ingest_set_changed(id, set)?;
-        if changed {
-            self.cache.invalidate_series(id.as_str());
-        }
-        Ok(snapshot)
+        self.merge(id, Some(set.frequency_ghz), set.measurements().into())
+            .map(|(snapshot, _)| snapshot)
     }
 
     /// Run `read` on the current snapshot of `id` (or fail with
@@ -940,14 +889,6 @@ impl EstimaSession {
         self.read_series(id, |set, ctx| {
             Planner::in_context(&self.estima, ctx).plan(set, target, max_suggestions)
         })
-    }
-
-    /// Predict a named series and diagnose its scaling losses at the target
-    /// core count: which stall categories are predicted to dominate, and how
-    /// fast each grows past the measured range. See [`BottleneckReport`].
-    pub fn diagnose(&self, id: &SeriesId, target: &TargetSpec) -> Result<BottleneckReport> {
-        let prediction = self.predict(id, target)?;
-        Ok(BottleneckReport::from_prediction(&prediction, target.cores))
     }
 
     /// Summaries of every stored series, ordered by id.

@@ -21,8 +21,13 @@
 //! [payload_len: u32 LE] [fnv1a64(payload): u64 LE] [payload: JSON bytes]
 //! ```
 //!
-//! The payload is one JSON object (`{"op": "create" | "ingest" |
-//! "ingest_set" | "evict", ...}`) rendered by [`crate::json`]. FNV-1a is
+//! The payload is one JSON object rendered by [`crate::json`]. Writes
+//! produce two kinds: `{"op": "ingest_set", "series", "frequency_ghz",
+//! "points", "version", "mutations"}` for every content write (one
+//! `MeasurementStore::merge`), and `{"op": "evict", "series"}`. Replay also
+//! reads the `create` and `ingest` records earlier builds wrote, as the
+//! merges of no points at the record's clock and of one point at the
+//! stored clock that the store now logs for the same writes. FNV-1a is
 //! computed over the payload bytes only; the length prefix is implicitly
 //! validated by the checksum (a corrupted length either overruns the buffer
 //! — treated as a torn tail — or frames the wrong bytes, which fail the
@@ -170,24 +175,14 @@ pub(crate) struct Recovered {
 /// encodes straight from borrowed data).
 #[derive(Debug, Clone, PartialEq)]
 enum WalRecord {
-    /// `ensure` created an empty series.
-    Create {
+    /// A merge (`MeasurementStore::merge`): `points` join the series at
+    /// `version`, creating it at `frequency_ghz` when absent. `mutations` is
+    /// how many content mutations the write counted (create and content
+    /// change are separate bumps of the store's counter). Only a retired
+    /// `ingest` record has no clock: its point joins at the stored one.
+    Merge {
         series: SeriesId,
-        frequency_ghz: f64,
-        version: u64,
-    },
-    /// `ingest` appended (or replaced) one point.
-    Ingest {
-        series: SeriesId,
-        measurement: Measurement,
-        version: u64,
-    },
-    /// `ingest_set` merged points, creating the series when absent.
-    /// `mutations` is how many content mutations the operation counted
-    /// (create and merge are separate bumps of the store's counter).
-    IngestSet {
-        series: SeriesId,
-        frequency_ghz: f64,
+        frequency_ghz: Option<f64>,
         points: Vec<Measurement>,
         version: u64,
         mutations: u64,
@@ -268,42 +263,41 @@ impl WalRecord {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| corrupt(format!("record without a numeric `{name}`")))
         };
-        match op {
-            "create" => Ok(WalRecord::Create {
-                series: series()?,
-                frequency_ghz: f64_field("frequency_ghz")?,
-                version: u64_field("version")?,
-            }),
-            "ingest" => Ok(WalRecord::Ingest {
-                series: series()?,
-                measurement: Measurement::from_json(
-                    value
-                        .get("point")
-                        .ok_or_else(|| corrupt("ingest record without a `point`"))?,
-                    &"point",
-                )
-                .map_err(corrupt)?,
-                version: u64_field("version")?,
-            }),
+        // `create` and `ingest` are written only by earlier builds; each
+        // replays as the merge the store now logs for the same write.
+        let (frequency_ghz, points, mutations) = match op {
+            "create" => (Some(f64_field("frequency_ghz")?), Vec::new(), 1),
+            "ingest" => {
+                let point = value
+                    .get("point")
+                    .ok_or_else(|| corrupt("ingest record without a `point`"))?;
+                let point = Measurement::from_json(point, &"point").map_err(corrupt)?;
+                (None, vec![point], 1)
+            }
             "ingest_set" => {
                 let points = value
                     .get("points")
                     .and_then(Json::as_array)
-                    .ok_or_else(|| corrupt("ingest_set record without `points`"))?;
-                Ok(WalRecord::IngestSet {
-                    series: series()?,
-                    frequency_ghz: f64_field("frequency_ghz")?,
-                    points: points
-                        .iter()
-                        .map(|point| Measurement::from_json(point, &"point").map_err(corrupt))
-                        .collect::<Result<_>>()?,
-                    version: u64_field("version")?,
-                    mutations: u64_field("mutations")?,
-                })
+                    .ok_or_else(|| corrupt("ingest_set record without `points`"))?
+                    .iter()
+                    .map(|point| Measurement::from_json(point, &"point").map_err(corrupt))
+                    .collect::<Result<_>>()?;
+                (
+                    Some(f64_field("frequency_ghz")?),
+                    points,
+                    u64_field("mutations")?,
+                )
             }
-            "evict" => Ok(WalRecord::Evict { series: series()? }),
-            other => Err(corrupt(format!("unknown record op `{other}`"))),
-        }
+            "evict" => return Ok(WalRecord::Evict { series: series()? }),
+            other => return Err(corrupt(format!("unknown record op `{other}`"))),
+        };
+        Ok(WalRecord::Merge {
+            series: series()?,
+            frequency_ghz,
+            points,
+            version: u64_field("version")?,
+            mutations,
+        })
     }
 }
 
@@ -432,41 +426,9 @@ impl Wal {
         }
     }
 
-    pub(crate) fn append_create(
-        &mut self,
-        series: &SeriesId,
-        frequency_ghz: f64,
-        version: u64,
-    ) -> Result<()> {
-        self.append(&Json::Object(vec![
-            ("op".to_string(), Json::String("create".to_string())),
-            (
-                "series".to_string(),
-                Json::String(series.as_str().to_string()),
-            ),
-            ("frequency_ghz".to_string(), Json::Number(frequency_ghz)),
-            ("version".to_string(), Json::Number(version as f64)),
-        ]))
-    }
-
-    pub(crate) fn append_ingest(
-        &mut self,
-        series: &SeriesId,
-        measurement: &Measurement,
-        version: u64,
-    ) -> Result<()> {
-        let point = point_to_json(measurement)?;
-        self.append(&Json::Object(vec![
-            ("op".to_string(), Json::String("ingest".to_string())),
-            (
-                "series".to_string(),
-                Json::String(series.as_str().to_string()),
-            ),
-            ("point".to_string(), point),
-            ("version".to_string(), Json::Number(version as f64)),
-        ]))
-    }
-
+    /// Log one `MeasurementStore::merge`: the only record a content write
+    /// appends. `points` are the merged points in `MeasurementSet::push`
+    /// order; `mutations` is 1 or 2 (create, content change or both).
     pub(crate) fn append_ingest_set(
         &mut self,
         series: &SeriesId,
@@ -653,43 +615,27 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord> {
 /// back; that fails the open rather than guessing at contents.
 fn apply(recovered: &mut Recovered, record: WalRecord) -> Result<()> {
     match record {
-        WalRecord::Create {
-            series,
-            frequency_ghz,
-            version,
-        } => {
-            let set = MeasurementSet::new(series.as_str(), frequency_ghz);
-            recovered.series.insert(series, (version, set));
-            recovered.ingests += 1;
-        }
-        WalRecord::Ingest {
-            series,
-            measurement,
-            version,
-        } => {
-            let (stored_version, set) = recovered
-                .series
-                .get_mut(&series)
-                .ok_or_else(|| corrupt(format!("ingest into unknown series `{series}`")))?;
-            set.push(measurement);
-            *stored_version = version;
-            recovered.ingests += 1;
-        }
-        WalRecord::IngestSet {
+        WalRecord::Merge {
             series,
             frequency_ghz,
             points,
             version,
             mutations,
         } => {
-            let (stored_version, set) = recovered
-                .series
-                .entry(series.clone())
-                .or_insert_with(|| (1, MeasurementSet::new(series.as_str(), frequency_ghz)));
-            if set.frequency_ghz != frequency_ghz {
+            let (stored_version, set) = match frequency_ghz {
+                Some(ghz) => recovered
+                    .series
+                    .entry(series.clone())
+                    .or_insert_with(|| (1, MeasurementSet::new(series.as_str(), ghz))),
+                None => recovered
+                    .series
+                    .get_mut(&series)
+                    .ok_or_else(|| corrupt(format!("ingest into unknown series `{series}`")))?,
+            };
+            if let Some(ghz) = frequency_ghz.filter(|ghz| *ghz != set.frequency_ghz) {
                 return Err(corrupt(format!(
-                    "ingest_set frequency {} contradicts stored {} for `{series}`",
-                    frequency_ghz, set.frequency_ghz
+                    "ingest_set frequency {ghz} contradicts stored {} for `{series}`",
+                    set.frequency_ghz
                 )));
             }
             for point in points {
@@ -785,13 +731,13 @@ mod tests {
         SeriesId::new(name).unwrap()
     }
 
-    /// Append `n` ingest records into a fresh log, returning the dir.
+    /// Log the creation of `app`, then `n` one-point merges into it.
     fn seed_log(dir: &PathBuf, n: u32) {
         let options = DurabilityOptions::new(dir);
         let (mut wal, _) = Wal::open(&options).unwrap();
-        wal.append_create(&id("app"), 2.1, 1).unwrap();
+        wal.append_ingest_set(&id("app"), 2.1, &[], 1, 1).unwrap();
         for cores in 1..=n {
-            wal.append_ingest(&id("app"), &point(cores), u64::from(cores) + 1)
+            wal.append_ingest_set(&id("app"), 2.1, &[point(cores)], u64::from(cores) + 1, 1)
                 .unwrap();
         }
     }
@@ -847,7 +793,9 @@ mod tests {
             {
                 let (mut wal, _) = reopen(&dir);
                 failpoint::arm(failpoint::Fault::TornWrite { keep });
-                let err = wal.append_ingest(&id("app"), &point(9), 9).unwrap_err();
+                let err = wal
+                    .append_ingest_set(&id("app"), 2.1, &[point(9)], 9, 1)
+                    .unwrap_err();
                 assert!(matches!(err, EstimaError::StorageFailure { .. }));
                 // The log is poisoned: further appends are refused.
                 assert!(wal.append_evict(&id("app")).is_err());
@@ -859,7 +807,8 @@ mod tests {
             assert!(set.at_cores(9).is_none(), "torn record replayed");
             // The torn tail was truncated: appending now works again.
             let mut wal = wal;
-            wal.append_ingest(&id("app"), &point(9), 5).unwrap();
+            wal.append_ingest_set(&id("app"), 2.1, &[point(9)], 5, 1)
+                .unwrap();
             let (_, recovered) = reopen(&dir);
             assert_eq!(recovered.series[&id("app")].1.len(), 4);
             std::fs::remove_dir_all(&dir).unwrap();
@@ -873,12 +822,15 @@ mod tests {
         let (mut wal, _) = reopen(&dir);
         let committed = wal.stats().bytes;
         failpoint::arm(failpoint::Fault::SyncError);
-        let err = wal.append_ingest(&id("app"), &point(8), 8).unwrap_err();
+        let err = wal
+            .append_ingest_set(&id("app"), 2.1, &[point(8)], 8, 1)
+            .unwrap_err();
         assert!(matches!(err, EstimaError::StorageFailure { .. }));
         // Rolled back, not poisoned: the next append succeeds and the file
         // holds no trace of the failed frame.
         assert_eq!(wal.stats().bytes, committed);
-        wal.append_ingest(&id("app"), &point(4), 4).unwrap();
+        wal.append_ingest_set(&id("app"), 2.1, &[point(4)], 4, 1)
+            .unwrap();
         drop(wal);
         let (_, recovered) = reopen(&dir);
         let (version, set) = &recovered.series[&id("app")];
@@ -901,7 +853,7 @@ mod tests {
             boundaries.push(next);
             offset = next;
         }
-        assert_eq!(boundaries.len(), 6); // create + 4 ingests (+ start)
+        assert_eq!(boundaries.len(), 6); // create + 4 merges (+ start)
         for (flip_at, expected_frames) in [(0usize, 0usize), (boundaries[2] + 3, 2)] {
             let mut bad = clean.clone();
             bad[flip_at] ^= 0x10;
@@ -927,10 +879,10 @@ mod tests {
     fn compaction_snapshots_and_truncates() {
         let dir = tmp_dir("compact");
         let (mut wal, _) = Wal::open(&DurabilityOptions::new(&dir)).unwrap();
-        wal.append_create(&id("app"), 2.1, 1).unwrap();
+        wal.append_ingest_set(&id("app"), 2.1, &[], 1, 1).unwrap();
         let mut set = MeasurementSet::new("app", 2.1);
         for cores in 1..=6 {
-            wal.append_ingest(&id("app"), &point(cores), u64::from(cores) + 1)
+            wal.append_ingest_set(&id("app"), 2.1, &[point(cores)], u64::from(cores) + 1, 1)
                 .unwrap();
             set.push(point(cores));
         }
@@ -942,7 +894,7 @@ mod tests {
         assert_eq!(stats.bytes, 0);
         assert!(stats.last_compaction_ms >= 0.0);
         // Appends after compaction land in the fresh log.
-        wal.append_ingest(&sid, &point(9), 8).unwrap();
+        wal.append_ingest_set(&sid, 2.1, &[point(9)], 8, 1).unwrap();
         drop(wal);
         let (wal, recovered) = reopen(&dir);
         assert_eq!(wal.stats().replays, 1);

@@ -1,7 +1,9 @@
 //! Pins the allocation-free contract of the Levenberg–Marquardt core: with a
 //! prebuilt [`LmWorkspace`], a full `levenberg_marquardt_into` run — every
 //! iteration, Jacobian fill, normal-equation solve and trial step — performs
-//! zero heap allocation.
+//! zero heap allocation. One grid cell is allocation-free as well: once the
+//! thread's fit workspace is warm, `fit_kernel` allocates only the parameter
+//! vector it returns, the linearised guess's QR solve included.
 //!
 //! A counting global allocator wraps the system allocator; the test snapshots
 //! the calling thread's allocation counter around the fit and asserts it did
@@ -12,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use estima_core::levenberg::{levenberg_marquardt_into, Jacobian, LmOptions, LmWorkspace};
-use estima_core::KernelKind;
+use estima_core::{fit_kernel, KernelKind};
 
 struct CountingAllocator;
 
@@ -112,4 +114,31 @@ fn finite_difference_mode_is_also_allocation_free() {
         .expect("counted fit");
     let after = allocations();
     assert_eq!(after - before, 0, "FD mode allocated {}", after - before);
+}
+
+#[test]
+fn warm_fit_kernel_allocates_only_its_result() {
+    // A 12-point series every kernel fits: positive (ExpRat's guess goes
+    // through ln y) and smooth.
+    let xs: Vec<f64> = (1..=12).map(f64::from).collect();
+    let ys: Vec<f64> = xs.iter().map(|x| 50.0 / x + 1.0 + 0.02 * x * x).collect();
+    let options = LmOptions::default();
+    // Warm-up on this thread: grows the per-thread fit workspace to the
+    // largest kernel's needs.
+    for kernel in KernelKind::ALL {
+        fit_kernel(kernel, &xs, &ys, &options).expect("warm-up fit");
+    }
+    for kernel in KernelKind::ALL {
+        let before = allocations();
+        let params = fit_kernel(kernel, &xs, &ys, &options).expect("counted fit");
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            1,
+            "a warm fit_kernel({kernel:?}) allocated {} time(s); only its \
+             returned vector may",
+            after - before
+        );
+        assert_eq!(params.len(), kernel.param_count());
+    }
 }

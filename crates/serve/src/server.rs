@@ -36,7 +36,7 @@ use estima_core::json::Json;
 use estima_core::store::EstimaSession;
 use estima_core::{
     BatchPredictor, BottleneckReport, DurabilityOptions, EstimaConfig, EstimaError, FitCache,
-    MeasurementSet, MeasurementStore, SeriesId, StoreLimits,
+    MeasurementStore, SeriesId, StoreLimits,
 };
 
 use crate::http::{
@@ -1202,9 +1202,9 @@ fn session(state: &AppState) -> &EstimaSession {
     state.batch.session()
 }
 
-/// `POST /v1/measurements`: append points to a named series, creating it on
-/// first contact (which requires `frequency_ghz`). One request is one store
-/// mutation: the version bumps once however many points arrive.
+/// `POST /v1/measurements`: merge points into a named series, creating it
+/// on first contact (which requires `frequency_ghz`). One request is one
+/// store write: the version bumps once however many points arrive.
 fn ingest_measurements(request: &Request, state: &AppState, out: &mut ResponseBuf) {
     let Some(text) = body_text(request, out) else {
         return;
@@ -1213,34 +1213,11 @@ fn ingest_measurements(request: &Request, state: &AppState, out: &mut ResponseBu
         Ok(decoded) => decoded,
         Err(e) => return respond_error(out, 400, "bad_request", &e.0),
     };
-    let session = session(state);
-    // Resolve the frequency: supplied, or stored (appending), or neither —
-    // in which case the series cannot be created.
-    let frequency_ghz = match ingest.frequency_ghz {
-        Some(ghz) => ghz,
-        None => match session.snapshot(&ingest.series) {
-            Some(snapshot) => snapshot.set.frequency_ghz,
-            None => {
-                return respond_error(
-                    out,
-                    404,
-                    "series_not_found",
-                    &format!(
-                        "series `{}` does not exist; supply `frequency_ghz` to create it",
-                        ingest.series.as_str()
-                    ),
-                )
-            }
-        },
-    };
-    let mut incoming = MeasurementSet::new(ingest.series.as_str(), frequency_ghz);
-    for point in ingest.points {
-        incoming.push(point);
-    }
-    match session.ingest_set(&ingest.series, &incoming) {
+    let points = ingest.points.into();
+    match session(state).merge(&ingest.series, ingest.frequency_ghz, points) {
         // The snapshot was taken under the store's write lock, so version
         // and points are consistent however the series moves on afterwards.
-        Ok(snapshot) => {
+        Ok((snapshot, _)) => {
             let body = Json::Object(vec![
                 (
                     "series".to_string(),
@@ -1254,6 +1231,16 @@ fn ingest_measurements(request: &Request, state: &AppState, out: &mut ResponseBu
             ]);
             respond_json(out, 200, &body);
         }
+        // Only a write without a clock can miss its series.
+        Err(EstimaError::SeriesNotFound { .. }) => respond_error(
+            out,
+            404,
+            "series_not_found",
+            &format!(
+                "series `{}` does not exist; supply `frequency_ghz` to create it",
+                ingest.series.as_str()
+            ),
+        ),
         Err(e) => store_error(&e, out),
     }
 }

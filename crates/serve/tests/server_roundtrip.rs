@@ -675,6 +675,79 @@ fn series_error_codes_match_the_documented_semantics() {
     handle.shutdown();
 }
 
+#[test]
+fn an_append_without_a_clock_cannot_recreate_an_expired_series() {
+    let handle = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        reactor_threads: 1,
+        ttl_secs: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server")
+    .spawn()
+    .expect("spawn server reactors");
+    let mut client = Client::connect(handle.addr());
+    // The same situation in process: a session whose store expires series
+    // after the same TTL.
+    let session = EstimaSession::with_store(
+        EstimaConfig::default().with_parallelism(1),
+        std::sync::Arc::new(FitCache::new()),
+        MeasurementStore::with_limits(
+            StoreLimits::new().with_ttl(std::time::Duration::from_secs(1)),
+        ),
+    );
+    let id = SeriesId::new("ttl-demo").unwrap();
+    let set = quickstart_sized_set("ttl-demo");
+    let (early, late) = set.measurements().split_at(3);
+    let body = wire::ingest_request_to_json(&id, Some(2.1), early).render();
+    let (status, response) = client.request("POST", "/v1/measurements", &body);
+    assert_eq!(
+        (status, response.as_str()),
+        (200, r#"{"series":"ttl-demo","version":2,"points":3}"#)
+    );
+    session.ingest_set(&id, &set).unwrap();
+
+    std::thread::sleep(std::time::Duration::from_millis(1200));
+
+    // A points-only append into the expired series: the series is gone,
+    // and the append cannot create it.
+    let append = wire::ingest_request_to_json(&id, None, &late[..1]).render();
+    let (status, response) = client.request("POST", "/v1/measurements", &append);
+    assert_eq!(status, 404, "{response}");
+    let error = Json::parse(&response).unwrap();
+    let error = error.get("error").unwrap();
+    assert_eq!(
+        error.get("code").and_then(Json::as_str),
+        Some("series_not_found")
+    );
+    assert_eq!(
+        error.get("message").and_then(Json::as_str),
+        Some("series `ttl-demo` does not exist; supply `frequency_ghz` to create it")
+    );
+    let (status, _) = client.request("GET", "/v1/series/ttl-demo", "");
+    assert_eq!(status, 404);
+    assert!(matches!(
+        session.ingest(&id, late[0].clone()),
+        Err(EstimaError::SeriesNotFound { .. })
+    ));
+
+    // With the clock, the append re-creates the series afresh: version 2
+    // (created, then changed), holding only the new points.
+    let recreate = wire::ingest_request_to_json(&id, Some(2.1), &late[..2]).render();
+    let (status, response) = client.request("POST", "/v1/measurements", &recreate);
+    assert_eq!(
+        (status, response.as_str()),
+        (200, r#"{"series":"ttl-demo","version":2,"points":2}"#)
+    );
+    let (status, detail) = client.request("GET", "/v1/series/ttl-demo", "");
+    assert_eq!(status, 200);
+    let detail = Json::parse(&detail).unwrap();
+    let stored = wire::measurement_set_from_json(detail.get("measurements").unwrap()).unwrap();
+    assert_eq!(stored.core_counts(), [4, 5]);
+
+    handle.shutdown();
+}
+
 /// Seed a quickstart-sized series over HTTP and return the equivalent set.
 fn seed_series(client: &mut Client, name: &str) -> MeasurementSet {
     let set = quickstart_sized_set(name);
