@@ -14,13 +14,16 @@
 //!   set, where every mutation monotonically bumps the series *version*.
 //!   Every content write is one [`MeasurementStore::merge`]: points join a
 //!   series at its clock, under one write lock; `ensure`, `ingest` and
-//!   `ingest_set` are merges of no points, one point and a whole set.
+//!   `ingest_set` are merges of no points, one point and a whole set. A
+//!   durable store's recovery replays its snapshot and log through the
+//!   same merge, and every store refuses a point with a NaN or ±∞ value.
 //! * [`EstimaSession`] — owns a store, an [`Estima`] predictor and a sharded
 //!   [`FitCache`]; [`EstimaSession::merge`] (and its `ensure` / `ingest` /
 //!   `ingest_set` forms) writes points and [`EstimaSession::predict`]
 //!   answers from the current snapshot, with fit reuse keyed by
 //!   `(series, version)` so incremental ingestion invalidates exactly the
-//!   stale fits and nothing else.
+//!   stale fits and nothing else. Every session call that touches a series,
+//!   reads included, first runs the TTL sweep.
 //!
 //! `estima-serve` routes its `/v1/series` endpoints through the same session
 //! type, so a prediction served over HTTP after incremental ingestion is
@@ -85,7 +88,7 @@ use crate::fit::FitContext;
 use crate::measurement::{Measurement, MeasurementSet};
 use crate::plan::{MeasurementPlan, Planner};
 use crate::predictor::{Estima, Prediction};
-use crate::wal::{DurabilityOptions, Wal, WalStats};
+use crate::wal::{DurabilityOptions, Wal, WalRecord, WalStats};
 
 /// A validated series name: the identity of one measurement series in a
 /// [`MeasurementStore`], and the `{id}` path segment of the
@@ -170,7 +173,8 @@ struct SeriesRecord {
 pub struct StoreLimits {
     /// Evict a series once this long has passed since its last content
     /// mutation. Enforced lazily by [`MeasurementStore::sweep_expired`]
-    /// (which [`EstimaSession`] runs before every ingest).
+    /// (which [`EstimaSession`] runs before every call that touches a
+    /// series, reads included).
     pub ttl: Option<Duration>,
     /// Most series one tenant may hold; a create beyond it is
     /// [`EstimaError::QuotaExceeded`].
@@ -257,10 +261,12 @@ pub struct SeriesInfo {
 /// A store created by [`MeasurementStore::open`] is backed by the
 /// [`crate::wal`] persistence layer: every content mutation is appended to
 /// a checksummed write-ahead log *before* it is applied in memory, and
-/// startup replays snapshot + log so every series returns at its exact
-/// pre-crash version. A store created by [`MeasurementStore::new`] is
-/// purely in-memory (durability off costs nothing on the hot path — no
-/// lock, no branch beyond one `Option` check).
+/// startup replays snapshot + log through [`MeasurementStore::merge`] so
+/// every series returns at its exact pre-crash version. Limits are set
+/// after the replay, with [`MeasurementStore::with_limits`]. A store
+/// created by [`MeasurementStore::new`] is purely in-memory (durability off
+/// costs nothing on the hot path — no lock, no branch beyond one `Option`
+/// check).
 #[derive(Debug, Default)]
 pub struct MeasurementStore {
     series: RwLock<BTreeMap<SeriesId, SeriesRecord>>,
@@ -280,45 +286,41 @@ impl MeasurementStore {
         MeasurementStore::default()
     }
 
-    /// Create an empty, in-memory store with resource limits.
-    pub fn with_limits(limits: StoreLimits) -> Self {
-        MeasurementStore {
-            limits,
-            ..MeasurementStore::default()
-        }
+    /// Set the store's resource limits. A durable store takes them after
+    /// [`MeasurementStore::open`]: replay re-applies writes the limits
+    /// already admitted, so it runs without them.
+    pub fn with_limits(mut self, limits: StoreLimits) -> Self {
+        self.limits = limits;
+        self
     }
 
-    /// Open a durable store: recover the contents persisted under
+    /// Open a durable store: replay the contents persisted under
     /// `options.dir` (empty when the directory is new) and write-ahead-log
-    /// every future mutation there.
+    /// every future mutation there. Each snapshot series and logged write
+    /// replays through [`MeasurementStore::merge`], then takes its logged
+    /// version; a record the merge refuses fails the open.
     pub fn open(options: &DurabilityOptions) -> Result<Self> {
-        MeasurementStore::open_with_limits(options, StoreLimits::default())
-    }
-
-    /// [`MeasurementStore::open`] with resource limits.
-    pub fn open_with_limits(options: &DurabilityOptions, limits: StoreLimits) -> Result<Self> {
-        let (wal, recovered) = Wal::open(options)?;
-        let now = Instant::now();
-        let series = recovered
-            .series
-            .into_iter()
-            .map(|(id, (version, set))| {
-                (
-                    id,
-                    SeriesRecord {
-                        set: Arc::new(set),
-                        version,
-                        last_write: now,
-                    },
-                )
-            })
-            .collect();
-        Ok(MeasurementStore {
-            series: RwLock::new(series),
-            ingests: AtomicU64::new(recovered.ingests),
-            wal: Some(Mutex::new(wal)),
-            limits,
-        })
+        let mut store = MeasurementStore::new();
+        let mut mutations = 0;
+        let (wal, ingests) = Wal::open(options, |record| match record {
+            WalRecord::Merge {
+                series,
+                frequency_ghz,
+                points,
+                version,
+                mutations: counted,
+            } => {
+                store.merge(&series, frequency_ghz, points.into())?;
+                let records = store.series.get_mut().unwrap();
+                records.get_mut(&series).expect("merged above").version = version;
+                mutations += counted;
+                Ok(())
+            }
+            WalRecord::Evict { series } => store.evict(&series).map(drop),
+        })?;
+        *store.ingests.get_mut() = ingests + mutations;
+        store.wal = Some(Mutex::new(wal));
+        Ok(store)
     }
 
     /// The store's resource limits.
@@ -436,29 +438,28 @@ impl MeasurementStore {
     /// Evict every series idle longer than [`StoreLimits::ttl`], returning
     /// the evicted ids (callers holding a fit cache must invalidate them).
     /// Free when TTL is off: returns immediately without taking a lock.
+    /// Otherwise the scan runs under the read lock, and the write lock is
+    /// taken only when some series has expired.
     pub fn sweep_expired(&self) -> Vec<SeriesId> {
         let Some(ttl) = self.limits.ttl else {
             return Vec::new();
         };
-        let mut series = self.series.write().unwrap();
-        let expired: Vec<SeriesId> = series
-            .iter()
-            .filter(|(_, record)| record.last_write.elapsed() >= ttl)
-            .map(|(id, _)| id.clone())
-            .collect();
-        let mut evicted = Vec::with_capacity(expired.len());
-        for id in expired {
+        let idle = |record: &SeriesRecord| record.last_write.elapsed() >= ttl;
+        if !self.series.read().unwrap().values().any(idle) {
+            return Vec::new();
+        }
+        let wal = self.wal.as_ref();
+        let mut evicted = Vec::new();
+        self.series.write().unwrap().retain(|id, record| {
             // Log the eviction first; on a log failure keep the series (it
             // will be retried next sweep) rather than diverging from disk.
-            let logged = match &self.wal {
-                Some(wal) => wal.lock().unwrap().append_evict(&id).is_ok(),
-                None => true,
-            };
-            if logged {
-                series.remove(&id);
-                evicted.push(id);
+            let evict =
+                idle(record) && wal.is_none_or(|wal| wal.lock().unwrap().append_evict(id).is_ok());
+            if evict {
+                evicted.push(id.clone());
             }
-        }
+            !evict
+        });
         evicted
     }
 
@@ -496,6 +497,9 @@ impl MeasurementStore {
     ///   in one series would silently corrupt the time-translation step.
     /// * With `None`, the points join the series at its stored clock, and
     ///   an absent series is [`EstimaError::SeriesNotFound`].
+    /// * A point whose `exec_time` or any stall count is NaN or ±∞ is
+    ///   [`EstimaError::InvalidMeasurement`], on every store: the log could
+    ///   not persist it, and no prediction could use it.
     ///
     /// The points merge as [`MeasurementSet::push`] merges them one at a
     /// time: ordered by core count, and a point at a core count already
@@ -523,6 +527,16 @@ impl MeasurementStore {
             return Err(EstimaError::InvalidConfig(format!(
                 "frequency_ghz {ghz} must be positive and finite"
             )));
+        }
+        for m in points.iter() {
+            let stalls = m.stalls.values().map(|cycles| ("stall cycles", *cycles));
+            let mut values = std::iter::once(("exec_time", m.exec_time)).chain(stalls);
+            if let Some((what, value)) = values.find(|(_, value)| !value.is_finite()) {
+                return Err(EstimaError::InvalidMeasurement {
+                    cores: m.cores,
+                    detail: format!("{what} {value} is not finite"),
+                });
+            }
         }
         if !points.windows(2).all(|pair| pair[0].cores < pair[1].cores) {
             // `push` order: ascending cores, the latest point winning a
@@ -574,7 +588,7 @@ impl MeasurementStore {
             self.check_points_quota(&series, id, new_points)?;
         }
         // Append-before-apply: if the log rejects the record (torn write,
-        // fsync failure, non-finite value), the store is left untouched.
+        // fsync failure), the store is left untouched.
         if mutations > 0 {
             if let Some(wal) = &self.wal {
                 wal.lock().unwrap().append_ingest_set(
@@ -754,7 +768,9 @@ impl EstimaSession {
 
     /// Evict every TTL-expired series and drop its cached fits; see
     /// [`MeasurementStore::sweep_expired`]. Runs automatically before every
-    /// write; free (no lock) when no TTL is configured.
+    /// session call that touches a series, reads included, so no call
+    /// serves or writes a series the TTL has expired; free (no lock) when
+    /// no TTL is configured.
     pub fn sweep_expired(&self) -> Vec<SeriesId> {
         let evicted = self.store.sweep_expired();
         for id in &evicted {
@@ -809,17 +825,16 @@ impl EstimaSession {
             .map(|(snapshot, _)| snapshot)
     }
 
-    /// Run `read` on the current snapshot of `id` (or fail with
-    /// [`EstimaError::SeriesNotFound`]), in the fit context every series
-    /// read shares: the session's cache, with keys tagged by the snapshot's
-    /// `(series, version)` [`CacheScope`].
+    /// Run `read` on the current snapshot of `id` after the TTL sweep (or
+    /// fail with [`EstimaError::SeriesNotFound`]), in the fit context every
+    /// series read shares: the session's cache, with keys tagged by the
+    /// snapshot's `(series, version)` [`CacheScope`].
     fn read_series<R>(
         &self,
         id: &SeriesId,
         read: impl FnOnce(&MeasurementSet, FitContext<'_>) -> Result<R>,
     ) -> Result<R> {
         let snapshot = self
-            .store
             .snapshot(id)
             .ok_or_else(|| EstimaError::SeriesNotFound {
                 series: id.to_string(),
@@ -891,14 +906,17 @@ impl EstimaSession {
         })
     }
 
-    /// Summaries of every stored series, ordered by id.
+    /// Summaries of every stored series, ordered by id, after the TTL
+    /// sweep.
     pub fn list(&self) -> Vec<SeriesInfo> {
+        self.sweep_expired();
         self.store.list()
     }
 
     /// A consistent snapshot of one series, or `None` when it does not
-    /// exist.
+    /// exist (or the TTL sweep has just expired it).
     pub fn snapshot(&self, id: &SeriesId) -> Option<SeriesSnapshot> {
+        self.sweep_expired();
         self.store.snapshot(id)
     }
 
@@ -906,6 +924,7 @@ impl EstimaSession {
     /// or `Ok(None)` when the series did not exist; on a durable store a
     /// persistence failure leaves the series (and its fits) in place.
     pub fn evict(&self, id: &SeriesId) -> Result<Option<SeriesSnapshot>> {
+        self.sweep_expired();
         let snapshot = self.store.evict(id)?;
         if snapshot.is_some() {
             self.cache.invalidate_series(id.as_str());
@@ -1303,12 +1322,57 @@ mod tests {
     }
 
     #[test]
+    fn every_store_refuses_non_finite_values_and_keeps_its_state() {
+        let dir = tmp_dir("finite");
+        let durable = MeasurementStore::open(&DurabilityOptions::new(&dir)).unwrap();
+        let wal_len = || {
+            std::fs::metadata(dir.join(crate::wal::WAL_FILE))
+                .unwrap()
+                .len()
+        };
+        let app = id("app");
+        for store in [&MeasurementStore::new(), &durable] {
+            store.ensure(&app, 2.1).unwrap();
+            store.ingest(&app, point(1)).unwrap();
+            let before = store.snapshot(&app).unwrap();
+            let (ingests, logged) = (store.ingests(), wal_len());
+            let refused = [
+                (Measurement::new(2, f64::NAN), "exec_time NaN is not finite"),
+                (
+                    Measurement::new(2, f64::INFINITY),
+                    "exec_time inf is not finite",
+                ),
+                (
+                    point(2).with_stall(StallCategory::backend("bad"), f64::NAN),
+                    "stall cycles NaN is not finite",
+                ),
+            ];
+            for (bad, expected) in refused {
+                match store.merge(&app, None, vec![bad].into()) {
+                    Err(EstimaError::InvalidMeasurement { cores: 2, detail }) => {
+                        assert_eq!(detail, expected)
+                    }
+                    other => panic!("expected InvalidMeasurement, got {other:?}"),
+                }
+                let after = store.snapshot(&app).unwrap();
+                assert_eq!(after.version, before.version);
+                assert_eq!(after.set.len(), before.set.len());
+                assert!(after.set.at_cores(1).unwrap().content_eq(&point(1)));
+                assert_eq!(store.ingests(), ingests);
+                assert_eq!(wal_len(), logged);
+            }
+        }
+        drop(durable);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn ttl_sweep_evicts_idle_series_and_their_fits() {
         let limits = StoreLimits::new().with_ttl(Duration::from_millis(30));
         let session = EstimaSession::with_store(
             EstimaConfig::default().with_parallelism(1),
             Arc::new(FitCache::new()),
-            MeasurementStore::with_limits(limits),
+            MeasurementStore::new().with_limits(limits),
         );
         let app = id("app");
         session.ensure(&app, 2.1).unwrap();
@@ -1331,7 +1395,7 @@ mod tests {
         let limits = StoreLimits::new()
             .with_max_series_per_tenant(2)
             .with_max_points_per_tenant(3);
-        let store = MeasurementStore::with_limits(limits);
+        let store = MeasurementStore::new().with_limits(limits);
         // Series quota: two `acme.*` series fit, the third is rejected;
         // another tenant is unaffected.
         store.ensure(&id("acme.checkout"), 2.1).unwrap();

@@ -6,12 +6,13 @@
 //! content mutation — *before* the mutation is applied in memory — so a
 //! crash at any instant loses at most the mutation whose append had not
 //! completed (and that mutation was never acknowledged to the caller).
-//! Startup replays the last snapshot plus the log tail; every series comes
-//! back at its exact pre-crash version, and because
-//! [`crate::json`] renders finite `f64`s with the shortest-round-trip
-//! encoding, every replayed measurement is *bit-identical* to what was
-//! ingested — predictions after a crash are byte-for-byte the predictions
-//! of an uninterrupted run.
+//! Startup hands the store the last snapshot plus the log tail, which it
+//! applies through its one write, `MeasurementStore::merge`; every series
+//! comes back at its exact pre-crash version, and because [`crate::json`]
+//! renders finite `f64`s with the shortest-round-trip encoding, every
+//! replayed measurement is *bit-identical* to what was ingested —
+//! predictions after a crash are byte-for-byte the predictions of an
+//! uninterrupted run.
 //!
 //! # Record format
 //!
@@ -41,10 +42,10 @@
 //! is the committed prefix and is applied; everything from that point on is
 //! the torn tail of an interrupted append and is physically truncated away.
 //! A committed record is never discarded: appends are sequential, so
-//! corruption past a frame boundary cannot precede intact frames. A log
-//! whose *applied* records are internally inconsistent (e.g. an ingest into
-//! a series that was never created) indicates external tampering and fails
-//! the open loudly rather than guessing.
+//! corruption past a frame boundary cannot precede intact frames. A
+//! committed record the store's merge refuses (e.g. a points-only write
+//! into a series that was never created) indicates external tampering and
+//! fails the open loudly rather than guessing.
 //!
 //! # Snapshot / compaction protocol
 //!
@@ -62,7 +63,6 @@
 //! sync, so the recovery path is testable without a real crash. The
 //! kill -9 integration test in `estima-serve` covers the real thing.
 
-use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -102,7 +102,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// How a [`MeasurementStore`](crate::store::MeasurementStore) persists its
 /// contents; passed to
-/// [`MeasurementStore::open_with_limits`](crate::store::MeasurementStore::open_with_limits).
+/// [`MeasurementStore::open`](crate::store::MeasurementStore::open).
 #[derive(Debug, Clone)]
 pub struct DurabilityOptions {
     /// Directory holding [`WAL_FILE`] and [`SNAPSHOT_FILE`]; created when
@@ -160,26 +160,16 @@ pub struct WalStats {
     pub last_compaction_ms: f64,
 }
 
-/// One recovered series: its exact pre-crash version and contents.
-pub(crate) type RecoveredSeries = BTreeMap<SeriesId, (u64, MeasurementSet)>;
-
-/// Everything [`Wal::open`] recovers from disk.
-pub(crate) struct Recovered {
-    /// Per-series `(version, contents)` at the crash point.
-    pub series: RecoveredSeries,
-    /// The store's cumulative content-mutation counter at the crash point.
-    pub ingests: u64,
-}
-
-/// A decoded log record (the owned form used by replay; the append path
-/// encodes straight from borrowed data).
+/// A record as replay hands it to the store (the append path encodes
+/// straight from borrowed data).
 #[derive(Debug, Clone, PartialEq)]
-enum WalRecord {
+pub(crate) enum WalRecord {
     /// A merge (`MeasurementStore::merge`): `points` join the series at
     /// `version`, creating it at `frequency_ghz` when absent. `mutations` is
     /// how many content mutations the write counted (create and content
-    /// change are separate bumps of the store's counter). Only a retired
-    /// `ingest` record has no clock: its point joins at the stored one.
+    /// change are separate bumps of the store's counter; a snapshot series
+    /// counts none). Only a retired `ingest` record has no clock: its point
+    /// joins at the stored one.
     Merge {
         series: SeriesId,
         frequency_ghz: Option<f64>,
@@ -203,37 +193,18 @@ fn corrupt(detail: impl Into<String>) -> EstimaError {
     }
 }
 
-/// Reject the non-finite values JSON cannot carry (they would silently
-/// decode as `null`). The wire layer already enforces this for HTTP
-/// ingests; this guards direct in-process callers of a durable store.
-fn require_finite(value: f64, what: &str, cores: u32) -> Result<()> {
-    if value.is_finite() {
-        Ok(())
-    } else {
-        Err(EstimaError::InvalidMeasurement {
-            cores,
-            detail: format!("{what} {value} is not finite; a durable store cannot persist it"),
-        })
-    }
+/// Encode measurements for a log record or a snapshot with the shared
+/// measurement codec ([`Measurement::to_json`]).
+fn points_to_json(points: &[Measurement]) -> Json {
+    Json::Array(points.iter().map(Measurement::to_json).collect())
 }
 
-/// Encode one measurement for a log record or a snapshot with the shared
-/// measurement codec ([`Measurement::to_json`]), after refusing the values
-/// it would write as `null`.
-fn point_to_json(m: &Measurement) -> Result<Json> {
-    require_finite(m.exec_time, "exec_time", m.cores)?;
-    for cycles in m.stalls.values() {
-        require_finite(*cycles, "stall cycles", m.cores)?;
-    }
-    Ok(m.to_json())
-}
-
-fn points_to_json(points: &[Measurement]) -> Result<Json> {
+/// Decode the points of a record or a snapshot series.
+fn points_from_json(points: &[Json]) -> Result<Vec<Measurement>> {
     points
         .iter()
-        .map(point_to_json)
-        .collect::<Result<_>>()
-        .map(Json::Array)
+        .map(|point| Measurement::from_json(point, &"point").map_err(corrupt))
+        .collect()
 }
 
 impl WalRecord {
@@ -278,13 +249,10 @@ impl WalRecord {
                 let points = value
                     .get("points")
                     .and_then(Json::as_array)
-                    .ok_or_else(|| corrupt("ingest_set record without `points`"))?
-                    .iter()
-                    .map(|point| Measurement::from_json(point, &"point").map_err(corrupt))
-                    .collect::<Result<_>>()?;
+                    .ok_or_else(|| corrupt("ingest_set record without `points`"))?;
                 (
                     Some(f64_field("frequency_ghz")?),
-                    points,
+                    points_from_json(points)?,
                     u64_field("mutations")?,
                 )
             }
@@ -359,12 +327,21 @@ pub(crate) struct Wal {
 
 impl Wal {
     /// Open (creating when absent) the persistence state under
-    /// `options.dir`, replaying snapshot + log tail. Returns the log handle
-    /// and the recovered store contents.
-    pub(crate) fn open(options: &DurabilityOptions) -> Result<(Wal, Recovered)> {
+    /// `options.dir`. Replay hands `apply` every snapshot series, as a
+    /// [`WalRecord::Merge`] of its points at its clock and version with no
+    /// `mutations`, then every committed log record in order. Returns the
+    /// log handle and the snapshot's `ingests` counter (0 without one).
+    pub(crate) fn open(
+        options: &DurabilityOptions,
+        mut apply: impl FnMut(WalRecord) -> Result<()>,
+    ) -> Result<(Wal, u64)> {
         std::fs::create_dir_all(&options.dir)
             .map_err(|e| storage(format!("cannot create {}: {e}", options.dir.display())))?;
-        let mut recovered = load_snapshot(&options.dir.join(SNAPSHOT_FILE))?;
+        // Checksummed records the store refuses mean the files were edited
+        // behind our back; that fails the open rather than guessing at
+        // contents.
+        let mut apply = |record| apply(record).map_err(|e| corrupt(e.to_string()));
+        let ingests = load_snapshot(&options.dir.join(SNAPSHOT_FILE), &mut apply)?;
 
         let wal_path = options.dir.join(WAL_FILE);
         let mut file = OpenOptions::new()
@@ -386,7 +363,7 @@ impl Wal {
             let Ok(record) = decode_payload(payload) else {
                 break;
             };
-            apply(&mut recovered, record)?;
+            apply(record)?;
             committed = next;
             records += 1;
         }
@@ -411,7 +388,7 @@ impl Wal {
                 last_compaction_ms: 0.0,
                 poisoned: false,
             },
-            recovered,
+            ingests,
         ))
     }
 
@@ -437,7 +414,7 @@ impl Wal {
         version: u64,
         mutations: u64,
     ) -> Result<()> {
-        let points = points_to_json(points)?;
+        let points = points_to_json(points);
         self.append(&Json::Object(vec![
             ("op".to_string(), Json::String("ingest_set".to_string())),
             (
@@ -544,7 +521,7 @@ impl Wal {
                 ("id".to_string(), Json::String(id.as_str().to_string())),
                 ("version".to_string(), Json::Number(version as f64)),
                 ("frequency_ghz".to_string(), Json::Number(set.frequency_ghz)),
-                ("points".to_string(), points_to_json(set.measurements())?),
+                ("points".to_string(), points_to_json(set.measurements())),
             ]));
         }
         let snapshot = Json::Object(vec![
@@ -610,57 +587,12 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord> {
     WalRecord::from_json(&value)
 }
 
-/// Apply one replayed record to the recovered state. Checksummed records
-/// that are mutually inconsistent mean the files were edited behind our
-/// back; that fails the open rather than guessing at contents.
-fn apply(recovered: &mut Recovered, record: WalRecord) -> Result<()> {
-    match record {
-        WalRecord::Merge {
-            series,
-            frequency_ghz,
-            points,
-            version,
-            mutations,
-        } => {
-            let (stored_version, set) = match frequency_ghz {
-                Some(ghz) => recovered
-                    .series
-                    .entry(series.clone())
-                    .or_insert_with(|| (1, MeasurementSet::new(series.as_str(), ghz))),
-                None => recovered
-                    .series
-                    .get_mut(&series)
-                    .ok_or_else(|| corrupt(format!("ingest into unknown series `{series}`")))?,
-            };
-            if let Some(ghz) = frequency_ghz.filter(|ghz| *ghz != set.frequency_ghz) {
-                return Err(corrupt(format!(
-                    "ingest_set frequency {ghz} contradicts stored {} for `{series}`",
-                    set.frequency_ghz
-                )));
-            }
-            for point in points {
-                set.push(point);
-            }
-            *stored_version = version;
-            recovered.ingests += mutations;
-        }
-        WalRecord::Evict { series } => {
-            recovered.series.remove(&series);
-        }
-    }
-    Ok(())
-}
-
-/// Load the snapshot file, or an empty state when none exists.
-fn load_snapshot(path: &Path) -> Result<Recovered> {
+/// Hand every series of the snapshot file to `apply` (none when there is
+/// no snapshot) and return the snapshot's `ingests` counter.
+fn load_snapshot(path: &Path, apply: &mut impl FnMut(WalRecord) -> Result<()>) -> Result<u64> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(Recovered {
-                series: BTreeMap::new(),
-                ingests: 0,
-            })
-        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
         Err(e) => return Err(storage(format!("cannot read {}: {e}", path.display()))),
     };
     // The snapshot was fsynced before its atomic rename, so a torn one
@@ -675,9 +607,8 @@ fn load_snapshot(path: &Path) -> Result<Recovered> {
         .get("series")
         .and_then(Json::as_array)
         .ok_or_else(|| corrupt("snapshot without a `series` array"))?;
-    let mut series = BTreeMap::new();
     for entry in entries {
-        let id = SeriesId::new(
+        let series = SeriesId::new(
             entry
                 .get("id")
                 .and_then(Json::as_str)
@@ -695,19 +626,22 @@ fn load_snapshot(path: &Path) -> Result<Recovered> {
             .get("points")
             .and_then(Json::as_array)
             .ok_or_else(|| corrupt("snapshot series without `points`"))?;
-        let mut set = MeasurementSet::new(id.as_str(), frequency_ghz);
-        for point in points {
-            set.push(Measurement::from_json(point, &"point").map_err(corrupt)?);
-        }
-        series.insert(id, (version, set));
+        apply(WalRecord::Merge {
+            series,
+            frequency_ghz: Some(frequency_ghz),
+            points: points_from_json(points)?,
+            version,
+            mutations: 0,
+        })?;
     }
-    Ok(Recovered { series, ingests })
+    Ok(ingests)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::measurement::StallCategory;
+    use crate::store::MeasurementStore;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -731,10 +665,16 @@ mod tests {
         SeriesId::new(name).unwrap()
     }
 
+    /// Open the log alone, replaying into nothing.
+    fn open_log(dir: &PathBuf) -> Wal {
+        Wal::open(&DurabilityOptions::new(dir), |_| Ok(()))
+            .unwrap()
+            .0
+    }
+
     /// Log the creation of `app`, then `n` one-point merges into it.
     fn seed_log(dir: &PathBuf, n: u32) {
-        let options = DurabilityOptions::new(dir);
-        let (mut wal, _) = Wal::open(&options).unwrap();
+        let mut wal = open_log(dir);
         wal.append_ingest_set(&id("app"), 2.1, &[], 1, 1).unwrap();
         for cores in 1..=n {
             wal.append_ingest_set(&id("app"), 2.1, &[point(cores)], u64::from(cores) + 1, 1)
@@ -742,8 +682,9 @@ mod tests {
         }
     }
 
-    fn reopen(dir: &PathBuf) -> (Wal, Recovered) {
-        Wal::open(&DurabilityOptions::new(dir)).unwrap()
+    /// What the store recovers from `dir`.
+    fn reopen(dir: &PathBuf) -> MeasurementStore {
+        MeasurementStore::open(&DurabilityOptions::new(dir)).unwrap()
     }
 
     #[test]
@@ -751,36 +692,29 @@ mod tests {
         let m = point(7)
             .with_memory_footprint(123_456_789)
             .with_stall(StallCategory::software("stm.aborts"), 0.1 + 0.2);
-        let decoded = Measurement::from_json(&point_to_json(&m).unwrap(), &"point").unwrap();
-        assert!(decoded.content_eq(&m), "{decoded:?} != {m:?}");
-    }
-
-    #[test]
-    fn rejects_non_finite_values_instead_of_corrupting() {
-        let m = Measurement::new(2, f64::NAN);
-        assert!(matches!(
-            point_to_json(&m),
-            Err(EstimaError::InvalidMeasurement { .. })
-        ));
-        let m = point(2).with_stall(StallCategory::backend("bad"), f64::INFINITY);
-        assert!(matches!(
-            point_to_json(&m),
-            Err(EstimaError::InvalidMeasurement { .. })
-        ));
+        let Json::Array(encoded) = points_to_json(std::slice::from_ref(&m)) else {
+            panic!("points encode as an array");
+        };
+        let decoded = points_from_json(&encoded).unwrap();
+        assert!(decoded[0].content_eq(&m), "{decoded:?} != {m:?}");
     }
 
     #[test]
     fn replay_restores_records_and_counters() {
         let dir = tmp_dir("replay");
         seed_log(&dir, 5);
-        let (wal, recovered) = reopen(&dir);
-        assert_eq!(wal.stats().replays, 6);
-        assert_eq!(recovered.ingests, 6);
-        let (version, set) = &recovered.series[&id("app")];
-        assert_eq!(*version, 6);
-        assert_eq!(set.len(), 5);
+        let store = reopen(&dir);
+        assert_eq!(store.wal_stats().unwrap().replays, 6);
+        assert_eq!(store.ingests(), 6);
+        let snapshot = store.snapshot(&id("app")).unwrap();
+        assert_eq!(snapshot.version, 6);
+        assert_eq!(snapshot.set.len(), 5);
         for cores in 1..=5 {
-            assert!(set.at_cores(cores).unwrap().content_eq(&point(cores)));
+            assert!(snapshot
+                .set
+                .at_cores(cores)
+                .unwrap()
+                .content_eq(&point(cores)));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -791,7 +725,7 @@ mod tests {
             let dir = tmp_dir(&format!("torn-{keep}"));
             seed_log(&dir, 3);
             {
-                let (mut wal, _) = reopen(&dir);
+                let mut wal = open_log(&dir);
                 failpoint::arm(failpoint::Fault::TornWrite { keep });
                 let err = wal
                     .append_ingest_set(&id("app"), 2.1, &[point(9)], 9, 1)
@@ -800,17 +734,15 @@ mod tests {
                 // The log is poisoned: further appends are refused.
                 assert!(wal.append_evict(&id("app")).is_err());
             }
-            let (wal, recovered) = reopen(&dir);
-            let (version, set) = &recovered.series[&id("app")];
-            assert_eq!(*version, 4, "keep={keep}");
-            assert_eq!(set.len(), 3, "keep={keep}");
-            assert!(set.at_cores(9).is_none(), "torn record replayed");
+            let store = reopen(&dir);
+            let snapshot = store.snapshot(&id("app")).unwrap();
+            assert_eq!(snapshot.version, 4, "keep={keep}");
+            assert_eq!(snapshot.set.len(), 3, "keep={keep}");
+            assert!(snapshot.set.at_cores(9).is_none(), "torn record replayed");
             // The torn tail was truncated: appending now works again.
-            let mut wal = wal;
-            wal.append_ingest_set(&id("app"), 2.1, &[point(9)], 5, 1)
-                .unwrap();
-            let (_, recovered) = reopen(&dir);
-            assert_eq!(recovered.series[&id("app")].1.len(), 4);
+            assert_eq!(store.ingest(&id("app"), point(9)).unwrap(), 5);
+            drop(store);
+            assert_eq!(reopen(&dir).snapshot(&id("app")).unwrap().set.len(), 4);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -819,7 +751,7 @@ mod tests {
     fn fsync_failpoint_rolls_the_append_back() {
         let dir = tmp_dir("fsync");
         seed_log(&dir, 2);
-        let (mut wal, _) = reopen(&dir);
+        let mut wal = open_log(&dir);
         let committed = wal.stats().bytes;
         failpoint::arm(failpoint::Fault::SyncError);
         let err = wal
@@ -832,11 +764,10 @@ mod tests {
         wal.append_ingest_set(&id("app"), 2.1, &[point(4)], 4, 1)
             .unwrap();
         drop(wal);
-        let (_, recovered) = reopen(&dir);
-        let (version, set) = &recovered.series[&id("app")];
-        assert_eq!(*version, 4);
-        assert_eq!(set.len(), 3);
-        assert!(set.at_cores(8).is_none());
+        let snapshot = reopen(&dir).snapshot(&id("app")).unwrap();
+        assert_eq!(snapshot.version, 4);
+        assert_eq!(snapshot.set.len(), 3);
+        assert!(snapshot.set.at_cores(8).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -858,13 +789,17 @@ mod tests {
             let mut bad = clean.clone();
             bad[flip_at] ^= 0x10;
             std::fs::write(&wal_path, &bad).unwrap();
-            let (wal, recovered) = reopen(&dir);
-            assert_eq!(wal.stats().replays as usize, expected_frames);
+            let store = reopen(&dir);
+            assert_eq!(store.wal_stats().unwrap().replays as usize, expected_frames);
             if expected_frames == 0 {
-                assert!(recovered.series.is_empty());
+                assert!(store.is_empty());
             } else {
-                assert_eq!(recovered.series[&id("app")].1.len(), expected_frames - 1);
+                assert_eq!(
+                    store.snapshot(&id("app")).unwrap().set.len(),
+                    expected_frames - 1
+                );
             }
+            drop(store);
             // Reopen truncated the log to the committed prefix.
             assert_eq!(
                 std::fs::metadata(&wal_path).unwrap().len(),
@@ -878,7 +813,7 @@ mod tests {
     #[test]
     fn compaction_snapshots_and_truncates() {
         let dir = tmp_dir("compact");
-        let (mut wal, _) = Wal::open(&DurabilityOptions::new(&dir)).unwrap();
+        let mut wal = open_log(&dir);
         wal.append_ingest_set(&id("app"), 2.1, &[], 1, 1).unwrap();
         let mut set = MeasurementSet::new("app", 2.1);
         for cores in 1..=6 {
@@ -896,13 +831,49 @@ mod tests {
         // Appends after compaction land in the fresh log.
         wal.append_ingest_set(&sid, 2.1, &[point(9)], 8, 1).unwrap();
         drop(wal);
-        let (wal, recovered) = reopen(&dir);
-        assert_eq!(wal.stats().replays, 1);
-        assert_eq!(recovered.ingests, 8);
-        let (version, set) = &recovered.series[&sid];
-        assert_eq!(*version, 8);
-        assert_eq!(set.len(), 7);
+        let store = reopen(&dir);
+        assert_eq!(store.wal_stats().unwrap().replays, 1);
+        assert_eq!(store.ingests(), 8);
+        let snapshot = store.snapshot(&sid).unwrap();
+        assert_eq!(snapshot.version, 8);
+        assert_eq!(snapshot.set.len(), 7);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_the_store_refuses_fails_the_open_loudly() {
+        // A points-only `ingest` (as earlier builds logged it) into a series
+        // the log never created, a clock conflict, and a clock <= 0.
+        let ghost = r#"{"op":"ingest","series":"ghost","point":{"cores":1,"exec_time":1,"stalls":[]},"version":2}"#;
+        let cases = [
+            (None, "series `ghost` does not exist"),
+            (
+                Some(3.0),
+                "series `app` conflict: stored frequency_ghz 2.1 != ingested 3",
+            ),
+            (
+                Some(-1.0),
+                "invalid configuration: frequency_ghz -1 must be positive and finite",
+            ),
+        ];
+        for (at, (clock, refusal)) in cases.into_iter().enumerate() {
+            let dir = tmp_dir(&format!("refused-{at}"));
+            let mut wal = open_log(&dir);
+            wal.append_ingest_set(&id("app"), 2.1, &[], 1, 1).unwrap();
+            match clock {
+                Some(ghz) => wal.append_ingest_set(&id("app"), ghz, &[point(1)], 2, 1),
+                None => wal.append(&Json::parse(ghost).unwrap()),
+            }
+            .unwrap();
+            drop(wal);
+            match MeasurementStore::open(&DurabilityOptions::new(&dir)) {
+                Err(EstimaError::StorageFailure { detail }) => {
+                    assert_eq!(detail, format!("corrupt persistence state: {refusal}"))
+                }
+                other => panic!("expected StorageFailure, got {other:?}"),
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -911,7 +882,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(SNAPSHOT_FILE), b"{ not json").unwrap();
         assert!(matches!(
-            Wal::open(&DurabilityOptions::new(&dir)),
+            Wal::open(&DurabilityOptions::new(&dir), |_| Ok(())),
             Err(EstimaError::StorageFailure { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -10,6 +10,11 @@
 //! the damage point: never a torn suffix, never less than the committed
 //! prefix. A follow-up mutation after recovery must itself survive another
 //! reopen, proving the truncated log is still appendable.
+//!
+//! A second property replays snapshots: random mutations, multi-point
+//! merges among them, with a forced compaction after one of them (and, in
+//! half the cases, a log small enough that merges compact too) must reopen
+//! to exactly the live store's state.
 
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
@@ -17,7 +22,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use estima_core::prelude::*;
-use estima_core::wal::WAL_FILE;
+use estima_core::wal::{SNAPSHOT_FILE, WAL_FILE};
 use proptest::prelude::*;
 
 /// Fresh scratch directory per call; unique across tests and cases.
@@ -178,6 +183,73 @@ proptest! {
         drop(recovered);
         let reopened = MeasurementStore::open(&options(&dir)).expect("reopen repaired store");
         prop_assert_eq!(&capture(&reopened), &after_repair);
+
+        drop(reopened);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// Decode one op word into a multi-point merge at the clock `apply_op`
+/// creates series with: two to five points on core counts 1..=6, so they
+/// repeat within the merge (the later point wins) and replace stored ones,
+/// and an absent (or evicted) series is created with them.
+fn merge_op(store: &MeasurementStore, op: u64) {
+    let id = SeriesId::new(format!("app{}.prop", op % 3)).expect("valid id");
+    let points: Vec<Measurement> = (0..2 + (op >> 8) % 4)
+        .map(|i| {
+            let cores = 1 + ((op >> (12 + 4 * i)) % 6) as u32;
+            let seed = ((op >> 40) + i) as f64;
+            Measurement::new(cores, 2.0 + seed * 1.0e-3)
+                .with_stall(StallCategory::backend("rob_full"), 1.0e9 + seed * 1.0e5)
+        })
+        .collect();
+    store
+        .merge(&id, Some(2.0), points.into())
+        .expect("merge points");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn snapshots_and_their_log_tail_replay_to_the_live_state(
+        ops in collection::vec(0u64..u64::MAX, 4..40),
+        compact_at in 0usize..usize::MAX,
+        small_log in 0u32..2,
+    ) {
+        let dir = tmp_dir();
+        let options = if small_log == 1 {
+            DurabilityOptions::new(&dir).with_compact_bytes(512)
+        } else {
+            options(&dir)
+        };
+        let live = MeasurementStore::open(&options).expect("open fresh store");
+        for (at, &op) in ops.iter().enumerate() {
+            if (op >> 56) % 3 == 0 {
+                merge_op(&live, op);
+            } else {
+                apply_op(&live, op);
+            }
+            if at == compact_at % ops.len() {
+                live.compact().expect("compact");
+            }
+        }
+        let expected = capture(&live);
+        drop(live);
+        // Every case replays a snapshot, not only a log.
+        prop_assert!(dir.join(SNAPSHOT_FILE).exists());
+        let reopened = MeasurementStore::open(&options).expect("reopen compacted store");
+        prop_assert_eq!(&capture(&reopened), &expected);
+
+        // The replayed store takes one more merge that survives a reopen.
+        let points = vec![Measurement::new(2, 1.5), Measurement::new(1, 2.5)];
+        reopened
+            .merge(&SeriesId::new("post.replay").expect("valid id"), Some(3.0), points.into())
+            .expect("merge after replay");
+        let after_merge = capture(&reopened);
+        drop(reopened);
+        let reopened = MeasurementStore::open(&options).expect("reopen after merge");
+        prop_assert_eq!(&capture(&reopened), &after_merge);
 
         drop(reopened);
         let _ = fs::remove_dir_all(&dir);

@@ -206,37 +206,37 @@ impl Mailbox {
     }
 }
 
-/// One per-job sub-batch of a fanned-out `/v1/batch` request.
+/// One upstream request of a forward.
 #[derive(Debug)]
-struct BatchSub {
+struct Upstream {
     shard: usize,
-    /// Original job indices, in sub-body order: `results[j]` of the shard
-    /// response belongs at `indices[j]` of the merged response.
-    indices: Vec<usize>,
+    method: String,
+    path: String,
     body: String,
 }
 
-/// What a forwarder must do for one parked connection.
+/// How a forward turns its upstream replies into the downstream response.
 #[derive(Debug)]
-enum JobKind {
-    /// Forward verbatim to one shard, answer with its status/body verbatim.
-    Single {
-        shard: usize,
-        method: String,
-        path: String,
-        body: String,
+enum Merge {
+    /// One request, answered with its status/body verbatim.
+    Verbatim,
+    /// `/v1/batch` sub-batches: `results[j]` of request `i`'s reply belongs
+    /// at `indices[i][j]` of the `total` merged results.
+    Batch {
+        indices: Vec<Vec<usize>>,
+        total: usize,
     },
-    /// Fan `/v1/batch` out per shard and merge results in index order.
-    Batch { subs: Vec<BatchSub>, total: usize },
-    /// Fan `GET /v1/series` to every shard and merge-sort by series id.
-    ListSeries,
+    /// `GET /v1/series` on every shard, merge-sorted by series id.
+    List,
 }
 
-/// A queued forward: the work plus the connection to resume.
+/// A queued forward: its upstream requests, how to merge their replies,
+/// and the connection to resume.
 #[derive(Debug)]
 struct ForwardJob {
     token: ConnToken,
-    kind: JobKind,
+    upstreams: Vec<Upstream>,
+    merge: Merge,
 }
 
 /// Per-shard connection pool plus health counters.
@@ -283,43 +283,36 @@ impl ShardPool {
     /// one fresh-connect retry; a fresh connection that fails is the
     /// shard's problem, reported immediately.
     fn request(&self, method: &str, path: &str, body: &str) -> io::Result<ForwardResponse> {
-        if let Some(mut client) = self.checkout() {
-            if let Ok(response) = client.request(method, path, body) {
+        let exchange = |mut client: Client| {
+            client
+                .request(method, path, body)
+                .map(|reply| (client, reply))
+        };
+        let pooled = self.checkout().and_then(|client| exchange(client).ok());
+        let result = match pooled {
+            Some(done) => Ok(done),
+            None => {
+                Client::with_timeouts(self.addr, CONNECT_TIMEOUT, READ_TIMEOUT).and_then(exchange)
+            }
+        };
+        match result {
+            Ok((client, reply)) => {
                 let upstream = ForwardResponse {
-                    status: response.status,
-                    body: response.body,
+                    status: reply.status,
+                    body: reply.body,
                     retry_after: client.last_retry_after(),
                 };
                 self.park(client);
-                self.note_success();
-                return Ok(upstream);
+                self.forwarded.fetch_add(1, Ordering::Relaxed);
+                self.consecutive_failures.store(0, Ordering::Relaxed);
+                Ok(upstream)
             }
-            // Fall through: reconnect once on a fresh socket.
-        }
-        let result = (|| {
-            let mut client = Client::with_timeouts(self.addr, CONNECT_TIMEOUT, READ_TIMEOUT)?;
-            let response = client.request(method, path, body)?;
-            let upstream = ForwardResponse {
-                status: response.status,
-                body: response.body,
-                retry_after: client.last_retry_after(),
-            };
-            self.park(client);
-            Ok(upstream)
-        })();
-        match &result {
-            Ok(_) => self.note_success(),
-            Err(_) => {
+            Err(e) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 self.consecutive_failures.fetch_add(1, Ordering::Relaxed);
+                Err(e)
             }
         }
-        result
-    }
-
-    fn note_success(&self) {
-        self.forwarded.fetch_add(1, Ordering::Relaxed);
-        self.consecutive_failures.store(0, Ordering::Relaxed);
     }
 }
 
@@ -371,7 +364,7 @@ impl Router {
                     guard.recv()
                 };
                 let Ok(job) = job else { return };
-                let response = execute(&pools, &stats, job.kind);
+                let response = execute(&pools, &stats, job.upstreams, &job.merge);
                 if let Some(mailbox) = mailboxes.get(job.token.reactor) {
                     mailbox.deliver(Completion {
                         token: job.token,
@@ -459,11 +452,11 @@ impl Router {
         token: ConnToken,
         out: &mut ResponseBuf,
     ) -> Option<RouteOutcome> {
-        let kind = match route {
+        let forward = match route {
             Route::Healthz | Route::Stats | Route::MethodNotAllowed(_) | Route::NotFound(_) => {
                 return None
             }
-            Route::SeriesList => Some(JobKind::ListSeries),
+            Route::SeriesList => Some(self.list()),
             Route::SeriesGet(id) | Route::SeriesDelete(id) => {
                 parse_series_id(id, out).map(|_| self.single(id, request, String::new()))
             }
@@ -483,26 +476,31 @@ impl Router {
             }),
             Route::Batch => body_text(request, out).map(|text| self.plan_batch(text, request)),
         };
-        let Some(kind) = kind else {
+        let Some((upstreams, merge)) = forward else {
             return Some(RouteOutcome::Respond); // answered locally (400-class)
         };
-        match kind {
-            JobKind::Single { .. } => {
-                self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
-            }
-            JobKind::Batch { .. } | JobKind::ListSeries => {
-                self.stats.fanouts.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let counter = match merge {
+            Merge::Verbatim => &self.stats.forwarded,
+            Merge::Batch { .. } | Merge::List => &self.stats.fanouts,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let job = ForwardJob {
+            token,
+            upstreams,
+            merge,
+        };
         let submitted = self
             .sender
             .lock()
             .ok()
-            .and_then(|sender| sender.as_ref().map(|s| s.send(ForwardJob { token, kind })))
+            .and_then(|sender| sender.as_ref().map(|s| s.send(job)))
             .is_some_and(|sent| sent.is_ok());
         if !submitted {
             // Shutting down: the forwarder pool is gone.
-            unavailable_into("router", out);
+            let response = unavailable("router");
+            out.status = response.status;
+            out.retry_after = response.retry_after;
+            out.body.push_str(&response.body);
             return Some(RouteOutcome::Respond);
         }
         Some(RouteOutcome::Park)
@@ -510,19 +508,33 @@ impl Router {
 
     /// A single-shard forward of `request` with `body`, keyed by `key`.
     /// GET and DELETE forward an empty body (nodes ignore theirs).
-    fn single(&self, key: &str, request: &Request, body: String) -> JobKind {
-        JobKind::Single {
+    fn single(&self, key: &str, request: &Request, body: String) -> (Vec<Upstream>, Merge) {
+        let upstream = Upstream {
             shard: self.ring.shard_for(key),
             method: request.method.clone(),
             path: request.path.clone(),
             body,
-        }
+        };
+        (vec![upstream], Merge::Verbatim)
+    }
+
+    /// `GET /v1/series` on every shard, in shard order.
+    fn list(&self) -> (Vec<Upstream>, Merge) {
+        let upstreams = (0..self.ring.len())
+            .map(|shard| Upstream {
+                shard,
+                method: "GET".to_string(),
+                path: "/v1/series".to_string(),
+                body: String::new(),
+            })
+            .collect();
+        (upstreams, Merge::List)
     }
 
     /// Partition a `/v1/batch` body into per-shard sub-batches. A body the
     /// single node would reject goes to shard 0 verbatim so the 400 bytes
     /// come from the same decoder.
-    fn plan_batch(&self, text: &str, request: &Request) -> JobKind {
+    fn plan_batch(&self, text: &str, request: &Request) -> (Vec<Upstream>, Merge) {
         let Ok(body) = Json::parse(text) else {
             return self.single("", request, text.to_string());
         };
@@ -538,7 +550,7 @@ impl Router {
             let key = key_at(job, &["measurements", "app_name"]);
             per_shard[self.ring.shard_for(key)].push((index, job));
         }
-        let subs = per_shard
+        let (upstreams, indices) = per_shard
             .into_iter()
             .enumerate()
             .filter(|(_, jobs)| !jobs.is_empty())
@@ -549,14 +561,16 @@ impl Router {
                     Json::Array(jobs.into_iter().map(|(_, job)| job.clone()).collect()),
                 )])
                 .render();
-                BatchSub {
+                let upstream = Upstream {
                     shard,
-                    indices,
+                    method: "POST".to_string(),
+                    path: "/v1/batch".to_string(),
                     body,
-                }
+                };
+                (upstream, indices)
             })
-            .collect();
-        JobKind::Batch { subs, total }
+            .unzip();
+        (upstreams, Merge::Batch { indices, total })
     }
 }
 
@@ -576,25 +590,13 @@ fn body_key(text: &str, path: &[&str]) -> String {
         .unwrap_or_default()
 }
 
-/// Fill `out` with the structured `503 shard_unavailable` degradation
-/// response (body hint in milliseconds, `Retry-After` header in seconds).
-fn unavailable_into(what: &str, out: &mut ResponseBuf) {
-    out.status = 503;
-    out.retry_after = Some(RETRY_AFTER_MS.div_ceil(1000).max(1));
-    wire::write_retry_error(
-        "shard_unavailable",
-        &format!("{what} is unavailable; retry shortly"),
-        RETRY_AFTER_MS,
-        &mut out.body,
-    );
-}
-
-/// The `503 shard_unavailable` forward response for a dead shard.
-fn unavailable(addr: &str) -> ForwardResponse {
+/// The structured `503 shard_unavailable` degradation response for `what`
+/// (body hint in milliseconds, `Retry-After` header in seconds).
+fn unavailable(what: &str) -> ForwardResponse {
     let mut body = String::new();
     wire::write_retry_error(
         "shard_unavailable",
-        &format!("shard {addr} is unavailable; retry shortly"),
+        &format!("{what} is unavailable; retry shortly"),
         RETRY_AFTER_MS,
         &mut body,
     );
@@ -622,134 +624,76 @@ fn bad_upstream(addr: &str) -> ForwardResponse {
     }
 }
 
-/// Run one job on a forwarder thread: blocking upstream exchanges against
-/// the pooled shard clients, producing the downstream response.
-fn execute(pools: &[ShardPool], stats: &RouterStats, kind: JobKind) -> ForwardResponse {
-    match kind {
-        JobKind::Single {
-            shard,
-            method,
-            path,
-            body,
-        } => match pools[shard].request(&method, &path, &body) {
-            Ok(upstream) => upstream,
-            Err(_) => {
-                stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
-                unavailable(&pools[shard].addr_text)
-            }
-        },
-        JobKind::Batch { subs, total } => execute_batch(pools, stats, subs, total),
-        JobKind::ListSeries => execute_list(pools, stats),
+/// The array under `field` of a JSON object body, taken by value.
+fn array_field(body: &str, field: &str) -> Option<Vec<Json>> {
+    let Ok(Json::Object(fields)) = Json::parse(body) else {
+        return None;
+    };
+    match fields.into_iter().find(|(key, _)| key == field) {
+        Some((_, Json::Array(items))) => Some(items),
+        _ => None,
     }
 }
 
-/// Fan a batch out shard by shard (deterministic shard order) and merge the
-/// per-job results back into original index order — the router-side mirror
-/// of the engine's index-ordered reduction contract. Any unreachable shard
-/// fails the whole batch with a 503 (a partial batch would not be
-/// byte-identical to anything a single node can say).
-fn execute_batch(
+/// Run one forward on a forwarder thread: send its upstream requests in
+/// order against the pooled shard clients, then merge the replies. An
+/// unreachable shard fails the whole forward with a 503, and the first
+/// non-200 reply in shard order is the answer: a partial fan-out would not
+/// be byte-identical to anything a single node can say. Batch results are
+/// put back in original index order, the router-side mirror of the
+/// engine's index-ordered reduction contract; listed series are
+/// merge-sorted by id, and because shard stores are disjoint (each id owns
+/// exactly one shard) that reproduces the single node's `BTreeMap` order,
+/// and therefore its exact bytes.
+fn execute(
     pools: &[ShardPool],
     stats: &RouterStats,
-    subs: Vec<BatchSub>,
-    total: usize,
+    upstreams: Vec<Upstream>,
+    merge: &Merge,
 ) -> ForwardResponse {
-    let mut merged: Vec<Option<Json>> = (0..total).map(|_| None).collect();
-    for sub in subs {
-        let upstream = match pools[sub.shard].request("POST", "/v1/batch", &sub.body) {
-            Ok(upstream) => upstream,
-            Err(_) => {
-                stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
-                return unavailable(&pools[sub.shard].addr_text);
+    let mut merged = match merge {
+        Merge::Batch { total, .. } => vec![Json::Null; *total],
+        Merge::Verbatim | Merge::List => Vec::new(),
+    };
+    for (sent, upstream) in upstreams.into_iter().enumerate() {
+        let pool = &pools[upstream.shard];
+        let Ok(reply) = pool.request(&upstream.method, &upstream.path, &upstream.body) else {
+            stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
+            return unavailable(&format!("shard {}", pool.addr_text));
+        };
+        let field = match merge {
+            Merge::Verbatim => return reply,
+            _ if reply.status != 200 => return reply,
+            Merge::Batch { .. } => "results",
+            Merge::List => "series",
+        };
+        match (array_field(&reply.body, field), merge) {
+            (Some(results), Merge::Batch { indices, .. })
+                if results.len() == indices[sent].len() =>
+            {
+                for (index, result) in indices[sent].iter().zip(results) {
+                    merged[*index] = result;
+                }
             }
-        };
-        if upstream.status != 200 {
-            // A shard rejected its sub-batch (it re-validates what the
-            // router already validated, so this is unexpected): propagate
-            // the first failure in shard order, deterministically.
-            return upstream;
-        }
-        let results = Json::parse(&upstream.body)
-            .ok()
-            .and_then(|body| match body {
-                Json::Object(mut fields) => fields
-                    .iter_mut()
-                    .find(|(key, _)| key == "results")
-                    .map(|(_, value)| std::mem::replace(value, Json::Null)),
-                _ => None,
-            });
-        let Some(Json::Array(results)) = results else {
-            return bad_upstream(&pools[sub.shard].addr_text);
-        };
-        if results.len() != sub.indices.len() {
-            return bad_upstream(&pools[sub.shard].addr_text);
-        }
-        for (index, result) in sub.indices.iter().zip(results) {
-            merged[*index] = Some(result);
+            (Some(series), Merge::List) => merged.extend(series),
+            _ => return bad_upstream(&pool.addr_text),
         }
     }
-    let results: Vec<Json> = merged
-        .into_iter()
-        .map(|r| r.unwrap_or(Json::Null))
-        .collect();
+    let fields = match merge {
+        Merge::Batch { .. } => vec![("results".to_string(), Json::Array(merged))],
+        // A verbatim forward has answered with its one reply above.
+        Merge::List | Merge::Verbatim => {
+            merged.sort_by(|a, b| key_at(a, &["series"]).cmp(key_at(b, &["series"])));
+            let count = Json::Number(merged.len() as f64);
+            vec![
+                ("series".to_string(), Json::Array(merged)),
+                ("count".to_string(), count),
+            ]
+        }
+    };
     ForwardResponse {
         status: 200,
-        body: Json::Object(vec![("results".to_string(), Json::Array(results))]).render(),
-        retry_after: None,
-    }
-}
-
-/// Fan `GET /v1/series` to every shard and merge-sort the entries by id.
-/// Shard stores are disjoint (each id owns exactly one shard), so the
-/// sorted merge reproduces the single node's `BTreeMap` iteration order —
-/// and therefore its exact bytes.
-fn execute_list(pools: &[ShardPool], stats: &RouterStats) -> ForwardResponse {
-    let mut entries: Vec<(String, Json)> = Vec::new();
-    for pool in pools {
-        let upstream = match pool.request("GET", "/v1/series", "") {
-            Ok(upstream) => upstream,
-            Err(_) => {
-                stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
-                return unavailable(&pool.addr_text);
-            }
-        };
-        if upstream.status != 200 {
-            return upstream;
-        }
-        let series = Json::parse(&upstream.body)
-            .ok()
-            .and_then(|body| match body {
-                Json::Object(mut fields) => fields
-                    .iter_mut()
-                    .find(|(key, _)| key == "series")
-                    .map(|(_, value)| std::mem::replace(value, Json::Null)),
-                _ => None,
-            });
-        let Some(Json::Array(series)) = series else {
-            return bad_upstream(&pool.addr_text);
-        };
-        for entry in series {
-            let id = entry
-                .get("series")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string();
-            entries.push((id, entry));
-        }
-    }
-    entries.sort_by(|(a, _), (b, _)| a.cmp(b));
-    let count = entries.len();
-    let body = Json::Object(vec![
-        (
-            "series".to_string(),
-            Json::Array(entries.into_iter().map(|(_, entry)| entry).collect()),
-        ),
-        ("count".to_string(), Json::Number(count as f64)),
-    ])
-    .render();
-    ForwardResponse {
-        status: 200,
-        body,
+        body: Json::Object(fields).render(),
         retry_after: None,
     }
 }

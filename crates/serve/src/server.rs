@@ -223,11 +223,12 @@ impl Server {
                 let options = DurabilityOptions::new(dir)
                     .with_sync(config.wal_sync)
                     .with_compact_bytes(config.wal_compact_bytes);
-                MeasurementStore::open_with_limits(&options, limits)
+                MeasurementStore::open(&options)
                     .map_err(|e| std::io::Error::other(format!("cannot open data_dir: {e}")))?
             }
-            None => MeasurementStore::with_limits(limits),
-        };
+            None => MeasurementStore::new(),
+        }
+        .with_limits(limits);
         let session = EstimaSession::with_store(estima_config, cache, store);
         // The wire key stays `workers` (monitoring compatibility); it now
         // reports the reactor-thread count.

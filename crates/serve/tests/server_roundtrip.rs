@@ -692,9 +692,8 @@ fn an_append_without_a_clock_cannot_recreate_an_expired_series() {
     let session = EstimaSession::with_store(
         EstimaConfig::default().with_parallelism(1),
         std::sync::Arc::new(FitCache::new()),
-        MeasurementStore::with_limits(
-            StoreLimits::new().with_ttl(std::time::Duration::from_secs(1)),
-        ),
+        MeasurementStore::new()
+            .with_limits(StoreLimits::new().with_ttl(std::time::Duration::from_secs(1))),
     );
     let id = SeriesId::new("ttl-demo").unwrap();
     let set = quickstart_sized_set("ttl-demo");
@@ -744,6 +743,65 @@ fn an_append_without_a_clock_cannot_recreate_an_expired_series() {
     let detail = Json::parse(&detail).unwrap();
     let stored = wire::measurement_set_from_json(detail.get("measurements").unwrap()).unwrap();
     assert_eq!(stored.core_counts(), [4, 5]);
+
+    handle.shutdown();
+}
+
+#[test]
+fn reads_do_not_serve_a_series_the_ttl_has_expired() {
+    let handle = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        reactor_threads: 1,
+        ttl_secs: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server")
+    .spawn()
+    .expect("spawn server reactors");
+    let mut client = Client::connect(handle.addr());
+    let session = EstimaSession::with_store(
+        EstimaConfig::default().with_parallelism(1),
+        std::sync::Arc::new(FitCache::new()),
+        MeasurementStore::new()
+            .with_limits(StoreLimits::new().with_ttl(std::time::Duration::from_secs(1))),
+    );
+    let id = SeriesId::new("ttl-read").unwrap();
+    let set = quickstart_sized_set("ttl-read");
+    let body = wire::ingest_request_to_json(&id, Some(2.1), &set.measurements()[..3]).render();
+    let (status, response) = client.request("POST", "/v1/measurements", &body);
+    assert_eq!(
+        (status, response.as_str()),
+        (200, r#"{"series":"ttl-read","version":2,"points":3}"#)
+    );
+    session.ingest_set(&id, &set).unwrap();
+
+    std::thread::sleep(std::time::Duration::from_millis(1200));
+
+    // No write runs in between: each read sweeps the expired series itself.
+    let code = |body: &str| {
+        Json::parse(body)
+            .unwrap()
+            .get("error")
+            .and_then(|error| error.get("code"))
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    };
+    let (status, body) = client.request("GET", "/v1/series/ttl-read", "");
+    assert_eq!(status, 404, "{body}");
+    assert_eq!(code(&body).as_deref(), Some("series_not_found"));
+    let (status, body) = client.request("POST", "/v1/series/ttl-read/predict", r#"{"cores":48}"#);
+    assert_eq!(status, 404, "{body}");
+    assert_eq!(code(&body).as_deref(), Some("series_not_found"));
+    let (status, body) = client.request("GET", "/v1/series", "");
+    assert_eq!((status, body.as_str()), (200, r#"{"series":[],"count":0}"#));
+    let (status, body) = client.request("DELETE", "/v1/series/ttl-read", "");
+    assert_eq!(status, 404, "{body}");
+    assert_eq!(code(&body).as_deref(), Some("series_not_found"));
+    assert!(matches!(
+        session.predict(&id, &TargetSpec::cores(48)),
+        Err(EstimaError::SeriesNotFound { .. })
+    ));
+    assert!(session.snapshot(&id).is_none());
 
     handle.shutdown();
 }
