@@ -364,7 +364,7 @@ mod pre_pr {
                         check_x.iter().map(|x| kernel.eval(&params, *x)).collect();
                     let curve = FittedCurve {
                         kernel,
-                        params,
+                        params: params.into(),
                         checkpoint_rmse: rmse(&check_pred, check_y),
                         training_rmse: rmse(&train_pred, py),
                         training_points: prefix,
@@ -742,7 +742,7 @@ fn bench_realism_walk(c: &mut Criterion) {
     for (kernel, params) in curves {
         let curve = FittedCurve {
             kernel,
-            params,
+            params: params.into(),
             checkpoint_rmse: 0.0,
             training_rmse: 0.0,
             training_points: 12,

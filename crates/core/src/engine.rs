@@ -292,10 +292,10 @@ struct ShardEntry {
 }
 
 /// One training prefix's memoised cells plus its recency stamp (same clock
-/// as [`ShardEntry`]).
+/// as [`ShardEntry`]). A lookup hands out a clone of the `Arc`.
 #[derive(Debug)]
 struct SolveEntry {
-    solves: PrefixSolves,
+    solves: Arc<PrefixSolves>,
     last_used: u64,
 }
 
@@ -531,8 +531,9 @@ impl FitCache {
     /// The memoised cells of one training prefix, refreshing the entry's
     /// recency. `key` is `[options id, x₀, y₀, …, xₚ₋₁, yₚ₋₁]`: the id from
     /// [`FitCache::solve_options_id`], then the prefix's points as `f64` bit
-    /// patterns. The clone shares the entry's eval tables.
-    pub(crate) fn lookup_solves(&self, key: &[u64]) -> Option<PrefixSolves> {
+    /// patterns. The entry itself is shared: the lock is held for a
+    /// reference-count increment, not a copy.
+    pub(crate) fn lookup_solves(&self, key: &[u64]) -> Option<Arc<PrefixSolves>> {
         let mut guard = self
             .solve_shard(key)
             .lock()
@@ -541,13 +542,15 @@ impl FitCache {
         let clock = guard.clock;
         let entry = guard.solves.get_mut(key)?;
         entry.last_used = clock;
-        Some(entry.solves.clone())
+        Some(Arc::clone(&entry.solves))
     }
 
     /// Merge `solves` into the memo entry for `key` (see
     /// [`FitCache::lookup_solves`]), inserting it if absent and then
     /// evicting the shard's least-recently-used entries beyond its capacity.
-    pub(crate) fn store_solves(&self, key: &[u64], solves: &PrefixSolves) {
+    /// The merge updates the entry in place, or a copy of it while a fit
+    /// still holds the entry a lookup handed out.
+    pub(crate) fn store_solves(&self, key: &[u64], solves: PrefixSolves) {
         let mut guard = self
             .solve_shard(key)
             .lock()
@@ -556,14 +559,14 @@ impl FitCache {
         let clock = guard.clock;
         match guard.solves.get_mut(key) {
             Some(entry) => {
-                entry.solves.merge(solves);
+                Arc::make_mut(&mut entry.solves).merge(&solves);
                 entry.last_used = clock;
             }
             None => {
                 guard.solves.insert(
                     key.into(),
                     SolveEntry {
-                        solves: solves.clone(),
+                        solves: Arc::new(solves),
                         last_used: clock,
                     },
                 );
@@ -984,10 +987,10 @@ mod tests {
         let cache = FitCache::with_shards_and_capacity(1, 2);
         let id = cache.solve_options_id(&LmOptions::default()).unwrap();
         let key = |tag: f64| [id, 1.0f64.to_bits(), tag.to_bits()];
-        cache.store_solves(&key(1.0), &PrefixSolves::EMPTY);
-        cache.store_solves(&key(2.0), &PrefixSolves::EMPTY);
+        cache.store_solves(&key(1.0), PrefixSolves::EMPTY);
+        cache.store_solves(&key(2.0), PrefixSolves::EMPTY);
         assert!(cache.lookup_solves(&key(1.0)).is_some()); // refreshes 1
-        cache.store_solves(&key(3.0), &PrefixSolves::EMPTY); // evicts 2
+        cache.store_solves(&key(3.0), PrefixSolves::EMPTY); // evicts 2
         assert_eq!(cache.solve_entries(), 2);
         assert!(cache.lookup_solves(&key(2.0)).is_none());
         assert!(cache.lookup_solves(&key(1.0)).is_some());

@@ -26,9 +26,13 @@
 //!   none when the solve memo below holds every cell),
 //! * solves each distinct prefix **once** and scores the resulting curve
 //!   against every checkpoint span covering that prefix — and only the
-//!   checkpoint RMSE depends on the span: the training RMSE, the realism walk
-//!   and the integer-grid eval table are computed once per prefix, and every
-//!   span's candidate shares the one table,
+//!   checkpoint RMSE depends on the span: the realism walk runs first, once
+//!   per prefix, and its integer-grid eval table serves the rest. The
+//!   training RMSE and every span's checkpoint RMSE read the curve's value
+//!   at an integer core count inside the horizon from the table (bit for bit
+//!   [`KernelKind::eval`] there), and every span's candidate shares the one
+//!   table and carries its parameters inline ([`Params`]), so a candidate
+//!   allocates nothing of its own,
 //! * for linear kernels (`CubicLn`, `Poly25`) maintains the normal equations
 //!   **incrementally** — growing the prefix by one point is a rank-1 update
 //!   of `AᵀA` / `Aᵀy` followed by an in-place Cholesky solve,
@@ -69,16 +73,21 @@
 //! and a cap keeps the curve iff `!(max > cap)`.
 //!
 //! A fit with a cache therefore looks every prefix up in the [`FitCache`]'s
-//! memo before fanning out. Each prefix's entry holds, per kernel, the
-//! solve (a failed one included) and, once a grid walked the solved curve,
-//! the walk's verdict, maximum, training RMSE and eval table at that grid's
-//! horizon (a walk at another horizon replaces them; the solve stays). A
-//! cell known at this horizon skips the solve and the walk and pays only
-//! its checkpoint RMSEs and the cap test, and its candidates share the
-//! memoised table; the rest are computed and stored afterwards. Refitting
-//! a series whose newest point changed computes no cell; an appended point
-//! computes one new prefix per kernel. A fit without a cache computes every
-//! cell and stays the reference the memoised path is tested against.
+//! memo before fanning out; a lookup hands out the entry's one shared `Arc`.
+//! Each prefix's entry holds, per kernel, the solve (a failed one included)
+//! and, once a grid walked the solved curve, the walk's verdict, maximum,
+//! training RMSE and eval table at that grid's horizon, the table with its
+//! tail fold from that grid's first extrapolated core count (a walk at
+//! another horizon replaces them; the solve stays). Every solved cell is
+//! walked, whatever its checkpoint RMSEs. A cell known at this horizon
+//! skips the solve and the walk and pays only the cap test and, when the
+//! cap keeps it, its checkpoint RMSEs, read from its memoised table. Its
+//! candidates share that table and its tail fold; a series whose largest
+//! core count differs from the walking grid's folds its own tail. The rest
+//! are computed and stored afterwards. Refitting a series whose newest
+//! point changed computes no cell; an appended point computes one new
+//! prefix per kernel. A fit without a cache computes every cell and stays
+//! the reference the memoised path is tested against.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -86,7 +95,7 @@ use std::sync::Arc;
 use crate::config::MAX_TARGET_CORES;
 use crate::engine::{CacheScope, Engine, FitCache, FitKey};
 use crate::error::{EstimaError, Result};
-use crate::kernels::{within_cap, FittedCurve, HorizonTable, KernelKind};
+use crate::kernels::{within_cap, FittedCurve, HorizonTable, KernelKind, Params};
 use crate::levenberg::{levenberg_marquardt_into, LmOptions, LmWorkspace, MAX_PARAMS};
 use crate::linalg::{
     accumulate_normal_equations, cholesky_solve_in_place, solve_least_squares_qr_columns,
@@ -201,20 +210,20 @@ fn grow(buf: &mut Vec<f64>, len: usize) {
 ///
 /// Returns an error for an empty or mismatched series, or when the cell
 /// finds no solution.
-pub fn fit_kernel(kernel: KernelKind, xs: &[f64], ys: &[f64], lm: &LmOptions) -> Result<Vec<f64>> {
+pub fn fit_kernel(kernel: KernelKind, xs: &[f64], ys: &[f64], lm: &LmOptions) -> Result<Params> {
     if xs.len() != ys.len() || xs.is_empty() {
         return Err(EstimaError::Numerical("fit_kernel: bad series".into()));
     }
-    let mut params = vec![0.0; kernel.param_count()];
-    let solved = with_fit_workspace(|ws| {
-        CellSolver::new(kernel, xs, ys, lm).solve(xs.len(), ws, &mut params)
-    });
+    let mut buf = [0.0f64; MAX_PARAMS];
+    let params = &mut buf[..kernel.param_count()];
+    let solved =
+        with_fit_workspace(|ws| CellSolver::new(kernel, xs, ys, lm).solve(xs.len(), ws, params));
     if !solved {
         return Err(EstimaError::Numerical(format!(
             "fit_kernel: no {kernel} solution"
         )));
     }
-    Ok(params)
+    Ok(Params::from(&*params))
 }
 
 /// Flat-function fallback guess when the linearised system cannot be solved:
@@ -319,6 +328,16 @@ impl CandidateEvals {
             tail_start,
             tail_max,
             tail_min,
+        }
+    }
+
+    /// This table with its tail folded from `tail_start`: a clone when it
+    /// already is, else a fold over the same shared values.
+    fn with_tail_start(&self, tail_start: u32) -> Self {
+        if self.tail_start == tail_start {
+            self.clone()
+        } else {
+            CandidateEvals::new(Arc::clone(&self.values), tail_start)
         }
     }
 
@@ -532,9 +551,10 @@ struct Walked {
     /// The largest value the walk captured: a magnitude cap keeps the curve
     /// iff `!(max > cap)`.
     max: f64,
-    /// The captured values, shared by the eval tables of the cell's
-    /// candidates.
-    values: Arc<[f64]>,
+    /// The captured values, with their tail folded from the first
+    /// extrapolated core count of the grid that walked the cell. The cell's
+    /// candidates clone it, or fold their own tail over its values.
+    evals: CandidateEvals,
 }
 
 impl PrefixSolves {
@@ -605,9 +625,10 @@ struct SeriesSolves<'c> {
     /// `[options id, x₀, y₀, x₁, y₁, …]` as bit patterns: prefix `p`'s memo
     /// key is `key[..1 + 2p]`, so one buffer holds every prefix's key.
     key: Vec<u64>,
-    /// Smallest grid prefix; `known[i]` belongs to prefix `lo + i`.
+    /// Smallest grid prefix; `known[i]` belongs to prefix `lo + i` (`None`
+    /// when the memo holds nothing for it).
     lo: usize,
-    known: Vec<PrefixSolves>,
+    known: Vec<Option<Arc<PrefixSolves>>>,
     /// (kernel, prefix) cells the grid visits.
     cells: usize,
 }
@@ -629,12 +650,11 @@ impl<'c> SeriesSolves<'c> {
         for (x, y) in xs[..hi].iter().zip(&ys[..hi]) {
             key.extend([x.to_bits(), y.to_bits()]);
         }
-        let known: Vec<PrefixSolves> = (lo..=hi)
+        let known = (lo..=hi)
             .map(|prefix| {
-                let found = covered(spans, prefix)
+                covered(spans, prefix)
                     .then(|| cache.lookup_solves(&key[..1 + 2 * prefix]))
-                    .flatten();
-                found.unwrap_or(PrefixSolves::EMPTY)
+                    .flatten()
             })
             .collect();
         let prefixes = (lo..=hi).filter(|prefix| covered(spans, *prefix)).count();
@@ -651,13 +671,22 @@ impl<'c> SeriesSolves<'c> {
     /// lo, cell)` per kernel) and count the grid's cells: the computed
     /// ones, and the rest as served.
     fn store(self, fresh: Vec<Vec<(usize, PrefixSolves)>>) {
+        let SeriesSolves {
+            cache,
+            key,
+            lo,
+            known,
+            cells,
+        } = self;
+        // Release the entries this fit read first, so a merge into one of
+        // them updates it in place instead of copying it.
+        drop(known);
         let mut computed = 0;
-        for (index, cell) in fresh.iter().flatten() {
-            let prefix = self.lo + index;
-            self.cache.store_solves(&self.key[..1 + 2 * prefix], cell);
+        for (index, cell) in fresh.into_iter().flatten() {
+            cache.store_solves(&key[..1 + 2 * (lo + index)], cell);
             computed += 1;
         }
-        self.cache.record_solves(self.cells - computed, computed);
+        cache.record_solves(cells - computed, computed);
     }
 }
 
@@ -800,7 +829,7 @@ fn candidate_grid(
     // Reassemble in the historical enumeration order: checkpoint count →
     // prefix length → kernel. Tie-breaking in `select_best` keeps the first
     // candidate of equal RMSE, so the order is part of the contract.
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(kernel_grids.iter().flatten().flatten().count());
     let mut base = 0;
     for span in &spans {
         for pi in 0..span.width() {
@@ -836,11 +865,11 @@ struct Grid<'a> {
 ///
 /// A cell whose solve is known skips the solve (and yields nothing if it
 /// found no solution); one whose scored part is known at this horizon also
-/// skips the walk, and pays only its checkpoint RMSEs.
+/// skips the walk, and pays only the cap test and its checkpoint RMSEs.
 fn fit_kernel_grid(
     grid: &Grid<'_>,
     kernel: KernelKind,
-    known: Option<&[PrefixSolves]>,
+    known: Option<&[Option<Arc<PrefixSolves>>]>,
     ws: &mut FitWorkspace,
 ) -> (Vec<Option<FitCandidate>>, Vec<(usize, PrefixSolves)>) {
     let horizon = grid.options.realism_horizon;
@@ -858,7 +887,7 @@ fn fit_kernel_grid(
         if !covered(grid.spans, prefix) {
             continue;
         }
-        let memo = known.map(|known| &known[prefix - lo]);
+        let memo = known.and_then(|known| known[prefix - lo].as_deref());
         let params = &mut params_buf[..kernel.param_count()];
         // What this call learns about the cell, for the memo.
         let mut computed = None;
@@ -895,13 +924,14 @@ fn fit_kernel_grid(
 /// Score one solved cell against every checkpoint span covering it, writing
 /// the candidates into the flattened (span → prefix) output slots.
 ///
-/// Only the checkpoint RMSE depends on the span. The walk, the training RMSE
-/// and the eval table depend on (kernel, params, prefix, horizon) alone:
-/// `memo` is what an earlier grid found for them at this horizon, if
-/// anything. Otherwise the walk runs once, for the first span whose
-/// checkpoint RMSE is finite, and its result is returned for the memo. The
-/// magnitude cap applies to the walk's maximum afterwards, so one walk
-/// serves every cap. Every span's candidate shares the one eval table.
+/// The walk, the training RMSE and the eval table depend on (kernel,
+/// params, prefix, horizon) alone, so they come first: `memo` is what an
+/// earlier grid found for them at this horizon, if anything; otherwise the
+/// walk runs and its result is returned for the memo. A curve the walk
+/// rejects, or whose maximum the magnitude cap cuts, yields no candidate
+/// and computes no checkpoint RMSE; so one walk serves every cap. Only the
+/// checkpoint RMSE depends on the span, and it reads the eval table every
+/// span's candidate shares.
 fn score_cell_into(
     grid: &Grid<'_>,
     kernel: KernelKind,
@@ -911,45 +941,32 @@ fn score_cell_into(
     ws: &mut FitWorkspace,
     out: &mut [Option<FitCandidate>],
 ) -> Option<CellScore> {
-    let within = |walked: &Walked| within_cap(walked.max, grid.magnitude_cap);
-    if memo.is_some_and(|walked| !walked.is_some_and(within)) {
-        return None;
-    }
-    let (xs, ys) = (grid.xs, grid.ys);
-    let mut fresh = None;
-    // `Some(None)` once the cell is known to yield no candidate.
-    let mut shared: Option<Option<(f64, CandidateEvals)>> = None;
-    let mut base = 0;
-    for span in grid.spans {
-        if span.covers(prefix) {
-            let n_train = span.n_train;
-            let checkpoint_rmse = model_rmse(kernel, params, &xs[n_train..], &ys[n_train..]);
-            if checkpoint_rmse.is_finite() {
-                let scored = match &mut shared {
-                    Some(scored) => scored,
-                    None => {
-                        let walked = match memo {
-                            Some(walked) => walked.cloned(),
-                            None => {
-                                let score = walk_cell(grid, kernel, params, prefix, ws);
-                                let walked = score.accepted.clone();
-                                fresh = Some(score);
-                                walked
-                            }
-                        };
-                        shared.insert(walked.filter(within).map(|walked| {
-                            let evals = CandidateEvals::new(walked.values, grid.tail_start);
-                            (walked.training_rmse, evals)
-                        }))
-                    }
-                };
-                if let Some((training_rmse, evals)) = scored {
+    let fresh = memo
+        .is_none()
+        .then(|| walk_cell(grid, kernel, params, prefix, ws));
+    let walked = memo.unwrap_or_else(|| fresh.as_ref().and_then(|score| score.accepted.as_ref()));
+    if let Some(walked) = walked.filter(|walked| within_cap(walked.max, grid.magnitude_cap)) {
+        let evals = walked.evals.with_tail_start(grid.tail_start);
+        let params = Params::from(params);
+        let (xs, ys) = (grid.xs, grid.ys);
+        let mut base = 0;
+        for span in grid.spans {
+            if span.covers(prefix) {
+                let n_train = span.n_train;
+                let checkpoint_rmse = table_rmse(
+                    kernel,
+                    &params,
+                    evals.values(),
+                    &xs[n_train..],
+                    &ys[n_train..],
+                );
+                if checkpoint_rmse.is_finite() {
                     out[base + prefix - span.prefix_start] = Some(FitCandidate {
                         curve: FittedCurve {
                             kernel,
-                            params: params.to_vec(),
+                            params,
                             checkpoint_rmse,
-                            training_rmse: *training_rmse,
+                            training_rmse: walked.training_rmse,
                             training_points: prefix,
                         },
                         checkpoints: span.checkpoints,
@@ -957,14 +974,15 @@ fn score_cell_into(
                     });
                 }
             }
+            base += span.width();
         }
-        base += span.width();
     }
     fresh
 }
 
 /// Walk a solved cell at the grid's horizon and, when the walk accepts the
-/// curve, compute its training RMSE and keep the captured values.
+/// curve, compute its training RMSE and keep the captured values with
+/// their tail fold at the grid's tail start.
 fn walk_cell(
     grid: &Grid<'_>,
     kernel: KernelKind,
@@ -976,9 +994,15 @@ fn walk_cell(
         .horizon
         .walk(kernel, params, &mut ws.walked)
         .map(|max| Walked {
-            training_rmse: model_rmse(kernel, params, &grid.xs[..prefix], &grid.ys[..prefix]),
+            training_rmse: table_rmse(
+                kernel,
+                params,
+                &ws.walked,
+                &grid.xs[..prefix],
+                &grid.ys[..prefix],
+            ),
             max,
-            values: ws.walked.as_slice().into(),
+            evals: CandidateEvals::new(ws.walked.as_slice().into(), grid.tail_start),
         });
     CellScore {
         horizon: ws.horizon.horizon(),
@@ -987,14 +1011,23 @@ fn walk_cell(
 }
 
 /// RMSE of the kernel at `params` over `(xs, ys)`, without materialising the
-/// prediction vector. Mirrors [`crate::stats::rmse`]'s conventions.
-fn model_rmse(kernel: KernelKind, params: &[f64], xs: &[f64], ys: &[f64]) -> f64 {
+/// prediction vector; mirrors [`crate::stats::rmse`]'s conventions. `values`
+/// is an accepted walk's table (`values[c - 1]` is the curve at core count
+/// `c`): an `x` that is an integer in `1..=values.len()` reads its value
+/// there, which [`HorizonTable::walk`] guarantees is bit for bit
+/// [`KernelKind::eval`]; any other `x` evaluates the kernel.
+fn table_rmse(kernel: KernelKind, params: &[f64], values: &[f64], xs: &[f64], ys: &[f64]) -> f64 {
     if xs.is_empty() {
         return f64::INFINITY;
     }
     let mut sum = 0.0;
     for (x, y) in xs.iter().zip(ys) {
-        let d = kernel.eval(params, *x) - y;
+        let value = if x.fract() == 0.0 && *x >= 1.0 && *x <= values.len() as f64 {
+            values[*x as usize - 1]
+        } else {
+            kernel.eval(params, *x)
+        };
+        let d = value - y;
         sum += d * d;
     }
     (sum / xs.len() as f64).sqrt()
@@ -1246,7 +1279,7 @@ mod tests {
                 accepted: (max >= 0.0).then(|| Walked {
                     training_rmse: 0.5,
                     max,
-                    values: vec![max; horizon as usize].into(),
+                    evals: CandidateEvals::new(vec![max; horizon as usize].into(), 13),
                 }),
             });
             cell
@@ -1254,7 +1287,7 @@ mod tests {
         let mut entry = scored(48, 3.0);
         let table = |entry: &PrefixSolves, horizon| {
             let walked = entry.score(KernelKind::CubicLn, horizon)?;
-            Some(walked.map(|walked| walked.values.clone()))
+            Some(walked.map(|walked| Arc::clone(&walked.evals.values)))
         };
         let at_48 = table(&entry, 48).unwrap().unwrap();
 

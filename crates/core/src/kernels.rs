@@ -484,14 +484,92 @@ impl std::fmt::Display for KernelKind {
     }
 }
 
+/// A fitted parameter vector (layout per [`KernelKind::eval`]), held inline:
+/// up to [`Params::CAPACITY`] values, the most any kernel has (Rat33's
+/// seven), so a candidate curve allocates nothing for its parameters and
+/// frees nothing when it is dropped. It dereferences to the slice of its
+/// values (a reference iterates them, as one to a `Vec` would) and is built
+/// from one; two are equal when their slices are, and it prints as its
+/// slice does.
+#[derive(Clone, Copy, Serialize, Deserialize)]
+pub struct Params {
+    len: usize,
+    values: [f64; Params::CAPACITY],
+}
+
+impl Params {
+    /// The most values a `Params` holds: [`KernelKind::Rat33`]'s parameter
+    /// count.
+    pub const CAPACITY: usize = 7;
+}
+
+impl std::ops::Deref for Params {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.values[..self.len]
+    }
+}
+
+impl<'a> IntoIterator for &'a Params {
+    type Item = &'a f64;
+    type IntoIter = std::slice::Iter<'a, f64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<&[f64]> for Params {
+    /// Copy `values` inline.
+    ///
+    /// # Panics
+    ///
+    /// When `values` holds more than [`Params::CAPACITY`] values.
+    fn from(values: &[f64]) -> Self {
+        assert!(
+            values.len() <= Params::CAPACITY,
+            "{} parameters exceed the {} a kernel has at most",
+            values.len(),
+            Params::CAPACITY
+        );
+        let mut params = Params {
+            len: values.len(),
+            values: [0.0; Params::CAPACITY],
+        };
+        params.values[..values.len()].copy_from_slice(values);
+        params
+    }
+}
+
+impl From<Vec<f64>> for Params {
+    /// Copy `values` inline; panics like `From<&[f64]>`.
+    fn from(values: Vec<f64>) -> Self {
+        Params::from(values.as_slice())
+    }
+}
+
+impl PartialEq for Params {
+    fn eq(&self, other: &Params) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Params {
+    /// The values as a list, like the slice they dereference to.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// A fitted instance of a kernel: the kernel family plus its parameter vector
 /// and fit metadata. This is the unit the model-selection step ranks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FittedCurve {
     /// Which kernel family this curve belongs to.
     pub kernel: KernelKind,
-    /// Fitted parameter vector (layout per [`KernelKind::eval`]).
-    pub params: Vec<f64>,
+    /// Fitted parameter vector (layout per [`KernelKind::eval`]), inline.
+    pub params: Params,
     /// Root-mean-square error at the held-out checkpoints (the selection
     /// criterion of §3.1.2).
     pub checkpoint_rmse: f64,
@@ -897,7 +975,7 @@ mod tests {
         // Denominator 1 - 0.1 n crosses zero at n = 10.
         let curve = FittedCurve {
             kernel: KernelKind::Rat22,
-            params: vec![1.0, 1.0, 0.0, -0.1, 0.0],
+            params: vec![1.0, 1.0, 0.0, -0.1, 0.0].into(),
             checkpoint_rmse: 0.0,
             training_rmse: 0.0,
             training_points: 5,
@@ -910,7 +988,7 @@ mod tests {
     fn realistic_rejects_negative_values() {
         let curve = FittedCurve {
             kernel: KernelKind::Poly25,
-            params: vec![1.0, -10.0, 0.0, 0.0],
+            params: vec![1.0, -10.0, 0.0, 0.0].into(),
             checkpoint_rmse: 0.0,
             training_rmse: 0.0,
             training_points: 5,
@@ -922,7 +1000,7 @@ mod tests {
     fn realistic_accepts_growing_curve() {
         let curve = FittedCurve {
             kernel: KernelKind::Poly25,
-            params: vec![100.0, 5.0, 0.2, 0.01],
+            params: vec![100.0, 5.0, 0.2, 0.01].into(),
             checkpoint_rmse: 0.0,
             training_rmse: 0.0,
             training_points: 5,
@@ -934,7 +1012,7 @@ mod tests {
     fn eval_range_covers_all_core_counts() {
         let curve = FittedCurve {
             kernel: KernelKind::CubicLn,
-            params: vec![1.0, 1.0, 0.0, 0.0],
+            params: vec![1.0, 1.0, 0.0, 0.0].into(),
             checkpoint_rmse: 0.0,
             training_rmse: 0.0,
             training_points: 4,
@@ -943,6 +1021,23 @@ mod tests {
         assert_eq!(range.len(), 16);
         assert_eq!(range[0].0, 1);
         assert_eq!(range[15].0, 16);
+    }
+
+    #[test]
+    fn params_hold_every_kernel_inline_and_compare_as_slices() {
+        let widest = KernelKind::ALL.iter().map(KernelKind::param_count).max();
+        assert_eq!(widest, Some(Params::CAPACITY));
+        let params = Params::from(&[1.0, -0.0][..]);
+        assert_eq!(&*params, &[1.0, -0.0]);
+        assert_eq!(params, Params::from(vec![1.0, 0.0]));
+        assert_ne!(params, Params::from(&[1.0][..]));
+        assert_eq!(format!("{params:?}"), format!("{:?}", vec![1.0, -0.0]));
+    }
+
+    #[test]
+    #[should_panic]
+    fn params_refuse_more_values_than_any_kernel_has() {
+        let _ = Params::from(&[0.0; Params::CAPACITY + 1][..]);
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub use engine::{BatchPredictor, CacheScope, Engine, FitCache};
 pub use error::{EstimaError, Result};
 pub use fit::{approximate_series, candidate_fits, fit_kernel, FitContext, FitOptions};
 pub use json::Json;
-pub use kernels::{FittedCurve, KernelKind};
+pub use kernels::{FittedCurve, KernelKind, Params};
 pub use levenberg::{Jacobian, LmOptions, LmStats, LmWorkspace};
 pub use measurement::{Measurement, MeasurementSet, StallCategory, StallSource};
 pub use plan::{ConfidenceInterval, MeasurementPlan, PlanSuggestion, Planner};

@@ -1016,7 +1016,7 @@ mod selection_oracle {
         FitCandidate {
             curve: FittedCurve {
                 kernel: KernelKind::CubicLn,
-                params: vec![0.0; 4],
+                params: vec![0.0; 4].into(),
                 checkpoint_rmse,
                 training_rmse: 0.0,
                 training_points: 3,

@@ -2,19 +2,24 @@
 //! prebuilt [`LmWorkspace`], a full `levenberg_marquardt_into` run — every
 //! iteration, Jacobian fill, normal-equation solve and trial step — performs
 //! zero heap allocation. One grid cell is allocation-free as well: once the
-//! thread's fit workspace is warm, `fit_kernel` allocates only the parameter
-//! vector it returns, the linearised guess's QR solve included.
+//! thread's fit workspace is warm, `fit_kernel` allocates nothing, the
+//! linearised guess's QR solve and the inline parameters it returns
+//! included. And a memoised refit re-scores its candidates without
+//! allocating per candidate: the refit after a newest-point flip allocates
+//! as often for a 24-point series as for a 12-point one.
 //!
-//! A counting global allocator wraps the system allocator; the test snapshots
-//! the calling thread's allocation counter around the fit and asserts it did
-//! not move. The counter is per thread, so tests running in parallel in this
+//! A counting global allocator wraps the system allocator; each test
+//! snapshots the calling thread's allocation counter around the counted
+//! work. The counter is per thread, so tests running in parallel in this
 //! binary never count each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use estima_core::levenberg::{levenberg_marquardt_into, Jacobian, LmOptions, LmWorkspace};
-use estima_core::{fit_kernel, KernelKind};
+use estima_core::{
+    candidate_fits, fit_kernel, CacheScope, FitCache, FitContext, FitOptions, KernelKind,
+};
 
 struct CountingAllocator;
 
@@ -134,11 +139,58 @@ fn warm_fit_kernel_allocates_only_its_result() {
         let after = allocations();
         assert_eq!(
             after - before,
-            1,
-            "a warm fit_kernel({kernel:?}) allocated {} time(s); only its \
-             returned vector may",
+            0,
+            "a warm fit_kernel({kernel:?}) allocated {} time(s)",
             after - before
         );
         assert_eq!(params.len(), kernel.param_count());
     }
+}
+
+#[test]
+fn a_refit_after_a_flip_allocates_nothing_per_candidate() {
+    // Per series length: the refit's candidate count and its allocations.
+    let refits: Vec<(usize, usize)> = [12u32, 24]
+        .into_iter()
+        .map(|n| {
+            let xs: Vec<f64> = (1..=n).map(f64::from).collect();
+            let mut ys: Vec<f64> = xs.iter().map(|x| 1000.0 + 50.0 * x + 8.0 * x * x).collect();
+            let options = FitOptions::default();
+            // One shard, so the refit's insert lands in maps the cold fit
+            // already sized.
+            let cache = FitCache::with_shards_and_capacity(1, 4096);
+            let scoped = |version| FitContext {
+                cache: Some(&cache),
+                scope: Some(CacheScope {
+                    series: "flip",
+                    version,
+                }),
+                ..FitContext::default()
+            };
+            candidate_fits(&xs, &ys, &options, &scoped(1)).expect("cold fit");
+            cache.invalidate_series("flip");
+            let (_, cells) = cache.solve_stats();
+
+            // Flip the newest point: it lies outside every training prefix.
+            ys[n as usize - 1] *= 1.1;
+            let before = allocations();
+            let refit = candidate_fits(&xs, &ys, &options, &scoped(2)).expect("refit");
+            let allocated = allocations() - before;
+            assert_eq!(
+                cache.solve_stats(),
+                (cells, cells),
+                "the refit computed a cell"
+            );
+            (refit.len(), allocated)
+        })
+        .collect();
+    let [(short, short_allocs), (long, long_allocs)] = refits[..] else {
+        unreachable!("two series lengths");
+    };
+    assert!(long > 2 * short, "{short} and {long} candidates");
+    assert_eq!(
+        short_allocs, long_allocs,
+        "a refit of {short} candidates allocated {short_allocs} times, one of {long} \
+         candidates {long_allocs} times"
+    );
 }

@@ -25,14 +25,20 @@
 //!    the grid scores a prefix once and shares the result across checkpoint
 //!    spans, so each span's candidate must still carry its own checkpoint
 //!    RMSE, and the training RMSE, eval table and tail fields the oracle
-//!    computes for it.
+//!    computes for it. The grid reads both RMSEs from the walk's eval table
+//!    at integer core counts inside the horizon and evaluates the kernel
+//!    beyond it (horizon 3 puts checkpoints there). The same grid runs
+//!    through a shared [`FitCache`] too, after a fit of the series without
+//!    its last point memoised the shared prefixes with their tails folded
+//!    one core count earlier: the memoised candidates must match the oracle
+//!    the same way.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use estima_core::kernels::HorizonTable;
 use estima_core::{
-    candidate_fits, FitContext, FitOptions, FittedCurve, KernelKind, MAX_TARGET_CORES,
+    candidate_fits, FitCache, FitContext, FitOptions, FittedCurve, KernelKind, MAX_TARGET_CORES,
 };
 use proptest::prelude::*;
 
@@ -92,7 +98,7 @@ fn oracle_walk(
 fn curve(kernel: KernelKind, params: Vec<f64>) -> FittedCurve {
     FittedCurve {
         kernel,
-        params,
+        params: params.into(),
         checkpoint_rmse: 0.0,
         training_rmse: 0.0,
         training_points: 3,
@@ -364,6 +370,15 @@ proptest! {
         let Ok(candidates) = candidate_fits(&xs, &ys, &options, &FitContext::default()) else {
             return;
         };
+        let cache = FitCache::new();
+        let cached = FitContext {
+            cache: Some(&cache),
+            ..FitContext::default()
+        };
+        // Memoises the shared prefixes with the shorter series' tail start
+        // (when that series is long enough to fit at all).
+        let _ = candidate_fits(&xs[..len - 1], &ys[..len - 1], &options, &cached);
+        let memoised = candidate_fits(&xs, &ys, &options, &cached).expect("memoised grid");
 
         // A cell's parameters depend on (kernel, prefix) only.
         let mut solved: HashMap<(KernelKind, usize), &[f64]> = HashMap::new();
@@ -403,31 +418,33 @@ proptest! {
             }
         }
 
-        prop_assert_eq!(candidates.len(), expected.len(), "candidate count");
-        for (candidate, (curve, checkpoints, values)) in candidates.iter().zip(&expected) {
-            let cell = (curve.kernel, checkpoints, curve.training_points);
-            prop_assert_eq!(candidate.curve.kernel, curve.kernel, "{cell:?}");
-            prop_assert_eq!(candidate.checkpoints, *checkpoints, "{cell:?}");
-            prop_assert_eq!(candidate.curve.training_points, curve.training_points, "{cell:?}");
-            prop_assert_eq!(
-                candidate.curve.checkpoint_rmse.to_bits(),
-                curve.checkpoint_rmse.to_bits(),
-                "{cell:?} checkpoint RMSE"
-            );
-            prop_assert_eq!(
-                candidate.curve.training_rmse.to_bits(),
-                curve.training_rmse.to_bits(),
-                "{cell:?} training RMSE"
-            );
-            let evals = &candidate.evals;
-            prop_assert_eq!(bits(evals.values()), bits(values), "{cell:?} evals");
-            prop_assert_eq!(evals.horizon(), options.realism_horizon);
-            prop_assert_eq!(evals.tail_start(), tail_start);
-            let tail = values.get(tail_start as usize - 1..).unwrap_or(&[]);
-            let tail_max = tail.iter().fold(0.0f64, |m, v| m.max(*v));
-            let tail_min = tail.iter().fold(f64::INFINITY, |m, v| m.min(*v));
-            prop_assert_eq!(evals.tail_max().to_bits(), tail_max.to_bits(), "{cell:?}");
-            prop_assert_eq!(evals.tail_min().to_bits(), tail_min.to_bits(), "{cell:?}");
+        for (path, candidates) in [("uncached", &candidates), ("memoised", &memoised)] {
+            prop_assert_eq!(candidates.len(), expected.len(), "{path} candidate count");
+            for (candidate, (curve, checkpoints, values)) in candidates.iter().zip(&expected) {
+                let cell = (path, curve.kernel, checkpoints, curve.training_points);
+                prop_assert_eq!(candidate.curve.kernel, curve.kernel, "{cell:?}");
+                prop_assert_eq!(candidate.checkpoints, *checkpoints, "{cell:?}");
+                prop_assert_eq!(candidate.curve.training_points, curve.training_points, "{cell:?}");
+                prop_assert_eq!(
+                    candidate.curve.checkpoint_rmse.to_bits(),
+                    curve.checkpoint_rmse.to_bits(),
+                    "{cell:?} checkpoint RMSE"
+                );
+                prop_assert_eq!(
+                    candidate.curve.training_rmse.to_bits(),
+                    curve.training_rmse.to_bits(),
+                    "{cell:?} training RMSE"
+                );
+                let evals = &candidate.evals;
+                prop_assert_eq!(bits(evals.values()), bits(values), "{cell:?} evals");
+                prop_assert_eq!(evals.horizon(), options.realism_horizon);
+                prop_assert_eq!(evals.tail_start(), tail_start);
+                let tail = values.get(tail_start as usize - 1..).unwrap_or(&[]);
+                let tail_max = tail.iter().fold(0.0f64, |m, v| m.max(*v));
+                let tail_min = tail.iter().fold(f64::INFINITY, |m, v| m.min(*v));
+                prop_assert_eq!(evals.tail_max().to_bits(), tail_max.to_bits(), "{cell:?}");
+                prop_assert_eq!(evals.tail_min().to_bits(), tail_min.to_bits(), "{cell:?}");
+            }
         }
     }
 }

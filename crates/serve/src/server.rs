@@ -1014,6 +1014,9 @@ fn healthz(state: &AppState, out: &mut ResponseBuf) {
 
 /// `GET /v1/stats`.
 fn server_stats(state: &AppState, out: &mut ResponseBuf) {
+    // Sweep first, like every read: no counter counts a series the TTL has
+    // expired, and the sweep's invalidations and WAL records show here.
+    state.batch.session().sweep_expired();
     let cache = state.batch.cache();
     let store = state.batch.session().store();
     let (hits, misses) = cache.stats();

@@ -806,6 +806,45 @@ fn reads_do_not_serve_a_series_the_ttl_has_expired() {
     handle.shutdown();
 }
 
+#[test]
+fn stats_do_not_count_a_series_the_ttl_has_expired() {
+    let handle = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        reactor_threads: 1,
+        ttl_secs: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server")
+    .spawn()
+    .expect("spawn server reactors");
+    let mut client = Client::connect(handle.addr());
+    let id = SeriesId::new("ttl-stats").unwrap();
+    let set = quickstart_sized_set("ttl-stats");
+    let body = wire::ingest_request_to_json(&id, Some(2.1), &set.measurements()[..3]).render();
+    let (status, response) = client.request("POST", "/v1/measurements", &body);
+    assert_eq!(status, 200, "{response}");
+
+    std::thread::sleep(std::time::Duration::from_millis(1200));
+
+    // The first request after the idle spell: the stats sweep it themselves.
+    let (status, body) = client.request("GET", "/v1/stats", "");
+    assert_eq!(status, 200, "{body}");
+    let stats = Json::parse(&body).unwrap();
+    let store = |counter: &str| {
+        stats
+            .get("store")
+            .and_then(|store| store.get(counter))
+            .and_then(Json::as_f64)
+    };
+    assert_eq!(
+        (store("series"), store("points")),
+        (Some(0.0), Some(0.0)),
+        "{body}"
+    );
+
+    handle.shutdown();
+}
+
 /// Seed a quickstart-sized series over HTTP and return the equivalent set.
 fn seed_series(client: &mut Client, name: &str) -> MeasurementSet {
     let set = quickstart_sized_set(name);

@@ -133,7 +133,7 @@ fn check_plan(body: &str, plan: &MeasurementPlan) {
 fn curve(kernel: KernelKind, params: Vec<f64>) -> FittedCurve {
     FittedCurve {
         kernel,
-        params,
+        params: params.into(),
         checkpoint_rmse: 0.0,
         training_rmse: 0.0,
         training_points: 3,
