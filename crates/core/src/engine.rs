@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::config::{EstimaConfig, TargetSpec};
 use crate::error::Result;
-use crate::fit::{FitCandidate, FitOptions, PrefixSolves};
+use crate::fit::{FitOptions, Fits, PrefixSolves};
 use crate::levenberg::{Jacobian, LmOptions};
 use crate::measurement::MeasurementSet;
 use crate::predictor::{Estima, Prediction};
@@ -287,7 +287,7 @@ pub struct CacheScope<'a> {
 /// clock value at the last hit or insert; smallest = least recently used).
 #[derive(Debug)]
 struct ShardEntry {
-    value: Arc<Vec<FitCandidate>>,
+    value: Arc<Fits>,
     last_used: u64,
 }
 
@@ -584,15 +584,19 @@ impl FitCache {
 
     /// Look up `key`, computing and inserting the candidate list on a miss.
     ///
+    /// The list is a [`Fits`]: a hit hands out the one shared list with its
+    /// winner and table numbers, so a caller re-scores nothing. A `compute`
+    /// that builds a plain `Vec` of candidates returns `Ok(list.into())`.
+    ///
     /// The computation runs outside every cache lock, so concurrent misses
     /// on the same key may compute twice — both produce identical results
     /// (the fit is deterministic) and the first insert wins, so callers
     /// always observe one consistent value. A hit refreshes the entry's LRU
     /// recency; an insert that overflows the shard evicts its
     /// least-recently-used entries.
-    pub fn get_or_compute<F>(&self, key: FitKey, compute: F) -> Result<Arc<Vec<FitCandidate>>>
+    pub fn get_or_compute<F>(&self, key: FitKey, compute: F) -> Result<Arc<Fits>>
     where
-        F: FnOnce() -> Result<Vec<FitCandidate>>,
+        F: FnOnce() -> Result<Fits>,
     {
         let shard = self.shard_for(&key);
         {
@@ -972,7 +976,7 @@ mod tests {
         let options = FitOptions::default();
         let key_a = FitKey::new(&[1.0, 2.0], &[1.0, 4.0], &options);
         let key_b = FitKey::new(&[1.0, 2.0], &[2.0, 8.0], &options);
-        let make = || Ok(Vec::new());
+        let make = || Ok(Vec::new().into());
         cache.get_or_compute(key_a.clone(), make).unwrap();
         cache.get_or_compute(key_a, make).unwrap();
         cache.get_or_compute(key_b, make).unwrap();

@@ -10,6 +10,14 @@
 //!    the extrapolation range) are discarded,
 //! 4. the candidate with the lowest RMSE at the checkpoints wins.
 //!
+//! The survivors come back as one [`Fits`] list, which finds step 4's
+//! winner once, when the list is built, so every later reader of a cached
+//! list (each category of a prediction, each jackknife leave-out of a plan)
+//! reads it in O(1) instead of re-scanning. The list also numbers each
+//! candidate's eval table by its (kernel, prefix) cell, so the
+//! scaling-factor step can decide once per table what every candidate
+//! sharing that table shares.
+//!
 //! # The fitting hot path
 //!
 //! The candidate grid is the dominant cost of the whole pipeline, so it is
@@ -90,6 +98,7 @@
 //! the reference the memoised path is tested against.
 
 use std::cell::RefCell;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::config::MAX_TARGET_CORES;
@@ -291,6 +300,89 @@ pub struct FitCandidate {
     pub evals: CandidateEvals,
 }
 
+/// A series' candidate list: every viable candidate in enumeration order,
+/// with the model-selection winner of §3.1.2 found once, when the list is
+/// built.
+///
+/// `Fits` derefs to `[FitCandidate]`, so it indexes, iterates and has
+/// `.len()` like the list it holds. [`Fits::best`] is the winner:
+/// the first candidate of lowest checkpoint RMSE, a NaN RMSE comparing equal
+/// to every other. The list also numbers the candidates' eval tables: two
+/// candidates carry the same number exactly when they share one table. The
+/// grid numbers each (kernel, prefix) cell, whose table every checkpoint
+/// span covering the cell shares; a list built by hand (`Fits::from` a
+/// `Vec`) numbers its tables by allocation.
+#[derive(Debug, Clone)]
+pub struct Fits {
+    candidates: Vec<FitCandidate>,
+    /// Index of the winner; `None` for an empty list.
+    best: Option<usize>,
+    tables: usize,
+}
+
+impl Fits {
+    /// Wrap candidates whose table numbers are below `tables`, and find the
+    /// winner: [`Iterator::min_by`] keeps the first of equal minima.
+    fn numbered(candidates: Vec<FitCandidate>, tables: usize) -> Self {
+        let best = candidates
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| {
+                a.curve
+                    .checkpoint_rmse
+                    .partial_cmp(&b.curve.checkpoint_rmse)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .map(|(index, _)| index);
+        Fits {
+            candidates,
+            best,
+            tables,
+        }
+    }
+
+    /// The winner of §3.1.2 (lowest checkpoint RMSE, ties to the earliest
+    /// candidate), or `None` when no candidate survived.
+    pub fn best(&self) -> Option<&FitCandidate> {
+        self.best.map(|index| &self.candidates[index])
+    }
+
+    /// How many table numbers the candidates draw from: every
+    /// [`CandidateEvals::table`] in the list is below it. Numbers may go
+    /// unused (a cell whose every candidate was rejected).
+    pub(crate) fn tables(&self) -> usize {
+        self.tables
+    }
+}
+
+impl Deref for Fits {
+    type Target = [FitCandidate];
+
+    fn deref(&self) -> &[FitCandidate] {
+        &self.candidates
+    }
+}
+
+impl From<Vec<FitCandidate>> for Fits {
+    /// A hand-built list, its tables numbered by allocation: candidates
+    /// share a number exactly when their eval tables are one `Arc`.
+    fn from(mut candidates: Vec<FitCandidate>) -> Self {
+        let mut seen: Vec<Arc<[f64]>> = Vec::new();
+        for candidate in &mut candidates {
+            let values = &candidate.evals.values;
+            let table = match seen.iter().position(|known| Arc::ptr_eq(known, values)) {
+                Some(table) => table,
+                None => {
+                    seen.push(Arc::clone(values));
+                    seen.len() - 1
+                }
+            };
+            candidate.evals.table = table as u32;
+        }
+        Fits::numbered(candidates, seen.len())
+    }
+}
+
 /// Precomputed integer-grid evaluations of a candidate curve: `values[c - 1]
 /// == curve.eval(c as f64)` for `c in 1..=horizon` (the fit's
 /// [`FitOptions::realism_horizon`]), plus the running max/min of the
@@ -299,11 +391,17 @@ pub struct FitCandidate {
 /// scaling-factor realism check exactly (ascending fold, `0.0` /
 /// `f64::INFINITY` initial values), so reading `tail_max`/`tail_min` is
 /// bit-identical to re-running that loop.
+///
+/// In a [`Fits`] list, the candidates of every checkpoint span covering one
+/// (kernel, prefix) cell share one table, its tail fold and its number.
 #[derive(Debug, Clone)]
 pub struct CandidateEvals {
     /// Shared by the candidates of every checkpoint span covering the prefix.
     values: Arc<[f64]>,
     tail_start: u32,
+    /// The table's number in its [`Fits`] list (it fills the struct's
+    /// padding, so a candidate stays the same size).
+    table: u32,
     tail_max: f64,
     tail_min: f64,
 }
@@ -326,6 +424,7 @@ impl CandidateEvals {
         CandidateEvals {
             values,
             tail_start,
+            table: 0,
             tail_max,
             tail_min,
         }
@@ -376,10 +475,10 @@ impl CandidateEvals {
         &self.values
     }
 
-    /// True when both tables are one shared allocation, as the candidates of
-    /// every checkpoint span covering one (kernel, prefix) cell are.
-    pub(crate) fn shares_values(&self, other: &CandidateEvals) -> bool {
-        Arc::ptr_eq(&self.values, &other.values)
+    /// The table's number in its [`Fits`] list, below [`Fits::tables`]:
+    /// equal exactly for the candidates that share this table.
+    pub(crate) fn table(&self) -> u32 {
+        self.table
     }
 }
 
@@ -422,7 +521,7 @@ impl Default for FitContext<'_> {
 /// Approximate a measured series with the best kernel, per §3.1.2.
 ///
 /// `xs` are core counts, `ys` the measured values, both sorted by core count.
-/// Returns the winning [`FittedCurve`]; the error carries the offending
+/// Returns the [`Fits::best`] curve; the error carries the offending
 /// category name supplied in `label`. Candidates are compared in a fixed
 /// enumeration order regardless of thread completion order, so the winner
 /// does not depend on the context.
@@ -433,49 +532,34 @@ pub fn approximate_series(
     options: &FitOptions,
     ctx: &FitContext<'_>,
 ) -> Result<FittedCurve> {
-    let candidates = candidate_fits(xs, ys, options, ctx)?;
-    select_best(&candidates, label).map(|best| best.curve.clone())
-}
-
-/// The model-selection rule of §3.1.2: lowest checkpoint RMSE wins, ties
-/// resolved to the earliest candidate in enumeration order. The one place
-/// the rule lives: [`approximate_series`] and the predictor's step B both
-/// call it.
-pub(crate) fn select_best<'a>(
-    candidates: &'a [FitCandidate],
-    label: &str,
-) -> Result<&'a FitCandidate> {
-    candidates
-        .iter()
-        .min_by(|a, b| {
-            a.curve
-                .checkpoint_rmse
-                .partial_cmp(&b.curve.checkpoint_rmse)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .ok_or_else(|| EstimaError::NoViableFit {
-            category: label.to_string(),
-        })
+    let fits = candidate_fits(xs, ys, options, ctx)?;
+    let best = fits.best().ok_or_else(|| EstimaError::NoViableFit {
+        category: label.to_string(),
+    })?;
+    Ok(best.curve.clone())
 }
 
 /// Produce every viable candidate fit for the series (all kernels × all
-/// prefixes × all checkpoint counts), already filtered for realism. The
-/// scaling-factor step needs the full candidate list because it selects by
-/// correlation rather than checkpoint RMSE.
+/// prefixes × all checkpoint counts), already filtered for realism, with the
+/// lowest-checkpoint-RMSE winner ([`Fits::best`]). The scaling-factor step
+/// needs the full candidate list because it selects by correlation rather
+/// than checkpoint RMSE.
 ///
 /// The grid fans out one work item per kernel on `ctx.engine`, each covering
 /// every checkpoint count × prefix cell from a shared columnar design slab;
 /// the results are reassembled in the historical cell-enumeration order
 /// (checkpoint count → prefix → kernel), so the list is identical at any
-/// engine width. With `ctx.cache` the list for a given (series, options,
-/// scope) is computed once and shared by every later caller, and a miss
-/// draws its cells from the cache's solve memo.
+/// engine width, and each candidate's table is numbered by its (kernel,
+/// prefix) cell. With `ctx.cache` the list for a given (series, options,
+/// scope) is computed once and shared by every later caller, winner and
+/// numbering included, and a miss draws its cells from the cache's solve
+/// memo.
 pub fn candidate_fits(
     xs: &[f64],
     ys: &[f64],
     options: &FitOptions,
     ctx: &FitContext<'_>,
-) -> Result<Arc<Vec<FitCandidate>>> {
+) -> Result<Arc<Fits>> {
     let Some(cache) = ctx.cache else {
         return candidate_grid(xs, ys, options, &ctx.engine, None).map(Arc::new);
     };
@@ -495,7 +579,7 @@ pub fn candidate_fits_with(
     ys: &[f64],
     options: &FitOptions,
     engine: &Engine,
-) -> Result<Arc<Vec<FitCandidate>>> {
+) -> Result<Arc<Fits>> {
     candidate_fits(xs, ys, options, &FitContext::new(*engine))
 }
 
@@ -748,7 +832,7 @@ fn candidate_grid(
     options: &FitOptions,
     engine: &Engine,
     memo: Option<&FitCache>,
-) -> Result<Vec<FitCandidate>> {
+) -> Result<Fits> {
     if xs.len() != ys.len() {
         return Err(EstimaError::Numerical(
             "candidate_fits: xs/ys length mismatch".into(),
@@ -827,21 +911,27 @@ fn candidate_grid(
     }
 
     // Reassemble in the historical enumeration order: checkpoint count →
-    // prefix length → kernel. Tie-breaking in `select_best` keeps the first
-    // candidate of equal RMSE, so the order is part of the contract.
+    // prefix length → kernel. The winner is the first candidate of equal
+    // RMSE, so the order is part of the contract. Each candidate's table
+    // number names the (kernel, prefix) cell it comes from, whatever number
+    // a memoised walk carried.
+    let (lo, hi) = prefix_range(&spans);
+    let width = hi - lo + 1;
     let mut out = Vec::with_capacity(kernel_grids.iter().flatten().flatten().count());
     let mut base = 0;
     for span in &spans {
         for pi in 0..span.width() {
-            for grid in kernel_grids.iter_mut() {
-                if let Some(candidate) = grid[base + pi].take() {
+            let cell = span.prefix_start + pi - lo;
+            for (kernel, grid) in kernel_grids.iter_mut().enumerate() {
+                if let Some(mut candidate) = grid[base + pi].take() {
+                    candidate.evals.table = (kernel * width + cell) as u32;
                     out.push(candidate);
                 }
             }
         }
         base += span.width();
     }
-    Ok(out)
+    Ok(Fits::numbered(out, kernel_grids.len() * width))
 }
 
 /// One candidate grid's fixed inputs: the series, its checkpoint spans, the
@@ -1578,6 +1668,111 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The selection scan before lists carried their winner, verbatim.
+    fn select_best<'a>(candidates: &'a [FitCandidate], label: &str) -> Result<&'a FitCandidate> {
+        candidates
+            .iter()
+            .min_by(|a, b| {
+                a.curve
+                    .checkpoint_rmse
+                    .partial_cmp(&b.curve.checkpoint_rmse)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .ok_or_else(|| EstimaError::NoViableFit {
+                category: label.to_string(),
+            })
+    }
+
+    /// A list's winner is the one the scan picks, and its table numbers are
+    /// below `tables()` and equal exactly for candidates whose tables are
+    /// one allocation.
+    fn assert_selection(fits: &Fits, context: &str) {
+        let scanned = select_best(fits, context).ok();
+        assert_eq!(
+            fits.best().map(|best| best as *const FitCandidate),
+            scanned.map(|best| best as *const FitCandidate),
+            "{context}: winner"
+        );
+        for (index, candidate) in fits.iter().enumerate() {
+            let table = candidate.evals.table();
+            assert!(
+                (table as usize) < fits.tables(),
+                "{context}: table {table} of {}",
+                fits.tables()
+            );
+            for (earlier, other) in fits[..index].iter().enumerate() {
+                assert_eq!(
+                    table == other.evals.table(),
+                    Arc::ptr_eq(&candidate.evals.values, &other.evals.values),
+                    "{context}: candidates {earlier} and {index}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lists_carry_the_scans_winner_and_number_tables_by_cell() {
+        // Real grids, uncached and through one shared cache after fitting
+        // each series without its last point first. Each series extends the
+        // previous length's, and a case's horizon moves with the length, so
+        // memoised walks of other grids (other widths, other horizons)
+        // arrive in the list.
+        let cache = FitCache::new();
+        let cached = FitContext {
+            cache: Some(&cache),
+            ..FitContext::default()
+        };
+        let horizons = [12, 48, 256, MAX_TARGET_CORES];
+        let subset = vec![KernelKind::Rat23, KernelKind::CubicLn, KernelKind::ExpRat];
+        let (mut case, mut won) = (0, 0);
+        for len in 5..=24usize {
+            let xs: Vec<f64> = (1..=len).map(|c| c as f64).collect();
+            let growth: Vec<f64> = xs
+                .iter()
+                .map(|x| 1e9 * (1.0 + 0.05 * x * x) * (1.0 + 0.03 * ((*x as usize * 7) % 5) as f64))
+                .collect();
+            for ys in [growth, vec![500.0; len]] {
+                for prefix_refitting in [true, false] {
+                    for kernels in [KernelKind::ALL.to_vec(), subset.clone()] {
+                        let options = FitOptions {
+                            kernels,
+                            prefix_refitting,
+                            realism_horizon: horizons[(case + len) % horizons.len()],
+                            ..FitOptions::default()
+                        };
+                        case += 1;
+                        let context = format!(
+                            "{len} points starting {}, refitting {prefix_refitting}, \
+                             {} kernels, horizon {}",
+                            ys[0],
+                            options.kernels.len(),
+                            options.realism_horizon
+                        );
+                        let _ = candidate_fits(&xs[..len - 1], &ys[..len - 1], &options, &cached);
+                        let uncached = candidate_fits(&xs, &ys, &options, &FitContext::default());
+                        let memoised = candidate_fits(&xs, &ys, &options, &cached);
+                        match (uncached, memoised) {
+                            (Ok(uncached), Ok(memoised)) => {
+                                assert_selection(&uncached, &context);
+                                assert_selection(&memoised, &context);
+                                let numbers = |fits: &Fits| {
+                                    fits.iter().map(|c| c.evals.table()).collect::<Vec<_>>()
+                                };
+                                assert_eq!(numbers(&uncached), numbers(&memoised), "{context}");
+                                assert_eq!(uncached.tables(), memoised.tables(), "{context}");
+                                won += usize::from(uncached.best().is_some());
+                            }
+                            (Err(a), Err(b)) => assert_eq!(a, b, "{context}"),
+                            (a, b) => panic!("{context}: uncached {a:?}, memoised {b:?}"),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(won > case / 2, "only {won} of {case} grids had a winner");
+        assert!(cache.solve_stats().0 > 0, "no memoised cell was served");
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use bottleneck::{BottleneckEntry, BottleneckReport};
 pub use config::{EstimaConfig, TargetSpec, MAX_TARGET_CORES};
 pub use engine::{BatchPredictor, CacheScope, Engine, FitCache};
 pub use error::{EstimaError, Result};
-pub use fit::{approximate_series, candidate_fits, fit_kernel, FitContext, FitOptions};
+pub use fit::{approximate_series, candidate_fits, fit_kernel, FitContext, FitOptions, Fits};
 pub use json::Json;
 pub use kernels::{FittedCurve, KernelKind, Params};
 pub use levenberg::{Jacobian, LmOptions, LmStats, LmWorkspace};

@@ -10,7 +10,11 @@
 //!   confidence interval for the predicted execution time at the target core
 //!   count: the full pipeline is re-run once per leave-one-out subset of the
 //!   measurements, and the dispersion of the leave-out predictions yields a
-//!   standard error (`se² = (k−1)/k · Σ(θᵢ − θ̄)²`). The leave-outs split
+//!   standard error (`se² = (k−1)/k · Σ(θᵢ − θ̄)²`). A leave-out reads only
+//!   its θ, the predicted time at the target, with the bits a full
+//!   [`Prediction`] would hold there, so it builds none: of a plan's
+//!   predictions, only the base set's is built in full (it feeds the
+//!   bottleneck report and the hypothetical points). The leave-outs split
 //!   into one contiguous index range per worker of the planner's
 //!   [`FitContext`] engine, and each range clones the set once: a leave-out
 //!   takes its measurement out, predicts, and pushes it back, which the
@@ -106,10 +110,11 @@ pub struct MeasurementPlan {
 
 /// Uncertainty estimator and measurement planner over one predictor.
 ///
-/// A `Planner` borrows an [`Estima`] and runs every refit through
-/// [`Estima::predict_in`] in one [`FitContext`]: with a cache (and a store
-/// scope) in it, planning against an unchanged series re-uses every fit it
-/// has ever computed.
+/// A `Planner` borrows an [`Estima`] and runs every refit in one
+/// [`FitContext`]: the base set's through [`Estima::predict_in`], and every
+/// leave-out and augmented set's as its θ alone. With a cache (and a store
+/// scope) in the context, planning against an unchanged series re-uses every
+/// fit it has ever computed.
 ///
 /// ```
 /// use estima_core::prelude::*;
@@ -178,21 +183,27 @@ impl<'a> Planner<'a> {
             });
         }
         let mut full = self.predict(set, target)?;
-        let interval = self.jackknife(set, target, &full)?;
+        let point = full.predicted_time_at(target.cores).ok_or_else(|| {
+            EstimaError::Numerical("prediction does not cover the target core count".into())
+        })?;
+        let interval = self.jackknife(set, target, point)?;
         full.confidence = Some(interval);
         Ok((full, interval))
     }
 
-    /// The jackknife interval for an already-computed full prediction.
+    /// θ of `set` in the planner's context: the predicted time at the
+    /// target core count, without building the prediction.
+    fn theta(&self, set: &MeasurementSet, target: &TargetSpec) -> Result<f64> {
+        self.estima.predicted_time_in(set, target, &self.ctx)
+    }
+
+    /// The jackknife interval around `point`, the θ of the whole `set`.
     fn jackknife(
         &self,
         set: &MeasurementSet,
         target: &TargetSpec,
-        full: &Prediction,
+        point: f64,
     ) -> Result<ConfidenceInterval> {
-        let point = full.predicted_time_at(target.cores).ok_or_else(|| {
-            EstimaError::Numerical("prediction does not cover the target core count".into())
-        })?;
         let n = set.len();
         // One contiguous range of leave-outs per engine worker, each on its
         // own copy of the set (see the module docs). The ranges flatten in
@@ -208,11 +219,7 @@ impl<'a> Planner<'a> {
             range
                 .map(|leave_out| {
                     let measurement = subset.remove(leave_out);
-                    let theta = self
-                        .predict(&subset, target)
-                        .ok()
-                        .and_then(|p| p.predicted_time_at(target.cores))
-                        .filter(|t| t.is_finite());
+                    let theta = self.theta(&subset, target).ok().filter(|t| t.is_finite());
                     subset.push(measurement);
                     theta
                 })
@@ -313,8 +320,8 @@ impl<'a> Planner<'a> {
         }
         let mut augmented = set.clone();
         augmented.push(hypothetical);
-        let refit = self.predict(&augmented, target).ok()?;
-        let interval = self.jackknife(&augmented, target, &refit).ok()?;
+        let point = self.theta(&augmented, target).ok()?;
+        let interval = self.jackknife(&augmented, target, point).ok()?;
         if !interval.spread.is_finite() {
             return None;
         }

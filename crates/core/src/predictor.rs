@@ -6,7 +6,8 @@
 //!   `estima-workloads`); the input here is a [`MeasurementSet`].
 //! * **B — extrapolation**: every stall category is extrapolated individually
 //!   by the model-selection rule of [`crate::fit::approximate_series`]
-//!   (lowest checkpoint RMSE), then combined into total stalled cycles per
+//!   (lowest checkpoint RMSE, the [`Fits::best`] winner its candidate list
+//!   found when it was built), then combined into total stalled cycles per
 //!   core. The extrapolation reads the winning candidate's eval table, which
 //!   the grid tabulated over `1..=target` while checking the curve's realism.
 //! * **C — time translation**: the scaling factor connecting stalled cycles
@@ -14,18 +15,27 @@
 //!   extrapolated with the same kernels, and the kernel whose resulting time
 //!   predictions correlate best with stalled cycles per core is selected.
 //!   Candidates that share one eval table (the checkpoint spans of one
-//!   kernel and prefix) have their correlation computed once.
+//!   kernel and prefix) share its number in the list, so their plausibility
+//!   and correlation are decided once per table.
+//!
+//! A prediction reads the measurement set once, into one column per stall
+//! category and the scaling factor's series, and evaluates both steps up to
+//! their winners before it builds anything. [`Estima::predict_in`] then
+//! builds the full [`Prediction`]; a reader that needs only the predicted
+//! time at the target core count, θ (each jackknife leave-out of a
+//! [`Planner`](crate::plan::Planner)), reads it from the evaluation with the
+//! same bits and builds no per-core series beyond stalls per core.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::config::{EstimaConfig, TargetSpec};
 use crate::engine::Engine;
 use crate::error::{EstimaError, Result};
-use crate::fit::{
-    candidate_fits, select_best, CandidateEvals, FitCandidate, FitContext, FitOptions,
-};
+use crate::fit::{candidate_fits, FitCandidate, FitContext, FitOptions, Fits};
 use crate::kernels::FittedCurve;
-use crate::measurement::{MeasurementSet, StallCategory};
+use crate::measurement::{MeasurementSet, StallCategory, StallSource};
 use crate::stats::{max_relative_error, relative_error};
 
 /// O(1) lookup in a `(cores, value)` series that is dense over
@@ -229,6 +239,38 @@ impl Estima {
         target: &TargetSpec,
         ctx: &FitContext<'_>,
     ) -> Result<Prediction> {
+        Ok(self
+            .evaluate(measurements, target, ctx)?
+            .into_prediction(target))
+    }
+
+    /// The predicted time at the target core count, θ, with the bits of
+    /// `predict_in(measurements, target, ctx)?.predicted_time_at(target.cores)`:
+    /// stalls per core at the target times the scaling factor's table
+    /// there. It fails exactly when [`Estima::predict_in`] fails, and builds
+    /// no [`Prediction`], so a jackknife leave-out reads θ without
+    /// materialising tables it never looks at.
+    pub(crate) fn predicted_time_in(
+        &self,
+        measurements: &MeasurementSet,
+        target: &TargetSpec,
+        ctx: &FitContext<'_>,
+    ) -> Result<f64> {
+        let evaluation = self.evaluate(measurements, target, ctx)?;
+        let at = target.cores as usize - 1;
+        Ok(evaluation.stalls_per_core[at] * evaluation.factor().evals.values()[at])
+    }
+
+    /// Steps B and C up to their winners: validation, each category's fits
+    /// and winner, stalls per core over `1..=target`, and the scaling-factor
+    /// fits with step C's choice. Every error a prediction can fail with is
+    /// raised here, in the order the pipeline meets it.
+    fn evaluate<'s>(
+        &self,
+        measurements: &'s MeasurementSet,
+        target: &TargetSpec,
+        ctx: &FitContext<'_>,
+    ) -> Result<Evaluation<'s>> {
         measurements.validate(self.config.min_measurements)?;
         let measured_cores = measurements.max_cores();
         if target.cores < measured_cores {
@@ -239,9 +281,13 @@ impl Estima {
         }
         target.validate()?;
 
-        let sources = self.config.sources();
-        let categories = measurements.categories(&sources);
-        if categories.is_empty() {
+        // Measured execution time, scaled by the frequency ratio when the
+        // target machine runs at a different clock (§4.3).
+        let freq_ratio = target
+            .frequency_ghz
+            .map_or(1.0, |target_ghz| measurements.frequency_ghz / target_ghz);
+        let columns = Columns::read(measurements, &self.config.sources(), freq_ratio);
+        if columns.categories.is_empty() {
             return Err(EstimaError::NoStallCategories);
         }
 
@@ -255,97 +301,230 @@ impl Estima {
         // concurrently. Categories that are identically zero carry no
         // information and a constant-zero extrapolation is exact, so they are
         // dropped before the fan-out.
-        let jobs: Vec<(StallCategory, Vec<(u32, f64)>)> = categories
+        let Columns {
+            xs,
+            categories,
+            factor_ys,
+        } = columns;
+        let jobs: Vec<Column<'s>> = categories
             .into_iter()
-            .map(|category| {
-                let series = measurements.category_series(&category);
-                (category, series)
-            })
-            .filter(|(_, series)| series.iter().any(|(_, v)| *v != 0.0))
+            .filter(|column| column.values.iter().any(|v| *v != 0.0))
             .collect();
-        let fitted: Vec<Result<_>> = ctx.engine.run(jobs, |(category, series)| {
-            let xs: Vec<f64> = series.iter().map(|(c, _)| *c as f64).collect();
-            let ys: Vec<f64> = series.iter().map(|(_, v)| *v).collect();
-            let candidates = candidate_fits(&xs, &ys, &fit_options, ctx)?;
-            let best = select_best(&candidates, &category.name)?;
+        let fitted: Vec<Result<CategoryFit<'s>>> = ctx.engine.run(jobs, |column| {
+            let fits = candidate_fits(&xs, &column.values, &fit_options, ctx)?;
+            let best = fits.best().ok_or_else(|| EstimaError::NoViableFit {
+                category: column.category.name.clone(),
+            })?;
             // The winner's eval table holds `curve.eval(c)` for every
             // `c in 1..=target`: the horizon was stretched to the target.
-            let table = best.evals.values();
             assert_eq!(
-                table.len(),
+                best.evals.values().len(),
                 target.cores as usize,
                 "a category's eval table must cover 1..=target"
             );
-            let extrapolated: Vec<(u32, f64)> = (1..=target.cores)
-                .zip(table)
-                .map(|(c, value)| (c, value.max(0.0) * target.dataset_scale))
-                .collect();
-            Ok(CategoryExtrapolation {
-                category,
-                curve: best.curve.clone(),
-                measured: series,
-                extrapolated,
-            })
+            Ok(CategoryFit { column, fits })
         });
-        let extrapolations = fitted.into_iter().collect::<Result<Vec<_>>>()?;
-        if extrapolations.is_empty() {
+        let categories = fitted.into_iter().collect::<Result<Vec<_>>>()?;
+        if categories.is_empty() {
             return Err(EstimaError::NoStallCategories);
         }
 
-        // Total stalled cycles per core over the full range.
-        let stalls_per_core: Vec<(u32, f64)> = (1..=target.cores)
+        // Total stalled cycles per core over the full range: each category's
+        // extrapolated total (clamped at zero, scaled to the dataset),
+        // summed in category order.
+        let stalls_per_core: Vec<f64> = (1..=target.cores)
             .map(|c| {
-                let total: f64 = extrapolations.iter().filter_map(|e| e.at(c)).sum();
-                (c, total / c as f64)
+                let at = c as usize - 1;
+                let total: f64 = categories
+                    .iter()
+                    .map(|fit| fit.winner().evals.values()[at].max(0.0) * target.dataset_scale)
+                    .sum();
+                total / c as f64
             })
             .collect();
 
-        // Step C: scaling factor from stalls per core to execution time.
-        // Measured execution time, scaled by the frequency ratio when the
-        // target machine runs at a different clock (§4.3).
-        let freq_ratio = target
-            .frequency_ghz
-            .map_or(1.0, |target_ghz| measurements.frequency_ghz / target_ghz);
-        let measured_time: Vec<(u32, f64)> = measurements
-            .exec_times()
-            .into_iter()
-            .map(|(c, t)| (c, t * freq_ratio))
-            .collect();
-
-        // Measured stalls per core (from raw measurements, not the fits), so
-        // the factor reflects what was actually observed.
-        let measured_spc = measurements.stalls_per_core(&sources);
-        let factor_xs: Vec<f64> = measured_time.iter().map(|(c, _)| *c as f64).collect();
-        let factor_ys: Vec<f64> = measured_time
-            .iter()
-            .zip(&measured_spc)
-            .map(|((_, t), (_, spc))| if *spc > 0.0 { t / spc } else { 0.0 })
-            .collect();
-
-        // Candidate factor curves, selected by the correlation of the time
-        // predictions they produce with stalls per core (§3.1.3).
-        let candidates = candidate_fits(&factor_xs, &factor_ys, &fit_options, ctx)?;
-        let spc_values: Vec<f64> = stalls_per_core.iter().map(|(_, v)| *v).collect();
-        let choice = select_scaling_factor(&candidates, &spc_values, measured_cores, &factor_ys)
+        // Step C: candidate factor curves, selected by the correlation of
+        // the time predictions they produce with stalls per core (§3.1.3).
+        let factor = candidate_fits(&xs, &factor_ys, &fit_options, ctx)?;
+        let choice = select_scaling_factor(&factor, &stalls_per_core, measured_cores, &factor_ys)
             .ok_or_else(|| EstimaError::NoViableFit {
-                category: "scaling_factor".into(),
-            })?;
-        let scaling_factor = candidates[choice.index].curve.clone();
-        let factor_correlation = choice.correlation;
-        let predicted_time: Vec<(u32, f64)> = (1..=target.cores).zip(choice.times).collect();
+            category: "scaling_factor".into(),
+        })?;
 
-        Ok(Prediction {
-            app_name: measurements.app_name.clone(),
-            measured_cores,
-            target_cores: target.cores,
-            categories: extrapolations,
+        Ok(Evaluation {
+            measurements,
+            freq_ratio,
+            categories,
             stalls_per_core,
-            scaling_factor,
-            factor_correlation,
-            predicted_time,
-            measured_time,
-            confidence: None,
+            factor,
+            choice,
         })
+    }
+}
+
+/// A measurement set read once for the pipeline.
+struct Columns<'s> {
+    /// The measured core counts: the `xs` of every series the pipeline
+    /// fits.
+    xs: Vec<f64>,
+    /// One column per stall category of the configured sources, in category
+    /// order.
+    categories: Vec<Column<'s>>,
+    /// The scaling factor's measured series (step C): each point's measured
+    /// time, frequency-scaled, over its measured stalls per core (from the
+    /// raw measurements, not the fits, so the factor reflects what was
+    /// actually observed), or `0.0` where no stall was measured.
+    factor_ys: Vec<f64>,
+}
+
+/// One stall category's measured totals, point by point: `0.0` where a
+/// point lacks the category (a runtime that reported nothing for a run
+/// spent no cycles in that category).
+struct Column<'s> {
+    category: &'s StallCategory,
+    values: Vec<f64>,
+}
+
+impl<'s> Columns<'s> {
+    /// Read every point once: its stalls of `sources` into their columns,
+    /// its stalls per core and its time into the factor series. The values
+    /// are [`MeasurementSet::category_series`]'s and the factor series is
+    /// the one [`MeasurementSet::exec_times`] and
+    /// [`MeasurementSet::stalls_per_core`] give, bit for bit.
+    fn read(set: &'s MeasurementSet, sources: &[StallSource], freq_ratio: f64) -> Self {
+        let points = set.measurements();
+        let mut categories: Vec<Column<'s>> = Vec::new();
+        let mut factor_ys = Vec::with_capacity(points.len());
+        for (index, point) in points.iter().enumerate() {
+            // A point's stalls come in category order, like the columns, and
+            // points almost always list the same categories: the next
+            // column is the first place to look.
+            let mut next = 0;
+            // `Sum for f64` folds from -0.0, as `Measurement::total_stalls`
+            // does.
+            let mut total = -0.0;
+            for (category, value) in &point.stalls {
+                if !sources.contains(&category.source) {
+                    continue;
+                }
+                let at = match categories.get(next) {
+                    Some(column) if column.category == category => next,
+                    _ => {
+                        let rest = &categories[next..];
+                        match rest.binary_search_by(|column| column.category.cmp(category)) {
+                            Ok(offset) => next + offset,
+                            Err(offset) => {
+                                let column = Column {
+                                    category,
+                                    values: vec![0.0; points.len()],
+                                };
+                                categories.insert(next + offset, column);
+                                next + offset
+                            }
+                        }
+                    }
+                };
+                categories[at].values[index] = *value;
+                next = at + 1;
+                total += value;
+            }
+            let stalls_per_core = total / point.cores.max(1) as f64;
+            let time = point.exec_time * freq_ratio;
+            factor_ys.push(if stalls_per_core > 0.0 {
+                time / stalls_per_core
+            } else {
+                0.0
+            });
+        }
+        Columns {
+            xs: points.iter().map(|point| point.cores as f64).collect(),
+            categories,
+            factor_ys,
+        }
+    }
+}
+
+/// A non-zero stall category with its candidate fits, whose winner step B
+/// extrapolates.
+struct CategoryFit<'s> {
+    column: Column<'s>,
+    fits: Arc<Fits>,
+}
+
+impl CategoryFit<'_> {
+    fn winner(&self) -> &FitCandidate {
+        self.fits
+            .best()
+            .expect("evaluate keeps only categories with a winner")
+    }
+}
+
+/// What [`Estima::evaluate`] computes: everything a prediction reads, with
+/// nothing materialised beyond the series step C correlates.
+struct Evaluation<'s> {
+    measurements: &'s MeasurementSet,
+    freq_ratio: f64,
+    /// The non-zero categories, in category order.
+    categories: Vec<CategoryFit<'s>>,
+    /// Total stalled cycles per core at every core count `1..=target`.
+    stalls_per_core: Vec<f64>,
+    /// The scaling-factor candidates and step C's pick among them.
+    factor: Arc<Fits>,
+    choice: FactorChoice,
+}
+
+impl Evaluation<'_> {
+    /// The chosen scaling-factor candidate.
+    fn factor(&self) -> &FitCandidate {
+        &self.factor[self.choice.index]
+    }
+
+    /// Build the full prediction: each category's winning curve and
+    /// extrapolated series, and the predicted time at every core count as
+    /// stalls per core times the scaling factor's table.
+    fn into_prediction(self, target: &TargetSpec) -> Prediction {
+        let points = self.measurements.measurements();
+        let categories = self
+            .categories
+            .iter()
+            .map(|fit| {
+                let winner = fit.winner();
+                CategoryExtrapolation {
+                    category: fit.column.category.clone(),
+                    curve: winner.curve.clone(),
+                    measured: points
+                        .iter()
+                        .map(|point| point.cores)
+                        .zip(fit.column.values.iter().copied())
+                        .collect(),
+                    extrapolated: (1..=target.cores)
+                        .zip(winner.evals.values())
+                        .map(|(c, value)| (c, value.max(0.0) * target.dataset_scale))
+                        .collect(),
+                }
+            })
+            .collect();
+        let factor = self.factor();
+        Prediction {
+            app_name: self.measurements.app_name.clone(),
+            measured_cores: self.measurements.max_cores(),
+            target_cores: target.cores,
+            categories,
+            stalls_per_core: (1..=target.cores)
+                .zip(self.stalls_per_core.iter().copied())
+                .collect(),
+            scaling_factor: factor.curve.clone(),
+            factor_correlation: self.choice.correlation,
+            predicted_time: (1..=target.cores)
+                .zip(self.stalls_per_core.iter().zip(factor.evals.values()))
+                .map(|(c, (spc, factor))| (c, spc * factor))
+                .collect(),
+            measured_time: points
+                .iter()
+                .map(|point| (point.cores, point.exec_time * self.freq_ratio))
+                .collect(),
+            confidence: None,
+        }
     }
 }
 
@@ -357,8 +536,6 @@ struct FactorChoice {
     /// Pearson correlation of the winner's predicted times with stalls per
     /// core.
     correlation: f64,
-    /// The winner's predicted time at every core count `1..=target`.
-    times: Vec<f64>,
 }
 
 /// Distinct eval tables whose correlations one sweep over the series
@@ -378,13 +555,14 @@ const SWEEP: usize = crate::kernels::LANES;
 /// [`pearson_correlation`](crate::stats::pearson_correlation)`(times,
 /// stalls_per_core)` to the bit: the stalls-per-core mean, deviations and
 /// variance are computed once, and each table's sums keep their order.
-/// A correlation depends only on the eval table, and the candidates of
-/// every checkpoint span covering one (kernel, prefix) cell share one
-/// table, so each distinct plausible table is correlated once, [`SWEEP`]
-/// tables per pass over the series (see [`StallSide`]). The selection then
-/// walks every plausible candidate in order, reading its table's
-/// correlation, so a later duplicate with a lower checkpoint RMSE still
-/// wins a tie.
+/// Plausibility and correlation depend only on the eval table and its tail
+/// fold, which every candidate numbered with one table shares
+/// ([`CandidateEvals::table`](crate::fit::CandidateEvals::table)): both are
+/// decided once per table, through one entry per [`Fits::tables`] number,
+/// and each plausible table is correlated once, [`SWEEP`] tables per pass
+/// over the series (see [`StallSide`]). The selection then walks every
+/// plausible candidate in order, reading its table's correlation, so a
+/// later duplicate with a lower checkpoint RMSE still wins a tie.
 ///
 /// Each candidate's trial times read its eval table. That is exact here:
 /// predict stretches the realism horizon to the target, so the grid
@@ -392,7 +570,7 @@ const SWEEP: usize = crate::kernels::LANES;
 /// spans the measured core counts, so every table's tail starts at
 /// `measured_cores + 1`. Both are asserted for every candidate.
 fn select_scaling_factor(
-    candidates: &[FitCandidate],
+    candidates: &Fits,
     stalls_per_core: &[f64],
     measured_cores: u32,
     factor_ys: &[f64],
@@ -403,10 +581,13 @@ fn select_scaling_factor(
         factor_ys.first().copied().unwrap_or(0.0) >= factor_at_max_measured;
     let check_trend = factor_at_max_measured > 0.0 && (measured_cores as usize) < target;
 
-    // Every plausible candidate with its slot among the distinct tables,
-    // and each distinct table's first owner.
+    // Per table number: `None` until its first candidate, then `Some` of the
+    // table's sweep column, or `Some(None)` when its tail breaks the trend.
+    let mut columns: Vec<Option<Option<usize>>> = vec![None; candidates.tables()];
+    // The plausible tables in order of first use, and every plausible
+    // candidate with its table's column.
+    let mut distinct: Vec<&[f64]> = Vec::new();
     let mut plausible: Vec<(usize, usize)> = Vec::with_capacity(candidates.len());
-    let mut distinct: Vec<&CandidateEvals> = Vec::with_capacity(candidates.len());
     for (index, candidate) in candidates.iter().enumerate() {
         let evals = &candidate.evals;
         assert!(
@@ -417,33 +598,32 @@ fn select_scaling_factor(
             evals.tail_start(),
             measured_cores + 1
         );
-        if check_trend
-            && ((factor_trend_decreasing && evals.tail_max() > factor_at_max_measured * 1.5)
-                || (!factor_trend_decreasing && evals.tail_min() < factor_at_max_measured * 0.5))
-        {
-            continue;
-        }
-        let slot = match distinct.iter().position(|seen| seen.shares_values(evals)) {
-            Some(slot) => slot,
-            None => {
-                distinct.push(evals);
+        let column = *columns[evals.table() as usize].get_or_insert_with(|| {
+            let implausible = check_trend
+                && ((factor_trend_decreasing && evals.tail_max() > factor_at_max_measured * 1.5)
+                    || (!factor_trend_decreasing
+                        && evals.tail_min() < factor_at_max_measured * 0.5));
+            (!implausible).then(|| {
+                distinct.push(evals.values());
                 distinct.len() - 1
-            }
-        };
-        plausible.push((index, slot));
+            })
+        });
+        if let Some(column) = column {
+            plausible.push((index, column));
+        }
     }
 
     let stalls = StallSide::new(stalls_per_core);
     let mut correlations: Vec<Option<f64>> = Vec::with_capacity(distinct.len());
     for batch in distinct.chunks(SWEEP) {
         // A short batch repeats its last table; those lanes are ignored.
-        let tables = std::array::from_fn(|lane| batch[lane.min(batch.len() - 1)].values());
+        let tables = std::array::from_fn(|lane| batch[lane.min(batch.len() - 1)]);
         correlations.extend_from_slice(&stalls.correlations(tables)[..batch.len()]);
     }
 
     let mut best: Option<(usize, f64)> = None;
-    for (index, slot) in plausible {
-        let Some(corr) = correlations[slot] else {
+    for (index, column) in plausible {
+        let Some(corr) = correlations[column] else {
             continue;
         };
         let better = match best {
@@ -460,16 +640,7 @@ fn select_scaling_factor(
         }
     }
     let (index, correlation) = best?;
-    let times = stalls_per_core
-        .iter()
-        .zip(candidates[index].evals.values())
-        .map(|(spc, factor)| spc * factor)
-        .collect();
-    Some(FactorChoice {
-        index,
-        correlation,
-        times,
-    })
+    Some(FactorChoice { index, correlation })
 }
 
 /// The stalls-per-core side of
@@ -579,6 +750,23 @@ mod tests {
             }
         }
         (set, truth)
+    }
+
+    /// A quickstart-shaped set: 12 points, two backend categories and one
+    /// software category, with a per-core `wobble` on the time.
+    pub(super) fn quickstart_shaped(wobble: f64) -> MeasurementSet {
+        let mut set = MeasurementSet::new("quickstart", 2.1);
+        for cores in 1..=12u32 {
+            let n = f64::from(cores);
+            let time = (50.0 / n + 1.0) * (1.0 + wobble * (f64::from((cores * 7) % 5) - 2.0));
+            set.push(
+                Measurement::new(cores, time)
+                    .with_stall(StallCategory::backend("rob_full"), 4.0e8 * n * time * 0.7)
+                    .with_stall(StallCategory::backend("ls_full"), 4.0e8 * n * time * 0.3)
+                    .with_stall(StallCategory::software("lock_spin"), 1.0e7 * n * n),
+            );
+        }
+        set
     }
 
     #[test]
@@ -791,6 +979,81 @@ mod tests {
         }
     }
 
+    /// θ against the full prediction, on quickstart-shaped sets and every
+    /// leave-one-out subset of them, at a target beyond the measurements,
+    /// one equal to the measured maximum, and one with another clock and a
+    /// dataset scale, uncached and through one scoped cache.
+    /// `predicted_time_in` must fail exactly when `predict_in` does, and
+    /// otherwise give the bits of `predicted_time_at(target)` and of the
+    /// prediction's own parts there: the categories' extrapolated totals
+    /// summed and divided by the cores, times the scaling-factor curve.
+    #[test]
+    fn theta_is_the_predicted_time_at_the_target() {
+        use crate::engine::{CacheScope, FitCache};
+
+        let estima = Estima::new(EstimaConfig::default().with_parallelism(1));
+        let cache = FitCache::new();
+        let contexts = [
+            estima.fit_context(),
+            FitContext {
+                cache: Some(&cache),
+                scope: Some(CacheScope {
+                    series: "theta",
+                    version: 1,
+                }),
+                ..estima.fit_context()
+            },
+        ];
+        let targets = [
+            TargetSpec::cores(48),
+            TargetSpec::cores(12),
+            TargetSpec::cores(48)
+                .with_frequency_ghz(3.0)
+                .with_dataset_scale(1.7),
+        ];
+        let mut compared = 0;
+        for wobble in [0.0, 0.02, 0.05] {
+            let full = quickstart_shaped(wobble);
+            for leave_out in std::iter::once(None).chain((0..full.len()).map(Some)) {
+                let mut set = full.clone();
+                if let Some(index) = leave_out {
+                    set.remove(index);
+                }
+                for target in &targets {
+                    for ctx in &contexts {
+                        let context = format!("wobble {wobble}, without {leave_out:?}, {target:?}");
+                        let cores = target.cores;
+                        match (
+                            estima.predict_in(&set, target, ctx),
+                            estima.predicted_time_in(&set, target, ctx),
+                        ) {
+                            (Ok(prediction), Ok(theta)) => {
+                                let at = prediction.predicted_time_at(cores).unwrap();
+                                assert_eq!(theta.to_bits(), at.to_bits(), "{context}");
+                                let total: f64 = prediction
+                                    .categories
+                                    .iter()
+                                    .filter_map(|e| e.at(cores))
+                                    .sum();
+                                let rebuilt = total / cores as f64
+                                    * prediction.scaling_factor.eval(cores as f64);
+                                assert_eq!(theta.to_bits(), rebuilt.to_bits(), "{context}");
+                                compared += 1;
+                            }
+                            (Err(expected), Err(actual)) => {
+                                assert_eq!(expected, actual, "{context}")
+                            }
+                            (expected, actual) => {
+                                panic!("{context}: predict_in {expected:?}, θ {actual:?}")
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(compared, 3 * 13 * 3 * 2, "every case predicts");
+    }
+
     #[test]
     fn zero_category_is_skipped() {
         let (mut set, _) = synthetic_set(48);
@@ -820,17 +1083,18 @@ mod tests {
 /// zeros and `-0.0`, values near `f64::MAX`, NaN, ±∞ and negative trial
 /// times, near-tied correlations settled by checkpoint RMSE, and 1 to 9
 /// candidates, so batches end short of [`SWEEP`]. Up to three more
-/// candidates clone an earlier candidate's [`CandidateEvals`] under another
+/// candidates clone an earlier candidate's `CandidateEvals` under another
 /// checkpoint RMSE, sharing its table the way the checkpoint spans of one
-/// grid cell do. Real scaling-factor grids of quickstart-shaped sets and of
-/// their leave-one-out subsets run through both too. The winner, its
+/// grid cell do; each hand-made list becomes a [`Fits`], which numbers its
+/// tables by allocation. Real scaling-factor grids of quickstart-shaped sets
+/// and of their leave-one-out subsets run through both too. The winner, its
 /// correlation and every predicted time must be the same bits.
 #[cfg(test)]
 mod selection_oracle {
+    use super::tests::quickstart_shaped;
     use super::*;
-    use crate::fit::candidate_fits_with;
+    use crate::fit::{candidate_fits_with, CandidateEvals};
     use crate::kernels::KernelKind;
-    use crate::measurement::Measurement;
     use crate::stats::pearson_correlation;
 
     /// The scaling-factor selection before the sweep, verbatim.
@@ -1043,7 +1307,7 @@ mod selection_oracle {
             };
             let first = 1 + candidates
                 .iter()
-                .position(|c| c.evals.shares_values(&duplicate.evals))
+                .position(|c| std::ptr::eq(c.evals.values(), duplicate.evals.values()))
                 .unwrap();
             let at = first + rng.below((candidates.len() + 1 - first) as u64) as usize;
             candidates.insert(at, duplicate);
@@ -1051,15 +1315,18 @@ mod selection_oracle {
     }
 
     /// Whether the candidate at `index` shares its table with an earlier one.
-    fn is_duplicate(candidates: &[FitCandidate], index: usize) -> bool {
+    fn is_duplicate(candidates: &Fits, index: usize) -> bool {
+        let table = candidates[index].evals.table();
         candidates[..index]
             .iter()
-            .any(|earlier| earlier.evals.shares_values(&candidates[index].evals))
+            .any(|earlier| earlier.evals.table() == table)
     }
 
-    /// Run both selections and require the same winner, bit for bit.
+    /// Run both selections and require the same winner, bit for bit, and
+    /// the same predicted times: the oracle's, and the winner's table times
+    /// stalls per core, as a prediction builds them.
     fn assert_same_choice(
-        candidates: &[FitCandidate],
+        candidates: &Fits,
         stalls: &[f64],
         measured_cores: u32,
         factor_ys: &[f64],
@@ -1073,8 +1340,13 @@ mod selection_oracle {
             (Some((index, corr, times)), Some(choice)) => {
                 assert_eq!(choice.index, index, "winner");
                 assert_eq!(choice.correlation.to_bits(), corr.to_bits(), "correlation");
+                let built: Vec<f64> = stalls
+                    .iter()
+                    .zip(candidates[choice.index].evals.values())
+                    .map(|(spc, factor)| spc * factor)
+                    .collect();
                 let bits = |times: &[f64]| times.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&choice.times), bits(&times), "predicted times");
+                assert_eq!(bits(&built), bits(&times), "predicted times");
                 Some(corr)
             }
             (expected, actual) => panic!(
@@ -1103,6 +1375,7 @@ mod selection_oracle {
                 })
                 .collect();
             share_tables(&mut rng, &mut candidates);
+            let candidates = Fits::from(candidates);
             let factor_ys: Vec<f64> = (0..1 + rng.below(4))
                 .map(|_| rng.pick(&[0.0, 0.5, 1.0, 2.0, 1.5, -1.0]))
                 .collect();
@@ -1124,23 +1397,6 @@ mod selection_oracle {
             duplicates_won > 100,
             "a duplicate won only {duplicates_won} cases"
         );
-    }
-
-    /// A quickstart-shaped set: 12 points, two backend categories and one
-    /// software category, with a per-core `wobble` on the time.
-    fn quickstart_shaped(wobble: f64) -> MeasurementSet {
-        let mut set = MeasurementSet::new("quickstart", 2.1);
-        for cores in 1..=12u32 {
-            let n = f64::from(cores);
-            let time = (50.0 / n + 1.0) * (1.0 + wobble * (f64::from((cores * 7) % 5) - 2.0));
-            set.push(
-                Measurement::new(cores, time)
-                    .with_stall(StallCategory::backend("rob_full"), 4.0e8 * n * time * 0.7)
-                    .with_stall(StallCategory::backend("ls_full"), 4.0e8 * n * time * 0.3)
-                    .with_stall(StallCategory::software("lock_spin"), 1.0e7 * n * n),
-            );
-        }
-        set
     }
 
     #[test]
@@ -1195,7 +1451,7 @@ mod selection_oracle {
             checkpoints: 3,
             evals: flat.evals.clone(),
         };
-        let candidates = [flat, candidate(&rising, 13, 0.1), duplicate];
+        let candidates = Fits::from(vec![flat, candidate(&rising, 13, 0.1), duplicate]);
         let factor_ys = [4.0, 4.0];
         assert_same_choice(&candidates, &stalls, 12, &factor_ys);
         let choice = select_scaling_factor(&candidates, &stalls, 12, &factor_ys).unwrap();
@@ -1220,7 +1476,7 @@ mod selection_oracle {
             evals: implausible.evals.clone(),
         };
         let rising: Vec<f64> = (1..=48).map(|c| 1.0 + 0.01 * f64::from(c)).collect();
-        let candidates = [implausible, candidate(&rising, 13, 0.3), duplicate];
+        let candidates = Fits::from(vec![implausible, candidate(&rising, 13, 0.3), duplicate]);
         let factor_ys = [4.0, 4.0];
         assert_same_choice(&candidates, &stalls, 12, &factor_ys);
         let choice = select_scaling_factor(&candidates, &stalls, 12, &factor_ys).unwrap();
@@ -1231,10 +1487,12 @@ mod selection_oracle {
     fn a_constant_series_correlates_zero() {
         let stalls = vec![7.5; 48];
         let tables = [vec![1.0; 48], (1..=48).map(f64::from).collect::<Vec<_>>()];
-        let candidates: Vec<FitCandidate> = tables
-            .iter()
-            .map(|table| candidate(table, 13, 0.1))
-            .collect();
+        let candidates = Fits::from(
+            tables
+                .iter()
+                .map(|table| candidate(table, 13, 0.1))
+                .collect::<Vec<_>>(),
+        );
         assert_eq!(
             assert_same_choice(&candidates, &stalls, 12, &[2.0, 1.0]).map(f64::to_bits),
             Some(0.0f64.to_bits())
@@ -1248,7 +1506,10 @@ mod selection_oracle {
         let stalls: Vec<f64> = (1..=48).map(|c| 1.0 / f64::from(c) + 0.01).collect();
         let base: Vec<f64> = (1..=48).map(|c| 1.0 + 0.01 * f64::from(c)).collect();
         let doubled: Vec<f64> = base.iter().map(|v| v * 2.0).collect();
-        let candidates = [candidate(&base, 13, 0.2), candidate(&doubled, 13, 0.1)];
+        let candidates = Fits::from(vec![
+            candidate(&base, 13, 0.2),
+            candidate(&doubled, 13, 0.1),
+        ]);
         // A flat measured factor of 4: both tails stay below 1.5 × 4.
         let factor_ys = [4.0, 4.0];
         assert_same_choice(&candidates, &stalls, 12, &factor_ys);

@@ -23,7 +23,7 @@ fn touch(cache: &FitCache, key: FitKey, computes: &AtomicUsize) {
     cache
         .get_or_compute(key, || {
             computes.fetch_add(1, Ordering::Relaxed);
-            Ok(Vec::new())
+            Ok(Vec::new().into())
         })
         .unwrap();
 }

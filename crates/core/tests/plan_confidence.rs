@@ -443,28 +443,43 @@ fn assert_plan_bits(a: &MeasurementPlan, b: &MeasurementPlan) {
     }
 }
 
+/// The targets the reference jackknife is checked at: beyond the
+/// measurements, with another clock and a dataset scale (a leave-out that
+/// dropped either would still match at the plain target), and just past
+/// the widest set.
+fn reference_targets() -> [TargetSpec; 3] {
+    [
+        TargetSpec::cores(48),
+        TargetSpec::cores(48)
+            .with_frequency_ghz(3.0)
+            .with_dataset_scale(1.5),
+        TargetSpec::cores(16),
+    ]
+}
+
 #[test]
 fn confidence_and_plan_match_the_reference_jackknife() {
-    let target = TargetSpec::cores(48);
-    for set in reference_sets() {
-        for parallelism in [1, 2, 4] {
-            let estima = Estima::new(EstimaConfig::default().with_parallelism(parallelism));
-            let planner = Planner::new(&estima);
-            let reference = reference::Planner {
-                estima: &estima,
-                ctx: estima.fit_context(),
-            };
-            let context = format!("{} at parallelism {parallelism}", set.app_name);
+    for target in reference_targets() {
+        for set in reference_sets() {
+            for parallelism in [1, 2, 4] {
+                let estima = Estima::new(EstimaConfig::default().with_parallelism(parallelism));
+                let planner = Planner::new(&estima);
+                let reference = reference::Planner {
+                    estima: &estima,
+                    ctx: estima.fit_context(),
+                };
+                let context = format!("{} at parallelism {parallelism}, {target:?}", set.app_name);
 
-            let (p1, i1) = planner.confidence(&set, &target).expect(&context);
-            let (p2, i2) = reference.confidence(&set, &target).expect(&context);
-            assert_interval_bits(&i1, &i2);
-            assert_prediction_bits(&p1, &p2);
+                let (p1, i1) = planner.confidence(&set, &target).expect(&context);
+                let (p2, i2) = reference.confidence(&set, &target).expect(&context);
+                assert_interval_bits(&i1, &i2);
+                assert_prediction_bits(&p1, &p2);
 
-            let plan = planner.plan(&set, &target, 6).expect(&context);
-            let expected = reference.plan(&set, &target, 6).expect(&context);
-            assert!(!expected.suggestions.is_empty(), "{context}: no suggestion");
-            assert_plan_bits(&plan, &expected);
+                let plan = planner.plan(&set, &target, 6).expect(&context);
+                let expected = reference.plan(&set, &target, 6).expect(&context);
+                assert!(!expected.suggestions.is_empty(), "{context}: no suggestion");
+                assert_plan_bits(&plan, &expected);
+            }
         }
     }
 }
@@ -473,23 +488,24 @@ fn confidence_and_plan_match_the_reference_jackknife() {
 fn cached_plans_match_the_reference_jackknife() {
     // Through a shared fit cache, as a session plans: the leave-outs must
     // draw the same fits whether they come from the cache or not.
-    let target = TargetSpec::cores(48);
     let estima = Estima::new(EstimaConfig::default().with_parallelism(2));
-    for set in reference_sets() {
-        let cache = FitCache::new();
-        let ctx = estima_core::FitContext {
-            cache: Some(&cache),
-            ..estima.fit_context()
-        };
-        let planner = Planner::in_context(&estima, ctx);
-        let reference = reference::Planner {
-            estima: &estima,
-            ctx: estima.fit_context(),
-        };
-        for _ in 0..2 {
-            let plan = planner.plan(&set, &target, 3).unwrap();
-            let expected = reference.plan(&set, &target, 3).unwrap();
-            assert_plan_bits(&plan, &expected);
+    for target in reference_targets() {
+        for set in reference_sets() {
+            let cache = FitCache::new();
+            let ctx = estima_core::FitContext {
+                cache: Some(&cache),
+                ..estima.fit_context()
+            };
+            let planner = Planner::in_context(&estima, ctx);
+            let reference = reference::Planner {
+                estima: &estima,
+                ctx: estima.fit_context(),
+            };
+            for _ in 0..2 {
+                let plan = planner.plan(&set, &target, 3).unwrap();
+                let expected = reference.plan(&set, &target, 3).unwrap();
+                assert_plan_bits(&plan, &expected);
+            }
         }
     }
 }

@@ -17,12 +17,20 @@
 //! Results are compared through `{:?}`, which writes every `f64` in its
 //! shortest round-trip form (and `-0.0` apart from `0.0`), so equal text
 //! means equal bits up to NaN payloads.
+//!
+//! Every set with at least one point more than the pipeline minimum also
+//! gets a jackknife [`Planner::confidence`], uncached and through the shared
+//! cache.
+//! The text of every uncached result (predictions, errors, intervals and
+//! plans) feeds one FNV-1a-64 digest, which is pinned: a change to what the
+//! pipeline computes, not only a cached path that drifts from the uncached
+//! one, fails the test.
 
 use std::sync::Arc;
 
 use estima_core::plan::Planner;
 use estima_core::prelude::*;
-use estima_core::MAX_TARGET_CORES;
+use estima_core::{FitContext, MAX_TARGET_CORES};
 
 /// Deterministic xorshift64* generator — the test's only randomness
 /// source (no RNG crates in this workspace).
@@ -205,6 +213,15 @@ fn flip_newest(rng: &mut XorShift, points: &mut [Measurement]) {
     }
 }
 
+/// FNV-1a-64 of `text` and one `\n`, continuing from `hash`.
+fn fnv1a(mut hash: u64, text: &str) -> u64 {
+    for byte in text.bytes().chain([b'\n']) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 #[test]
 fn shared_cache_predictions_match_uncached_on_adversarial_sets() {
     let cache = Arc::new(FitCache::new());
@@ -218,7 +235,8 @@ fn shared_cache_predictions_match_uncached_on_adversarial_sets() {
         .collect();
     let references: Vec<Estima> = configs.iter().cloned().map(Estima::new).collect();
 
-    let (mut compared, mut planned, mut failed) = (0, 0, 0);
+    let (mut compared, mut planned, mut failed, mut bounded) = (0, 0, 0, 0);
+    let mut digest = 0xcbf2_9ce4_8422_2325;
     for seed in 1..=50u64 {
         let mut rng = XorShift::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let cores = core_layout(&mut rng);
@@ -249,8 +267,24 @@ fn shared_cache_predictions_match_uncached_on_adversarial_sets() {
             let expected = format!("{:?}", estima.predict(&set, &target));
             let served = format!("{:?}", session.predict_set(&set, &target));
             assert_eq!(expected, served, "{context}: predict_set");
+            digest = fnv1a(digest, &expected);
             compared += 1;
             failed += usize::from(expected.starts_with("Err"));
+
+            if set.len() > estima.config().min_measurements {
+                let cached = Planner::in_context(
+                    estima,
+                    FitContext {
+                        cache: Some(&cache),
+                        ..estima.fit_context()
+                    },
+                );
+                let expected = format!("{:?}", Planner::new(estima).confidence(&set, &target));
+                let served = format!("{:?}", cached.confidence(&set, &target));
+                assert_eq!(expected, served, "{context}: confidence");
+                digest = fnv1a(digest, &expected);
+                bounded += 1;
+            }
 
             // Every other variant also goes through a named series, whose
             // fits are cached under the series' scope, and some are planned.
@@ -263,11 +297,13 @@ fn shared_cache_predictions_match_uncached_on_adversarial_sets() {
                 let expected = format!("{:?}", estima.predict(&stored, &target));
                 let served = format!("{:?}", session.predict(&id, &target));
                 assert_eq!(expected, served, "{context}: series predict");
+                digest = fnv1a(digest, &expected);
                 compared += 1;
                 if rng.below(3) == 0 && target.cores <= 96 {
                     let expected = format!("{:?}", Planner::new(estima).plan(&stored, &target, 3));
                     let served = format!("{:?}", session.plan(&id, &target, 3));
                     assert_eq!(expected, served, "{context}: plan");
+                    digest = fnv1a(digest, &expected);
                     planned += 1;
                 }
             }
@@ -280,6 +316,12 @@ fn shared_cache_predictions_match_uncached_on_adversarial_sets() {
         "{failed} of {compared} failed"
     );
     assert!(planned > 0, "no set was planned");
+    // Pinned from the predictor before cached lists carried their winners
+    // and leave-outs stopped building predictions.
+    assert_eq!(
+        (format!("{digest:016x}"), compared, bounded, planned),
+        ("16748539c4943d64".to_string(), 297, 197, 7)
+    );
     let (served, computed) = cache.solve_stats();
     assert!(
         served > 0 && computed > 0,
