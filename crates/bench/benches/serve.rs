@@ -19,7 +19,11 @@
 //! `EstimaSession` holds one quickstart-shaped series, and set-up predicts
 //! and plans it at 48 cores once, so every iteration is a pure fit-cache
 //! hit. `warm/predict` is one series predict; `warm/plan` is one plan,
-//! whose jackknives re-run steps B and C about 69 times.
+//! whose jackknives evaluate steps B and C 69 times. Warm, an evaluation
+//! re-derives nothing: its four lookups hash and compare their keys in
+//! place, its scaling-factor list remembers step C's choice, and a
+//! leave-out is the plan's one read of the set minus a row, evaluated in
+//! reused scratch.
 //!
 //! The `cold` group times the fit path in process: `cold/flip_predict`
 //! flips the same series' newest (12-core) checkpoint between two values

@@ -27,10 +27,12 @@
 //! category fit) run inline on the worker thread that reached them, so the
 //! pool never multiplies threads beyond its configured width.
 
+use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::config::{EstimaConfig, TargetSpec};
 use crate::error::Result;
@@ -96,7 +98,7 @@ impl Engine {
         F: Fn(T) -> R + Sync,
     {
         let n = items.len();
-        if self.workers <= 1 || n <= 1 || IN_POOL_WORKER.with(Cell::get) {
+        if n <= 1 || self.inline() {
             return items.into_iter().map(f).collect();
         }
         let queue: Mutex<VecDeque<(usize, T)>> =
@@ -124,21 +126,52 @@ impl Engine {
         indexed.sort_unstable_by_key(|(index, _)| *index);
         indexed.into_iter().map(|(_, result)| result).collect()
     }
+
+    /// Whether a fan-out from the calling thread runs inline: with one
+    /// worker, or on a pool worker already.
+    fn inline(&self) -> bool {
+        self.workers <= 1 || IN_POOL_WORKER.with(Cell::get)
+    }
+
+    /// [`Engine::run`] appending to `out`: `f` of every item, in item
+    /// order. Where `run` would run inline this collects nothing, so into a
+    /// reused `out` it allocates nothing.
+    pub(crate) fn extend_ordered<T, R, F>(
+        &self,
+        items: impl Iterator<Item = T>,
+        out: &mut Vec<R>,
+        f: F,
+    ) where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+    {
+        if self.inline() {
+            out.extend(items.map(f));
+        } else {
+            out.extend(self.run(items.collect(), f));
+        }
+    }
 }
 
-/// Cache key for one fitted series: the full series (as `f64` bit patterns,
-/// so `-0.0` and `0.0` differ and NaNs are stable) plus every field of the
-/// [`FitOptions`], all as 64-bit words. The key is structural — two keys
-/// are equal only if the series and options are exactly equal — so cache
-/// hits can never substitute another series' fits.
+/// Cache key for one fitted series, owned: the series, every field of the
+/// [`FitOptions`], and optionally a store scope. It is the owned form of the
+/// word stream a [`FitCache`] lookup hashes and compares in place, so
+/// [`FitCache::get_or_compute`] with a key built here finds exactly the
+/// entries [`crate::fit::candidate_fits`] inserted for the same inputs, and
+/// the reverse.
 ///
-/// The words are `[n, x₀ … xₙ₋₁, n, y₀ … yₙ₋₁]`, then the options: the
-/// kernel count and each kernel's id, the checkpoint-count count and each
-/// count, the scalar fields (floats as bits, so distinct NaN payloads and
-/// the two zeros differ), and [`LmOptions`] as the same eight words the
-/// solve memo interns. The length prefixes keep the encoding unambiguous, and
-/// destructuring `FitOptions` makes a new field a compile error until it is
-/// keyed.
+/// The stream is `[options, horizon, n, x₀ … xₙ₋₁, n, y₀ … yₙ₋₁]`, then the
+/// scope. Floats enter as their bit patterns, so `-0.0` and `0.0` differ and
+/// NaN payloads stay apart, and the length prefixes keep the encoding
+/// unambiguous. `horizon` is [`FitOptions::realism_horizon`]; `options`
+/// stands for every other field: the kernel count and each kernel's id, the
+/// checkpoint-count count and each count, the scalar fields (floats as
+/// bits) and [`LmOptions`] as the same eight words the solve memo interns.
+/// A key holds those words; a cache interns them and streams their id.
+/// Destructuring `FitOptions` makes a new field a compile error until it is
+/// keyed. Two keys are equal only if the series and options are exactly
+/// equal, so cache hits can never substitute another series' fits.
 ///
 /// Keys built through [`FitKey::scoped`] additionally carry a
 /// `(series id, version)` component from the
@@ -151,8 +184,9 @@ impl Engine {
 /// substitute another series' — or another version's — fits.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FitKey {
-    words: Box<[u64]>,
-    scope: Option<(String, u64)>,
+    /// The option words (every field but the realism horizon).
+    options: Box<[u64]>,
+    series: OwnedSeries,
 }
 
 impl FitKey {
@@ -169,67 +203,219 @@ impl FitKey {
         series: &str,
         version: u64,
     ) -> Self {
-        FitKey::build(xs, ys, options, Some((series.to_string(), version)))
+        FitKey::build(xs, ys, options, Some((series, version)))
     }
 
-    fn build(xs: &[f64], ys: &[f64], options: &FitOptions, scope: Option<(String, u64)>) -> Self {
-        let FitOptions {
-            kernels,
-            checkpoint_counts,
-            min_training_points,
-            realism_horizon,
-            max_magnitude,
-            max_growth_factor,
-            prefix_refitting,
-            lm,
-        } = options;
-        let mut words =
-            Vec::with_capacity(xs.len() + ys.len() + kernels.len() + checkpoint_counts.len() + 17);
-        for series in [xs, ys] {
-            words.push(series.len() as u64);
-            words.extend(series.iter().map(|v| v.to_bits()));
-        }
-        words.push(kernels.len() as u64);
-        words.extend(kernels.iter().map(|kernel| *kernel as u64));
-        words.push(checkpoint_counts.len() as u64);
-        words.extend(checkpoint_counts.iter().map(|count| *count as u64));
-        words.extend([
-            *min_training_points as u64,
-            u64::from(*realism_horizon),
-            max_magnitude.to_bits(),
-            max_growth_factor.to_bits(),
-            u64::from(*prefix_refitting),
-        ]);
-        words.extend(lm_bits(lm));
-        FitKey {
-            words: words.into(),
+    fn build(xs: &[f64], ys: &[f64], options: &FitOptions, scope: Option<(&str, u64)>) -> Self {
+        let series = Series {
+            horizon: options.realism_horizon,
+            xs,
+            ys,
             scope,
+        };
+        FitKey {
+            options: option_words(options).collect(),
+            series: OwnedSeries::new(&series),
         }
     }
 
     /// The `(series id, version)` tag of a scoped key, if any.
     pub fn scope(&self) -> Option<(&str, u64)> {
-        self.scope.as_ref().map(|(id, v)| (id.as_str(), *v))
+        self.series.view().scope
     }
+}
 
-    /// The hash that picks the key's [`FitCache`] shard. (The shard's map
-    /// hashes the key with the std `Hash` instead: series arrive from
+/// Every [`FitOptions`] field but the realism horizon, as the words a
+/// [`FitKey`] holds and a [`FitCache`] interns.
+fn option_words(options: &FitOptions) -> impl Iterator<Item = u64> + Clone + '_ {
+    let FitOptions {
+        kernels,
+        checkpoint_counts,
+        min_training_points,
+        realism_horizon: _,
+        max_magnitude,
+        max_growth_factor,
+        prefix_refitting,
+        lm,
+    } = options;
+    std::iter::once(kernels.len() as u64)
+        .chain(kernels.iter().map(|kernel| *kernel as u64))
+        .chain(std::iter::once(checkpoint_counts.len() as u64))
+        .chain(checkpoint_counts.iter().map(|count| *count as u64))
+        .chain([
+            *min_training_points as u64,
+            max_magnitude.to_bits(),
+            max_growth_factor.to_bits(),
+            u64::from(*prefix_refitting),
+        ])
+        .chain(lm_bits(lm))
+}
+
+/// The part of a fit-cache key's stream after its options: the realism
+/// horizon, the series and the scope.
+#[derive(Debug, Clone, Copy)]
+struct Series<'a> {
+    horizon: u32,
+    xs: &'a [f64],
+    ys: &'a [f64],
+    scope: Option<(&'a str, u64)>,
+}
+
+impl PartialEq for Series<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        self.horizon == other.horizon
+            && same(self.xs, other.xs)
+            && same(self.ys, other.ys)
+            && self.scope == other.scope
+    }
+}
+
+/// The stream both hashes read: the shard's [`Fnv1a`] and the shard map's
+/// `SipHash`.
+impl Hash for Series<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u32(self.horizon);
+        for series in [self.xs, self.ys] {
+            state.write_usize(series.len());
+            // The bit patterns, one write per chunk.
+            for chunk in series.chunks(16) {
+                let mut words = [0u64; 16];
+                for (word, value) in words.iter_mut().zip(chunk) {
+                    *word = value.to_bits();
+                }
+                u64::hash_slice(&words[..chunk.len()], state);
+            }
+        }
+        self.scope.hash(state);
+    }
+}
+
+/// One fit-cache lookup, borrowed: the interned options id and the
+/// [`Series`] part of the stream. A shard's map hashes and compares it in
+/// place, so a hit allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
+struct Lookup<'a> {
+    options: u64,
+    series: Series<'a>,
+}
+
+impl Lookup<'_> {
+    /// The hash that picks the lookup's [`FitCache`] shard. (The shard's map
+    /// hashes the stream with the std `Hash` instead: series arrive from
     /// outside the program, and FNV-1a collisions are easy to construct.)
     fn shard_hash(&self) -> u64 {
         let mut hash = Fnv1a::new();
-        hash.eat_words(self.words.iter());
-        if let Some((series, version)) = &self.scope {
-            hash.eat_bytes(series.as_bytes());
-            hash.eat_words([version]);
-        }
+        self.hash(&mut hash);
         hash.finish()
+    }
+}
+
+/// The owned form of a [`Series`].
+#[derive(Debug, Clone)]
+struct OwnedSeries {
+    horizon: u32,
+    /// The series' `xs`, then its `ys`.
+    values: Box<[f64]>,
+    /// How many of `values` are `xs`.
+    split: usize,
+    scope: Option<(String, u64)>,
+}
+
+impl OwnedSeries {
+    fn new(series: &Series<'_>) -> Self {
+        OwnedSeries {
+            horizon: series.horizon,
+            values: series.xs.iter().chain(series.ys).copied().collect(),
+            split: series.xs.len(),
+            scope: series
+                .scope
+                .map(|(series, version)| (series.to_string(), version)),
+        }
+    }
+
+    fn view(&self) -> Series<'_> {
+        Series {
+            horizon: self.horizon,
+            xs: &self.values[..self.split],
+            ys: &self.values[self.split..],
+            scope: self.scope.as_ref().map(|(id, v)| (id.as_str(), *v)),
+        }
+    }
+}
+
+impl PartialEq for OwnedSeries {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for OwnedSeries {}
+
+impl Hash for OwnedSeries {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state);
+    }
+}
+
+/// A cached list's key: the owned form of a [`Lookup`]. It has a lookup's
+/// fields in a lookup's order, so it hashes and compares as its
+/// [`AsLookup::lookup`].
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct StoredKey {
+    options: u64,
+    series: OwnedSeries,
+}
+
+/// What a shard's map hashes and compares: the stream of a lookup, whether
+/// borrowed or stored. The map holds `Arc<StoredKey>`s and is probed with a
+/// `&dyn AsLookup`, which the stored key [`Borrow`]s as.
+trait AsLookup {
+    fn lookup(&self) -> Lookup<'_>;
+}
+
+impl AsLookup for Lookup<'_> {
+    fn lookup(&self) -> Lookup<'_> {
+        *self
+    }
+}
+
+impl AsLookup for StoredKey {
+    fn lookup(&self) -> Lookup<'_> {
+        Lookup {
+            options: self.options,
+            series: self.series.view(),
+        }
+    }
+}
+
+impl Hash for dyn AsLookup + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.lookup().hash(state);
+    }
+}
+
+impl PartialEq for dyn AsLookup + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.lookup() == other.lookup()
+    }
+}
+
+impl Eq for dyn AsLookup + '_ {}
+
+impl<'a> Borrow<dyn AsLookup + 'a> for Arc<StoredKey> {
+    fn borrow(&self) -> &(dyn AsLookup + 'a) {
+        &**self
     }
 }
 
 /// FNV-1a over 64-bit words, finished by MurmurHash3's `fmix64`. It picks a
 /// key's [`FitCache`] shard. Like the proptest shim's seeding hash, it is
 /// independent of the std `Hash` randomness, so a key always lands on the
-/// same shard across processes and runs.
+/// same shard across processes and runs. As a [`Hasher`] it eats its bytes
+/// as little-endian words, the last one zero-padded.
 ///
 /// Eating a word at a time is a multiply per word instead of per byte, but a
 /// multiply only carries bits upward: two series that differ only in their
@@ -243,21 +429,28 @@ impl Fnv1a {
         Fnv1a(0xcbf2_9ce4_8422_2325)
     }
 
-    fn eat_words<'a>(&mut self, words: impl IntoIterator<Item = &'a u64>) {
+    fn eat(&mut self, word: u64) {
+        self.0 ^= word;
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        let words = bytes.chunks_exact(8);
+        let rest = words.remainder();
         for word in words {
-            self.0 ^= *word;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.eat(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.eat(u64::from_le_bytes(word));
         }
     }
 
-    /// Eat the length, then the bytes as little-endian words, zero-padded.
-    fn eat_bytes(&mut self, bytes: &[u8]) {
-        self.eat_words([&(bytes.len() as u64)]);
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.eat_words([&u64::from_le_bytes(word)]);
-        }
+    fn write_u64(&mut self, word: u64) {
+        self.eat(word);
     }
 
     fn finish(&self) -> u64 {
@@ -273,8 +466,8 @@ impl Fnv1a {
 /// A borrowed `(series id, version)` tag identifying which
 /// [`MeasurementStore`](crate::store::MeasurementStore) state a fit was
 /// computed from. Carried by a [`FitContext`](crate::fit::FitContext) into
-/// [`crate::fit::candidate_fits`], which builds [`FitKey::scoped`] keys from
-/// it.
+/// [`crate::fit::candidate_fits`], whose lookups stream it as a
+/// [`FitKey::scoped`] key holds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheScope<'a> {
     /// The owning store series.
@@ -302,18 +495,18 @@ struct SolveEntry {
 /// One cache shard: its own map, logical clock, and series→keys index
 /// behind its own lock, so lookups on different shards never contend.
 ///
-/// Keys are stored as `Arc<FitKey>` so the series index can reference them
-/// without cloning the (potentially large) series bit vectors: the map and
-/// the index share one allocation per key. Invariant: a scoped key is in
-/// `map` iff it is in `by_series[its series]` — insert, evict and
-/// invalidate all maintain both sides under the shard lock.
+/// Keys are stored as `Arc<StoredKey>` so the series index can reference
+/// them without cloning the (potentially large) series: the map and the
+/// index share one allocation per key. Invariant: a scoped key is in `map`
+/// iff it is in `by_series[its series]` — insert, evict and invalidate all
+/// maintain both sides under the shard lock.
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<Arc<FitKey>, ShardEntry>,
+    map: HashMap<Arc<StoredKey>, ShardEntry>,
     /// Scoped keys grouped by their series id, so
     /// [`FitCache::invalidate_series`] removes exactly that series' entries
     /// instead of sweeping the whole shard.
-    by_series: HashMap<String, Vec<Arc<FitKey>>>,
+    by_series: HashMap<String, Vec<Arc<StoredKey>>>,
     /// The solve memo's entries on this shard, keyed by
     /// `[LM options id, x₀, y₀, …, xₚ₋₁, yₚ₋₁]` bit patterns (see
     /// [`FitCache::lookup_solves`]).
@@ -357,12 +550,12 @@ impl Shard {
 
     /// Remove a scoped key from the series index (no-op for unscoped keys).
     /// Eviction-time bookkeeping: O(that series' keys), and rare.
-    fn unindex(&mut self, key: &FitKey) {
-        let Some((series, _)) = key.scope() else {
+    fn unindex(&mut self, key: &Arc<StoredKey>) {
+        let Some((series, _)) = key.series.view().scope else {
             return;
         };
         if let Some(keys) = self.by_series.get_mut(series) {
-            if let Some(position) = keys.iter().position(|k| k.as_ref() == key) {
+            if let Some(position) = keys.iter().position(|k| Arc::ptr_eq(k, key)) {
                 keys.swap_remove(position);
             }
             if keys.is_empty() {
@@ -373,7 +566,7 @@ impl Shard {
 }
 
 /// Default number of shards (a power of two; the shard index is the low bits
-/// of the key's FNV hash).
+/// of the stream's FNV hash).
 const DEFAULT_SHARDS: usize = 16;
 
 /// Default total capacity. A full `reproduce all` run caches a few hundred
@@ -382,8 +575,8 @@ const DEFAULT_SHARDS: usize = 16;
 const DEFAULT_CAPACITY: usize = 4096;
 
 /// A sharded, capacity-bounded, concurrency-safe cache of candidate-fit
-/// lists keyed by [`FitKey`]. Shared by every job of a [`BatchPredictor`] so
-/// that workloads measured on the same machine reuse each other's fits
+/// lists keyed by the stream a [`FitKey`] holds. Shared by every job of a
+/// [`BatchPredictor`] so that workloads measured on the same machine reuse each other's fits
 /// (identical series — e.g. a zero-noise category or a repeated workload —
 /// are fitted once), and by `estima-serve` so concurrent HTTP requests share
 /// fitted candidates without serializing on a single lock.
@@ -391,7 +584,7 @@ const DEFAULT_CAPACITY: usize = 4096;
 /// # Sharding and eviction
 ///
 /// Keys are distributed over N independent shards by an FNV-1a hash of the
-/// series bits and options, each shard behind its own mutex, so concurrent
+/// key's stream, each shard behind its own mutex, so concurrent
 /// lookups of different series proceed in parallel. Every shard holds at
 /// most `capacity / shards` entries and evicts its least-recently-used entry
 /// on overflow (a hit refreshes recency). Eviction only ever costs a refit:
@@ -420,20 +613,25 @@ pub struct FitCache {
     misses: AtomicUsize,
     evictions: AtomicUsize,
     invalidations: AtomicUsize,
+    /// Interned fit options (every field but the realism horizon): a key's
+    /// stream carries its options' index here.
+    fit_options: Interned,
     /// Interned LM options: a memo key stores its options' index here.
-    solve_options: Mutex<Vec<LmBits>>,
+    solve_options: Interned,
     solve_hits: AtomicUsize,
     solve_misses: AtomicUsize,
 }
 
-/// [`LmOptions`] as comparable bits, for interning.
-type LmBits = [u64; 8];
+/// The cache serves at most this many distinct [`FitOptions`] (the realism
+/// horizon aside); fits with further options are computed and not kept.
+const MAX_FIT_OPTIONS: usize = 64;
 
 /// The memo serves at most this many distinct [`LmOptions`]; fits with
 /// further options solve every cell.
 const MAX_SOLVE_OPTIONS: usize = 16;
 
-fn lm_bits(lm: &LmOptions) -> LmBits {
+/// [`LmOptions`] as comparable bits, for interning.
+fn lm_bits(lm: &LmOptions) -> [u64; 8] {
     let LmOptions {
         max_iterations,
         initial_lambda,
@@ -457,6 +655,34 @@ fn lm_bits(lm: &LmOptions) -> LmBits {
             Jacobian::FiniteDifference => 1,
         },
     ]
+}
+
+/// An append-only table of word lists, their indices handed out as ids in
+/// first-use order. Its slots fill in order and are written once, so a
+/// lookup reads them without a lock.
+#[derive(Debug)]
+struct Interned(Box<[OnceLock<Box<[u64]>>]>);
+
+impl Interned {
+    fn with_capacity(capacity: usize) -> Self {
+        Interned((0..capacity).map(|_| OnceLock::new()).collect())
+    }
+
+    /// The id of `words`, taking the first free slot on first sight; `None`
+    /// once other words fill every slot. Two first sights racing for a
+    /// slot both read the winner's words, and the loser moves on.
+    fn id(&self, words: impl Iterator<Item = u64> + Clone) -> Option<u64> {
+        // `all` folds a chain of iterators part by part.
+        let matches = |known: &[u64]| {
+            let mut known = known.iter();
+            words.clone().all(|word| known.next() == Some(&word)) && known.next().is_none()
+        };
+        let id = self
+            .0
+            .iter()
+            .position(|slot| matches(slot.get_or_init(|| words.clone().collect())))?;
+        Some(id as u64)
+    }
 }
 
 impl Default for FitCache {
@@ -490,15 +716,11 @@ impl FitCache {
             misses: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
             invalidations: AtomicUsize::new(0),
-            solve_options: Mutex::new(Vec::new()),
+            fit_options: Interned::with_capacity(MAX_FIT_OPTIONS),
+            solve_options: Interned::with_capacity(MAX_SOLVE_OPTIONS),
             solve_hits: AtomicUsize::new(0),
             solve_misses: AtomicUsize::new(0),
         }
-    }
-
-    /// The shard holding `key`.
-    fn shard_for(&self, key: &FitKey) -> &Mutex<Shard> {
-        self.shard_at(key.shard_hash())
     }
 
     fn shard_at(&self, hash: u64) -> &Mutex<Shard> {
@@ -508,24 +730,14 @@ impl FitCache {
     /// The shard holding a solve-memo key.
     fn solve_shard(&self, key: &[u64]) -> &Mutex<Shard> {
         let mut hash = Fnv1a::new();
-        hash.eat_words(key);
+        key.iter().for_each(|word| hash.eat(*word));
         self.shard_at(hash.finish())
     }
 
     /// The id that stands for `lm` in solve-memo keys, interning it on first
     /// use; `None` once [`MAX_SOLVE_OPTIONS`] other options hold every id.
     pub(crate) fn solve_options_id(&self, lm: &LmOptions) -> Option<u64> {
-        let bits = lm_bits(lm);
-        let mut interned = self.solve_options.lock().expect("fit cache lock poisoned");
-        let index = match interned.iter().position(|known| *known == bits) {
-            Some(index) => index,
-            None if interned.len() < MAX_SOLVE_OPTIONS => {
-                interned.push(bits);
-                interned.len() - 1
-            }
-            None => return None,
-        };
-        Some(index as u64)
+        self.solve_options.id(lm_bits(lm).into_iter())
     }
 
     /// The memoised cells of one training prefix, refreshing the entry's
@@ -584,8 +796,12 @@ impl FitCache {
 
     /// Look up `key`, computing and inserting the candidate list on a miss.
     ///
-    /// The list is a [`Fits`]: a hit hands out the one shared list with its
-    /// winner and table numbers, so a caller re-scores nothing. A `compute`
+    /// This is the owned form of the lookup [`crate::fit::candidate_fits`]
+    /// makes in place: both intern the options, hash the same stream and
+    /// compare it with the stored keys' (see [`FitKey`]), so either finds
+    /// what the other inserted. The list is a [`Fits`]: a hit hands out the
+    /// one shared list with its winner, table numbers and remembered
+    /// scaling-factor choice, so a caller re-scores nothing. A `compute`
     /// that builds a plain `Vec` of candidates returns `Ok(list.into())`.
     ///
     /// The computation runs outside every cache lock, so concurrent misses
@@ -593,17 +809,60 @@ impl FitCache {
     /// (the fit is deterministic) and the first insert wins, so callers
     /// always observe one consistent value. A hit refreshes the entry's LRU
     /// recency; an insert that overflows the shard evicts its
-    /// least-recently-used entries.
+    /// least-recently-used entries. Once 64 other option sets are interned,
+    /// a lookup with new options computes its list without keeping it (a
+    /// miss).
     pub fn get_or_compute<F>(&self, key: FitKey, compute: F) -> Result<Arc<Fits>>
     where
         F: FnOnce() -> Result<Fits>,
     {
-        let shard = self.shard_for(&key);
+        self.lookup(key.options.iter().copied(), key.series.view(), compute)
+    }
+
+    /// The lookup both [`FitCache::get_or_compute`] and
+    /// [`crate::fit::candidate_fits`] make, on `options`' words and the rest
+    /// of the stream, borrowed: a hit hashes and compares the stream in
+    /// place and allocates nothing.
+    pub(crate) fn lookup_or_compute<F>(
+        &self,
+        options: &FitOptions,
+        xs: &[f64],
+        ys: &[f64],
+        scope: Option<CacheScope<'_>>,
+        compute: F,
+    ) -> Result<Arc<Fits>>
+    where
+        F: FnOnce() -> Result<Fits>,
+    {
+        let series = Series {
+            horizon: options.realism_horizon,
+            xs,
+            ys,
+            scope: scope.map(|scope| (scope.series, scope.version)),
+        };
+        self.lookup(option_words(options), series, compute)
+    }
+
+    fn lookup<F>(
+        &self,
+        options: impl Iterator<Item = u64> + Clone,
+        series: Series<'_>,
+        compute: F,
+    ) -> Result<Arc<Fits>>
+    where
+        F: FnOnce() -> Result<Fits>,
+    {
+        let Some(options) = self.fit_options.id(options) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return compute().map(Arc::new);
+        };
+        let lookup = Lookup { options, series };
+        let shard = self.shard_at(lookup.shard_hash());
         {
             let mut guard = shard.lock().unwrap();
             guard.clock += 1;
             let clock = guard.clock;
-            if let Some(entry) = guard.map.get_mut(&key) {
+            if let Some(entry) = guard.map.get_mut(&lookup as &dyn AsLookup) {
                 entry.last_used = clock;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Arc::clone(&entry.value));
@@ -614,7 +873,10 @@ impl FitCache {
         let mut guard = shard.lock().unwrap();
         guard.clock += 1;
         let clock = guard.clock;
-        let key = Arc::new(key);
+        let key = Arc::new(StoredKey {
+            options,
+            series: OwnedSeries::new(&series),
+        });
         let shard_mut = &mut *guard;
         let value = match shard_mut.map.entry(Arc::clone(&key)) {
             std::collections::hash_map::Entry::Occupied(mut occupied) => {
@@ -624,12 +886,15 @@ impl FitCache {
                 Arc::clone(&occupied.get().value)
             }
             std::collections::hash_map::Entry::Vacant(vacant) => {
-                if let Some((series, _)) = key.scope() {
-                    shard_mut
-                        .by_series
-                        .entry(series.to_string())
-                        .or_default()
-                        .push(Arc::clone(&key));
+                if let Some((series, _)) = key.series.view().scope {
+                    match shard_mut.by_series.get_mut(series) {
+                        Some(keys) => keys.push(Arc::clone(&key)),
+                        None => {
+                            shard_mut
+                                .by_series
+                                .insert(series.to_string(), vec![Arc::clone(&key)]);
+                        }
+                    }
                 }
                 Arc::clone(
                     &vacant
@@ -968,6 +1233,165 @@ mod tests {
         assert_eq!(scoped, FitKey::scoped(&xs, &ys, &options, "a", 1));
         assert_ne!(scoped, FitKey::scoped(&xs, &ys, &options, "a", 2));
         assert_ne!(scoped, FitKey::scoped(&xs, &ys, &options, "b", 1));
+    }
+
+    /// A lookup's inputs: the series, the options and the scope.
+    type Inputs<'a> = (&'a [f64], &'a [f64], &'a FitOptions, Option<CacheScope<'a>>);
+
+    /// A lookup's inputs as a property test tracks them: the series' bits,
+    /// which option set, and the scope.
+    type SeenInputs<'a> = (Vec<u64>, Vec<u64>, usize, Option<(&'a str, u64)>);
+
+    /// One cache lookup through the in-place path (`candidate_fits`') or
+    /// through an owned [`FitKey`], computing an empty list on a miss.
+    fn look_up(
+        cache: &FitCache,
+        owned: bool,
+        (xs, ys, options, scope): Inputs<'_>,
+        computes: &Cell<usize>,
+    ) -> Arc<Fits> {
+        let compute = || {
+            computes.set(computes.get() + 1);
+            Ok(Vec::new().into())
+        };
+        let found = if owned {
+            let key = match scope {
+                Some(scope) => FitKey::scoped(xs, ys, options, scope.series, scope.version),
+                None => FitKey::new(xs, ys, options),
+            };
+            cache.get_or_compute(key, compute)
+        } else {
+            cache.lookup_or_compute(options, xs, ys, scope, compute)
+        };
+        found.expect("an empty list")
+    }
+
+    #[test]
+    fn in_place_and_owned_lookups_agree_and_never_alias() {
+        let defaults = FitOptions::default();
+        let horizon = FitOptions {
+            realism_horizon: 48,
+            ..FitOptions::default()
+        };
+        let lm = FitOptions {
+            lm: LmOptions {
+                tolerance: -0.0,
+                ..LmOptions::default()
+            },
+            ..FitOptions::default()
+        };
+        let nan = f64::NAN;
+        let other_nan = f64::from_bits(nan.to_bits() ^ 1);
+        let scope = |series, version| Some(CacheScope { series, version });
+        // Pairwise distinct inputs, each close to another.
+        let inputs: [Inputs<'_>; 13] = [
+            (&[1.0, 2.0], &[3.0], &defaults, None),
+            (&[1.0], &[2.0, 3.0], &defaults, None),
+            (&[1.0, 2.0, 3.0], &[], &defaults, None),
+            (&[1.0, 2.0], &[0.0], &defaults, None),
+            (&[1.0, 2.0], &[-0.0], &defaults, None),
+            (&[1.0, 2.0], &[nan], &defaults, None),
+            (&[1.0, 2.0], &[other_nan], &defaults, None),
+            (&[1.0, 2.0], &[3.0], &defaults, scope("a", 1)),
+            (&[1.0, 2.0], &[3.0], &defaults, scope("a", 2)),
+            (&[1.0, 2.0], &[3.0], &defaults, scope("b", 1)),
+            (&[1.0, 2.0], &[3.0], &defaults, scope("", 1)),
+            (&[1.0, 2.0], &[3.0], &horizon, None),
+            (&[1.0, 2.0], &[3.0], &lm, None),
+        ];
+        for owned_first in [false, true] {
+            let cache = FitCache::new();
+            let computes = Cell::new(0);
+            let inserted: Vec<Arc<Fits>> = inputs
+                .iter()
+                .map(|input| look_up(&cache, owned_first, *input, &computes))
+                .collect();
+            assert_eq!(computes.get(), inputs.len(), "two inputs aliased");
+            for (input, list) in inputs.iter().zip(&inserted) {
+                let found = look_up(&cache, !owned_first, *input, &computes);
+                assert!(Arc::ptr_eq(list, &found), "{input:?} found another list");
+            }
+            assert_eq!(
+                computes.get(),
+                inputs.len(),
+                "a path missed the other's entry"
+            );
+            assert_eq!(cache.stats(), (inputs.len(), inputs.len()));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random series from a pool of near-aliases (the zeros, NaN
+        /// payloads, infinities), random scopes and two option sets, about
+        /// half of them repeats of an earlier draw, looked up through either
+        /// path in turn: a lookup hits exactly when the same inputs came
+        /// before, through either path, and then finds their list.
+        #[test]
+        fn random_lookups_hit_exactly_the_inputs_seen_before(
+            draws in proptest::collection::vec(0u64..u64::MAX, 1..48),
+        ) {
+            let pool = [
+                0.0,
+                -0.0,
+                1.0,
+                2.0,
+                f64::NAN,
+                f64::from_bits(f64::NAN.to_bits() ^ 1),
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ];
+            let options = [
+                FitOptions::default(),
+                FitOptions {
+                    realism_horizon: 48,
+                    ..FitOptions::default()
+                },
+            ];
+            let cache = FitCache::new();
+            let computes = Cell::new(0);
+            // Each distinct input so far, as bits, with the list it found.
+            let mut seen: Vec<(SeenInputs<'_>, Arc<Fits>)> = Vec::new();
+            for turn in 0..draws.len() {
+                let mut draw = draws[turn];
+                if draw >> 63 == 1 && turn > 0 {
+                    draw = draws[(draw >> 32) as usize % turn];
+                }
+                // Small fields of the draw pick each part of the inputs.
+                let field = |at: u32, width: u32| ((draw >> at) & ((1 << width) - 1)) as usize;
+                let series = |at: u32| -> Vec<f64> {
+                    (0..field(at, 2)).map(|i| pool[field(at + 2 + 3 * i as u32, 3)]).collect()
+                };
+                let (xs, ys) = (series(0), series(12));
+                let scope = match field(24, 2) {
+                    0 => None,
+                    1 => Some(("a", field(26, 1) as u64)),
+                    _ => Some(("b", field(26, 1) as u64)),
+                };
+                let which = field(27, 1);
+                let cache_scope = scope.map(|(series, version)| CacheScope { series, version });
+                let before = computes.get();
+                let list = look_up(
+                    &cache,
+                    turn % 2 == 1,
+                    (&xs, &ys, &options[which], cache_scope),
+                    &computes,
+                );
+                let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect();
+                let inputs = (bits(&xs), bits(&ys), which, scope);
+                match seen.iter().find(|(seen, _)| *seen == inputs) {
+                    Some((_, earlier)) => {
+                        proptest::prop_assert_eq!(computes.get(), before, "a repeat missed");
+                        proptest::prop_assert!(Arc::ptr_eq(earlier, &list), "a repeat missed");
+                    }
+                    None => {
+                        proptest::prop_assert_eq!(computes.get(), before + 1, "new inputs hit");
+                        seen.push((inputs, list));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! reads it in O(1) instead of re-scanning. The list also numbers each
 //! candidate's eval table by its (kernel, prefix) cell, so the
 //! scaling-factor step can decide once per table what every candidate
-//! sharing that table shares.
+//! sharing that table shares, and a scaling-factor list remembers that
+//! step's choice for the inputs it first saw.
 //!
 //! # The fitting hot path
 //!
@@ -99,10 +100,10 @@
 
 use std::cell::RefCell;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::config::MAX_TARGET_CORES;
-use crate::engine::{CacheScope, Engine, FitCache, FitKey};
+use crate::engine::{CacheScope, Engine, FitCache};
 use crate::error::{EstimaError, Result};
 use crate::kernels::{within_cap, FittedCurve, HorizonTable, KernelKind, Params};
 use crate::levenberg::{levenberg_marquardt_into, LmOptions, LmWorkspace, MAX_PARAMS};
@@ -312,12 +313,48 @@ pub struct FitCandidate {
 /// grid numbers each (kernel, prefix) cell, whose table every checkpoint
 /// span covering the cell shares; a list built by hand (`Fits::from` a
 /// `Vec`) numbers its tables by allocation.
+///
+/// A scaling-factor list also remembers step C's choice (§3.1.3), write
+/// once: the first caller's pick together with the exact bits of every
+/// other input the choice reads (stalls per core, the factor series, the
+/// measured core count). A cached list is shared, so every later caller
+/// with the same inputs — each repeat of a prediction, each jackknife
+/// leave-out of a repeated plan — compares those words instead of sweeping
+/// the tables again; any other inputs are chosen afresh and remembered by
+/// no one.
 #[derive(Debug, Clone)]
 pub struct Fits {
     candidates: Vec<FitCandidate>,
     /// Index of the winner; `None` for an empty list.
     best: Option<usize>,
     tables: usize,
+    factor: OnceLock<FactorMemo>,
+}
+
+/// Step C's pick among a scaling-factor list: the candidate whose predicted
+/// times correlate best with stalls per core.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FactorChoice {
+    /// The winner's index among the candidates.
+    pub(crate) index: usize,
+    /// Pearson correlation of the winner's predicted times with stalls per
+    /// core.
+    pub(crate) correlation: f64,
+}
+
+/// A remembered step C outcome (`None`: no candidate qualified) and the
+/// inputs it was chosen for, as bit patterns.
+#[derive(Debug, Clone)]
+struct FactorMemo {
+    stalls_per_core: Box<[u64]>,
+    factor_ys: Box<[u64]>,
+    measured_cores: u32,
+    choice: Option<FactorChoice>,
+}
+
+/// `values` as bit patterns.
+fn bits(values: &[f64]) -> impl Iterator<Item = u64> + '_ {
+    values.iter().map(|value| value.to_bits())
 }
 
 impl Fits {
@@ -338,6 +375,7 @@ impl Fits {
             candidates,
             best,
             tables,
+            factor: OnceLock::new(),
         }
     }
 
@@ -352,6 +390,38 @@ impl Fits {
     /// unused (a cell whose every candidate was rejected).
     pub(crate) fn tables(&self) -> usize {
         self.tables
+    }
+
+    /// Step C's choice among these candidates for the given inputs: the
+    /// remembered one when they match its inputs bit for bit, else
+    /// `choose()`'s, which the list remembers if it remembers nothing yet.
+    pub(crate) fn factor_choice(
+        &self,
+        stalls_per_core: &[f64],
+        measured_cores: u32,
+        factor_ys: &[f64],
+        choose: impl FnOnce() -> Option<FactorChoice>,
+    ) -> Option<FactorChoice> {
+        if let Some(memo) = self.factor.get() {
+            let same = memo.measured_cores == measured_cores
+                && memo
+                    .stalls_per_core
+                    .iter()
+                    .copied()
+                    .eq(bits(stalls_per_core))
+                && memo.factor_ys.iter().copied().eq(bits(factor_ys));
+            return if same { memo.choice } else { choose() };
+        }
+        let choice = choose();
+        // A concurrent first caller may have remembered its inputs already;
+        // either memo is exact for its own inputs.
+        let _ = self.factor.set(FactorMemo {
+            stalls_per_core: bits(stalls_per_core).collect(),
+            factor_ys: bits(factor_ys).collect(),
+            measured_cores,
+            choice,
+        });
+        choice
     }
 }
 
@@ -563,11 +633,7 @@ pub fn candidate_fits(
     let Some(cache) = ctx.cache else {
         return candidate_grid(xs, ys, options, &ctx.engine, None).map(Arc::new);
     };
-    let key = match ctx.scope {
-        Some(scope) => FitKey::scoped(xs, ys, options, scope.series, scope.version),
-        None => FitKey::new(xs, ys, options),
-    };
-    cache.get_or_compute(key, || {
+    cache.lookup_or_compute(options, xs, ys, ctx.scope, || {
         candidate_grid(xs, ys, options, &ctx.engine, Some(cache))
     })
 }

@@ -312,13 +312,6 @@ impl MeasurementSet {
             .map(|index| &self.measurements[index])
     }
 
-    /// Remove and return the measurement at `index` (in ascending core
-    /// order). The set stays sorted, so [`MeasurementSet::push`]ing the
-    /// measurement back returns it to the same index.
-    pub(crate) fn remove(&mut self, index: usize) -> Measurement {
-        self.measurements.remove(index)
-    }
-
     /// Builder-style [`MeasurementSet::push`].
     pub fn with(mut self, measurement: Measurement) -> Self {
         self.push(measurement);

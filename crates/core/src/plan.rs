@@ -14,21 +14,27 @@
 //!   its θ, the predicted time at the target, with the bits a full
 //!   [`Prediction`] would hold there, so it builds none: of a plan's
 //!   predictions, only the base set's is built in full (it feeds the
-//!   bottleneck report and the hypothetical points). The leave-outs split
+//!   bottleneck report and the hypothetical points).
+//!
+//!   The set is validated and read into columns once. A leave-out is that
+//!   read minus one row, which is a valid subset's read: only the checks a
+//!   subset can fail (its size, a usable category, its largest core count)
+//!   run again, and a category the subset lacks is a column of zeros, which
+//!   drops out exactly as an absent category does. The leave-outs split
 //!   into one contiguous index range per worker of the planner's
-//!   [`FitContext`] engine, and each range clones the set once: a leave-out
-//!   takes its measurement out, predicts, and pushes it back, which the
-//!   sorted insert returns to the same index. The θs flatten in index
-//!   order, so the interval is bit-identical at any parallelism, and with a
-//!   cache in the context every leave-out's fits land in the shared
+//!   [`FitContext`] engine; each range copies its rows into one scratch
+//!   view and evaluates into one scratch evaluation, so a leave-out clones
+//!   no set and, warm, allocates nothing. The θs flatten in index order, so
+//!   the interval is bit-identical at any parallelism, and with a cache in
+//!   the context every leave-out's fits land in the shared
 //!   [`FitCache`](crate::engine::FitCache) — a repeated call is a pure cache
-//!   hit.
+//!   hit, and each scaling-factor list remembers step C's choice.
 //! * **Planning** — [`Planner::plan`] ranks candidate next measurements
 //!   (frontier core counts beyond the measured prefix, plus midpoints of
 //!   gaps inside it) by how much each would shrink the interval: a
 //!   hypothetical measurement is drawn from the *current* model (predicted
-//!   time, extrapolated per-category stalls), appended to the set, and the
-//!   jackknife is re-run; the score is the spread reduction.
+//!   time, extrapolated per-category stalls), its row is added to the read,
+//!   and the jackknife is re-run; the score is the spread reduction.
 //! * **Diagnosis** — the plan carries a [`BottleneckReport`] naming the
 //!   stall category predicted to dominate at the target, so the rationale
 //!   can say *why* a frontier point matters.
@@ -44,7 +50,7 @@ use crate::config::TargetSpec;
 use crate::error::{EstimaError, Result};
 use crate::fit::FitContext;
 use crate::measurement::{Measurement, MeasurementSet};
-use crate::predictor::{Estima, Prediction};
+use crate::predictor::{Estima, Evaluation, Prediction, Rows, SetRead};
 
 /// Two-sided normal critical value for a 95% interval.
 const Z_95: f64 = 1.96;
@@ -111,10 +117,12 @@ pub struct MeasurementPlan {
 /// Uncertainty estimator and measurement planner over one predictor.
 ///
 /// A `Planner` borrows an [`Estima`] and runs every refit in one
-/// [`FitContext`]: the base set's through [`Estima::predict_in`], and every
-/// leave-out and augmented set's as its θ alone. With a cache (and a store
-/// scope) in the context, planning against an unchanged series re-uses every
-/// fit it has ever computed.
+/// [`FitContext`]. It validates and reads the set into columns once; the
+/// base set's prediction is built from that read as [`Estima::predict_in`]
+/// builds it, and every leave-out and hypothetical set is that read minus a
+/// row or plus one, evaluated for its θ alone in per-worker scratch. With a
+/// cache (and a store scope) in the context, planning against an unchanged
+/// series re-uses every fit it has ever computed, and every step C choice.
 ///
 /// ```
 /// use estima_core::prelude::*;
@@ -154,11 +162,6 @@ impl<'a> Planner<'a> {
         Planner { estima, ctx }
     }
 
-    /// One full-pipeline prediction in the planner's context.
-    fn predict(&self, set: &MeasurementSet, target: &TargetSpec) -> Result<Prediction> {
-        self.estima.predict_in(set, target, &self.ctx)
-    }
-
     /// Predict `set` at `target` and attach a jackknife confidence interval
     /// for the predicted time at the target core count.
     ///
@@ -175,6 +178,13 @@ impl<'a> Planner<'a> {
         set: &MeasurementSet,
         target: &TargetSpec,
     ) -> Result<(Prediction, ConfidenceInterval)> {
+        self.confidence_of(&self.read(set, target)?)
+    }
+
+    /// Validate and read `set` for `target`, once for everything the
+    /// planner evaluates; it needs one measurement beyond the pipeline
+    /// minimum.
+    fn read<'s>(&self, set: &'s MeasurementSet, target: &'s TargetSpec) -> Result<SetRead<'s>> {
         let required = self.estima.config().min_measurements + 1;
         if set.len() < required {
             return Err(EstimaError::InsufficientMeasurements {
@@ -182,46 +192,46 @@ impl<'a> Planner<'a> {
                 available: set.len(),
             });
         }
-        let mut full = self.predict(set, target)?;
-        let point = full.predicted_time_at(target.cores).ok_or_else(|| {
+        self.estima.read(set, target)
+    }
+
+    /// The prediction of `read`'s set, with its jackknife interval.
+    fn confidence_of(&self, read: &SetRead<'_>) -> Result<(Prediction, ConfidenceInterval)> {
+        let mut full = read.predict(&self.ctx)?;
+        let point = full.predicted_time_at(read.target().cores).ok_or_else(|| {
             EstimaError::Numerical("prediction does not cover the target core count".into())
         })?;
-        let interval = self.jackknife(set, target, point)?;
+        let interval = self.jackknife(read, read.rows(), point)?;
         full.confidence = Some(interval);
         Ok((full, interval))
     }
 
-    /// θ of `set` in the planner's context: the predicted time at the
-    /// target core count, without building the prediction.
-    fn theta(&self, set: &MeasurementSet, target: &TargetSpec) -> Result<f64> {
-        self.estima.predicted_time_in(set, target, &self.ctx)
-    }
-
-    /// The jackknife interval around `point`, the θ of the whole `set`.
+    /// The jackknife interval around `point`, the θ of all of `rows`.
     fn jackknife(
         &self,
-        set: &MeasurementSet,
-        target: &TargetSpec,
+        read: &SetRead<'_>,
+        rows: &Rows<'_>,
         point: f64,
     ) -> Result<ConfidenceInterval> {
-        let n = set.len();
-        // One contiguous range of leave-outs per engine worker, each on its
-        // own copy of the set (see the module docs). The ranges flatten in
-        // measurement order, so the sums below always fold in the same
-        // order: bit-identical at any parallelism. Failed refits are kept
-        // as None to preserve indexing.
+        let n = rows.len();
+        // One contiguous range of leave-outs per engine worker, each with its
+        // own scratch (see the module docs). The ranges flatten in row
+        // order, so the sums below always fold in the same order:
+        // bit-identical at any parallelism. Failed refits are kept as None
+        // to preserve indexing.
         let workers = self.ctx.engine.workers().clamp(1, n.max(1));
         let ranges: Vec<_> = (0..workers)
             .map(|w| w * n / workers..(w + 1) * n / workers)
             .collect();
         let thetas: Vec<Vec<Option<f64>>> = self.ctx.engine.run(ranges, |range| {
-            let mut subset = set.clone();
+            let mut view = rows.clone();
+            let mut evaluation = Evaluation::default();
             range
                 .map(|leave_out| {
-                    let measurement = subset.remove(leave_out);
-                    let theta = self.theta(&subset, target).ok().filter(|t| t.is_finite());
-                    subset.push(measurement);
-                    theta
+                    view.copy_without(rows, leave_out);
+                    read.theta(&view, &self.ctx, &mut evaluation)
+                        .ok()
+                        .filter(|t| t.is_finite())
                 })
                 .collect()
         });
@@ -265,11 +275,12 @@ impl<'a> Planner<'a> {
         target: &TargetSpec,
         max_suggestions: usize,
     ) -> Result<MeasurementPlan> {
-        let (full, baseline) = self.confidence(set, target)?;
+        let read = self.read(set, target)?;
+        let (full, baseline) = self.confidence_of(&read)?;
         let bottleneck = BottleneckReport::from_prediction(&full, target.cores);
         let candidates = candidate_cores(set, target);
         let scored: Vec<Option<PlanSuggestion>> = self.ctx.engine.run(candidates, |cores| {
-            let suggestion = self.score_candidate(set, target, &full, &baseline, cores)?;
+            let suggestion = self.score_candidate(&read, &full, &baseline, cores)?;
             let rationale = rationale_for(set, cores, &bottleneck);
             Some(PlanSuggestion {
                 rationale,
@@ -294,14 +305,14 @@ impl<'a> Planner<'a> {
         })
     }
 
-    /// Score one candidate core count: append the model-drawn hypothetical
-    /// measurement and measure the jackknife spread of the augmented set.
-    /// Returns `None` (candidate dropped) when the model cannot supply a
-    /// usable hypothetical point or the augmented refit fails.
+    /// Score one candidate core count: add the model-drawn hypothetical
+    /// measurement's row to the read and measure the jackknife spread of the
+    /// augmented set. Returns `None` (candidate dropped) when the model
+    /// cannot supply a usable hypothetical point or the augmented refit
+    /// fails.
     fn score_candidate(
         &self,
-        set: &MeasurementSet,
-        target: &TargetSpec,
+        read: &SetRead<'_>,
         full: &Prediction,
         baseline: &ConfidenceInterval,
         cores: u32,
@@ -318,10 +329,13 @@ impl<'a> Planner<'a> {
             }
             hypothetical = hypothetical.with_stall(extrapolation.category.clone(), cycles);
         }
-        let mut augmented = set.clone();
-        augmented.push(hypothetical);
-        let point = self.theta(&augmented, target).ok()?;
-        let interval = self.jackknife(&augmented, target, point).ok()?;
+        // The checks above are the per-point ones of validation, so the
+        // augmented rows are a valid set's read.
+        let augmented = read.with_point(&hypothetical);
+        let point = read
+            .theta(&augmented, &self.ctx, &mut Evaluation::default())
+            .ok()?;
+        let interval = self.jackknife(read, &augmented, point).ok()?;
         if !interval.spread.is_finite() {
             return None;
         }

@@ -16,15 +16,19 @@
 //!   predictions correlate best with stalled cycles per core is selected.
 //!   Candidates that share one eval table (the checkpoint spans of one
 //!   kernel and prefix) share its number in the list, so their plausibility
-//!   and correlation are decided once per table.
+//!   and correlation are decided once per table. A factor list remembers
+//!   its first choice with the inputs it was made for ([`Fits`]), so a
+//!   cached list asked again with the same inputs chooses nothing.
 //!
-//! A prediction reads the measurement set once, into one column per stall
-//! category and the scaling factor's series, and evaluates both steps up to
-//! their winners before it builds anything. [`Estima::predict_in`] then
-//! builds the full [`Prediction`]; a reader that needs only the predicted
-//! time at the target core count, θ (each jackknife leave-out of a
-//! [`Planner`](crate::plan::Planner)), reads it from the evaluation with the
-//! same bits and builds no per-core series beyond stalls per core.
+//! A prediction validates the measurement set and reads it once, into rows:
+//! one column per stall category and the scaling factor's series. It
+//! evaluates both steps up to their winners before it builds anything.
+//! [`Estima::predict_in`] then builds the full [`Prediction`]; a reader that
+//! needs only the predicted time at the target core count, θ, reads it from
+//! the evaluation with the same bits. A [`Planner`](crate::plan::Planner)
+//! evaluates rows derived from one read — each jackknife leave-out is the
+//! read minus a row, each hypothetical set the read plus one — in buffers
+//! its workers reuse, so a warm leave-out allocates nothing.
 
 use std::sync::Arc;
 
@@ -33,9 +37,9 @@ use serde::{Deserialize, Serialize};
 use crate::config::{EstimaConfig, TargetSpec};
 use crate::engine::Engine;
 use crate::error::{EstimaError, Result};
-use crate::fit::{candidate_fits, FitCandidate, FitContext, FitOptions, Fits};
+use crate::fit::{candidate_fits, FactorChoice, FitCandidate, FitContext, FitOptions, Fits};
 use crate::kernels::FittedCurve;
-use crate::measurement::{MeasurementSet, StallCategory, StallSource};
+use crate::measurement::{Measurement, MeasurementSet, StallCategory, StallSource};
 use crate::stats::{max_relative_error, relative_error};
 
 /// O(1) lookup in a `(cores, value)` series that is dense over
@@ -239,38 +243,17 @@ impl Estima {
         target: &TargetSpec,
         ctx: &FitContext<'_>,
     ) -> Result<Prediction> {
-        Ok(self
-            .evaluate(measurements, target, ctx)?
-            .into_prediction(target))
+        self.read(measurements, target)?.predict(ctx)
     }
 
-    /// The predicted time at the target core count, θ, with the bits of
-    /// `predict_in(measurements, target, ctx)?.predicted_time_at(target.cores)`:
-    /// stalls per core at the target times the scaling factor's table
-    /// there. It fails exactly when [`Estima::predict_in`] fails, and builds
-    /// no [`Prediction`], so a jackknife leave-out reads θ without
-    /// materialising tables it never looks at.
-    pub(crate) fn predicted_time_in(
-        &self,
-        measurements: &MeasurementSet,
-        target: &TargetSpec,
-        ctx: &FitContext<'_>,
-    ) -> Result<f64> {
-        let evaluation = self.evaluate(measurements, target, ctx)?;
-        let at = target.cores as usize - 1;
-        Ok(evaluation.stalls_per_core[at] * evaluation.factor().evals.values()[at])
-    }
-
-    /// Steps B and C up to their winners: validation, each category's fits
-    /// and winner, stalls per core over `1..=target`, and the scaling-factor
-    /// fits with step C's choice. Every error a prediction can fail with is
-    /// raised here, in the order the pipeline meets it.
-    fn evaluate<'s>(
+    /// Validate `measurements` for `target` and read them into [`Rows`]:
+    /// every check a prediction makes before it fits anything, in the order
+    /// the pipeline meets them.
+    pub(crate) fn read<'s>(
         &self,
         measurements: &'s MeasurementSet,
-        target: &TargetSpec,
-        ctx: &FitContext<'_>,
-    ) -> Result<Evaluation<'s>> {
+        target: &'s TargetSpec,
+    ) -> Result<SetRead<'s>> {
         measurements.validate(self.config.min_measurements)?;
         let measured_cores = measurements.max_cores();
         if target.cores < measured_cores {
@@ -286,216 +269,189 @@ impl Estima {
         let freq_ratio = target
             .frequency_ghz
             .map_or(1.0, |target_ghz| measurements.frequency_ghz / target_ghz);
-        let columns = Columns::read(measurements, &self.config.sources(), freq_ratio);
-        if columns.categories.is_empty() {
+        let sources = self.config.sources();
+        let rows = Rows::read(measurements, &sources, freq_ratio);
+        Ok(SetRead {
+            min_measurements: self.config.min_measurements,
+            set: measurements,
+            target,
+            freq_ratio,
+            sources,
+            // The realism horizon stretched to the target.
+            fit_options: FitOptions {
+                realism_horizon: target.cores,
+                ..self.config.fit.clone()
+            },
+            rows,
+        })
+    }
+}
+
+/// A measurement set validated for one target and read into [`Rows`], once.
+/// A prediction evaluates these rows and builds the [`Prediction`]; a
+/// [`Planner`](crate::plan::Planner) also evaluates rows derived from them —
+/// each jackknife leave-out's and each hypothetical set's — for θ alone.
+pub(crate) struct SetRead<'s> {
+    min_measurements: usize,
+    set: &'s MeasurementSet,
+    target: &'s TargetSpec,
+    freq_ratio: f64,
+    sources: Vec<StallSource>,
+    fit_options: FitOptions,
+    rows: Rows<'s>,
+}
+
+impl<'s> SetRead<'s> {
+    /// The target the set was read for.
+    pub(crate) fn target(&self) -> &TargetSpec {
+        self.target
+    }
+
+    /// The set's rows.
+    pub(crate) fn rows(&self) -> &Rows<'s> {
+        &self.rows
+    }
+
+    /// The rows of the set with `point` pushed: these rows plus the point's,
+    /// read by the same per-point routine. The point must be at a core count
+    /// the set has not measured, and pass [`MeasurementSet::validate`]'s
+    /// per-point checks.
+    pub(crate) fn with_point<'a>(&'a self, point: &'a Measurement) -> Rows<'a> {
+        let mut rows = self.rows.clone();
+        rows.insert(point, &self.sources, self.freq_ratio);
+        rows
+    }
+
+    /// The full prediction of the set.
+    pub(crate) fn predict(&self, ctx: &FitContext<'_>) -> Result<Prediction> {
+        let mut evaluation = Evaluation::default();
+        self.evaluate(&self.rows, ctx, &mut evaluation)?;
+        Ok(self.prediction(&evaluation))
+    }
+
+    /// The predicted time at the target core count, θ, of the set `rows`
+    /// hold: stalls per core at the target times the scaling factor's table
+    /// there, the bits [`Estima::predict_in`] of that set would hold at the
+    /// target. It succeeds exactly when that prediction does, and builds no
+    /// [`Prediction`]; `evaluation`'s buffers are reused.
+    pub(crate) fn theta(
+        &self,
+        rows: &Rows<'_>,
+        ctx: &FitContext<'_>,
+        evaluation: &mut Evaluation,
+    ) -> Result<f64> {
+        self.evaluate(rows, ctx, evaluation)?;
+        let at = self.target.cores as usize - 1;
+        Ok(evaluation.stalls_per_core[at] * evaluation.factor().evals.values()[at])
+    }
+
+    /// Steps B and C up to their winners, on `rows`: each non-zero
+    /// category's fits and winner, stalls per core over `1..=target`, and
+    /// the scaling-factor fits with step C's choice. Every error is raised
+    /// in the order the pipeline meets it.
+    fn evaluate(&self, rows: &Rows<'_>, ctx: &FitContext<'_>, out: &mut Evaluation) -> Result<()> {
+        let target = self.target;
+        // The checks of the set and target that the rows of a subset of a
+        // valid set can fail; the rows read from the set passed them all.
+        if rows.len() < self.min_measurements {
+            return Err(EstimaError::InsufficientMeasurements {
+                required: self.min_measurements,
+                available: rows.len(),
+            });
+        }
+        if !rows.usable.contains(&true) {
             return Err(EstimaError::NoStallCategories);
         }
-
-        // Fit options with the realism horizon stretched to the target.
-        let fit_options = FitOptions {
-            realism_horizon: target.cores,
-            ..self.config.fit.clone()
-        };
+        let measured_cores = rows.measured_cores();
+        if target.cores < measured_cores {
+            return Err(EstimaError::TargetSmallerThanMeasurements {
+                target: target.cores,
+                measured: measured_cores,
+            });
+        }
 
         // Step B: extrapolate every category individually, all categories
         // concurrently. Categories that are identically zero carry no
         // information and a constant-zero extrapolation is exact, so they are
-        // dropped before the fan-out.
-        let Columns {
-            xs,
-            categories,
-            factor_ys,
-        } = columns;
-        let jobs: Vec<Column<'s>> = categories
-            .into_iter()
-            .filter(|column| column.values.iter().any(|v| *v != 0.0))
-            .collect();
-        let fitted: Vec<Result<CategoryFit<'s>>> = ctx.engine.run(jobs, |column| {
-            let fits = candidate_fits(&xs, &column.values, &fit_options, ctx)?;
-            let best = fits.best().ok_or_else(|| EstimaError::NoViableFit {
-                category: column.category.name.clone(),
-            })?;
-            // The winner's eval table holds `curve.eval(c)` for every
-            // `c in 1..=target`: the horizon was stretched to the target.
-            assert_eq!(
-                best.evals.values().len(),
-                target.cores as usize,
-                "a category's eval table must cover 1..=target"
-            );
-            Ok(CategoryFit { column, fits })
-        });
-        let categories = fitted.into_iter().collect::<Result<Vec<_>>>()?;
-        if categories.is_empty() {
+        // not fitted; a category a set lacks is such a column of zeros.
+        out.fitted.clear();
+        out.categories.clear();
+        let nonzero = (0..rows.categories.len())
+            .filter(|&index| rows.categories[index].values.iter().any(|v| *v != 0.0));
+        ctx.engine
+            .extend_ordered(nonzero, &mut out.fitted, |index| {
+                let column = &rows.categories[index];
+                let fits = candidate_fits(&rows.xs, &column.values, &self.fit_options, ctx)?;
+                let best = fits.best().ok_or_else(|| EstimaError::NoViableFit {
+                    category: column.category.name.clone(),
+                })?;
+                // The winner's eval table holds `curve.eval(c)` for every
+                // `c in 1..=target`: the horizon was stretched to the target.
+                assert_eq!(
+                    best.evals.values().len(),
+                    target.cores as usize,
+                    "a category's eval table must cover 1..=target"
+                );
+                Ok((index, fits))
+            });
+        for fitted in out.fitted.drain(..) {
+            out.categories.push(fitted?);
+        }
+        if out.categories.is_empty() {
             return Err(EstimaError::NoStallCategories);
         }
 
         // Total stalled cycles per core over the full range: each category's
         // extrapolated total (clamped at zero, scaled to the dataset),
         // summed in category order.
-        let stalls_per_core: Vec<f64> = (1..=target.cores)
-            .map(|c| {
-                let at = c as usize - 1;
-                let total: f64 = categories
-                    .iter()
-                    .map(|fit| fit.winner().evals.values()[at].max(0.0) * target.dataset_scale)
-                    .sum();
-                total / c as f64
-            })
-            .collect();
+        out.stalls_per_core.clear();
+        out.stalls_per_core.extend((1..=target.cores).map(|c| {
+            let at = c as usize - 1;
+            let total: f64 = out
+                .categories
+                .iter()
+                .map(|(_, fits)| winner(fits).evals.values()[at].max(0.0) * target.dataset_scale)
+                .sum();
+            total / c as f64
+        }));
 
         // Step C: candidate factor curves, selected by the correlation of
         // the time predictions they produce with stalls per core (§3.1.3).
-        let factor = candidate_fits(&xs, &factor_ys, &fit_options, ctx)?;
-        let choice = select_scaling_factor(&factor, &stalls_per_core, measured_cores, &factor_ys)
+        // A cached list remembers its first choice, so a repeat compares its
+        // inputs instead of choosing again.
+        let factor = candidate_fits(&rows.xs, &rows.factor_ys, &self.fit_options, ctx)?;
+        let stalls_per_core = &out.stalls_per_core;
+        let choice = factor
+            .factor_choice(stalls_per_core, measured_cores, &rows.factor_ys, || {
+                select_scaling_factor(&factor, stalls_per_core, measured_cores, &rows.factor_ys)
+            })
             .ok_or_else(|| EstimaError::NoViableFit {
-            category: "scaling_factor".into(),
-        })?;
-
-        Ok(Evaluation {
-            measurements,
-            freq_ratio,
-            categories,
-            stalls_per_core,
-            factor,
-            choice,
-        })
-    }
-}
-
-/// A measurement set read once for the pipeline.
-struct Columns<'s> {
-    /// The measured core counts: the `xs` of every series the pipeline
-    /// fits.
-    xs: Vec<f64>,
-    /// One column per stall category of the configured sources, in category
-    /// order.
-    categories: Vec<Column<'s>>,
-    /// The scaling factor's measured series (step C): each point's measured
-    /// time, frequency-scaled, over its measured stalls per core (from the
-    /// raw measurements, not the fits, so the factor reflects what was
-    /// actually observed), or `0.0` where no stall was measured.
-    factor_ys: Vec<f64>,
-}
-
-/// One stall category's measured totals, point by point: `0.0` where a
-/// point lacks the category (a runtime that reported nothing for a run
-/// spent no cycles in that category).
-struct Column<'s> {
-    category: &'s StallCategory,
-    values: Vec<f64>,
-}
-
-impl<'s> Columns<'s> {
-    /// Read every point once: its stalls of `sources` into their columns,
-    /// its stalls per core and its time into the factor series. The values
-    /// are [`MeasurementSet::category_series`]'s and the factor series is
-    /// the one [`MeasurementSet::exec_times`] and
-    /// [`MeasurementSet::stalls_per_core`] give, bit for bit.
-    fn read(set: &'s MeasurementSet, sources: &[StallSource], freq_ratio: f64) -> Self {
-        let points = set.measurements();
-        let mut categories: Vec<Column<'s>> = Vec::new();
-        let mut factor_ys = Vec::with_capacity(points.len());
-        for (index, point) in points.iter().enumerate() {
-            // A point's stalls come in category order, like the columns, and
-            // points almost always list the same categories: the next
-            // column is the first place to look.
-            let mut next = 0;
-            // `Sum for f64` folds from -0.0, as `Measurement::total_stalls`
-            // does.
-            let mut total = -0.0;
-            for (category, value) in &point.stalls {
-                if !sources.contains(&category.source) {
-                    continue;
-                }
-                let at = match categories.get(next) {
-                    Some(column) if column.category == category => next,
-                    _ => {
-                        let rest = &categories[next..];
-                        match rest.binary_search_by(|column| column.category.cmp(category)) {
-                            Ok(offset) => next + offset,
-                            Err(offset) => {
-                                let column = Column {
-                                    category,
-                                    values: vec![0.0; points.len()],
-                                };
-                                categories.insert(next + offset, column);
-                                next + offset
-                            }
-                        }
-                    }
-                };
-                categories[at].values[index] = *value;
-                next = at + 1;
-                total += value;
-            }
-            let stalls_per_core = total / point.cores.max(1) as f64;
-            let time = point.exec_time * freq_ratio;
-            factor_ys.push(if stalls_per_core > 0.0 {
-                time / stalls_per_core
-            } else {
-                0.0
-            });
-        }
-        Columns {
-            xs: points.iter().map(|point| point.cores as f64).collect(),
-            categories,
-            factor_ys,
-        }
-    }
-}
-
-/// A non-zero stall category with its candidate fits, whose winner step B
-/// extrapolates.
-struct CategoryFit<'s> {
-    column: Column<'s>,
-    fits: Arc<Fits>,
-}
-
-impl CategoryFit<'_> {
-    fn winner(&self) -> &FitCandidate {
-        self.fits
-            .best()
-            .expect("evaluate keeps only categories with a winner")
-    }
-}
-
-/// What [`Estima::evaluate`] computes: everything a prediction reads, with
-/// nothing materialised beyond the series step C correlates.
-struct Evaluation<'s> {
-    measurements: &'s MeasurementSet,
-    freq_ratio: f64,
-    /// The non-zero categories, in category order.
-    categories: Vec<CategoryFit<'s>>,
-    /// Total stalled cycles per core at every core count `1..=target`.
-    stalls_per_core: Vec<f64>,
-    /// The scaling-factor candidates and step C's pick among them.
-    factor: Arc<Fits>,
-    choice: FactorChoice,
-}
-
-impl Evaluation<'_> {
-    /// The chosen scaling-factor candidate.
-    fn factor(&self) -> &FitCandidate {
-        &self.factor[self.choice.index]
+                category: "scaling_factor".into(),
+            })?;
+        out.factor = Some((factor, choice));
+        Ok(())
     }
 
-    /// Build the full prediction: each category's winning curve and
-    /// extrapolated series, and the predicted time at every core count as
-    /// stalls per core times the scaling factor's table.
-    fn into_prediction(self, target: &TargetSpec) -> Prediction {
-        let points = self.measurements.measurements();
-        let categories = self
+    /// Build the full prediction from the evaluation of the set's own rows:
+    /// each category's winning curve and extrapolated series, and the
+    /// predicted time at every core count as stalls per core times the
+    /// scaling factor's table.
+    fn prediction(&self, evaluation: &Evaluation) -> Prediction {
+        let target = self.target;
+        let points = self.set.measurements();
+        let categories = evaluation
             .categories
             .iter()
-            .map(|fit| {
-                let winner = fit.winner();
+            .map(|(index, fits)| {
+                let column = &self.rows.categories[*index];
+                let winner = winner(fits);
                 CategoryExtrapolation {
-                    category: fit.column.category.clone(),
+                    category: column.category.clone(),
                     curve: winner.curve.clone(),
                     measured: points
                         .iter()
                         .map(|point| point.cores)
-                        .zip(fit.column.values.iter().copied())
+                        .zip(column.values.iter().copied())
                         .collect(),
                     extrapolated: (1..=target.cores)
                         .zip(winner.evals.values())
@@ -504,19 +460,20 @@ impl Evaluation<'_> {
                 }
             })
             .collect();
-        let factor = self.factor();
+        let factor = evaluation.factor();
+        let stalls_per_core = &evaluation.stalls_per_core;
         Prediction {
-            app_name: self.measurements.app_name.clone(),
-            measured_cores: self.measurements.max_cores(),
+            app_name: self.set.app_name.clone(),
+            measured_cores: self.set.max_cores(),
             target_cores: target.cores,
             categories,
             stalls_per_core: (1..=target.cores)
-                .zip(self.stalls_per_core.iter().copied())
+                .zip(stalls_per_core.iter().copied())
                 .collect(),
             scaling_factor: factor.curve.clone(),
-            factor_correlation: self.choice.correlation,
+            factor_correlation: evaluation.choice().correlation,
             predicted_time: (1..=target.cores)
-                .zip(self.stalls_per_core.iter().zip(factor.evals.values()))
+                .zip(stalls_per_core.iter().zip(factor.evals.values()))
                 .map(|(c, (spc, factor))| (c, spc * factor))
                 .collect(),
             measured_time: points
@@ -528,14 +485,183 @@ impl Evaluation<'_> {
     }
 }
 
-/// Step C's pick: the scaling-factor candidate whose predicted times
-/// correlate best with stalls per core.
-struct FactorChoice {
-    /// The winner's index among the candidates.
-    index: usize,
-    /// Pearson correlation of the winner's predicted times with stalls per
-    /// core.
-    correlation: f64,
+/// A measurement set's points as the pipeline reads them: one row per
+/// point, in ascending core order, with one column per stall category of
+/// the configured sources.
+#[derive(Clone)]
+pub(crate) struct Rows<'s> {
+    /// The measured core counts: the `xs` of every series the pipeline
+    /// fits.
+    xs: Vec<f64>,
+    /// One column per stall category, in category order.
+    categories: Vec<Column<'s>>,
+    /// The scaling factor's measured series (step C): each point's measured
+    /// time, frequency-scaled, over its measured stalls per core (from the
+    /// raw measurements, not the fits, so the factor reflects what was
+    /// actually observed), or `0.0` where no stall was measured.
+    factor_ys: Vec<f64>,
+    /// Whether each point has a backend or software stall, of which
+    /// [`MeasurementSet::validate`] requires one in the set.
+    usable: Vec<bool>,
+}
+
+/// One stall category's measured totals, row by row: `0.0` where a point
+/// lacks the category (a runtime that reported nothing for a run spent no
+/// cycles in that category).
+#[derive(Clone)]
+struct Column<'s> {
+    category: &'s StallCategory,
+    values: Vec<f64>,
+}
+
+impl<'s> Rows<'s> {
+    /// Read every point of `set` once, each by [`Rows::insert`]. The columns
+    /// are [`MeasurementSet::category_series`]'s values and the factor series
+    /// is the one [`MeasurementSet::exec_times`] and
+    /// [`MeasurementSet::stalls_per_core`] give, bit for bit.
+    fn read(set: &'s MeasurementSet, sources: &[StallSource], freq_ratio: f64) -> Self {
+        let points = set.len();
+        let mut rows = Rows {
+            xs: Vec::with_capacity(points),
+            categories: Vec::new(),
+            factor_ys: Vec::with_capacity(points),
+            usable: Vec::with_capacity(points),
+        };
+        for point in set.measurements() {
+            rows.insert(point, sources, freq_ratio);
+        }
+        rows
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.xs.len()
+    }
+
+    /// The largest core count, or 0 without rows.
+    fn measured_cores(&self) -> u32 {
+        self.xs.last().map_or(0, |x| *x as u32)
+    }
+
+    /// Read `point` into a new row at its core count: its stalls of
+    /// `sources` into their columns (a new category gets a column of
+    /// zeros), and its frequency-scaled time over its stalls per core into
+    /// the factor series.
+    fn insert(&mut self, point: &'s Measurement, sources: &[StallSource], freq_ratio: f64) {
+        let x = f64::from(point.cores);
+        let at = self.xs.partition_point(|known| *known < x);
+        debug_assert_ne!(
+            self.xs.get(at),
+            Some(&x),
+            "{} cores measured twice",
+            point.cores
+        );
+        self.xs.insert(at, x);
+        for column in &mut self.categories {
+            column.values.insert(at, 0.0);
+        }
+        // A point's stalls come in category order, like the columns, and
+        // points almost always list the same categories: the next column is
+        // the first place to look.
+        let mut next = 0;
+        // `Sum for f64` folds from -0.0, as `Measurement::total_stalls`
+        // does.
+        let mut total = -0.0;
+        let mut usable = false;
+        for (category, value) in &point.stalls {
+            usable |= matches!(
+                category.source,
+                StallSource::HardwareBackend | StallSource::Software
+            );
+            if !sources.contains(&category.source) {
+                continue;
+            }
+            let index = match self.categories.get(next) {
+                Some(column) if column.category == category => next,
+                _ => {
+                    let rest = &self.categories[next..];
+                    match rest.binary_search_by(|column| column.category.cmp(category)) {
+                        Ok(offset) => next + offset,
+                        Err(offset) => {
+                            let mut values = Vec::with_capacity(self.xs.capacity());
+                            values.resize(self.xs.len(), 0.0);
+                            self.categories
+                                .insert(next + offset, Column { category, values });
+                            next + offset
+                        }
+                    }
+                }
+            };
+            self.categories[index].values[at] = *value;
+            next = index + 1;
+            total += value;
+        }
+        let stalls_per_core = total / point.cores.max(1) as f64;
+        let time = point.exec_time * freq_ratio;
+        self.factor_ys.insert(
+            at,
+            if stalls_per_core > 0.0 {
+                time / stalls_per_core
+            } else {
+                0.0
+            },
+        );
+        self.usable.insert(at, usable);
+    }
+
+    /// Make these rows `from`'s without row `row`, in place: these rows must
+    /// have `from`'s columns (a clone of `from` does), and then nothing
+    /// allocates.
+    pub(crate) fn copy_without(&mut self, from: &Rows<'s>, row: usize) {
+        fn copy<T: Copy>(to: &mut Vec<T>, from: &[T], row: usize) {
+            to.clear();
+            to.extend_from_slice(&from[..row]);
+            to.extend_from_slice(&from[row + 1..]);
+        }
+        debug_assert_eq!(self.categories.len(), from.categories.len());
+        copy(&mut self.xs, &from.xs, row);
+        for (to, from) in self.categories.iter_mut().zip(&from.categories) {
+            copy(&mut to.values, &from.values, row);
+        }
+        copy(&mut self.factor_ys, &from.factor_ys, row);
+        copy(&mut self.usable, &from.usable, row);
+    }
+}
+
+/// A category's step-B winner; evaluation keeps only categories with one.
+fn winner(fits: &Fits) -> &FitCandidate {
+    fits.best()
+        .expect("evaluation keeps only categories with a winner")
+}
+
+/// What evaluating rows computes: everything a prediction reads, with
+/// nothing materialised beyond the series step C correlates. The buffers
+/// are reused from one evaluation to the next, so a warm evaluation (every
+/// list a cache hit, step C remembered) allocates nothing.
+#[derive(Default)]
+pub(crate) struct Evaluation {
+    /// The category fan-out's results, in category order.
+    fitted: Vec<Result<(usize, Arc<Fits>)>>,
+    /// The non-zero categories: each one's column and fits, in category
+    /// order.
+    categories: Vec<(usize, Arc<Fits>)>,
+    /// Total stalled cycles per core at every core count `1..=target`.
+    stalls_per_core: Vec<f64>,
+    /// The scaling-factor candidates and step C's pick among them.
+    factor: Option<(Arc<Fits>, FactorChoice)>,
+}
+
+impl Evaluation {
+    /// Step C's pick.
+    fn choice(&self) -> FactorChoice {
+        self.factor.as_ref().expect("an evaluated scaling factor").1
+    }
+
+    /// The chosen scaling-factor candidate.
+    fn factor(&self) -> &FitCandidate {
+        let (fits, choice) = self.factor.as_ref().expect("an evaluated scaling factor");
+        &fits[choice.index]
+    }
 }
 
 /// Distinct eval tables whose correlations one sweep over the series
@@ -750,6 +876,28 @@ mod tests {
             }
         }
         (set, truth)
+    }
+
+    /// `set` without its point at `index`.
+    pub(super) fn without(set: &MeasurementSet, index: usize) -> MeasurementSet {
+        let mut subset = MeasurementSet::new(set.app_name.clone(), set.frequency_ghz);
+        for (at, point) in set.measurements().iter().enumerate() {
+            if at != index {
+                subset.push(point.clone());
+            }
+        }
+        subset
+    }
+
+    /// θ of `set` at `target` in `ctx`, read afresh.
+    fn theta(
+        estima: &Estima,
+        set: &MeasurementSet,
+        target: &TargetSpec,
+        ctx: &FitContext<'_>,
+    ) -> Result<f64> {
+        let read = estima.read(set, target)?;
+        read.theta(read.rows(), ctx, &mut Evaluation::default())
     }
 
     /// A quickstart-shaped set: 12 points, two backend categories and one
@@ -983,7 +1131,7 @@ mod tests {
     /// leave-one-out subset of them, at a target beyond the measurements,
     /// one equal to the measured maximum, and one with another clock and a
     /// dataset scale, uncached and through one scoped cache.
-    /// `predicted_time_in` must fail exactly when `predict_in` does, and
+    /// θ must fail exactly when `predict_in` does, and
     /// otherwise give the bits of `predicted_time_at(target)` and of the
     /// prediction's own parts there: the categories' extrapolated totals
     /// summed and divided by the cores, times the scaling-factor curve.
@@ -1015,17 +1163,14 @@ mod tests {
         for wobble in [0.0, 0.02, 0.05] {
             let full = quickstart_shaped(wobble);
             for leave_out in std::iter::once(None).chain((0..full.len()).map(Some)) {
-                let mut set = full.clone();
-                if let Some(index) = leave_out {
-                    set.remove(index);
-                }
+                let set = leave_out.map_or_else(|| full.clone(), |index| without(&full, index));
                 for target in &targets {
                     for ctx in &contexts {
                         let context = format!("wobble {wobble}, without {leave_out:?}, {target:?}");
                         let cores = target.cores;
                         match (
                             estima.predict_in(&set, target, ctx),
-                            estima.predicted_time_in(&set, target, ctx),
+                            theta(&estima, &set, target, ctx),
                         ) {
                             (Ok(prediction), Ok(theta)) => {
                                 let at = prediction.predicted_time_at(cores).unwrap();
@@ -1052,6 +1197,228 @@ mod tests {
             }
         }
         assert_eq!(compared, 3 * 13 * 3 * 2, "every case predicts");
+    }
+
+    /// A leave-out's rows are its subset's read, and a hypothetical point's
+    /// rows the augmented set's read. On sets where a leave-out drops a
+    /// category or the set's only usable category, where it falls below the
+    /// minimum, and on hypothetical points beyond the measured core counts
+    /// and in a gap, θ of the rows must succeed exactly when θ of the set
+    /// they stand for does, with the same bits and the same error,
+    /// uncached and through one cache.
+    #[test]
+    fn derived_rows_evaluate_like_the_sets_they_stand_for() {
+        use crate::engine::FitCache;
+
+        let quickstart = quickstart_shaped(0.02);
+        // A software category measured at one core count only.
+        let mut lone = quickstart.clone();
+        let mut point = lone.at_cores(5).unwrap().clone();
+        point
+            .stalls
+            .insert(StallCategory::software("barrier"), 3.0e9);
+        lone.push(point);
+        // Frontend stalls everywhere, and the only backend or software
+        // stall at one core count: its leave-out is no valid set.
+        let mut frontend = MeasurementSet::new("frontend", 2.1);
+        for cores in 1..=8u32 {
+            let n = f64::from(cores);
+            let mut point = Measurement::new(cores, 10.0 / n + 1.0)
+                .with_stall(StallCategory::frontend("icache"), 1.0e8 * n);
+            if cores == 3 {
+                point = point.with_stall(StallCategory::backend("rob_full"), 2.0e8);
+            }
+            frontend.push(point);
+        }
+        let frontend_config = EstimaConfig {
+            use_frontend_stalls: true,
+            ..EstimaConfig::default().with_parallelism(1)
+        };
+        // Leave-outs fall below the minimum.
+        let minimal = EstimaConfig {
+            min_measurements: 12,
+            ..EstimaConfig::default().with_parallelism(1)
+        };
+        let gappy = without(&quickstart, 5);
+        let cases = [
+            (EstimaConfig::default().with_parallelism(1), &quickstart),
+            (EstimaConfig::default().with_parallelism(1), &gappy),
+            (EstimaConfig::default().with_parallelism(1), &lone),
+            (frontend_config, &frontend),
+            (minimal, &quickstart),
+        ];
+        let targets = [
+            TargetSpec::cores(48),
+            TargetSpec::cores(12),
+            TargetSpec::cores(48)
+                .with_frequency_ghz(3.0)
+                .with_dataset_scale(1.7),
+        ];
+        let hypothetical = |cores: u32, scale: f64| {
+            Measurement::new(cores, 2.0 * scale)
+                .with_stall(StallCategory::backend("rob_full"), 9.0e9 * scale)
+                .with_stall(StallCategory::backend("ls_full"), 4.0e9 * scale)
+                .with_stall(StallCategory::software("lock_spin"), 2.0e9 * scale)
+        };
+        let cache = FitCache::new();
+        let (mut succeeded, mut failed) = (0, 0);
+        for (config, set) in cases {
+            let estima = Estima::new(config);
+            let contexts = [
+                estima.fit_context(),
+                FitContext {
+                    cache: Some(&cache),
+                    ..estima.fit_context()
+                },
+            ];
+            for target in &targets {
+                let Ok(read) = estima.read(set, target) else {
+                    continue;
+                };
+                let mut view = read.rows().clone();
+                for ctx in &contexts {
+                    let mut compare = |label: String, rows: &Rows<'_>, expected: Result<f64>| {
+                        let actual = read.theta(rows, ctx, &mut Evaluation::default());
+                        match (expected, actual) {
+                            (Ok(expected), Ok(actual)) => {
+                                assert_eq!(expected.to_bits(), actual.to_bits(), "{label}");
+                                succeeded += 1;
+                            }
+                            (Err(expected), Err(actual)) => {
+                                assert_eq!(expected, actual, "{label}");
+                                failed += 1;
+                            }
+                            (expected, actual) => panic!("{label}: {expected:?}, rows {actual:?}"),
+                        }
+                    };
+                    for row in 0..set.len() {
+                        view.copy_without(read.rows(), row);
+                        let subset = without(set, row);
+                        let expected = theta(&estima, &subset, target, ctx);
+                        compare(
+                            format!("{} {target:?} without {row}", set.app_name),
+                            &view,
+                            expected,
+                        );
+                    }
+                    // Beyond the measured core counts, and in a gap.
+                    for cores in [13, 20, 6] {
+                        if set.at_cores(cores).is_some() {
+                            continue;
+                        }
+                        let point = hypothetical(cores, f64::from(cores));
+                        let augmented = set.clone().with(point.clone());
+                        let expected = theta(&estima, &augmented, target, ctx);
+                        let rows = read.with_point(&point);
+                        compare(
+                            format!("{} {target:?} with {cores}", set.app_name),
+                            &rows,
+                            expected,
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            succeeded > 100 && failed > 10,
+            "{succeeded} succeeded, {failed} failed"
+        );
+    }
+
+    /// Step C's memo against a fresh choice, over real grids: the
+    /// quickstart-shaped sets and every leave-out, uncached and through one
+    /// shared cache. An evaluation remembers its choice in its factor list
+    /// (or finds it remembered); asking the list again with the same inputs
+    /// must not choose again and must return the bits of a fresh
+    /// `select_scaling_factor`. The same list asked with stalls per core one
+    /// ulp apart, at `dataset_scale` 1.7, or with another factor series must
+    /// choose afresh, with a fresh choice's bits, and leave the memo as it
+    /// was.
+    #[test]
+    fn a_remembered_factor_choice_is_a_fresh_one() {
+        use crate::engine::{CacheScope, FitCache};
+
+        let estima = Estima::new(EstimaConfig::default().with_parallelism(1));
+        let cache = FitCache::new();
+        let contexts = [
+            estima.fit_context(),
+            FitContext {
+                cache: Some(&cache),
+                scope: Some(CacheScope {
+                    series: "memo",
+                    version: 1,
+                }),
+                ..estima.fit_context()
+            },
+        ];
+        let target = TargetSpec::cores(48);
+        let scaled = TargetSpec::cores(48).with_dataset_scale(1.7);
+        let bits = |choice: Option<FactorChoice>| {
+            choice.map(|choice| (choice.index, choice.correlation.to_bits()))
+        };
+        let mut asked = 0;
+        for ctx in &contexts {
+            for wobble in [0.0, 0.02, 0.05] {
+                let full = quickstart_shaped(wobble);
+                let other = quickstart_shaped(wobble + 0.01);
+                for leave_out in std::iter::once(None).chain((0..full.len()).map(Some)) {
+                    let pick = |set: &MeasurementSet| {
+                        leave_out.map_or_else(|| set.clone(), |index| without(set, index))
+                    };
+                    let (set, other) = (pick(&full), pick(&other));
+                    let label = format!("wobble {wobble}, without {leave_out:?}");
+                    let evaluated = |target: &TargetSpec| {
+                        let read = estima.read(&set, target).unwrap();
+                        let mut evaluation = Evaluation::default();
+                        read.evaluate(read.rows(), ctx, &mut evaluation).unwrap();
+                        let factor_ys = read.rows().factor_ys.clone();
+                        (evaluation, factor_ys)
+                    };
+                    let (evaluation, factor_ys) = evaluated(&target);
+                    let (factor, choice) = evaluation.factor.clone().unwrap();
+                    let measured = set.max_cores();
+                    let stalls = evaluation.stalls_per_core.clone();
+                    // Ask the list; report its choice and whether it chose.
+                    let mut ask = |stalls: &[f64], factor_ys: &[f64]| {
+                        let mut chose = false;
+                        let choice = factor.factor_choice(stalls, measured, factor_ys, || {
+                            chose = true;
+                            select_scaling_factor(&factor, stalls, measured, factor_ys)
+                        });
+                        let fresh = select_scaling_factor(&factor, stalls, measured, factor_ys);
+                        assert_eq!(bits(choice), bits(fresh), "{label}: not a fresh choice");
+                        asked += 1;
+                        chose
+                    };
+                    let fresh = select_scaling_factor(&factor, &stalls, measured, &factor_ys);
+                    assert_eq!(bits(Some(choice)), bits(fresh), "{label}: evaluated");
+                    assert!(!ask(&stalls, &factor_ys), "{label}: the memo missed");
+
+                    let mut nudged = stalls.clone();
+                    nudged[measured as usize] =
+                        f64::from_bits(nudged[measured as usize].to_bits() + 1);
+                    assert!(ask(&nudged, &factor_ys), "{label}: one ulp apart");
+                    let (scaled, scaled_ys) = evaluated(&scaled);
+                    assert_eq!(scaled_ys, factor_ys);
+                    assert!(
+                        ask(&scaled.stalls_per_core, &factor_ys),
+                        "{label}: scale 1.7"
+                    );
+                    let other_ys = estima
+                        .read(&other, &target)
+                        .unwrap()
+                        .rows()
+                        .factor_ys
+                        .clone();
+                    assert!(ask(&stalls, &other_ys), "{label}: another factor series");
+                    assert!(
+                        !ask(&stalls, &factor_ys),
+                        "{label}: the memo was overwritten"
+                    );
+                }
+            }
+        }
+        assert_eq!(asked, 2 * 3 * 13 * 5);
     }
 
     #[test]
@@ -1091,7 +1458,7 @@ mod tests {
 /// correlation and every predicted time must be the same bits.
 #[cfg(test)]
 mod selection_oracle {
-    use super::tests::quickstart_shaped;
+    use super::tests::{quickstart_shaped, without};
     use super::*;
     use crate::fit::{candidate_fits_with, CandidateEvals};
     use crate::kernels::KernelKind;
@@ -1413,10 +1780,7 @@ mod selection_oracle {
             let full = quickstart_shaped(wobble);
             // The full set, then every leave-one-out subset.
             for leave_out in std::iter::once(None).chain((0..full.len()).map(Some)) {
-                let mut set = full.clone();
-                if let Some(index) = leave_out {
-                    set.remove(index);
-                }
+                let set = leave_out.map_or_else(|| full.clone(), |index| without(&full, index));
                 let prediction = estima.predict(&set, &TargetSpec::cores(48)).unwrap();
                 let stalls: Vec<f64> = prediction.stalls_per_core.iter().map(|(_, v)| *v).collect();
                 let xs: Vec<f64> = set.core_counts().iter().map(|c| f64::from(*c)).collect();
