@@ -154,79 +154,71 @@ impl Engine {
     }
 }
 
-/// Cache key for one fitted series, owned: the series, every field of the
-/// [`FitOptions`], and optionally a store scope. It is the owned form of the
-/// word stream a [`FitCache`] lookup hashes and compares in place, so
-/// [`FitCache::get_or_compute`] with a key built here finds exactly the
-/// entries [`crate::fit::candidate_fits`] inserted for the same inputs, and
-/// the reverse.
+/// One fit-cache lookup's inputs, borrowed: the series, every field of the
+/// [`FitOptions`], and optionally a store scope. [`FitCache::get_or_compute`]
+/// hashes and compares them in place against the cached lists' keys, so
+/// building a key and hitting with it allocate nothing;
+/// [`crate::fit::candidate_fits`] looks its lists up through the same call.
 ///
-/// The stream is `[options, horizon, n, x₀ … xₙ₋₁, n, y₀ … yₙ₋₁]`, then the
-/// scope. Floats enter as their bit patterns, so `-0.0` and `0.0` differ and
-/// NaN payloads stay apart, and the length prefixes keep the encoding
-/// unambiguous. `horizon` is [`FitOptions::realism_horizon`]; `options`
-/// stands for every other field: the kernel count and each kernel's id, the
+/// A lookup reads the key as the stream `[options, horizon, n, x₀ … xₙ₋₁,
+/// n, y₀ … yₙ₋₁]`, then the scope. Floats enter as their bit patterns, so
+/// `-0.0` and `0.0` differ and NaN payloads stay apart, and the length
+/// prefixes keep the encoding unambiguous. `horizon` is
+/// [`FitOptions::realism_horizon`]; `options` is the cache's interned id of
+/// every other field: the kernel count and each kernel's id, the
 /// checkpoint-count count and each count, the scalar fields (floats as
 /// bits) and [`LmOptions`] as the same eight words the solve memo interns.
-/// A key holds those words; a cache interns them and streams their id.
 /// Destructuring `FitOptions` makes a new field a compile error until it is
-/// keyed. Two keys are equal only if the series and options are exactly
-/// equal, so cache hits can never substitute another series' fits.
+/// keyed. Two keys find the same list only if the series and options are
+/// exactly equal, so cache hits can never substitute another series' fits.
 ///
 /// Keys built through [`FitKey::scoped`] additionally carry a
-/// `(series id, version)` component from the
+/// [`CacheScope`] from the
 /// [`MeasurementStore`](crate::store::MeasurementStore): entries cached on
 /// behalf of a named series are tagged with the store version they were
 /// fitted from, so an ingest can invalidate exactly that series' stale fits
 /// ([`FitCache::invalidate_series`]) and nothing else. Scoped and unscoped
-/// keys never collide (the scope participates in equality), and the
+/// keys never collide (the scope is part of the stream), and the
 /// structural series bits stay in the key either way, so a hit can never
 /// substitute another series' — or another version's — fits.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct FitKey {
-    /// The option words (every field but the realism horizon).
-    options: Box<[u64]>,
-    series: OwnedSeries,
+#[derive(Debug, Clone, Copy)]
+pub struct FitKey<'a> {
+    pub(crate) xs: &'a [f64],
+    pub(crate) ys: &'a [f64],
+    pub(crate) options: &'a FitOptions,
+    pub(crate) scope: Option<CacheScope<'a>>,
 }
 
-impl FitKey {
-    /// Build the key for a `(series, options)` pair.
-    pub fn new(xs: &[f64], ys: &[f64], options: &FitOptions) -> Self {
-        FitKey::build(xs, ys, options, None)
-    }
-
-    /// Build a key tagged with the owning store series and its version.
-    pub fn scoped(
-        xs: &[f64],
-        ys: &[f64],
-        options: &FitOptions,
-        series: &str,
-        version: u64,
-    ) -> Self {
-        FitKey::build(xs, ys, options, Some((series, version)))
-    }
-
-    fn build(xs: &[f64], ys: &[f64], options: &FitOptions, scope: Option<(&str, u64)>) -> Self {
-        let series = Series {
-            horizon: options.realism_horizon,
+impl<'a> FitKey<'a> {
+    /// The key for a `(series, options)` pair.
+    pub fn new(xs: &'a [f64], ys: &'a [f64], options: &'a FitOptions) -> Self {
+        FitKey {
             xs,
             ys,
-            scope,
-        };
-        FitKey {
-            options: option_words(options).collect(),
-            series: OwnedSeries::new(&series),
+            options,
+            scope: None,
         }
     }
 
-    /// The `(series id, version)` tag of a scoped key, if any.
-    pub fn scope(&self) -> Option<(&str, u64)> {
-        self.series.view().scope
+    /// A key tagged with the owning store series and its version.
+    pub fn scoped(
+        xs: &'a [f64],
+        ys: &'a [f64],
+        options: &'a FitOptions,
+        series: &'a str,
+        version: u64,
+    ) -> Self {
+        FitKey {
+            xs,
+            ys,
+            options,
+            scope: Some(CacheScope { series, version }),
+        }
     }
 }
 
 /// Every [`FitOptions`] field but the realism horizon, as the words a
-/// [`FitKey`] holds and a [`FitCache`] interns.
+/// [`FitCache`] interns for a key's options.
 fn option_words(options: &FitOptions) -> impl Iterator<Item = u64> + Clone + '_ {
     let FitOptions {
         kernels,
@@ -251,22 +243,24 @@ fn option_words(options: &FitOptions) -> impl Iterator<Item = u64> + Clone + '_ 
         .chain(lm_bits(lm))
 }
 
-/// The part of a fit-cache key's stream after its options: the realism
-/// horizon, the series and the scope.
+/// A [`FitKey`] as a shard's map hashes and compares it: its options
+/// interned to their id, then the rest of the stream, borrowed.
 #[derive(Debug, Clone, Copy)]
-struct Series<'a> {
+struct Lookup<'a> {
+    options: u64,
     horizon: u32,
     xs: &'a [f64],
     ys: &'a [f64],
-    scope: Option<(&'a str, u64)>,
+    scope: Option<CacheScope<'a>>,
 }
 
-impl PartialEq for Series<'_> {
+impl PartialEq for Lookup<'_> {
     fn eq(&self, other: &Self) -> bool {
         let same = |a: &[f64], b: &[f64]| {
             a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
         };
-        self.horizon == other.horizon
+        self.options == other.options
+            && self.horizon == other.horizon
             && same(self.xs, other.xs)
             && same(self.ys, other.ys)
             && self.scope == other.scope
@@ -275,8 +269,9 @@ impl PartialEq for Series<'_> {
 
 /// The stream both hashes read: the shard's [`Fnv1a`] and the shard map's
 /// `SipHash`.
-impl Hash for Series<'_> {
+impl Hash for Lookup<'_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.options);
         state.write_u32(self.horizon);
         for series in [self.xs, self.ys] {
             state.write_usize(series.len());
@@ -293,15 +288,6 @@ impl Hash for Series<'_> {
     }
 }
 
-/// One fit-cache lookup, borrowed: the interned options id and the
-/// [`Series`] part of the stream. A shard's map hashes and compares it in
-/// place, so a hit allocates nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Hash)]
-struct Lookup<'a> {
-    options: u64,
-    series: Series<'a>,
-}
-
 impl Lookup<'_> {
     /// The hash that picks the lookup's [`FitCache`] shard. (The shard's map
     /// hashes the stream with the std `Hash` instead: series arrive from
@@ -313,9 +299,11 @@ impl Lookup<'_> {
     }
 }
 
-/// The owned form of a [`Series`].
-#[derive(Debug, Clone)]
-struct OwnedSeries {
+/// A cached list's key: the owned form of a [`Lookup`], and the only owned
+/// key. It hashes and compares as its [`AsLookup::lookup`].
+#[derive(Debug)]
+struct StoredKey {
+    options: u64,
     horizon: u32,
     /// The series' `xs`, then its `ys`.
     values: Box<[f64]>,
@@ -324,49 +312,32 @@ struct OwnedSeries {
     scope: Option<(String, u64)>,
 }
 
-impl OwnedSeries {
-    fn new(series: &Series<'_>) -> Self {
-        OwnedSeries {
-            horizon: series.horizon,
-            values: series.xs.iter().chain(series.ys).copied().collect(),
-            split: series.xs.len(),
-            scope: series
+impl StoredKey {
+    fn new(lookup: &Lookup<'_>) -> Self {
+        StoredKey {
+            options: lookup.options,
+            horizon: lookup.horizon,
+            values: lookup.xs.iter().chain(lookup.ys).copied().collect(),
+            split: lookup.xs.len(),
+            scope: lookup
                 .scope
-                .map(|(series, version)| (series.to_string(), version)),
-        }
-    }
-
-    fn view(&self) -> Series<'_> {
-        Series {
-            horizon: self.horizon,
-            xs: &self.values[..self.split],
-            ys: &self.values[self.split..],
-            scope: self.scope.as_ref().map(|(id, v)| (id.as_str(), *v)),
+                .map(|scope| (scope.series.to_string(), scope.version)),
         }
     }
 }
 
-impl PartialEq for OwnedSeries {
+impl PartialEq for StoredKey {
     fn eq(&self, other: &Self) -> bool {
-        self.view() == other.view()
+        self.lookup() == other.lookup()
     }
 }
 
-impl Eq for OwnedSeries {}
+impl Eq for StoredKey {}
 
-impl Hash for OwnedSeries {
+impl Hash for StoredKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.view().hash(state);
+        self.lookup().hash(state);
     }
-}
-
-/// A cached list's key: the owned form of a [`Lookup`]. It has a lookup's
-/// fields in a lookup's order, so it hashes and compares as its
-/// [`AsLookup::lookup`].
-#[derive(Debug, PartialEq, Eq, Hash)]
-struct StoredKey {
-    options: u64,
-    series: OwnedSeries,
 }
 
 /// What a shard's map hashes and compares: the stream of a lookup, whether
@@ -386,7 +357,13 @@ impl AsLookup for StoredKey {
     fn lookup(&self) -> Lookup<'_> {
         Lookup {
             options: self.options,
-            series: self.series.view(),
+            horizon: self.horizon,
+            xs: &self.values[..self.split],
+            ys: &self.values[self.split..],
+            scope: self.scope.as_ref().map(|(series, version)| CacheScope {
+                series,
+                version: *version,
+            }),
         }
     }
 }
@@ -465,10 +442,10 @@ impl Hasher for Fnv1a {
 
 /// A borrowed `(series id, version)` tag identifying which
 /// [`MeasurementStore`](crate::store::MeasurementStore) state a fit was
-/// computed from. Carried by a [`FitContext`](crate::fit::FitContext) into
-/// [`crate::fit::candidate_fits`], whose lookups stream it as a
-/// [`FitKey::scoped`] key holds it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// computed from: the scope of a [`FitKey::scoped`] key. A
+/// [`FitContext`](crate::fit::FitContext) carries one into
+/// [`crate::fit::candidate_fits`], whose key it then scopes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheScope<'a> {
     /// The owning store series.
     pub series: &'a str,
@@ -551,7 +528,7 @@ impl Shard {
     /// Remove a scoped key from the series index (no-op for unscoped keys).
     /// Eviction-time bookkeeping: O(that series' keys), and rare.
     fn unindex(&mut self, key: &Arc<StoredKey>) {
-        let Some((series, _)) = key.series.view().scope else {
+        let Some((series, _)) = &key.scope else {
             return;
         };
         if let Some(keys) = self.by_series.get_mut(series) {
@@ -575,7 +552,7 @@ const DEFAULT_SHARDS: usize = 16;
 const DEFAULT_CAPACITY: usize = 4096;
 
 /// A sharded, capacity-bounded, concurrency-safe cache of candidate-fit
-/// lists keyed by the stream a [`FitKey`] holds. Shared by every job of a
+/// lists keyed by the stream a [`FitKey`] describes. Shared by every job of a
 /// [`BatchPredictor`] so that workloads measured on the same machine reuse each other's fits
 /// (identical series — e.g. a zero-noise category or a repeated workload —
 /// are fitted once), and by `estima-serve` so concurrent HTTP requests share
@@ -796,13 +773,14 @@ impl FitCache {
 
     /// Look up `key`, computing and inserting the candidate list on a miss.
     ///
-    /// This is the owned form of the lookup [`crate::fit::candidate_fits`]
-    /// makes in place: both intern the options, hash the same stream and
-    /// compare it with the stored keys' (see [`FitKey`]), so either finds
-    /// what the other inserted. The list is a [`Fits`]: a hit hands out the
-    /// one shared list with its winner, table numbers and remembered
-    /// scaling-factor choice, so a caller re-scores nothing. A `compute`
-    /// that builds a plain `Vec` of candidates returns `Ok(list.into())`.
+    /// This is the cache's one lookup; [`crate::fit::candidate_fits`] makes
+    /// it too. It interns the key's options and hashes and compares the
+    /// rest of the key's stream (see [`FitKey`]) in place against the
+    /// stored keys, so a hit builds nothing and allocates nothing. The list
+    /// is a [`Fits`]: a hit hands out the one shared list with its winner,
+    /// table numbers and remembered scaling-factor choice, so a caller
+    /// re-scores nothing. A `compute` that builds a plain `Vec` of
+    /// candidates returns `Ok(list.into())`.
     ///
     /// The computation runs outside every cache lock, so concurrent misses
     /// on the same key may compute twice — both produce identical results
@@ -812,51 +790,21 @@ impl FitCache {
     /// least-recently-used entries. Once 64 other option sets are interned,
     /// a lookup with new options computes its list without keeping it (a
     /// miss).
-    pub fn get_or_compute<F>(&self, key: FitKey, compute: F) -> Result<Arc<Fits>>
+    pub fn get_or_compute<F>(&self, key: FitKey<'_>, compute: F) -> Result<Arc<Fits>>
     where
         F: FnOnce() -> Result<Fits>,
     {
-        self.lookup(key.options.iter().copied(), key.series.view(), compute)
-    }
-
-    /// The lookup both [`FitCache::get_or_compute`] and
-    /// [`crate::fit::candidate_fits`] make, on `options`' words and the rest
-    /// of the stream, borrowed: a hit hashes and compares the stream in
-    /// place and allocates nothing.
-    pub(crate) fn lookup_or_compute<F>(
-        &self,
-        options: &FitOptions,
-        xs: &[f64],
-        ys: &[f64],
-        scope: Option<CacheScope<'_>>,
-        compute: F,
-    ) -> Result<Arc<Fits>>
-    where
-        F: FnOnce() -> Result<Fits>,
-    {
-        let series = Series {
-            horizon: options.realism_horizon,
-            xs,
-            ys,
-            scope: scope.map(|scope| (scope.series, scope.version)),
-        };
-        self.lookup(option_words(options), series, compute)
-    }
-
-    fn lookup<F>(
-        &self,
-        options: impl Iterator<Item = u64> + Clone,
-        series: Series<'_>,
-        compute: F,
-    ) -> Result<Arc<Fits>>
-    where
-        F: FnOnce() -> Result<Fits>,
-    {
-        let Some(options) = self.fit_options.id(options) else {
+        let Some(options) = self.fit_options.id(option_words(key.options)) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return compute().map(Arc::new);
         };
-        let lookup = Lookup { options, series };
+        let lookup = Lookup {
+            options,
+            horizon: key.options.realism_horizon,
+            xs: key.xs,
+            ys: key.ys,
+            scope: key.scope,
+        };
         let shard = self.shard_at(lookup.shard_hash());
         {
             let mut guard = shard.lock().unwrap();
@@ -873,12 +821,9 @@ impl FitCache {
         let mut guard = shard.lock().unwrap();
         guard.clock += 1;
         let clock = guard.clock;
-        let key = Arc::new(StoredKey {
-            options,
-            series: OwnedSeries::new(&series),
-        });
+        let stored = Arc::new(StoredKey::new(&lookup));
         let shard_mut = &mut *guard;
-        let value = match shard_mut.map.entry(Arc::clone(&key)) {
+        let value = match shard_mut.map.entry(Arc::clone(&stored)) {
             std::collections::hash_map::Entry::Occupied(mut occupied) => {
                 // A concurrent miss inserted first; its (identical) value
                 // wins, refreshed as just used. The key is already indexed.
@@ -886,13 +831,13 @@ impl FitCache {
                 Arc::clone(&occupied.get().value)
             }
             std::collections::hash_map::Entry::Vacant(vacant) => {
-                if let Some((series, _)) = key.series.view().scope {
-                    match shard_mut.by_series.get_mut(series) {
-                        Some(keys) => keys.push(Arc::clone(&key)),
+                if let Some(scope) = key.scope {
+                    match shard_mut.by_series.get_mut(scope.series) {
+                        Some(keys) => keys.push(Arc::clone(&stored)),
                         None => {
                             shard_mut
                                 .by_series
-                                .insert(series.to_string(), vec![Arc::clone(&key)]);
+                                .insert(scope.series.to_string(), vec![Arc::clone(&stored)]);
                         }
                     }
                 }
@@ -1163,22 +1108,50 @@ mod tests {
         assert_eq!(outer, vec![60, 110, 160]);
     }
 
+    /// Look `key` up in `cache`, computing an empty list on a miss.
+    fn look_up(cache: &FitCache, key: FitKey<'_>, computes: &Cell<usize>) -> Arc<Fits> {
+        cache
+            .get_or_compute(key, || {
+                computes.set(computes.get() + 1);
+                Ok(Vec::new().into())
+            })
+            .expect("an empty list")
+    }
+
     #[test]
     fn cache_key_distinguishes_series_and_options() {
         use crate::kernels::KernelKind;
 
+        // One cache for every case, so a case that misses differs from
+        // every earlier one.
+        let cache = FitCache::new();
+        let computes = Cell::new(0);
+        let hits = |key: FitKey<'_>| {
+            let before = computes.get();
+            look_up(&cache, key, &computes);
+            computes.get() == before
+        };
         let xs = [1.0, 2.0, 3.0];
         let ys = [1.0, 4.0, 9.0];
         let options = FitOptions::default();
-        let base = FitKey::new(&xs, &ys, &options);
-        assert_eq!(base, FitKey::new(&xs, &ys, &options));
-        assert_eq!(base, FitKey::new(&xs, &ys, &options.clone()));
-        assert_ne!(base, FitKey::new(&ys, &xs, &options));
-        assert_ne!(base, FitKey::new(&xs[..2], &ys[..2], &options));
-        assert_ne!(base, FitKey::new(&[1.0, 2.0, -0.0], &ys, &options));
+        assert!(!hits(FitKey::new(&xs, &ys, &options)));
+        assert!(hits(FitKey::new(&xs, &ys, &options)));
+        assert!(hits(FitKey::new(&xs, &ys, &options.clone())));
+        // Swapped, shortened and re-split series, and -0.0 against 0.0.
+        let series: [(&[f64], &[f64]); 6] = [
+            (&ys, &xs),
+            (&xs[..2], &ys[..2]),
+            (&[1.0, 2.0], &[3.0]),
+            (&[1.0], &[2.0, 3.0]),
+            (&[1.0, 2.0, 0.0], &ys),
+            (&[1.0, 2.0, -0.0], &ys),
+        ];
+        for (xs, ys) in series {
+            assert!(!hits(FitKey::new(xs, ys, &options)), "{xs:?}, {ys:?} hit");
+        }
 
         // One variant per field of FitOptions and LmOptions, each changed
-        // alone: every key differs from the base key.
+        // alone: every variant misses, then hits with equal options.
         let with = |change: &dyn Fn(&mut FitOptions)| {
             let mut changed = FitOptions::default();
             change(&mut changed);
@@ -1207,67 +1180,38 @@ mod tests {
             with(&|o| o.lm.jacobian = Jacobian::FiniteDifference),
         ];
         for (index, variant) in variants.iter().enumerate() {
-            let key = FitKey::new(&xs, &ys, variant);
-            assert_ne!(base, key, "variant {index} keys like the defaults");
-            assert_eq!(key, FitKey::new(&xs, &ys, &variant.clone()));
+            assert!(!hits(FitKey::new(&xs, &ys, variant)), "variant {index} hit");
+            let equal = variant.clone();
+            assert!(
+                hits(FitKey::new(&xs, &ys, &equal)),
+                "variant {index} missed"
+            );
         }
 
         // Floats key by their bits: a different NaN payload, and -0.0
-        // against 0.0, make different keys; the same bits make equal ones.
+        // against 0.0, miss; the same bits hit.
         let nan = with(&|o| o.max_magnitude = f64::NAN);
-        let nan_key = FitKey::new(&xs, &ys, &nan);
-        assert_eq!(nan_key, FitKey::new(&xs, &ys, &nan.clone()));
-        assert_ne!(
-            nan_key,
-            FitKey::new(&xs, &ys, &with(&|o| o.max_magnitude = other_nan))
-        );
-        let zero = FitKey::new(&xs, &ys, &with(&|o| o.lm.tolerance = 0.0));
-        assert_ne!(
-            zero,
-            FitKey::new(&xs, &ys, &with(&|o| o.lm.tolerance = -0.0))
-        );
+        assert!(!hits(FitKey::new(&xs, &ys, &nan)));
+        assert!(hits(FitKey::new(&xs, &ys, &nan.clone())));
+        let other = with(&|o| o.max_magnitude = other_nan);
+        assert!(!hits(FitKey::new(&xs, &ys, &other)));
+        let zero = with(&|o| o.lm.tolerance = 0.0);
+        assert!(!hits(FitKey::new(&xs, &ys, &zero)));
+        let negative_zero = with(&|o| o.lm.tolerance = -0.0);
+        assert!(!hits(FitKey::new(&xs, &ys, &negative_zero)));
 
         // A scope distinguishes otherwise equal keys, by series and version.
-        let scoped = FitKey::scoped(&xs, &ys, &options, "a", 1);
-        assert_ne!(base, scoped);
-        assert_eq!(scoped, FitKey::scoped(&xs, &ys, &options, "a", 1));
-        assert_ne!(scoped, FitKey::scoped(&xs, &ys, &options, "a", 2));
-        assert_ne!(scoped, FitKey::scoped(&xs, &ys, &options, "b", 1));
-    }
-
-    /// A lookup's inputs: the series, the options and the scope.
-    type Inputs<'a> = (&'a [f64], &'a [f64], &'a FitOptions, Option<CacheScope<'a>>);
-
-    /// A lookup's inputs as a property test tracks them: the series' bits,
-    /// which option set, and the scope.
-    type SeenInputs<'a> = (Vec<u64>, Vec<u64>, usize, Option<(&'a str, u64)>);
-
-    /// One cache lookup through the in-place path (`candidate_fits`') or
-    /// through an owned [`FitKey`], computing an empty list on a miss.
-    fn look_up(
-        cache: &FitCache,
-        owned: bool,
-        (xs, ys, options, scope): Inputs<'_>,
-        computes: &Cell<usize>,
-    ) -> Arc<Fits> {
-        let compute = || {
-            computes.set(computes.get() + 1);
-            Ok(Vec::new().into())
-        };
-        let found = if owned {
-            let key = match scope {
-                Some(scope) => FitKey::scoped(xs, ys, options, scope.series, scope.version),
-                None => FitKey::new(xs, ys, options),
-            };
-            cache.get_or_compute(key, compute)
-        } else {
-            cache.lookup_or_compute(options, xs, ys, scope, compute)
-        };
-        found.expect("an empty list")
+        assert!(!hits(FitKey::scoped(&xs, &ys, &options, "a", 1)));
+        assert!(hits(FitKey::scoped(&xs, &ys, &options, "a", 1)));
+        assert!(!hits(FitKey::scoped(&xs, &ys, &options, "a", 2)));
+        assert!(!hits(FitKey::scoped(&xs, &ys, &options, "b", 1)));
+        assert!(hits(FitKey::new(&xs, &ys, &options)), "unscoped list gone");
     }
 
     #[test]
-    fn in_place_and_owned_lookups_agree_and_never_alias() {
+    fn near_alias_lookups_never_share_a_list() {
+        const NAN: f64 = f64::NAN;
+        const OTHER_NAN: f64 = f64::from_bits(NAN.to_bits() ^ 1);
         let defaults = FitOptions::default();
         let horizon = FitOptions {
             realism_horizon: 48,
@@ -1280,54 +1224,48 @@ mod tests {
             },
             ..FitOptions::default()
         };
-        let nan = f64::NAN;
-        let other_nan = f64::from_bits(nan.to_bits() ^ 1);
-        let scope = |series, version| Some(CacheScope { series, version });
-        // Pairwise distinct inputs, each close to another.
-        let inputs: [Inputs<'_>; 13] = [
-            (&[1.0, 2.0], &[3.0], &defaults, None),
-            (&[1.0], &[2.0, 3.0], &defaults, None),
-            (&[1.0, 2.0, 3.0], &[], &defaults, None),
-            (&[1.0, 2.0], &[0.0], &defaults, None),
-            (&[1.0, 2.0], &[-0.0], &defaults, None),
-            (&[1.0, 2.0], &[nan], &defaults, None),
-            (&[1.0, 2.0], &[other_nan], &defaults, None),
-            (&[1.0, 2.0], &[3.0], &defaults, scope("a", 1)),
-            (&[1.0, 2.0], &[3.0], &defaults, scope("a", 2)),
-            (&[1.0, 2.0], &[3.0], &defaults, scope("b", 1)),
-            (&[1.0, 2.0], &[3.0], &defaults, scope("", 1)),
-            (&[1.0, 2.0], &[3.0], &horizon, None),
-            (&[1.0, 2.0], &[3.0], &lm, None),
+        // Pairwise distinct keys, each close to another.
+        let keys = [
+            FitKey::new(&[1.0, 2.0], &[3.0], &defaults),
+            FitKey::new(&[1.0], &[2.0, 3.0], &defaults),
+            FitKey::new(&[1.0, 2.0, 3.0], &[], &defaults),
+            FitKey::new(&[1.0, 2.0], &[0.0], &defaults),
+            FitKey::new(&[1.0, 2.0], &[-0.0], &defaults),
+            FitKey::new(&[1.0, 2.0], &[NAN], &defaults),
+            FitKey::new(&[1.0, 2.0], &[OTHER_NAN], &defaults),
+            FitKey::scoped(&[1.0, 2.0], &[3.0], &defaults, "a", 1),
+            FitKey::scoped(&[1.0, 2.0], &[3.0], &defaults, "a", 2),
+            FitKey::scoped(&[1.0, 2.0], &[3.0], &defaults, "b", 1),
+            FitKey::scoped(&[1.0, 2.0], &[3.0], &defaults, "", 1),
+            FitKey::new(&[1.0, 2.0], &[3.0], &horizon),
+            FitKey::new(&[1.0, 2.0], &[3.0], &lm),
         ];
-        for owned_first in [false, true] {
-            let cache = FitCache::new();
-            let computes = Cell::new(0);
-            let inserted: Vec<Arc<Fits>> = inputs
-                .iter()
-                .map(|input| look_up(&cache, owned_first, *input, &computes))
-                .collect();
-            assert_eq!(computes.get(), inputs.len(), "two inputs aliased");
-            for (input, list) in inputs.iter().zip(&inserted) {
-                let found = look_up(&cache, !owned_first, *input, &computes);
-                assert!(Arc::ptr_eq(list, &found), "{input:?} found another list");
-            }
-            assert_eq!(
-                computes.get(),
-                inputs.len(),
-                "a path missed the other's entry"
-            );
-            assert_eq!(cache.stats(), (inputs.len(), inputs.len()));
+        let cache = FitCache::new();
+        let computes = Cell::new(0);
+        let inserted: Vec<Arc<Fits>> = keys
+            .iter()
+            .map(|key| look_up(&cache, *key, &computes))
+            .collect();
+        assert_eq!(computes.get(), keys.len(), "two keys aliased");
+        for (key, list) in keys.iter().zip(&inserted) {
+            let found = look_up(&cache, *key, &computes);
+            assert!(Arc::ptr_eq(list, &found), "{key:?} found another list");
         }
+        assert_eq!(computes.get(), keys.len(), "a key missed its own list");
+        assert_eq!(cache.stats(), (keys.len(), keys.len()));
     }
+
+    /// A lookup's inputs as a property test tracks them: the series' bits,
+    /// which option set, and the scope.
+    type SeenInputs<'a> = (Vec<u64>, Vec<u64>, usize, Option<(&'a str, u64)>);
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// Random series from a pool of near-aliases (the zeros, NaN
         /// payloads, infinities), random scopes and two option sets, about
-        /// half of them repeats of an earlier draw, looked up through either
-        /// path in turn: a lookup hits exactly when the same inputs came
-        /// before, through either path, and then finds their list.
+        /// half of them repeats of an earlier draw: a lookup hits exactly
+        /// when the same inputs came before, and then finds their list.
         #[test]
         fn random_lookups_hit_exactly_the_inputs_seen_before(
             draws in proptest::collection::vec(0u64..u64::MAX, 1..48),
@@ -1370,14 +1308,14 @@ mod tests {
                     _ => Some(("b", field(26, 1) as u64)),
                 };
                 let which = field(27, 1);
-                let cache_scope = scope.map(|(series, version)| CacheScope { series, version });
+                let key = FitKey {
+                    xs: &xs,
+                    ys: &ys,
+                    options: &options[which],
+                    scope: scope.map(|(series, version)| CacheScope { series, version }),
+                };
                 let before = computes.get();
-                let list = look_up(
-                    &cache,
-                    turn % 2 == 1,
-                    (&xs, &ys, &options[which], cache_scope),
-                    &computes,
-                );
+                let list = look_up(&cache, key, &computes);
                 let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect();
                 let inputs = (bits(&xs), bits(&ys), which, scope);
                 match seen.iter().find(|(seen, _)| *seen == inputs) {
@@ -1401,7 +1339,7 @@ mod tests {
         let key_a = FitKey::new(&[1.0, 2.0], &[1.0, 4.0], &options);
         let key_b = FitKey::new(&[1.0, 2.0], &[2.0, 8.0], &options);
         let make = || Ok(Vec::new().into());
-        cache.get_or_compute(key_a.clone(), make).unwrap();
+        cache.get_or_compute(key_a, make).unwrap();
         cache.get_or_compute(key_a, make).unwrap();
         cache.get_or_compute(key_b, make).unwrap();
         assert_eq!(cache.stats(), (1, 2));

@@ -103,7 +103,7 @@ use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use crate::config::MAX_TARGET_CORES;
-use crate::engine::{CacheScope, Engine, FitCache};
+use crate::engine::{CacheScope, Engine, FitCache, FitKey};
 use crate::error::{EstimaError, Result};
 use crate::kernels::{within_cap, FittedCurve, HorizonTable, KernelKind, Params};
 use crate::levenberg::{levenberg_marquardt_into, LmOptions, LmWorkspace, MAX_PARAMS};
@@ -622,8 +622,9 @@ pub fn approximate_series(
 /// engine width, and each candidate's table is numbered by its (kernel,
 /// prefix) cell. With `ctx.cache` the list for a given (series, options,
 /// scope) is computed once and shared by every later caller, winner and
-/// numbering included, and a miss draws its cells from the cache's solve
-/// memo.
+/// numbering included: the lookup is [`FitCache::get_or_compute`] on a
+/// [`FitKey`] borrowing the inputs and `ctx.scope`, and a miss draws its
+/// cells from the cache's solve memo.
 pub fn candidate_fits(
     xs: &[f64],
     ys: &[f64],
@@ -633,7 +634,13 @@ pub fn candidate_fits(
     let Some(cache) = ctx.cache else {
         return candidate_grid(xs, ys, options, &ctx.engine, None).map(Arc::new);
     };
-    cache.lookup_or_compute(options, xs, ys, ctx.scope, || {
+    let key = FitKey {
+        xs,
+        ys,
+        options,
+        scope: ctx.scope,
+    };
+    cache.get_or_compute(key, || {
         candidate_grid(xs, ys, options, &ctx.engine, Some(cache))
     })
 }

@@ -10,18 +10,40 @@ use estima_core::engine::FitKey;
 use estima_core::prelude::*;
 use estima_core::FitOptions;
 
-/// A key for a synthetic series distinguished by `tag`.
-fn key(tag: u64) -> FitKey {
-    let xs = [1.0, 2.0, 3.0, tag as f64 + 10.0];
-    let ys = [1.0, 4.0, 9.0, (tag as f64).powi(2)];
-    FitKey::new(&xs, &ys, &FitOptions::default())
+/// A lookup's inputs, held so that its [`FitKey`] can borrow them.
+struct Inputs {
+    xs: [f64; 4],
+    ys: [f64; 4],
+    options: FitOptions,
+    scope: Option<(&'static str, u64)>,
 }
 
-/// Populate-or-hit `key` in `cache`, counting how many times the compute
+impl Inputs {
+    fn key(&self) -> FitKey<'_> {
+        match self.scope {
+            Some((series, version)) => {
+                FitKey::scoped(&self.xs, &self.ys, &self.options, series, version)
+            }
+            None => FitKey::new(&self.xs, &self.ys, &self.options),
+        }
+    }
+}
+
+/// The inputs of a synthetic series distinguished by `tag`.
+fn key(tag: u64) -> Inputs {
+    Inputs {
+        xs: [1.0, 2.0, 3.0, tag as f64 + 10.0],
+        ys: [1.0, 4.0, 9.0, (tag as f64).powi(2)],
+        options: FitOptions::default(),
+        scope: None,
+    }
+}
+
+/// Populate-or-hit `inputs` in `cache`, counting how many times the compute
 /// closure actually ran.
-fn touch(cache: &FitCache, key: FitKey, computes: &AtomicUsize) {
+fn touch(cache: &FitCache, inputs: Inputs, computes: &AtomicUsize) {
     cache
-        .get_or_compute(key, || {
+        .get_or_compute(inputs.key(), || {
             computes.fetch_add(1, Ordering::Relaxed);
             Ok(Vec::new().into())
         })
@@ -109,14 +131,13 @@ fn keys_differing_only_in_exponents_spread_across_shards() {
     // shard, and with one entry per shard the cache would hold one key.
     let cache = FitCache::with_shards_and_capacity(16, 16);
     let computes = AtomicUsize::new(0);
-    let xs = [1.0, 2.0, 3.0, 4.0];
     for power in 0..64 {
-        let ys = [1.0, 4.0, 9.0, 2f64.powi(power)];
-        touch(
-            &cache,
-            FitKey::new(&xs, &ys, &FitOptions::default()),
-            &computes,
-        );
+        let inputs = Inputs {
+            xs: [1.0, 2.0, 3.0, 4.0],
+            ys: [1.0, 4.0, 9.0, 2f64.powi(power)],
+            ..key(0)
+        };
+        touch(&cache, inputs, &computes);
     }
     assert_eq!(computes.load(Ordering::Relaxed), 64);
     assert!(
@@ -126,11 +147,12 @@ fn keys_differing_only_in_exponents_spread_across_shards() {
     );
 }
 
-/// A scoped key for `series` at `version`, distinguished by `tag`.
-fn scoped_key(series: &str, version: u64, tag: u64) -> FitKey {
-    let xs = [1.0, 2.0, 3.0, tag as f64 + 10.0];
-    let ys = [1.0, 4.0, 9.0, (tag as f64).powi(2)];
-    FitKey::scoped(&xs, &ys, &FitOptions::default(), series, version)
+/// [`key`]'s inputs for `tag`, scoped to `series` at `version`.
+fn scoped_key(series: &'static str, version: u64, tag: u64) -> Inputs {
+    Inputs {
+        scope: Some((series, version)),
+        ..key(tag)
+    }
 }
 
 #[test]

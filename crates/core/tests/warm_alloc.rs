@@ -1,5 +1,6 @@
-//! Pins what a warm read allocates: a fit-cache hit hashes and compares its
-//! key in place, so it allocates nothing, and a jackknife leave-out of a
+//! Pins what a warm read allocates: a fit-cache key borrows its inputs and a
+//! hit hashes and compares it in place, so building the key and hitting
+//! with it allocate nothing, and a jackknife leave-out of a
 //! warm confidence interval reuses its worker's scratch, so a leave-out
 //! allocates (almost) nothing — what a warm `Planner::confidence` allocates
 //! does not grow with the set. The allocations of one warm plan and one warm
@@ -102,13 +103,14 @@ fn a_warm_fit_cache_hit_allocates_nothing() {
         assert!(std::sync::Arc::ptr_eq(&cold, &warm), "{scope:?}: not a hit");
         assert_eq!(allocated, 0, "{scope:?}: a warm candidate_fits allocated");
 
-        // The owned key allocates when it is built, and not in the lookup.
-        let key = match scope {
-            Some(scope) => FitKey::scoped(&xs, &ys, &options, scope.series, scope.version),
-            None => FitKey::new(&xs, &ys, &options),
-        };
-        let (found, allocated) =
-            counted(|| cache.get_or_compute(key, || Err(EstimaError::Numerical("missed".into()))));
+        // Neither building a key nor hitting with it allocates.
+        let (found, allocated) = counted(|| {
+            let key = match scope {
+                Some(scope) => FitKey::scoped(&xs, &ys, &options, scope.series, scope.version),
+                None => FitKey::new(&xs, &ys, &options),
+            };
+            cache.get_or_compute(key, || Err(EstimaError::Numerical("missed".into())))
+        });
         assert!(std::sync::Arc::ptr_eq(&cold, &found.expect("a hit")));
         assert_eq!(allocated, 0, "{scope:?}: a warm get_or_compute allocated");
     }

@@ -7,11 +7,12 @@
 //! [`BatchPredictor`](estima_core::BatchPredictor) in-process.
 //!
 //! Built entirely on `std::net` (no async runtime, no HTTP crate): an
-//! event-driven epoll reactor ([`server`], over the raw syscall bindings in
-//! the private `sys` module) multiplexes non-blocking connections across a small set of
-//! reactor threads sharing a sharded [`FitCache`](estima_core::FitCache),
-//! so repeated or concurrent requests for the same series are fitted once
-//! and served from cache. The wire format ([`wire`]) rides on the shared
+//! event-driven epoll reactor ([`server`], over a `std` listener and the
+//! raw syscall bindings in the private `sys` module) multiplexes
+//! non-blocking connections across a small set of reactor threads sharing
+//! a sharded [`FitCache`](estima_core::FitCache), so repeated or
+//! concurrent requests for the same series are fitted once and served from
+//! cache. The wire format ([`wire`]) rides on the shared
 //! [`estima_core::json`] machinery with exact `f64` round-tripping.
 //!
 //! The service is stateful: every reactor routes through one shared

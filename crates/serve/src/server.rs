@@ -170,34 +170,19 @@ pub struct ServerHandle {
 
 impl Server {
     /// Bind the listener and build the shared state. The server does not
-    /// accept connections until [`Server::run`] or [`Server::spawn`].
+    /// accept connections until [`Server::run`] or [`Server::spawn`]. The
+    /// address binds as [`TcpListener::bind`] binds it: each resolved
+    /// address in turn, and an address that resolves to none fails with
+    /// std's `InvalidInput` error ("could not resolve to any addresses").
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        // Bound through the raw path so `SO_REUSEADDR` lands before
-        // `bind(2)`: a restarted server (most importantly a cluster shard
-        // coming back on the exact address the router's ring names) must
-        // reclaim its port immediately, not after `TIME_WAIT` drains. The
-        // configured backlog is applied by the same call.
+        // std sets `SO_REUSEADDR` before `bind(2)`, so a restarted server
+        // (most importantly a cluster shard coming back on the exact
+        // address the router's ring names) reclaims its port at once, not
+        // after `TIME_WAIT` drains. A second `listen(2)` swaps std's
+        // backlog for the configured one.
+        let listener = TcpListener::bind(config.addr.as_str())?;
         let backlog = i32::try_from(config.backlog.max(1)).unwrap_or(i32::MAX);
-        let mut candidates = std::net::ToSocketAddrs::to_socket_addrs(config.addr.as_str())?;
-        let mut listener = None;
-        let mut last_error = None;
-        for candidate in candidates.by_ref() {
-            match sys::bind_reusable(&candidate, backlog) {
-                Ok(bound) => {
-                    listener = Some(bound);
-                    break;
-                }
-                Err(e) => last_error = Some(e),
-            }
-        }
-        let listener = listener.ok_or_else(|| {
-            last_error.unwrap_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("`{}` resolves to no addresses", config.addr),
-                )
-            })
-        })?;
+        sys::set_backlog(&listener, backlog)?;
         listener.set_nonblocking(true)?;
         let reactor_threads = if config.reactor_threads == 0 {
             std::thread::available_parallelism()

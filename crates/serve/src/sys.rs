@@ -1,20 +1,22 @@
 //! Direct bindings to the handful of Linux syscalls the event-driven
-//! reactor needs — `epoll`, `eventfd`, `accept4` — wrapped in safe RAII
-//! types.
+//! reactor needs — `epoll`, `eventfd`, `accept4` and `listen` — wrapped in
+//! safe RAII types.
 //!
-//! libc is already linked through `std`, so declaring the four symbols we
-//! need keeps the crate dependency-free; everything `unsafe` in the serve
-//! crate is confined to this module (the crate root carries
+//! libc is already linked through `std`, so declaring the symbols we need
+//! keeps the crate dependency-free; everything `unsafe` in the serve crate
+//! is confined to this module (the crate root carries
 //! `#![deny(unsafe_code)]`, overridden here alone). The wrappers expose the
 //! exact shape the reactor consumes: an [`Epoll`] instance per reactor
 //! thread, one shared [`EventFd`] as the shutdown doorbell, and
 //! [`accept_nonblocking`] which hands back ready-made non-blocking
-//! [`TcpStream`]s in a single syscall.
+//! [`TcpStream`]s in a single syscall. The listener itself comes from
+//! [`TcpListener::bind`], which on Linux sets `SO_REUSEADDR` before
+//! `bind(2)`; [`set_backlog`] only resizes its accept queue.
 #![allow(unsafe_code)]
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::os::unix::io::{FromRawFd, RawFd};
+use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 
 /// Readable (`EPOLLIN`).
 pub const EPOLLIN: u32 = 0x001;
@@ -66,41 +68,10 @@ extern "C" {
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
     fn accept4(fd: i32, addr: *mut u8, addrlen: *mut u32, flags: i32) -> i32;
-    fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-    fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
-    fn bind(fd: i32, addr: *const u8, len: u32) -> i32;
     fn listen(fd: i32, backlog: i32) -> i32;
     fn close(fd: i32) -> i32;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-}
-
-const AF_INET: i32 = 2;
-const AF_INET6: i32 = 10;
-const SOCK_STREAM: i32 = 1;
-const SOL_SOCKET: i32 = 1;
-const SO_REUSEADDR: i32 = 2;
-
-/// `struct sockaddr_in` (Linux layout).
-#[repr(C)]
-struct SockAddrIn {
-    sin_family: u16,
-    /// Network byte order.
-    sin_port: u16,
-    /// Network byte order.
-    sin_addr: u32,
-    sin_zero: [u8; 8],
-}
-
-/// `struct sockaddr_in6` (Linux layout).
-#[repr(C)]
-struct SockAddrIn6 {
-    sin6_family: u16,
-    /// Network byte order.
-    sin6_port: u16,
-    sin6_flowinfo: u32,
-    sin6_addr: [u8; 16],
-    sin6_scope_id: u32,
 }
 
 /// Map a `-1` syscall return to [`io::Error::last_os_error`].
@@ -240,70 +211,15 @@ pub fn accept_nonblocking(listener: RawFd) -> io::Result<Option<TcpStream>> {
     }
 }
 
-/// Bind a listening socket with `SO_REUSEADDR` set *before* `bind(2)` —
-/// the one thing `std::net::TcpListener::bind` cannot do. A restarting
-/// server must reclaim its port immediately even while connections it
-/// owned linger in `TIME_WAIT` (after a crash or `kill -9`, the kernel
-/// walks the dead process's sockets through an orderly close, so the port
-/// stays claimed for a minute without this); a cluster shard in particular
-/// has to come back on the exact address the router's ring names.
-///
-/// Also applies the configured accept backlog directly (std hard-codes its
-/// own depth).
-pub fn bind_reusable(addr: &std::net::SocketAddr, backlog: i32) -> io::Result<TcpListener> {
-    let (domain, raw, len): (i32, Vec<u8>, u32) = match addr {
-        std::net::SocketAddr::V4(v4) => {
-            let sa = SockAddrIn {
-                sin_family: AF_INET as u16,
-                sin_port: v4.port().to_be(),
-                sin_addr: u32::from(*v4.ip()).to_be(),
-                sin_zero: [0; 8],
-            };
-            let bytes = unsafe {
-                std::slice::from_raw_parts(
-                    (&sa as *const SockAddrIn).cast::<u8>(),
-                    std::mem::size_of::<SockAddrIn>(),
-                )
-            }
-            .to_vec();
-            (AF_INET, bytes, std::mem::size_of::<SockAddrIn>() as u32)
-        }
-        std::net::SocketAddr::V6(v6) => {
-            let sa = SockAddrIn6 {
-                sin6_family: AF_INET6 as u16,
-                sin6_port: v6.port().to_be(),
-                sin6_flowinfo: v6.flowinfo(),
-                sin6_addr: v6.ip().octets(),
-                sin6_scope_id: v6.scope_id(),
-            };
-            let bytes = unsafe {
-                std::slice::from_raw_parts(
-                    (&sa as *const SockAddrIn6).cast::<u8>(),
-                    std::mem::size_of::<SockAddrIn6>(),
-                )
-            }
-            .to_vec();
-            (AF_INET6, bytes, std::mem::size_of::<SockAddrIn6>() as u32)
-        }
-    };
-    let fd = check(unsafe { socket(domain, SOCK_STREAM | SOCK_CLOEXEC, 0) })?;
-    // From here the fd must not leak: wrap syscall failures so it closes.
-    let fail = |fd: i32| -> io::Error {
-        let e = io::Error::last_os_error();
-        unsafe { close(fd) };
-        e
-    };
-    let one: i32 = 1;
-    if unsafe { setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, (&one as *const i32).cast(), 4) } < 0 {
-        return Err(fail(fd));
-    }
-    if unsafe { bind(fd, raw.as_ptr(), len) } < 0 {
-        return Err(fail(fd));
-    }
-    if unsafe { listen(fd, backlog) } < 0 {
-        return Err(fail(fd));
-    }
-    Ok(unsafe { TcpListener::from_raw_fd(fd) })
+/// Resize a bound listener's accept queue to `backlog` connections with
+/// one more `listen(2)`: [`TcpListener::bind`] listens with std's own
+/// depth, and Linux resizes a listening socket's queue when `listen(2)`
+/// runs again.
+pub fn set_backlog(listener: &TcpListener, backlog: i32) -> io::Result<()> {
+    // SAFETY: `listen` reads only its two integers, and the borrowed
+    // listener keeps its fd open for the call.
+    check(unsafe { listen(listener.as_raw_fd(), backlog) })?;
+    Ok(())
 }
 
 #[cfg(test)]

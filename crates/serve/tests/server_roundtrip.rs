@@ -1187,3 +1187,64 @@ fn shutdown_returns_promptly_with_idle_keepalive_connections_open() {
     );
     drop(idle_clients);
 }
+
+#[test]
+fn a_shut_down_server_rebinds_its_address_at_once() {
+    use std::io::{Read, Write};
+
+    let handle = spawn_server();
+    let addr = handle.addr();
+    let config = || ServerConfig {
+        addr: addr.to_string(),
+        reactor_threads: 2,
+        ..ServerConfig::default()
+    };
+    assert!(
+        Server::bind(config()).is_err(),
+        "bound the address of a live server"
+    );
+
+    // `Connection: close` makes the server close first, so its end of the
+    // connection waits in TIME_WAIT on the listening port.
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+        .expect("send");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read to EOF");
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    handle.shutdown();
+    drop(stream);
+
+    // Without `SO_REUSEADDR` this bind fails until TIME_WAIT drains.
+    let restarted = Server::bind(config())
+        .expect("rebind the address at once")
+        .spawn()
+        .expect("spawn server reactors");
+    let (status, _) = Client::connect(addr).request("GET", "/v1/healthz", "");
+    assert_eq!(status, 200);
+    restarted.shutdown();
+}
+
+#[test]
+fn the_configured_backlog_bounds_the_accept_queue() {
+    // Bound but never run, the server accepts nothing. Linux queues
+    // `backlog + 1` handshakes and drops later SYNs, so with a backlog of 1
+    // a third connect times out, where std's own backlog (128) queues it.
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        backlog: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server");
+    let addr = server.local_addr().expect("bound address");
+    let connect = |timeout| std::net::TcpStream::connect_timeout(&addr, timeout);
+    let queued: Vec<_> = (0..2)
+        .map(|_| connect(std::time::Duration::from_secs(5)).expect("a queued handshake"))
+        .collect();
+    assert!(
+        connect(std::time::Duration::from_millis(300)).is_err(),
+        "a third handshake was queued"
+    );
+    drop(queued);
+}
