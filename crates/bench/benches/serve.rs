@@ -123,86 +123,92 @@ fn bench_http_roundtrip(c: &mut Criterion) {
     handle.shutdown();
 }
 
-/// The response encoder before the JSON number writer, verbatim: the
-/// `wire::write_prediction` path with every number written by
-/// `write!("{n}")`. (Predictions here carry no confidence interval or
-/// diagnosis, so those branches are left out.)
+/// The response encoder with every number written by `write!("{n}")`, as
+/// it was before the JSON number writer: the `wire::write_prediction` path
+/// otherwise, appending bytes and checking them as UTF-8 once, so the two
+/// differ in their numbers alone. (Predictions here carry no confidence
+/// interval or diagnosis, so those branches are left out.)
 mod display {
-    use estima_core::json::write_json_string;
+    use std::io::Write as _;
+
+    use estima_core::json::{append_utf8, write_json_string};
     use estima_core::Prediction;
 
-    fn write_json_number(n: f64, out: &mut String) {
-        use std::fmt::Write as _;
+    fn write_json_number(n: f64, out: &mut Vec<u8>) {
         if n.is_finite() {
             let _ = write!(out, "{n}");
         } else {
-            out.push_str("null");
+            out.extend_from_slice(b"null");
         }
     }
 
     pub fn write_prediction(prediction: &Prediction, out: &mut String) {
-        out.push_str("{\"app_name\":");
+        append_utf8(out, |out| prediction_bytes(prediction, out));
+    }
+
+    fn prediction_bytes(prediction: &Prediction, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"app_name\":");
         write_json_string(&prediction.app_name, out);
-        out.push_str(",\"measured_cores\":");
+        out.extend_from_slice(b",\"measured_cores\":");
         write_json_number(f64::from(prediction.measured_cores), out);
-        out.push_str(",\"target_cores\":");
+        out.extend_from_slice(b",\"target_cores\":");
         write_json_number(f64::from(prediction.target_cores), out);
-        out.push_str(",\"predicted_scaling_limit\":");
+        out.extend_from_slice(b",\"predicted_scaling_limit\":");
         write_json_number(f64::from(prediction.predicted_scaling_limit()), out);
-        out.push_str(",\"factor_correlation\":");
+        out.extend_from_slice(b",\"factor_correlation\":");
         write_json_number(prediction.factor_correlation, out);
-        out.push_str(",\"scaling_factor_kernel\":");
+        out.extend_from_slice(b",\"scaling_factor_kernel\":");
         write_json_string(prediction.scaling_factor.kernel.name(), out);
-        out.push_str(",\"predicted_time\":");
+        out.extend_from_slice(b",\"predicted_time\":");
         write_series(&prediction.predicted_time, out);
-        out.push_str(",\"stalls_per_core\":");
+        out.extend_from_slice(b",\"stalls_per_core\":");
         write_series(&prediction.stalls_per_core, out);
-        out.push_str(",\"measured_time\":");
+        out.extend_from_slice(b",\"measured_time\":");
         write_series(&prediction.measured_time, out);
-        out.push_str(",\"categories\":[");
+        out.extend_from_slice(b",\"categories\":[");
         for (index, extrapolation) in prediction.categories.iter().enumerate() {
             if index > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            out.push_str("{\"source\":");
+            out.extend_from_slice(b"{\"source\":");
             write_json_string(extrapolation.category.source.name(), out);
-            out.push_str(",\"name\":");
+            out.extend_from_slice(b",\"name\":");
             write_json_string(&extrapolation.category.name, out);
-            out.push_str(",\"kernel\":");
+            out.extend_from_slice(b",\"kernel\":");
             write_json_string(extrapolation.curve.kernel.name(), out);
-            out.push_str(",\"params\":[");
+            out.extend_from_slice(b",\"params\":[");
             for (pindex, param) in extrapolation.curve.params.iter().enumerate() {
                 if pindex > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 write_json_number(*param, out);
             }
-            out.push_str("],\"extrapolated_at_target\":");
+            out.extend_from_slice(b"],\"extrapolated_at_target\":");
             write_json_number(
                 extrapolation
                     .at(prediction.target_cores)
                     .unwrap_or(f64::NAN),
                 out,
             );
-            out.push('}');
+            out.push(b'}');
         }
-        out.push(']');
-        out.push('}');
+        out.push(b']');
+        out.push(b'}');
     }
 
-    fn write_series(series: &[(u32, f64)], out: &mut String) {
-        out.push('[');
+    fn write_series(series: &[(u32, f64)], out: &mut Vec<u8>) {
+        out.push(b'[');
         for (index, (cores, value)) in series.iter().enumerate() {
             if index > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            out.push('[');
+            out.push(b'[');
             write_json_number(f64::from(*cores), out);
-            out.push(',');
+            out.push(b',');
             write_json_number(*value, out);
-            out.push(']');
+            out.push(b']');
         }
-        out.push(']');
+        out.push(b']');
     }
 }
 

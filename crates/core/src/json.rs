@@ -12,6 +12,15 @@
 //! serve every reader. See DESIGN.md § *Serving layer* for the wire format
 //! built on top of it.
 //!
+//! # Writers
+//!
+//! Every JSON writer of the workspace appends bytes to a `Vec<u8>`: the
+//! three scalar writers below, [`Json::render_bytes`], and the serve wire
+//! format's direct writers. A document is checked as UTF-8 once, where it
+//! becomes a `String` ([`append_utf8`]), not once per number or string;
+//! the check cannot fail, because writers append only the bytes of `&str`s
+//! and ASCII.
+//!
 //! # Number fidelity
 //!
 //! Finite `f64` values are written by [`write_json_number`], the one number
@@ -21,7 +30,9 @@
 //! `estima-serve` guarantee that predictions served over HTTP are
 //! byte-identical to in-process results. Non-finite numbers (`NaN`, ±∞) have
 //! no JSON representation and are rendered as `null`, mirroring how
-//! `reproduce --json` encodes NaN metrics.
+//! `reproduce --json` encodes NaN metrics. A count is written by
+//! [`write_json_uint`], which writes its digits directly: below 2^53 these
+//! are exactly the bytes `write_json_number` writes for it as an `f64`.
 //!
 //! ```
 //! use estima_core::json::Json;
@@ -82,32 +93,39 @@ impl Json {
     /// serve hot path appends into a reusable per-connection `String`
     /// instead of materialising a fresh one per response.
     pub fn render_into(&self, out: &mut String) {
+        append_utf8(out, |out| self.render_bytes(out));
+    }
+
+    /// [`Json::render`] as bytes appended to `out`: the renderer itself,
+    /// which the write-ahead log calls to render a record straight into its
+    /// frame.
+    pub fn render_bytes(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { &b"true"[..] } else { b"false" }),
             Json::Number(n) => write_json_number(*n, out),
-            Json::String(s) => render_string(s, out),
+            Json::String(s) => write_json_string(s, out),
             Json::Array(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (index, item) in items.iter().enumerate() {
                     if index > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    item.render_into(out);
+                    item.render_bytes(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Object(fields) => {
-                out.push('{');
+                out.push(b'{');
                 for (index, (key, value)) in fields.iter().enumerate() {
                     if index > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    render_string(key, out);
-                    out.push(':');
-                    value.render_into(out);
+                    write_json_string(key, out);
+                    out.push(b':');
+                    value.render_bytes(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
@@ -175,11 +193,25 @@ impl Json {
     }
 }
 
-/// Append `s` as a JSON string literal (quoted, escaped) to `out`. Public
-/// so hand-rolled serializers (the serve wire format's allocation-free
-/// writers) emit strings byte-identical to [`Json::render`].
-pub fn write_json_string(s: &str, out: &mut String) {
-    render_string(s, out);
+/// Let `write` append a JSON document's bytes to `out`, then check them as
+/// UTF-8 once: the one place a writer's bytes become text. Taking the
+/// `String`'s buffer and giving it back allocates nothing, so a body
+/// written into a buffer already at capacity allocates nothing at all.
+pub fn append_utf8(out: &mut String, write: impl FnOnce(&mut Vec<u8>)) {
+    let mut bytes = std::mem::take(out).into_bytes();
+    write(&mut bytes);
+    // Cannot fail: `out` was a `String`, and every writer appends only the
+    // bytes of `&str`s and ASCII.
+    *out = String::from_utf8(bytes).expect("JSON writers append UTF-8");
+}
+
+/// Append `s` as a JSON string literal (quoted, escaped) to `out`: the one
+/// string writer, which [`Json::render_bytes`] and the serve wire format's
+/// allocation-free writers share.
+pub fn write_json_string(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    write_escaped(s, out);
+    out.push(b'"');
 }
 
 /// Append `n` as a JSON number to `out`: for a finite value, exactly the
@@ -189,12 +221,21 @@ pub fn write_json_string(s: &str, out: &mut String) {
 /// `reproduce --json` summaries), and so do the serve wire format's direct
 /// writers. The digits come from a Ryū generator rather than `core::fmt`;
 /// `crates/core/tests/json_number.rs` pins it against `format!("{n}")`.
-pub fn write_json_number(n: f64, out: &mut String) {
+pub fn write_json_number(n: f64, out: &mut Vec<u8>) {
     if n.is_finite() {
         number::write_finite(n, out);
     } else {
-        out.push_str("null");
+        out.extend_from_slice(b"null");
     }
+}
+
+/// Append the count `n` as a JSON number: its decimal digits, exactly
+/// `format!("{n}")`. Below 2^53 that is what [`write_json_number`] writes
+/// for `n as f64`, without the float path (pinned by
+/// `crates/core/tests/json_number.rs`); the serve wire format writes every
+/// core count and `retry_after_ms` through it.
+pub fn write_json_uint(n: u64, out: &mut Vec<u8>) {
+    number::write_uint(n, out);
 }
 
 // Field readers of the tree decoders (the serve wire format and
@@ -237,36 +278,38 @@ pub fn require_str<'a>(
         .ok_or_else(|| format!("{context}: field `{key}` must be a string"))
 }
 
-/// Render a string with the escapes required by RFC 8259 (quote, backslash,
-/// and control characters; multi-byte UTF-8 passes through unescaped).
+/// Append the body of `s`'s string literal, without its quotes: `s` with
+/// the escapes RFC 8259 requires (quote, backslash, and control
+/// characters; multi-byte UTF-8 passes through unescaped).
 ///
-/// Each run of bytes that needs no escape is copied with one `push_str`. A
-/// byte needs an escape when it is below 0x20, `"` or `\`; every byte of a
+/// Each run of bytes that needs no escape is copied in one piece. A byte
+/// needs an escape when it is below 0x20, `"` or `\`; every byte of a
 /// multi-byte UTF-8 char is at least 0x80, so a run always ends on a char
-/// boundary.
-fn render_string(s: &str, out: &mut String) {
-    use std::fmt::Write as _;
-    out.push('"');
+/// boundary and the output stays UTF-8.
+pub(crate) fn write_escaped(s: &str, out: &mut Vec<u8>) {
+    let bytes = s.as_bytes();
     let mut run = 0;
-    for (i, &byte) in s.as_bytes().iter().enumerate() {
+    for (i, &byte) in bytes.iter().enumerate() {
         if byte >= 0x20 && byte != b'"' && byte != b'\\' {
             continue;
         }
-        out.push_str(&s[run..i]);
+        out.extend_from_slice(&bytes[run..i]);
         match byte {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
             _ => {
-                let _ = write!(out, "\\u{byte:04x}");
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[usize::from(byte >> 4)]);
+                out.push(HEX[usize::from(byte & 0xf)]);
             }
         }
         run = i + 1;
     }
-    out.push_str(&s[run..]);
-    out.push('"');
+    out.extend_from_slice(&bytes[run..]);
 }
 
 /// Maximum container nesting the parser accepts. The parser recurses once

@@ -1,5 +1,6 @@
 //! The one way a finite `f64` becomes JSON text: the exact bytes
-//! `format!("{n}")` produces, written without going through `core::fmt`.
+//! `format!("{n}")` produces, appended straight into the caller's byte
+//! buffer without going through `core::fmt`.
 //!
 //! `Display` for `f64` prints the *shortest* digit string that parses back
 //! to the same value and lays it out without an exponent: `1e-7` is
@@ -10,10 +11,11 @@
 //!
 //! Two paths produce those bytes:
 //!
-//! * An integral value with `|n| < 2^53` prints as its integer digits,
-//!   after a `-` when the sign bit is set (so `-0.0` is `-0`). Below 2^53
-//!   every integer is exact and no shorter digit string lies within half an
-//!   ulp, so the shortest digits padded with zeros *are* the integer.
+//! * An integral value with `|n| < 2^53` prints as its integer digits
+//!   ([`write_uint`], which also writes counts), after a `-` when the sign
+//!   bit is set (so `-0.0` is `-0`). Below 2^53 every integer is exact and
+//!   no shorter digit string lies within half an ulp, so the shortest
+//!   digits padded with zeros *are* the integer.
 //! * Every other value gets its shortest digits from Ryū (Ulf Adams, "Ryū:
 //!   fast float-to-string conversion", PLDI 2018), laid out the way
 //!   `Display` lays them out. Two details differ from Ryū's reference `d2s`,
@@ -71,61 +73,51 @@ static DIGIT_PAIRS: [u8; 200] = {
     pairs
 };
 
-/// Zeros to pad with, pushed in slices of up to this length.
-const ZEROS: &str = "0000000000000000000000000000000000000000000000000000000000000000";
-
 /// Append `n`, which must be finite, exactly as `format!("{n}")` writes it.
-pub(super) fn write_finite(n: f64, out: &mut String) {
+pub(super) fn write_finite(n: f64, out: &mut Vec<u8>) {
     debug_assert!(n.is_finite());
     let bits = n.to_bits();
     // The sign bit, not `n < 0.0`: `-0.0` prints as `-0`.
     if bits >> 63 != 0 {
-        out.push('-');
+        out.push(b'-');
     }
     let magnitude = f64::from_bits(bits & !(1 << 63));
-    let mut digits = [0u8; 20];
     // `as` saturates, and every integral magnitude below 2^53 converts
     // exactly. Zero takes this path too, so `shortest` never sees it.
     let int = magnitude as u64;
     if int as f64 == magnitude && int < 1 << 53 {
-        let start = write_digits(int, &mut digits);
-        out.push_str(ascii(&digits[start..]));
+        write_uint(int, out);
         return;
     }
     let ieee_mantissa = bits & ((1 << MANTISSA_BITS) - 1);
     let ieee_exponent = ((bits >> MANTISSA_BITS) & 0x7ff) as u32;
     let (mantissa, exponent) = shortest(ieee_mantissa, ieee_exponent);
+    let mut digits = [0u8; 20];
     let start = write_digits(mantissa, &mut digits);
-    let digits = ascii(&digits[start..]);
+    let digits = &digits[start..];
     // `Display`'s layout (flt2dec `digits_to_dec_str` with no fraction
     // digits requested): the value is `0.digits × 10^point`.
     let point = exponent + digits.len() as i32;
     if exponent >= 0 {
-        out.push_str(digits);
-        push_zeros(exponent as usize, out);
+        out.extend_from_slice(digits);
+        out.resize(out.len() + exponent as usize, b'0');
     } else if point > 0 {
         let (whole, fraction) = digits.split_at(point as usize);
-        out.push_str(whole);
-        out.push('.');
-        out.push_str(fraction);
+        out.extend_from_slice(whole);
+        out.push(b'.');
+        out.extend_from_slice(fraction);
     } else {
-        out.push_str("0.");
-        push_zeros(point.unsigned_abs() as usize, out);
-        out.push_str(digits);
+        out.extend_from_slice(b"0.");
+        out.resize(out.len() + point.unsigned_abs() as usize, b'0');
+        out.extend_from_slice(digits);
     }
 }
 
-/// View ASCII digits as text.
-fn ascii(bytes: &[u8]) -> &str {
-    std::str::from_utf8(bytes).expect("digits are ASCII")
-}
-
-fn push_zeros(mut count: usize, out: &mut String) {
-    while count > 0 {
-        let chunk = count.min(ZEROS.len());
-        out.push_str(&ZEROS[..chunk]);
-        count -= chunk;
-    }
+/// Append the decimal digits of `n`, exactly as `format!("{n}")` writes it.
+pub(super) fn write_uint(n: u64, out: &mut Vec<u8>) {
+    let mut digits = [0u8; 20];
+    let start = write_digits(n, &mut digits);
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// Write the decimal digits of `v` right-aligned into `buf`, returning the
@@ -449,7 +441,7 @@ mod tests {
         let mut buf = [0u8; 20];
         for v in [0, 7, 10, 99, 100, 12_345, 9_007_199_254_740_991, u64::MAX] {
             let start = write_digits(v, &mut buf);
-            assert_eq!(ascii(&buf[start..]), v.to_string());
+            assert_eq!(&buf[start..], v.to_string().as_bytes());
         }
     }
 }

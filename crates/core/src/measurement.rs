@@ -42,6 +42,16 @@ impl StallSource {
         }
     }
 
+    /// The source's prefix in a category label (`hw`, `fe` or `sw`, as in
+    /// `hw:rob_full`).
+    pub fn tag(self) -> &'static str {
+        match self {
+            StallSource::HardwareBackend => "hw",
+            StallSource::HardwareFrontend => "fe",
+            StallSource::Software => "sw",
+        }
+    }
+
     /// Inverse of [`StallSource::name`]; any other string is an error that
     /// names the accepted ones (the wire's 400 message).
     pub fn from_name(name: &str) -> std::result::Result<StallSource, String> {
@@ -89,16 +99,22 @@ impl StallCategory {
             source: StallSource::Software,
         }
     }
+
+    /// Append the category's label (its `Display` text, `tag:name`) as a
+    /// JSON string: the bytes [`json::write_json_string`] writes for
+    /// `self.to_string()`, without building that `String`.
+    pub fn write_json_label(&self, out: &mut Vec<u8>) {
+        out.push(b'"');
+        out.extend_from_slice(self.source.tag().as_bytes());
+        out.push(b':');
+        json::write_escaped(&self.name, out);
+        out.push(b'"');
+    }
 }
 
 impl std::fmt::Display for StallCategory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let tag = match self.source {
-            StallSource::HardwareBackend => "hw",
-            StallSource::HardwareFrontend => "fe",
-            StallSource::Software => "sw",
-        };
-        write!(f, "{}:{}", tag, self.name)
+        write!(f, "{}:{}", self.source.tag(), self.name)
     }
 }
 
@@ -481,6 +497,21 @@ mod tests {
             set.push(m);
         }
         set
+    }
+
+    #[test]
+    fn json_labels_are_the_written_display_text() {
+        for category in [
+            StallCategory::backend("rob_full"),
+            StallCategory::frontend(""),
+            StallCategory::software("stm.aborts \"x\"\\y\n\u{1}é🚀"),
+        ] {
+            let mut expected = Vec::new();
+            json::write_json_string(&category.to_string(), &mut expected);
+            let mut label = b"[".to_vec();
+            category.write_json_label(&mut label);
+            assert_eq!(label[1..], expected[..], "{category}");
+        }
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! [payload_len: u32 LE] [fnv1a64(payload): u64 LE] [payload: JSON bytes]
 //! ```
 //!
-//! The payload is one JSON object rendered by [`crate::json`]. Writes
+//! The payload is one JSON object that [`crate::json`] renders straight
+//! into the frame, behind the header it then fills in. Writes
 //! produce two kinds: `{"op": "ingest_set", "series", "frequency_ghz",
 //! "points", "version", "mutations"}` for every content write (one
 //! `MeasurementStore::merge`), and `{"op": "evict", "series"}`. Replay also
@@ -447,12 +448,13 @@ impl Wal {
                 "write-ahead log is poisoned by an earlier failed append; restart to recover",
             ));
         }
-        let text = payload.render();
-        let bytes = text.as_bytes();
-        let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + bytes.len());
-        frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(bytes).to_le_bytes());
-        frame.extend_from_slice(bytes);
+        // Render the payload straight into the frame behind a reserved
+        // header, then fill the header in.
+        let mut frame = vec![0; FRAME_HEADER_BYTES];
+        payload.render_bytes(&mut frame);
+        let (header, bytes) = frame.split_at_mut(FRAME_HEADER_BYTES);
+        header[..4].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&fnv1a64(bytes).to_le_bytes());
 
         #[cfg(test)]
         if let Some(fault) = failpoint::take() {
@@ -524,17 +526,19 @@ impl Wal {
                 ("points".to_string(), points_to_json(set.measurements())),
             ]));
         }
-        let snapshot = Json::Object(vec![
+        let mut snapshot = Vec::new();
+        Json::Object(vec![
             ("format".to_string(), Json::Number(1.0)),
             ("ingests".to_string(), Json::Number(ingests as f64)),
             ("series".to_string(), Json::Array(encoded)),
-        ]);
+        ])
+        .render_bytes(&mut snapshot);
 
         let tmp = self.dir.join(SNAPSHOT_TMP);
         let target = self.dir.join(SNAPSHOT_FILE);
         let write = || -> std::io::Result<()> {
             let mut file = File::create(&tmp)?;
-            file.write_all(snapshot.render().as_bytes())?;
+            file.write_all(&snapshot)?;
             file.sync_all()?;
             drop(file);
             std::fs::rename(&tmp, &target)?;

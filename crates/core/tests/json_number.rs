@@ -15,8 +15,15 @@
 //!    payloads and infinities included).
 //! 3. 120k seeded realistic values: uniform mantissa, exponent within
 //!    ±100, either sign.
+//!
+//! [`write_json_uint`] writes counts. It must emit `format!("{n}")` for
+//! every `u64`, which below 2^53 is also what [`write_json_number`] writes
+//! for `n as f64`; the integer cases check both.
+//!
+//! The writers append bytes, so each check appends after existing bytes and
+//! compares the rest with the oracle's bytes.
 
-use estima_core::json::write_json_number;
+use estima_core::json::{write_json_number, write_json_uint};
 
 /// Cases drawn from each seeded stream.
 const CASES_PER_STREAM: usize = 120_000;
@@ -43,20 +50,39 @@ fn oracle(n: f64) -> String {
     }
 }
 
-/// Check `n` and `-n` against the oracle, appending after existing text so
-/// the writer is also checked to only append.
-fn check(n: f64, out: &mut String) {
+/// Check `n` and `-n` against the oracle, appending after existing bytes
+/// so the writer is also checked to only append.
+fn check(n: f64, out: &mut Vec<u8>) {
     for value in [n, -n] {
         out.clear();
-        out.push('[');
+        out.push(b'[');
         write_json_number(value, out);
         assert_eq!(
-            &out[1..],
-            oracle(value),
+            out[1..],
+            *oracle(value).as_bytes(),
             "{value:e} (bits {:#018x})",
             value.to_bits()
         );
     }
+}
+
+/// What `write_json_uint` appends after existing bytes, without them.
+fn uint(n: u64, out: &mut Vec<u8>) -> &[u8] {
+    out.clear();
+    out.push(b'[');
+    write_json_uint(n, out);
+    &out[1..]
+}
+
+/// Check the count `n`, which must be at most 2^53, against `Display` and
+/// against the number writer.
+fn check_uint(n: u64, out: &mut Vec<u8>, as_number: &mut Vec<u8>) {
+    assert!(n <= 1 << 53, "{n} is past the exact-integer range");
+    as_number.clear();
+    write_json_number(n as f64, as_number);
+    let written = uint(n, out);
+    assert_eq!(written, format!("{n}").as_bytes(), "{n}");
+    assert_eq!(written, &as_number[..], "{n}");
 }
 
 /// `n` and the values one ulp either side of it.
@@ -71,7 +97,7 @@ fn with_neighbours(n: f64) -> [f64; 3] {
 
 #[test]
 fn named_cases_match_display() {
-    let mut out = String::new();
+    let mut out = Vec::new();
     let named = [
         0.0,
         f64::from_bits(1),             // smallest subnormal
@@ -108,7 +134,7 @@ fn named_cases_match_display() {
     // -0.0 prints "-0", not "0".
     out.clear();
     write_json_number(-0.0, &mut out);
-    assert_eq!(out, "-0");
+    assert_eq!(out, b"-0");
     for exponent in -323..=308 {
         let power: f64 = format!("1e{exponent}").parse().unwrap();
         for n in with_neighbours(power) {
@@ -127,14 +153,14 @@ fn exact_midpoints_round_up() {
     // 2^50 + 0.25 and 2^50 + 1.25 sit exactly halfway between two 17-digit
     // candidates, both within the rounding interval: `Display` takes the
     // upper one, where round-half-even would keep the even lower one.
-    let mut out = String::new();
+    let mut out = Vec::new();
     for (n, text) in [
         (2f64.powi(50) + 0.25, "1125899906842624.3"),
         (2f64.powi(50) + 1.25, "1125899906842625.3"),
     ] {
         out.clear();
         write_json_number(n, &mut out);
-        assert_eq!(out, text);
+        assert_eq!(out, text.as_bytes());
         assert_eq!(oracle(n), text);
     }
 }
@@ -142,7 +168,7 @@ fn exact_midpoints_round_up() {
 #[test]
 fn uniform_bit_patterns_match_display() {
     let mut rng = Rng(17);
-    let mut out = String::new();
+    let mut out = Vec::new();
     for _ in 0..CASES_PER_STREAM {
         check(f64::from_bits(rng.next_u64()), &mut out);
     }
@@ -151,7 +177,7 @@ fn uniform_bit_patterns_match_display() {
 #[test]
 fn realistic_values_match_display() {
     let mut rng = Rng(29);
-    let mut out = String::new();
+    let mut out = Vec::new();
     for _ in 0..CASES_PER_STREAM {
         let mantissa = rng.next_u64() & ((1 << 52) - 1);
         let exponent = 1023 + (rng.next_u64() % 201) as i64 - 100;
@@ -165,10 +191,36 @@ fn realistic_values_match_display() {
 fn small_integers_and_short_decimals_match_display() {
     // The integer fast path and the values a prediction body is made of:
     // core counts, and decimals with few digits.
-    let mut out = String::new();
+    let mut out = Vec::new();
     for i in 0..=5_000u32 {
         check(f64::from(i), &mut out);
         check(f64::from(i) / 100.0, &mut out);
         check(f64::from(i) * 1e-9, &mut out);
+    }
+}
+
+#[test]
+fn counts_match_display_and_the_number_writer() {
+    let (mut out, mut as_number) = (Vec::new(), Vec::new());
+    for n in 0..=100_000 {
+        check_uint(n, &mut out, &mut as_number);
+    }
+    let mut power = 1u64;
+    while power <= 1 << 53 {
+        for n in [power - 1, power, power + 1] {
+            if n <= 1 << 53 {
+                check_uint(n, &mut out, &mut as_number);
+            }
+        }
+        power *= 10;
+    }
+    for n in [u64::from(u32::MAX), (1 << 53) - 1, 1 << 53] {
+        check_uint(n, &mut out, &mut as_number);
+    }
+    // Past 2^53 a count is still its digits, which an `f64` cannot hold.
+    assert_eq!(uint(u64::MAX, &mut out), b"18446744073709551615");
+    let mut rng = Rng(53);
+    for _ in 0..100_000 {
+        check_uint(rng.next_u64() >> 11, &mut out, &mut as_number);
     }
 }

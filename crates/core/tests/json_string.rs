@@ -36,13 +36,14 @@ fn oracle(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Check `s` against the oracle, appending after existing text so the
-/// writer is also checked to only append.
+/// Check `s` against the oracle, appending after existing bytes so the
+/// writer is also checked to only append. The writer appends bytes; the
+/// oracle's text is compared as bytes.
 fn check(s: &str) {
-    let (mut expected, mut actual) = (String::from("["), String::from("["));
+    let (mut expected, mut actual) = (String::from("["), b"[".to_vec());
     oracle(s, &mut expected);
     write_json_string(s, &mut actual);
-    assert_eq!(actual, expected, "{s:?}");
+    assert_eq!(actual, expected.as_bytes(), "{s:?}");
 }
 
 /// A seeded SplitMix64 stream.

@@ -21,7 +21,8 @@ pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 /// refills an existing `Request` in place, so a keep-alive connection
 /// parses every request after the first without allocating (method, path,
 /// header and body buffers — including the per-header `String`s — keep
-/// their capacity across requests).
+/// their capacity across requests; the server shrinks a body buffer beyond
+/// 64 KiB back to that once its connection goes idle).
 #[derive(Debug, Default)]
 pub struct Request {
     /// Request method, upper-case as received (`GET`, `POST`, ...).

@@ -332,6 +332,10 @@ const EVENTS_PER_WAIT: usize = 128;
 /// all-idle or all-healthy reactor sleeps in `epoll_wait` indefinitely.
 const STALL_SWEEP: std::time::Duration = std::time::Duration::from_millis(500);
 
+/// Most capacity an idle connection keeps in each of its four large
+/// buffers, however large its past requests and responses were.
+const IDLE_BUFFER_CAP: usize = 64 * 1024;
+
 /// One connection owned by a reactor: sockets, reusable buffers, and the
 /// state-machine flags.
 ///
@@ -383,6 +387,20 @@ impl Conn {
             stalled_since: None,
             parked: None,
         }
+    }
+
+    /// Shrink every large buffer beyond [`IDLE_BUFFER_CAP`] back to it, once
+    /// the connection is idle (nothing buffered either way, nothing parked,
+    /// so the last request and response are done with). A buffer within
+    /// the cap keeps its capacity, so the warm path still allocates nothing.
+    fn trim_idle_buffers(&mut self) {
+        debug_assert!(self.inbuf.is_empty() && self.outbuf.is_empty() && self.parked.is_none());
+        self.request.body.clear();
+        self.response.body.clear();
+        self.inbuf.shrink_to(IDLE_BUFFER_CAP);
+        self.outbuf.shrink_to(IDLE_BUFFER_CAP);
+        self.request.body.shrink_to(IDLE_BUFFER_CAP);
+        self.response.body.shrink_to(IDLE_BUFFER_CAP);
     }
 }
 
@@ -802,6 +820,9 @@ fn drive(conn: &mut Conn, state: &AppState, token: ConnToken) -> bool {
                 if conn.outbuf.is_empty() {
                     // No response produced: either idle keep-alive or a
                     // partial request waiting for more bytes.
+                    if conn.inbuf.is_empty() {
+                        conn.trim_idle_buffers();
+                    }
                     return !conn.eof;
                 }
                 // Responses queued: loop back to the write phase.
@@ -1345,5 +1366,124 @@ fn series_plan(raw_id: &str, request: &Request, state: &AppState, out: &mut Resp
             wire::write_plan(&plan, &mut out.body);
         }
         Err(e) => store_error(&e, out),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use estima_core::{Measurement, MeasurementSet, StallCategory, TargetSpec};
+    use std::io::BufRead;
+
+    /// A valid `/v1/predict` request at `target` cores whose body is padded
+    /// with `padding` bytes of whitespace.
+    fn padded_predict_request(target: u32, padding: usize) -> Vec<u8> {
+        let mut set = MeasurementSet::new("idle-trim", 2.1);
+        for cores in 1..=8u32 {
+            let n = f64::from(cores);
+            set.push(Measurement::new(cores, 20.0 / n + 0.5).with_stall(
+                StallCategory::backend("rob_full"),
+                1.0e9 * (1.0 + 0.1 * n * n),
+            ));
+        }
+        let mut body = wire::predict_request_to_json(&set, &TargetSpec::cores(target)).render();
+        body.push_str(&" ".repeat(padding));
+        let mut request = format!(
+            "POST /v1/predict HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(body.as_bytes());
+        request
+    }
+
+    /// Read one response off `reader`: its status line and body length.
+    fn read_response(reader: &mut impl BufRead) -> (String, usize) {
+        let mut status = String::new();
+        reader.read_line(&mut status).unwrap();
+        let mut length = 0;
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            if line == "\r\n" {
+                break;
+            }
+            if let Some(value) = line.strip_prefix("content-length: ") {
+                length = value.trim().parse().unwrap();
+            }
+        }
+        let mut body = vec![0; length];
+        reader.read_exact(&mut body).unwrap();
+        (status.trim_end().to_string(), length)
+    }
+
+    /// A 1 MiB request and a reply of over 64 KiB grow all four large
+    /// buffers past the idle cap while the exchange runs; once it has
+    /// drained and the connection waits for its next request, each holds
+    /// at most `IDLE_BUFFER_CAP`, and the connection still serves.
+    #[test]
+    fn an_idle_connection_trims_its_buffers() {
+        let server = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            reactor_threads: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let client = TcpStream::connect(server.local_addr().unwrap()).unwrap();
+        let stream = loop {
+            match server.shared.listener.accept() {
+                Ok((stream, _)) => break stream,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                Err(e) => panic!("accept: {e}"),
+            }
+        };
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(stream);
+        let state = &server.shared.state;
+        let token = ConnToken {
+            reactor: 0,
+            slot: 0,
+            generation: 0,
+        };
+
+        let exchange = |conn: &mut Conn, request: Vec<u8>| {
+            let mut client = client.try_clone().unwrap();
+            let peer = std::thread::spawn(move || {
+                client.write_all(&request).unwrap();
+                read_response(&mut std::io::BufReader::new(client))
+            });
+            // Drive until the reply is out and the connection is idle.
+            let served = state.stats.bytes_out.load(Ordering::Relaxed);
+            let deadline = Instant::now() + std::time::Duration::from_secs(60);
+            while state.stats.bytes_out.load(Ordering::Relaxed) == served
+                || !conn.outbuf.is_empty()
+                || !conn.inbuf.is_empty()
+            {
+                assert!(drive(conn, state, token), "the connection closed");
+                assert!(Instant::now() < deadline, "the exchange did not finish");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            peer.join().unwrap()
+        };
+
+        let (status, reply) = exchange(&mut conn, padded_predict_request(4096, 1 << 20));
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        assert!(reply > IDLE_BUFFER_CAP, "a {reply}-byte reply");
+        assert!(state.stats.bytes_in.load(Ordering::Relaxed) > 1 << 20);
+        let capacities = [
+            conn.inbuf.capacity(),
+            conn.outbuf.capacity(),
+            conn.request.body.capacity(),
+            conn.response.body.capacity(),
+        ];
+        assert!(
+            capacities.iter().all(|&c| c <= IDLE_BUFFER_CAP),
+            "idle buffer capacities {capacities:?} exceed {IDLE_BUFFER_CAP}"
+        );
+
+        let (status, _) = exchange(&mut conn, padded_predict_request(48, 0));
+        assert_eq!(status, "HTTP/1.1 200 OK");
     }
 }

@@ -18,14 +18,19 @@
 //!
 //! # Fidelity
 //!
-//! Every number is written by [`write_json_number`] (shortest round trip),
-//! so every `f64` in a response parses back to the exact bit pattern the
-//! predictor produced: predictions served over HTTP are byte-identical to
-//! in-process [`estima_core::BatchPredictor`] results (pinned by
-//! `tests/server_roundtrip.rs` and the `loadgen` harness).
+//! Every `f64` is written by [`write_json_number`] (shortest round trip),
+//! so it parses back to the exact bit pattern the predictor produced:
+//! predictions served over HTTP are byte-identical to in-process
+//! [`estima_core::BatchPredictor`] results (pinned by
+//! `tests/server_roundtrip.rs` and the `loadgen` harness). Every count
+//! (core counts, `retry_after_ms`) is written by [`write_json_uint`], the
+//! same digits without the float path. Each public `write_*` function is
+//! one [`append_utf8`] call around a private byte writer, and nested
+//! objects call the byte writers, so a body is checked as UTF-8 once.
 
 use estima_core::json::{
-    require, require_f64, require_str, require_u32, write_json_number, write_json_string, Json,
+    append_utf8, require, require_f64, require_str, require_u32, write_json_number,
+    write_json_string, write_json_uint, Json,
 };
 use estima_core::store::{SeriesInfo, SeriesSnapshot};
 use estima_core::{
@@ -198,158 +203,183 @@ pub fn write_prediction_response(
     diagnosis: Option<&BottleneckReport>,
     out: &mut String,
 ) {
-    out.push_str("{\"app_name\":");
+    append_utf8(out, |out| prediction_bytes(prediction, diagnosis, out));
+}
+
+/// The byte writer behind [`write_prediction_response`].
+fn prediction_bytes(
+    prediction: &Prediction,
+    diagnosis: Option<&BottleneckReport>,
+    out: &mut Vec<u8>,
+) {
+    out.extend_from_slice(b"{\"app_name\":");
     write_json_string(&prediction.app_name, out);
-    out.push_str(",\"measured_cores\":");
-    write_json_number(f64::from(prediction.measured_cores), out);
-    out.push_str(",\"target_cores\":");
-    write_json_number(f64::from(prediction.target_cores), out);
-    out.push_str(",\"predicted_scaling_limit\":");
-    write_json_number(f64::from(prediction.predicted_scaling_limit()), out);
-    out.push_str(",\"factor_correlation\":");
+    out.extend_from_slice(b",\"measured_cores\":");
+    write_json_uint(u64::from(prediction.measured_cores), out);
+    out.extend_from_slice(b",\"target_cores\":");
+    write_json_uint(u64::from(prediction.target_cores), out);
+    out.extend_from_slice(b",\"predicted_scaling_limit\":");
+    write_json_uint(u64::from(prediction.predicted_scaling_limit()), out);
+    out.extend_from_slice(b",\"factor_correlation\":");
     write_json_number(prediction.factor_correlation, out);
-    out.push_str(",\"scaling_factor_kernel\":");
+    out.extend_from_slice(b",\"scaling_factor_kernel\":");
     write_json_string(prediction.scaling_factor.kernel.name(), out);
-    out.push_str(",\"predicted_time\":");
+    out.extend_from_slice(b",\"predicted_time\":");
     write_series(&prediction.predicted_time, out);
-    out.push_str(",\"stalls_per_core\":");
+    out.extend_from_slice(b",\"stalls_per_core\":");
     write_series(&prediction.stalls_per_core, out);
-    out.push_str(",\"measured_time\":");
+    out.extend_from_slice(b",\"measured_time\":");
     write_series(&prediction.measured_time, out);
-    out.push_str(",\"categories\":[");
+    out.extend_from_slice(b",\"categories\":[");
     for (index, extrapolation) in prediction.categories.iter().enumerate() {
         if index > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        out.push_str("{\"source\":");
+        out.extend_from_slice(b"{\"source\":");
         write_json_string(extrapolation.category.source.name(), out);
-        out.push_str(",\"name\":");
+        out.extend_from_slice(b",\"name\":");
         write_json_string(&extrapolation.category.name, out);
-        out.push_str(",\"kernel\":");
+        out.extend_from_slice(b",\"kernel\":");
         write_json_string(extrapolation.curve.kernel.name(), out);
-        out.push_str(",\"params\":[");
+        out.extend_from_slice(b",\"params\":[");
         for (pindex, param) in extrapolation.curve.params.iter().enumerate() {
             if pindex > 0 {
-                out.push(',');
+                out.push(b',');
             }
             write_json_number(*param, out);
         }
-        out.push_str("],\"extrapolated_at_target\":");
+        out.extend_from_slice(b"],\"extrapolated_at_target\":");
         write_json_number(
             extrapolation
                 .at(prediction.target_cores)
                 .unwrap_or(f64::NAN),
             out,
         );
-        out.push('}');
+        out.push(b'}');
     }
-    out.push(']');
+    out.push(b']');
     if let Some(interval) = &prediction.confidence {
-        out.push_str(",\"confidence\":");
+        out.extend_from_slice(b",\"confidence\":");
         write_confidence(interval, out);
     }
     if let Some(report) = diagnosis {
-        out.push_str(",\"bottleneck\":");
+        out.extend_from_slice(b",\"bottleneck\":");
         write_bottleneck_report(report, out);
     }
-    out.push('}');
+    out.push(b'}');
 }
 
 /// Write a jackknife confidence interval as `{"lo","hi","spread"}`.
-fn write_confidence(interval: &ConfidenceInterval, out: &mut String) {
-    out.push_str("{\"lo\":");
+fn write_confidence(interval: &ConfidenceInterval, out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"lo\":");
     write_json_number(interval.lo, out);
-    out.push_str(",\"hi\":");
+    out.extend_from_slice(b",\"hi\":");
     write_json_number(interval.hi, out);
-    out.push_str(",\"spread\":");
+    out.extend_from_slice(b",\"spread\":");
     write_json_number(interval.spread, out);
-    out.push('}');
+    out.push(b'}');
 }
 
 /// Write a bottleneck report: the core count it was analysed at, the
 /// dominant category (`null` when the report is empty), and every entry in
-/// the report's order (descending share).
-fn write_bottleneck_report(report: &BottleneckReport, out: &mut String) {
-    out.push_str("{\"at_cores\":");
-    write_json_number(f64::from(report.at_cores), out);
-    out.push_str(",\"dominant\":");
+/// the report's order (descending share). A category is written as its
+/// `tag:name` label.
+fn write_bottleneck_report(report: &BottleneckReport, out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"at_cores\":");
+    write_json_uint(u64::from(report.at_cores), out);
+    out.extend_from_slice(b",\"dominant\":");
     match report.dominant() {
-        Some(entry) => write_json_string(&entry.category.to_string(), out),
-        None => out.push_str("null"),
+        Some(entry) => entry.category.write_json_label(out),
+        None => out.extend_from_slice(b"null"),
     }
-    out.push_str(",\"entries\":[");
+    out.extend_from_slice(b",\"entries\":[");
     for (index, entry) in report.entries.iter().enumerate() {
         if index > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        out.push_str("{\"category\":");
-        write_json_string(&entry.category.to_string(), out);
-        out.push_str(",\"predicted_cycles\":");
+        out.extend_from_slice(b"{\"category\":");
+        entry.category.write_json_label(out);
+        out.extend_from_slice(b",\"predicted_cycles\":");
         write_json_number(entry.predicted_cycles, out);
-        out.push_str(",\"share\":");
+        out.extend_from_slice(b",\"share\":");
         write_json_number(entry.share, out);
-        out.push_str(",\"growth_factor\":");
+        out.extend_from_slice(b",\"growth_factor\":");
         write_json_number(entry.growth_factor, out);
-        out.push('}');
+        out.push(b'}');
     }
-    out.push_str("]}");
+    out.extend_from_slice(b"]}");
 }
 
 /// Write a measurement plan as the `POST /v1/series/{id}/plan` response
 /// body.
 pub fn write_plan(plan: &MeasurementPlan, out: &mut String) {
-    out.push_str("{\"app_name\":");
+    append_utf8(out, |out| plan_bytes(plan, out));
+}
+
+/// The byte writer behind [`write_plan`].
+fn plan_bytes(plan: &MeasurementPlan, out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"app_name\":");
     write_json_string(&plan.app_name, out);
-    out.push_str(",\"measured_cores\":");
-    write_json_number(f64::from(plan.measured_cores), out);
-    out.push_str(",\"target_cores\":");
-    write_json_number(f64::from(plan.target_cores), out);
-    out.push_str(",\"confidence\":");
+    out.extend_from_slice(b",\"measured_cores\":");
+    write_json_uint(u64::from(plan.measured_cores), out);
+    out.extend_from_slice(b",\"target_cores\":");
+    write_json_uint(u64::from(plan.target_cores), out);
+    out.extend_from_slice(b",\"confidence\":");
     write_confidence(&plan.confidence, out);
-    out.push_str(",\"bottleneck\":");
+    out.extend_from_slice(b",\"bottleneck\":");
     write_bottleneck_report(&plan.bottleneck, out);
-    out.push_str(",\"suggestions\":[");
+    out.extend_from_slice(b",\"suggestions\":[");
     for (index, suggestion) in plan.suggestions.iter().enumerate() {
         if index > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        out.push_str("{\"cores\":");
-        write_json_number(f64::from(suggestion.cores), out);
-        out.push_str(",\"expected_spread\":");
+        out.extend_from_slice(b"{\"cores\":");
+        write_json_uint(u64::from(suggestion.cores), out);
+        out.extend_from_slice(b",\"expected_spread\":");
         write_json_number(suggestion.expected_spread, out);
-        out.push_str(",\"expected_reduction\":");
+        out.extend_from_slice(b",\"expected_reduction\":");
         write_json_number(suggestion.expected_reduction, out);
-        out.push_str(",\"rationale\":");
+        out.extend_from_slice(b",\"rationale\":");
         write_json_string(&suggestion.rationale, out);
-        out.push('}');
+        out.push(b'}');
     }
-    out.push_str("]}");
+    out.extend_from_slice(b"]}");
 }
 
 /// Write a `(cores, value)` series as `[[cores, value], ...]` (the encoding
 /// of `predicted_time`, `stalls_per_core` and `measured_time`).
-fn write_series(series: &[(u32, f64)], out: &mut String) {
-    out.push('[');
+fn write_series(series: &[(u32, f64)], out: &mut Vec<u8>) {
+    out.push(b'[');
     for (index, (cores, value)) in series.iter().enumerate() {
         if index > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        out.push('[');
-        write_json_number(f64::from(*cores), out);
-        out.push(',');
+        out.push(b'[');
+        write_json_uint(u64::from(*cores), out);
+        out.push(b',');
         write_json_number(*value, out);
-        out.push(']');
+        out.push(b']');
     }
-    out.push(']');
+    out.push(b']');
 }
 
 /// Write a wire error body: `{"error": {"code": ..., "message": ...}}`.
 pub fn write_error(code: &str, message: &str, out: &mut String) {
-    out.push_str("{\"error\":{\"code\":");
+    append_utf8(out, |out| error_bytes(code, message, None, out));
+}
+
+/// The byte writer behind [`write_error`] and, with a `retry_after_ms`,
+/// [`write_retry_error`].
+fn error_bytes(code: &str, message: &str, retry_after_ms: Option<u64>, out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"error\":{\"code\":");
     write_json_string(code, out);
-    out.push_str(",\"message\":");
+    out.extend_from_slice(b",\"message\":");
     write_json_string(message, out);
-    out.push_str("}}");
+    if let Some(retry_after_ms) = retry_after_ms {
+        out.extend_from_slice(b",\"retry_after_ms\":");
+        write_json_uint(retry_after_ms, out);
+    }
+    out.extend_from_slice(b"}}");
 }
 
 /// Write the `/v1/batch` response body: `{"results": [...]}` with one entry
@@ -357,21 +387,26 @@ pub fn write_error(code: &str, message: &str, out: &mut String) {
 /// failed one is the error body with code `prediction_failed` and the
 /// pipeline error's text.
 pub fn write_batch_results(results: &[Result<Prediction, EstimaError>], out: &mut String) {
-    out.push_str("{\"results\":[");
+    append_utf8(out, |out| batch_bytes(results, out));
+}
+
+/// The byte writer behind [`write_batch_results`].
+fn batch_bytes(results: &[Result<Prediction, EstimaError>], out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"results\":[");
     for (index, result) in results.iter().enumerate() {
         if index > 0 {
-            out.push(',');
+            out.push(b',');
         }
         match result {
             Ok(prediction) => {
-                out.push_str("{\"prediction\":");
-                write_prediction(prediction, out);
-                out.push('}');
+                out.extend_from_slice(b"{\"prediction\":");
+                prediction_bytes(prediction, None, out);
+                out.push(b'}');
             }
-            Err(e) => write_error("prediction_failed", &e.to_string(), out),
+            Err(e) => error_bytes("prediction_failed", &e.to_string(), None, out),
         }
     }
-    out.push_str("]}");
+    out.extend_from_slice(b"]}");
 }
 
 /// A decoded `POST /v1/measurements` request: which series to append to,
@@ -593,13 +628,9 @@ pub fn estima_error_status(error: &EstimaError) -> (u16, &'static str) {
 /// `429 quota_exceeded` degradation path and the router's
 /// `503 shard_unavailable` response.
 pub fn write_retry_error(code: &str, message: &str, retry_after_ms: u64, out: &mut String) {
-    out.push_str("{\"error\":{\"code\":");
-    write_json_string(code, out);
-    out.push_str(",\"message\":");
-    write_json_string(message, out);
-    out.push_str(",\"retry_after_ms\":");
-    let _ = std::fmt::Write::write_fmt(out, format_args!("{retry_after_ms}"));
-    out.push_str("}}");
+    append_utf8(out, |out| {
+        error_bytes(code, message, Some(retry_after_ms), out);
+    });
 }
 
 /// Encode the `429 quota_exceeded` error body (see [`write_retry_error`]).
