@@ -2,6 +2,9 @@
 //! rendered.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
+
+use estima_core::json::{append_utf8, write_json_string};
 
 /// One regenerated experiment (a table or figure from the paper).
 #[derive(Debug, Clone)]
@@ -142,48 +145,31 @@ impl Report {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Report {
     /// Render the report's identity and metrics as one JSON object:
     /// `{"id": ..., "title": ..., "metrics": {...}}`. Non-finite metric
     /// values become `null` (JSON has no NaN).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"id\":\"{}\",\"title\":\"{}\",\"metrics\":{{",
-            json_escape(&self.id),
-            json_escape(&self.title)
-        );
-        for (index, (name, value)) in self.metrics.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
+        append_utf8(&mut out, |out| {
+            out.extend_from_slice(b"{\"id\":");
+            write_json_string(&self.id, out);
+            out.extend_from_slice(b",\"title\":");
+            write_json_string(&self.title, out);
+            out.extend_from_slice(b",\"metrics\":{");
+            for (index, (name, value)) in self.metrics.iter().enumerate() {
+                if index > 0 {
+                    out.push(b',');
+                }
+                write_json_string(name, out);
+                if value.is_finite() {
+                    let _ = write!(out, ":{value:.6}");
+                } else {
+                    out.extend_from_slice(b":null");
+                }
             }
-            if value.is_finite() {
-                let _ = write!(out, "\"{}\":{value:.6}", json_escape(name));
-            } else {
-                let _ = write!(out, "\"{}\":null", json_escape(name));
-            }
-        }
-        out.push_str("}}");
+            out.extend_from_slice(b"}}");
+        });
         out
     }
 }

@@ -14,12 +14,6 @@ pub enum EstimaError {
     },
     /// The measurement set contains no stall categories at all.
     NoStallCategories,
-    /// A stall category had measurements for a different set of core counts
-    /// than the execution-time measurements.
-    InconsistentCoreCounts {
-        /// The offending category (rendered `source:name`).
-        category: String,
-    },
     /// A measurement contained a non-finite or negative value.
     InvalidMeasurement {
         /// Core count of the offending measurement.
@@ -96,10 +90,6 @@ impl fmt::Display for EstimaError {
             EstimaError::NoStallCategories => {
                 write!(f, "measurement set contains no stall categories")
             }
-            EstimaError::InconsistentCoreCounts { category } => write!(
-                f,
-                "stall category `{category}` was not measured at every core count"
-            ),
             EstimaError::InvalidMeasurement { cores, detail } => {
                 write!(f, "invalid measurement at {cores} cores: {detail}")
             }
@@ -164,9 +154,6 @@ mod tests {
                 available: 0,
             },
             EstimaError::NoStallCategories,
-            EstimaError::InconsistentCoreCounts {
-                category: "rob_full".into(),
-            },
             EstimaError::InvalidMeasurement {
                 cores: 4,
                 detail: "NaN".into(),

@@ -18,9 +18,10 @@
 //!    [`ingest`](store::EstimaSession::ingest)ed incrementally (one
 //!    [`Measurement`] per core count, stall categories broken out) and
 //!    predicted on demand. The companion crates `estima-counters` and
-//!    `estima-workloads` produce the measurements; callers that already
-//!    hold a complete [`MeasurementSet`] can skip the store and call
-//!    [`Estima::predict`] directly.
+//!    `estima-workloads` produce the measurements, software stall sites
+//!    reported by `estima-sync` and `estima-stm` included; callers that
+//!    already hold a complete [`MeasurementSet`] can skip the store and
+//!    call [`Estima::predict`] directly.
 //! 2. **Extrapolation** — each stall category is approximated with the best
 //!    of six analytic kernels ([`KernelKind`], Table 1) selected by RMSE at
 //!    held-out checkpoint measurements, then extrapolated to the target core
@@ -29,9 +30,8 @@
 //!    with a fitted *scaling factor* to produce execution-time predictions.
 //!
 //! The crate also contains the *time extrapolation* baseline the paper
-//! compares against ([`TimeExtrapolation`]), bottleneck analysis on the
-//! extrapolated categories ([`BottleneckReport`]), and the plugin mechanism
-//! for user-supplied software stall categories ([`plugin`]).
+//! compares against ([`TimeExtrapolation`]) and bottleneck analysis on the
+//! extrapolated categories ([`BottleneckReport`]).
 //!
 //! The module-to-paper mapping is documented in DESIGN.md § *Pipeline*; the
 //! parallel [`engine`] (work pool, sharded [`FitCache`]), the
@@ -75,7 +75,6 @@ pub mod levenberg;
 pub mod linalg;
 pub mod measurement;
 pub mod plan;
-pub mod plugin;
 pub mod predictor;
 pub mod report;
 pub mod stats;

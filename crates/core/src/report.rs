@@ -5,7 +5,6 @@
 //! `reproduce` binary, examples, and tests.
 
 use crate::predictor::Prediction;
-use crate::stats::ErrorSummary;
 use crate::time_extrapolation::TimePrediction;
 
 /// Render a prediction as a readable multi-line summary: predicted time per
@@ -80,58 +79,6 @@ pub fn render_comparison(
     out
 }
 
-/// Render a per-workload error table with the Average / Std. Dev. / Max
-/// summary rows of Tables 4 and 7. Errors are fractions; they are printed as
-/// percentages.
-pub fn render_error_table(
-    title: &str,
-    column_names: &[&str],
-    rows: &[(String, Vec<f64>)],
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("### {title}\n\n"));
-    out.push_str("| Benchmark |");
-    for c in column_names {
-        out.push_str(&format!(" {c} |"));
-    }
-    out.push('\n');
-    out.push_str("|---|");
-    for _ in column_names {
-        out.push_str("---|");
-    }
-    out.push('\n');
-    for (name, errors) in rows {
-        out.push_str(&format!("| {name} |"));
-        for e in errors {
-            out.push_str(&format!(" {:.1} |", e * 100.0));
-        }
-        out.push('\n');
-    }
-    // Summary rows, column by column.
-    let n_cols = column_names.len();
-    let mut summaries = Vec::with_capacity(n_cols);
-    for col in 0..n_cols {
-        let column: Vec<f64> = rows
-            .iter()
-            .filter_map(|(_, e)| e.get(col).copied())
-            .collect();
-        summaries.push(ErrorSummary::from_errors(&column));
-    }
-    for (label, pick) in [("Average", 0usize), ("Std. Dev.", 1), ("Max.", 2)] {
-        out.push_str(&format!("| **{label}** |"));
-        for s in &summaries {
-            let v = match pick {
-                0 => s.average,
-                1 => s.std_dev,
-                _ => s.max,
-            };
-            out.push_str(&format!(" {:.1} |", v * 100.0));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Subsample a long `(cores, value)` series for display: always includes the
 /// first and last points and roughly a dozen in between.
 fn sample_points(series: &[(u32, f64)]) -> Vec<(u32, f64)> {
@@ -192,21 +139,6 @@ mod tests {
         let table = render_comparison(&p, &b, &actual);
         assert_eq!(table.lines().count(), 2 + actual.len());
         assert!(table.contains("| 48 |"));
-    }
-
-    #[test]
-    fn error_table_includes_summary_rows() {
-        let rows = vec![
-            ("genome".to_string(), vec![0.044, 0.046]),
-            ("intruder".to_string(), vec![0.092, 0.319]),
-        ];
-        let table = render_error_table("Table 4", &["2 CPUs", "4 CPUs"], &rows);
-        assert!(table.contains("**Average**"));
-        assert!(table.contains("**Std. Dev.**"));
-        assert!(table.contains("**Max.**"));
-        assert!(table.contains("genome"));
-        // 0.319 should render as 31.9 (percent).
-        assert!(table.contains("31.9"));
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! A minimal blocking HTTP/1.1 client for driving the service over
-//! loopback: one keep-alive connection, one request/response at a time.
+//! A minimal blocking HTTP/1.1 client: one keep-alive connection, one
+//! request/response at a time.
 //!
-//! This exists for the in-repo tooling — the `loadgen` binary and the
-//! `serve` criterion bench in `estima-bench` — and for embedding smoke
-//! checks. It is intentionally not a general HTTP client (no redirects, no
+//! The router's pooled upstream connections use it, as do the in-repo
+//! tooling (the `loadgen` binary and the `serve` criterion bench in
+//! `estima-bench`) and embedded smoke checks. A request's head and the
+//! caller's body leave in one vectored write, so a client keeps no copy of
+//! a body. It is intentionally not a general HTTP client (no redirects, no
 //! chunked bodies, no TLS).
 
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 /// One keep-alive client connection.
@@ -20,7 +22,7 @@ use std::net::{SocketAddr, TcpStream};
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// Reused request scratch (head + body, shipped as one write).
+    /// Reused request-head scratch; the body goes out from the caller's slice.
     head: String,
     /// Reused response status/header line scratch.
     line: String,
@@ -138,19 +140,30 @@ impl Client {
         path: &str,
         body: &str,
     ) -> std::io::Result<(u16, &str)> {
-        // Head and body are staged into one reused buffer and shipped as a
-        // single write: one syscall per request, and the server's reactor
-        // sees the whole request in one readiness cycle.
+        // The head is staged in a reused buffer, and head and body leave in
+        // one vectored write: one syscall per request, and the server's
+        // reactor sees the whole request in one readiness cycle.
         self.head.clear();
         write!(
             self.head,
             "{method} {path} HTTP/1.1\r\nhost: loopback\r\ncontent-type: application/json\r\n\
-             content-length: {}\r\n\r\n{body}",
+             content-length: {}\r\n\r\n",
             body.len()
         )
         .expect("writing to a String cannot fail");
-        self.writer.write_all(self.head.as_bytes())?;
-        self.sent += self.head.len() as u64;
+        let mut slices = &mut [
+            IoSlice::new(self.head.as_bytes()),
+            IoSlice::new(body.as_bytes()),
+        ][..];
+        while !slices.is_empty() {
+            match self.writer.write_vectored(slices) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut slices, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.sent += (self.head.len() + body.len()) as u64;
 
         let bad = |detail: String| std::io::Error::new(std::io::ErrorKind::InvalidData, detail);
         self.line.clear();
@@ -232,6 +245,46 @@ mod tests {
             started.elapsed()
         );
         drop(listener);
+    }
+
+    /// A large body is written from the caller's slice, never copied into
+    /// the reused head buffer, so a pooled client does not keep the largest
+    /// body it has sent.
+    #[test]
+    fn a_large_body_leaves_the_head_buffer_small() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let body = "x".repeat(1 << 20);
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let (mut wire_bytes, mut content_length) = (0, 0);
+            let mut line = String::new();
+            while line != "\r\n" {
+                line.clear();
+                wire_bytes += reader.read_line(&mut line).unwrap();
+                if let Some(value) = line.strip_prefix("content-length: ") {
+                    content_length = value.trim().parse().unwrap();
+                }
+            }
+            let mut received = vec![0u8; content_length];
+            reader.read_exact(&mut received).unwrap();
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\n{}")
+                .unwrap();
+            (wire_bytes + content_length, received)
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let reply = client.request_into("POST", "/v1/predict", &body).unwrap();
+        assert_eq!(reply, (200, "{}"));
+        let (wire_bytes, received) = server.join().unwrap();
+        assert!(received == body.as_bytes(), "the body arrives intact");
+        assert_eq!(client.bytes_sent(), wire_bytes as u64);
+        assert!(
+            client.head.capacity() < 4096,
+            "head kept {} bytes",
+            client.head.capacity()
+        );
     }
 
     /// `connect_timeout` is honoured (a plain refused port fails fast, and

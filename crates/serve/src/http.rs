@@ -76,7 +76,7 @@ impl Request {
 /// before the server's stall sweep drops it.
 pub const REQUEST_READ_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
 
-/// Outcome of a [`parse_request`] attempt over a byte buffer.
+/// Outcome of a [`parse_request_limited`] attempt over a byte buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParseStatus {
     /// A complete request was decoded into the `Request`. The first
@@ -87,11 +87,11 @@ pub enum ParseStatus {
         consumed: usize,
     },
     /// The buffer ends mid-request. Read more bytes, append, and call
-    /// [`parse_request`] again with the grown buffer.
+    /// [`parse_request_limited`] again with the grown buffer.
     Partial,
 }
 
-/// Why [`parse_request`] rejected a buffer.
+/// Why [`parse_request_limited`] rejected a buffer.
 #[derive(Debug)]
 pub enum ParseError {
     /// The bytes cannot be a valid request (bad request line, bad header,
@@ -115,7 +115,8 @@ fn line_as_str(buf: &[u8]) -> Result<&str, ParseError> {
     std::str::from_utf8(buf).map_err(|_| ParseError::Malformed("line is not valid UTF-8".into()))
 }
 
-/// Parse one request from the front of `buf` into a reusable [`Request`].
+/// Parse one request from the front of `buf` into a reusable [`Request`],
+/// refusing a declared body over `max_body_bytes`.
 ///
 /// The parser is resumable: it never blocks and holds no transport state,
 /// so a connection that delivers a request over many partial reads just
@@ -124,19 +125,15 @@ fn line_as_str(buf: &[u8]) -> Result<&str, ParseError> {
 /// the parser stateless; header blocks are tiny, and the body — the bulk of
 /// a large request — is only copied once, on completion.
 ///
+/// The server passes its `--max-body-bytes` flag, at most the compiled-in
+/// [`MAX_BODY_BYTES`], as the cap. It applies to the declared
+/// `Content-Length`; a request over it is rejected with
+/// [`ParseError::BodyTooLarge`] *before* any body byte is buffered.
+///
 /// On `Partial` or an error the contents of `request` are unspecified;
 /// on `Complete` the request is fully populated and, once its buffers are
 /// warm, was refilled without allocating (pinned by
 /// `tests/serve_alloc.rs`).
-pub fn parse_request(buf: &[u8], request: &mut Request) -> Result<ParseStatus, ParseError> {
-    parse_request_limited(buf, request, MAX_BODY_BYTES)
-}
-
-/// [`parse_request`] with a caller-chosen body cap, for deployments that
-/// bound request sizes below the compiled-in [`MAX_BODY_BYTES`] (the
-/// server's `--max-body-bytes` flag). The cap applies to the declared
-/// `Content-Length`; a request over it is rejected with
-/// [`ParseError::BodyTooLarge`] *before* any body byte is buffered.
 pub fn parse_request_limited(
     buf: &[u8],
     request: &mut Request,

@@ -17,9 +17,9 @@
 //! and hands a `ForwardJob` to a small forwarder pool that drives blocking
 //! pooled keep-alive [`Client`]s (with explicit connect/read timeouts, so a
 //! dead shard bounds the stall) and posts the response into the owning
-//! reactor's `Mailbox` — an eventfd doorbell plus a mutexed completion
-//! list — which resumes the parked connection on the reactor thread.
-//! Single-shard requests forward the raw body and return the upstream
+//! reactor's `Mailbox` — a `UnixStream`-pair doorbell plus a mutexed
+//! completion list — which resumes the parked connection on the reactor
+//! thread. Single-shard requests forward the raw body and return the upstream
 //! status/body verbatim; `/v1/batch` fans out per-shard sub-batches and
 //! re-merges the per-job results in original index order; `GET /v1/series`
 //! fans out to every shard and merge-sorts by series id (shard stores are
@@ -167,18 +167,18 @@ pub(crate) struct Completion {
     pub(crate) response: ForwardResponse,
 }
 
-/// One reactor's completion inbox: a drainable eventfd doorbell plus the
-/// pending completions. Forwarder threads deliver; the reactor drains.
+/// One reactor's completion inbox: a drainable doorbell plus the pending
+/// completions. Forwarder threads deliver; the reactor drains.
 #[derive(Debug)]
 pub(crate) struct Mailbox {
-    wake: sys::EventFd,
+    wake: sys::Doorbell,
     completions: Mutex<Vec<Completion>>,
 }
 
 impl Mailbox {
     pub(crate) fn new() -> io::Result<Mailbox> {
         Ok(Mailbox {
-            wake: sys::EventFd::new()?,
+            wake: sys::Doorbell::new()?,
             completions: Mutex::new(Vec::new()),
         })
     }

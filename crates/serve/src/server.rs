@@ -15,9 +15,9 @@
 //! keep-alive request is one `read`, one `write`, and zero heap
 //! allocations (pinned by `tests/serve_alloc.rs`).
 //!
-//! Shutdown is an `eventfd` doorbell registered level-triggered in every
-//! epoll set and never drained: one signal makes every `epoll_wait` return
-//! immediately, so [`ServerHandle::shutdown`] completes in milliseconds
+//! Shutdown is a `UnixStream`-pair doorbell registered level-triggered in
+//! every epoll set and never drained: one signal makes every `epoll_wait`
+//! return immediately, so [`ServerHandle::shutdown`] completes in milliseconds
 //! with no idle polling anywhere. All reactors share one application
 //! state: a [`BatchPredictor`] whose [`EstimaSession`] holds the
 //! measurement store (the `/v1/series` endpoints) and the sharded
@@ -145,7 +145,7 @@ struct AppState {
 #[derive(Debug)]
 struct Shared {
     listener: TcpListener,
-    wake: sys::EventFd,
+    wake: sys::Doorbell,
     state: Arc<AppState>,
     /// Per-reactor completion inboxes (router mode): forwarder threads
     /// deliver finished upstream exchanges here and the owning reactor's
@@ -244,7 +244,7 @@ impl Server {
         Ok(Server {
             shared: Arc::new(Shared {
                 listener,
-                wake: sys::EventFd::new()?,
+                wake: sys::Doorbell::new()?,
                 state,
                 mailboxes,
             }),
@@ -295,7 +295,7 @@ impl ServerHandle {
     }
 
     /// Stop the server and join its reactors. The shutdown doorbell (a
-    /// level-triggered `eventfd` in every reactor's epoll set) wakes every
+    /// level-triggered `UnixStream` in every reactor's epoll set) wakes every
     /// `epoll_wait` immediately — idle keep-alive connections do not delay
     /// this — so shutdown completes in milliseconds. Requests being
     /// processed finish (dispatch is synchronous on the reactor thread) and
@@ -592,7 +592,7 @@ fn accept_ready(
     generations: &mut Vec<u64>,
 ) {
     loop {
-        match sys::accept_nonblocking(shared.listener.as_raw_fd()) {
+        match sys::accept_nonblocking(&shared.listener) {
             Ok(Some(stream)) => {
                 // Responses can leave in two writes when a write blocks
                 // mid-response; without TCP_NODELAY the tail write can sit

@@ -1,22 +1,24 @@
-//! Direct bindings to the handful of Linux syscalls the event-driven
-//! reactor needs — `epoll`, `eventfd`, `accept4` and `listen` — wrapped in
-//! safe RAII types.
+//! Direct bindings to the two Linux facilities std lacks — `epoll` and
+//! `listen` — wrapped in safe types, beside the std-built doorbell and
+//! accept that complete the event-driven reactor's OS layer.
 //!
 //! libc is already linked through `std`, so declaring the symbols we need
 //! keeps the crate dependency-free; everything `unsafe` in the serve crate
 //! is confined to this module (the crate root carries
 //! `#![deny(unsafe_code)]`, overridden here alone). The wrappers expose the
 //! exact shape the reactor consumes: an [`Epoll`] instance per reactor
-//! thread, one shared [`EventFd`] as the shutdown doorbell, and
-//! [`accept_nonblocking`] which hands back ready-made non-blocking
-//! [`TcpStream`]s in a single syscall. The listener itself comes from
+//! thread, which owns its fd as an [`OwnedFd`]; [`Doorbell`]s, built on a
+//! non-blocking [`UnixStream`] pair, for the shutdown signal and the router
+//! mailboxes; and [`accept_nonblocking`], which hands back non-blocking
+//! [`TcpStream`]s from std's `accept`. The listener itself comes from
 //! [`TcpListener::bind`], which on Linux sets `SO_REUSEADDR` before
 //! `bind(2)`; [`set_backlog`] only resizes its accept queue.
 #![allow(unsafe_code)]
 
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
+use std::os::unix::io::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::unix::net::UnixStream;
 
 /// Readable (`EPOLLIN`).
 pub const EPOLLIN: u32 = 0x001;
@@ -37,10 +39,6 @@ pub const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CLOEXEC: i32 = 0o2000000;
-const EFD_CLOEXEC: i32 = 0o2000000;
-const EFD_NONBLOCK: i32 = 0o4000;
-const SOCK_NONBLOCK: i32 = 0o4000;
-const SOCK_CLOEXEC: i32 = 0o2000000;
 
 /// One readiness event, ABI-compatible with the kernel's `struct
 /// epoll_event` (packed on x86-64, naturally aligned elsewhere).
@@ -66,12 +64,7 @@ extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    fn eventfd(initval: u32, flags: i32) -> i32;
-    fn accept4(fd: i32, addr: *mut u8, addrlen: *mut u32, flags: i32) -> i32;
     fn listen(fd: i32, backlog: i32) -> i32;
-    fn close(fd: i32) -> i32;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
 }
 
 /// Map a `-1` syscall return to [`io::Error::last_os_error`].
@@ -86,13 +79,15 @@ fn check(ret: i32) -> io::Result<i32> {
 /// An epoll instance. Each reactor thread owns one; the fd closes on drop.
 #[derive(Debug)]
 pub struct Epoll {
-    fd: RawFd,
+    fd: OwnedFd,
 }
 
 impl Epoll {
     /// Create a new epoll instance (`EPOLL_CLOEXEC`).
     pub fn new() -> io::Result<Epoll> {
         let fd = check(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+        // SAFETY: `epoll_create1` just returned this fd; nothing else owns it.
+        let fd = unsafe { OwnedFd::from_raw_fd(fd) };
         Ok(Epoll { fd })
     }
 
@@ -105,7 +100,8 @@ impl Epoll {
             events,
             data: token,
         };
-        check(unsafe { epoll_ctl(self.fd, EPOLL_CTL_ADD, fd, &mut event) })?;
+        // SAFETY: `event` is a live `epoll_event` that the kernel only reads.
+        check(unsafe { epoll_ctl(self.fd.as_raw_fd(), EPOLL_CTL_ADD, fd, &mut event) })?;
         Ok(())
     }
 
@@ -114,7 +110,8 @@ impl Epoll {
     /// `EINTR` is reported as zero events, like a timeout.
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         let max = i32::try_from(events.len()).unwrap_or(i32::MAX);
-        let n = unsafe { epoll_wait(self.fd, events.as_mut_ptr(), max, timeout_ms) };
+        // SAFETY: the kernel writes at most `max` events, all inside `events`.
+        let n = unsafe { epoll_wait(self.fd.as_raw_fd(), events.as_mut_ptr(), max, timeout_ms) };
         if n < 0 {
             let e = io::Error::last_os_error();
             return if e.kind() == io::ErrorKind::Interrupted {
@@ -127,86 +124,65 @@ impl Epoll {
     }
 }
 
-impl Drop for Epoll {
-    fn drop(&mut self) {
-        let _ = unsafe { close(self.fd) };
-    }
-}
-
-/// A level-triggered shutdown doorbell: an `eventfd` registered (but never
-/// drained) in every reactor's epoll set, so one [`EventFd::signal`] makes
-/// every subsequent `epoll_wait` in every reactor return immediately.
+/// A level-triggered doorbell: the read end of a non-blocking
+/// [`UnixStream`] pair, registered in an epoll set, stays readable from
+/// [`Doorbell::signal`] until [`Doorbell::drain`]. The shutdown doorbell is
+/// never drained, so one signal makes every later `epoll_wait` in every
+/// reactor return immediately; a router mailbox drains its doorbell before
+/// it takes its completions.
 #[derive(Debug)]
-pub struct EventFd {
-    fd: RawFd,
+pub struct Doorbell {
+    read: UnixStream,
+    write: UnixStream,
 }
 
-impl EventFd {
-    /// Create the eventfd (non-blocking, close-on-exec, counter at zero).
-    pub fn new() -> io::Result<EventFd> {
-        let fd = check(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-        Ok(EventFd { fd })
+impl Doorbell {
+    /// Create a quiet doorbell (both ends non-blocking and close-on-exec).
+    pub fn new() -> io::Result<Doorbell> {
+        let (read, write) = UnixStream::pair()?;
+        read.set_nonblocking(true)?;
+        write.set_nonblocking(true)?;
+        Ok(Doorbell { read, write })
     }
 
-    /// The raw fd, for registering with [`Epoll::add`].
+    /// The read end's fd, for registering with [`Epoll::add`].
     pub fn raw_fd(&self) -> RawFd {
-        self.fd
+        self.read.as_raw_fd()
     }
 
-    /// Make the fd permanently readable. Once signalled it is never read
-    /// back down, so the wake-up is sticky — exactly what a shutdown flag
-    /// needs.
+    /// Make the read end readable by writing one byte to the other end.
     pub fn signal(&self) -> io::Result<()> {
-        let one: u64 = 1;
-        let n = unsafe { write(self.fd, std::ptr::addr_of!(one).cast(), 8) };
-        // EAGAIN means the counter is already saturated — still signalled.
-        if n == 8 || io::Error::last_os_error().kind() == io::ErrorKind::WouldBlock {
-            Ok(())
-        } else {
-            Err(io::Error::last_os_error())
+        match (&self.write).write(&[1]) {
+            // A full socket buffer holds unread bytes: already rung.
+            Err(e) if e.kind() != io::ErrorKind::WouldBlock => Err(e),
+            _ => Ok(()),
         }
     }
 
-    /// Read the counter back down to zero, making the fd quiet until the
-    /// next [`EventFd::signal`]. This is what a *resettable* doorbell needs
-    /// (the router's per-reactor completion mailbox), as opposed to the
-    /// sticky shutdown doorbell which is deliberately never drained.
+    /// Read every pending byte back out, making the doorbell quiet until
+    /// the next [`Doorbell::signal`]. This is what a *resettable* doorbell
+    /// needs (the router's per-reactor completion mailbox), as opposed to
+    /// the sticky shutdown doorbell which is deliberately never drained.
     pub fn drain(&self) {
-        let mut counter = [0u8; 8];
-        // One read zeroes an eventfd counter; EAGAIN means it already was.
-        let _ = unsafe { read(self.fd, counter.as_mut_ptr(), 8) };
+        let mut bytes = [0u8; 64];
+        // Stops at WouldBlock: nothing left unread.
+        while matches!((&self.read).read(&mut bytes), Ok(1..)) {}
     }
 }
 
-impl Drop for EventFd {
-    fn drop(&mut self) {
-        let _ = unsafe { close(self.fd) };
-    }
-}
-
-/// Accept one pending connection from a non-blocking listener, returning it
-/// already non-blocking and close-on-exec (a single `accept4` syscall,
-/// where `accept` + two `fcntl`s would take three). `Ok(None)` means the
-/// backlog is drained; transient per-connection failures (`ECONNABORTED`,
-/// `EINTR`) retry internally.
-pub fn accept_nonblocking(listener: RawFd) -> io::Result<Option<TcpStream>> {
+/// Accept one pending connection from a non-blocking listener and make it
+/// non-blocking (std's `accept` already sets close-on-exec). `Ok(None)`
+/// means the backlog is drained; transient per-connection failures
+/// (`ECONNABORTED`, `EINTR`) retry internally.
+pub fn accept_nonblocking(listener: &TcpListener) -> io::Result<Option<TcpStream>> {
     loop {
-        let fd = unsafe {
-            accept4(
-                listener,
-                std::ptr::null_mut(),
-                std::ptr::null_mut(),
-                SOCK_NONBLOCK | SOCK_CLOEXEC,
-            )
-        };
-        if fd >= 0 {
-            return Ok(Some(unsafe { TcpStream::from_raw_fd(fd) }));
-        }
-        let e = io::Error::last_os_error();
-        match e.kind() {
-            io::ErrorKind::WouldBlock => return Ok(None),
-            io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted => continue,
-            _ => return Err(e),
+        match listener.accept() {
+            Ok((stream, _)) => return stream.set_nonblocking(true).map(|()| Some(stream)),
+            Err(e) => match e.kind() {
+                io::ErrorKind::WouldBlock => return Ok(None),
+                io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted => continue,
+                _ => return Err(e),
+            },
         }
     }
 }
@@ -225,14 +201,11 @@ pub fn set_backlog(listener: &TcpListener, backlog: i32) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
-    use std::net::TcpListener;
-    use std::os::unix::io::AsRawFd;
 
     #[test]
-    fn eventfd_signal_is_sticky_and_wakes_every_wait() {
+    fn doorbell_signal_is_sticky_and_wakes_every_wait() {
         let epoll = Epoll::new().unwrap();
-        let wake = EventFd::new().unwrap();
+        let wake = Doorbell::new().unwrap();
         epoll.add(wake.raw_fd(), EPOLLIN, 7).unwrap();
 
         let mut events = [EpollEvent::zeroed(); 4];
@@ -249,18 +222,23 @@ mod tests {
             assert_ne!(got_events & EPOLLIN, 0);
             assert_eq!(token, 7);
         }
+        // Drained, it is quiet again: a zero-timeout wait returns nothing.
+        wake.drain();
+        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
     }
 
     #[test]
-    fn accept4_returns_nonblocking_streams_and_none_when_drained() {
+    fn accept_returns_nonblocking_streams_and_none_when_drained() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
-        let fd = listener.as_raw_fd();
-        assert!(accept_nonblocking(fd).unwrap().is_none(), "empty backlog");
+        assert!(
+            accept_nonblocking(&listener).unwrap().is_none(),
+            "empty backlog"
+        );
 
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let accepted = loop {
-            match accept_nonblocking(fd).unwrap() {
+            match accept_nonblocking(&listener).unwrap() {
                 Some(stream) => break stream,
                 None => std::thread::yield_now(),
             }
@@ -290,7 +268,7 @@ mod tests {
         listener.set_nonblocking(true).unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let server = loop {
-            match accept_nonblocking(listener.as_raw_fd()).unwrap() {
+            match accept_nonblocking(&listener).unwrap() {
                 Some(stream) => break stream,
                 None => std::thread::yield_now(),
             }

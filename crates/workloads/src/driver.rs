@@ -5,8 +5,8 @@
 //! the real substrates (locks, barriers, STM) on the host machine. This
 //! module provides the common driver: run a workload at a given thread
 //! count, measure wall-clock time, and collect the software stall cycles the
-//! instrumented substrates reported — exactly the shape of data ESTIMA's
-//! software-stall plugins consume.
+//! instrumented substrates reported — the same per-site software stall
+//! categories that `estima-counters`' `collect_measurements` records.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
