@@ -2,9 +2,8 @@
 //!
 //! Measures how fast each Table 1 kernel can be fitted to a 12-point series
 //! (the size ESTIMA deals with when measuring one Opteron socket), the cost
-//! of the full model-selection loop (`approximate_series`), the analytic vs
-//! finite-difference Jacobian paths, the allocation-free strip-structured
-//! candidate grid against a faithful emulation of the pre-PR per-cell path,
+//! of the full model-selection loop (`approximate_series`), the
+//! allocation-free strip-structured candidate grid against a faithful emulation of the pre-PR per-cell path,
 //! a `FitCache`-backed refit after the newest point changed (the solve
 //! memo's case), and the realism walk over a prebuilt horizon table against
 //! the per-point walk it replaced.
@@ -12,7 +11,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use estima_core::engine::CacheScope;
 use estima_core::kernels::{FittedCurve, HorizonTable};
-use estima_core::levenberg::{Jacobian, LmOptions};
 use estima_core::{
     approximate_series, candidate_fits, fit_kernel, Engine, FitCache, FitContext, FitOptions,
     KernelKind,
@@ -37,13 +35,7 @@ fn bench_single_kernels(c: &mut Criterion) {
             &kernel,
             |b, &k| {
                 b.iter(|| {
-                    fit_kernel(
-                        k,
-                        std::hint::black_box(&xs),
-                        std::hint::black_box(&ys),
-                        &LmOptions::default(),
-                    )
-                    .unwrap()
+                    fit_kernel(k, std::hint::black_box(&xs), std::hint::black_box(&ys)).unwrap()
                 })
             },
         );
@@ -109,11 +101,21 @@ mod pre_pr {
     use super::row_major::{
         design_row, solve_cholesky, solve_gaussian, solve_least_squares_qr, Matrix,
     };
+    use estima_core::fit::{MAX_MAGNITUDE, MIN_TRAINING_POINTS};
     use estima_core::kernels::{FittedCurve, KernelKind};
-    use estima_core::levenberg::LmOptions;
     use estima_core::linalg::norm2;
     use estima_core::stats::rmse;
     use estima_core::FitOptions;
+
+    /// The settings the old loop read, a private copy: the values the
+    /// library's solver still uses, plus the finite-difference step it no
+    /// longer has.
+    const MAX_ITERATIONS: usize = 200;
+    const INITIAL_LAMBDA: f64 = 1e-3;
+    const LAMBDA_UP: f64 = 10.0;
+    const LAMBDA_DOWN: f64 = 0.3;
+    const TOLERANCE: f64 = 1e-12;
+    const FINITE_DIFFERENCE_STEP: f64 = 1e-6;
 
     /// Verbatim copy of the pre-PR Levenberg–Marquardt loop: finite-difference
     /// Jacobian, a fresh `Matrix`/`Vec` per iteration and per damping attempt,
@@ -124,7 +126,6 @@ mod pre_pr {
         xs: &[f64],
         ys: &[f64],
         initial: &[f64],
-        options: &LmOptions,
     ) -> Option<Vec<f64>>
     where
         F: Fn(&[f64], f64) -> f64,
@@ -147,12 +148,12 @@ mod pre_pr {
         let mut params = initial.to_vec();
         let mut res = residuals(&params);
         let mut cost = norm2(&res);
-        let mut lambda = options.initial_lambda;
+        let mut lambda = INITIAL_LAMBDA;
         let mut converged = false;
-        for _iter in 0..options.max_iterations {
+        for _iter in 0..MAX_ITERATIONS {
             let mut jac = Matrix::zeros(n_obs, n_params);
             for j in 0..n_params {
-                let step = options.finite_difference_step * params[j].abs().max(1e-4);
+                let step = FINITE_DIFFERENCE_STEP * params[j].abs().max(1e-4);
                 let mut bumped = params.clone();
                 bumped[j] += step;
                 let res_bumped = residuals(&bumped);
@@ -173,7 +174,7 @@ mod pre_pr {
                 let delta = match solve_gaussian(&damped, &neg_jtr) {
                     Ok(d) => d,
                     Err(_) => {
-                        lambda *= options.lambda_up;
+                        lambda *= LAMBDA_UP;
                         continue;
                     }
                 };
@@ -185,14 +186,14 @@ mod pre_pr {
                     params = candidate;
                     res = cand_res;
                     cost = cand_cost;
-                    lambda = (lambda * options.lambda_down).max(1e-15);
+                    lambda = (lambda * LAMBDA_DOWN).max(1e-15);
                     accepted = true;
-                    if improvement < options.tolerance {
+                    if improvement < TOLERANCE {
                         converged = true;
                     }
                     break;
                 }
-                lambda *= options.lambda_up;
+                lambda *= LAMBDA_UP;
             }
             if !accepted {
                 converged = true;
@@ -325,20 +326,20 @@ mod pre_pr {
     }
 
     /// The pre-PR per-cell candidate grid (sequential).
-    pub fn candidate_fits(xs: &[f64], ys: &[f64], options: &FitOptions, lm: &LmOptions) -> usize {
+    pub fn candidate_fits(xs: &[f64], ys: &[f64], options: &FitOptions) -> usize {
         let m = xs.len();
         let viable: Vec<usize> = options
             .checkpoint_counts
             .iter()
             .copied()
-            .filter(|c| *c >= 1 && m >= c + options.min_training_points.max(2))
+            .filter(|c| *c >= 1 && m >= c + MIN_TRAINING_POINTS)
             .collect();
         let data_max = ys.iter().copied().fold(0.0f64, f64::max);
-        let magnitude_cap = (data_max * options.max_growth_factor).min(options.max_magnitude);
+        let magnitude_cap = (data_max * options.max_growth_factor).min(MAX_MAGNITUDE);
         let mut kept = 0;
         for &c in &viable {
             let n_train = m - c;
-            let prefixes: Vec<usize> = (options.min_training_points..=n_train).collect();
+            let prefixes: Vec<usize> = (MIN_TRAINING_POINTS..=n_train).collect();
             for &prefix in &prefixes {
                 for &kernel in &options.kernels {
                     let px = &xs[..prefix];
@@ -353,7 +354,7 @@ mod pre_pr {
                     } else {
                         let initial = initial_guess(kernel, px, py);
                         let model = move |p: &[f64], x: f64| kernel.eval(p, x);
-                        match levenberg_marquardt_old(model, px, py, &initial, lm) {
+                        match levenberg_marquardt_old(model, px, py, &initial) {
                             Some(result) => result,
                             None => continue,
                         }
@@ -620,38 +621,6 @@ mod row_major {
     }
 }
 
-fn bench_jacobian_modes(c: &mut Criterion) {
-    // One Rat33 fit (largest parameter count) from the same offset start:
-    // analytic partials vs the finite-difference oracle.
-    let kernel = KernelKind::Rat33;
-    let truth = [30.0, 8.0, 1.0, 0.05, 0.1, 0.01, 0.001];
-    let xs: Vec<f64> = (1..=12).map(|i| i as f64).collect();
-    let ys: Vec<f64> = xs.iter().map(|x| kernel.eval(&truth, *x)).collect();
-    let mut group = c.benchmark_group("lm_jacobian");
-    group.sample_size(30);
-    for (label, jacobian) in [
-        ("analytic", Jacobian::Analytic),
-        ("finite_difference", Jacobian::FiniteDifference),
-    ] {
-        let options = LmOptions {
-            jacobian,
-            ..LmOptions::default()
-        };
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| {
-                fit_kernel(
-                    kernel,
-                    std::hint::black_box(&xs),
-                    std::hint::black_box(&ys),
-                    &options,
-                )
-                .unwrap()
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_grid_vs_pre_pr(c: &mut Criterion) {
     // The headline comparison: strip-structured allocation-free grid vs the
     // pre-PR per-cell path, both sequential (parallelism = 1).
@@ -672,16 +641,14 @@ fn bench_grid_vs_pre_pr(c: &mut Criterion) {
         })
     });
     // The emulation embeds the old LM loop verbatim (finite differences, no
-    // step-size pruning, allocations per iteration); the shared numeric
-    // options are the defaults both paths use.
-    let pre_pr_lm = LmOptions::default();
+    // step-size pruning, allocations per iteration), with the damping
+    // settings both paths use.
     group.bench_function(BenchmarkId::from_parameter("pre_pr_per_cell"), |b| {
         b.iter(|| {
             pre_pr::candidate_fits(
                 std::hint::black_box(&xs),
                 std::hint::black_box(&ys),
                 &options,
-                &pre_pr_lm,
             )
         })
     });
@@ -771,7 +738,6 @@ criterion_group!(
     bench_single_kernels,
     bench_model_selection,
     bench_parallel_candidate_grid,
-    bench_jacobian_modes,
     bench_grid_vs_pre_pr,
     bench_realism_walk
 );

@@ -1,7 +1,7 @@
 //! Configuration of the ESTIMA prediction pipeline.
 
 use crate::error::{EstimaError, Result};
-use crate::fit::FitOptions;
+use crate::fit::{FitOptions, MIN_TRAINING_POINTS};
 use crate::kernels::KernelKind;
 use crate::measurement::StallSource;
 
@@ -14,6 +14,11 @@ use crate::measurement::StallSource;
 /// beyond any machine the paper extrapolates to (64 cores is the largest
 /// target anywhere in this repository).
 pub const MAX_TARGET_CORES: u32 = 4096;
+
+/// Fewest measurements a prediction accepts: one checkpoint beyond the
+/// [`MIN_TRAINING_POINTS`] every fit needs. A smaller set fails with
+/// [`EstimaError::InsufficientMeasurements`].
+pub const MIN_MEASUREMENTS: usize = MIN_TRAINING_POINTS + 1;
 
 /// The target of a prediction: what machine (and dataset) we extrapolate to.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,10 +99,8 @@ pub struct EstimaConfig {
     /// Table 6 ablation.
     pub use_frontend_stalls: bool,
     /// Options for the per-category regression step (§3.1.2): kernels,
-    /// checkpoint counts, prefix refitting, Levenberg–Marquardt settings.
+    /// checkpoint counts, horizon, growth cap, prefix refitting.
     pub fit: FitOptions,
-    /// Minimum number of measurements required before predicting.
-    pub min_measurements: usize,
     /// Worker-thread budget for the prediction engine: the candidate-grid
     /// fan-out, the per-category fan-out, and
     /// [`crate::engine::BatchPredictor`] job fan-out all share this knob.
@@ -112,7 +115,6 @@ impl Default for EstimaConfig {
             use_software_stalls: true,
             use_frontend_stalls: false,
             fit: FitOptions::default(),
-            min_measurements: 4,
             parallelism: 0,
         }
     }

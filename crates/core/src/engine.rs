@@ -37,7 +37,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::config::{EstimaConfig, TargetSpec};
 use crate::error::Result;
 use crate::fit::{FitOptions, Fits, PrefixSolves};
-use crate::levenberg::{Jacobian, LmOptions};
 use crate::measurement::MeasurementSet;
 use crate::predictor::{Estima, Prediction};
 use crate::store::EstimaSession;
@@ -166,11 +165,11 @@ impl Engine {
 /// prefixes keep the encoding unambiguous. `horizon` is
 /// [`FitOptions::realism_horizon`]; `options` is the cache's interned id of
 /// every other field: the kernel count and each kernel's id, the
-/// checkpoint-count count and each count, the scalar fields (floats as
-/// bits) and [`LmOptions`] as the same eight words the solve memo interns.
-/// Destructuring `FitOptions` makes a new field a compile error until it is
-/// keyed. Two keys find the same list only if the series and options are
-/// exactly equal, so cache hits can never substitute another series' fits.
+/// checkpoint-count count and each count, and the scalar fields (floats as
+/// bits). Destructuring `FitOptions` makes a new field a compile error until
+/// it is keyed. Two keys find the same list only if the series and options
+/// are exactly equal, so cache hits can never substitute another series'
+/// fits.
 ///
 /// Keys built through [`FitKey::scoped`] additionally carry a
 /// [`CacheScope`] from the
@@ -223,24 +222,15 @@ fn option_words(options: &FitOptions) -> impl Iterator<Item = u64> + Clone + '_ 
     let FitOptions {
         kernels,
         checkpoint_counts,
-        min_training_points,
         realism_horizon: _,
-        max_magnitude,
         max_growth_factor,
         prefix_refitting,
-        lm,
     } = options;
     std::iter::once(kernels.len() as u64)
         .chain(kernels.iter().map(|kernel| *kernel as u64))
         .chain(std::iter::once(checkpoint_counts.len() as u64))
         .chain(checkpoint_counts.iter().map(|count| *count as u64))
-        .chain([
-            *min_training_points as u64,
-            max_magnitude.to_bits(),
-            max_growth_factor.to_bits(),
-            u64::from(*prefix_refitting),
-        ])
-        .chain(lm_bits(lm))
+        .chain([max_growth_factor.to_bits(), u64::from(*prefix_refitting)])
 }
 
 /// A [`FitKey`] as a shard's map hashes and compares it: its options
@@ -485,7 +475,7 @@ struct Shard {
     /// instead of sweeping the whole shard.
     by_series: HashMap<String, Vec<Arc<StoredKey>>>,
     /// The solve memo's entries on this shard, keyed by
-    /// `[LM options id, x₀, y₀, …, xₚ₋₁, yₚ₋₁]` bit patterns (see
+    /// `[x₀, y₀, …, xₚ₋₁, yₚ₋₁]` bit patterns (see
     /// [`FitCache::lookup_solves`]).
     solves: HashMap<Box<[u64]>, SolveEntry>,
     clock: u64,
@@ -573,10 +563,10 @@ const DEFAULT_CAPACITY: usize = 4096;
 ///
 /// Beneath the candidate lists, each shard also memoises grid cells per
 /// training prefix (see [`crate::fit`]'s module docs): one entry per prefix,
-/// keyed by the prefix's exact `f64` bits and the interned [`LmOptions`],
-/// holding every kernel's solve and, per kernel, the realism walk's verdict,
-/// maximum, training RMSE and eval table at the horizon it was last scored
-/// at. The memo is structural and unscoped, so
+/// keyed by the prefix's exact `f64` bits, holding every kernel's solve
+/// and, per kernel, the realism walk's verdict, maximum, training RMSE and
+/// eval table at the horizon it was last scored at. The memo is structural
+/// and unscoped, so
 /// [`FitCache::invalidate_series`] leaves it alone: a refit after an ingest
 /// solves and walks only the prefixes the ingest changed. It is bounded like
 /// the candidate lists — at most the shard capacity in entries per shard,
@@ -593,8 +583,6 @@ pub struct FitCache {
     /// Interned fit options (every field but the realism horizon): a key's
     /// stream carries its options' index here.
     fit_options: Interned,
-    /// Interned LM options: a memo key stores its options' index here.
-    solve_options: Interned,
     solve_hits: AtomicUsize,
     solve_misses: AtomicUsize,
 }
@@ -602,37 +590,6 @@ pub struct FitCache {
 /// The cache serves at most this many distinct [`FitOptions`] (the realism
 /// horizon aside); fits with further options are computed and not kept.
 const MAX_FIT_OPTIONS: usize = 64;
-
-/// The memo serves at most this many distinct [`LmOptions`]; fits with
-/// further options solve every cell.
-const MAX_SOLVE_OPTIONS: usize = 16;
-
-/// [`LmOptions`] as comparable bits, for interning.
-fn lm_bits(lm: &LmOptions) -> [u64; 8] {
-    let LmOptions {
-        max_iterations,
-        initial_lambda,
-        lambda_up,
-        lambda_down,
-        tolerance,
-        step_tolerance,
-        finite_difference_step,
-        jacobian,
-    } = *lm;
-    [
-        max_iterations as u64,
-        initial_lambda.to_bits(),
-        lambda_up.to_bits(),
-        lambda_down.to_bits(),
-        tolerance.to_bits(),
-        step_tolerance.to_bits(),
-        finite_difference_step.to_bits(),
-        match jacobian {
-            Jacobian::Analytic => 0,
-            Jacobian::FiniteDifference => 1,
-        },
-    ]
-}
 
 /// An append-only table of word lists, their indices handed out as ids in
 /// first-use order. Its slots fill in order and are written once, so a
@@ -694,7 +651,6 @@ impl FitCache {
             evictions: AtomicUsize::new(0),
             invalidations: AtomicUsize::new(0),
             fit_options: Interned::with_capacity(MAX_FIT_OPTIONS),
-            solve_options: Interned::with_capacity(MAX_SOLVE_OPTIONS),
             solve_hits: AtomicUsize::new(0),
             solve_misses: AtomicUsize::new(0),
         }
@@ -711,17 +667,10 @@ impl FitCache {
         self.shard_at(hash.finish())
     }
 
-    /// The id that stands for `lm` in solve-memo keys, interning it on first
-    /// use; `None` once [`MAX_SOLVE_OPTIONS`] other options hold every id.
-    pub(crate) fn solve_options_id(&self, lm: &LmOptions) -> Option<u64> {
-        self.solve_options.id(lm_bits(lm).into_iter())
-    }
-
     /// The memoised cells of one training prefix, refreshing the entry's
-    /// recency. `key` is `[options id, x₀, y₀, …, xₚ₋₁, yₚ₋₁]`: the id from
-    /// [`FitCache::solve_options_id`], then the prefix's points as `f64` bit
-    /// patterns. The entry itself is shared: the lock is held for a
-    /// reference-count increment, not a copy.
+    /// recency. `key` is `[x₀, y₀, …, xₚ₋₁, yₚ₋₁]`, the prefix's points as
+    /// `f64` bit patterns. The entry itself is shared: the lock is held for
+    /// a reference-count increment, not a copy.
     pub(crate) fn lookup_solves(&self, key: &[u64]) -> Option<Arc<PrefixSolves>> {
         let mut guard = self
             .solve_shard(key)
@@ -1150,8 +1099,8 @@ mod tests {
             assert!(!hits(FitKey::new(xs, ys, &options)), "{xs:?}, {ys:?} hit");
         }
 
-        // One variant per field of FitOptions and LmOptions, each changed
-        // alone: every variant misses, then hits with equal options.
+        // One variant per field of FitOptions, each changed alone: every
+        // variant misses, then hits with equal options.
         let with = |change: &dyn Fn(&mut FitOptions)| {
             let mut changed = FitOptions::default();
             change(&mut changed);
@@ -1165,19 +1114,9 @@ mod tests {
             with(&|o| o.checkpoint_counts = vec![4, 2]),
             with(&|o| o.checkpoint_counts = vec![2]),
             with(&|o| o.checkpoint_counts = vec![2, 4, 4]),
-            with(&|o| o.min_training_points += 1),
             with(&|o| o.realism_horizon = 128),
-            with(&|o| o.max_magnitude = 1e17),
             with(&|o| o.max_growth_factor = 100.5),
             with(&|o| o.prefix_refitting = false),
-            with(&|o| o.lm.max_iterations += 1),
-            with(&|o| o.lm.initial_lambda *= 2.0),
-            with(&|o| o.lm.lambda_up *= 2.0),
-            with(&|o| o.lm.lambda_down *= 2.0),
-            with(&|o| o.lm.tolerance *= 2.0),
-            with(&|o| o.lm.step_tolerance *= 2.0),
-            with(&|o| o.lm.finite_difference_step *= 2.0),
-            with(&|o| o.lm.jacobian = Jacobian::FiniteDifference),
         ];
         for (index, variant) in variants.iter().enumerate() {
             assert!(!hits(FitKey::new(&xs, &ys, variant)), "variant {index} hit");
@@ -1190,14 +1129,14 @@ mod tests {
 
         // Floats key by their bits: a different NaN payload, and -0.0
         // against 0.0, miss; the same bits hit.
-        let nan = with(&|o| o.max_magnitude = f64::NAN);
+        let nan = with(&|o| o.max_growth_factor = f64::NAN);
         assert!(!hits(FitKey::new(&xs, &ys, &nan)));
         assert!(hits(FitKey::new(&xs, &ys, &nan.clone())));
-        let other = with(&|o| o.max_magnitude = other_nan);
+        let other = with(&|o| o.max_growth_factor = other_nan);
         assert!(!hits(FitKey::new(&xs, &ys, &other)));
-        let zero = with(&|o| o.lm.tolerance = 0.0);
+        let zero = with(&|o| o.max_growth_factor = 0.0);
         assert!(!hits(FitKey::new(&xs, &ys, &zero)));
-        let negative_zero = with(&|o| o.lm.tolerance = -0.0);
+        let negative_zero = with(&|o| o.max_growth_factor = -0.0);
         assert!(!hits(FitKey::new(&xs, &ys, &negative_zero)));
 
         // A scope distinguishes otherwise equal keys, by series and version.
@@ -1217,11 +1156,8 @@ mod tests {
             realism_horizon: 48,
             ..FitOptions::default()
         };
-        let lm = FitOptions {
-            lm: LmOptions {
-                tolerance: -0.0,
-                ..LmOptions::default()
-            },
+        let growth = FitOptions {
+            max_growth_factor: f64::from_bits(defaults.max_growth_factor.to_bits() + 1),
             ..FitOptions::default()
         };
         // Pairwise distinct keys, each close to another.
@@ -1238,7 +1174,7 @@ mod tests {
             FitKey::scoped(&[1.0, 2.0], &[3.0], &defaults, "b", 1),
             FitKey::scoped(&[1.0, 2.0], &[3.0], &defaults, "", 1),
             FitKey::new(&[1.0, 2.0], &[3.0], &horizon),
-            FitKey::new(&[1.0, 2.0], &[3.0], &lm),
+            FitKey::new(&[1.0, 2.0], &[3.0], &growth),
         ];
         let cache = FitCache::new();
         let computes = Cell::new(0);
@@ -1351,8 +1287,7 @@ mod tests {
     fn solve_memo_is_lru_bounded_and_survives_invalidation() {
         // One shard with room for two prefixes.
         let cache = FitCache::with_shards_and_capacity(1, 2);
-        let id = cache.solve_options_id(&LmOptions::default()).unwrap();
-        let key = |tag: f64| [id, 1.0f64.to_bits(), tag.to_bits()];
+        let key = |tag: f64| [1.0f64.to_bits(), tag.to_bits()];
         cache.store_solves(&key(1.0), PrefixSolves::EMPTY);
         cache.store_solves(&key(2.0), PrefixSolves::EMPTY);
         assert!(cache.lookup_solves(&key(1.0)).is_some()); // refreshes 1
@@ -1369,20 +1304,39 @@ mod tests {
     }
 
     #[test]
-    fn lm_options_intern_to_stable_ids_up_to_the_cap() {
+    fn fit_options_intern_up_to_the_cap() {
+        // Each of the first MAX_FIT_OPTIONS option sets computes once and
+        // then hits; one more computes on every lookup, and the first
+        // still hits.
         let cache = FitCache::new();
-        let options = |max_iterations| LmOptions {
-            max_iterations,
-            ..LmOptions::default()
+        let computes = Cell::new(0);
+        let (xs, ys) = ([1.0, 2.0], [3.0, 4.0]);
+        let options: Vec<FitOptions> = (1..=MAX_FIT_OPTIONS + 1)
+            .map(|factor| FitOptions {
+                max_growth_factor: factor as f64,
+                ..FitOptions::default()
+            })
+            .collect();
+        let look = |options: &FitOptions| {
+            look_up(&cache, FitKey::new(&xs, &ys, options), &computes);
+            computes.get()
         };
-        let first = cache.solve_options_id(&options(1)).unwrap();
-        assert_eq!(cache.solve_options_id(&options(1)), Some(first));
-        assert_ne!(cache.solve_options_id(&options(2)), Some(first));
-        for n in 3..=MAX_SOLVE_OPTIONS {
-            assert!(cache.solve_options_id(&options(n)).is_some());
+        for (n, options) in options[..MAX_FIT_OPTIONS].iter().enumerate() {
+            assert_eq!(
+                look(options),
+                n + 1,
+                "option set {n} hit before it was seen"
+            );
+            assert_eq!(look(options), n + 1, "option set {n} missed its list");
         }
-        assert_eq!(cache.solve_options_id(&options(0)), None, "past the cap");
-        assert_eq!(cache.solve_options_id(&options(1)), Some(first));
+        let past = &options[MAX_FIT_OPTIONS];
+        assert_eq!(look(past), MAX_FIT_OPTIONS + 1);
+        assert_eq!(
+            look(past),
+            MAX_FIT_OPTIONS + 2,
+            "past the cap, a list is kept"
+        );
+        assert_eq!(look(&options[0]), MAX_FIT_OPTIONS + 2, "the first missed");
     }
 
     fn demo_set(name: &str) -> MeasurementSet {

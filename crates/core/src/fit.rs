@@ -73,13 +73,13 @@
 //! # The solve memo
 //!
 //! A cell's solve (the linear kernels' Cholesky, the nonlinear kernels'
-//! linearised guess plus LM run) is a pure function of the prefix's points
-//! and the [`LmOptions`]. So is most of its scoring: the realism walk at a
-//! horizon, the training RMSE and the eval table read nothing but the
-//! parameters, the prefix and the horizon. Only the checkpoint RMSE reads
-//! the held-out points, and the magnitude cap reads the series maximum —
-//! and the walk takes no cap: it returns the largest value it captured,
-//! and a cap keeps the curve iff `!(max > cap)`.
+//! linearised guess plus LM run) is a pure function of the prefix's points,
+//! since the LM settings are fixed (see [`crate::levenberg`]). So is most
+//! of its scoring: the realism walk at a horizon, the training RMSE and the
+//! eval table read nothing but the parameters, the prefix and the horizon.
+//! Only the checkpoint RMSE reads the held-out points, and the magnitude
+//! cap reads the series maximum — and the walk takes no cap: it returns the
+//! largest value it captured, and a cap keeps the curve iff `!(max > cap)`.
 //!
 //! A fit with a cache therefore looks every prefix up in the [`FitCache`]'s
 //! memo before fanning out; a lookup hands out the entry's one shared `Arc`.
@@ -106,7 +106,7 @@ use crate::config::MAX_TARGET_CORES;
 use crate::engine::{CacheScope, Engine, FitCache, FitKey};
 use crate::error::{EstimaError, Result};
 use crate::kernels::{within_cap, FittedCurve, HorizonTable, KernelKind, Params};
-use crate::levenberg::{levenberg_marquardt_into, LmOptions, LmWorkspace, MAX_PARAMS};
+use crate::levenberg::{levenberg_marquardt_into, LmWorkspace, MAX_PARAMS};
 use crate::linalg::{
     accumulate_normal_equations, cholesky_solve_in_place, solve_least_squares_qr_columns,
 };
@@ -115,22 +115,25 @@ use crate::linalg::{
 /// system is under-determined or numerically not positive definite.
 const RIDGE: f64 = 1e-8;
 
+/// Fewest training points any fit uses: the paper refits on every prefix
+/// `i in 3..=n` of the training points (§3.1.2).
+pub const MIN_TRAINING_POINTS: usize = 3;
+
+/// Largest magnitude a realistic curve may reach inside the realism
+/// horizon; guards against explosive extrapolations.
+pub const MAX_MAGNITUDE: f64 = 1e18;
+
 /// Options for fitting a single series.
 #[derive(Debug, Clone)]
 pub struct FitOptions {
     /// Kernels to consider (defaults to all six of Table 1).
     pub kernels: Vec<KernelKind>,
     /// Candidate checkpoint counts; the paper uses 2 and 4. Each viable value
-    /// (i.e. leaving at least [`FitOptions::min_training_points`] training
-    /// points) is tried and candidates compete across checkpoint counts.
+    /// (i.e. leaving at least [`MIN_TRAINING_POINTS`] training points) is
+    /// tried and candidates compete across checkpoint counts.
     pub checkpoint_counts: Vec<usize>,
-    /// Minimum number of training points required for any fit.
-    pub min_training_points: usize,
     /// Largest core count the fitted curve must stay realistic up to.
     pub realism_horizon: u32,
-    /// Upper bound on the magnitude a realistic curve may reach inside the
-    /// horizon; guards against explosive extrapolations.
-    pub max_magnitude: f64,
     /// Upper bound on how much a realistic curve may grow relative to the
     /// largest training value. Stall categories grow by at most a few tens of
     /// times when quadrupling the core count; a fit that extrapolates to
@@ -139,8 +142,6 @@ pub struct FitOptions {
     /// Whether to refit on every prefix `i in 3..=n` (the paper's
     /// anti-over-fitting loop) or only on the full training set.
     pub prefix_refitting: bool,
-    /// Levenberg–Marquardt options for the nonlinear kernels.
-    pub lm: LmOptions,
 }
 
 impl Default for FitOptions {
@@ -148,12 +149,9 @@ impl Default for FitOptions {
         FitOptions {
             kernels: KernelKind::ALL.to_vec(),
             checkpoint_counts: vec![2, 4],
-            min_training_points: 3,
             realism_horizon: 64,
-            max_magnitude: 1e18,
             max_growth_factor: 100.0,
             prefix_refitting: true,
-            lm: LmOptions::default(),
         }
     }
 }
@@ -207,8 +205,7 @@ fn grow(buf: &mut Vec<f64>, len: usize) {
     }
 }
 
-/// Fit a single kernel to the series `(xs, ys)` and return its parameters;
-/// `lm` drives the nonlinear kernels' Levenberg–Marquardt refinement.
+/// Fit a single kernel to the series `(xs, ys)` and return its parameters.
 ///
 /// This is one cell of the candidate grid: the cell solver the grid runs, on
 /// the series' full-length prefix, so the parameters are bit for bit the ones
@@ -220,14 +217,14 @@ fn grow(buf: &mut Vec<f64>, len: usize) {
 ///
 /// Returns an error for an empty or mismatched series, or when the cell
 /// finds no solution.
-pub fn fit_kernel(kernel: KernelKind, xs: &[f64], ys: &[f64], lm: &LmOptions) -> Result<Params> {
+pub fn fit_kernel(kernel: KernelKind, xs: &[f64], ys: &[f64]) -> Result<Params> {
     if xs.len() != ys.len() || xs.is_empty() {
         return Err(EstimaError::Numerical("fit_kernel: bad series".into()));
     }
     let mut buf = [0.0f64; MAX_PARAMS];
     let params = &mut buf[..kernel.param_count()];
     let solved =
-        with_fit_workspace(|ws| CellSolver::new(kernel, xs, ys, lm).solve(xs.len(), ws, params));
+        with_fit_workspace(|ws| CellSolver::new(kernel, xs, ys).solve(xs.len(), ws, params));
     if !solved {
         return Err(EstimaError::Numerical(format!(
             "fit_kernel: no {kernel} solution"
@@ -779,8 +776,8 @@ impl PrefixSolves {
 /// prefix's key, and what the memo knew before the fit.
 struct SeriesSolves<'c> {
     cache: &'c FitCache,
-    /// `[options id, x₀, y₀, x₁, y₁, …]` as bit patterns: prefix `p`'s memo
-    /// key is `key[..1 + 2p]`, so one buffer holds every prefix's key.
+    /// `[x₀, y₀, x₁, y₁, …]` as bit patterns: prefix `p`'s memo key is
+    /// `key[..2p]`, so one buffer holds every prefix's key.
     key: Vec<u64>,
     /// Smallest grid prefix; `known[i]` belongs to prefix `lo + i` (`None`
     /// when the memo holds nothing for it).
@@ -791,37 +788,34 @@ struct SeriesSolves<'c> {
 }
 
 impl<'c> SeriesSolves<'c> {
-    /// Look up every prefix the grid will fit. `None` when the cache cannot
-    /// memoise these LM options.
+    /// Look up every prefix the grid will fit.
     fn open(
         cache: &'c FitCache,
         xs: &[f64],
         ys: &[f64],
         options: &FitOptions,
         spans: &[CheckpointSpan],
-    ) -> Option<SeriesSolves<'c>> {
-        let id = cache.solve_options_id(&options.lm)?;
+    ) -> SeriesSolves<'c> {
         let (lo, hi) = prefix_range(spans);
-        let mut key = Vec::with_capacity(1 + 2 * hi);
-        key.push(id);
+        let mut key = Vec::with_capacity(2 * hi);
         for (x, y) in xs[..hi].iter().zip(&ys[..hi]) {
             key.extend([x.to_bits(), y.to_bits()]);
         }
         let known = (lo..=hi)
             .map(|prefix| {
                 covered(spans, prefix)
-                    .then(|| cache.lookup_solves(&key[..1 + 2 * prefix]))
+                    .then(|| cache.lookup_solves(&key[..2 * prefix]))
                     .flatten()
             })
             .collect();
         let prefixes = (lo..=hi).filter(|prefix| covered(spans, *prefix)).count();
-        Some(SeriesSolves {
+        SeriesSolves {
             cache,
             key,
             lo,
             known,
             cells: prefixes * options.kernels.len(),
-        })
+        }
     }
 
     /// Store the cells the kernel grids computed (one list of `(prefix −
@@ -840,7 +834,7 @@ impl<'c> SeriesSolves<'c> {
         drop(known);
         let mut computed = 0;
         for (index, cell) in fresh.into_iter().flatten() {
-            cache.store_solves(&key[..1 + 2 * (lo + index)], cell);
+            cache.store_solves(&key[..2 * (lo + index)], cell);
             computed += 1;
         }
         cache.record_solves(cells - computed, computed);
@@ -888,7 +882,7 @@ fn covered(spans: &[CheckpointSpan], prefix: usize) -> bool {
 /// Prefix range for a training set of `n_train` points.
 fn prefix_bounds(options: &FitOptions, n_train: usize) -> (usize, usize) {
     if options.prefix_refitting {
-        (options.min_training_points, n_train)
+        (MIN_TRAINING_POINTS, n_train)
     } else {
         (n_train, n_train)
     }
@@ -897,8 +891,7 @@ fn prefix_bounds(options: &FitOptions, n_train: usize) -> (usize, usize) {
 /// The candidate grid, with its cells drawn from (and added to) `memo`'s
 /// solve memo when one is given. The candidates are bit-identical either
 /// way: a memoised cell holds the exact parameters, walk maximum, training
-/// RMSE and eval table the same prefix, LM options and horizon produced
-/// before.
+/// RMSE and eval table the same prefix and horizon produced before.
 fn candidate_grid(
     xs: &[f64],
     ys: &[f64],
@@ -925,15 +918,15 @@ fn candidate_grid(
         .checkpoint_counts
         .iter()
         .copied()
-        .filter(|c| *c >= 1 && m >= c + options.min_training_points.max(2))
+        .filter(|c| *c >= 1 && m >= c + MIN_TRAINING_POINTS)
         .collect();
     if viable_checkpoint_counts.is_empty() {
         // Degrade gracefully to a single checkpoint when the series is short.
-        if m > options.min_training_points {
+        if m > MIN_TRAINING_POINTS {
             viable_checkpoint_counts.push(1);
         } else {
             return Err(EstimaError::InsufficientMeasurements {
-                required: options.min_training_points + 1,
+                required: MIN_TRAINING_POINTS + 1,
                 available: m,
             });
         }
@@ -955,9 +948,9 @@ fn candidate_grid(
 
     let data_max = ys.iter().copied().fold(0.0f64, f64::max);
     let magnitude_cap = if data_max > 0.0 {
-        (data_max * options.max_growth_factor).min(options.max_magnitude)
+        (data_max * options.max_growth_factor).min(MAX_MAGNITUDE)
     } else {
-        options.max_magnitude
+        MAX_MAGNITUDE
     };
     let grid = Grid {
         xs,
@@ -971,7 +964,7 @@ fn candidate_grid(
         tail_start: (xs.iter().fold(0.0f64, |a, x| a.max(*x)) as u32).saturating_add(1),
     };
 
-    let solves = memo.and_then(|cache| SeriesSolves::open(cache, xs, ys, options, &spans));
+    let solves = memo.map(|cache| SeriesSolves::open(cache, xs, ys, options, &spans));
     let known = solves.as_ref().map(|solves| solves.known.as_slice());
     let (mut kernel_grids, fresh): (Vec<_>, Vec<_>) = engine
         .run(options.kernels.clone(), |kernel| {
@@ -1044,7 +1037,7 @@ fn fit_kernel_grid(
     // The slab covers the longest training range.
     let n_build = grid.spans.iter().map(|s| s.n_train).max().unwrap_or(0);
     let (xs, ys) = (&grid.xs[..n_build], &grid.ys[..n_build]);
-    let mut solver = CellSolver::new(kernel, xs, ys, &grid.options.lm);
+    let mut solver = CellSolver::new(kernel, xs, ys);
     let mut params_buf = [0.0f64; MAX_PARAMS];
     for prefix in lo..=hi {
         if !covered(grid.spans, prefix) {
@@ -1213,16 +1206,15 @@ fn table_rmse(kernel: KernelKind, params: &[f64], values: &[f64], xs: &[f64], ys
 ///   allocation-free Levenberg–Marquardt run using the kernel's analytic
 ///   Jacobian.
 ///
-/// A prefix's outcome reads only the prefix's points and the LM options,
-/// never the slab's length: the QR solve copies the prefix rows out of the
-/// slab, and the normal equations sum the rows in ascending order.
+/// A prefix's outcome reads only the prefix's points, never the slab's
+/// length: the QR solve copies the prefix rows out of the slab, and the
+/// normal equations sum the rows in ascending order.
 struct CellSolver<'a> {
     kernel: KernelKind,
     /// The points the slab is built over; their count is the slab's column
     /// stride.
     xs: &'a [f64],
     ys: &'a [f64],
-    lm: &'a LmOptions,
     built: bool,
     /// `ExpRat`: the points before the first non-positive value (its
     /// linearisation goes through `ln y`).
@@ -1232,12 +1224,11 @@ struct CellSolver<'a> {
 }
 
 impl<'a> CellSolver<'a> {
-    fn new(kernel: KernelKind, xs: &'a [f64], ys: &'a [f64], lm: &'a LmOptions) -> Self {
+    fn new(kernel: KernelKind, xs: &'a [f64], ys: &'a [f64]) -> Self {
         CellSolver {
             kernel,
             xs,
             ys,
-            lm,
             built: false,
             positive_limit: xs.len(),
             rows_in: 0,
@@ -1246,7 +1237,7 @@ impl<'a> CellSolver<'a> {
 
     /// Solve `prefix` into `params`; returns whether a solution was found.
     /// Reads only the prefix's points, so the outcome is a function of the
-    /// prefix and the LM options — what lets the memo reuse it.
+    /// prefix alone — what lets the memo reuse it.
     fn solve(&mut self, prefix: usize, ws: &mut FitWorkspace, params: &mut [f64]) -> bool {
         if !self.built {
             self.build(ws);
@@ -1385,14 +1376,13 @@ impl<'a> CellSolver<'a> {
         if !guessed {
             fallback_guess(kernel, mean_y, params);
         }
-        levenberg_marquardt_into(kernel, px, py, params, self.lm, &mut ws.lm).is_ok()
+        levenberg_marquardt_into(kernel, px, py, params, &mut ws.lm).is_ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::levenberg::Jacobian;
 
     fn series_from(kernel: KernelKind, params: &[f64], max: u32) -> (Vec<f64>, Vec<f64>) {
         let xs: Vec<f64> = (1..=max).map(|c| c as f64).collect();
@@ -1473,7 +1463,7 @@ mod tests {
     fn linear_kernel_recovers_exact_parameters() {
         let true_params = [10.0, 5.0, 1.5, 0.2];
         let (xs, ys) = series_from(KernelKind::Poly25, &true_params, 12);
-        let fitted = fit_kernel(KernelKind::Poly25, &xs, &ys, &LmOptions::default()).unwrap();
+        let fitted = fit_kernel(KernelKind::Poly25, &xs, &ys).unwrap();
         for (f, t) in fitted.iter().zip(&true_params) {
             assert!((f - t).abs() < 1e-6, "fitted {fitted:?}");
         }
@@ -1483,7 +1473,7 @@ mod tests {
     fn cubicln_recovers_exact_parameters() {
         let true_params = [100.0, 20.0, 3.0, 0.5];
         let (xs, ys) = series_from(KernelKind::CubicLn, &true_params, 12);
-        let fitted = fit_kernel(KernelKind::CubicLn, &xs, &ys, &LmOptions::default()).unwrap();
+        let fitted = fit_kernel(KernelKind::CubicLn, &xs, &ys).unwrap();
         for (f, t) in fitted.iter().zip(&true_params) {
             assert!((f - t).abs() < 1e-6);
         }
@@ -1493,7 +1483,7 @@ mod tests {
     fn rational_kernel_reproduces_series() {
         let true_params = [50.0, 10.0, 2.0, 0.05, 0.001];
         let (xs, ys) = series_from(KernelKind::Rat22, &true_params, 12);
-        let fitted = fit_kernel(KernelKind::Rat22, &xs, &ys, &LmOptions::default()).unwrap();
+        let fitted = fit_kernel(KernelKind::Rat22, &xs, &ys).unwrap();
         // Parameters of rational fits are not unique; check the values match.
         for (x, y) in xs.iter().zip(&ys) {
             let v = KernelKind::Rat22.eval(&fitted, *x);
@@ -1505,7 +1495,7 @@ mod tests {
     fn exprat_reproduces_series() {
         let true_params = [2.0, 0.3, 1.0, 0.05];
         let (xs, ys) = series_from(KernelKind::ExpRat, &true_params, 12);
-        let fitted = fit_kernel(KernelKind::ExpRat, &xs, &ys, &LmOptions::default()).unwrap();
+        let fitted = fit_kernel(KernelKind::ExpRat, &xs, &ys).unwrap();
         for (x, y) in xs.iter().zip(&ys) {
             let v = KernelKind::ExpRat.eval(&fitted, *x);
             assert!((v - y).abs() / y < 1e-3, "at {x}: {v} vs {y}");
@@ -1572,9 +1562,7 @@ mod tests {
         let candidates = candidate_fits(&xs, &ys, &opts, &FitContext::default()).unwrap();
         assert!(!candidates.is_empty());
         for c in candidates.iter() {
-            assert!(c
-                .curve
-                .is_realistic(opts.realism_horizon, opts.max_magnitude));
+            assert!(c.curve.is_realistic(opts.realism_horizon, MAX_MAGNITUDE));
             assert!(c.curve.checkpoint_rmse.is_finite());
         }
     }
@@ -1711,7 +1699,7 @@ mod tests {
                 // reasonably.
                 assert!(curve.training_rmse.is_finite());
                 let p = curve.training_points;
-                let one_shot = fit_kernel(curve.kernel, &xs[..p], &ys[..p], &options.lm).unwrap();
+                let one_shot = fit_kernel(curve.kernel, &xs[..p], &ys[..p]).unwrap();
                 assert_eq!(
                     bits(&one_shot),
                     bits(&curve.params),
@@ -1849,13 +1837,13 @@ mod tests {
     }
 
     #[test]
-    fn analytic_and_fd_grids_produce_equivalent_winners() {
+    fn grid_winner_extrapolates_a_quadratic_trend() {
         let xs: Vec<f64> = (1..=12).map(|c| c as f64).collect();
         let ys: Vec<f64> = xs
             .iter()
             .map(|x| 1.0e9 + 2.0e7 * x + 5.0e5 * x * x)
             .collect();
-        let analytic = approximate_series(
+        let curve = approximate_series(
             &xs,
             &ys,
             "a",
@@ -1863,25 +1851,14 @@ mod tests {
             &FitContext::default(),
         )
         .unwrap();
-        let fd_options = FitOptions {
-            lm: LmOptions {
-                jacobian: Jacobian::FiniteDifference,
-                ..LmOptions::default()
-            },
-            ..FitOptions::default()
-        };
-        let fd = approximate_series(&xs, &ys, "fd", &fd_options, &FitContext::default()).unwrap();
-        // Both must extrapolate the quadratic trend closely.
         for cores in [24.0, 48.0] {
             let truth = 1.0e9 + 2.0e7 * cores + 5.0e5 * cores * cores;
-            for curve in [&analytic, &fd] {
-                let v = curve.eval(cores);
-                assert!(
-                    (v - truth).abs() / truth < 0.05,
-                    "{:?} at {cores}: {v} vs {truth}",
-                    curve.kernel
-                );
-            }
+            let v = curve.eval(cores);
+            assert!(
+                (v - truth).abs() / truth < 0.05,
+                "{:?} at {cores}: {v} vs {truth}",
+                curve.kernel
+            );
         }
     }
 }

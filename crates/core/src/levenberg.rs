@@ -10,10 +10,10 @@
 //! of [`crate::fit`] runs it), so the core is written to do **zero heap
 //! allocation per iteration**:
 //!
-//! * the Jacobian is the kernel's **analytic** one, replacing the
-//!   finite-difference loop that costs `P + 1` model evaluations per
-//!   observation per iteration; residuals and partials are filled through
-//!   the lane-chunked slab entry points ([`KernelKind::residuals_into`] /
+//! * the Jacobian is the kernel's **analytic** one, where finite
+//!   differences would cost `P + 1` model evaluations per observation per
+//!   iteration; residuals and partials are filled through the lane-chunked
+//!   slab entry points ([`KernelKind::residuals_into`] /
 //!   [`KernelKind::partials_into`]) into a **column-major** Jacobian slab
 //!   that the normal-equation reductions consume column-wise;
 //! * every buffer the iteration needs (residuals, Jacobian, normal
@@ -24,8 +24,8 @@
 //!   ([`crate::linalg::cholesky_solve_in_place`] /
 //!   [`crate::linalg::gaussian_solve_in_place`]).
 //!
-//! Forward finite differencing stays available as a verification oracle via
-//! [`LmOptions::jacobian`] = [`Jacobian::FiniteDifference`].
+//! The damping schedule and the stopping rules are fixed, so a solve is a
+//! function of the kernel and the points alone.
 
 use crate::error::{EstimaError, Result};
 use crate::kernels::KernelKind;
@@ -45,57 +45,22 @@ pub use crate::kernels::POLE_PENALTY;
 /// keep parameter vectors in fixed-size stack buffers.
 pub const MAX_PARAMS: usize = 8;
 
-/// How the Jacobian of the residual vector is obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Jacobian {
-    /// Use the kernel's analytic partial derivatives
-    /// ([`KernelKind::partials_into`]).
-    Analytic,
-    /// Use forward finite differences instead. Kept as a verification oracle
-    /// for the analytic path.
-    FiniteDifference,
-}
+/// The damping schedule: at most `MAX_ITERATIONS` outer iterations; λ
+/// starts at `INITIAL_LAMBDA` and is multiplied by `LAMBDA_UP` on a rejected
+/// step and by `LAMBDA_DOWN` on an accepted one; a relative reduction of the
+/// residual norm below `TOLERANCE` has converged.
+const MAX_ITERATIONS: usize = 200;
+const INITIAL_LAMBDA: f64 = 1e-3;
+const LAMBDA_UP: f64 = 10.0;
+const LAMBDA_DOWN: f64 = 0.3;
+const TOLERANCE: f64 = 1e-12;
 
-/// Options controlling the Levenberg–Marquardt iteration.
-#[derive(Debug, Clone, Copy)]
-pub struct LmOptions {
-    /// Maximum number of outer iterations.
-    pub max_iterations: usize,
-    /// Initial damping factor λ.
-    pub initial_lambda: f64,
-    /// Multiplicative factor applied to λ on rejected steps.
-    pub lambda_up: f64,
-    /// Multiplicative factor applied to λ on accepted steps.
-    pub lambda_down: f64,
-    /// Convergence threshold on the relative reduction of the residual norm.
-    pub tolerance: f64,
-    /// Step-size convergence threshold: a **rejected** trial step with
-    /// `‖δ‖ ≤ step_tolerance · (‖params‖ + step_tolerance)` terminates the
-    /// damping escalation — larger λ only shrinks the step further, so no
-    /// downhill move is reachable. This prunes the final iteration's
-    /// pointless solve/evaluate ladder without affecting accepted steps.
-    pub step_tolerance: f64,
-    /// Relative step used for numerical differentiation.
-    pub finite_difference_step: f64,
-    /// Jacobian source: analytic partials (default) or the finite-difference
-    /// verification oracle.
-    pub jacobian: Jacobian,
-}
-
-impl Default for LmOptions {
-    fn default() -> Self {
-        LmOptions {
-            max_iterations: 200,
-            initial_lambda: 1e-3,
-            lambda_up: 10.0,
-            lambda_down: 0.3,
-            tolerance: 1e-12,
-            step_tolerance: 1e-14,
-            finite_difference_step: 1e-6,
-            jacobian: Jacobian::Analytic,
-        }
-    }
-}
+/// Step-size threshold: a **rejected** trial step with
+/// `‖δ‖ ≤ STEP_TOLERANCE · (‖params‖ + STEP_TOLERANCE)` ends the damping
+/// escalation — a larger λ only shrinks the step further, so no downhill
+/// move is reachable. This prunes the final iteration's pointless
+/// solve/evaluate ladder without affecting accepted steps.
+const STEP_TOLERANCE: f64 = 1e-14;
 
 /// Preallocated buffers for the Levenberg–Marquardt iteration. Create one per
 /// batch of fits (one per worker thread in the prediction engine) and reuse
@@ -111,7 +76,6 @@ pub struct LmWorkspace {
     jtr: Vec<f64>,
     step: Vec<f64>,
     trial_params: Vec<f64>,
-    bumped: Vec<f64>,
 }
 
 impl LmWorkspace {
@@ -140,7 +104,6 @@ impl LmWorkspace {
         grow(&mut self.jtr, n_params);
         grow(&mut self.step, n_params);
         grow(&mut self.trial_params, n_params);
-        grow(&mut self.bumped, n_params);
     }
 }
 
@@ -177,7 +140,6 @@ pub fn levenberg_marquardt_into(
     xs: &[f64],
     ys: &[f64],
     params: &mut [f64],
-    options: &LmOptions,
     workspace: &mut LmWorkspace,
 ) -> Result<LmStats> {
     if xs.len() != ys.len() {
@@ -208,7 +170,6 @@ pub fn levenberg_marquardt_into(
         jtr,
         step,
         trial_params,
-        bumped,
     } = workspace;
     let residuals = &mut residuals[..n_obs];
     let trial_residuals = &mut trial_residuals[..n_obs];
@@ -218,44 +179,27 @@ pub fn levenberg_marquardt_into(
     let jtr = &mut jtr[..n_params];
     let step = &mut step[..n_params];
     let trial_params = &mut trial_params[..n_params];
-    let bumped = &mut bumped[..n_params];
 
     kernel.residuals_into(params, xs, ys, residuals);
     let mut cost = norm2(residuals);
-    let mut lambda = options.initial_lambda;
+    let mut lambda = INITIAL_LAMBDA;
     let mut converged = false;
     let mut iterations = 0;
 
-    for iter in 0..options.max_iterations {
+    for iter in 0..MAX_ITERATIONS {
         iterations = iter + 1;
 
         // Jacobian of the residual vector, stored as a column-major slab:
         // jacobian[j * n_obs + i] = ∂ r_i / ∂ params[j]. Columns are what
-        // both producers fill contiguously (the chunked analytic slab per
-        // parameter, the finite-difference path per parameter bump) and what
-        // the normal-equation reductions consume.
-        if options.jacobian == Jacobian::Analytic {
-            kernel.partials_into(params, xs, jacobian);
-            // A pole-penalty residual is constant, so it is locally flat in
-            // every parameter direction.
-            for (i, r) in residuals.iter().enumerate() {
-                if *r == POLE_PENALTY {
-                    for j in 0..n_params {
-                        jacobian[j * n_obs + i] = 0.0;
-                    }
-                }
-            }
-        } else {
-            // Forward finite differences, the verification oracle. Each
-            // parameter bump fills one contiguous column.
-            for j in 0..n_params {
-                let h = options.finite_difference_step * params[j].abs().max(1e-4);
-                bumped.copy_from_slice(params);
-                bumped[j] += h;
-                let column = &mut jacobian[j * n_obs..(j + 1) * n_obs];
-                kernel.residuals_into(bumped, xs, ys, column);
-                for (c, r) in column.iter_mut().zip(residuals.iter()) {
-                    *c = (*c - r) / h;
+        // the chunked analytic slab fills contiguously per parameter and
+        // what the normal-equation reductions consume.
+        kernel.partials_into(params, xs, jacobian);
+        // A pole-penalty residual is constant, so it is locally flat in
+        // every parameter direction.
+        for (i, r) in residuals.iter().enumerate() {
+            if *r == POLE_PENALTY {
+                for j in 0..n_params {
+                    jacobian[j * n_obs + i] = 0.0;
                 }
             }
         }
@@ -291,7 +235,7 @@ pub fn levenberg_marquardt_into(
                 }
             }
             if !solved {
-                lambda *= options.lambda_up;
+                lambda *= LAMBDA_UP;
                 continue;
             }
             for ((t, p), d) in trial_params.iter_mut().zip(params.iter()).zip(step.iter()) {
@@ -304,9 +248,9 @@ pub fn levenberg_marquardt_into(
                 params.copy_from_slice(trial_params);
                 residuals.copy_from_slice(trial_residuals);
                 cost = trial_cost;
-                lambda = (lambda * options.lambda_down).max(1e-15);
+                lambda = (lambda * LAMBDA_DOWN).max(1e-15);
                 accepted = true;
-                if improvement < options.tolerance {
+                if improvement < TOLERANCE {
                     converged = true;
                 }
                 break;
@@ -316,10 +260,10 @@ pub fn levenberg_marquardt_into(
             // smaller steps — stop the ladder and settle here.
             let step_norm = norm2(step);
             let param_norm = norm2(params);
-            if step_norm <= options.step_tolerance * (param_norm + options.step_tolerance) {
+            if step_norm <= STEP_TOLERANCE * (param_norm + STEP_TOLERANCE) {
                 break;
             }
-            lambda *= options.lambda_up;
+            lambda *= LAMBDA_UP;
         }
 
         if !accepted {
@@ -359,11 +303,10 @@ mod tests {
         xs: &[f64],
         ys: &[f64],
         initial: &[f64],
-        options: &LmOptions,
     ) -> Result<(Vec<f64>, LmStats)> {
         let mut params = initial.to_vec();
         let mut workspace = LmWorkspace::new();
-        let stats = levenberg_marquardt_into(kernel, xs, ys, &mut params, options, &mut workspace)?;
+        let stats = levenberg_marquardt_into(kernel, xs, ys, &mut params, &mut workspace)?;
         Ok((params, stats))
     }
 
@@ -375,14 +318,7 @@ mod tests {
         let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 5.0 * (-0.5 * x).exp()).collect();
         let initial = [1.0, -0.1, 1.0, 0.0];
-        let (p, stats) = fit(
-            KernelKind::ExpRat,
-            &xs,
-            &ys,
-            &initial,
-            &LmOptions::default(),
-        )
-        .unwrap();
+        let (p, stats) = fit(KernelKind::ExpRat, &xs, &ys, &initial).unwrap();
         assert!(approx(p[0] / p[2], 5f64.ln(), 1e-4), "{p:?}");
         assert!(approx(p[1] / p[2], -0.5, 1e-4), "{p:?}");
         assert!(approx(p[3] / p[2], 0.0, 1e-4), "{p:?}");
@@ -399,7 +335,7 @@ mod tests {
             .map(|x| (1.0 + 2.0 * x) / (1.0 + 0.1 * x))
             .collect();
         let initial = [0.5, 1.0, 0.0, 0.05, 0.0];
-        let (p, _) = fit(kernel, &xs, &ys, &initial, &LmOptions::default()).unwrap();
+        let (p, _) = fit(kernel, &xs, &ys, &initial).unwrap();
         let check: f64 = xs
             .iter()
             .zip(&ys)
@@ -423,7 +359,7 @@ mod tests {
             }
         };
         let ys: Vec<f64> = xs.iter().map(|x| 3.0 + 2.0 * x + noise(*x)).collect();
-        let (p, stats) = fit(kernel, &xs, &ys, &[0.0; 4], &LmOptions::default()).unwrap();
+        let (p, stats) = fit(kernel, &xs, &ys, &[0.0; 4]).unwrap();
         assert!(stats.residual_norm <= 0.05 * 20f64.sqrt(), "{stats:?}");
         for x in &xs {
             assert!(
@@ -436,10 +372,9 @@ mod tests {
     #[test]
     fn rejects_mismatched_input() {
         let kernel = KernelKind::Poly25;
-        let options = LmOptions::default();
-        assert!(fit(kernel, &[1.0], &[1.0, 2.0], &[1.0; 4], &options).is_err());
-        assert!(fit(kernel, &[], &[], &[1.0; 4], &options).is_err());
-        assert!(fit(kernel, &[1.0], &[1.0], &[1.0; 3], &options).is_err());
+        assert!(fit(kernel, &[1.0], &[1.0, 2.0], &[1.0; 4]).is_err());
+        assert!(fit(kernel, &[], &[], &[1.0; 4]).is_err());
+        assert!(fit(kernel, &[1.0], &[1.0], &[1.0; 3]).is_err());
     }
 
     #[test]
@@ -450,7 +385,7 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         let ys = [1.1, 1.25, 1.4, 1.6];
         let initial = [1.0, 0.0, 0.0, -0.26, 0.0];
-        let result = fit(KernelKind::Rat22, &xs, &ys, &initial, &LmOptions::default());
+        let result = fit(KernelKind::Rat22, &xs, &ys, &initial);
         assert!(result.unwrap().0.iter().all(|p| p.is_finite()));
     }
 
@@ -458,25 +393,18 @@ mod tests {
     fn pole_penalty_bounds_the_residual_norm() {
         // ExpRat with a zero denominator is infinite everywhere: every
         // residual becomes exactly POLE_PENALTY, no downhill step exists,
-        // and the final cost is sqrt(n) * POLE_PENALTY, with either
-        // Jacobian.
+        // and the final cost is sqrt(n) * POLE_PENALTY.
         let xs = [1.0, 2.0, 3.0, 4.0];
         let ys = [1.0, 2.0, 3.0, 4.0];
         let initial = [1.0, 0.5, 0.0, 0.0];
-        for jacobian in [Jacobian::Analytic, Jacobian::FiniteDifference] {
-            let options = LmOptions {
-                jacobian,
-                ..LmOptions::default()
-            };
-            let (p, stats) = fit(KernelKind::ExpRat, &xs, &ys, &initial, &options).unwrap();
-            let expected = 2.0 * POLE_PENALTY;
-            assert!(
-                ((stats.residual_norm - expected) / expected).abs() < 1e-12,
-                "{jacobian:?}: residual_norm {}",
-                stats.residual_norm
-            );
-            assert_eq!(p, initial);
-        }
+        let (p, stats) = fit(KernelKind::ExpRat, &xs, &ys, &initial).unwrap();
+        let expected = 2.0 * POLE_PENALTY;
+        assert!(
+            ((stats.residual_norm - expected) / expected).abs() < 1e-12,
+            "residual_norm {}",
+            stats.residual_norm
+        );
+        assert_eq!(p, initial);
     }
 
     #[test]
@@ -486,15 +414,9 @@ mod tests {
         let xs: Vec<f64> = (1..=12).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| kernel.eval(&truth, *x)).collect();
         let initial = [0.0, 0.0, 1.0, 0.0];
-        let (_, unbounded) = fit(kernel, &xs, &ys, &initial, &LmOptions::default()).unwrap();
-        assert!(unbounded.iterations > 3, "{unbounded:?}");
-        let opts = LmOptions {
-            max_iterations: 3,
-            ..LmOptions::default()
-        };
-        let (_, bounded) = fit(kernel, &xs, &ys, &initial, &opts).unwrap();
-        assert_eq!(bounded.iterations, 3);
-        assert!(!bounded.converged);
+        let (_, stats) = fit(kernel, &xs, &ys, &initial).unwrap();
+        assert!(stats.iterations > 3, "{stats:?}");
+        assert!(stats.iterations <= MAX_ITERATIONS, "{stats:?}");
     }
 
     #[test]
@@ -518,15 +440,7 @@ mod tests {
             let ys: Vec<f64> = xs.iter().map(|x| kernel.eval(&truth, *x)).collect();
             let mut params = initial.clone();
             let mut ws = LmWorkspace::new();
-            let stats = levenberg_marquardt_into(
-                kernel,
-                &xs,
-                &ys,
-                &mut params,
-                &LmOptions::default(),
-                &mut ws,
-            )
-            .unwrap();
+            let stats = levenberg_marquardt_into(kernel, &xs, &ys, &mut params, &mut ws).unwrap();
             for (x, y) in xs.iter().zip(&ys) {
                 let v = kernel.eval(&params, *x);
                 assert!(
@@ -534,37 +448,6 @@ mod tests {
                     "{kernel:?} at {x}: {v} vs {y} (stats {stats:?})"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn finite_difference_oracle_agrees_with_analytic() {
-        // Both Jacobian modes, same model, same start: the fitted curves must
-        // reproduce the data equally well (parameters of rational fits are
-        // not unique, so compare values).
-        let kernel = KernelKind::Rat22;
-        let truth = [30.0, 6.0, 1.2, 0.08, 0.004];
-        let xs: Vec<f64> = (1..=12).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| kernel.eval(&truth, *x)).collect();
-        let initial = [20.0, 5.0, 1.0, 0.05, 0.003];
-        let mut ws = LmWorkspace::with_capacity(xs.len(), initial.len());
-        let mut fitted = [[0.0; 5]; 2];
-        for (buf, jacobian) in fitted
-            .iter_mut()
-            .zip([Jacobian::Analytic, Jacobian::FiniteDifference])
-        {
-            buf.copy_from_slice(&initial);
-            let options = LmOptions {
-                jacobian,
-                ..LmOptions::default()
-            };
-            levenberg_marquardt_into(kernel, &xs, &ys, buf, &options, &mut ws).unwrap();
-        }
-        for (x, y) in xs.iter().zip(&ys) {
-            let analytic = kernel.eval(&fitted[0], *x);
-            let numeric = kernel.eval(&fitted[1], *x);
-            assert!((analytic - y).abs() <= 1e-4 * y.abs());
-            assert!((numeric - y).abs() <= 1e-4 * y.abs());
         }
     }
 
@@ -578,15 +461,7 @@ mod tests {
             let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
             let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x + 1.0).collect();
             let mut params = [0.0; 4];
-            let stats = levenberg_marquardt_into(
-                kernel,
-                &xs,
-                &ys,
-                &mut params,
-                &LmOptions::default(),
-                &mut ws,
-            )
-            .unwrap();
+            let stats = levenberg_marquardt_into(kernel, &xs, &ys, &mut params, &mut ws).unwrap();
             assert!(stats.residual_norm < 1e-6, "n={n}: {stats:?}");
             assert!(approx(params[0], 1.0, 1e-6), "n={n}: {params:?}");
             assert!(approx(params[1], 2.0, 1e-6), "n={n}: {params:?}");

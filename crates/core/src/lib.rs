@@ -83,13 +83,13 @@ pub mod time_extrapolation;
 pub mod wal;
 
 pub use bottleneck::{BottleneckEntry, BottleneckReport};
-pub use config::{EstimaConfig, TargetSpec, MAX_TARGET_CORES};
+pub use config::{EstimaConfig, TargetSpec, MAX_TARGET_CORES, MIN_MEASUREMENTS};
 pub use engine::{BatchPredictor, CacheScope, Engine, FitCache};
 pub use error::{EstimaError, Result};
 pub use fit::{approximate_series, candidate_fits, fit_kernel, FitContext, FitOptions, Fits};
 pub use json::Json;
 pub use kernels::{FittedCurve, KernelKind, Params};
-pub use levenberg::{Jacobian, LmOptions, LmStats, LmWorkspace};
+pub use levenberg::{LmStats, LmWorkspace};
 pub use measurement::{Measurement, MeasurementSet, StallCategory, StallSource};
 pub use plan::{ConfidenceInterval, MeasurementPlan, PlanSuggestion, Planner};
 pub use predictor::{CategoryExtrapolation, Estima, Prediction};

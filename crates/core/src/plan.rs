@@ -46,7 +46,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::bottleneck::BottleneckReport;
-use crate::config::TargetSpec;
+use crate::config::{TargetSpec, MIN_MEASUREMENTS};
 use crate::error::{EstimaError, Result};
 use crate::fit::FitContext;
 use crate::measurement::{Measurement, MeasurementSet};
@@ -185,7 +185,7 @@ impl<'a> Planner<'a> {
     /// planner evaluates; it needs one measurement beyond the pipeline
     /// minimum.
     fn read<'s>(&self, set: &'s MeasurementSet, target: &'s TargetSpec) -> Result<SetRead<'s>> {
-        let required = self.estima.config().min_measurements + 1;
+        let required = MIN_MEASUREMENTS + 1;
         if set.len() < required {
             return Err(EstimaError::InsufficientMeasurements {
                 required,
@@ -447,7 +447,7 @@ mod tests {
 
     #[test]
     fn confidence_requires_one_extra_measurement() {
-        let min = EstimaConfig::default().min_measurements;
+        let min = MIN_MEASUREMENTS;
         let set = wobbly_set(min as u32);
         let estima = Estima::new(EstimaConfig::default());
         let err = Planner::new(&estima)

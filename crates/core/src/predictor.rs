@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::{EstimaConfig, TargetSpec};
+use crate::config::{EstimaConfig, TargetSpec, MIN_MEASUREMENTS};
 use crate::engine::Engine;
 use crate::error::{EstimaError, Result};
 use crate::fit::{candidate_fits, FactorChoice, FitCandidate, FitContext, FitOptions, Fits};
@@ -254,7 +254,7 @@ impl Estima {
         measurements: &'s MeasurementSet,
         target: &'s TargetSpec,
     ) -> Result<SetRead<'s>> {
-        measurements.validate(self.config.min_measurements)?;
+        measurements.validate(MIN_MEASUREMENTS)?;
         let measured_cores = measurements.max_cores();
         if target.cores < measured_cores {
             return Err(EstimaError::TargetSmallerThanMeasurements {
@@ -272,7 +272,6 @@ impl Estima {
         let sources = self.config.sources();
         let rows = Rows::read(measurements, &sources, freq_ratio);
         Ok(SetRead {
-            min_measurements: self.config.min_measurements,
             set: measurements,
             target,
             freq_ratio,
@@ -292,7 +291,6 @@ impl Estima {
 /// [`Planner`](crate::plan::Planner) also evaluates rows derived from them —
 /// each jackknife leave-out's and each hypothetical set's — for θ alone.
 pub(crate) struct SetRead<'s> {
-    min_measurements: usize,
     set: &'s MeasurementSet,
     target: &'s TargetSpec,
     freq_ratio: f64,
@@ -353,9 +351,9 @@ impl<'s> SetRead<'s> {
         let target = self.target;
         // The checks of the set and target that the rows of a subset of a
         // valid set can fail; the rows read from the set passed them all.
-        if rows.len() < self.min_measurements {
+        if rows.len() < MIN_MEASUREMENTS {
             return Err(EstimaError::InsufficientMeasurements {
-                required: self.min_measurements,
+                required: MIN_MEASUREMENTS,
                 available: rows.len(),
             });
         }
@@ -1235,17 +1233,14 @@ mod tests {
             ..EstimaConfig::default().with_parallelism(1)
         };
         // Leave-outs fall below the minimum.
-        let minimal = EstimaConfig {
-            min_measurements: 12,
-            ..EstimaConfig::default().with_parallelism(1)
-        };
+        let minimal = quickstart.truncated(MIN_MEASUREMENTS as u32);
         let gappy = without(&quickstart, 5);
         let cases = [
             (EstimaConfig::default().with_parallelism(1), &quickstart),
             (EstimaConfig::default().with_parallelism(1), &gappy),
             (EstimaConfig::default().with_parallelism(1), &lone),
             (frontend_config, &frontend),
-            (minimal, &quickstart),
+            (EstimaConfig::default().with_parallelism(1), &minimal),
         ];
         let targets = [
             TargetSpec::cores(48),

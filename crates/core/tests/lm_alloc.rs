@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use estima_core::levenberg::{levenberg_marquardt_into, Jacobian, LmOptions, LmWorkspace};
+use estima_core::levenberg::{levenberg_marquardt_into, LmWorkspace};
 use estima_core::{
     candidate_fits, fit_kernel, CacheScope, FitCache, FitContext, FitOptions, KernelKind,
 };
@@ -71,18 +71,16 @@ fn lm_with_prebuilt_workspace_never_allocates() {
     let (xs, ys) = series(kernel, &truth, 12);
     // Deliberately offset initial guess so the optimiser has real work to do.
     let initial = [20.0, 6.0, 0.8, 0.04, 0.08, 0.008, 0.0008];
-    let options = LmOptions::default();
     let mut workspace = LmWorkspace::with_capacity(xs.len(), initial.len());
 
     // Warm-up run: faults in any lazily initialised state and proves the fit
     // succeeds before the counted run.
     let mut params = initial;
-    levenberg_marquardt_into(kernel, &xs, &ys, &mut params, &options, &mut workspace)
-        .expect("warm-up fit");
+    levenberg_marquardt_into(kernel, &xs, &ys, &mut params, &mut workspace).expect("warm-up fit");
 
     let mut params = initial;
     let before = allocations();
-    let stats = levenberg_marquardt_into(kernel, &xs, &ys, &mut params, &options, &mut workspace)
+    let stats = levenberg_marquardt_into(kernel, &xs, &ys, &mut params, &mut workspace)
         .expect("counted fit");
     let after = allocations();
 
@@ -97,45 +95,19 @@ fn lm_with_prebuilt_workspace_never_allocates() {
 }
 
 #[test]
-fn finite_difference_mode_is_also_allocation_free() {
-    // The verification oracle shares the same workspace discipline.
-    let kernel = KernelKind::Rat22;
-    let truth = [50.0, 10.0, 2.0, 0.05, 0.001];
-    let (xs, ys) = series(kernel, &truth, 12);
-    let initial = [40.0, 8.0, 1.5, 0.04, 0.002];
-    let options = LmOptions {
-        jacobian: Jacobian::FiniteDifference,
-        ..LmOptions::default()
-    };
-    let mut workspace = LmWorkspace::with_capacity(xs.len(), initial.len());
-
-    let mut params = initial;
-    levenberg_marquardt_into(kernel, &xs, &ys, &mut params, &options, &mut workspace)
-        .expect("warm-up fit");
-
-    let mut params = initial;
-    let before = allocations();
-    levenberg_marquardt_into(kernel, &xs, &ys, &mut params, &options, &mut workspace)
-        .expect("counted fit");
-    let after = allocations();
-    assert_eq!(after - before, 0, "FD mode allocated {}", after - before);
-}
-
-#[test]
 fn warm_fit_kernel_allocates_only_its_result() {
     // A 12-point series every kernel fits: positive (ExpRat's guess goes
     // through ln y) and smooth.
     let xs: Vec<f64> = (1..=12).map(f64::from).collect();
     let ys: Vec<f64> = xs.iter().map(|x| 50.0 / x + 1.0 + 0.02 * x * x).collect();
-    let options = LmOptions::default();
     // Warm-up on this thread: grows the per-thread fit workspace to the
     // largest kernel's needs.
     for kernel in KernelKind::ALL {
-        fit_kernel(kernel, &xs, &ys, &options).expect("warm-up fit");
+        fit_kernel(kernel, &xs, &ys).expect("warm-up fit");
     }
     for kernel in KernelKind::ALL {
         let before = allocations();
-        let params = fit_kernel(kernel, &xs, &ys, &options).expect("counted fit");
+        let params = fit_kernel(kernel, &xs, &ys).expect("counted fit");
         let after = allocations();
         assert_eq!(
             after - before,

@@ -51,7 +51,7 @@ mod reference {
             set: &MeasurementSet,
             target: &TargetSpec,
         ) -> Result<(Prediction, ConfidenceInterval)> {
-            let required = self.estima.config().min_measurements + 1;
+            let required = estima_core::MIN_MEASUREMENTS + 1;
             if set.len() < required {
                 return Err(EstimaError::InsufficientMeasurements {
                     required,

@@ -271,7 +271,7 @@ fn shared_cache_predictions_match_uncached_on_adversarial_sets() {
             compared += 1;
             failed += usize::from(expected.starts_with("Err"));
 
-            if set.len() > estima.config().min_measurements {
+            if set.len() > estima_core::MIN_MEASUREMENTS {
                 let cached = Planner::in_context(
                     estima,
                     FitContext {

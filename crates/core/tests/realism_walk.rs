@@ -36,6 +36,7 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
+use estima_core::fit::{MAX_MAGNITUDE, MIN_TRAINING_POINTS};
 use estima_core::kernels::HorizonTable;
 use estima_core::{
     candidate_fits, FitCache, FitContext, FitOptions, FittedCurve, KernelKind, MAX_TARGET_CORES,
@@ -306,7 +307,7 @@ fn spans(m: usize, options: &FitOptions) -> Vec<(usize, usize, usize, usize)> {
         .checkpoint_counts
         .iter()
         .copied()
-        .filter(|c| *c >= 1 && m >= c + options.min_training_points.max(2))
+        .filter(|c| *c >= 1 && m >= c + MIN_TRAINING_POINTS)
         .collect();
     if counts.is_empty() {
         counts.push(1);
@@ -316,7 +317,7 @@ fn spans(m: usize, options: &FitOptions) -> Vec<(usize, usize, usize, usize)> {
         .map(|c| {
             let n_train = m - c;
             let first = if options.prefix_refitting {
-                options.min_training_points
+                MIN_TRAINING_POINTS
             } else {
                 n_train
             };
@@ -390,9 +391,9 @@ proptest! {
 
         let data_max = ys.iter().copied().fold(0.0f64, f64::max);
         let cap = if data_max > 0.0 {
-            (data_max * options.max_growth_factor).min(options.max_magnitude)
+            (data_max * options.max_growth_factor).min(MAX_MAGNITUDE)
         } else {
-            options.max_magnitude
+            MAX_MAGNITUDE
         };
         let tail_start = xs.iter().fold(0.0f64, |a, x| a.max(*x)) as u32 + 1;
 

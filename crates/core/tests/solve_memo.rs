@@ -21,8 +21,9 @@ use std::sync::Arc;
 
 use estima_core::engine::CacheScope;
 use estima_core::fit::FitCandidate;
+use estima_core::fit::MAX_MAGNITUDE;
 use estima_core::prelude::*;
-use estima_core::{candidate_fits, FitContext, FitOptions, LmOptions};
+use estima_core::{candidate_fits, FitContext, FitOptions};
 use proptest::prelude::*;
 
 /// One synthetic measurement whose stalls and time follow simple laws, with
@@ -320,7 +321,7 @@ fn a_checkpoint_edit_that_drops_the_cap_loses_memoised_candidates() {
     };
     let cap = |ys: &[f64]| {
         let max = ys.iter().fold(0.0f64, |m, y| m.max(*y));
-        (max * options.max_growth_factor).min(options.max_magnitude)
+        (max * options.max_growth_factor).min(MAX_MAGNITUDE)
     };
     let table_max = |c: &FitCandidate| c.evals.values().iter().fold(0.0f64, |m, v| m.max(*v));
     let cache = FitCache::new();
@@ -360,34 +361,4 @@ fn a_checkpoint_edit_that_drops_the_cap_loses_memoised_candidates() {
         assert!(!cut.contains(&cell), "{cell:?} survived the lower cap");
         assert!(table_max(candidate) <= new_cap);
     }
-}
-
-#[test]
-fn different_lm_options_never_share_solves() {
-    let points: Vec<Measurement> = (1..=10).map(|c| point(c, 40.0, 0.3, 7)).collect();
-    let set = set_of(&points);
-    let (xs, ys): (Vec<f64>, Vec<f64>) = set
-        .category_series(&StallCategory::backend("rob_full"))
-        .iter()
-        .map(|(c, v)| (f64::from(*c), *v))
-        .unzip();
-    let cache = FitCache::new();
-    let cached_ctx = FitContext {
-        cache: Some(&cache),
-        ..FitContext::default()
-    };
-    let default = FitOptions::default();
-    let truncated = FitOptions {
-        lm: LmOptions {
-            max_iterations: 2,
-            ..LmOptions::default()
-        },
-        ..FitOptions::default()
-    };
-    for options in [&default, &truncated] {
-        let cached = candidate_fits(&xs, &ys, options, &cached_ctx).unwrap();
-        let uncached = candidate_fits(&xs, &ys, options, &FitContext::default()).unwrap();
-        assert_candidates_identical(&uncached, &cached);
-    }
-    assert_eq!(cache.solve_stats().0, 0, "the second options reused solves");
 }

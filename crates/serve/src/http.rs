@@ -211,13 +211,20 @@ pub fn parse_request_limited(
         ));
     }
 
-    // Body, when a Content-Length was declared.
-    let body_len = match request.header("content-length") {
-        Some(raw) => raw
-            .parse::<usize>()
-            .map_err(|_| ParseError::Malformed(format!("bad content-length: {raw:?}")))?,
-        None => 0,
-    };
+    // Body, when a Content-Length was declared. A value that is not plain
+    // digits, or two values that disagree, leave the framing ambiguous
+    // (RFC 9112 §6.3); repeats of one value are accepted.
+    let mut body_len = None;
+    for (_, raw) in request.headers().iter().filter(|h| h.0 == "content-length") {
+        let digits = raw.bytes().all(|b| b.is_ascii_digit());
+        let len = raw.parse::<usize>().ok().filter(|_| digits);
+        if len.is_none() || (body_len.is_some() && body_len != len) {
+            let error = format!("bad or conflicting content-length: {raw:?}");
+            return Err(ParseError::Malformed(error));
+        }
+        body_len = len;
+    }
+    let body_len = body_len.unwrap_or(0);
     if body_len > max_body_bytes {
         return Err(ParseError::BodyTooLarge(body_len));
     }
@@ -240,8 +247,6 @@ pub fn parse_request_limited(
 pub struct ResponseBuf {
     /// HTTP status code.
     pub status: u16,
-    /// `Content-Type` header value.
-    pub content_type: &'static str,
     /// Value of the `Allow` header, emitted on `405 Method Not Allowed`
     /// responses (RFC 9110 §10.2.1 requires it), e.g. `"GET, DELETE"`.
     pub allow: Option<&'static str>,
@@ -267,7 +272,6 @@ impl ResponseBuf {
     pub fn new() -> ResponseBuf {
         ResponseBuf {
             status: 200,
-            content_type: "application/json",
             allow: None,
             retry_after: None,
             body: String::new(),
@@ -278,7 +282,6 @@ impl ResponseBuf {
     /// Reset to an empty 200 JSON response, keeping buffer capacity.
     pub fn reset(&mut self) {
         self.status = 200;
-        self.content_type = "application/json";
         self.allow = None;
         self.retry_after = None;
         self.body.clear();
@@ -290,10 +293,9 @@ impl ResponseBuf {
         self.head.clear();
         let _ = write!(
             self.head,
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
+            "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
             self.status,
             reason(self.status),
-            self.content_type,
             self.body.len(),
         );
         if let Some(methods) = self.allow {
@@ -465,6 +467,27 @@ mod tests {
         // clears it.
         response.reset();
         assert_eq!(response.retry_after, None);
+    }
+
+    #[test]
+    fn content_length_must_be_plain_digits_and_agree() {
+        // Two values that disagree: taking either one leaves the other's
+        // bytes to be read as the next request.
+        assert!(matches!(
+            parse(b"POST / HTTP/1.1\r\ncontent-length: 4\r\ncontent-length: 10\r\n\r\n0123456789"),
+            Err(ParseError::Malformed(_))
+        ));
+        // A sign is not part of the grammar, though `usize::from_str`
+        // takes one.
+        assert!(matches!(
+            parse(b"POST / HTTP/1.1\r\ncontent-length: +4\r\n\r\nabcd"),
+            Err(ParseError::Malformed(_))
+        ));
+        // Repeats of one value frame the body as one value does.
+        let request =
+            parse(b"POST / HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nabcd")
+                .unwrap();
+        assert_eq!(request.body, b"abcd");
     }
 
     #[test]

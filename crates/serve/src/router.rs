@@ -38,9 +38,9 @@ use std::time::Duration;
 use estima_core::json::Json;
 
 use crate::client::Client;
-use crate::http::{Request, ResponseBuf};
+use crate::http::ResponseBuf;
 use crate::route::{Route, RouteOutcome};
-use crate::server::{body_text, parse_series_id};
+use crate::server::{parse_series_id, take_body_text};
 use crate::sys;
 use crate::wire;
 
@@ -165,6 +165,9 @@ pub(crate) struct ForwardResponse {
 pub(crate) struct Completion {
     pub(crate) token: ConnToken,
     pub(crate) response: ForwardResponse,
+    /// The connection's request buffer, back for the reactor to free or
+    /// trim as a node does: the body a verbatim forward sent, or empty.
+    pub(crate) body: Vec<u8>,
 }
 
 /// One reactor's completion inbox: a drainable doorbell plus the pending
@@ -363,12 +366,17 @@ impl Router {
                     let Ok(guard) = receiver.lock() else { return };
                     guard.recv()
                 };
-                let Ok(job) = job else { return };
-                let response = execute(&pools, &stats, job.upstreams, &job.merge);
+                let Ok(mut job) = job else { return };
+                let response = execute(&pools, &stats, &job.upstreams, &job.merge);
+                let body = match job.merge {
+                    Merge::Verbatim => job.upstreams.pop().map(|upstream| upstream.body),
+                    Merge::Batch { .. } | Merge::List => None,
+                };
                 if let Some(mailbox) = mailboxes.get(job.token.reactor) {
                     mailbox.deliver(Completion {
                         token: job.token,
                         response,
+                        body: body.unwrap_or_default().into_bytes(),
                     });
                 }
             }));
@@ -445,10 +453,15 @@ impl Router {
     /// with the node's own helpers instead. Returns `None` for the routes
     /// every process answers for itself: `/v1/healthz`, `/v1/stats`, 404
     /// and 405.
+    ///
+    /// A forwarded body is moved out of `body`, not copied, and comes back
+    /// in the [`Completion`].
     pub(crate) fn dispatch(
         &self,
         route: Route<'_>,
-        request: &Request,
+        method: &str,
+        path: &str,
+        body: &mut Vec<u8>,
         token: ConnToken,
         out: &mut ResponseBuf,
     ) -> Option<RouteOutcome> {
@@ -458,23 +471,25 @@ impl Router {
             }
             Route::SeriesList => Some(self.list()),
             Route::SeriesGet(id) | Route::SeriesDelete(id) => {
-                parse_series_id(id, out).map(|_| self.single(id, request, String::new()))
+                parse_series_id(id, out).map(|_| self.single(id, method, path, String::new()))
             }
             Route::SeriesPredict(id) | Route::SeriesPlan(id) => parse_series_id(id, out)
-                .and_then(|_| body_text(request, out))
-                .map(|text| self.single(id, request, text.to_string())),
+                .and_then(|_| take_body_text(body, out))
+                .map(|text| self.single(id, method, path, text)),
             // Stateless predicts route by app name for fit-cache affinity,
             // ingests by series id. An undecodable body goes to the shard
             // owning the empty key, whose decoder produces the identical 400.
-            Route::Predict => body_text(request, out).map(|text| {
-                let key = body_key(text, &["measurements", "app_name"]);
-                self.single(&key, request, text.to_string())
+            Route::Predict => take_body_text(body, out).map(|text| {
+                let key = body_key(&text, &["measurements", "app_name"]);
+                self.single(&key, method, path, text)
             }),
-            Route::Measurements => body_text(request, out).map(|text| {
-                let key = body_key(text, &["series"]);
-                self.single(&key, request, text.to_string())
+            Route::Measurements => take_body_text(body, out).map(|text| {
+                let key = body_key(&text, &["series"]);
+                self.single(&key, method, path, text)
             }),
-            Route::Batch => body_text(request, out).map(|text| self.plan_batch(text, request)),
+            Route::Batch => {
+                take_body_text(body, out).map(|text| self.plan_batch(text, method, path))
+            }
         };
         let Some((upstreams, merge)) = forward else {
             return Some(RouteOutcome::Respond); // answered locally (400-class)
@@ -506,13 +521,13 @@ impl Router {
         Some(RouteOutcome::Park)
     }
 
-    /// A single-shard forward of `request` with `body`, keyed by `key`.
-    /// GET and DELETE forward an empty body (nodes ignore theirs).
-    fn single(&self, key: &str, request: &Request, body: String) -> (Vec<Upstream>, Merge) {
+    /// A single-shard forward of `method` and `path` with `body`, keyed by
+    /// `key`. GET and DELETE forward an empty body (nodes ignore theirs).
+    fn single(&self, key: &str, method: &str, path: &str, body: String) -> (Vec<Upstream>, Merge) {
         let upstream = Upstream {
             shard: self.ring.shard_for(key),
-            method: request.method.clone(),
-            path: request.path.clone(),
+            method: method.to_string(),
+            path: path.to_string(),
             body,
         };
         (vec![upstream], Merge::Verbatim)
@@ -532,17 +547,17 @@ impl Router {
     }
 
     /// Partition a `/v1/batch` body into per-shard sub-batches. A body the
-    /// single node would reject goes to shard 0 verbatim so the 400 bytes
-    /// come from the same decoder.
-    fn plan_batch(&self, text: &str, request: &Request) -> (Vec<Upstream>, Merge) {
-        let Ok(body) = Json::parse(text) else {
-            return self.single("", request, text.to_string());
+    /// single node would reject goes verbatim to the shard owning the empty
+    /// key, so the 400 bytes come from the same decoder.
+    fn plan_batch(&self, text: String, method: &str, path: &str) -> (Vec<Upstream>, Merge) {
+        let Ok(body) = Json::parse(&text) else {
+            return self.single("", method, path, text);
         };
         if wire::batch_request_from_json(&body).is_err() {
-            return self.single("", request, text.to_string());
+            return self.single("", method, path, text);
         }
         let Some(jobs) = body.get("jobs").and_then(Json::as_array) else {
-            return self.single("", request, text.to_string());
+            return self.single("", method, path, text);
         };
         let total = jobs.len();
         let mut per_shard: Vec<Vec<(usize, &Json)>> = vec![Vec::new(); self.ring.len()];
@@ -648,14 +663,14 @@ fn array_field(body: &str, field: &str) -> Option<Vec<Json>> {
 fn execute(
     pools: &[ShardPool],
     stats: &RouterStats,
-    upstreams: Vec<Upstream>,
+    upstreams: &[Upstream],
     merge: &Merge,
 ) -> ForwardResponse {
     let mut merged = match merge {
         Merge::Batch { total, .. } => vec![Json::Null; *total],
         Merge::Verbatim | Merge::List => Vec::new(),
     };
-    for (sent, upstream) in upstreams.into_iter().enumerate() {
+    for (sent, upstream) in upstreams.iter().enumerate() {
         let pool = &pools[upstream.shard];
         let Ok(reply) = pool.request(&upstream.method, &upstream.path, &upstream.body) else {
             stats.upstream_errors.fetch_add(1, Ordering::Relaxed);

@@ -43,7 +43,7 @@ use crate::http::{
     parse_request_limited, ParseError, ParseStatus, Request, ResponseBuf, REQUEST_READ_TIMEOUT,
 };
 use crate::route::{Route, RouteOutcome};
-use crate::router::{ConnToken, Mailbox, Router};
+use crate::router::{Completion, ConnToken, Mailbox, Router};
 use crate::stats::ServerStats;
 use crate::sys;
 use crate::wire;
@@ -563,7 +563,8 @@ fn deliver_completions(
         let Some(close) = conn.parked.take() else {
             continue;
         };
-        let response = completion.response;
+        let Completion { response, body, .. } = completion;
+        conn.request.body = body;
         conn.response.reset();
         conn.response.status = response.status;
         conn.response.retry_after = response.retry_after;
@@ -766,7 +767,7 @@ fn dispatch_buffered(conn: &mut Conn, state: &AppState, token: ConnToken) {
                 conn.inbuf.drain(..consumed);
                 let close = conn.request.close || state.shutting_down.load(Ordering::SeqCst);
                 conn.response.reset();
-                match route(&conn.request, state, &mut conn.response, token) {
+                match route(&mut conn.request, state, &mut conn.response, token) {
                     RouteOutcome::Respond => finish_response(conn, state, close),
                     RouteOutcome::Park => conn.parked = Some(close),
                 }
@@ -912,7 +913,7 @@ fn respond_error(out: &mut ResponseBuf, status: u16, code: &str, message: &str) 
 /// (`/v1/healthz`, `/v1/stats`, 404 and 405) fall through to the same
 /// handlers a single node runs.
 fn route(
-    request: &Request,
+    request: &mut Request,
     state: &AppState,
     out: &mut ResponseBuf,
     token: ConnToken,
@@ -920,7 +921,8 @@ fn route(
     let route = Route::parse(&request.method, &request.path);
     state.stats.count(route);
     if let Some(router) = &state.router {
-        if let Some(outcome) = router.dispatch(route, request, token, out) {
+        let (method, path) = (&request.method, &request.path);
+        if let Some(outcome) = router.dispatch(route, method, path, &mut request.body, token, out) {
             return outcome;
         }
     }
@@ -993,11 +995,27 @@ pub(crate) fn body_text<'a>(request: &'a Request, out: &mut ResponseBuf) -> Opti
     match std::str::from_utf8(&request.body) {
         Ok(text) => Some(text),
         Err(_) => {
-            respond_error(out, 400, "bad_request", "body is not valid UTF-8");
+            respond_error(out, 400, "bad_request", NOT_UTF8);
             None
         }
     }
 }
+
+/// [`body_text`] for the router, which forwards the body: the text is
+/// moved out of `body`, and a body that is not UTF-8 stays in place.
+pub(crate) fn take_body_text(body: &mut Vec<u8>, out: &mut ResponseBuf) -> Option<String> {
+    match String::from_utf8(std::mem::take(body)) {
+        Ok(text) => Some(text),
+        Err(error) => {
+            *body = error.into_bytes();
+            respond_error(out, 400, "bad_request", NOT_UTF8);
+            None
+        }
+    }
+}
+
+/// The message of the `400` answering a body that is not UTF-8.
+const NOT_UTF8: &str = "body is not valid UTF-8";
 
 /// Parse a request body as JSON, answering `400 bad_request` on failure.
 fn parse_body(request: &Request, out: &mut ResponseBuf) -> Option<Json> {
