@@ -27,16 +27,16 @@
 //! category fit) run inline on the worker thread that reached them, so the
 //! pool never multiplies threads beyond its configured width.
 
-use std::borrow::Borrow;
 use std::cell::Cell;
+use std::collections::hash_map::{DefaultHasher, Entry, RandomState};
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::config::{EstimaConfig, TargetSpec};
 use crate::error::Result;
-use crate::fit::{FitOptions, Fits, PrefixSolves};
+use crate::fit::{bits, same_bits, FitOptions, Fits, PrefixSolves};
 use crate::measurement::MeasurementSet;
 use crate::predictor::{Estima, Prediction};
 use crate::store::EstimaSession;
@@ -155,16 +155,17 @@ impl Engine {
 
 /// One fit-cache lookup's inputs, borrowed: the series, every field of the
 /// [`FitOptions`], and optionally a store scope. [`FitCache::get_or_compute`]
-/// hashes and compares them in place against the cached lists' keys, so
-/// building a key and hitting with it allocate nothing;
-/// [`crate::fit::candidate_fits`] looks its lists up through the same call.
+/// hashes them once and compares them in place against the cached list's
+/// key, so building a key and hitting with it allocate nothing;
+/// [`crate::fit::candidate_fits`] looks its lists up through the same probe.
 ///
-/// A lookup reads the key as the stream `[options, horizon, n, x₀ … xₙ₋₁,
-/// n, y₀ … yₙ₋₁]`, then the scope. Floats enter as their bit patterns, so
-/// `-0.0` and `0.0` differ and NaN payloads stay apart, and the length
-/// prefixes keep the encoding unambiguous. `horizon` is
-/// [`FitOptions::realism_horizon`]; `options` is the cache's interned id of
-/// every other field: the kernel count and each kernel's id, the
+/// A lookup reads the key as the stream `[options, horizon, scope, n, x₀ …
+/// xₙ₋₁, n, y₀ … yₙ₋₁]`: the part the columns of one series share comes
+/// first, so a prediction hashes it once for all of them. Floats enter
+/// as their bit patterns, so `-0.0` and `0.0` differ and NaN payloads stay
+/// apart, and the length prefixes keep the encoding unambiguous. `horizon`
+/// is [`FitOptions::realism_horizon`]; `options` is the cache's interned id
+/// of every other field: the kernel count and each kernel's id, the
 /// checkpoint-count count and each count, and the scalar fields (floats as
 /// bits). Destructuring `FitOptions` makes a new field a compile error until
 /// it is keyed. Two keys find the same list only if the series and options
@@ -233,148 +234,122 @@ fn option_words(options: &FitOptions) -> impl Iterator<Item = u64> + Clone + '_ 
         .chain([max_growth_factor.to_bits(), u64::from(*prefix_refitting)])
 }
 
-/// A [`FitKey`] as a shard's map hashes and compares it: its options
-/// interned to their id, then the rest of the stream, borrowed.
-#[derive(Debug, Clone, Copy)]
-struct Lookup<'a> {
-    options: u64,
-    horizon: u32,
-    xs: &'a [f64],
-    ys: &'a [f64],
-    scope: Option<CacheScope<'a>>,
+/// The two hashes of a key's stream, run side by side: the cache's keyed
+/// `SipHash`, under which a shard's map stores the list, and the [`Fnv1a`]
+/// that picks the shard. Each reads every word once.
+#[derive(Debug, Clone)]
+struct StreamHash {
+    keyed: DefaultHasher,
+    shard: Fnv1a,
 }
 
-impl PartialEq for Lookup<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        let same = |a: &[f64], b: &[f64]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
-        };
-        self.options == other.options
-            && self.horizon == other.horizon
-            && same(self.xs, other.xs)
-            && same(self.ys, other.ys)
-            && self.scope == other.scope
+impl StreamHash {
+    fn words(&mut self, words: &[u64]) {
+        u64::hash_slice(words, &mut self.keyed);
+        words.iter().for_each(|word| self.shard.eat(*word));
     }
-}
 
-/// The stream both hashes read: the shard's [`Fnv1a`] and the shard map's
-/// `SipHash`.
-impl Hash for Lookup<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.options);
-        state.write_u32(self.horizon);
-        for series in [self.xs, self.ys] {
-            state.write_usize(series.len());
-            // The bit patterns, one write per chunk.
-            for chunk in series.chunks(16) {
-                let mut words = [0u64; 16];
-                for (word, value) in words.iter_mut().zip(chunk) {
-                    *word = value.to_bits();
-                }
-                u64::hash_slice(&words[..chunk.len()], state);
+    /// A series: its length, then its values' bit patterns, one write per
+    /// chunk.
+    fn series(&mut self, values: &[f64]) {
+        self.words(&[values.len() as u64]);
+        for chunk in values.chunks(16) {
+            let mut words = [0u64; 16];
+            for (word, value) in words.iter_mut().zip(chunk) {
+                *word = value.to_bits();
             }
+            self.words(&words[..chunk.len()]);
         }
-        self.scope.hash(state);
+    }
+
+    /// A scope: `0` without one, else `1`, the series id's length, the
+    /// version and the id's bytes.
+    fn scope(&mut self, scope: Option<CacheScope<'_>>) {
+        let Some(CacheScope { series, version }) = scope else {
+            self.words(&[0]);
+            return;
+        };
+        self.words(&[1, series.len() as u64, version]);
+        self.keyed.write(series.as_bytes());
+        self.shard.write(series.as_bytes());
     }
 }
 
-impl Lookup<'_> {
-    /// The hash that picks the lookup's [`FitCache`] shard. (The shard's map
-    /// hashes the stream with the std `Hash` instead: series arrive from
-    /// outside the program, and FNV-1a collisions are easy to construct.)
-    fn shard_hash(&self) -> u64 {
-        let mut hash = Fnv1a::new();
-        self.hash(&mut hash);
-        hash.finish()
-    }
+/// The part of a fit-cache key that the columns of one series share: the
+/// interned options, the horizon, the scope and `xs`, with both of the
+/// stream's hashes run over them. [`FitCache::probe`] continues it with one
+/// column's `ys`, so a prediction, which fits every stall category and the
+/// scaling factor over the same core counts, interns and hashes the shared
+/// part once. A base serves the cache that built it.
+#[derive(Debug, Clone)]
+pub(crate) struct KeyBase<'a> {
+    /// The cache's id of the options; `None` once other option sets fill
+    /// its table, and then nothing is hashed.
+    options: Option<u64>,
+    horizon: u32,
+    scope: Option<CacheScope<'a>>,
+    xs: &'a [f64],
+    hash: StreamHash,
 }
 
-/// A cached list's key: the owned form of a [`Lookup`], and the only owned
-/// key. It hashes and compares as its [`AsLookup::lookup`].
+/// A cached list's key, owned: a [`KeyBase`]'s words and a probe's `ys`,
+/// the series as bit patterns.
 #[derive(Debug)]
 struct StoredKey {
     options: u64,
     horizon: u32,
+    scope: Option<(String, u64)>,
     /// The series' `xs`, then its `ys`.
-    values: Box<[f64]>,
+    values: Box<[u64]>,
     /// How many of `values` are `xs`.
     split: usize,
-    scope: Option<(String, u64)>,
 }
 
 impl StoredKey {
-    fn new(lookup: &Lookup<'_>) -> Self {
+    fn new(base: &KeyBase<'_>, options: u64, ys: &[f64]) -> Self {
         StoredKey {
-            options: lookup.options,
-            horizon: lookup.horizon,
-            values: lookup.xs.iter().chain(lookup.ys).copied().collect(),
-            split: lookup.xs.len(),
-            scope: lookup
+            options,
+            horizon: base.horizon,
+            scope: base
                 .scope
                 .map(|scope| (scope.series.to_string(), scope.version)),
+            values: bits(base.xs).chain(bits(ys)).collect(),
+            split: base.xs.len(),
         }
     }
-}
 
-impl PartialEq for StoredKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.lookup() == other.lookup()
+    /// Whether this is the key `base` (its options interned to `options`)
+    /// and `ys` describe, word for word.
+    fn is(&self, base: &KeyBase<'_>, options: u64, ys: &[f64]) -> bool {
+        let (xs, stored_ys) = self.values.split_at(self.split);
+        self.options == options
+            && self.horizon == base.horizon
+            && self
+                .scope
+                .as_ref()
+                .map(|(series, version)| (series.as_str(), *version))
+                == base.scope.map(|scope| (scope.series, scope.version))
+            && same_bits(xs, base.xs)
+            && same_bits(stored_ys, ys)
     }
 }
 
-impl Eq for StoredKey {}
+/// The shard maps' hasher: a map's key already is the keyed hash of a
+/// stream, so it passes through.
+#[derive(Default)]
+struct PassThrough(u64);
 
-impl Hash for StoredKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.lookup().hash(state);
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a shard map's keys are u64 hashes")
     }
-}
 
-/// What a shard's map hashes and compares: the stream of a lookup, whether
-/// borrowed or stored. The map holds `Arc<StoredKey>`s and is probed with a
-/// `&dyn AsLookup`, which the stored key [`Borrow`]s as.
-trait AsLookup {
-    fn lookup(&self) -> Lookup<'_>;
-}
-
-impl AsLookup for Lookup<'_> {
-    fn lookup(&self) -> Lookup<'_> {
-        *self
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
     }
-}
 
-impl AsLookup for StoredKey {
-    fn lookup(&self) -> Lookup<'_> {
-        Lookup {
-            options: self.options,
-            horizon: self.horizon,
-            xs: &self.values[..self.split],
-            ys: &self.values[self.split..],
-            scope: self.scope.as_ref().map(|(series, version)| CacheScope {
-                series,
-                version: *version,
-            }),
-        }
-    }
-}
-
-impl Hash for dyn AsLookup + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.lookup().hash(state);
-    }
-}
-
-impl PartialEq for dyn AsLookup + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.lookup() == other.lookup()
-    }
-}
-
-impl Eq for dyn AsLookup + '_ {}
-
-impl<'a> Borrow<dyn AsLookup + 'a> for Arc<StoredKey> {
-    fn borrow(&self) -> &(dyn AsLookup + 'a) {
-        &**self
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -389,6 +364,7 @@ impl<'a> Borrow<dyn AsLookup + 'a> for Arc<StoredKey> {
 /// values' exponents (say, by powers of two) differ only in the high bits of
 /// the running hash. The shard index reads the low bits, so [`Fnv1a::finish`]
 /// folds the high bits down.
+#[derive(Debug, Clone)]
 struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -416,10 +392,6 @@ impl Hasher for Fnv1a {
         }
     }
 
-    fn write_u64(&mut self, word: u64) {
-        self.eat(word);
-    }
-
     fn finish(&self) -> u64 {
         let mut hash = self.0;
         hash ^= hash >> 33;
@@ -443,10 +415,12 @@ pub struct CacheScope<'a> {
     pub version: u64,
 }
 
-/// One cached candidate list plus its recency stamp (the shard's logical
-/// clock value at the last hit or insert; smallest = least recently used).
+/// One cached candidate list, its key, and its recency stamp (the shard's
+/// logical clock value at the last hit or insert; smallest = least recently
+/// used).
 #[derive(Debug)]
 struct ShardEntry {
+    key: StoredKey,
     value: Arc<Fits>,
     last_used: u64,
 }
@@ -462,18 +436,17 @@ struct SolveEntry {
 /// One cache shard: its own map, logical clock, and series→keys index
 /// behind its own lock, so lookups on different shards never contend.
 ///
-/// Keys are stored as `Arc<StoredKey>` so the series index can reference
-/// them without cloning the (potentially large) series: the map and the
-/// index share one allocation per key. Invariant: a scoped key is in `map`
-/// iff it is in `by_series[its series]` — insert, evict and invalidate all
-/// maintain both sides under the shard lock.
+/// The map holds each list under its key's keyed hash, one key per hash,
+/// and the series index names entries by that hash. Invariant: a scoped
+/// entry is in `map` iff its hash is in `by_series[its series]` — insert,
+/// evict and invalidate all maintain both sides under the shard lock.
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<Arc<StoredKey>, ShardEntry>,
-    /// Scoped keys grouped by their series id, so
+    map: HashMap<u64, ShardEntry, BuildHasherDefault<PassThrough>>,
+    /// The hashes of scoped entries, grouped by their series id, so
     /// [`FitCache::invalidate_series`] removes exactly that series' entries
     /// instead of sweeping the whole shard.
-    by_series: HashMap<String, Vec<Arc<StoredKey>>>,
+    by_series: HashMap<String, Vec<u64>>,
     /// The solve memo's entries on this shard, keyed by
     /// `[x₀, y₀, …, xₚ₋₁, yₚ₋₁]` bit patterns (see
     /// [`FitCache::lookup_solves`]).
@@ -492,12 +465,13 @@ impl Shard {
                 .map
                 .iter()
                 .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| Arc::clone(key))
+                .map(|(hash, _)| *hash)
             else {
                 break;
             };
-            self.map.remove(&oldest);
-            self.unindex(&oldest);
+            if let Some(entry) = self.map.remove(&oldest) {
+                self.unindex(oldest, &entry.key);
+            }
             evicted += 1;
         }
         evicted
@@ -515,25 +489,32 @@ impl Shard {
         }
     }
 
-    /// Remove a scoped key from the series index (no-op for unscoped keys).
-    /// Eviction-time bookkeeping: O(that series' keys), and rare.
-    fn unindex(&mut self, key: &Arc<StoredKey>) {
+    /// Remove the entry at `hash`, whose key is `key`, from the series
+    /// index (no-op for unscoped keys). Eviction-time bookkeeping: O(that
+    /// series' keys), and rare.
+    fn unindex(&mut self, hash: u64, key: &StoredKey) {
         let Some((series, _)) = &key.scope else {
             return;
         };
-        if let Some(keys) = self.by_series.get_mut(series) {
-            if let Some(position) = keys.iter().position(|k| Arc::ptr_eq(k, key)) {
-                keys.swap_remove(position);
+        if let Some(hashes) = self.by_series.get_mut(series) {
+            if let Some(position) = hashes.iter().position(|known| *known == hash) {
+                hashes.swap_remove(position);
             }
-            if keys.is_empty() {
+            if hashes.is_empty() {
                 self.by_series.remove(series);
             }
         }
     }
 }
 
+/// Lock a shard of a [`FitCache`], panicking if a thread panicked while
+/// holding it.
+fn locked(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().expect("fit cache lock poisoned")
+}
+
 /// Default number of shards (a power of two; the shard index is the low bits
-/// of the stream's FNV hash).
+/// of the stream's FNV-1a hash).
 const DEFAULT_SHARDS: usize = 16;
 
 /// Default total capacity. A full `reproduce all` run caches a few hundred
@@ -552,7 +533,12 @@ const DEFAULT_CAPACITY: usize = 4096;
 ///
 /// Keys are distributed over N independent shards by an FNV-1a hash of the
 /// key's stream, each shard behind its own mutex, so concurrent
-/// lookups of different series proceed in parallel. Every shard holds at
+/// lookups of different series proceed in parallel. Inside a shard, the map
+/// holds each list under the stream's `SipHash` keyed by the cache's own
+/// random state, which the probe computed beside the FNV-1a hash and the
+/// map passes through; the entry keeps the full key, and a hit compares it.
+/// A different key under a stored key's hash is computed and not kept (with
+/// random keys, about one pair in 2⁶⁴ collides). Every shard holds at
 /// most `capacity / shards` entries and evicts its least-recently-used entry
 /// on overflow (a hit refreshes recency). Eviction only ever costs a refit:
 /// fits are deterministic, so a re-computed entry is bit-identical to the
@@ -576,6 +562,8 @@ pub struct FitCache {
     shards: Vec<Mutex<Shard>>,
     /// Maximum entries per shard.
     shard_capacity: usize,
+    /// The keyed `SipHash` of every key's stream.
+    keyed: RandomState,
     hits: AtomicUsize,
     misses: AtomicUsize,
     evictions: AtomicUsize,
@@ -646,6 +634,7 @@ impl FitCache {
         FitCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity,
+            keyed: RandomState::new(),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
@@ -672,10 +661,7 @@ impl FitCache {
     /// `f64` bit patterns. The entry itself is shared: the lock is held for
     /// a reference-count increment, not a copy.
     pub(crate) fn lookup_solves(&self, key: &[u64]) -> Option<Arc<PrefixSolves>> {
-        let mut guard = self
-            .solve_shard(key)
-            .lock()
-            .expect("fit cache lock poisoned");
+        let mut guard = locked(self.solve_shard(key));
         guard.clock += 1;
         let clock = guard.clock;
         let entry = guard.solves.get_mut(key)?;
@@ -689,10 +675,7 @@ impl FitCache {
     /// The merge updates the entry in place, or a copy of it while a fit
     /// still holds the entry a lookup handed out.
     pub(crate) fn store_solves(&self, key: &[u64], solves: PrefixSolves) {
-        let mut guard = self
-            .solve_shard(key)
-            .lock()
-            .expect("fit cache lock poisoned");
+        let mut guard = locked(self.solve_shard(key));
         guard.clock += 1;
         let clock = guard.clock;
         match guard.solves.get_mut(key) {
@@ -721,15 +704,63 @@ impl FitCache {
     }
 
     /// Look up `key`, computing and inserting the candidate list on a miss.
+    /// This is the cache's one probe, under a key base built for this call
+    /// from `key`'s `xs`, options and scope; a prediction builds one base
+    /// for all of its series. The probe hashes the key once (see
+    /// [`FitKey`]) and compares it in place, so a hit builds nothing and
+    /// allocates nothing.
     ///
-    /// This is the cache's one lookup; [`crate::fit::candidate_fits`] makes
-    /// it too. It interns the key's options and hashes and compares the
-    /// rest of the key's stream (see [`FitKey`]) in place against the
-    /// stored keys, so a hit builds nothing and allocates nothing. The list
-    /// is a [`Fits`]: a hit hands out the one shared list with its winner,
-    /// table numbers and remembered scaling-factor choice, so a caller
-    /// re-scores nothing. A `compute` that builds a plain `Vec` of
+    /// The list is a [`Fits`]: a hit hands out the one shared list with its
+    /// winner, table numbers and remembered scaling-factor choice, so a
+    /// caller re-scores nothing. A `compute` that builds a plain `Vec` of
     /// candidates returns `Ok(list.into())`.
+    pub fn get_or_compute<F>(&self, key: FitKey<'_>, compute: F) -> Result<Arc<Fits>>
+    where
+        F: FnOnce() -> Result<Fits>,
+    {
+        let base = self.key_base(key.xs, key.options, key.scope);
+        self.probe(&base, key.ys, compute)
+    }
+
+    /// The shared part of the keys of every series over `xs` fitted with
+    /// `options` under `scope`: the options interned (taking a slot on
+    /// first sight), then the stream up to the `ys` hashed.
+    pub(crate) fn key_base<'a>(
+        &self,
+        xs: &'a [f64],
+        options: &FitOptions,
+        scope: Option<CacheScope<'a>>,
+    ) -> KeyBase<'a> {
+        let id = self.fit_options.id(option_words(options));
+        let horizon = options.realism_horizon;
+        let mut hash = StreamHash {
+            keyed: self.keyed.build_hasher(),
+            shard: Fnv1a::new(),
+        };
+        if let Some(id) = id {
+            hash.words(&[id, u64::from(horizon)]);
+            hash.scope(scope);
+            hash.series(xs);
+        }
+        KeyBase {
+            options: id,
+            horizon,
+            scope,
+            xs,
+            hash,
+        }
+    }
+
+    /// The cache's one lookup: the list of `base`'s key continued with
+    /// `ys`, computing and inserting it on a miss. [`FitCache::get_or_compute`]
+    /// and [`crate::fit::candidate_fits`] make it through a base of their
+    /// own; an evaluation builds one base for all of its series.
+    ///
+    /// The probe runs the stream's two hashes on from the base's over `ys`
+    /// (see [`FitKey`]): the FNV-1a hash picks the shard and the keyed hash
+    /// finds the entry, whose stored key it compares with the base and `ys`
+    /// word for word, so a hit builds nothing and allocates nothing. A key
+    /// whose hash another key holds is a miss, computed and not kept.
     ///
     /// The computation runs outside every cache lock, so concurrent misses
     /// on the same key may compute twice — both produce identical results
@@ -739,87 +770,84 @@ impl FitCache {
     /// least-recently-used entries. Once 64 other option sets are interned,
     /// a lookup with new options computes its list without keeping it (a
     /// miss).
-    pub fn get_or_compute<F>(&self, key: FitKey<'_>, compute: F) -> Result<Arc<Fits>>
+    pub(crate) fn probe<F>(&self, base: &KeyBase<'_>, ys: &[f64], compute: F) -> Result<Arc<Fits>>
     where
         F: FnOnce() -> Result<Fits>,
     {
-        let Some(options) = self.fit_options.id(option_words(key.options)) else {
+        let Some(options) = base.options else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return compute().map(Arc::new);
         };
-        let lookup = Lookup {
-            options,
-            horizon: key.options.realism_horizon,
-            xs: key.xs,
-            ys: key.ys,
-            scope: key.scope,
-        };
-        let shard = self.shard_at(lookup.shard_hash());
+        let mut stream = base.hash.clone();
+        stream.series(ys);
+        let hash = stream.keyed.finish();
+        let shard = self.shard_at(stream.shard.finish());
         {
-            let mut guard = shard.lock().unwrap();
+            let mut guard = locked(shard);
             guard.clock += 1;
             let clock = guard.clock;
-            if let Some(entry) = guard.map.get_mut(&lookup as &dyn AsLookup) {
-                entry.last_used = clock;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&entry.value));
+            if let Some(entry) = guard.map.get_mut(&hash) {
+                if entry.key.is(base, options, ys) {
+                    entry.last_used = clock;
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Arc::clone(&entry.value));
+                }
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let computed = Arc::new(compute()?);
-        let mut guard = shard.lock().unwrap();
+        let mut guard = locked(shard);
         guard.clock += 1;
         let clock = guard.clock;
-        let stored = Arc::new(StoredKey::new(&lookup));
         let shard_mut = &mut *guard;
-        let value = match shard_mut.map.entry(Arc::clone(&stored)) {
-            std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                // A concurrent miss inserted first; its (identical) value
-                // wins, refreshed as just used. The key is already indexed.
-                occupied.get_mut().last_used = clock;
-                Arc::clone(&occupied.get().value)
+        match shard_mut.map.entry(hash) {
+            Entry::Occupied(mut occupied) => {
+                // A concurrent miss inserted this key first; its (identical)
+                // value wins, refreshed as just used. Under another key, the
+                // stored entry stays and this list is not kept.
+                let entry = occupied.get_mut();
+                if entry.key.is(base, options, ys) {
+                    entry.last_used = clock;
+                    return Ok(Arc::clone(&entry.value));
+                }
+                return Ok(computed);
             }
-            std::collections::hash_map::Entry::Vacant(vacant) => {
-                if let Some(scope) = key.scope {
+            Entry::Vacant(vacant) => {
+                if let Some(scope) = base.scope {
                     match shard_mut.by_series.get_mut(scope.series) {
-                        Some(keys) => keys.push(Arc::clone(&stored)),
+                        Some(hashes) => hashes.push(hash),
                         None => {
                             shard_mut
                                 .by_series
-                                .insert(scope.series.to_string(), vec![Arc::clone(&stored)]);
+                                .insert(scope.series.to_string(), vec![hash]);
                         }
                     }
                 }
-                Arc::clone(
-                    &vacant
-                        .insert(ShardEntry {
-                            value: computed,
-                            last_used: clock,
-                        })
-                        .value,
-                )
+                vacant.insert(ShardEntry {
+                    key: StoredKey::new(base, options, ys),
+                    value: Arc::clone(&computed),
+                    last_used: clock,
+                });
             }
-        };
+        }
         let evicted = guard.enforce_capacity(self.shard_capacity);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
-        Ok(value)
+        Ok(computed)
     }
 
     /// Number of cached series across all shards.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|shard| shard.lock().unwrap().map.len())
+            .map(|shard| locked(shard).map.len())
             .sum()
     }
 
     /// True when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|shard| shard.lock().unwrap().map.is_empty())
+        self.shards.iter().all(|shard| locked(shard).map.is_empty())
     }
 
     /// Number of shards.
@@ -860,10 +888,10 @@ impl FitCache {
     pub fn invalidate_series(&self, series: &str) -> usize {
         let mut removed = 0;
         for shard in &self.shards {
-            let mut guard = shard.lock().unwrap();
-            if let Some(keys) = guard.by_series.remove(series) {
-                for key in keys {
-                    if guard.map.remove(&key).is_some() {
+            let mut guard = locked(shard);
+            if let Some(hashes) = guard.by_series.remove(series) {
+                for hash in hashes {
+                    if guard.map.remove(&hash).is_some() {
                         removed += 1;
                     }
                 }
@@ -895,7 +923,7 @@ impl FitCache {
     pub fn solve_entries(&self) -> usize {
         self.shards
             .iter()
-            .map(|shard| shard.lock().expect("fit cache lock poisoned").solves.len())
+            .map(|shard| locked(shard).solves.len())
             .sum()
     }
 
@@ -1057,14 +1085,72 @@ mod tests {
         assert_eq!(outer, vec![60, 110, 160]);
     }
 
+    /// An empty list, its computation counted.
+    fn empty(computes: &Cell<usize>) -> Result<Fits> {
+        computes.set(computes.get() + 1);
+        Ok(Vec::new().into())
+    }
+
     /// Look `key` up in `cache`, computing an empty list on a miss.
     fn look_up(cache: &FitCache, key: FitKey<'_>, computes: &Cell<usize>) -> Arc<Fits> {
         cache
-            .get_or_compute(key, || {
-                computes.set(computes.get() + 1);
-                Ok(Vec::new().into())
-            })
+            .get_or_compute(key, || empty(computes))
             .expect("an empty list")
+    }
+
+    /// Probe `cache` with `ys` under `base`, computing an empty list on a
+    /// miss.
+    fn probe(
+        cache: &FitCache,
+        base: &KeyBase<'_>,
+        ys: &[f64],
+        computes: &Cell<usize>,
+    ) -> Arc<Fits> {
+        cache
+            .probe(base, ys, || empty(computes))
+            .expect("an empty list")
+    }
+
+    /// Two caches that see the same lookups: `keyed` through [`FitKey`]s,
+    /// and `based` through one key base per lookup, which probes the
+    /// lookup's own `ys` between two series no case uses, so one base
+    /// serves several `ys`. Both caches must hit or miss alike, and in each
+    /// the other path must then find the same list.
+    #[derive(Default)]
+    struct BothPaths {
+        keyed: FitCache,
+        based: FitCache,
+    }
+
+    impl BothPaths {
+        /// Look `key` up on both paths: whether it hit, and its list.
+        fn look_up(&self, key: FitKey<'_>) -> (bool, Arc<Fits>) {
+            const UNUSED: [&[f64]; 2] = [&[1e300, -1e300], &[f64::MIN_POSITIVE]];
+            let base = self.based.key_base(key.xs, key.options, key.scope);
+            let mut own = None;
+            for (turn, ys) in [UNUSED[0], key.ys, UNUSED[1]].into_iter().enumerate() {
+                let key = FitKey { ys, ..key };
+                let computes = Cell::new(0);
+                let keyed = look_up(&self.keyed, key, &computes);
+                let based = probe(&self.based, &base, ys, &computes);
+                let hit = match computes.get() {
+                    0 => true,
+                    2 => false,
+                    _ => panic!("{key:?}: one path hit and the other missed"),
+                };
+                let fresh = self.keyed.key_base(key.xs, key.options, key.scope);
+                let found = probe(&self.keyed, &fresh, ys, &computes);
+                assert!(Arc::ptr_eq(&keyed, &found), "{key:?}: a base missed");
+                let found = look_up(&self.based, key, &computes);
+                assert!(Arc::ptr_eq(&based, &found), "{key:?}: a FitKey missed");
+                let computed = 2 * usize::from(!hit);
+                assert_eq!(computes.get(), computed, "{key:?}: a list is gone");
+                if turn == 1 {
+                    own = Some((hit, based));
+                }
+            }
+            own.expect("the lookup's own ys")
+        }
     }
 
     #[test]
@@ -1075,10 +1161,14 @@ mod tests {
         // every earlier one.
         let cache = FitCache::new();
         let computes = Cell::new(0);
+        // Every case also runs through both paths of two more caches.
+        let paths = BothPaths::default();
         let hits = |key: FitKey<'_>| {
             let before = computes.get();
             look_up(&cache, key, &computes);
-            computes.get() == before
+            let hit = computes.get() == before;
+            assert_eq!(paths.look_up(key).0, hit, "{key:?}: the paths disagree");
+            hit
         };
         let xs = [1.0, 2.0, 3.0];
         let ys = [1.0, 4.0, 9.0];
@@ -1189,6 +1279,55 @@ mod tests {
         }
         assert_eq!(computes.get(), keys.len(), "a key missed its own list");
         assert_eq!(cache.stats(), (keys.len(), keys.len()));
+
+        // The same keys through both paths.
+        let paths = BothPaths::default();
+        let inserted: Vec<Arc<Fits>> = keys
+            .iter()
+            .map(|key| {
+                let (hit, list) = paths.look_up(*key);
+                assert!(!hit, "{key:?} aliased an earlier key");
+                list
+            })
+            .collect();
+        for (key, list) in keys.iter().zip(&inserted) {
+            let (hit, found) = paths.look_up(*key);
+            assert!(
+                hit && Arc::ptr_eq(list, &found),
+                "{key:?} found another list"
+            );
+        }
+    }
+
+    #[test]
+    fn a_growing_shard_map_finds_every_key() {
+        // One shard whose map grows from empty to 1500 entries, moving
+        // every entry at each of its growths: an entry stored under a hash
+        // other than its probe's is lost. Every other key is scoped, so the
+        // series index names half of them.
+        let cache = FitCache::with_shards_and_capacity(1, 2048);
+        let computes = Cell::new(0);
+        let options = FitOptions::default();
+        let xs = [1.0, 2.0, 3.0];
+        let series: Vec<[f64; 3]> = (0..1500).map(|i| [1.0, f64::from(i), 2.0]).collect();
+        let key = |index: usize| {
+            let ys = &series[index];
+            match index % 2 {
+                0 => FitKey::new(&xs, ys, &options),
+                _ => FitKey::scoped(&xs, ys, &options, "grown", 1),
+            }
+        };
+        let lists: Vec<Arc<Fits>> = (0..series.len())
+            .map(|index| look_up(&cache, key(index), &computes))
+            .collect();
+        assert_eq!((computes.get(), cache.len()), (1500, 1500));
+        for (index, list) in lists.iter().enumerate() {
+            let found = look_up(&cache, key(index), &computes);
+            assert!(Arc::ptr_eq(list, &found), "key {index} lost its list");
+        }
+        assert_eq!(computes.get(), 1500, "a key missed");
+        assert_eq!(cache.invalidate_series("grown"), 750);
+        assert_eq!(cache.len(), 750);
     }
 
     /// A lookup's inputs as a property test tracks them: the series' bits,

@@ -61,10 +61,13 @@
 //!
 //! # One entry point
 //!
-//! [`candidate_fits`] and [`approximate_series`] are the only ways into the
-//! grid. Their [`FitContext`] says how a fit runs: the [`Engine`] the grid
-//! fans out on, and optionally the shared [`FitCache`] its candidates come
-//! from, with the store [`CacheScope`] that tags its cache keys.
+//! [`candidate_fits`] and [`approximate_series`] are the only public ways
+//! into the grid. Their [`FitContext`] says how a fit runs: the [`Engine`]
+//! the grid fans out on, and optionally the shared [`FitCache`] its
+//! candidates come from, with the store [`CacheScope`] that tags its cache
+//! keys. Both go through the crate's `ColumnFits`, which a prediction also
+//! uses to fit every series over its rows' core counts under one cache key
+//! base.
 //!
 //! There is one solver family: [`fit_kernel`], the one-shot fit of one
 //! kernel to one series, runs the grid's cell solver on the series'
@@ -103,7 +106,7 @@ use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use crate::config::MAX_TARGET_CORES;
-use crate::engine::{CacheScope, Engine, FitCache, FitKey};
+use crate::engine::{CacheScope, Engine, FitCache, KeyBase};
 use crate::error::{EstimaError, Result};
 use crate::kernels::{within_cap, FittedCurve, HorizonTable, KernelKind, Params};
 use crate::levenberg::{levenberg_marquardt_into, LmWorkspace, MAX_PARAMS};
@@ -350,8 +353,18 @@ struct FactorMemo {
 }
 
 /// `values` as bit patterns.
-fn bits(values: &[f64]) -> impl Iterator<Item = u64> + '_ {
+pub(crate) fn bits(values: &[f64]) -> impl Iterator<Item = u64> + '_ {
     values.iter().map(|value| value.to_bits())
+}
+
+/// Whether `values` are `known`'s bit patterns, in one fold over the pairs
+/// with no branch per value: `-0.0` is not `0.0`, and a NaN matches only
+/// its own payload.
+pub(crate) fn same_bits(known: &[u64], values: &[f64]) -> bool {
+    known.len() == values.len()
+        && known.iter().zip(values).fold(0, |differ, (known, value)| {
+            differ | (known ^ value.to_bits())
+        }) == 0
 }
 
 impl Fits {
@@ -401,12 +414,8 @@ impl Fits {
     ) -> Option<FactorChoice> {
         if let Some(memo) = self.factor.get() {
             let same = memo.measured_cores == measured_cores
-                && memo
-                    .stalls_per_core
-                    .iter()
-                    .copied()
-                    .eq(bits(stalls_per_core))
-                && memo.factor_ys.iter().copied().eq(bits(factor_ys));
+                && same_bits(&memo.stalls_per_core, stalls_per_core)
+                && same_bits(&memo.factor_ys, factor_ys);
             return if same { memo.choice } else { choose() };
         }
         let choice = choose();
@@ -619,27 +628,55 @@ pub fn approximate_series(
 /// engine width, and each candidate's table is numbered by its (kernel,
 /// prefix) cell. With `ctx.cache` the list for a given (series, options,
 /// scope) is computed once and shared by every later caller, winner and
-/// numbering included: the lookup is [`FitCache::get_or_compute`] on a
-/// [`FitKey`] borrowing the inputs and `ctx.scope`, and a miss draws its
-/// cells from the cache's solve memo.
+/// numbering included: the lookup is the cache's one probe, under a key
+/// base of `xs`, `options` and `ctx.scope` built for this call (as
+/// [`FitCache::get_or_compute`] builds one for a
+/// [`FitKey`](crate::engine::FitKey)), and a miss draws its cells from the
+/// cache's solve memo.
 pub fn candidate_fits(
     xs: &[f64],
     ys: &[f64],
     options: &FitOptions,
     ctx: &FitContext<'_>,
 ) -> Result<Arc<Fits>> {
-    let Some(cache) = ctx.cache else {
-        return candidate_grid(xs, ys, options, &ctx.engine, None).map(Arc::new);
-    };
-    let key = FitKey {
-        xs,
-        ys,
-        options,
-        scope: ctx.scope,
-    };
-    cache.get_or_compute(key, || {
-        candidate_grid(xs, ys, options, &ctx.engine, Some(cache))
-    })
+    ColumnFits::new(xs, options, ctx).fits(ys)
+}
+
+/// [`candidate_fits`] of several series over one `xs`, with one set of
+/// options, in one context. With a cache, their keys continue one
+/// [`KeyBase`], so the part of the key they share is interned and hashed
+/// once; each series then costs one [`FitCache::probe`] over its `ys`. A
+/// prediction fits every stall category and the scaling factor over its
+/// rows' core counts through one.
+pub(crate) struct ColumnFits<'a> {
+    xs: &'a [f64],
+    options: &'a FitOptions,
+    engine: Engine,
+    cached: Option<(&'a FitCache, KeyBase<'a>)>,
+}
+
+impl<'a> ColumnFits<'a> {
+    pub(crate) fn new(xs: &'a [f64], options: &'a FitOptions, ctx: &FitContext<'a>) -> Self {
+        ColumnFits {
+            xs,
+            options,
+            engine: ctx.engine,
+            cached: ctx
+                .cache
+                .map(|cache| (cache, cache.key_base(xs, options, ctx.scope))),
+        }
+    }
+
+    /// The candidate list of `(xs, ys)`: [`candidate_fits`]'s, bit for bit.
+    pub(crate) fn fits(&self, ys: &[f64]) -> Result<Arc<Fits>> {
+        let (xs, options, engine) = (self.xs, self.options, &self.engine);
+        match &self.cached {
+            Some((cache, base)) => cache.probe(base, ys, || {
+                candidate_grid(xs, ys, options, engine, Some(cache))
+            }),
+            None => candidate_grid(xs, ys, options, engine, None).map(Arc::new),
+        }
+    }
 }
 
 /// [`candidate_fits`] on `engine` without a cache. Kept for the stand-alone

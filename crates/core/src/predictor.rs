@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 use crate::config::{EstimaConfig, TargetSpec, MIN_MEASUREMENTS};
 use crate::engine::Engine;
 use crate::error::{EstimaError, Result};
-use crate::fit::{candidate_fits, FactorChoice, FitCandidate, FitContext, FitOptions, Fits};
+use crate::fit::{ColumnFits, FactorChoice, FitCandidate, FitContext, FitOptions, Fits};
 use crate::kernels::FittedCurve;
 use crate::measurement::{Measurement, MeasurementSet, StallCategory, StallSource};
 use crate::stats::{max_relative_error, relative_error};
@@ -368,6 +368,10 @@ impl<'s> SetRead<'s> {
             });
         }
 
+        // Every series the rows fit shares their core counts: one key base
+        // for all of them.
+        let columns = ColumnFits::new(&rows.xs, &self.fit_options, ctx);
+
         // Step B: extrapolate every category individually, all categories
         // concurrently. Categories that are identically zero carry no
         // information and a constant-zero extrapolation is exact, so they are
@@ -379,7 +383,7 @@ impl<'s> SetRead<'s> {
         ctx.engine
             .extend_ordered(nonzero, &mut out.fitted, |index| {
                 let column = &rows.categories[index];
-                let fits = candidate_fits(&rows.xs, &column.values, &self.fit_options, ctx)?;
+                let fits = columns.fits(&column.values)?;
                 let best = fits.best().ok_or_else(|| EstimaError::NoViableFit {
                     category: column.category.name.clone(),
                 })?;
@@ -401,23 +405,26 @@ impl<'s> SetRead<'s> {
 
         // Total stalled cycles per core over the full range: each category's
         // extrapolated total (clamped at zero, scaled to the dataset),
-        // summed in category order.
-        out.stalls_per_core.clear();
-        out.stalls_per_core.extend((1..=target.cores).map(|c| {
-            let at = c as usize - 1;
-            let total: f64 = out
-                .categories
-                .iter()
-                .map(|(_, fits)| winner(fits).evals.values()[at].max(0.0) * target.dataset_scale)
-                .sum();
-            total / c as f64
-        }));
+        // summed in category order from -0.0 as `Sum for f64` does, a
+        // category's table at a time, then divided by the core count.
+        let cores = target.cores as usize;
+        let spc = &mut out.stalls_per_core;
+        spc.clear();
+        spc.resize(cores, -0.0);
+        for (_, fits) in &out.categories {
+            for (total, value) in spc.iter_mut().zip(&winner(fits).evals.values()[..cores]) {
+                *total += value.max(0.0) * target.dataset_scale;
+            }
+        }
+        for (c, total) in (1..=cores).zip(spc.iter_mut()) {
+            *total /= c as f64;
+        }
 
         // Step C: candidate factor curves, selected by the correlation of
         // the time predictions they produce with stalls per core (§3.1.3).
         // A cached list remembers its first choice, so a repeat compares its
         // inputs instead of choosing again.
-        let factor = candidate_fits(&rows.xs, &rows.factor_ys, &self.fit_options, ctx)?;
+        let factor = columns.fits(&rows.factor_ys)?;
         let stalls_per_core = &out.stalls_per_core;
         let choice = factor
             .factor_choice(stalls_per_core, measured_cores, &rows.factor_ys, || {
@@ -1414,6 +1421,42 @@ mod tests {
             }
         }
         assert_eq!(asked, 2 * 3 * 13 * 5);
+    }
+
+    /// Step C's memo matches its inputs by their bits: a bit-equal repeat,
+    /// NaNs included, is remembered, while stalls per core that differ only
+    /// in a zero's sign, or a factor series that differs only in a NaN's
+    /// payload, choose again. A float `==` would miss the repeat and take
+    /// the zeros for one input.
+    #[test]
+    fn a_factor_memo_matches_its_inputs_by_their_bits() {
+        let list = Fits::from(Vec::new());
+        let chosen = std::cell::Cell::new(0);
+        let ask = |stalls: &[f64], measured: u32, factor_ys: &[f64]| {
+            list.factor_choice(stalls, measured, factor_ys, || {
+                chosen.set(chosen.get() + 1);
+                Some(FactorChoice {
+                    index: 0,
+                    correlation: 1.0,
+                })
+            });
+            chosen.get()
+        };
+        let nan = f64::NAN;
+        let other_nan = f64::from_bits(nan.to_bits() ^ 1);
+        let stalls = [0.0, 1.5, nan, 3.0];
+        let factor_ys = [2.0, nan, 0.0];
+        assert_eq!(ask(&stalls, 3, &factor_ys), 1, "the first ask");
+        assert_eq!(ask(&stalls, 3, &factor_ys), 1, "a bit-equal repeat");
+        assert_eq!(
+            ask(&[-0.0, 1.5, nan, 3.0], 3, &factor_ys),
+            2,
+            "-0.0 for 0.0"
+        );
+        assert_eq!(ask(&stalls, 3, &[2.0, other_nan, 0.0]), 3, "a NaN payload");
+        assert_eq!(ask(&stalls, 4, &factor_ys), 4, "another core count");
+        assert_eq!(ask(&stalls[..3], 3, &factor_ys), 5, "a shorter series");
+        assert_eq!(ask(&stalls, 3, &factor_ys), 5, "the memo was overwritten");
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //! Every set with at least one point more than the pipeline minimum also
 //! gets a jackknife [`Planner::confidence`], uncached and through the shared
 //! cache.
+//! Every served result is requested a second time through the shared
+//! cache: warm, every list a hit and step C's choice remembered, it must
+//! read as the first did.
 //! The text of every uncached result (predictions, errors, intervals and
 //! plans) feeds one FNV-1a-64 digest, which is pinned: a change to what the
 //! pipeline computes, not only a cached path that drifts from the uncached
@@ -235,6 +238,13 @@ fn shared_cache_predictions_match_uncached_on_adversarial_sets() {
         .collect();
     let references: Vec<Estima> = configs.iter().cloned().map(Estima::new).collect();
 
+    // Request `served` again: a warm repeat misses nothing and reads the
+    // same.
+    let again = |context: &str, served: &str, request: &dyn Fn() -> String| {
+        let misses = cache.stats().1;
+        assert_eq!(request(), served, "{context}: warm");
+        assert_eq!(cache.stats().1, misses, "{context}: a warm request missed");
+    };
     let (mut compared, mut planned, mut failed, mut bounded) = (0, 0, 0, 0);
     let mut digest = 0xcbf2_9ce4_8422_2325;
     for seed in 1..=50u64 {
@@ -265,8 +275,10 @@ fn shared_cache_predictions_match_uncached_on_adversarial_sets() {
             let context = format!("seed {seed} variant {variant} at {} cores", target.cores);
 
             let expected = format!("{:?}", estima.predict(&set, &target));
-            let served = format!("{:?}", session.predict_set(&set, &target));
+            let predict_set = || format!("{:?}", session.predict_set(&set, &target));
+            let served = predict_set();
             assert_eq!(expected, served, "{context}: predict_set");
+            again(&format!("{context}: predict_set"), &served, &predict_set);
             digest = fnv1a(digest, &expected);
             compared += 1;
             failed += usize::from(expected.starts_with("Err"));
@@ -280,8 +292,10 @@ fn shared_cache_predictions_match_uncached_on_adversarial_sets() {
                     },
                 );
                 let expected = format!("{:?}", Planner::new(estima).confidence(&set, &target));
-                let served = format!("{:?}", cached.confidence(&set, &target));
+                let confidence = || format!("{:?}", cached.confidence(&set, &target));
+                let served = confidence();
                 assert_eq!(expected, served, "{context}: confidence");
+                again(&format!("{context}: confidence"), &served, &confidence);
                 digest = fnv1a(digest, &expected);
                 bounded += 1;
             }
@@ -295,14 +309,18 @@ fn shared_cache_predictions_match_uncached_on_adversarial_sets() {
                     continue;
                 };
                 let expected = format!("{:?}", estima.predict(&stored, &target));
-                let served = format!("{:?}", session.predict(&id, &target));
+                let predict = || format!("{:?}", session.predict(&id, &target));
+                let served = predict();
                 assert_eq!(expected, served, "{context}: series predict");
+                again(&format!("{context}: series predict"), &served, &predict);
                 digest = fnv1a(digest, &expected);
                 compared += 1;
                 if rng.below(3) == 0 && target.cores <= 96 {
                     let expected = format!("{:?}", Planner::new(estima).plan(&stored, &target, 3));
-                    let served = format!("{:?}", session.plan(&id, &target, 3));
+                    let plan = || format!("{:?}", session.plan(&id, &target, 3));
+                    let served = plan();
                     assert_eq!(expected, served, "{context}: plan");
+                    again(&format!("{context}: plan"), &served, &plan);
                     digest = fnv1a(digest, &expected);
                     planned += 1;
                 }
