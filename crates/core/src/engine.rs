@@ -262,6 +262,15 @@ impl StreamHash {
         }
     }
 
+    /// Both hashes of the words so far. [`Hasher::finish`] reads a hash
+    /// without ending it, so the stream may go on.
+    fn finish(&self) -> KeyHash {
+        KeyHash {
+            keyed: self.keyed.finish(),
+            shard: self.shard.finish(),
+        }
+    }
+
     /// A scope: `0` without one, else `1`, the series id's length, the
     /// version and the id's bytes.
     fn scope(&mut self, scope: Option<CacheScope<'_>>) {
@@ -273,6 +282,14 @@ impl StreamHash {
         self.keyed.write(series.as_bytes());
         self.shard.write(series.as_bytes());
     }
+}
+
+/// A key's two hashes, finished: the cache's keyed `SipHash`, under which a
+/// shard's map stores the entry, and the FNV-1a that picks the shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KeyHash {
+    keyed: u64,
+    shard: u64,
 }
 
 /// The part of a fit-cache key that the columns of one series share: the
@@ -425,10 +442,11 @@ struct ShardEntry {
     last_used: u64,
 }
 
-/// One training prefix's memoised cells plus its recency stamp (same clock
-/// as [`ShardEntry`]). A lookup hands out a clone of the `Arc`.
+/// One training prefix's memoised cells, its key and its recency stamp
+/// (same clock as [`ShardEntry`]). A lookup hands out a clone of the `Arc`.
 #[derive(Debug)]
 struct SolveEntry {
+    key: Box<[u64]>,
     solves: Arc<PrefixSolves>,
     last_used: u64,
 }
@@ -447,10 +465,10 @@ struct Shard {
     /// [`FitCache::invalidate_series`] removes exactly that series' entries
     /// instead of sweeping the whole shard.
     by_series: HashMap<String, Vec<u64>>,
-    /// The solve memo's entries on this shard, keyed by
-    /// `[x₀, y₀, …, xₚ₋₁, yₚ₋₁]` bit patterns (see
-    /// [`FitCache::lookup_solves`]).
-    solves: HashMap<Box<[u64]>, SolveEntry>,
+    /// The solve memo's entries on this shard, each under the keyed hash
+    /// of its key `[x₀, y₀, …, xₚ₋₁, yₚ₋₁]` (bit patterns; see
+    /// [`FitCache::lookup_solves_at`]), one key per hash.
+    solves: HashMap<u64, SolveEntry, BuildHasherDefault<PassThrough>>,
     clock: u64,
 }
 
@@ -551,8 +569,11 @@ const DEFAULT_CAPACITY: usize = 4096;
 /// training prefix (see [`crate::fit`]'s module docs): one entry per prefix,
 /// keyed by the prefix's exact `f64` bits, holding every kernel's solve
 /// and, per kernel, the realism walk's verdict, maximum, training RMSE and
-/// eval table at the horizon it was last scored at. The memo is structural
-/// and unscoped, so
+/// eval table at the horizon it was last scored at. Like the lists, an
+/// entry sits under its key's keyed hash and keeps its key, which a hit
+/// compares; a different key under a stored hash is a miss and is not
+/// kept. A fit hashes a series' points once, reading every prefix's hashes
+/// on the way. The memo is structural and unscoped, so
 /// [`FitCache::invalidate_series`] leaves it alone: a refit after an ingest
 /// solves and walks only the prefixes the ingest changed. It is bounded like
 /// the candidate lists — at most the shard capacity in entries per shard,
@@ -649,48 +670,68 @@ impl FitCache {
         &self.shards[(hash as usize) % self.shards.len()]
     }
 
-    /// The shard holding a solve-memo key.
-    fn solve_shard(&self, key: &[u64]) -> &Mutex<Shard> {
-        let mut hash = Fnv1a::new();
-        key.iter().for_each(|word| hash.eat(*word));
-        self.shard_at(hash.finish())
+    /// A stream with nothing hashed yet.
+    fn stream(&self) -> StreamHash {
+        StreamHash {
+            keyed: self.keyed.build_hasher(),
+            shard: Fnv1a::new(),
+        }
+    }
+
+    /// The hashes of every prefix of `key`'s points in one pass: the `p`-th
+    /// item (from 1) is the hash of the solve-memo key `key[..2p]`, exactly
+    /// as that prefix hashes alone. `key` is `[x₀, y₀, x₁, y₁, …]`, a
+    /// series' points as `f64` bit patterns.
+    pub(crate) fn solve_hashes<'k>(&self, key: &'k [u64]) -> impl Iterator<Item = KeyHash> + 'k {
+        let mut stream = self.stream();
+        key.chunks_exact(2).map(move |point| {
+            stream.words(point);
+            stream.finish()
+        })
     }
 
     /// The memoised cells of one training prefix, refreshing the entry's
     /// recency. `key` is `[x₀, y₀, …, xₚ₋₁, yₚ₋₁]`, the prefix's points as
-    /// `f64` bit patterns. The entry itself is shared: the lock is held for
-    /// a reference-count increment, not a copy.
-    pub(crate) fn lookup_solves(&self, key: &[u64]) -> Option<Arc<PrefixSolves>> {
-        let mut guard = locked(self.solve_shard(key));
+    /// `f64` bit patterns, and `hash` its hashes
+    /// ([`FitCache::solve_hashes`]). A hit compares the stored key word for
+    /// word. The entry itself is shared: the lock is held for a
+    /// reference-count increment, not a copy.
+    pub(crate) fn lookup_solves_at(&self, key: &[u64], hash: KeyHash) -> Option<Arc<PrefixSolves>> {
+        let mut guard = locked(self.shard_at(hash.shard));
         guard.clock += 1;
         let clock = guard.clock;
-        let entry = guard.solves.get_mut(key)?;
+        let entry = guard.solves.get_mut(&hash.keyed)?;
+        if *entry.key != *key {
+            return None;
+        }
         entry.last_used = clock;
         Some(Arc::clone(&entry.solves))
     }
 
     /// Merge `solves` into the memo entry for `key` (see
-    /// [`FitCache::lookup_solves`]), inserting it if absent and then
+    /// [`FitCache::lookup_solves_at`]), inserting it if absent and then
     /// evicting the shard's least-recently-used entries beyond its capacity.
     /// The merge updates the entry in place, or a copy of it while a fit
-    /// still holds the entry a lookup handed out.
-    pub(crate) fn store_solves(&self, key: &[u64], solves: PrefixSolves) {
-        let mut guard = locked(self.solve_shard(key));
+    /// still holds the entry a lookup handed out. Under a hash another key
+    /// holds, nothing is stored.
+    pub(crate) fn store_solves_at(&self, key: &[u64], hash: KeyHash, solves: PrefixSolves) {
+        let mut guard = locked(self.shard_at(hash.shard));
         guard.clock += 1;
         let clock = guard.clock;
-        match guard.solves.get_mut(key) {
-            Some(entry) => {
-                Arc::make_mut(&mut entry.solves).merge(&solves);
-                entry.last_used = clock;
+        match guard.solves.entry(hash.keyed) {
+            Entry::Occupied(mut occupied) => {
+                let entry = occupied.get_mut();
+                if *entry.key == *key {
+                    Arc::make_mut(&mut entry.solves).merge(&solves);
+                    entry.last_used = clock;
+                }
             }
-            None => {
-                guard.solves.insert(
-                    key.into(),
-                    SolveEntry {
-                        solves: Arc::new(solves),
-                        last_used: clock,
-                    },
-                );
+            Entry::Vacant(vacant) => {
+                vacant.insert(SolveEntry {
+                    key: key.into(),
+                    solves: Arc::new(solves),
+                    last_used: clock,
+                });
                 guard.enforce_solve_capacity(self.shard_capacity);
             }
         }
@@ -733,10 +774,7 @@ impl FitCache {
     ) -> KeyBase<'a> {
         let id = self.fit_options.id(option_words(options));
         let horizon = options.realism_horizon;
-        let mut hash = StreamHash {
-            keyed: self.keyed.build_hasher(),
-            shard: Fnv1a::new(),
-        };
+        let mut hash = self.stream();
         if let Some(id) = id {
             hash.words(&[id, u64::from(horizon)]);
             hash.scope(scope);
@@ -1083,6 +1121,23 @@ mod tests {
             inner.iter().sum::<u64>()
         });
         assert_eq!(outer, vec![60, 110, 160]);
+    }
+
+    /// The solve memo's lookup and store for a key hashed alone.
+    impl FitCache {
+        fn solve_hash(&self, key: &[u64]) -> KeyHash {
+            let mut stream = self.stream();
+            stream.words(key);
+            stream.finish()
+        }
+
+        fn lookup_solves(&self, key: &[u64]) -> Option<Arc<PrefixSolves>> {
+            self.lookup_solves_at(key, self.solve_hash(key))
+        }
+
+        fn store_solves(&self, key: &[u64], solves: PrefixSolves) {
+            self.store_solves_at(key, self.solve_hash(key), solves);
+        }
     }
 
     /// An empty list, its computation counted.
@@ -1440,6 +1495,81 @@ mod tests {
         cache.invalidate_series("any");
         assert_eq!(cache.solve_entries(), 2);
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn one_pass_solve_hashes_equal_each_prefix_hashed_alone() {
+        // Eleven points of mixed bit patterns: every prefix's one-pass
+        // hashes, keyed and shard, are those of the prefix fed alone, in
+        // one write, to a fresh stream.
+        let cache = FitCache::new();
+        let key: Vec<u64> = (0..22u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(i as u32))
+            .chain([f64::NAN.to_bits(), (-0.0f64).to_bits()])
+            .collect();
+        let hashes: Vec<KeyHash> = cache.solve_hashes(&key).collect();
+        assert_eq!(hashes.len(), key.len() / 2);
+        for (points, hash) in (1..).zip(&hashes) {
+            assert_eq!(
+                *hash,
+                cache.solve_hash(&key[..2 * points]),
+                "prefix of {points} points"
+            );
+        }
+        // An odd word is no point.
+        assert_eq!(cache.solve_hashes(&key[..3]).count(), 1);
+    }
+
+    #[test]
+    fn near_alias_prefixes_never_share_a_solve_entry() {
+        const NAN: f64 = f64::NAN;
+        const OTHER_NAN: f64 = f64::from_bits(NAN.to_bits() ^ 1);
+        let next_up = f64::from_bits(4.0f64.to_bits() + 1);
+        // Pairwise distinct keys, each close to another: the last word
+        // changed, -0.0 against 0.0, NaN payloads, and a prefix of another.
+        let keys: Vec<Vec<u64>> = [
+            &[1.0, 2.0, 3.0, 4.0][..],
+            &[1.0, 2.0, 3.0, 5.0],
+            &[1.0, 2.0, 3.0, next_up],
+            &[1.0, 2.0, 3.0, 0.0],
+            &[1.0, 2.0, 3.0, -0.0],
+            &[1.0, 2.0, 3.0, NAN],
+            &[1.0, 2.0, 3.0, OTHER_NAN],
+            &[1.0, 2.0, 0.0, 4.0],
+            &[1.0, 2.0, -0.0, 4.0],
+            &[1.0, 2.0],
+            &[NAN, 2.0],
+            &[OTHER_NAN, 2.0],
+        ]
+        .iter()
+        .map(|values| values.iter().map(|v| v.to_bits()).collect())
+        .collect();
+        let cache = FitCache::new();
+        let entries: Vec<Arc<PrefixSolves>> = keys
+            .iter()
+            .map(|key| {
+                assert!(
+                    cache.lookup_solves(key).is_none(),
+                    "{key:x?} aliased an earlier key"
+                );
+                cache.store_solves(key, PrefixSolves::EMPTY);
+                cache.lookup_solves(key).expect("its own entry")
+            })
+            .collect();
+        assert_eq!(cache.solve_entries(), keys.len());
+        for (key, entry) in keys.iter().zip(&entries) {
+            let found = cache.lookup_solves(key).expect("its own entry");
+            assert!(Arc::ptr_eq(entry, &found), "{key:x?} found another entry");
+        }
+
+        // A key under another key's hash is a miss, and is not stored.
+        let (first, second) = (&keys[0], &keys[1]);
+        let taken = cache.solve_hash(first);
+        assert!(cache.lookup_solves_at(second, taken).is_none());
+        cache.store_solves_at(second, taken, PrefixSolves::EMPTY);
+        assert_eq!(cache.solve_entries(), keys.len());
+        let found = cache.lookup_solves(first).expect("the first entry");
+        assert!(Arc::ptr_eq(&entries[0], &found), "the first entry changed");
     }
 
     #[test]

@@ -25,23 +25,20 @@
 //! organised around the *training-prefix structure*: the fitted parameters of
 //! a grid cell depend only on the training prefix `(kernel, prefix)` — never
 //! on the checkpoint count, which only picks the held-out points the fit is
-//! scored against. The grid therefore fans out **one work item per kernel**,
-//! and each item
+//! scored against. The grid therefore runs in two phases.
+//!
+//! The **solve phase** fans out **one work item per kernel** with a cell to
+//! compute, and each item
 //!
 //! * builds one **columnar design slab** (column-major, stride = the longest
 //!   training range) over the union of all checkpoint counts' training
 //!   ranges, so every prefix of every checkpoint span reads the same
 //!   transformed columns instead of rebuilding rows per cell (and builds
-//!   none when the solve memo below holds every cell),
-//! * solves each distinct prefix **once** and scores the resulting curve
-//!   against every checkpoint span covering that prefix — and only the
-//!   checkpoint RMSE depends on the span: the realism walk runs first, once
-//!   per prefix, and its integer-grid eval table serves the rest. The
-//!   training RMSE and every span's checkpoint RMSE read the curve's value
-//!   at an integer core count inside the horizon from the table (bit for bit
-//!   [`KernelKind::eval`] there), and every span's candidate shares the one
-//!   table and carries its parameters inline ([`Params`]), so a candidate
-//!   allocates nothing of its own,
+//!   none when the solve memo below holds every solve),
+//! * solves each distinct prefix **once** and runs the realism walk on the
+//!   solved curve, once per prefix; the walk's integer-grid eval table is
+//!   the curve's value at every integer core count inside the horizon (bit
+//!   for bit [`KernelKind::eval`] there), and the training RMSE reads it,
 //! * for linear kernels (`CubicLn`, `Poly25`) maintains the normal equations
 //!   **incrementally** — growing the prefix by one point is a rank-1 update
 //!   of `AᵀA` / `Aᵀy` followed by an in-place Cholesky solve,
@@ -49,6 +46,16 @@
 //!   solve over prefix views of the shared slab columns and refines with
 //!   Levenberg–Marquardt using the kernel's analytic Jacobian and a
 //!   per-thread [`LmWorkspace`], so the LM iterations allocate nothing.
+//!
+//! The **scoring loop** then visits the cells in the historical enumeration
+//! order (checkpoint span → prefix → kernel) and pushes each candidate once,
+//! numbered by its (kernel, prefix) cell as it goes. A cell comes from the
+//! solve phase or straight from the memo; the magnitude cap reads its
+//! walk's maximum, and only the checkpoint RMSE depends on the span, read
+//! from the cell's table. Every span's candidate shares that one table and
+//! carries its parameters inline ([`Params`]), so a candidate allocates
+//! nothing of its own. The candidates collect in a buffer of the thread's
+//! workspace and move into a list allocated once, at its final length.
 //!
 //! Each worker thread owns one `FitWorkspace` (a thread local), so engine
 //! fan-outs of any width reuse a fixed set of buffers — among them the
@@ -85,28 +92,34 @@
 //! largest value it captured, and a cap keeps the curve iff `!(max > cap)`.
 //!
 //! A fit with a cache therefore looks every prefix up in the [`FitCache`]'s
-//! memo before fanning out; a lookup hands out the entry's one shared `Arc`.
-//! Each prefix's entry holds, per kernel, the solve (a failed one included)
-//! and, once a grid walked the solved curve, the walk's verdict, maximum,
-//! training RMSE and eval table at that grid's horizon, the table with its
-//! tail fold from that grid's first extrapolated core count (a walk at
-//! another horizon replaces them; the solve stays). Every solved cell is
-//! walked, whatever its checkpoint RMSEs. A cell known at this horizon
-//! skips the solve and the walk and pays only the cap test and, when the
-//! cap keeps it, its checkpoint RMSEs, read from its memoised table. Its
-//! candidates share that table and its tail fold; a series whose largest
-//! core count differs from the walking grid's folds its own tail. The rest
-//! are computed and stored afterwards. Refitting a series whose newest
-//! point changed computes no cell; an appended point computes one new
-//! prefix per kernel. A fit without a cache computes every cell and stays
-//! the reference the memoised path is tested against.
+//! memo first, hashing the series' points in one pass that reads every
+//! prefix's hashes on the way; a lookup hands out the entry's one shared
+//! `Arc`. Each prefix's entry holds, per kernel, the solve (a failed one
+//! included) and, once a grid walked the solved curve, the walk's verdict,
+//! maximum, training RMSE and eval table at that grid's horizon, the table
+//! with its tail fold from that grid's first extrapolated core count (a
+//! walk at another horizon replaces them; the solve stays). Every solved
+//! cell is walked, whatever its checkpoint RMSEs.
+//!
+//! Only a kernel with a covered cell the memo lacks — its solve, or a
+//! solved cell's scored part at this horizon — joins the solve phase. A
+//! cell known at this horizon skips the solve and the walk and pays only
+//! the cap test and, when the cap keeps it, its checkpoint RMSEs, read from
+//! its memoised table. Its candidates share that table and its tail fold; a
+//! series whose largest core count differs from the walking grid's folds
+//! its own tail. The computed cells are stored after the scoring loop.
+//! Refitting a series whose newest point changed finds every cell
+//! memoised, so it fans nothing out: no engine run, no copy of the kernel
+//! list, no per-kernel buffer and no computed cell. An appended point
+//! computes one new prefix per kernel. A fit without a cache computes
+//! every cell and stays the reference the memoised path is tested against.
 
 use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use crate::config::MAX_TARGET_CORES;
-use crate::engine::{CacheScope, Engine, FitCache, KeyBase};
+use crate::engine::{CacheScope, Engine, FitCache, KeyBase, KeyHash};
 use crate::error::{EstimaError, Result};
 use crate::kernels::{within_cap, FittedCurve, HorizonTable, KernelKind, Params};
 use crate::levenberg::{levenberg_marquardt_into, LmWorkspace, MAX_PARAMS};
@@ -167,8 +180,9 @@ thread_local! {
 }
 
 /// Reusable scratch for one worker thread: the Levenberg–Marquardt workspace,
-/// the design-matrix and normal-equation buffers of the grid fitter, and the
-/// realism walk's table and capture buffer.
+/// the design-matrix and normal-equation buffers of the grid fitter, the
+/// realism walk's table and capture buffer, and the scoring loop's
+/// candidate buffer.
 #[derive(Debug, Default)]
 struct FitWorkspace {
     lm: LmWorkspace,
@@ -196,6 +210,8 @@ struct FitWorkspace {
     horizon: HorizonTable,
     /// The values the walk of the current prefix captured.
     walked: Vec<f64>,
+    /// The scoring loop's candidates, before they move into their list.
+    scored: Vec<FitCandidate>,
 }
 
 fn with_fit_workspace<R>(f: impl FnOnce(&mut FitWorkspace) -> R) -> R {
@@ -621,16 +637,16 @@ pub fn approximate_series(
 /// needs the full candidate list because it selects by correlation rather
 /// than checkpoint RMSE.
 ///
-/// The grid fans out one work item per kernel on `ctx.engine`, each covering
-/// every checkpoint count × prefix cell from a shared columnar design slab;
-/// the results are reassembled in the historical cell-enumeration order
-/// (checkpoint count → prefix → kernel), so the list is identical at any
-/// engine width, and each candidate's table is numbered by its (kernel,
-/// prefix) cell. With `ctx.cache` the list for a given (series, options,
-/// scope) is computed once and shared by every later caller, winner and
-/// numbering included: the lookup is the cache's one probe, under a key
-/// base of `xs`, `options` and `ctx.scope` built for this call (as
-/// [`FitCache::get_or_compute`] builds one for a
+/// The grid fans out one work item per kernel with a cell to compute on
+/// `ctx.engine`, each solving and walking its prefixes from a shared
+/// columnar design slab; one loop then scores every cell in the historical
+/// enumeration order (checkpoint count → prefix → kernel), so the list is
+/// identical at any engine width, and numbers each candidate's table by its
+/// (kernel, prefix) cell. With `ctx.cache` the list for a given (series,
+/// options, scope) is computed once and shared by every later caller,
+/// winner and numbering included: the lookup is the cache's one probe,
+/// under a key base of `xs`, `options` and `ctx.scope` built for this call
+/// (as [`FitCache::get_or_compute`] builds one for a
 /// [`FitKey`](crate::engine::FitKey)), and a miss draws its cells from the
 /// cache's solve memo.
 pub fn candidate_fits(
@@ -748,6 +764,11 @@ struct Walked {
     evals: CandidateEvals,
 }
 
+/// A cell as the scoring loop reads it: `None` when its solve found no
+/// solution, else its parameters and its walk (`None` when the walk
+/// rejected the curve).
+type Scored<'a> = Option<(&'a [f64], Option<&'a Walked>)>;
+
 impl PrefixSolves {
     /// Nothing known.
     pub(crate) const EMPTY: PrefixSolves = PrefixSolves {
@@ -784,6 +805,15 @@ impl PrefixSolves {
         (score.horizon == horizon).then_some(score.accepted.as_ref())
     }
 
+    /// `kernel`'s cell at `horizon`, or `None` when the memo lacks its
+    /// solve or, for a solved cell, its scored part at that horizon.
+    fn scored(&self, kernel: KernelKind, horizon: u32) -> Option<Scored<'_>> {
+        Some(match self.get(kernel)? {
+            Some(params) => Some((params, self.score(kernel, horizon)?)),
+            None => None,
+        })
+    }
+
     /// Adopt every solve `other` knows and `self` does not, and every scored
     /// part `other` holds at a horizon `self` has not scored that kernel at
     /// (it replaces the scored part at the other horizon). Returns whether
@@ -810,22 +840,24 @@ impl PrefixSolves {
 }
 
 /// The cached path's view of the solve memo for one series: every covered
-/// prefix's key, and what the memo knew before the fit.
+/// prefix's key and hashes, and what the memo knew before the fit.
 struct SeriesSolves<'c> {
     cache: &'c FitCache,
     /// `[x₀, y₀, x₁, y₁, …]` as bit patterns: prefix `p`'s memo key is
     /// `key[..2p]`, so one buffer holds every prefix's key.
     key: Vec<u64>,
-    /// Smallest grid prefix; `known[i]` belongs to prefix `lo + i` (`None`
-    /// when the memo holds nothing for it).
+    /// Smallest grid prefix; `prefixes[i]` belongs to prefix `lo + i`: its
+    /// key's hashes, and the memo's entry (`None` when the memo holds
+    /// nothing for it or no span covers it).
     lo: usize,
-    known: Vec<Option<Arc<PrefixSolves>>>,
+    prefixes: Vec<(KeyHash, Option<Arc<PrefixSolves>>)>,
     /// (kernel, prefix) cells the grid visits.
     cells: usize,
 }
 
 impl<'c> SeriesSolves<'c> {
-    /// Look up every prefix the grid will fit.
+    /// Look up every prefix the grid will fit, hashing the series' points
+    /// once for all of them.
     fn open(
         cache: &'c FitCache,
         xs: &[f64],
@@ -838,43 +870,64 @@ impl<'c> SeriesSolves<'c> {
         for (x, y) in xs[..hi].iter().zip(&ys[..hi]) {
             key.extend([x.to_bits(), y.to_bits()]);
         }
-        let known = (lo..=hi)
-            .map(|prefix| {
-                covered(spans, prefix)
-                    .then(|| cache.lookup_solves(&key[..2 * prefix]))
-                    .flatten()
+        let prefixes = (1..)
+            .zip(cache.solve_hashes(&key))
+            .skip(lo - 1)
+            .map(|(prefix, hash)| {
+                let known = covered(spans, prefix)
+                    .then(|| cache.lookup_solves_at(&key[..2 * prefix], hash))
+                    .flatten();
+                (hash, known)
             })
             .collect();
-        let prefixes = (lo..=hi).filter(|prefix| covered(spans, *prefix)).count();
+        let covered_prefixes = (lo..=hi).filter(|prefix| covered(spans, *prefix)).count();
         SeriesSolves {
             cache,
             key,
             lo,
-            known,
-            cells: prefixes * options.kernels.len(),
+            prefixes,
+            cells: covered_prefixes * options.kernels.len(),
         }
     }
 
-    /// Store the cells the kernel grids computed (one list of `(prefix −
-    /// lo, cell)` per kernel) and count the grid's cells: the computed
-    /// ones, and the rest as served.
-    fn store(self, fresh: Vec<Vec<(usize, PrefixSolves)>>) {
+    /// What the memo held for `prefix` before the fit.
+    fn known(&self, prefix: usize) -> Option<&PrefixSolves> {
+        self.prefixes[prefix - self.lo].1.as_deref()
+    }
+
+    /// Store the cells the solve phase computed and count the grid's cells:
+    /// the computed ones, and the rest as served.
+    fn store(self, computed: Vec<KernelCells>) {
         let SeriesSolves {
             cache,
             key,
             lo,
-            known,
-            cells,
+            mut prefixes,
+            cells: visited,
         } = self;
         // Release the entries this fit read first, so a merge into one of
         // them updates it in place instead of copying it.
-        drop(known);
-        let mut computed = 0;
-        for (index, cell) in fresh.into_iter().flatten() {
-            cache.store_solves(&key[..2 * (lo + index)], cell);
-            computed += 1;
+        for (_, known) in &mut prefixes {
+            *known = None;
         }
-        cache.record_solves(cells - computed, computed);
+        let mut stored = 0;
+        for KernelCells { kernel, cells, .. } in computed {
+            for (index, cell) in cells.into_iter().enumerate() {
+                let mut solves = PrefixSolves::EMPTY;
+                match cell {
+                    Cell::Known => continue,
+                    Cell::Unsolved => solves.set(kernel, None),
+                    Cell::Walked(params, score) => {
+                        solves.set(kernel, Some(&params));
+                        solves.scores[solve_slot(kernel).0] = Some(score);
+                    }
+                }
+                let hash = prefixes[index].0;
+                cache.store_solves_at(&key[..2 * (lo + index)], hash, solves);
+                stored += 1;
+            }
+        }
+        cache.record_solves(visited - stored, stored);
     }
 }
 
@@ -892,11 +945,6 @@ struct CheckpointSpan {
 }
 
 impl CheckpointSpan {
-    /// Number of grid cells (prefix lengths) in this span.
-    fn width(&self) -> usize {
-        self.prefix_end - self.prefix_start + 1
-    }
-
     /// Whether `prefix` is one of this span's cells.
     fn covers(&self, prefix: usize) -> bool {
         prefix >= self.prefix_start && prefix <= self.prefix_end
@@ -951,16 +999,26 @@ fn candidate_grid(
             "realism horizon must be at most {MAX_TARGET_CORES} cores"
         )));
     }
-    let mut viable_checkpoint_counts: Vec<usize> = options
+    let span = |checkpoints: usize| {
+        let n_train = m - checkpoints;
+        let (prefix_start, prefix_end) = prefix_bounds(options, n_train);
+        CheckpointSpan {
+            checkpoints,
+            n_train,
+            prefix_start,
+            prefix_end,
+        }
+    };
+    let mut spans: Vec<CheckpointSpan> = options
         .checkpoint_counts
         .iter()
-        .copied()
-        .filter(|c| *c >= 1 && m >= c + MIN_TRAINING_POINTS)
+        .filter(|c| **c >= 1 && m >= **c + MIN_TRAINING_POINTS)
+        .map(|c| span(*c))
         .collect();
-    if viable_checkpoint_counts.is_empty() {
+    if spans.is_empty() {
         // Degrade gracefully to a single checkpoint when the series is short.
         if m > MIN_TRAINING_POINTS {
-            viable_checkpoint_counts.push(1);
+            spans.push(span(1));
         } else {
             return Err(EstimaError::InsufficientMeasurements {
                 required: MIN_TRAINING_POINTS + 1,
@@ -969,208 +1027,195 @@ fn candidate_grid(
         }
     }
 
-    let spans: Vec<CheckpointSpan> = viable_checkpoint_counts
-        .iter()
-        .map(|&c| {
-            let n_train = m - c;
-            let (prefix_start, prefix_end) = prefix_bounds(options, n_train);
-            CheckpointSpan {
-                checkpoints: c,
-                n_train,
-                prefix_start,
-                prefix_end,
-            }
-        })
-        .collect();
-
     let data_max = ys.iter().copied().fold(0.0f64, f64::max);
     let magnitude_cap = if data_max > 0.0 {
         (data_max * options.max_growth_factor).min(MAX_MAGNITUDE)
     } else {
         MAX_MAGNITUDE
     };
+    let solves = memo.map(|cache| SeriesSolves::open(cache, xs, ys, options, &spans));
+    let (lo, hi) = prefix_range(&spans);
     let grid = Grid {
         xs,
         ys,
         spans: &spans,
+        lo,
+        hi,
         options,
         magnitude_cap,
         // One past the series' largest measured x (the series covers *all*
         // measured points — checkpoints included). Saturates: an x at or
         // beyond `u32::MAX` leaves the tail empty.
         tail_start: (xs.iter().fold(0.0f64, |a, x| a.max(*x)) as u32).saturating_add(1),
+        memo: solves.as_ref(),
     };
 
-    let solves = memo.map(|cache| SeriesSolves::open(cache, xs, ys, options, &spans));
-    let known = solves.as_ref().map(|solves| solves.known.as_slice());
-    let (mut kernel_grids, fresh): (Vec<_>, Vec<_>) = engine
-        .run(options.kernels.clone(), |kernel| {
-            with_fit_workspace(|ws| fit_kernel_grid(&grid, kernel, known, ws))
-        })
-        .into_iter()
-        .unzip();
+    // The solve phase fans out only the kernels with a cell to compute.
+    let runs: Vec<(usize, KernelKind)> = options
+        .kernels
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|(_, kernel)| grid.computes(*kernel))
+        .collect();
+    let computed = engine.run(runs, |(index, kernel)| KernelCells {
+        index,
+        kernel,
+        cells: with_fit_workspace(|ws| fit_kernel_grid(&grid, kernel, ws)),
+    });
+    let fits = with_fit_workspace(|ws| grid.score(&computed, &mut ws.scored));
     if let Some(solves) = solves {
-        solves.store(fresh);
+        solves.store(computed);
     }
-
-    // Reassemble in the historical enumeration order: checkpoint count →
-    // prefix length → kernel. The winner is the first candidate of equal
-    // RMSE, so the order is part of the contract. Each candidate's table
-    // number names the (kernel, prefix) cell it comes from, whatever number
-    // a memoised walk carried.
-    let (lo, hi) = prefix_range(&spans);
-    let width = hi - lo + 1;
-    let mut out = Vec::with_capacity(kernel_grids.iter().flatten().flatten().count());
-    let mut base = 0;
-    for span in &spans {
-        for pi in 0..span.width() {
-            let cell = span.prefix_start + pi - lo;
-            for (kernel, grid) in kernel_grids.iter_mut().enumerate() {
-                if let Some(mut candidate) = grid[base + pi].take() {
-                    candidate.evals.table = (kernel * width + cell) as u32;
-                    out.push(candidate);
-                }
-            }
-        }
-        base += span.width();
-    }
-    Ok(Fits::numbered(out, kernel_grids.len() * width))
+    Ok(fits)
 }
 
 /// One candidate grid's fixed inputs: the series, its checkpoint spans, the
-/// options, and what scoring a cell reads besides the cell's parameters.
+/// options, what scoring a cell reads besides the cell, and the memo's view
+/// of the series on the cached path.
 struct Grid<'a> {
     xs: &'a [f64],
     ys: &'a [f64],
     spans: &'a [CheckpointSpan],
+    /// Smallest and largest prefix any span covers.
+    lo: usize,
+    hi: usize,
     options: &'a FitOptions,
     /// Largest magnitude a realistic curve may reach inside the horizon.
     magnitude_cap: f64,
     /// First extrapolated core count, for every candidate's eval table.
     tail_start: u32,
+    memo: Option<&'a SeriesSolves<'a>>,
 }
 
-/// Fit every (checkpoint count × prefix) cell of one kernel. Returns one
-/// slot per cell, flattened in (checkpoint span → prefix) order — the same
-/// layout [`candidate_grid`] reassembles from — and, when the memo's `known`
-/// cells are given (indexed by `prefix - lo`), the cells this call computed
-/// (a solve or a walk ran), as `(prefix - lo, cell)`.
-///
-/// A cell whose solve is known skips the solve (and yields nothing if it
-/// found no solution); one whose scored part is known at this horizon also
-/// skips the walk, and pays only the cap test and its checkpoint RMSEs.
-fn fit_kernel_grid(
-    grid: &Grid<'_>,
+/// What the solve phase did for one (kernel, prefix) cell.
+enum Cell {
+    /// Nothing: the memo holds the cell at the grid's horizon, or no span
+    /// covers the prefix.
+    Known,
+    /// The solve found no solution.
+    Unsolved,
+    /// The cell's parameters, solved here or read from the memo, and the
+    /// walk this phase ran on them.
+    Walked(Params, CellScore),
+}
+
+/// One kernel's solve phase: the kernel, its index in the options' kernel
+/// list, and one [`Cell`] per prefix `lo..=hi` of the grid, at `prefix -
+/// lo`.
+struct KernelCells {
+    index: usize,
     kernel: KernelKind,
-    known: Option<&[Option<Arc<PrefixSolves>>]>,
-    ws: &mut FitWorkspace,
-) -> (Vec<Option<FitCandidate>>, Vec<(usize, PrefixSolves)>) {
-    let horizon = grid.options.realism_horizon;
-    ws.horizon.cover(horizon);
-    let total: usize = grid.spans.iter().map(CheckpointSpan::width).sum();
-    let mut out = vec![None; total];
-    let mut fresh = Vec::new();
-    let (lo, hi) = prefix_range(grid.spans);
-    // The slab covers the longest training range.
-    let n_build = grid.spans.iter().map(|s| s.n_train).max().unwrap_or(0);
-    let (xs, ys) = (&grid.xs[..n_build], &grid.ys[..n_build]);
-    let mut solver = CellSolver::new(kernel, xs, ys);
-    let mut params_buf = [0.0f64; MAX_PARAMS];
-    for prefix in lo..=hi {
-        if !covered(grid.spans, prefix) {
-            continue;
-        }
-        let memo = known.and_then(|known| known[prefix - lo].as_deref());
-        let params = &mut params_buf[..kernel.param_count()];
-        // What this call learns about the cell, for the memo.
-        let mut computed = None;
-        let solved = match memo.and_then(|memo| memo.get(kernel)) {
-            Some(outcome) => {
-                if let Some(memoised) = outcome {
-                    params.copy_from_slice(memoised);
-                }
-                outcome.is_some()
-            }
-            None => {
-                let solved = solver.solve(prefix, ws, params);
-                computed = Some((solved, None));
-                solved
-            }
-        };
-        if solved {
-            let score = memo.and_then(|memo| memo.score(kernel, horizon));
-            if let Some(walked) = score_cell_into(grid, kernel, params, prefix, score, ws, &mut out)
-            {
-                computed = Some((true, Some(walked)));
-            }
-        }
-        if let (Some((solved, walked)), Some(_)) = (computed, known) {
-            let mut cell = PrefixSolves::EMPTY;
-            cell.set(kernel, solved.then_some(&*params));
-            cell.scores[solve_slot(kernel).0] = walked;
-            fresh.push((prefix - lo, cell));
-        }
+    cells: Vec<Cell>,
+}
+
+impl Grid<'_> {
+    /// `kernel`'s cell at `prefix` as the memo held it at this grid's
+    /// horizon, if it did.
+    fn memoised(&self, kernel: KernelKind, prefix: usize) -> Option<Scored<'_>> {
+        self.memo?
+            .known(prefix)?
+            .scored(kernel, self.options.realism_horizon)
     }
-    (out, fresh)
-}
 
-/// Score one solved cell against every checkpoint span covering it, writing
-/// the candidates into the flattened (span → prefix) output slots.
-///
-/// The walk, the training RMSE and the eval table depend on (kernel,
-/// params, prefix, horizon) alone, so they come first: `memo` is what an
-/// earlier grid found for them at this horizon, if anything; otherwise the
-/// walk runs and its result is returned for the memo. A curve the walk
-/// rejects, or whose maximum the magnitude cap cuts, yields no candidate
-/// and computes no checkpoint RMSE; so one walk serves every cap. Only the
-/// checkpoint RMSE depends on the span, and it reads the eval table every
-/// span's candidate shares.
-fn score_cell_into(
-    grid: &Grid<'_>,
-    kernel: KernelKind,
-    params: &[f64],
-    prefix: usize,
-    memo: Option<Option<&Walked>>,
-    ws: &mut FitWorkspace,
-    out: &mut [Option<FitCandidate>],
-) -> Option<CellScore> {
-    let fresh = memo
-        .is_none()
-        .then(|| walk_cell(grid, kernel, params, prefix, ws));
-    let walked = memo.unwrap_or_else(|| fresh.as_ref().and_then(|score| score.accepted.as_ref()));
-    if let Some(walked) = walked.filter(|walked| within_cap(walked.max, grid.magnitude_cap)) {
-        let evals = walked.evals.with_tail_start(grid.tail_start);
-        let params = Params::from(params);
-        let (xs, ys) = (grid.xs, grid.ys);
-        let mut base = 0;
-        for span in grid.spans {
-            if span.covers(prefix) {
-                let n_train = span.n_train;
-                let checkpoint_rmse = table_rmse(
-                    kernel,
-                    &params,
-                    evals.values(),
-                    &xs[n_train..],
-                    &ys[n_train..],
-                );
-                if checkpoint_rmse.is_finite() {
-                    out[base + prefix - span.prefix_start] = Some(FitCandidate {
+    /// Whether the solve phase has a cell of `kernel` to compute: a covered
+    /// cell the memo lacks at this horizon.
+    fn computes(&self, kernel: KernelKind) -> bool {
+        (self.lo..=self.hi)
+            .any(|prefix| covered(self.spans, prefix) && self.memoised(kernel, prefix).is_none())
+    }
+
+    /// The scoring loop: every cell against every checkpoint span covering
+    /// it, in the historical enumeration order (checkpoint count → prefix
+    /// length → kernel). The winner is the first candidate of equal RMSE,
+    /// so the order is part of the contract. A cell comes from `computed`
+    /// (the solve phase's runs, in kernel order) or else from the memo, and
+    /// each candidate's table number names its (kernel, prefix) cell,
+    /// whatever number a memoised walk carried.
+    ///
+    /// A curve the walk rejected, or whose maximum the magnitude cap cuts,
+    /// yields no candidate and computes no checkpoint RMSE; so one walk
+    /// serves every cap. Only the checkpoint RMSE depends on the span, and
+    /// it reads the cell's eval table. The candidates collect in `scored`,
+    /// which they leave empty, and move into a list of exactly their count.
+    fn score(&self, computed: &[KernelCells], scored: &mut Vec<FitCandidate>) -> Fits {
+        let width = self.hi - self.lo + 1;
+        for span in self.spans {
+            let (xs, ys) = (&self.xs[span.n_train..], &self.ys[span.n_train..]);
+            for prefix in span.prefix_start..=span.prefix_end {
+                let mut runs = computed.iter().peekable();
+                for (index, &kernel) in self.options.kernels.iter().enumerate() {
+                    let run = runs.next_if(|run| run.index == index);
+                    let cell = match run.map(|run| &run.cells[prefix - self.lo]) {
+                        Some(Cell::Walked(params, score)) => {
+                            Some((&params[..], score.accepted.as_ref()))
+                        }
+                        Some(Cell::Unsolved) => None,
+                        Some(Cell::Known) | None => self
+                            .memoised(kernel, prefix)
+                            .expect("the memo holds every cell the solve phase skipped"),
+                    };
+                    let Some((params, Some(walked))) = cell else {
+                        continue;
+                    };
+                    if !within_cap(walked.max, self.magnitude_cap) {
+                        continue;
+                    }
+                    let checkpoint_rmse = table_rmse(kernel, params, walked.evals.values(), xs, ys);
+                    if !checkpoint_rmse.is_finite() {
+                        continue;
+                    }
+                    let mut evals = walked.evals.with_tail_start(self.tail_start);
+                    evals.table = (index * width + prefix - self.lo) as u32;
+                    scored.push(FitCandidate {
                         curve: FittedCurve {
                             kernel,
-                            params,
+                            params: Params::from(params),
                             checkpoint_rmse,
                             training_rmse: walked.training_rmse,
                             training_points: prefix,
                         },
                         checkpoints: span.checkpoints,
-                        evals: evals.clone(),
+                        evals,
                     });
                 }
             }
-            base += span.width();
         }
+        // `split_off(0)` moves the candidates into a vector of exactly their
+        // count in one copy, and leaves the buffer empty at its capacity.
+        Fits::numbered(scored.split_off(0), self.options.kernels.len() * width)
     }
-    fresh
+}
+
+/// The solve phase of one kernel: one [`Cell`] per prefix `lo..=hi` of the
+/// grid. A cell the memo holds at the grid's horizon, or that no span
+/// covers, computes nothing; a cell whose solve the memo holds is walked on
+/// the memoised parameters; the rest are solved and, when solved, walked.
+fn fit_kernel_grid(grid: &Grid<'_>, kernel: KernelKind, ws: &mut FitWorkspace) -> Vec<Cell> {
+    ws.horizon.cover(grid.options.realism_horizon);
+    // The slab covers the longest training range.
+    let n_build = grid.spans.iter().map(|s| s.n_train).max().unwrap_or(0);
+    let mut solver = CellSolver::new(kernel, &grid.xs[..n_build], &grid.ys[..n_build]);
+    (grid.lo..=grid.hi)
+        .map(|prefix| {
+            if !covered(grid.spans, prefix) || grid.memoised(kernel, prefix).is_some() {
+                return Cell::Known;
+            }
+            let mut buf = [0.0f64; MAX_PARAMS];
+            let params = &mut buf[..kernel.param_count()];
+            let memoised = grid
+                .memo
+                .and_then(|memo| memo.known(prefix)?.get(kernel))
+                .flatten();
+            match memoised {
+                Some(memoised) => params.copy_from_slice(memoised),
+                None if solver.solve(prefix, ws, params) => {}
+                None => return Cell::Unsolved,
+            }
+            let score = walk_cell(grid, kernel, params, prefix, ws);
+            Cell::Walked(Params::from(&*params), score)
+        })
+        .collect()
 }
 
 /// Walk a solved cell at the grid's horizon and, when the walk accepts the
@@ -1215,8 +1260,11 @@ fn table_rmse(kernel: KernelKind, params: &[f64], values: &[f64], xs: &[f64], ys
     }
     let mut sum = 0.0;
     for (x, y) in xs.iter().zip(ys) {
-        let value = if x.fract() == 0.0 && *x >= 1.0 && *x <= values.len() as f64 {
-            values[*x as usize - 1]
+        // `c` is `x` exactly when `x` is an integer below 2³² (NaN casts to
+        // 0); the range checks keep the rest out.
+        let c = *x as u32;
+        let value = if f64::from(c) == *x && *x >= 1.0 && *x <= values.len() as f64 {
+            values[c as usize - 1]
         } else {
             kernel.eval(params, *x)
         };

@@ -6,7 +6,8 @@
 //! linearised guess's QR solve and the inline parameters it returns
 //! included. And a memoised refit re-scores its candidates without
 //! allocating per candidate: the refit after a newest-point flip allocates
-//! as often for a 24-point series as for a 12-point one.
+//! as often for a 24-point series as for a 12-point one, and no more than
+//! a fixed handful of times.
 //!
 //! A counting global allocator wraps the system allocator; each test
 //! snapshots the calling thread's allocation counter around the counted
@@ -164,5 +165,14 @@ fn a_refit_after_a_flip_allocates_nothing_per_candidate() {
         short_allocs, long_allocs,
         "a refit of {short} candidates allocated {short_allocs} times, one of {long} \
          candidates {long_allocs} times"
+    );
+    // The grid's checkpoint spans, the series' memo key and its prefix
+    // lookups, the list and its `Arc`, then the cache entry's key, scope id
+    // and series index (its name and its hash list). A memoised grid runs
+    // no solve phase, so it allocates no per-kernel buffer.
+    const REFIT_ALLOCATIONS: usize = 9;
+    assert!(
+        long_allocs <= REFIT_ALLOCATIONS,
+        "a memoised refit allocated {long_allocs} times, more than {REFIT_ALLOCATIONS}"
     );
 }

@@ -7,21 +7,24 @@
 //!    mid-series, drop a point, lower the newest point so the magnitude cap
 //!    falls) applied to a series, predicted at two targets in turn so the
 //!    memoised walks change horizon while the solves stay: after every edit
-//!    the cached candidates and predictions equal the uncached
-//!    [`candidate_fits`] / [`Estima::predict`] bit for bit — with a roomy
-//!    cache and with one small enough to evict constantly.
+//!    the cached candidates (their tables' tail folds and the list's winner
+//!    included) and predictions equal the uncached [`candidate_fits`] /
+//!    [`Estima::predict`] bit for bit — with a roomy cache and with one
+//!    small enough to evict constantly.
 //! 2. Exact cell counts through an [`EstimaSession`]: refitting after a
 //!    newest-point flip computes no cell, and an append computes one new
 //!    prefix per kernel per fitted series.
 //! 3. A seeded checkpoint edit that drops the cap below the walk maximum
 //!    of memoised accepted cells: the cached grid loses exactly those
 //!    candidates without walking again, and equals the uncached grid.
+//! 4. Dropping the newest point at an unchanged horizon: every cell is
+//!    served from walks of a grid with another largest core count, and each
+//!    candidate's table still folds its tail from the shorter series' own.
 
 use std::sync::Arc;
 
 use estima_core::engine::CacheScope;
-use estima_core::fit::FitCandidate;
-use estima_core::fit::MAX_MAGNITUDE;
+use estima_core::fit::{FitCandidate, Fits, MAX_MAGNITUDE};
 use estima_core::prelude::*;
 use estima_core::{candidate_fits, FitContext, FitOptions};
 use proptest::prelude::*;
@@ -61,9 +64,16 @@ fn set_of(points: &[Measurement]) -> MeasurementSet {
     set
 }
 
-fn assert_candidates_identical(a: &[FitCandidate], b: &[FitCandidate]) {
+/// Two lists hold the same candidates bit for bit, tables and their tail
+/// folds included, and pick the same winner.
+fn assert_candidates_identical(a: &Fits, b: &Fits) {
     assert_eq!(a.len(), b.len(), "candidate counts differ");
-    for (a, b) in a.iter().zip(b) {
+    let winner = |fits: &Fits| {
+        fits.best()
+            .map(|best| fits.iter().position(|c| std::ptr::eq(c, best)))
+    };
+    assert_eq!(winner(a), winner(b), "winners differ");
+    for (a, b) in a.iter().zip(b.iter()) {
         assert_eq!(a.curve.kernel, b.curve.kernel);
         assert_eq!(a.checkpoints, b.checkpoints);
         assert_eq!(a.curve.training_points, b.curve.training_points);
@@ -78,6 +88,11 @@ fn assert_candidates_identical(a: &[FitCandidate], b: &[FitCandidate]) {
             b.curve.training_rmse.to_bits()
         );
         assert_eq!(bits(a.evals.values()), bits(b.evals.values()));
+        assert_eq!(a.evals.tail_start(), b.evals.tail_start());
+        assert_eq!(
+            [a.evals.tail_max().to_bits(), a.evals.tail_min().to_bits()],
+            [b.evals.tail_max().to_bits(), b.evals.tail_min().to_bits()]
+        );
     }
 }
 
@@ -361,4 +376,36 @@ fn a_checkpoint_edit_that_drops_the_cap_loses_memoised_candidates() {
         assert!(!cut.contains(&cell), "{cell:?} survived the lower cap");
         assert!(table_max(candidate) <= new_cap);
     }
+}
+
+#[test]
+fn a_dropped_newest_point_folds_every_served_tail_afresh() {
+    // Twelve points fitted through a cache, then the first eleven at the
+    // same horizon: their training prefixes are all memoised, walked by a
+    // grid whose tails started at 13 cores, and now start at 12.
+    let xs: Vec<f64> = (1..=12u32).map(f64::from).collect();
+    let ys: Vec<f64> = xs.iter().map(|x| 1.0e9 * (1.0 + 0.05 * x * x)).collect();
+    let options = FitOptions {
+        realism_horizon: 48,
+        ..FitOptions::default()
+    };
+    let cache = FitCache::new();
+    let cached = FitContext {
+        cache: Some(&cache),
+        ..FitContext::default()
+    };
+    let full = candidate_fits(&xs, &ys, &options, &cached).unwrap();
+    assert!(full.iter().all(|c| c.evals.tail_start() == 13));
+    let computed = cache.solve_stats().1;
+    let dropped = candidate_fits(&xs[..11], &ys[..11], &options, &cached).unwrap();
+    assert_eq!(
+        cache.solve_stats().1,
+        computed,
+        "dropping the newest point solved or walked a cell"
+    );
+    assert!(!dropped.is_empty());
+    assert_candidates_identical(
+        &candidate_fits(&xs[..11], &ys[..11], &options, &FitContext::default()).unwrap(),
+        &dropped,
+    );
 }
