@@ -21,6 +21,13 @@
 //! metric's change median in the old record against the new one, the
 //! trajectory from one performance change to the next.
 //!
+//! A side of a pair may also carry two optional fields, which the report
+//! prints as medians per workload and side and gates nothing on: `unscaled`,
+//! servebench's "as measured, unscaled" throughput, p50 and CPU per op, and
+//! `yardstick_ns`, the median of its "window yardstick" line. Scaling by the
+//! host yardstick divides out host speed, so these show what it hides: two
+//! builds whose yardsticks read apart move every scaled metric by as much.
+//!
 //! A record is one JSON object:
 //!
 //! ```text
@@ -28,7 +35,10 @@
 //!  "claims": [{"workload": "warm_mix", "metric": "throughput_ops_per_s"}],
 //!  "workloads": [{"name": "warm_mix", "pairs": [
 //!     {"seed": 1701, "order": ["parent", "change"],
-//!      "parent": {"throughput_ops_per_s": 20000.0, ...},
+//!      "parent": {"throughput_ops_per_s": 20000.0, ...,
+//!                 "unscaled": {"throughput_ops_per_s": 19000.0, "latency_p50_us": 40.0,
+//!                              "server_cpu_us_per_op": 30.0},
+//!                 "yardstick_ns": 12000.0},
 //!      "change": {"throughput_ops_per_s": 30000.0, ...}}, ...]}],
 //!  "traces": [...]}
 //! ```
@@ -86,16 +96,30 @@ fn name(value: &Json) -> &str {
     value.get("name").and_then(Json::as_str).unwrap_or("?")
 }
 
-/// Every pair's value of `metric` on one `side` ("parent" or "change").
-fn column(workload: &Json, side: &str, metric: &str) -> Vec<f64> {
+/// Every pair's value at `path` on one `side` ("parent" or "change"): a
+/// metric's name, or an object's name and the metric's.
+fn column(workload: &Json, side: &str, path: &[&str]) -> Vec<f64> {
     workload
         .get("pairs")
         .and_then(Json::as_array)
         .unwrap_or(&[])
         .iter()
-        .filter_map(|pair| pair.get(side)?.get(metric)?.as_f64())
+        .filter_map(|pair| {
+            path.iter()
+                .try_fold(pair.get(side)?, |value, key| value.get(key))?
+                .as_f64()
+        })
         .collect()
 }
+
+/// The optional fields of a pair's side that the report prints and does
+/// not gate.
+const UNGATED: [&[&str]; 4] = [
+    &["unscaled", "throughput_ops_per_s"],
+    &["unscaled", "latency_p50_us"],
+    &["unscaled", "server_cpu_us_per_op"],
+    &["yardstick_ns"],
+];
 
 /// The `q`-quantile (0 ≤ q ≤ 1), interpolating between order statistics.
 fn quantile(values: &[f64], q: f64) -> f64 {
@@ -146,8 +170,8 @@ fn report(record: &Json, metrics: &[Metric]) -> bool {
             .unwrap_or(&[]);
         println!("\n{} ({} pairs)", name(workload), pairs.len());
         for metric in metrics {
-            let parent = column(workload, "parent", &metric.name);
-            let change = column(workload, "change", &metric.name);
+            let parent = column(workload, "parent", &[&metric.name]);
+            let change = column(workload, "change", &[&metric.name]);
             if parent.is_empty() || parent.len() != change.len() {
                 println!("  {:<22} missing or unpaired", metric.name);
                 holds = false;
@@ -201,6 +225,19 @@ fn report(record: &Json, metrics: &[Metric]) -> bool {
                 );
             }
         }
+        for path in UNGATED {
+            let parent = column(workload, "parent", path);
+            let change = column(workload, "change", path);
+            if parent.is_empty() && change.is_empty() {
+                continue;
+            }
+            let (parent, change) = (quantile(&parent, 0.5), quantile(&change, 0.5));
+            println!(
+                "  {:<34} parent {parent:<14.4} change {change:<14.4} {:+7.2}%  not gated",
+                path.join("."),
+                (change - parent) / parent * 100.0
+            );
+        }
     }
     holds
 }
@@ -215,8 +252,8 @@ fn diff(old: &Json, new: &Json, metrics: &[Metric]) {
         println!("\n{}", name(workload));
         for metric in metrics {
             let (was, now) = (
-                column(before, "change", &metric.name),
-                column(workload, "change", &metric.name),
+                column(before, "change", &[&metric.name]),
+                column(workload, "change", &[&metric.name]),
             );
             if was.is_empty() || now.is_empty() {
                 continue;

@@ -28,9 +28,9 @@
 //! pool never multiplies threads beyond its configured width.
 
 use std::cell::Cell;
-use std::collections::hash_map::{DefaultHasher, Entry, RandomState};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -234,58 +234,83 @@ fn option_words(options: &FitOptions) -> impl Iterator<Item = u64> + Clone + '_ 
         .chain([max_growth_factor.to_bits(), u64::from(*prefix_refitting)])
 }
 
-/// The two hashes of a key's stream, run side by side: the cache's keyed
-/// `SipHash`, under which a shard's map stores the list, and the [`Fnv1a`]
-/// that picks the shard. Each reads every word once.
+/// The two lanes of a key's stream, fed the same words in one pass (see
+/// [`FitCache`]'s "Sharding and eviction"): a word `w` turns a lane `h` into
+/// `fold(h ^ w, m)`. The keyed lane starts at the cache's random seed and
+/// multiplies by its random odd secret; the shard lane starts at
+/// [`SHARD_SEED`] and multiplies by [`SHARD_MULTIPLIER`].
 #[derive(Debug, Clone)]
 struct StreamHash {
-    keyed: DefaultHasher,
-    shard: Fnv1a,
+    keyed: u64,
+    secret: u64,
+    shard: u64,
+}
+
+/// The shard lane's start and multiplier: fixed odd constants (the first
+/// fractional digits of π, and 2⁶⁴ over the golden ratio).
+const SHARD_SEED: u64 = 0x243f_6a88_85a3_08d3;
+const SHARD_MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The low half XOR the high half of the 128-bit product `x·m`: unlike a
+/// 64-bit multiply, it carries high input bits down into the low ones.
+fn fold(x: u64, m: u64) -> u64 {
+    let product = u128::from(x) * u128::from(m);
+    product as u64 ^ (product >> 64) as u64
+}
+
+/// MurmurHash3's `fmix64`: every input bit reaches every output bit.
+fn fmix64(mut hash: u64) -> u64 {
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    hash ^ (hash >> 33)
 }
 
 impl StreamHash {
+    fn word(&mut self, word: u64) {
+        self.keyed = fold(self.keyed ^ word, self.secret);
+        self.shard = fold(self.shard ^ word, SHARD_MULTIPLIER);
+    }
+
     fn words(&mut self, words: &[u64]) {
-        u64::hash_slice(words, &mut self.keyed);
-        words.iter().for_each(|word| self.shard.eat(*word));
+        words.iter().for_each(|word| self.word(*word));
     }
 
-    /// A series: its length, then its values' bit patterns, one write per
-    /// chunk.
+    /// A series: its length, then its values' bit patterns.
     fn series(&mut self, values: &[f64]) {
-        self.words(&[values.len() as u64]);
-        for chunk in values.chunks(16) {
-            let mut words = [0u64; 16];
-            for (word, value) in words.iter_mut().zip(chunk) {
-                *word = value.to_bits();
-            }
-            self.words(&words[..chunk.len()]);
-        }
+        self.word(values.len() as u64);
+        values.iter().for_each(|value| self.word(value.to_bits()));
     }
 
-    /// Both hashes of the words so far. [`Hasher::finish`] reads a hash
-    /// without ending it, so the stream may go on.
+    /// Both lanes of the words so far, each through [`fmix64`]. The
+    /// stream may go on.
     fn finish(&self) -> KeyHash {
         KeyHash {
-            keyed: self.keyed.finish(),
-            shard: self.shard.finish(),
+            keyed: fmix64(self.keyed),
+            shard: fmix64(self.shard),
         }
     }
 
     /// A scope: `0` without one, else `1`, the series id's length, the
-    /// version and the id's bytes.
+    /// version and the id's bytes as little-endian words, the last one
+    /// zero-padded.
     fn scope(&mut self, scope: Option<CacheScope<'_>>) {
         let Some(CacheScope { series, version }) = scope else {
-            self.words(&[0]);
+            self.word(0);
             return;
         };
         self.words(&[1, series.len() as u64, version]);
-        self.keyed.write(series.as_bytes());
-        self.shard.write(series.as_bytes());
+        for bytes in series.as_bytes().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..bytes.len()].copy_from_slice(bytes);
+            self.word(u64::from_le_bytes(word));
+        }
     }
 }
 
-/// A key's two hashes, finished: the cache's keyed `SipHash`, under which a
-/// shard's map stores the entry, and the FNV-1a that picks the shard.
+/// A key's two hashes, finished: the keyed lane, under which a shard's map
+/// stores the entry, and the shard lane, which picks the shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct KeyHash {
     keyed: u64,
@@ -294,7 +319,7 @@ pub(crate) struct KeyHash {
 
 /// The part of a fit-cache key that the columns of one series share: the
 /// interned options, the horizon, the scope and `xs`, with both of the
-/// stream's hashes run over them. [`FitCache::probe`] continues it with one
+/// stream's lanes run over them. [`FitCache::probe`] continues it with one
 /// column's `ys`, so a prediction, which fits every stall category and the
 /// scaling factor over the same core counts, interns and hashes the shared
 /// part once. A base serves the cache that built it.
@@ -306,7 +331,16 @@ pub(crate) struct KeyBase<'a> {
     horizon: u32,
     scope: Option<CacheScope<'a>>,
     xs: &'a [f64],
-    hash: StreamHash,
+    stream: StreamHash,
+}
+
+impl KeyBase<'_> {
+    /// The hashes of this base's key continued with `ys`.
+    fn hash(&self, ys: &[f64]) -> KeyHash {
+        let mut stream = self.stream.clone();
+        stream.series(ys);
+        stream.finish()
+    }
 }
 
 /// A cached list's key, owned: a [`KeyBase`]'s words and a probe's `ys`,
@@ -351,8 +385,9 @@ impl StoredKey {
     }
 }
 
-/// The shard maps' hasher: a map's key already is the keyed hash of a
-/// stream, so it passes through.
+/// The shard maps' hasher: a map's key already is a stream's keyed lane,
+/// finished through [`fmix64`] so that the low bits and the top seven bits
+/// a map reads are spread, and it passes through.
 #[derive(Default)]
 struct PassThrough(u64);
 
@@ -367,55 +402,6 @@ impl Hasher for PassThrough {
 
     fn finish(&self) -> u64 {
         self.0
-    }
-}
-
-/// FNV-1a over 64-bit words, finished by MurmurHash3's `fmix64`. It picks a
-/// key's [`FitCache`] shard. Like the proptest shim's seeding hash, it is
-/// independent of the std `Hash` randomness, so a key always lands on the
-/// same shard across processes and runs. As a [`Hasher`] it eats its bytes
-/// as little-endian words, the last one zero-padded.
-///
-/// Eating a word at a time is a multiply per word instead of per byte, but a
-/// multiply only carries bits upward: two series that differ only in their
-/// values' exponents (say, by powers of two) differ only in the high bits of
-/// the running hash. The shard index reads the low bits, so [`Fnv1a::finish`]
-/// folds the high bits down.
-#[derive(Debug, Clone)]
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, word: u64) {
-        self.0 ^= word;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        let words = bytes.chunks_exact(8);
-        let rest = words.remainder();
-        for word in words {
-            self.eat(u64::from_le_bytes(word.try_into().expect("8 bytes")));
-        }
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.eat(u64::from_le_bytes(word));
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        let mut hash = self.0;
-        hash ^= hash >> 33;
-        hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        hash ^= hash >> 33;
-        hash = hash.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        hash ^ (hash >> 33)
     }
 }
 
@@ -531,8 +517,8 @@ fn locked(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
     shard.lock().expect("fit cache lock poisoned")
 }
 
-/// Default number of shards (a power of two; the shard index is the low bits
-/// of the stream's FNV-1a hash).
+/// Default number of shards (the shard index is the stream's shard hash
+/// scaled to the shard count).
 const DEFAULT_SHARDS: usize = 16;
 
 /// Default total capacity. A full `reproduce all` run caches a few hundred
@@ -549,14 +535,18 @@ const DEFAULT_CAPACITY: usize = 4096;
 ///
 /// # Sharding and eviction
 ///
-/// Keys are distributed over N independent shards by an FNV-1a hash of the
-/// key's stream, each shard behind its own mutex, so concurrent
-/// lookups of different series proceed in parallel. Inside a shard, the map
-/// holds each list under the stream's `SipHash` keyed by the cache's own
-/// random state, which the probe computed beside the FNV-1a hash and the
-/// map passes through; the entry keeps the full key, and a hit compares it.
-/// A different key under a stored key's hash is computed and not kept (with
-/// random keys, about one pair in 2⁶⁴ collides). Every shard holds at
+/// A probe feeds its key's stream (see [`FitKey`]) once through two 64-bit
+/// multiply-fold lanes, as foldhash, hashbrown's default hasher, does. The
+/// shard lane, the same in every cache and run, distributes keys over N
+/// independent shards, each behind its own mutex, so concurrent lookups of
+/// different series proceed in parallel. Inside a shard, the map holds each
+/// list under the keyed lane, seeded per cache from [`RandomState`], which
+/// the map passes through; the entry keeps the full key, and a hit compares
+/// it. A different key under a stored key's hash is computed and not kept.
+/// Series values arrive over HTTP, so the keyed lane's seed and multiplier
+/// are secret: a client that could aim a collision would store its keys
+/// first, and a victim's lists would be computed on every request and never
+/// kept. By chance, about one pair in 2⁶⁴ collides. Every shard holds at
 /// most `capacity / shards` entries and evicts its least-recently-used entry
 /// on overflow (a hit refreshes recency). Eviction only ever costs a refit:
 /// fits are deterministic, so a re-computed entry is bit-identical to the
@@ -572,8 +562,8 @@ const DEFAULT_CAPACITY: usize = 4096;
 /// eval table at the horizon it was last scored at. Like the lists, an
 /// entry sits under its key's keyed hash and keeps its key, which a hit
 /// compares; a different key under a stored hash is a miss and is not
-/// kept. A fit hashes a series' points once, reading every prefix's hashes
-/// on the way. The memo is structural and unscoped, so
+/// kept. A fit feeds a series' points through the two lanes once, reading
+/// every prefix's hashes on the way. The memo is structural and unscoped, so
 /// [`FitCache::invalidate_series`] leaves it alone: a refit after an ingest
 /// solves and walks only the prefixes the ingest changed. It is bounded like
 /// the candidate lists — at most the shard capacity in entries per shard,
@@ -583,8 +573,8 @@ pub struct FitCache {
     shards: Vec<Mutex<Shard>>,
     /// Maximum entries per shard.
     shard_capacity: usize,
-    /// The keyed `SipHash` of every key's stream.
-    keyed: RandomState,
+    /// The keyed lane's start and multiplier.
+    keys: LaneKeys,
     hits: AtomicUsize,
     misses: AtomicUsize,
     evictions: AtomicUsize,
@@ -594,6 +584,20 @@ pub struct FitCache {
     fit_options: Interned,
     solve_hits: AtomicUsize,
     solve_misses: AtomicUsize,
+}
+
+/// The keyed lane's start and its odd multiplier, drawn once per cache from
+/// [`RandomState`]. Like `RandomState`'s, their `Debug` shows neither.
+#[derive(Clone, Copy)]
+struct LaneKeys {
+    seed: u64,
+    secret: u64,
+}
+
+impl std::fmt::Debug for LaneKeys {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("LaneKeys { .. }")
+    }
 }
 
 /// The cache serves at most this many distinct [`FitOptions`] (the realism
@@ -652,10 +656,14 @@ impl FitCache {
     pub fn with_shards_and_capacity(shards: usize, capacity: usize) -> Self {
         let shards = shards.max(1);
         let shard_capacity = capacity.div_ceil(shards).max(1);
+        let random = RandomState::new();
         FitCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity,
-            keyed: RandomState::new(),
+            keys: LaneKeys {
+                seed: random.hash_one(0u64),
+                secret: random.hash_one(1u64) | 1,
+            },
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
@@ -666,15 +674,18 @@ impl FitCache {
         }
     }
 
+    /// The shard of a shard hash: the hash as a fraction of 2⁶⁴, times the
+    /// shard count.
     fn shard_at(&self, hash: u64) -> &Mutex<Shard> {
-        &self.shards[(hash as usize) % self.shards.len()]
+        &self.shards[((u128::from(hash) * self.shards.len() as u128) >> 64) as usize]
     }
 
     /// A stream with nothing hashed yet.
     fn stream(&self) -> StreamHash {
         StreamHash {
-            keyed: self.keyed.build_hasher(),
-            shard: Fnv1a::new(),
+            keyed: self.keys.seed,
+            secret: self.keys.secret,
+            shard: SHARD_SEED,
         }
     }
 
@@ -774,18 +785,18 @@ impl FitCache {
     ) -> KeyBase<'a> {
         let id = self.fit_options.id(option_words(options));
         let horizon = options.realism_horizon;
-        let mut hash = self.stream();
+        let mut stream = self.stream();
         if let Some(id) = id {
-            hash.words(&[id, u64::from(horizon)]);
-            hash.scope(scope);
-            hash.series(xs);
+            stream.words(&[id, u64::from(horizon)]);
+            stream.scope(scope);
+            stream.series(xs);
         }
         KeyBase {
             options: id,
             horizon,
             scope,
             xs,
-            hash,
+            stream,
         }
     }
 
@@ -794,8 +805,8 @@ impl FitCache {
     /// and [`crate::fit::candidate_fits`] make it through a base of their
     /// own; an evaluation builds one base for all of its series.
     ///
-    /// The probe runs the stream's two hashes on from the base's over `ys`
-    /// (see [`FitKey`]): the FNV-1a hash picks the shard and the keyed hash
+    /// The probe runs the stream's two lanes on from the base's over `ys`
+    /// (see [`FitKey`]): the shard lane picks the shard and the keyed lane
     /// finds the entry, whose stored key it compares with the base and `ys`
     /// word for word, so a hit builds nothing and allocates nothing. A key
     /// whose hash another key holds is a miss, computed and not kept.
@@ -816,10 +827,8 @@ impl FitCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return compute().map(Arc::new);
         };
-        let mut stream = base.hash.clone();
-        stream.series(ys);
-        let hash = stream.keyed.finish();
-        let shard = self.shard_at(stream.shard.finish());
+        let KeyHash { keyed: hash, shard } = base.hash(ys);
+        let shard = self.shard_at(shard);
         {
             let mut guard = locked(shard);
             guard.clock += 1;
@@ -1292,35 +1301,52 @@ mod tests {
         assert!(hits(FitKey::new(&xs, &ys, &options)), "unscoped list gone");
     }
 
-    #[test]
-    fn near_alias_lookups_never_share_a_list() {
-        const NAN: f64 = f64::NAN;
-        const OTHER_NAN: f64 = f64::from_bits(NAN.to_bits() ^ 1);
+    /// The default options, one with another horizon, and one with the
+    /// next growth factor up.
+    fn near_alias_options() -> [FitOptions; 3] {
         let defaults = FitOptions::default();
         let horizon = FitOptions {
             realism_horizon: 48,
-            ..FitOptions::default()
+            ..defaults.clone()
         };
         let growth = FitOptions {
             max_growth_factor: f64::from_bits(defaults.max_growth_factor.to_bits() + 1),
-            ..FitOptions::default()
+            ..defaults.clone()
         };
-        // Pairwise distinct keys, each close to another.
-        let keys = [
-            FitKey::new(&[1.0, 2.0], &[3.0], &defaults),
-            FitKey::new(&[1.0], &[2.0, 3.0], &defaults),
-            FitKey::new(&[1.0, 2.0, 3.0], &[], &defaults),
-            FitKey::new(&[1.0, 2.0], &[0.0], &defaults),
-            FitKey::new(&[1.0, 2.0], &[-0.0], &defaults),
-            FitKey::new(&[1.0, 2.0], &[NAN], &defaults),
-            FitKey::new(&[1.0, 2.0], &[OTHER_NAN], &defaults),
-            FitKey::scoped(&[1.0, 2.0], &[3.0], &defaults, "a", 1),
-            FitKey::scoped(&[1.0, 2.0], &[3.0], &defaults, "a", 2),
-            FitKey::scoped(&[1.0, 2.0], &[3.0], &defaults, "b", 1),
-            FitKey::scoped(&[1.0, 2.0], &[3.0], &defaults, "", 1),
-            FitKey::new(&[1.0, 2.0], &[3.0], &horizon),
-            FitKey::new(&[1.0, 2.0], &[3.0], &growth),
-        ];
+        [defaults, horizon, growth]
+    }
+
+    /// Pairwise distinct keys, each close to another.
+    fn near_alias_keys(options: &[FitOptions; 3]) -> [FitKey<'_>; 13] {
+        const NAN: f64 = f64::NAN;
+        const OTHER_NAN: f64 = f64::from_bits(NAN.to_bits() ^ 1);
+        let [defaults, horizon, growth] = options;
+        [
+            FitKey::new(&[1.0, 2.0], &[3.0], defaults),
+            FitKey::new(&[1.0], &[2.0, 3.0], defaults),
+            FitKey::new(&[1.0, 2.0, 3.0], &[], defaults),
+            FitKey::new(&[1.0, 2.0], &[0.0], defaults),
+            FitKey::new(&[1.0, 2.0], &[-0.0], defaults),
+            FitKey::new(&[1.0, 2.0], &[NAN], defaults),
+            FitKey::new(&[1.0, 2.0], &[OTHER_NAN], defaults),
+            FitKey::scoped(&[1.0, 2.0], &[3.0], defaults, "a", 1),
+            FitKey::scoped(&[1.0, 2.0], &[3.0], defaults, "a", 2),
+            FitKey::scoped(&[1.0, 2.0], &[3.0], defaults, "b", 1),
+            FitKey::scoped(&[1.0, 2.0], &[3.0], defaults, "", 1),
+            FitKey::new(&[1.0, 2.0], &[3.0], horizon),
+            FitKey::new(&[1.0, 2.0], &[3.0], growth),
+        ]
+    }
+
+    /// `key`'s hashes in `cache`, as its probe computes them.
+    fn key_hash(cache: &FitCache, key: FitKey<'_>) -> KeyHash {
+        cache.key_base(key.xs, key.options, key.scope).hash(key.ys)
+    }
+
+    #[test]
+    fn near_alias_lookups_never_share_a_list() {
+        let options = near_alias_options();
+        let keys = near_alias_keys(&options);
         let cache = FitCache::new();
         let computes = Cell::new(0);
         let inserted: Vec<Arc<Fits>> = keys
@@ -1352,6 +1378,60 @@ mod tests {
                 "{key:?} found another list"
             );
         }
+    }
+
+    #[test]
+    fn two_caches_share_the_shard_lane_and_not_the_keyed_lane() {
+        let options = FitOptions::default();
+        let key = FitKey::scoped(&[1.0, 2.0, 3.0], &[1.0, 4.0, 9.0], &options, "a", 1);
+        let prefix = [1, 2, 3, 4];
+        let (first, second) = (FitCache::new(), FitCache::new());
+        let pairs = [
+            (key_hash(&first, key), key_hash(&second, key)),
+            (first.solve_hash(&prefix), second.solve_hash(&prefix)),
+        ];
+        for (one, other) in pairs {
+            assert_eq!(one.shard, other.shard, "the shard lane differs");
+            assert_ne!(one.keyed, other.keyed, "two caches share a keyed lane");
+        }
+        // Like `RandomState`'s keys, the keyed lane's stay out of `Debug`.
+        let LaneKeys { seed, secret } = first.keys;
+        let shown = format!("{first:?}");
+        for key in [seed, secret] {
+            assert!(!shown.contains(&key.to_string()), "{shown}");
+        }
+    }
+
+    #[test]
+    fn keyed_hashes_spread_over_a_maps_bucket_and_tag_bits() {
+        // The exponent-only keys of `fit_cache.rs`'s shard test and the
+        // near-alias keys: pairwise distinct keyed hashes, spread over the
+        // low seven bits (a 128-bucket map's index) and the top seven (its
+        // tag). 77 random hashes take about 58 of 128 values in each.
+        let options = near_alias_options();
+        let defaults = &options[0];
+        let xs = [1.0, 2.0, 3.0, 4.0];
+        let exponents: Vec<[f64; 4]> = (0..64)
+            .map(|power| [1.0, 4.0, 9.0, 2f64.powi(power)])
+            .collect();
+        let keys = exponents
+            .iter()
+            .map(|ys| FitKey::new(&xs, ys, defaults))
+            .chain(near_alias_keys(&options));
+        let cache = FitCache::new();
+        let mut hashes: Vec<u64> = keys.map(|key| key_hash(&cache, key).keyed).collect();
+        let distinct = |bits: &dyn Fn(u64) -> u64| {
+            let mut values: Vec<u64> = hashes.iter().map(|hash| bits(*hash)).collect();
+            values.sort_unstable();
+            values.dedup();
+            values.len()
+        };
+        let (low, top) = (distinct(&|hash| hash & 0x7f), distinct(&|hash| hash >> 57));
+        assert!(low >= 32 && top >= 32, "{low} low and {top} top values");
+        let count = hashes.len();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), count, "two keys share a keyed hash");
     }
 
     #[test]

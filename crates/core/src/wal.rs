@@ -90,8 +90,7 @@ const FRAME_HEADER_BYTES: usize = 12;
 /// treated as corruption rather than an allocation request.
 const MAX_RECORD_BYTES: usize = 64 * 1024 * 1024;
 
-/// 64-bit FNV-1a over a byte slice — the same hash the fit cache uses for
-/// shard selection, reused here as the frame checksum (no new deps).
+/// 64-bit FNV-1a over a byte slice: the frame checksum (no new deps).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in bytes {

@@ -101,11 +101,11 @@ fn capacity_bound_holds_across_shards() {
 
 #[test]
 fn same_key_lands_on_same_shard_deterministically() {
-    // The FNV shard hash depends only on the key contents, so repeated
-    // lookups of one key touch one shard: with capacity 1 per shard, two
-    // alternating keys on the *same* shard would evict each other (4
-    // computes), while keys on different shards coexist. Either way the
-    // replay below must behave identically run to run.
+    // The shard lane has no per-cache seed: it depends only on the key
+    // contents, so lookups of one key touch one shard in every cache. With
+    // capacity 1 per shard, two alternating keys on the *same* shard would
+    // evict each other (4 computes), while keys on different shards
+    // coexist. Either way both caches must replay the sequence alike.
     let cache_a = FitCache::with_shards_and_capacity(8, 8);
     let cache_b = FitCache::with_shards_and_capacity(8, 8);
     let computes_a = AtomicUsize::new(0);
@@ -124,11 +124,12 @@ fn same_key_lands_on_same_shard_deterministically() {
 
 #[test]
 fn keys_differing_only_in_exponents_spread_across_shards() {
-    // The shard hash eats a word per multiply, and a multiply only carries
-    // bits upward, so series that differ only in their values' exponents
-    // differ only in the running hash's high bits. The shard index reads
-    // the low bits: without a final fold every key below lands on one
-    // shard, and with one entry per shard the cache would hold one key.
+    // Series that differ only in their values' exponents differ only in
+    // their words' high bits, and a 64-bit multiply only carries bits
+    // upward. The shard lane folds each product's high half into its low
+    // half and finishes through `fmix64`, so every bit of the shard index
+    // depends on every word: were every key below to land on one shard,
+    // the cache, with one entry per shard, would hold one key.
     let cache = FitCache::with_shards_and_capacity(16, 16);
     let computes = AtomicUsize::new(0);
     for power in 0..64 {

@@ -2,9 +2,8 @@
 //! stateful shard nodes, answering byte-identically to a single node.
 //!
 //! The [`ShardRing`] maps a series id to its owning shard by rendezvous
-//! (highest-random-weight) hashing over the same FNV-1a family the
-//! [`FitCache`](estima_core::FitCache) uses for key sharding: every key
-//! scores every shard and the highest score owns it. Rendezvous hashing
+//! (highest-random-weight) hashing over FNV-1a: every key scores every
+//! shard and the highest score owns it. Rendezvous hashing
 //! gives the three properties the ring proptests pin — the assignment is a
 //! pure function of `(shard set, key)`, total over all keys, and removing
 //! one shard remaps *only* the keys that shard owned (every other key's
@@ -62,7 +61,7 @@ pub struct ShardRing {
     shards: Vec<String>,
 }
 
-/// FNV-1a offset basis (the `FitCache` key-sharding constant).
+/// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -452,6 +452,9 @@ fn reactor(shared: &Shared, index: usize) {
     let mut stalled_count = 0usize;
     let mut last_sweep = Instant::now();
     let mut events = [sys::EpollEvent::zeroed(); EVENTS_PER_WAIT];
+    // Every read lands here, then moves to its connection's `inbuf`: one
+    // buffer, zeroed once, serves all connections, and idle ones hold none.
+    let mut chunk = [0u8; 16 * 1024];
 
     loop {
         // With no stalled connection there is nothing to poll for: sleep
@@ -506,7 +509,7 @@ fn reactor(shared: &Shared, index: usize) {
                             slot,
                             generation: generations[slot],
                         };
-                        drive(conn, &shared.state, token)
+                        drive(conn, &shared.state, token, &mut chunk)
                     };
                     if keep {
                         note_stall(conn, &mut stalled_count);
@@ -530,6 +533,7 @@ fn reactor(shared: &Shared, index: usize) {
                 &mut free,
                 &mut generations,
                 &mut stalled_count,
+                &mut chunk,
             );
         }
         if stalled_count > 0 && last_sweep.elapsed() >= STALL_SWEEP {
@@ -551,6 +555,7 @@ fn deliver_completions(
     free: &mut Vec<usize>,
     generations: &mut [u64],
     stalled_count: &mut usize,
+    chunk: &mut [u8],
 ) {
     for completion in shared.mailboxes[index].drain() {
         let slot = completion.token.slot;
@@ -575,7 +580,7 @@ fn deliver_completions(
             slot,
             generation: generations[slot],
         };
-        if drive(conn, &shared.state, token) {
+        if drive(conn, &shared.state, token, chunk) {
             note_stall(conn, stalled_count);
         } else {
             close_slot(conns, free, generations, slot, stalled_count);
@@ -689,12 +694,16 @@ fn finish_response(conn: &mut Conn, state: &AppState, close: bool) {
 
 /// Read to `EAGAIN`/EOF, then parse and dispatch every complete pipelined
 /// request that has accumulated (edge-triggered sockets require consuming
-/// everything per event). Responses render into `outbuf`; the caller
-/// flushes.
-fn fill_and_dispatch(conn: &mut Conn, state: &AppState, token: ConnToken) -> Fill {
-    let mut chunk = [0u8; 16 * 1024];
+/// everything per event), each read through the reactor's `chunk`.
+/// Responses render into `outbuf`; the caller flushes.
+fn fill_and_dispatch(
+    conn: &mut Conn,
+    state: &AppState,
+    token: ConnToken,
+    chunk: &mut [u8],
+) -> Fill {
     loop {
-        match conn.stream.read(&mut chunk) {
+        match conn.stream.read(chunk) {
             Ok(0) => {
                 conn.eof = true;
                 break;
@@ -795,8 +804,9 @@ fn dispatch_buffered(conn: &mut Conn, state: &AppState, token: ConnToken) {
 
 /// Advance one connection's state machine as far as the socket allows:
 /// alternate write and read phases until both sides report `EAGAIN` or the
-/// connection is done. Returns `false` when the connection must close.
-fn drive(conn: &mut Conn, state: &AppState, token: ConnToken) -> bool {
+/// connection is done, reading through the reactor's `chunk`. Returns
+/// `false` when the connection must close.
+fn drive(conn: &mut Conn, state: &AppState, token: ConnToken, chunk: &mut [u8]) -> bool {
     loop {
         match flush_some(conn) {
             Flush::Fatal => return false,
@@ -812,7 +822,7 @@ fn drive(conn: &mut Conn, state: &AppState, token: ConnToken) -> bool {
         if conn.close_after_flush || conn.eof {
             return false;
         }
-        match fill_and_dispatch(conn, state, token) {
+        match fill_and_dispatch(conn, state, token, chunk) {
             Fill::Fatal => return false,
             Fill::Drained => {
                 if conn.parked.is_some() {
@@ -1392,6 +1402,11 @@ mod tests {
     use super::*;
     use estima_core::{Measurement, MeasurementSet, StallCategory, TargetSpec};
     use std::io::BufRead;
+
+    /// [`super::drive`] through a read buffer of its own.
+    fn drive(conn: &mut Conn, state: &AppState, token: ConnToken) -> bool {
+        super::drive(conn, state, token, &mut [0u8; 16 * 1024])
+    }
 
     /// A valid `/v1/predict` request at `target` cores whose body is padded
     /// with `padding` bytes of whitespace.
